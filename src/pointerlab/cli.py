@@ -5,17 +5,19 @@
     pointerlab demo {fr,ambiguity,decoherence,triortho} [--format ...]
 
 Exit codes: 0 on success, 2 on scenario parse errors, 3 on execution errors.
+Every diagnostic is one line on stderr that starts with the file it is about.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
-from .errors import ExecutionError, PointerLabError, ScenarioParseError
+from .errors import PointerLabError, ScenarioParseError
 from .runner import DEFAULT_ZERO_TOL, run
 from .scenario import parse_scenario
 
@@ -68,34 +70,48 @@ def _run_one(text: str, fmt: str, tolerance: float) -> str:
     return report.to_table()
 
 
+def _guarded(source: str, work: Callable[[], str]) -> tuple[int, str]:
+    """(exit code, output) of ``work``; on failure the output is a one-line
+    diagnostic naming ``source``.  Numerical errors that escape the library
+    count as execution errors."""
+    try:
+        return EXIT_OK, work()
+    except ScenarioParseError as exc:
+        return EXIT_PARSE, f"{source}: parse error: {exc}"
+    except PointerLabError as exc:
+        return EXIT_EXEC, f"{source}: execution error: {exc}"
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        return EXIT_EXEC, f"{source}: execution error: {type(exc).__name__}: {exc}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "check":
-        path = Path(args.file)
         try:
-            scenario = parse_scenario(path.read_text("utf-8"))
+            text = Path(args.file).read_text("utf-8")
         except OSError as exc:
             print(f"{args.file}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        except ScenarioParseError as exc:
-            print(f"{args.file}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        print(f"{args.file}: OK ({len(scenario.actions)} actions, "
-              f"{len(scenario.queries)} queries)")
-        return EXIT_OK
+
+        def summary() -> str:
+            scenario = parse_scenario(text)
+            return (f"{args.file}: OK ({len(scenario.actions)} actions, "
+                    f"{len(scenario.queries)} queries)")
+
+        code, out = _guarded(args.file, summary)
+        print(out, file=sys.stdout if code == EXIT_OK else sys.stderr)
+        return code
 
     if args.command == "demo":
         text = bundled_scenario_text(args.name)
-        try:
-            sys.stdout.write(_run_one(text, args.format, args.tolerance))
-        except ScenarioParseError as exc:
-            print(f"demo {args.name}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except (ExecutionError, PointerLabError) as exc:
-            print(f"demo {args.name}: {exc}", file=sys.stderr)
-            return EXIT_EXEC
-        return EXIT_OK
+        code, out = _guarded(f"demo {args.name}",
+                             lambda: _run_one(text, args.format, args.tolerance))
+        if code == EXIT_OK:
+            sys.stdout.write(out)
+        else:
+            print(out, file=sys.stderr)
+        return code
 
     # run
     texts = []
@@ -106,21 +122,21 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: {exc}", file=sys.stderr)
             return EXIT_PARSE
 
-    def job(text):
-        return _run_one(text, args.format, args.tolerance)
+    def job(item: tuple[str, str]) -> tuple[int, str]:
+        name, text = item
+        return _guarded(name, lambda: _run_one(text, args.format, args.tolerance))
 
-    try:
-        if args.jobs > 1 and len(texts) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outputs = list(pool.map(job, texts))
-        else:
-            outputs = [job(text) for text in texts]
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ExecutionError, PointerLabError) as exc:
-        print(f"execution error: {exc}", file=sys.stderr)
-        return EXIT_EXEC
+    if args.jobs > 1 and len(texts) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(job, zip(args.files, texts)))
+    else:
+        results = map(job, zip(args.files, texts))
+    outputs = []
+    for code, out in results:
+        if code != EXIT_OK:
+            print(out, file=sys.stderr)
+            return code
+        outputs.append(out)
 
     for i, out in enumerate(outputs):
         if len(outputs) > 1:

@@ -168,7 +168,7 @@ def schmidt(
             SchmidtTerm(
                 float(sigma),
                 StateVector(left_layout, u[:, k]),
-                StateVector(right_layout, vh[k, :].conj()),
+                StateVector(right_layout, vh[k, :]),
             )
         )
     coeffs = [t.coefficient for t in terms]
@@ -277,7 +277,7 @@ def _try_anchor_basis(
         residual_sq += tail
         if residual_sq > SEARCH_TOL**2:
             return None
-        raw_terms.append((v, s[0], u[:, 0], vh[0, :].conj()))
+        raw_terms.append((v, s[0], u[:, 0], vh[0, :]))
     if residual_sq > SEARCH_TOL**2 or not raw_terms:
         return None
     terms = []

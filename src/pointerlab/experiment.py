@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ExecutionError,
     ImpossibleOutcomeError,
-    LayoutConflictError,
     PointerLabError,
     UnknownLabelError,
     UnknownSubsystemError,
@@ -37,6 +37,8 @@ from .hilbert import (
     StateVector,
     SubsystemLayout,
     basis_state,
+    group_layout,
+    group_state,
     make_state,
     partial_trace,
     tensor,
@@ -58,38 +60,6 @@ SQ = math.sqrt
 
 CERTAIN_TOL = 1e-9
 
-# Label-level description of a basis vector: terms over computational labels.
-VectorTerms = tuple[tuple[tuple[str, ...], complex], ...]
-
-
-def _vector_from_terms(layout: SubsystemLayout, names: Sequence[str],
-                       terms: VectorTerms) -> StateVector:
-    sub = layout.sublayout(names)
-    return make_state(sub, [(labels, coeff) for labels, coeff in terms])
-
-
-def _basis_from_terms(layout: SubsystemLayout, name: str, labels: Sequence[str],
-                      vector_terms: Sequence[VectorTerms]) -> Basis:
-    vectors = tuple(_vector_from_terms(layout, [name], t) for t in vector_terms)
-    return Basis(tuple(labels), vectors)
-
-
-@dataclass(frozen=True)
-class PremeasureStep:
-    """Declarative premeasurement: basis given as label-level terms so the
-    concrete vectors can be rebuilt against whatever layout is current."""
-
-    target: str
-    basis_labels: tuple[str, ...]
-    basis_terms: tuple[VectorTerms, ...]
-    apparatus: str
-    ready: str
-    outcomes: tuple[str, ...]
-
-    def spec(self, layout: SubsystemLayout) -> MeasurementSpec:
-        basis = _basis_from_terms(layout, self.target, self.basis_labels, self.basis_terms)
-        return MeasurementSpec(self.target, basis, self.apparatus, self.ready, self.outcomes)
-
 
 @dataclass(frozen=True)
 class GroupStep:
@@ -101,39 +71,29 @@ class GroupStep:
         return dict(self.label_map)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupleStep:
     """One-shot environment coupling; the environment register is attached
     on the fly (ready level plus one record level per branch)."""
 
     environment: str
-    targets: tuple[str, ...]
-    branch_terms: tuple[VectorTerms, ...]
+    branches: tuple[StateVector, ...]
 
 
-Step = PremeasureStep | GroupStep | CoupleStep
+# A premeasurement step is its MeasurementSpec: the basis is built once.
+Step = MeasurementSpec | GroupStep | CoupleStep
 
 
 def apply_step(state: StateVector, step: Step) -> StateVector:
-    from .hilbert import group_state
-
-    if isinstance(step, PremeasureStep):
-        return premeasure(state, step.spec(state.layout))
+    if isinstance(step, MeasurementSpec):
+        return premeasure(state, step)
     if isinstance(step, GroupStep):
         return group_state(state, step.parts, step.new_name, step.mapping())
     if isinstance(step, CoupleStep):
-        if step.environment in state.layout.names:
-            raise LayoutConflictError(
-                f"environment name {step.environment!r} already taken"
-            )
         extended, rec_labels = attach_environment(
-            state, step.environment, len(step.branch_terms)
+            state, step.environment, len(step.branches)
         )
-        ordered = sorted(step.targets, key=state.layout.axis)
-        branches = tuple(
-            _vector_from_terms(state.layout, ordered, t) for t in step.branch_terms
-        )
-        return environment_couple(extended, branches, step.environment, rec_labels)
+        return environment_couple(extended, step.branches, step.environment, rec_labels)
     raise TypeError(f"unknown step {step!r}")
 
 
@@ -161,9 +121,9 @@ class ProtocolTranscript:
                 return st
         raise UnknownLabelError(f"no stage named {name!r}")
 
-    def agent_premeasure(self, agent: str) -> tuple[int, PremeasureStep]:
+    def agent_premeasure(self, agent: str) -> tuple[int, MeasurementSpec]:
         for i, step in enumerate(self.steps):
-            if isinstance(step, PremeasureStep) and step.apparatus == agent:
+            if isinstance(step, MeasurementSpec) and step.apparatus == agent:
                 return i, step
         raise UnknownSubsystemError(f"no premeasurement with apparatus {agent!r}")
 
@@ -175,11 +135,16 @@ class ProtocolTranscript:
 
 def run_transcript(initial: StateVector, named_steps: Sequence[tuple[str, Step]],
                    initial_name: str = "initial") -> ProtocolTranscript:
+    """Apply the named steps in order, keeping every stage.  A failing step
+    raises ExecutionError naming its 1-based action index and stage name."""
     stages = [Stage(initial_name, initial)]
     steps: list[Step | None] = [None]
     state = initial
-    for name, step in named_steps:
-        state = apply_step(state, step)
+    for i, (name, step) in enumerate(named_steps, start=1):
+        try:
+            state = apply_step(state, step)
+        except PointerLabError as exc:
+            raise ExecutionError(f"action {i} ({name}): {exc}") from exc
         stages.append(Stage(name, state))
         steps.append(step)
     return ProtocolTranscript(tuple(stages), tuple(steps))
@@ -224,26 +189,22 @@ def build_init() -> StateVector:
     )
 
 
+def _sum_difference_basis(layout: SubsystemLayout, name: str, labels: tuple[str, str],
+                          x: str, y: str) -> Basis:
+    """{(x+y)/sqrt2, (x-y)/sqrt2} over one register."""
+    sub = layout.sublayout([name])
+    return Basis(labels, (make_state(sub, [((x,), _HALF), ((y,), _HALF)]),
+                          make_state(sub, [((x,), _HALF), ((y,), -_HALF)])))
+
+
 def spin_direction_basis(layout: SubsystemLayout) -> Basis:
     """{right, left} over the spin: right = (up+down)/sqrt2, left = (up-down)/sqrt2."""
-    return _basis_from_terms(
-        layout, SPIN, ("right", "left"),
-        (
-            ((("up",), _HALF), (("down",), _HALF)),
-            ((("up",), _HALF), (("down",), -_HALF)),
-        ),
-    )
+    return _sum_difference_basis(layout, SPIN, ("right", "left"), "up", "down")
 
 
 def coin_diagonal_basis(layout: SubsystemLayout) -> Basis:
     """{h+t, h-t} over the coin."""
-    return _basis_from_terms(
-        layout, COIN, ("h+t", "h-t"),
-        (
-            ((("head",), _HALF), (("tail",), _HALF)),
-            ((("head",), _HALF), (("tail",), -_HALF)),
-        ),
-    )
+    return _sum_difference_basis(layout, COIN, ("h+t", "h-t"), "head", "tail")
 
 
 def failbar_okbar_basis(layout: SubsystemLayout) -> Basis:
@@ -251,64 +212,33 @@ def failbar_okbar_basis(layout: SubsystemLayout) -> Basis:
 
     The minus sign on okbar is load-bearing for the final-stage statistics.
     """
-    return _basis_from_terms(
-        layout, LAB_BAR, ("failbar", "okbar"),
-        (
-            ((("h",), _HALF), (("t",), _HALF)),
-            ((("h",), _HALF), (("t",), -_HALF)),
-        ),
-    )
+    return _sum_difference_basis(layout, LAB_BAR, ("failbar", "okbar"), "h", "t")
 
 
 def fail_ok_basis(layout: SubsystemLayout) -> Basis:
     """{fail, ok} over the inner laboratory: fail = (-1/2 + +1/2)/sqrt2,
     ok = (-1/2 - +1/2)/sqrt2 (sign convention again load-bearing)."""
-    return _basis_from_terms(
-        layout, LAB, ("fail", "ok"),
-        (
-            ((("-1/2",), _HALF), (("+1/2",), _HALF)),
-            ((("-1/2",), _HALF), (("+1/2",), -_HALF)),
-        ),
-    )
+    return _sum_difference_basis(layout, LAB, ("fail", "ok"), "-1/2", "+1/2")
 
 
 def protocol_steps() -> tuple[tuple[str, Step], ...]:
-    one = 1.0 + 0.0j
+    group_lbar = GroupStep((COIN, AGENT_FBAR), LAB_BAR,
+                           ((("head", "F1"), "h"), (("tail", "F2"), "t")))
+    group_l = GroupStep((SPIN, AGENT_F), LAB,
+                        ((("down", "F1"), "-1/2"), (("up", "F2"), "+1/2")))
+    grouped = FULL_LAYOUT
+    for g in (group_lbar, group_l):
+        grouped = group_layout(grouped, g.parts, g.new_name, g.mapping())
     return (
-        ("after-Fbar", PremeasureStep(
-            COIN, ("head", "tail"),
-            (((("head",), one),), ((("tail",), one),)),
-            AGENT_FBAR, "F0", ("F1", "F2"),
-        )),
-        ("group-Lbar", GroupStep(
-            (COIN, AGENT_FBAR), LAB_BAR,
-            ((("head", "F1"), "h"), (("tail", "F2"), "t")),
-        )),
-        ("after-F", PremeasureStep(
-            SPIN, ("down", "up"),
-            (((("down",), one),), ((("up",), one),)),
-            AGENT_F, "F0", ("F1", "F2"),
-        )),
-        ("group-L", GroupStep(
-            (SPIN, AGENT_F), LAB,
-            ((("down", "F1"), "-1/2"), (("up", "F2"), "+1/2")),
-        )),
-        ("after-Wbar", PremeasureStep(
-            LAB_BAR, ("failbar", "okbar"),
-            (
-                ((("h",), _HALF), (("t",), _HALF)),
-                ((("h",), _HALF), (("t",), -_HALF)),
-            ),
-            AGENT_WBAR, "W0", ("W1", "W2"),
-        )),
-        ("after-W", PremeasureStep(
-            LAB, ("fail", "ok"),
-            (
-                ((("-1/2",), _HALF), (("+1/2",), _HALF)),
-                ((("-1/2",), _HALF), (("+1/2",), -_HALF)),
-            ),
-            AGENT_W, "W0", ("W1", "W2"),
-        )),
+        ("after-Fbar", MeasurementSpec(COIN, Basis.computational(FULL_LAYOUT, COIN),
+                                       AGENT_FBAR, "F0", ("F1", "F2"))),
+        ("group-Lbar", group_lbar),
+        ("after-F", MeasurementSpec(SPIN, Basis.computational(FULL_LAYOUT, SPIN, ("down", "up")),
+                                    AGENT_F, "F0", ("F1", "F2"))),
+        ("group-L", group_l),
+        ("after-Wbar", MeasurementSpec(LAB_BAR, failbar_okbar_basis(grouped),
+                                       AGENT_WBAR, "W0", ("W1", "W2"))),
+        ("after-W", MeasurementSpec(LAB, fail_ok_basis(grouped), AGENT_W, "W0", ("W1", "W2"))),
     )
 
 
@@ -332,9 +262,9 @@ def joint_outcome(transcript: ProtocolTranscript, registers: Sequence[str]) -> O
     renames: list[Mapping[str, str]] = []
     for reg in registers:
         _, step = transcript.agent_premeasure(reg)
-        basis = Basis.computational(final.layout, reg, labels=step.outcomes)
+        basis = Basis.computational(final.layout, reg, labels=step.outcome_labels)
         targets.append((reg, basis))
-        renames.append(dict(zip(step.outcomes, step.basis_labels)))
+        renames.append(step.record_to_outcome())
     dist = born(final, targets)
     entries = []
     for labels, p in dist.entries:
@@ -368,40 +298,29 @@ class Proposition:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentModel:
-    """Hypothetical one-shot coupling: which orthonormal branches of which
-    registers the environment records.  Branch-term labels line up with the
-    targets in layout order."""
+    """Hypothetical one-shot coupling: the orthonormal branches, over some
+    registers in layout order, that the environment records."""
 
     name: str
-    targets: tuple[str, ...]
-    branch_terms: tuple[VectorTerms, ...]
-
-    def branch_vectors(self, layout: SubsystemLayout) -> tuple[StateVector, ...]:
-        ordered = sorted(self.targets, key=layout.axis)
-        return tuple(_vector_from_terms(layout, ordered, t) for t in self.branch_terms)
+    branches: tuple[StateVector, ...]
 
 
 def default_environment_models() -> tuple[EnvironmentModel, EnvironmentModel]:
     """The two couplings the certainty engine consults by default: one
     records the coin-spin branches as wholes, the other resolves the spin."""
-    one = 1.0 + 0.0j
-    coarse = EnvironmentModel(
-        "two-branch", (COIN, SPIN, AGENT_FBAR),
-        (
-            ((("head", "down", "F1"), one),),
-            ((("tail", "up", "F2"), _HALF), (("tail", "down", "F2"), _HALF)),
-        ),
-    )
-    fine = EnvironmentModel(
-        "three-branch", (COIN, SPIN, AGENT_FBAR),
-        (
-            ((("head", "down", "F1"), one),),
-            ((("tail", "down", "F2"), one),),
-            ((("tail", "up", "F2"), one),),
-        ),
-    )
+    sub = FULL_LAYOUT.sublayout((COIN, SPIN, AGENT_FBAR))
+    head = make_state(sub, [(("head", "down", "F1"), 1.0)])
+    coarse = EnvironmentModel("two-branch", (
+        head,
+        make_state(sub, [(("tail", "up", "F2"), _HALF), (("tail", "down", "F2"), _HALF)]),
+    ))
+    fine = EnvironmentModel("three-branch", (
+        head,
+        make_state(sub, [(("tail", "down", "F2"), 1.0)]),
+        make_state(sub, [(("tail", "up", "F2"), 1.0)]),
+    ))
     return coarse, fine
 
 
@@ -478,8 +397,8 @@ def certainty(
     app_basis = Basis.computational(stage_state.layout, step.apparatus)
     if observed in app_basis.labels:
         out_i = app_basis.labels.index(observed)
-    elif observed in step.basis_labels:
-        out_i = app_basis.labels.index(step.outcomes[step.basis_labels.index(observed)])
+    elif observed in step.basis.labels:
+        out_i = app_basis.labels.index(step.outcome_labels[step.basis.labels.index(observed)])
     else:
         raise UnknownLabelError(
             f"{observed!r} is neither a record nor a basis label of {observer!r}"
@@ -504,10 +423,9 @@ def certainty(
     evidence = []
     for model in models:
         extended, rec_labels = attach_environment(
-            stage_state, model.name, len(model.branch_terms)
+            stage_state, model.name, len(model.branches)
         )
-        branches = model.branch_vectors(stage_state.layout)
-        coupled = environment_couple(extended, branches, model.name, rec_labels)
+        coupled = environment_couple(extended, model.branches, model.name, rec_labels)
         env_basis = Basis.computational(coupled.layout, model.name)
         mixture: list[tuple[float, StateVector]] = []
         for k in range(env_basis.size):
@@ -569,7 +487,6 @@ def decoherence_compare() -> DecoherenceComparison:
         (SPIN, ("up", "down")),
         ("A", ("A0", "A1", "A2")),
     )
-    one = 1.0 + 0.0j
     start = make_state(
         layout,
         [
@@ -578,26 +495,16 @@ def decoherence_compare() -> DecoherenceComparison:
             (("tail", "down", "A0"), SQ(2 / 3) * _HALF),
         ],
     )
-    pm = PremeasureStep(COIN, ("head", "tail"),
-                        (((("head",), one),), ((("tail",), one),)),
-                        "A", "A0", ("A1", "A2"))
+    pm = MeasurementSpec(COIN, Basis.computational(layout, COIN), "A", "A0", ("A1", "A2"))
     psi = apply_step(start, pm)
 
-    coarse_terms: tuple[VectorTerms, ...] = (
-        ((("head", "down", "A1"), one),),
-        ((("tail", "up", "A2"), _HALF), (("tail", "down", "A2"), _HALF)),
-    )
-    fine_terms: tuple[VectorTerms, ...] = (
-        ((("head", "down", "A1"), one),),
-        ((("tail", "down", "A2"), one),),
-        ((("tail", "up", "A2"), one),),
-    )
+    head = (("head", "down", "A1"), 1.0)
+    coarse_terms = ([head], [(("tail", "up", "A2"), _HALF), (("tail", "down", "A2"), _HALF)])
+    fine_terms = ([head], [(("tail", "down", "A2"), 1.0)], [(("tail", "up", "A2"), 1.0)])
 
-    def couple_and_reduce(terms: tuple[VectorTerms, ...]):
+    def couple_and_reduce(terms):
         extended, rec = attach_environment(psi, "E", len(terms))
-        branches = tuple(
-            _vector_from_terms(psi.layout, (COIN, SPIN, "A"), t) for t in terms
-        )
+        branches = tuple(make_state(layout, t) for t in terms)
         coupled = environment_couple(extended, branches, "E", rec)
         rho = pointer_reduce(coupled, "E")
         weights = tuple(

@@ -243,10 +243,28 @@ def make_state(
     amps = np.zeros(layout.dimension, dtype=np.complex128)
     for labels, coeff in terms:
         amps[layout.index(labels)] += coeff
+    return normalized(layout, amps)
+
+
+def normalized(layout: SubsystemLayout, amps: np.ndarray) -> StateVector:
+    """The state along raw amplitudes ``amps``, with their norm kept as
+    ``input_norm``."""
     nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:
         raise DegenerateStateError("terms sum to the zero vector")
     return StateVector(layout, amps / nrm, input_norm=nrm)
+
+
+def gram_defect(rows: np.ndarray) -> tuple[int, int, complex] | None:
+    """Where the vectors in ``rows`` (one per row) fail to be orthonormal:
+    the Gram entry (i, j, value) furthest from the identity when it is off by
+    more than ATOL, else None."""
+    gram = rows.conj() @ rows.T
+    dev = np.abs(gram - np.eye(len(rows)))
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    if dev[i, j] > ATOL:
+        return int(i), int(j), complex(gram[i, j])
+    return None
 
 
 def basis_state(layout: SubsystemLayout, labels: Sequence[str]) -> StateVector:

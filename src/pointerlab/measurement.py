@@ -34,6 +34,7 @@ from .hilbert import (
     SubsystemLayout,
     basis_state,
     density,
+    gram_defect,
     partial_trace,
 )
 from .hilbert import DensityOperator
@@ -57,14 +58,10 @@ class Basis:
         for v in self.vectors:
             if v.layout != layout:
                 raise LayoutMismatchError("basis vectors live over different layouts")
-        mat = self.matrix
-        gram = mat.conj() @ mat.T
-        dev = np.abs(gram - np.eye(len(self.vectors)))
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        if dev[i, j] > ATOL:
-            raise NonOrthonormalBasisError(
-                f"basis not orthonormal: Gram[{i},{j}] = {gram[i, j]:.6g}"
-            )
+        defect = gram_defect(self.matrix)
+        if defect is not None:
+            i, j, g = defect
+            raise NonOrthonormalBasisError(f"basis not orthonormal: Gram[{i},{j}] = {g:.6g}")
 
     @property
     def layout(self) -> SubsystemLayout:
@@ -208,8 +205,7 @@ def _correlating_small(
                 f"branch vector layout {v.layout.names} != target layout {sub_layout.names}"
             )
     vmat = np.stack([v.amplitudes for v in vectors])  # (k, d_t)
-    gram = vmat.conj() @ vmat.T
-    if np.max(np.abs(gram - np.eye(len(vectors)))) > ATOL:
+    if gram_defect(vmat) is not None:
         raise NonOrthonormalBasisError("measurement basis vectors are not orthonormal")
 
     dim = d_t * d_a
@@ -356,8 +352,7 @@ def environment_couple(
     # Span check: the state must lie inside span{branches} on the subset.
     sub_layout = layout.sublayout(sorted(target_names, key=layout.axis))
     vmat = np.stack([b.amplitudes for b in branches])
-    gram = vmat.conj() @ vmat.T
-    if np.max(np.abs(gram - np.eye(len(branches)))) > ATOL:
+    if gram_defect(vmat) is not None:
         raise NonOrthonormalBasisError("branch vectors are not orthonormal")
     axes = sorted(_axes_of(layout, target_names))
     n = len(layout.subsystems)

@@ -1,9 +1,12 @@
 """Scenario execution and report building.
 
-``run`` turns a parsed Scenario into a Report holding plain data: query
-results with probabilities quantized to 12 significant digits.  Both the
-human-readable table and the structured JSON document render from the same
-Report values, so every printed number agrees between the two formats.
+``run`` turns a parsed Scenario into a Report.  The parser has already
+resolved every label to vectors, so ``run`` only wraps them in steps,
+executes those through ``experiment.run_transcript`` (the one transcript
+loop), answers the queries against the transcript, and keeps plain data:
+query results with probabilities quantized to 12 significant digits.  Both
+the human-readable table and the structured JSON document render from the
+same Report values, so every printed number agrees between the two formats.
 """
 
 from __future__ import annotations
@@ -16,21 +19,20 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ExecutionError, PointerLabError
-from .hilbert import SubsystemLayout, make_state
-from .measurement import Basis, OutcomeDistribution
+from .measurement import MeasurementSpec, OutcomeDistribution, born
 from .decomposition import Decomposition, rewrite, triortho_verdict
 from .experiment import (
     CertaintyVerdict,
     CoupleStep,
     EnvironmentModel,
     GroupStep,
-    PremeasureStep,
     Proposition,
     ProtocolTranscript,
-    VectorTerms,
+    Step,
     certainty,
     consistency_audit,
     decoherence_compare,
+    run_transcript,
 )
 from . import scenario as sc
 
@@ -180,64 +182,14 @@ def _table_lines(res: dict[str, Any]) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-class _DerivedRegistry:
-    def __init__(self, layout_decls, derived_decls):
-        self.labels = {d.name: d.labels for d in layout_decls}
-        self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = {}
-        self.derived_order: dict[str, list[str]] = {}
-        for d in derived_decls:
-            self.add(d)
-
-    def add(self, d: sc.DerivedDecl) -> None:
-        self.derived[(d.subsystem, d.label)] = d.terms
-        self.derived_order.setdefault(d.subsystem, []).append(d.label)
-
-    def register_group(self, name: str, labels: tuple[str, ...]) -> None:
-        self.labels[name] = labels
-
-    def expand(self, sub: str, label: str) -> tuple[tuple[str, complex], ...]:
-        if label in self.labels.get(sub, ()):
-            return ((label, 1.0 + 0.0j),)
-        terms = self.derived.get((sub, label))
-        if terms is None:
-            raise ExecutionError(f"unknown label {label!r} on subsystem {sub!r}")
-        return terms
-
-    def vector_terms(self, targets: Sequence[str], terms: Sequence[sc.StateTerm]
-                     ) -> VectorTerms:
-        """Expand derived labels in a multi-register expression."""
-        import itertools
-
-        acc: dict[tuple[str, ...], complex] = {}
-        for term in terms:
-            expansions = [self.expand(t, lab) for t, lab in zip(targets, term.labels)]
-            for combo in itertools.product(*expansions):
-                labels = tuple(lab for lab, _ in combo)
-                coeff = term.coefficient
-                for _, c in combo:
-                    coeff *= c
-                acc[labels] = acc.get(labels, 0.0 + 0.0j) + coeff
-        return tuple(acc.items())
-
-    def basis_item_terms(self, sub: str, item: sc.BasisItem) -> tuple[str, VectorTerms]:
-        if isinstance(item, str):
-            expanded = tuple(((lab,), c) for lab, c in self.expand(sub, item))
-            return item, expanded
-        labels = self.labels[sub]
-        terms = tuple(
-            ((labels[i],), c) for i, c in enumerate(item) if c != 0
-        )
-        return "", terms
-
-
-def _build_basis(layout: SubsystemLayout, name: str, labels: Sequence[str],
-                 registry: _DerivedRegistry) -> Basis:
-    sub = layout.sublayout([name])
-    vectors = []
-    for lab in labels:
-        terms = registry.expand(name, lab)
-        vectors.append(make_state(sub, [((l,), c) for l, c in terms]))
-    return Basis(tuple(labels), tuple(vectors))
+def _named_step(action: sc.Action) -> tuple[str, Step]:
+    if isinstance(action, sc.PremeasureAction):
+        return f"after-{action.apparatus}", MeasurementSpec(
+            action.target, action.resolved, action.apparatus, action.ready, action.outcomes)
+    if isinstance(action, sc.GroupAction):
+        return f"group-{action.new_name}", GroupStep(action.parts, action.new_name,
+                                                      action.label_map)
+    return f"couple-{action.environment}", CoupleStep(action.environment, action.resolved)
 
 
 def run(scenario: sc.Scenario, source_text: str | None = None,
@@ -250,89 +202,12 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
     """
     text = source_text if source_text is not None else sc.serialize_scenario(scenario)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    layout = SubsystemLayout.of(*((d.name, d.labels) for d in scenario.subsystems))
-    registry = _DerivedRegistry(scenario.subsystems, scenario.derived)
-
-    names = [d.name for d in scenario.subsystems]
-    state_terms = registry.vector_terms(names, scenario.state_terms)
-    initial = make_state(layout, state_terms)
-
-    named_steps = []
-    action_index = 0
-    apparatus_actions: dict[str, sc.PremeasureAction] = {}
-    for step in scenario.steps:
-        if isinstance(step, sc.DerivedDecl):
-            registry.add(step)
-            continue
-        action_index += 1
-        if isinstance(step, sc.PremeasureAction):
-            apparatus_actions[step.apparatus] = step
-            labels = []
-            vec_terms = []
-            for k, item in enumerate(step.basis):
-                lab, terms = registry.basis_item_terms(step.target, item)
-                labels.append(lab or f"b{k}")
-                vec_terms.append(terms)
-            named_steps.append((
-                f"after-{step.apparatus}",
-                PremeasureStep(step.target, tuple(labels), tuple(vec_terms),
-                               step.apparatus, step.ready, step.outcomes),
-            ))
-        elif isinstance(step, sc.GroupAction):
-            from .hilbert import Subsystem, _merged_labels
-
-            parts = [Subsystem(p, tuple(registry.labels[p])) for p in step.parts]
-            registry.register_group(step.new_name,
-                                    _merged_labels(parts, dict(step.label_map)))
-            named_steps.append((
-                f"group-{step.new_name}",
-                GroupStep(step.parts, step.new_name, step.label_map),
-            ))
-        elif isinstance(step, sc.CoupleAction):
-            branch_terms = tuple(
-                registry.vector_terms(step.targets, b) for b in step.branches
-            )
-            named_steps.append((
-                f"couple-{step.environment}",
-                CoupleStep(step.environment, step.targets, branch_terms),
-            ))
-
-    # Apply actions one by one so failures carry the action index.
-    from .experiment import Stage, apply_step
-
-    stages = [Stage("initial", initial)]
-    steps: list = [None]
-    state = initial
-    for i, (nm, stp) in enumerate(named_steps, start=1):
-        try:
-            state = apply_step(state, stp)
-        except PointerLabError as inner:
-            raise ExecutionError(f"action {i} ({nm}): {inner}") from inner
-        stages.append(Stage(nm, state))
-        steps.append(stp)
-    transcript = ProtocolTranscript(tuple(stages), tuple(steps))
-
-    # Register grouped-subsystem labels so queries can expand derived labels.
-    for st in transcript.stages:
-        for sub in st.state.layout.subsystems:
-            registry.labels.setdefault(sub.name, sub.labels)
-
-    models = {
-        m.name: EnvironmentModel(
-            m.name, m.targets,
-            tuple(registry.vector_terms(m.targets, b) for b in m.branches),
-        )
-        for m in scenario.models
-    }
-
+    transcript = run_transcript(scenario.initial, [_named_step(a) for a in scenario.actions])
+    models = {m.name: EnvironmentModel(m.name, m.resolved) for m in scenario.models}
     results = []
     for qi, query in enumerate(scenario.queries, start=1):
         try:
-            results.append(
-                _run_query(query, transcript, registry, apparatus_actions, models,
-                           zero_tol, triortho_restarts)
-            )
+            results.append(_run_query(query, transcript, models, zero_tol, triortho_restarts))
         except PointerLabError as exc:
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
 
@@ -373,61 +248,12 @@ def _decomposition_payload(dec: Decomposition, zero_tol: float) -> dict[str, Any
     }
 
 
-def _prop_for(query: sc.CertaintyQuery, transcript: ProtocolTranscript,
-              registry: _DerivedRegistry,
-              apparatus_actions: dict[str, sc.PremeasureAction]) -> Proposition:
-    subject = query.prop_subject
-    if subject in apparatus_actions:
-        action = apparatus_actions[subject]
-        target = action.target
-        labels = [
-            registry.basis_item_terms(target, item)[0] or f"b{k}"
-            for k, item in enumerate(action.basis)
-        ]
-        layout = _layout_with(transcript, target)
-        sub = layout.sublayout([target])
-        vectors = []
-        for item in action.basis:
-            _, terms = registry.basis_item_terms(target, item)
-            vectors.append(make_state(sub, [(ls, c) for ls, c in terms]))
-        basis = Basis(tuple(labels), tuple(vectors))
-        return Proposition(target, basis, query.prop_predicate, query.prop_quantifier)
-    layout = _layout_with(transcript, subject)
-    comp_labels = layout.subsystem(subject).labels
-    if query.prop_predicate in comp_labels:
-        basis = Basis.computational(layout, subject)
-    else:
-        derived = registry.derived_order.get(subject, [])
-        if query.prop_predicate not in derived:
-            raise ExecutionError(
-                f"predicate {query.prop_predicate!r} is neither a basis nor a "
-                f"derived label of {subject!r}"
-            )
-        basis = _build_basis(layout, subject, derived, registry)
-    return Proposition(subject, basis, query.prop_predicate, query.prop_quantifier)
-
-
-def _layout_with(transcript: ProtocolTranscript, name: str) -> SubsystemLayout:
-    for st in transcript.stages:
-        if name in st.state.layout.names:
-            return st.state.layout
-    raise ExecutionError(f"no stage has a subsystem named {name!r}")
-
-
-def _run_query(query, transcript: ProtocolTranscript, registry: _DerivedRegistry,
-               apparatus_actions, models, zero_tol: float,
+def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
                triortho_restarts: int) -> dict[str, Any]:
-    from .measurement import born
-
     final = transcript.final_state
     if isinstance(query, sc.BornQuery):
-        targets = []
-        for name, labels in query.targets:
-            if labels is None:
-                targets.append((name, None))
-            else:
-                targets.append((name, _build_basis(final.layout, name, labels, registry)))
-        dist = born(final, targets)
+        names = [name for name, _ in query.targets]
+        dist = born(final, list(zip(names, query.resolved)))
         return {
             "kind": "born",
             "targets": [
@@ -437,7 +263,9 @@ def _run_query(query, transcript: ProtocolTranscript, registry: _DerivedRegistry
             "distribution": _dist_payload(dist, zero_tol),
         }
     if isinstance(query, sc.CertaintyQuery):
-        prop = _prop_for(query, transcript, registry, apparatus_actions)
+        basis = query.resolved
+        prop = Proposition(basis.layout.names[0], basis, query.prop_predicate,
+                           query.prop_quantifier)
         model_list = [models[m] for m in query.models]
         verdict = certainty(transcript, query.observer, query.outcome, prop,
                             semantics=query.semantics, models=model_list or None)
@@ -451,11 +279,7 @@ def _run_query(query, transcript: ProtocolTranscript, registry: _DerivedRegistry
         payload.update(_verdict_payload(verdict, zero_tol))
         return payload
     if isinstance(query, sc.RewriteQuery):
-        bases = {
-            name: _build_basis(final.layout, name, labels, registry)
-            for name, labels in query.bases
-        }
-        dec = rewrite(final, bases)
+        dec = rewrite(final, {name: b for (name, _), b in zip(query.bases, query.resolved)})
         return {
             "kind": "rewrite",
             "terms": [

@@ -1,7 +1,15 @@
-"""Line-oriented scenario files: parsing, validation, serialization.
+"""Line-oriented scenario files: parsing, label resolution, serialization.
 
 A scenario declares a layout, an initial state, an ordered list of actions
 (premeasure / group / couple), optional environment models, and queries.
+The parser is the one place where labels become vectors.  It tracks the
+layout through every group and couple, and resolves each label expression
+(the initial state, premeasure/born/rewrite bases, couple and model
+branches, the basis of a certainty proposition) against the layout in force
+where it appears.  A resolved value sits in the ``resolved`` field beside
+the text-level fields it came from; those fields take no part in equality,
+so ``parse_scenario(serialize_scenario(s)) == s`` compares scenario text.
+
 The format is purpose-built so diagnostics can talk physics: undeclared
 subsystems, bad ket arity, and non-orthonormal bases (with the offending
 Gram entry) are all caught at parse time with line/column positions.
@@ -30,19 +38,34 @@ Coefficients accept ``sqrt(p/q)`` sugar, plain decimals, and pure-imaginary
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ScenarioParseError
+from .errors import NonInjectiveLabelMapError, ScenarioParseError, UnknownLabelError
+from .hilbert import (
+    StateVector,
+    Subsystem,
+    SubsystemLayout,
+    _merged_labels,
+    gram_defect,
+    normalized,
+)
+from .measurement import Basis
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_+\-/.]+$")
 
 SECTION_ORDER = ("layout", "state", "actions", "models", "queries")
+
+
+def _resolved():
+    """A field holding what the parser resolved from the fields before it."""
+    return field(compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -82,6 +105,7 @@ class PremeasureAction:
     basis: tuple[BasisItem, ...]
     outcomes: tuple[str, ...]
     ready: str
+    resolved: Basis = _resolved()
 
 
 @dataclass(frozen=True)
@@ -96,6 +120,7 @@ class CoupleAction:
     environment: str
     targets: tuple[str, ...]
     branches: tuple[tuple[StateTerm, ...], ...]
+    resolved: tuple[StateVector, ...] = _resolved()
 
 
 @dataclass(frozen=True)
@@ -103,27 +128,34 @@ class ModelDecl:
     name: str
     targets: tuple[str, ...]
     branches: tuple[tuple[StateTerm, ...], ...]
+    resolved: tuple[StateVector, ...] = _resolved()
 
 
 @dataclass(frozen=True)
 class BornQuery:
     targets: tuple[tuple[str, tuple[str, ...] | None], ...]
+    resolved: tuple[Basis | None, ...] = _resolved()
 
 
 @dataclass(frozen=True)
 class CertaintyQuery:
+    """``resolved`` is the proposition's basis; the register it lives on is
+    the proposition's subject (an apparatus subject names its target)."""
+
     observer: str
     outcome: str
     prop_subject: str
     prop_quantifier: str
     prop_predicate: str
     semantics: str
-    models: tuple[str, ...] = ()
+    models: tuple[str, ...]
+    resolved: Basis = _resolved()
 
 
 @dataclass(frozen=True)
 class RewriteQuery:
     bases: tuple[tuple[str, tuple[str, ...]], ...]
+    resolved: tuple[Basis, ...] = _resolved()
 
 
 @dataclass(frozen=True)
@@ -154,13 +186,11 @@ class Scenario:
     steps: tuple[Step, ...]
     models: tuple[ModelDecl, ...]
     queries: tuple[Query, ...]
+    initial: StateVector = _resolved()
 
     @property
     def actions(self) -> tuple[Action, ...]:
         return tuple(s for s in self.steps if not isinstance(s, DerivedDecl))
-
-    def all_derived(self) -> tuple[DerivedDecl, ...]:
-        return self.derived + tuple(s for s in self.steps if isinstance(s, DerivedDecl))
 
 
 # --------------------------------------------------------------------------
@@ -168,41 +198,9 @@ class Scenario:
 # --------------------------------------------------------------------------
 
 
-def _tokens(text: str) -> list[tuple[str, int]]:
-    """Split on top-level whitespace; (), {}, "..." and |...> bind."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        depth = 0
-        in_ket = in_str = False
-        while i < n:
-            ch = text[i]
-            if in_str:
-                in_str = ch != '"'
-            elif in_ket:
-                in_ket = ch != ">"
-            elif ch == '"':
-                in_str = True
-            elif ch == "|":
-                in_ket = True
-            elif ch in "({[":
-                depth += 1
-            elif ch in ")}]":
-                depth -= 1
-            elif ch.isspace() and depth == 0:
-                break
-            i += 1
-        toks.append((text[start:i], start))
-    return toks
-
-
-def _split_commas(text: str, base: int) -> list[tuple[str, int]]:
-    items: list[tuple[str, int]] = []
-    start = 0
+def _scan(text: str) -> Iterator[tuple[int, str]]:
+    """(index, char) of each character outside brackets, kets |...> and
+    quoted strings: the only places where text may be split."""
     depth = 0
     in_ket = in_str = False
     for i, ch in enumerate(text):
@@ -218,15 +216,32 @@ def _split_commas(text: str, base: int) -> list[tuple[str, int]]:
             depth += 1
         elif ch in ")}]":
             depth -= 1
-        elif ch == "," and depth == 0:
-            items.append((text[start:i], start))
-            start = i + 1
-    items.append((text[start:], start))
-    out = []
-    for raw, off in items:
-        stripped = raw.strip()
-        out.append((stripped, base + off + (len(raw) - len(raw.lstrip()))))
-    return out
+        elif depth == 0:
+            yield i, ch
+
+
+def _split(text: str, base: int, cut: Callable[[int, str], bool],
+           keep: bool = False) -> list[tuple[str, int]]:
+    """Split ``text`` at each top-level character where ``cut(i, ch)`` holds,
+    dropping that character unless ``keep``.  Pieces come back stripped,
+    each with its column: ``base`` plus its offset in ``text``."""
+    pieces = []
+    start = 0
+    for i, ch in _scan(text):
+        if cut(i, ch):
+            pieces.append((text[start:i], start))
+            start = i if keep else i + 1
+    pieces.append((text[start:], start))
+    return [(raw.strip(), base + off + len(raw) - len(raw.lstrip())) for raw, off in pieces]
+
+
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """Split on top-level whitespace; (), {}, "..." and |...> bind."""
+    return [(tok, off) for tok, off in _split(text, 0, lambda i, ch: ch.isspace()) if tok]
+
+
+def _split_commas(text: str, base: int) -> list[tuple[str, int]]:
+    return _split(text, base, lambda i, ch: ch == ",")
 
 
 def _unwrap(text: str, open_ch: str, close_ch: str, line: int, col: int,
@@ -296,44 +311,25 @@ def _parse_ket(text: str, line: int, col: int) -> tuple[str, ...]:
 
 def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
     """Parse ``coeff|ket> + coeff|ket> - ...`` into state terms."""
+
+    def starts_term(i: int, ch: str) -> bool:
+        if ch not in "+-" or i == 0:
+            return False
+        prev = text[:i].rstrip()
+        return bool(prev) and prev[-1] not in "eE(+-,"
+
     terms: list[StateTerm] = []
-    i, n = 0, len(text)
-    start = 0
-    depth = 0
-    in_ket = False
-    boundaries: list[int] = []
-    while i < n:
-        ch = text[i]
-        if in_ket:
-            in_ket = ch != ">"
-        elif ch == "|":
-            in_ket = True
-        elif ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0:
-            prev = text[:i].rstrip()
-            if prev and prev[-1] not in "eE(+-" and not prev.endswith(","):
-                boundaries.append(i)
-        i += 1
-    boundaries.append(n)
-    pieces = []
-    for b in boundaries:
-        pieces.append((text[start:b], start))
-        start = b
-    for piece, off in pieces:
-        chunk = piece.strip()
+    for chunk, at in _split(text, col, starts_term, keep=True):
         if not chunk:
             continue
         bar = chunk.find("|")
         if bar < 0 or not chunk.endswith(">"):
             raise ScenarioParseError(
-                f"expected coefficient|ket> term, got {chunk!r}", line, col + off,
+                f"expected coefficient|ket> term, got {chunk!r}", line, at,
                 "each term looks like sqrt(1/3)|head,down>",
             )
-        coeff = parse_coefficient(chunk[:bar], line, col + off)
-        labels = _parse_ket(chunk[bar:], line, col + off + bar)
+        coeff = parse_coefficient(chunk[:bar], line, at)
+        labels = _parse_ket(chunk[bar:], line, at + bar)
         terms.append(StateTerm(coeff, labels))
     if not terms:
         raise ScenarioParseError("empty state expression", line, col,
@@ -347,22 +343,20 @@ def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
 
 
 class _Schema:
-    """Evolving name/label environment used for parse-time validation."""
+    """Evolving name/label environment: validates names and resolves labels
+    to vectors against the layout in force."""
 
-    def __init__(self):
-        self.order: list[str] = []
-        self.labels: dict[str, tuple[str, ...]] = {}
-        self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = {}
+    def __init__(self, labels: Mapping[str, tuple[str, ...]] | None = None,
+                 derived: Mapping[tuple[str, str], tuple[tuple[str, complex], ...]] | None = None):
+        self.labels: dict[str, tuple[str, ...]] = dict(labels or {})
+        self.order: list[str] = list(self.labels)
+        self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = dict(derived or {})
 
-    def add(self, name: str, labels: tuple[str, ...], line: int, col: int,
-            position: int | None = None) -> None:
+    def add(self, name: str, labels: tuple[str, ...], line: int, col: int) -> None:
         if name in self.labels:
             raise ScenarioParseError(f"subsystem {name!r} already declared", line, col,
                                      "pick a fresh name")
-        if position is None:
-            self.order.append(name)
-        else:
-            self.order.insert(position, name)
+        self.order.append(name)
         self.labels[name] = labels
 
     def require(self, name: str, line: int, col: int) -> tuple[str, ...]:
@@ -371,65 +365,65 @@ class _Schema:
                                      "declare it in the layout section")
         return self.labels[name]
 
-    def dim(self, name: str) -> int:
-        return len(self.labels[name])
+    def layout(self, names: Sequence[str]) -> SubsystemLayout:
+        return SubsystemLayout.of(*((n, self.labels[n]) for n in names))
 
-    def vector_for(self, name: str, item: BasisItem, line: int, col: int) -> np.ndarray:
+    def _expand(self, name: str, label: str, line: int, col: int) -> list[tuple[int, complex]]:
         labels = self.labels[name]
-        if isinstance(item, tuple):
-            if len(item) != len(labels):
-                raise ScenarioParseError(
-                    f"vector literal has {len(item)} entries, subsystem {name!r} "
-                    f"has dimension {len(labels)}", line, col,
-                    "give one amplitude per basis label",
-                )
-            return np.asarray(item, dtype=np.complex128)
-        vec = np.zeros(len(labels), dtype=np.complex128)
-        if item in labels:
-            vec[labels.index(item)] = 1.0
-            return vec
-        terms = self.derived.get((name, item))
-        if terms is None:
-            raise ScenarioParseError(
-                f"{item!r} is neither a basis label nor a derived label of {name!r}",
-                line, col, f"declare it with: derived {name} {item} = ...",
-            )
-        for lab, coeff in terms:
-            vec[labels.index(lab)] += coeff
-        return vec
-
-    def expand_label(self, name: str, label: str, line: int, col: int
-                     ) -> tuple[tuple[str, complex], ...]:
-        labels = self.labels[name]
-        if label in labels:
-            return ((label, 1.0 + 0.0j),)
-        terms = self.derived.get((name, label))
-        if terms is None:
+        terms = ((label, 1.0 + 0.0j),) if label in labels else self.derived.get((name, label))
+        if terms is None or any(lab not in labels for lab, _ in terms):
             raise ScenarioParseError(
                 f"{label!r} is neither a basis label nor a derived label of {name!r}",
                 line, col, f"declare it with: derived {name} {label} = ...",
             )
-        return terms
+        return [(labels.index(lab), c) for lab, c in terms]
 
-    def check_orthonormal(self, name: str, items: Sequence[BasisItem],
-                          line: int, col: int) -> None:
-        vecs = [self.vector_for(name, it, line, col) for it in items]
-        mat = np.stack(vecs)
-        gram = mat.conj() @ mat.T
-        dev = np.abs(gram - np.eye(len(vecs)))
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        if dev[i, j] > 1e-9:
+    def vector(self, names: Sequence[str], terms: Sequence[StateTerm],
+               line: int, col: int) -> np.ndarray:
+        """Raw amplitudes of ``terms`` (one basis or derived label per name)
+        over ``names``, flat index lexicographic in the order given."""
+        dims = [len(self.labels[n]) for n in names]
+        vec = np.zeros(math.prod(dims), dtype=np.complex128)
+        for term in terms:
+            expansions = [self._expand(n, lab, line, col) for n, lab in zip(names, term.labels)]
+            for combo in itertools.product(*expansions):
+                flat = 0
+                coeff = term.coefficient
+                for (k, c), d in zip(combo, dims):
+                    flat = flat * d + k
+                    coeff *= c
+                vec[flat] += coeff
+        return vec
+
+    def item_vector(self, name: str, item: BasisItem, line: int, col: int) -> np.ndarray:
+        if isinstance(item, str):
+            return self.vector((name,), (StateTerm(1.0 + 0.0j, (item,)),), line, col)
+        labels = self.labels[name]
+        if len(item) != len(labels):
+            raise ScenarioParseError(
+                f"vector literal has {len(item)} entries, subsystem {name!r} "
+                f"has dimension {len(labels)}", line, col,
+                "give one amplitude per basis label",
+            )
+        return np.array(item, dtype=np.complex128)
+
+    def basis(self, name: str, items: Sequence[BasisItem], line: int, col: int) -> Basis:
+        """Orthonormal basis over one register; a vector literal is labelled
+        b<k> after its position."""
+        raw = np.stack([self.item_vector(name, it, line, col) for it in items])
+        defect = gram_defect(raw)
+        if defect is not None:
+            i, j, g = defect
             raise ScenarioParseError(
                 f"basis over {name!r} is not orthonormal: Gram[{i},{j}] = "
-                f"{_fmt_complex_plain(complex(gram[i, j]))}",
-                line, col, "make the vectors orthonormal",
+                f"{_fmt_complex_plain(g)}", line, col, "make the vectors orthonormal",
             )
+        layout = self.layout([name])
+        labels = tuple(it if isinstance(it, str) else f"b{k}" for k, it in enumerate(items))
+        return Basis(labels, tuple(normalized(layout, v) for v in raw))
 
     def group(self, parts: Sequence[str], new_name: str,
               label_map: dict[tuple[str, ...], str], line: int, col: int) -> None:
-        from .hilbert import Subsystem, _merged_labels
-        from .errors import NonInjectiveLabelMapError, UnknownLabelError
-
         subs = [Subsystem(p, self.labels[p]) for p in parts]
         try:
             merged = _merged_labels(subs, label_map)
@@ -555,6 +549,7 @@ def parse_scenario(text: str) -> Scenario:
     subsystems: list[SubsystemDecl] = []
     derived_layout: list[DerivedDecl] = []
     state_terms: tuple[StateTerm, ...] | None = None
+    initial: StateVector | None = None
     steps: list[Step] = []
     models: list[ModelDecl] = []
     queries: list[Query] = []
@@ -588,7 +583,7 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioParseError("state: needs an expression on the same line",
                                              line_no, 1, "write state: coeff|ket> + ...")
                 col = raw_line.index("state:") + len("state:") + 1
-                state_terms = _parse_state(rest, line_no, col, schema, subsystems)
+                state_terms, initial = _parse_state(rest, line_no, col, schema, subsystems)
             elif rest:
                 raise ScenarioParseError(f"unexpected text after {section}:", line_no, 1,
                                          "put directives on their own lines")
@@ -626,7 +621,8 @@ def parse_scenario(text: str) -> Scenario:
         elif section == "queries":
             queries.append(
                 _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
-                                  model_names, stage_schemas)
+                                  model_names,
+                                  [{d.name: d.labels for d in subsystems}, *stage_schemas])
             )
 
     if state_terms is None:
@@ -642,6 +638,7 @@ def parse_scenario(text: str) -> Scenario:
         steps=tuple(steps),
         models=tuple(models),
         queries=tuple(queries),
+        initial=initial,
     )
 
 
@@ -660,25 +657,20 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
                                  line_no, col0, "pick a fresh label")
     expr_col = col0 + stripped.index("=") + 1
     terms = parse_expression(expr, line_no, expr_col)
-    flat: list[tuple[str, complex]] = []
-    vec = np.zeros(len(labels), dtype=np.complex128)
     for term in terms:
         if len(term.labels) != 1:
             raise ScenarioParseError("derived vectors use single-label kets",
                                      line_no, expr_col, "write |up>, not |up,down>")
-        lab = term.labels[0]
-        if lab not in labels:
+        if term.labels[0] not in labels:
             raise ScenarioParseError(
-                f"{lab!r} is not a basis label of {sub_name!r}", line_no, expr_col,
+                f"{term.labels[0]!r} is not a basis label of {sub_name!r}", line_no, expr_col,
                 "derived vectors expand over computational labels only")
-        vec[labels.index(lab)] += term.coefficient
-        flat.append((lab, term.coefficient))
-    nrm = float(np.linalg.norm(vec))
+    nrm = float(np.linalg.norm(schema.vector((sub_name,), terms, line_no, expr_col)))
     if abs(nrm - 1.0) > 1e-9:
         raise ScenarioParseError(
             f"derived vector {label!r} has norm {nrm:.9g}, expected 1", line_no,
             expr_col, "normalize the coefficients")
-    decl = DerivedDecl(sub_name, label, tuple(flat))
+    decl = DerivedDecl(sub_name, label, tuple((t.labels[0], t.coefficient) for t in terms))
     schema.derived[(sub_name, label)] = decl.terms
     return decl
 
@@ -718,15 +710,17 @@ def _parse_layout_line(stripped, line_no, col0, schema, subsystems, derived_layo
 
 def _parse_state(expr, line_no, col, schema, subsystems):
     terms = parse_expression(expr, line_no, col)
-    n = len(subsystems)
+    names = [d.name for d in subsystems]
     for term in terms:
-        if len(term.labels) != n:
+        if len(term.labels) != len(names):
             raise ScenarioParseError(
-                f"ket has {len(term.labels)} labels, layout has {n} subsystems",
+                f"ket has {len(term.labels)} labels, layout has {len(names)} subsystems",
                 line_no, col, "give one label per declared subsystem, in order")
-        for decl, lab in zip(subsystems, term.labels):
-            schema.expand_label(decl.name, lab, line_no, col)
-    return terms
+    amps = schema.vector(names, terms, line_no, col)
+    if not amps.any():
+        raise ScenarioParseError("state terms sum to the zero vector", line_no, col,
+                                 "give the state a nonzero amplitude")
+    return terms, normalized(schema.layout(names), amps)
 
 
 def _parse_action_line(stripped, line_no, col0, schema) -> Step:
@@ -747,7 +741,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         bval, bcol = _need(fields, "basis", line_no, "premeasure")
         items = _parse_basis_items(bval, line_no, col0 + bcol)
         basis = tuple(it for it, _ in items)
-        schema.check_orthonormal(tval, basis, line_no, col0 + bcol)
+        resolved = schema.basis(tval, basis, line_no, col0 + bcol)
         oval, ocol = _need(fields, "outcomes", line_no, "premeasure")
         outcome_items = _parse_basis_items(oval, line_no, col0 + ocol)
         outcomes = []
@@ -768,7 +762,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         if rval not in app_labels:
             raise ScenarioParseError(f"ready label {rval!r} not on apparatus {aval!r}",
                                      line_no, col0 + rcol, "ready names an apparatus level")
-        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval)
+        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, resolved)
     if head == "group":
         m = re.match(r"^group\s+parts=(\S+)\s+as\s+(\S+)\s+map=(.+)$", stripped)
         if not m:
@@ -814,73 +808,46 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         for t in targets:
             schema.require(t, line_no, col0 + tcol)
         bval, bcol = _need(fields, "branches", line_no, "couple")
-        branches = _parse_branch_set(bval, line_no, col0 + bcol, schema, targets)
-        # Canonicalize to layout order so branch kets always line up with the
-        # register order the coupling machinery uses.
-        ordered = schema.canonical_target_order(targets)
-        branches = _reorder_branch_labels(targets, ordered, branches)
+        ordered, branches, vectors = _parse_branch_set(bval, line_no, col0 + bcol,
+                                                       schema, targets)
         env_labels = tuple(f"eps{i}" for i in range(len(branches) + 1))
         schema.add(eval_, env_labels, line_no, col0 + ecol)
-        return CoupleAction(eval_, ordered, branches)
+        return CoupleAction(eval_, ordered, branches, vectors)
     raise ScenarioParseError(f"unknown action {head!r}", line_no, col0,
                              "actions are premeasure, group, couple (or derived)")
 
 
-def _reorder_branch_labels(
-    targets: Sequence[str],
-    ordered: Sequence[str],
-    branches: tuple[tuple[StateTerm, ...], ...],
-) -> tuple[tuple[StateTerm, ...], ...]:
-    if tuple(targets) == tuple(ordered):
-        return branches
-    perm = [targets.index(t) for t in ordered]
-    return tuple(
-        tuple(StateTerm(t.coefficient, tuple(t.labels[p] for p in perm)) for t in b)
-        for b in branches
-    )
-
-
 def _parse_branch_set(bval, line_no, col, schema, targets):
-    parsed = _parse_branches(bval, line_no, col)
+    """Branches written over ``targets``, put in layout order (so their kets
+    line up with the registers the coupling acts on), resolved and checked
+    orthonormal: (ordered targets, branch terms, branch vectors)."""
+    ordered = schema.canonical_target_order(targets)
+    perm = [targets.index(t) for t in ordered]
     branches = []
     vecs = []
-    dims = [schema.dim(t) for t in targets]
-    for terms, off in parsed:
-        vec = np.zeros(int(np.prod(dims)), dtype=np.complex128)
+    for terms, off in _parse_branches(bval, line_no, col):
         for term in terms:
             if len(term.labels) != len(targets):
                 raise ScenarioParseError(
                     f"branch ket has {len(term.labels)} labels, targets are {targets}",
                     line_no, off, "one label per target subsystem")
-            expansions = [
-                schema.expand_label(t, lab, line_no, off)
-                for t, lab in zip(targets, term.labels)
-            ]
-            import itertools as _it
-
-            for combo in _it.product(*expansions):
-                flat = 0
-                coeff = term.coefficient
-                for (lab, c), t, d in zip(combo, targets, dims):
-                    flat = flat * d + schema.labels[t].index(lab)
-                    coeff *= c
-                vec[flat] += coeff
+        terms = tuple(StateTerm(t.coefficient, tuple(t.labels[p] for p in perm))
+                      for t in terms)
+        vec = schema.vector(ordered, terms, line_no, off)
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > 1e-9:
             raise ScenarioParseError(f"branch vector has norm {nrm:.9g}, expected 1",
                                      line_no, off, "normalize the branch")
         vecs.append(vec)
         branches.append(terms)
-    mat = np.stack(vecs)
-    gram = mat.conj() @ mat.T
-    dev = np.abs(gram - np.eye(len(vecs)))
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    if dev[i, j] > 1e-9:
+    defect = gram_defect(np.stack(vecs))
+    if defect is not None:
+        i, j, g = defect
         raise ScenarioParseError(
-            f"branches not orthonormal: Gram[{i},{j}] = "
-            f"{_fmt_complex_plain(complex(gram[i, j]))}",
+            f"branches not orthonormal: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
             line_no, col, "make the branch vectors orthonormal")
-    return tuple(branches)
+    layout = schema.layout(ordered)
+    return ordered, tuple(branches), tuple(normalized(layout, v) for v in vecs)
 
 
 def _parse_model_line(stripped, line_no, col0, schema, subsystems, derived_layout):
@@ -897,22 +864,47 @@ def _parse_model_line(stripped, line_no, col0, schema, subsystems, derived_layou
     tval, tcol = _need(fields, "targets", line_no, "model")
     # Models describe couplings at measurement time; validate against the
     # declared (pre-group) layout.
-    declared = _Schema()
-    for decl in subsystems:
-        declared.add(decl.name, decl.labels, line_no, col0)
-    for d in derived_layout:
-        declared.derived[(d.subsystem, d.label)] = d.terms
+    declared = _Schema({d.name: d.labels for d in subsystems},
+                       {(d.subsystem, d.label): d.terms for d in derived_layout})
     targets = tuple(n for n, _ in _parse_name_list(tval, line_no, col0 + tcol))
     for t in targets:
         declared.require(t, line_no, col0 + tcol)
     bval, bcol = _need(fields, "branches", line_no, "model")
-    branches = _parse_branch_set(bval, line_no, col0 + bcol, declared, targets)
-    ordered = declared.canonical_target_order(targets)
-    return ModelDecl(name, ordered, _reorder_branch_labels(targets, ordered, branches))
+    return ModelDecl(name, *_parse_branch_set(bval, line_no, col0 + bcol, declared, targets))
+
+
+def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, stages) -> Basis:
+    """The basis a certainty proposition is read in.  An apparatus subject
+    stands for its measured basis (on the target register); a register
+    subject is read in its computational basis, or in all its derived labels
+    when the predicate is one of them, with the labels it has where it first
+    exists."""
+    if subject in apparatus_actions:
+        basis = apparatus_actions[subject].resolved
+        if predicate not in basis.labels:
+            raise ScenarioParseError(
+                f"predicate {predicate!r} is not among the measured basis labels "
+                f"{basis.labels}", line_no, col, f"use one of {list(basis.labels)}")
+        return basis
+    labels = next((st[subject] for st in stages if subject in st), None)
+    if labels is None:
+        raise ScenarioParseError(f"prop subject {subject!r} is unknown", line_no,
+                                 col, "name a subsystem or an apparatus")
+    at_subject = _Schema({subject: labels}, schema.derived)
+    if predicate in labels:
+        return Basis.computational(at_subject.layout([subject]), subject)
+    derived = [lab for sub, lab in schema.derived if sub == subject]
+    if predicate not in derived:
+        raise ScenarioParseError(
+            f"predicate {predicate!r} is neither a basis nor a derived label of "
+            f"{subject!r}", line_no, col, f"declare it with: derived {subject} ...")
+    return at_subject.basis(subject, derived, line_no, col)
 
 
 def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
-                      model_names, stage_schemas) -> Query:
+                      model_names, stages) -> Query:
+    """``stages`` holds the register labels of the declared layout and after
+    each action, in order."""
     toks = _tokens(stripped)
     head = toks[0][0]
     if head == "born":
@@ -920,6 +912,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         tval, tcol = _need(fields, "targets", line_no, "born")
         inner, base = _unwrap(tval, "(", ")", line_no, col0 + tcol, "target list")
         targets = []
+        bases: list[Basis | None] = []
         for raw, off in _split_commas(inner, base):
             if not raw:
                 continue
@@ -935,15 +928,16 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                             "born bases use labels, not vector literals",
                             line_no, col0 + ioff, "declare a derived label instead")
                     labels.append(it)
-                schema.check_orthonormal(name, labels, line_no, col0 + off)
+                bases.append(schema.basis(name, labels, line_no, col0 + off))
                 targets.append((name, tuple(labels)))
             else:
                 schema.require(raw, line_no, col0 + off)
+                bases.append(None)
                 targets.append((raw, None))
         if not targets:
             raise ScenarioParseError("born needs at least one target", line_no, col0,
                                      "write targets=(NAME) or targets=(NAME:{a,b})")
-        return BornQuery(tuple(targets))
+        return BornQuery(tuple(targets), tuple(bases))
     if head == "certainty":
         fields = _field_map(toks[1:], line_no,
                             ("observer", "outcome", "prop", "semantics", "models"))
@@ -972,12 +966,8 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if quant not in ("will_obtain", "is_in_state"):
             raise ScenarioParseError(f"unknown quantifier {quant!r}", line_no,
                                      col0 + pcol, "use will_obtain or is_in_state")
-        known = set(schema.labels) | set(apparatus_actions)
-        for snap in stage_schemas:
-            known |= set(snap)
-        if subject not in known:
-            raise ScenarioParseError(f"prop subject {subject!r} is unknown", line_no,
-                                     col0 + pcol, "name a subsystem or an apparatus")
+        prop_basis = _prop_basis(subject, predicate, line_no, col0 + pcol, schema,
+                                 apparatus_actions, stages)
         sval, scol = _need(fields, "semantics", line_no, "certainty")
         if sval not in ("premeasurement", "decoherent"):
             raise ScenarioParseError(f"unknown semantics {sval!r}", line_no,
@@ -998,12 +988,14 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         elif "models" in fields:
             raise ScenarioParseError("models= only applies to decoherent semantics",
                                      line_no, col0, "drop models= or switch semantics")
-        return CertaintyQuery(oval, outval, subject, quant, predicate, sval, models)
+        return CertaintyQuery(oval, outval, subject, quant, predicate, sval, models,
+                              prop_basis)
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
         bval, bcol = _need(fields, "bases", line_no, "rewrite")
         inner, base = _unwrap(bval, "(", ")", line_no, col0 + bcol, "bases list")
         out = []
+        bases = []
         for raw, off in _split_commas(inner, base):
             if not raw:
                 continue
@@ -1025,9 +1017,9 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                     f"rewrite basis for {name!r} has {len(labels)} vectors, "
                     f"needs {len(labels_avail)}", line_no, col0 + off,
                     "rewrite bases must be complete")
-            schema.check_orthonormal(name, labels, line_no, col0 + off)
+            bases.append(schema.basis(name, labels, line_no, col0 + off))
             out.append((name, tuple(labels)))
-        return RewriteQuery(tuple(out))
+        return RewriteQuery(tuple(out), tuple(bases))
     if head == "triortho":
         fields = _field_map(toks[1:], line_no, ("parts",))
         pval, pcol = _need(fields, "parts", line_no, "triortho")

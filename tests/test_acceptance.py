@@ -17,7 +17,7 @@ from pointerlab.experiment import (
     fail_ok_basis,
     spin_direction_basis,
 )
-from pointerlab.measurement import Basis, correlating_unitary
+from pointerlab.measurement import Basis, MeasurementSpec, correlating_unitary
 from pointerlab.scenario import parse_scenario, serialize_scenario
 
 SQ = math.sqrt
@@ -152,12 +152,10 @@ def test_criterion_8_property_suites():
     tr = pl.run_protocol()
     for i, (name, step) in enumerate(zip([s.name for s in tr.stages[1:]],
                                          tr.steps[1:])):
-        from pointerlab.experiment import PremeasureStep
-
-        if not isinstance(step, PremeasureStep):
+        if not isinstance(step, MeasurementSpec):
             continue
         layout = tr.stages[i].state.layout
-        spec = step.spec(layout)
+        spec = step
         op = correlating_unitary(layout, [spec.target], spec.basis.vectors,
                                  spec.apparatus, spec.ready_label,
                                  spec.outcome_labels)

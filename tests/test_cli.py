@@ -289,3 +289,39 @@ queries:
     assert dist[("eps1",)] == 0.333333333333
     assert dist[("eps2",)] == 0.666666666667
     assert dist[("eps0",)] == 0.0
+
+
+def test_oversized_layout_exits_3_with_one_line(tmp_path, capsys):
+    # 10**20 amplitudes: numpy refuses the shape before allocating anything.
+    names = [f"s{k}" for k in range(20)]
+    levels = ", ".join(f"l{i}" for i in range(10))
+    text = ("layout:\n" + "".join(f"  subsystem {n} {{{levels}}}\n" for n in names)
+            + "state: 1|" + ",".join("l0" for _ in names) + ">\n"
+            + "queries:\n  born targets=(s0)\n")
+    path = write(tmp_path, "big.scn", text)
+    assert main(["run", path]) == EXIT_EXEC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{path}: ")
+    assert "ValueError: Maximum allowed dimension exceeded" in err
+
+
+def test_diagnostics_name_the_failing_file(tmp_path, capsys):
+    good = write(tmp_path, "good.scn", bundled_scenario_text("ambiguity"))
+    bad = write(tmp_path, "bad.scn",
+                "layout:\n  subsystem R {head}\nstate: 1|head>\nqueries:\n  born targets=(Q)\n")
+    assert main(["run", good, bad]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: parse error: line 5, col 21: ")
+    stuck = write(tmp_path, "stuck.scn", """\
+layout:
+  subsystem R {head, tail}
+  subsystem F {F0, F1, F2}
+state: 1|head,F1>
+actions:
+  premeasure target=R apparatus=F basis={head,tail} outcomes={F1,F2} ready=F0
+queries:
+  born targets=(F)
+""")
+    assert main(["run", good, stuck, "--jobs", "2"]) == EXIT_EXEC
+    assert capsys.readouterr().err.startswith(f"{stuck}: execution error: action 1 ")

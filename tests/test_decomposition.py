@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointerlab as pl
 from pointerlab.decomposition import relative_states, rewrite, schmidt, triortho_verdict
@@ -354,3 +356,59 @@ def test_triortho_search_completes_quickly():
     ])
     assert triortho_verdict(three, (("a",), ("b",), ("c",))).kind == "unique"
     assert time.time() - start < 10.0
+
+
+# Complex amplitudes: each returned factor is the ket itself, not its
+# conjugate, so every decomposition rebuilds its input.
+
+
+def test_schmidt_rebuilds_random_complex_state():
+    rng = np.random.default_rng(7)
+    lay = pl.SubsystemLayout.of(("a", ("0", "1")), ("b", ("0", "1", "2")))
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    psi = pl.StateVector(lay, v / np.linalg.norm(v))
+    dec = schmidt(psi, (["a"], ["b"]))
+    rebuilt = sum(t.coefficient * np.kron(t.left.amplitudes, t.right.amplitudes)
+                  for t in dec.terms)
+    assert np.linalg.norm(rebuilt - psi.amplitudes) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2))
+def test_schmidt_rebuilds_any_complex_state(seed, d_left, d_mid, d_right):
+    rng = np.random.default_rng(seed)
+    dims = (d_left, d_mid, d_right)
+    lay = pl.SubsystemLayout.of(*((n, tuple(map(str, range(d)))) for n, d in zip("abc", dims)))
+    v = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
+    psi = pl.StateVector(lay, v / np.linalg.norm(v))
+    dec = schmidt(psi, (["a", "c"], ["b"]))
+    rebuilt = sum(np.multiply.outer(t.coefficient * t.left.tensor_view(), t.right.tensor_view())
+                  for t in dec.terms)
+    assert np.linalg.norm(rebuilt.transpose(0, 2, 1).reshape(-1) - psi.amplitudes) < 1e-9
+
+
+def test_triortho_complex_degenerate_state_rebuilds():
+    # Equal weights over complex biorthogonal factors on a and b, with one
+    # complex factor on c: ambiguous, and both decompositions rebuild it.
+    lay = pl.SubsystemLayout.of(("a", ("0", "1")), ("b", ("0", "1")), ("c", ("0", "1")))
+    ua = np.array([[1, 1j], [1j, 1]]) / SQ(2)
+    ub = np.array([[H, -H * np.exp(0.4j)], [H * np.exp(-0.4j), H]])
+    c = np.array([1, 1j]) / SQ(2)
+    t = sum(np.einsum("a,b,c->abc", ua[:, k], ub[:, k], c) for k in range(2)) / SQ(2)
+    state = pl.StateVector(lay, t.reshape(-1))
+    verdict = triortho_verdict(state, (("a",), ("b",), ("c",)))
+    assert verdict.kind == "ambiguous"
+    for dec in (verdict.canonical, verdict.witness):
+        assert np.linalg.norm(dec.reconstruct() - state.amplitudes) < 1e-9
+
+
+def test_triortho_unique_after_complex_unitary_on_environment():
+    # A local unitary on E keeps the state triorthogonal, so by Elby-Bub
+    # its decomposition stays unique.
+    psi = env_tagged_state()
+    u = np.array([[1, 1j], [1j, 1]]) / SQ(2)
+    state = pl.StateVector(psi.layout,
+                           np.einsum("rae,fe->raf", psi.tensor_view(), u).reshape(-1))
+    verdict = triortho_verdict(state, (("R",), ("A",), ("E",)))
+    assert verdict.kind == "unique"
+    assert np.linalg.norm(verdict.canonical.reconstruct() - state.amplitudes) < 1e-9

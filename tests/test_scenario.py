@@ -213,3 +213,66 @@ def test_comments_and_blank_lines_ignored():
         "state:", "# mid comment\nstate:")
     s = parse_scenario(text)
     assert len(s.queries) == 1
+
+
+PROP_BASE = """\
+layout:
+  subsystem R {head, tail}
+  derived R d1 = 1|head>
+  derived R d2 = sqrt(1/2)|head> + sqrt(1/2)|tail>
+  subsystem W {W0, W1, W2}
+state: sqrt(1/2)|head,W0> + sqrt(1/2)|tail,W0>
+actions:
+  premeasure target=R apparatus=W basis={head,tail} outcomes={W1,W2} ready=W0
+queries:
+  certainty observer=W outcome=W1 prop="PROP" semantics=premeasurement
+"""
+
+
+@pytest.mark.parametrize("prop, message", [
+    ("W will_obtain nonsense", "not among the measured basis labels"),
+    ("R is_in_state sideways", "neither a basis nor a derived label"),
+    ("R is_in_state d2", "not orthonormal: Gram[0,1]"),
+])
+def test_certainty_proposition_basis_resolved_at_parse_time(prop, message):
+    # These used to surface only when the query ran (exit 3).
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(PROP_BASE.replace("PROP", prop))
+    assert message in err.value.message
+    assert err.value.line == 10
+
+
+def test_zero_initial_state_rejected_at_parse_time():
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(MINIMAL.replace("sqrt(1/2)|head> + sqrt(1/2)|tail>",
+                                       "0.5|head> - 0.5|head>"))
+    assert "zero vector" in err.value.message
+    assert err.value.line == 3
+
+
+def test_parser_resolves_vectors_outside_equality():
+    s = parse_scenario(bundled_scenario_text("fr"))
+    assert s.initial.layout.names == ("R", "S", "Fbar", "F")
+    premeasure = s.actions[0]
+    assert premeasure.resolved.labels == ("head", "tail")
+    prop = [q for q in s.queries if isinstance(q, CertaintyQuery)][0].resolved
+    assert prop.layout.names == ("L",) and prop.labels == ("fail", "ok")
+    again = parse_scenario(serialize_scenario(s))
+    assert again == s and again.initial is not s.initial
+
+
+def test_expression_and_list_columns():
+    # One scanner splits fields, comma lists and expressions; each piece
+    # keeps the column it starts at.
+    text = MINIMAL.replace("sqrt(1/2)|tail>", "sqrt(1/2)|tail,x>")
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.column) == (3, 7)
+    text = MINIMAL.replace("+ sqrt(1/2)|tail>", "+ bogus|tail>")
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.column) == (3, 23)
+    text = MINIMAL.replace("born targets=(R)", "born targets=(R, Q)")
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.column) == (5, 24)
