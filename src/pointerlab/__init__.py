@@ -69,13 +69,10 @@ from .experiment import (
     GroupStep,
     Proposition,
     ProtocolTranscript,
-    build_init,
+    Statement,
     certainty,
-    consistency_audit,
-    decoherence_compare,
-    default_environment_models,
     joint_outcome,
-    run_protocol,
 )
+from .runner import consistency_audit, decoherence_compare, run_protocol
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
-"""The four-agent nested-measurement protocol and its certainty analysis.
+"""Transcripts of nested-measurement protocols and their certainty analysis.
 
-A quantum coin entangled with a spin is measured in sequence by two inside
-agents (whose registers merge with the measured systems into laboratory
-registers) and two outside agents who measure whole laboratories in
-superposition bases.  The module scripts that protocol as explicit unitaries
-and groupings, answers joint-outcome queries, and implements two rules for
-when an agent may call a proposition certain:
+A protocol (in the bundled scenario, a quantum coin entangled with a spin,
+measured by two inside agents whose registers merge with the measured
+systems into laboratory registers, then by two outside agents who measure
+whole laboratories in superposition bases) runs as a sequence of steps,
+each kept as a stage.  The module answers joint-outcome queries and
+implements two rules for when an agent may call a proposition certain:
 
 * premeasurement semantics: condition on the agent's record and propagate;
 * decoherent semantics: a proposition is certain only if every consulted
@@ -18,7 +18,6 @@ prediction contradicting the final-stage statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,13 +34,8 @@ from .hilbert import (
     PRUNE_PROB,
     DensityOperator,
     StateVector,
-    SubsystemLayout,
-    basis_state,
-    group_layout,
     group_state,
-    make_state,
     partial_trace,
-    tensor,
 )
 from .measurement import (
     Basis,
@@ -55,8 +49,6 @@ from .measurement import (
     pointer_reduce,
     premeasure,
 )
-
-SQ = math.sqrt
 
 CERTAIN_TOL = 1e-9
 
@@ -151,112 +143,13 @@ def run_transcript(initial: StateVector, named_steps: Sequence[tuple[str, Step]]
 
 
 # --------------------------------------------------------------------------
-# The concrete protocol
+# Joint outcomes and certainty inference
 # --------------------------------------------------------------------------
-
-COIN = "R"
-SPIN = "S"
-AGENT_FBAR = "Fbar"
-AGENT_F = "F"
-AGENT_WBAR = "Wbar"
-AGENT_W = "W"
-LAB_BAR = "Lbar"
-LAB = "L"
-
-_HALF = 1 / SQ(2)
-
-INIT_LAYOUT = SubsystemLayout.of((COIN, ("head", "tail")), (SPIN, ("up", "down")))
-
-FULL_LAYOUT = SubsystemLayout.of(
-    (COIN, ("head", "tail")),
-    (SPIN, ("up", "down")),
-    (AGENT_FBAR, ("F0", "F1", "F2")),
-    (AGENT_F, ("F0", "F1", "F2")),
-    (AGENT_WBAR, ("W0", "W1", "W2")),
-    (AGENT_W, ("W0", "W1", "W2")),
-)
-
-
-def build_init() -> StateVector:
-    """Entangled coin-spin start: sqrt(1/3)|head,down> + sqrt(2/3)|tail,right>."""
-    return make_state(
-        INIT_LAYOUT,
-        [
-            (("head", "down"), SQ(1 / 3)),
-            (("tail", "up"), SQ(2 / 3) * _HALF),
-            (("tail", "down"), SQ(2 / 3) * _HALF),
-        ],
-    )
-
-
-def _sum_difference_basis(layout: SubsystemLayout, name: str, labels: tuple[str, str],
-                          x: str, y: str) -> Basis:
-    """{(x+y)/sqrt2, (x-y)/sqrt2} over one register."""
-    sub = layout.sublayout([name])
-    return Basis(labels, (make_state(sub, [((x,), _HALF), ((y,), _HALF)]),
-                          make_state(sub, [((x,), _HALF), ((y,), -_HALF)])))
-
-
-def spin_direction_basis(layout: SubsystemLayout) -> Basis:
-    """{right, left} over the spin: right = (up+down)/sqrt2, left = (up-down)/sqrt2."""
-    return _sum_difference_basis(layout, SPIN, ("right", "left"), "up", "down")
-
-
-def coin_diagonal_basis(layout: SubsystemLayout) -> Basis:
-    """{h+t, h-t} over the coin."""
-    return _sum_difference_basis(layout, COIN, ("h+t", "h-t"), "head", "tail")
-
-
-def failbar_okbar_basis(layout: SubsystemLayout) -> Basis:
-    """{failbar, okbar} over the outer laboratory: (h +/- t)/sqrt2.
-
-    The minus sign on okbar is load-bearing for the final-stage statistics.
-    """
-    return _sum_difference_basis(layout, LAB_BAR, ("failbar", "okbar"), "h", "t")
-
-
-def fail_ok_basis(layout: SubsystemLayout) -> Basis:
-    """{fail, ok} over the inner laboratory: fail = (-1/2 + +1/2)/sqrt2,
-    ok = (-1/2 - +1/2)/sqrt2 (sign convention again load-bearing)."""
-    return _sum_difference_basis(layout, LAB, ("fail", "ok"), "-1/2", "+1/2")
-
-
-def protocol_steps() -> tuple[tuple[str, Step], ...]:
-    group_lbar = GroupStep((COIN, AGENT_FBAR), LAB_BAR,
-                           ((("head", "F1"), "h"), (("tail", "F2"), "t")))
-    group_l = GroupStep((SPIN, AGENT_F), LAB,
-                        ((("down", "F1"), "-1/2"), (("up", "F2"), "+1/2")))
-    grouped = FULL_LAYOUT
-    for g in (group_lbar, group_l):
-        grouped = group_layout(grouped, g.parts, g.new_name, g.mapping())
-    return (
-        ("after-Fbar", MeasurementSpec(COIN, Basis.computational(FULL_LAYOUT, COIN),
-                                       AGENT_FBAR, "F0", ("F1", "F2"))),
-        ("group-Lbar", group_lbar),
-        ("after-F", MeasurementSpec(SPIN, Basis.computational(FULL_LAYOUT, SPIN, ("down", "up")),
-                                    AGENT_F, "F0", ("F1", "F2"))),
-        ("group-L", group_l),
-        ("after-Wbar", MeasurementSpec(LAB_BAR, failbar_okbar_basis(grouped),
-                                       AGENT_WBAR, "W0", ("W1", "W2"))),
-        ("after-W", MeasurementSpec(LAB, fail_ok_basis(grouped), AGENT_W, "W0", ("W1", "W2"))),
-    )
-
-
-def run_protocol() -> ProtocolTranscript:
-    """Execute the full measurement chain; deterministic, bit-identical
-    across runs."""
-    ready = basis_state(
-        FULL_LAYOUT.sublayout([AGENT_FBAR, AGENT_F, AGENT_WBAR, AGENT_W]),
-        ("F0", "F0", "W0", "W0"),
-    )
-    initial = tensor(build_init(), ready)
-    return run_transcript(initial, protocol_steps())
 
 
 def joint_outcome(transcript: ProtocolTranscript, registers: Sequence[str]) -> OutcomeDistribution:
     """Born distribution over apparatus records at the final stage, labeled
-    by the measured-basis outcome names ("okbar"/"fail"/... rather than raw
-    record levels)."""
+    by the measured-basis outcome names rather than by raw record levels."""
     final = transcript.final_state
     targets = []
     renames: list[Mapping[str, str]] = []
@@ -271,11 +164,6 @@ def joint_outcome(transcript: ProtocolTranscript, registers: Sequence[str]) -> O
         entries.append((tuple(m[l] for m, l in zip(renames, labels)), p))
     entries.sort(key=lambda e: e[0])
     return OutcomeDistribution(tuple(entries))
-
-
-# --------------------------------------------------------------------------
-# Certainty inference
-# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,29 +187,23 @@ class Proposition:
 
 
 @dataclass(frozen=True, eq=False)
+class Statement:
+    """A named inference: ``observer``, having seen ``outcome`` on their own
+    apparatus, asserts ``prop``."""
+
+    name: str
+    observer: str
+    outcome: str
+    prop: Proposition
+
+
+@dataclass(frozen=True, eq=False)
 class EnvironmentModel:
     """Hypothetical one-shot coupling: the orthonormal branches, over some
     registers in layout order, that the environment records."""
 
     name: str
     branches: tuple[StateVector, ...]
-
-
-def default_environment_models() -> tuple[EnvironmentModel, EnvironmentModel]:
-    """The two couplings the certainty engine consults by default: one
-    records the coin-spin branches as wholes, the other resolves the spin."""
-    sub = FULL_LAYOUT.sublayout((COIN, SPIN, AGENT_FBAR))
-    head = make_state(sub, [(("head", "down", "F1"), 1.0)])
-    coarse = EnvironmentModel("two-branch", (
-        head,
-        make_state(sub, [(("tail", "up", "F2"), _HALF), (("tail", "down", "F2"), _HALF)]),
-    ))
-    fine = EnvironmentModel("three-branch", (
-        head,
-        make_state(sub, [(("tail", "down", "F2"), 1.0)]),
-        make_state(sub, [(("tail", "up", "F2"), 1.0)]),
-    ))
-    return coarse, fine
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,52 +361,37 @@ class DecoherenceComparison:
     apparatus_marginal_fine: OutcomeDistribution
 
 
-def decoherence_compare() -> DecoherenceComparison:
-    """Couple the premeasured coin-spin-apparatus state to two different
-    minimal environments and compare the pointer mixtures."""
-    layout = SubsystemLayout.of(
-        (COIN, ("head", "tail")),
-        (SPIN, ("up", "down")),
-        ("A", ("A0", "A1", "A2")),
-    )
-    start = make_state(
-        layout,
-        [
-            (("head", "down", "A0"), SQ(1 / 3)),
-            (("tail", "up", "A0"), SQ(2 / 3) * _HALF),
-            (("tail", "down", "A0"), SQ(2 / 3) * _HALF),
-        ],
-    )
-    pm = MeasurementSpec(COIN, Basis.computational(layout, COIN), "A", "A0", ("A1", "A2"))
-    psi = apply_step(start, pm)
+def decoherence_compare(state: StateVector, models: Sequence[EnvironmentModel],
+                        hidden: Sequence[str], apparatus: str) -> DecoherenceComparison:
+    """Couple ``state`` to each of two environment models (coarse first) and
+    compare the pointer mixtures, in full and with the ``hidden`` registers
+    traced out, along with the record marginal of ``apparatus``."""
+    if len(models) != 2:
+        raise PointerLabError(f"decoherence_compare needs two models, got {len(models)}")
 
-    head = (("head", "down", "A1"), 1.0)
-    coarse_terms = ([head], [(("tail", "up", "A2"), _HALF), (("tail", "down", "A2"), _HALF)])
-    fine_terms = ([head], [(("tail", "down", "A2"), 1.0)], [(("tail", "up", "A2"), 1.0)])
-
-    def couple_and_reduce(terms):
-        extended, rec = attach_environment(psi, "E", len(terms))
-        branches = tuple(make_state(layout, t) for t in terms)
-        coupled = environment_couple(extended, branches, "E", rec)
-        rho = pointer_reduce(coupled, "E")
+    def couple_and_reduce(model: EnvironmentModel) -> tuple[DensityOperator, tuple[float, ...]]:
+        extended, rec = attach_environment(state, model.name, len(model.branches))
+        coupled = environment_couple(extended, model.branches, model.name, rec)
+        rho = pointer_reduce(coupled, model.name)
+        on_targets = partial_trace(rho, model.branches[0].layout.names).matrix
         weights = tuple(
-            float(np.real(np.vdot(b.amplitudes, rho.matrix @ b.amplitudes)))
-            for b in branches
+            float(np.real(np.vdot(b.amplitudes, on_targets @ b.amplitudes)))
+            for b in model.branches
         )
         return rho, weights
 
-    rho_coarse, w_coarse = couple_and_reduce(coarse_terms)
-    rho_fine, w_fine = couple_and_reduce(fine_terms)
+    (rho_coarse, w_coarse), (rho_fine, w_fine) = map(couple_and_reduce, models)
     full_diff = float(np.max(np.abs(rho_coarse.matrix - rho_fine.matrix)))
 
-    red_coarse = partial_trace(rho_coarse, {COIN, "A"})
-    red_fine = partial_trace(rho_fine, {COIN, "A"})
+    visible = [n for n in state.layout.names if n not in hidden]
+    red_coarse = partial_trace(rho_coarse, visible)
+    red_fine = partial_trace(rho_fine, visible)
     red_diff = float(np.max(np.abs(red_coarse.matrix - red_fine.matrix)))
 
     def apparatus_marginal(rho: DensityOperator) -> OutcomeDistribution:
-        marg = partial_trace(rho, {"A"})
+        marg = partial_trace(rho, {apparatus})
         entries = []
-        for i, label in enumerate(marg.layout.subsystem("A").labels):
+        for i, label in enumerate(marg.layout.subsystem(apparatus).labels):
             p = float(marg.matrix[i, i].real)
             if p > PRUNE_PROB:
                 entries.append(((label,), p))
@@ -548,7 +415,9 @@ def decoherence_compare() -> DecoherenceComparison:
 @dataclass(frozen=True, eq=False)
 class ConsistencyAudit:
     """Chained certainty claims versus the directly computed joint outcome,
-    under both semantics."""
+    under both semantics.  ``statement_1_decoherent`` is the verdict on the
+    statement checked again under decoherent semantics (in the FR chain,
+    statement 1)."""
 
     statements_premeasurement: tuple[tuple[str, CertaintyVerdict], ...]
     chain_derivable: bool
@@ -560,53 +429,41 @@ class ConsistencyAudit:
     decoherent_models: tuple[str, ...]
 
 
-def consistency_audit(models: Sequence[EnvironmentModel] | None = None) -> ConsistencyAudit:
-    """Run the statement chain both ways.
+def consistency_audit(transcript: ProtocolTranscript, chain: Sequence[Statement],
+                      joint: Sequence[tuple[str, str]], decoherent: str,
+                      models: Sequence[EnvironmentModel]) -> ConsistencyAudit:
+    """Run a statement chain both ways against one joint outcome.
 
-    Under premeasurement semantics the three statements compose into the
-    claim that the (okbar, ok) joint outcome is impossible, while the final
-    state assigns it 1/12: contradiction.  Under decoherent semantics the
-    first statement is already undetermined, so no chained claim exists and
-    the flag clears.
+    ``joint`` pairs each outer apparatus with a measured-basis label; the
+    chain, when every statement is certain under premeasurement semantics,
+    composes into the claim that this joint outcome is impossible.  The
+    final state assigning it positive probability is a contradiction.
+    Under decoherent semantics the statement named ``decoherent`` is checked
+    again against ``models``; once it is no longer certain, no chained claim
+    exists and the flag clears.
     """
-    if models is None:
-        models = default_environment_models()
-    transcript = run_protocol()
-    final_layout = transcript.final_state.layout
+    by_name = {s.name: s for s in chain}
+    if decoherent not in by_name:
+        raise UnknownLabelError(f"no statement named {decoherent!r} in the chain")
+    statements = tuple(
+        (s.name, certainty(transcript, s.observer, s.outcome, s.prop)) for s in chain
+    )
+    chain_derivable = all(v.kind == "certain" for _, v in statements)
+    registers, labels = zip(*joint)
+    computed = joint_outcome(transcript, registers).probability(labels)
+    contradiction = chain_derivable and computed > PRUNE_PROB
 
-    prop_spin_right = Proposition(
-        SPIN, spin_direction_basis(transcript.stage("after-Fbar").state.layout),
-        "right", "is_in_state",
-    )
-    prop_w_fail = Proposition(LAB, fail_ok_basis(final_layout), "fail", "will_obtain")
-    prop_lbar_t = Proposition(
-        LAB_BAR, Basis.computational(final_layout, LAB_BAR), "t", "is_in_state"
-    )
-    prop_l_plus = Proposition(
-        LAB, Basis.computational(final_layout, LAB), "+1/2", "is_in_state"
-    )
-
-    statements = (
-        ("statement-1-spin", certainty(transcript, AGENT_FBAR, "F2", prop_spin_right)),
-        ("statement-1", certainty(transcript, AGENT_FBAR, "F2", prop_w_fail)),
-        ("statement-2", certainty(transcript, AGENT_F, "F2", prop_lbar_t)),
-        ("statement-3", certainty(transcript, AGENT_WBAR, "W2", prop_l_plus)),
-    )
-    chain = all(v.kind == "certain" for _, v in statements)
-    computed = joint_outcome(transcript, (AGENT_WBAR, AGENT_W)).probability(("okbar", "ok"))
-    contradiction = chain and computed > PRUNE_PROB
-
-    s1_dec = certainty(transcript, AGENT_FBAR, "F2", prop_w_fail,
-                       semantics="decoherent", models=models)
-    contradiction_dec = s1_dec.kind == "certain" and computed > PRUNE_PROB
+    rechecked = by_name[decoherent]
+    dec = certainty(transcript, rechecked.observer, rechecked.outcome, rechecked.prop,
+                    semantics="decoherent", models=models)
 
     return ConsistencyAudit(
         statements_premeasurement=statements,
-        chain_derivable=chain,
-        chained_claim_probability=0.0 if chain else float("nan"),
+        chain_derivable=chain_derivable,
+        chained_claim_probability=0.0 if chain_derivable else float("nan"),
         computed_probability=computed,
         contradiction_premeasurement=contradiction,
-        statement_1_decoherent=s1_dec,
-        contradiction_decoherent=contradiction_dec,
+        statement_1_decoherent=dec,
+        contradiction_decoherent=contradiction and dec.kind == "certain",
         decoherent_models=tuple(m.name for m in models),
     )

@@ -7,6 +7,10 @@ loop), answers the queries against the transcript, and keeps plain data:
 query results with probabilities quantized to 12 significant digits.  Both
 the human-readable table and the structured JSON document render from the
 same Report values, so every printed number agrees between the two formats.
+
+The library entry points ``run_protocol``, ``consistency_audit`` and
+``decoherence_compare`` at the end load the bundled scenarios: the ``.scn``
+files are the only description of the protocol.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from importlib import resources
 from typing import Any, Sequence
 
 import numpy as np
@@ -23,20 +28,29 @@ from .measurement import MeasurementSpec, OutcomeDistribution, born
 from .decomposition import Decomposition, rewrite, triortho_verdict
 from .experiment import (
     CertaintyVerdict,
+    ConsistencyAudit,
     CoupleStep,
+    DecoherenceComparison,
     EnvironmentModel,
     GroupStep,
     Proposition,
     ProtocolTranscript,
+    Statement,
     Step,
     certainty,
-    consistency_audit,
-    decoherence_compare,
     run_transcript,
 )
+from . import experiment as ex
 from . import scenario as sc
 
 DEFAULT_ZERO_TOL = 1e-12
+
+DEMOS = {
+    "fr": "fr_full.scn",
+    "ambiguity": "ambiguity.scn",
+    "decoherence": "decoherence.scn",
+    "triortho": "triortho.scn",
+}
 
 
 def _q(x: float, zero_tol: float) -> float:
@@ -202,8 +216,8 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
     """
     text = source_text if source_text is not None else sc.serialize_scenario(scenario)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    transcript = run_transcript(scenario.initial, [_named_step(a) for a in scenario.actions])
-    models = {m.name: EnvironmentModel(m.name, m.resolved) for m in scenario.models}
+    transcript = scenario_transcript(scenario)
+    models = _models(scenario)
     results = []
     for qi, query in enumerate(scenario.queries, start=1):
         try:
@@ -212,6 +226,35 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
 
     return Report(digest, len(scenario.actions), len(scenario.queries), tuple(results))
+
+
+def scenario_transcript(scenario: sc.Scenario) -> ProtocolTranscript:
+    """Apply a scenario's actions to its initial state, keeping every stage."""
+    return run_transcript(scenario.initial, [_named_step(a) for a in scenario.actions])
+
+
+def _models(scenario: sc.Scenario) -> dict[str, EnvironmentModel]:
+    return {m.name: EnvironmentModel(m.name, m.resolved) for m in scenario.models}
+
+
+def _proposition(query: sc.CertaintyQuery) -> Proposition:
+    """A query's proposition; its subject is the register its resolved basis
+    lives on (an apparatus subject names its target)."""
+    basis = query.resolved
+    return Proposition(basis.layout.names[0], basis, query.prop_predicate, query.prop_quantifier)
+
+
+def _audit(query: sc.AuditQuery, transcript: ProtocolTranscript,
+           models: dict[str, EnvironmentModel]) -> ConsistencyAudit:
+    chain = [Statement(name, q.observer, q.outcome, _proposition(q)) for name, q in query.chain]
+    return ex.consistency_audit(transcript, chain, query.joint, query.decoherent,
+                                [models[m] for m in query.models])
+
+
+def _compare(query: sc.CompareQuery, transcript: ProtocolTranscript,
+             models: dict[str, EnvironmentModel]) -> DecoherenceComparison:
+    return ex.decoherence_compare(transcript.final_state, [models[m] for m in query.models],
+                                  query.hidden, query.apparatus)
 
 
 def _dist_payload(dist: OutcomeDistribution, zero_tol: float) -> list[dict[str, Any]]:
@@ -263,11 +306,8 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
             "distribution": _dist_payload(dist, zero_tol),
         }
     if isinstance(query, sc.CertaintyQuery):
-        basis = query.resolved
-        prop = Proposition(basis.layout.names[0], basis, query.prop_predicate,
-                           query.prop_quantifier)
         model_list = [models[m] for m in query.models]
-        verdict = certainty(transcript, query.observer, query.outcome, prop,
+        verdict = certainty(transcript, query.observer, query.outcome, _proposition(query),
                             semantics=query.semantics, models=model_list or None)
         payload = {
             "kind": "certainty",
@@ -298,7 +338,7 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
         )
         return payload
     if isinstance(query, sc.AuditQuery):
-        audit = consistency_audit()
+        audit = _audit(query, transcript, models)
         return {
             "kind": "consistency_audit",
             "premeasurement": {
@@ -324,7 +364,7 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
             },
         }
     if isinstance(query, sc.CompareQuery):
-        cmp = decoherence_compare()
+        cmp = _compare(query, transcript, models)
         return {
             "kind": "decoherence_compare",
             "full_max_difference": _q(cmp.full_max_difference, zero_tol),
@@ -346,3 +386,36 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
             },
         }
     raise ExecutionError(f"unhandled query {query!r}")
+
+
+# --------------------------------------------------------------------------
+# The bundled scenarios as library calls
+# --------------------------------------------------------------------------
+
+
+def bundled_scenario_text(name: str) -> str:
+    return (resources.files("pointerlab") / "scenarios" / DEMOS[name]).read_text("utf-8")
+
+
+def _bundled(name: str) -> tuple[sc.Scenario, ProtocolTranscript]:
+    scenario = sc.parse_scenario(bundled_scenario_text(name))
+    return scenario, scenario_transcript(scenario)
+
+
+def run_protocol() -> ProtocolTranscript:
+    """Transcript of the bundled FR scenario (``fr_full.scn``)."""
+    return _bundled("fr")[1]
+
+
+def consistency_audit() -> ConsistencyAudit:
+    """The audit declared in the bundled FR scenario."""
+    scenario, transcript = _bundled("fr")
+    query = next(q for q in scenario.queries if isinstance(q, sc.AuditQuery))
+    return _audit(query, transcript, _models(scenario))
+
+
+def decoherence_compare() -> DecoherenceComparison:
+    """The comparison declared in the bundled decoherence scenario."""
+    scenario, transcript = _bundled("decoherence")
+    query = next(q for q in scenario.queries if isinstance(q, sc.CompareQuery))
+    return _compare(query, transcript, _models(scenario))

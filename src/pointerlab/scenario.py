@@ -30,7 +30,9 @@ Grammar sketch::
     queries:
       born targets=(Lbar:{failbar,okbar}, L:{fail,ok})
       certainty observer=Fbar outcome=F2 prop="L will_obtain fail" semantics=premeasurement
-      consistency_audit
+      consistency_audit chain=(s1:"Fbar F2 L will_obtain fail", s2:"F F2 Lbar is_in_state t")
+          joint=(Wbar:okbar, W:ok) decoherent=s1 models=(two-branch)   # on one line
+      decoherence_compare models=(two-branch, three-branch) hidden=(S) apparatus=A
 
 Coefficients accept ``sqrt(p/q)`` sugar, plain decimals, and pure-imaginary
 ``0.5i``; a complex with both parts needs parentheses: ``(0.5+0.5i)``.
@@ -38,6 +40,7 @@ Coefficients accept ``sqrt(p/q)`` sugar, plain decimals, and pure-imaginary
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import re
@@ -165,12 +168,25 @@ class TriorthoQuery:
 
 @dataclass(frozen=True)
 class AuditQuery:
-    pass
+    """A chain of named statements (premeasurement certainty queries) whose
+    conclusion is that the ``joint`` outcome ((apparatus, measured-basis
+    label) pairs) is impossible; the statement named ``decoherent`` is
+    checked again under decoherent semantics."""
+
+    chain: tuple[tuple[str, CertaintyQuery], ...]
+    joint: tuple[tuple[str, str], ...]
+    decoherent: str
+    models: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class CompareQuery:
-    pass
+    """Two environment models of the final state, compared in full and with
+    the ``hidden`` registers traced out."""
+
+    models: tuple[str, ...]
+    hidden: tuple[str, ...]
+    apparatus: str
 
 
 Action = Union[PremeasureAction, GroupAction, CoupleAction]
@@ -264,7 +280,16 @@ _COMPLEX_RE = re.compile(
 
 def parse_coefficient(text: str, line: int, col: int) -> complex:
     """Parse one coefficient literal: sqrt(p/q), decimal, imaginary (0.5i or
-    i), or parenthesized complex (a+bi); optional leading sign."""
+    i), or parenthesized complex (a+bi); optional leading sign.  A decimal
+    too large for a double is rejected."""
+    value = _coefficient(text, line, col)
+    if not cmath.isfinite(value):
+        raise ScenarioParseError(f"coefficient {text.strip()!r} is not finite", line, col,
+                                 "use a magnitude below 1e308")
+    return value
+
+
+def _coefficient(text: str, line: int, col: int) -> complex:
     raw = text.strip()
     if raw == "":
         return 1.0 + 0.0j
@@ -424,6 +449,9 @@ class _Schema:
 
     def group(self, parts: Sequence[str], new_name: str,
               label_map: dict[tuple[str, ...], str], line: int, col: int) -> None:
+        if new_name in self.labels and new_name not in parts:
+            raise ScenarioParseError(f"group name {new_name!r} already taken", line, col,
+                                     "pick a fresh name")
         subs = [Subsystem(p, self.labels[p]) for p in parts]
         try:
             merged = _merged_labels(subs, label_map)
@@ -551,9 +579,8 @@ def parse_scenario(text: str) -> Scenario:
     state_terms: tuple[StateTerm, ...] | None = None
     initial: StateVector | None = None
     steps: list[Step] = []
-    models: list[ModelDecl] = []
     queries: list[Query] = []
-    model_names: set[str] = set()
+    declared_models: dict[str, ModelDecl] = {}
     apparatus_actions: dict[str, PremeasureAction] = {}
     stage_schemas: list[dict[str, tuple[str, ...]]] = []
 
@@ -613,15 +640,14 @@ def parse_scenario(text: str) -> Scenario:
         elif section == "models":
             model = _parse_model_line(stripped, line_no, col0, schema, subsystems,
                                       derived_layout)
-            if model.name in model_names:
+            if model.name in declared_models:
                 raise ScenarioParseError(f"model {model.name!r} declared twice",
                                          line_no, col0, "model names must be unique")
-            model_names.add(model.name)
-            models.append(model)
+            declared_models[model.name] = model
         elif section == "queries":
             queries.append(
                 _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
-                                  model_names,
+                                  declared_models,
                                   [{d.name: d.labels for d in subsystems}, *stage_schemas])
             )
 
@@ -636,7 +662,7 @@ def parse_scenario(text: str) -> Scenario:
         derived=tuple(derived_layout),
         state_terms=state_terms,
         steps=tuple(steps),
-        models=tuple(models),
+        models=tuple(declared_models.values()),
         queries=tuple(queries),
         initial=initial,
     )
@@ -720,6 +746,11 @@ def _parse_state(expr, line_no, col, schema, subsystems):
     if not amps.any():
         raise ScenarioParseError("state terms sum to the zero vector", line_no, col,
                                  "give the state a nonzero amplitude")
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(amps))
+    if not 0.0 < nrm < math.inf:
+        raise ScenarioParseError(f"state norm {nrm} is out of floating-point range",
+                                 line_no, col, "scale the coefficients toward 1")
     return terms, normalized(schema.layout(names), amps)
 
 
@@ -901,8 +932,74 @@ def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, sta
     return at_subject.basis(subject, derived, line_no, col)
 
 
+def _labelled_basis(query, raw, line_no, col0, off, schema
+                    ) -> tuple[str, tuple[str, ...], Basis]:
+    """A born or rewrite entry NAME:{label, ...}: (name, labels, basis)."""
+    name, brace = (part.strip() for part in raw.split(":", 1))
+    schema.require(name, line_no, col0 + off)
+    labels = []
+    for it, ioff in _parse_basis_items(brace, line_no, col0 + off):
+        if not isinstance(it, str):
+            raise ScenarioParseError(f"{query} bases use labels, not vector literals",
+                                     line_no, col0 + ioff, "declare a derived label instead")
+        labels.append(it)
+    return name, tuple(labels), schema.basis(name, labels, line_no, col0 + off)
+
+
+def _quoted_words(text, line_no, col, what, shape) -> list[str]:
+    """The words of a quoted ``what`` that must read ``shape``."""
+    words = text[1:-1].split() if len(text) >= 2 and text[0] == text[-1] == '"' else None
+    if words is None or len(words) != len(shape.split()):
+        raise ScenarioParseError(f"{what} must be the quoted words {shape}, got {text}",
+                                 line_no, col, f'write "{shape}"')
+    return words
+
+
+def _claim(observer, ocol, outcome, outcol, prop, pcol, line_no, schema,
+           apparatus_actions, stages, semantics="premeasurement", models=()) -> CertaintyQuery:
+    """Check one inference (certainty queries and audit statements alike):
+    ``observer`` is an apparatus, ``outcome`` one of its records or measured
+    labels, and ``prop`` the words SUBJECT QUANTIFIER PREDICATE."""
+    action = _apparatus(observer, line_no, ocol, apparatus_actions)
+    valid = set(action.outcomes) | {b for b in action.basis if isinstance(b, str)}
+    if outcome not in valid:
+        raise ScenarioParseError(
+            f"outcome {outcome!r} is not a record or basis label of {observer!r}",
+            line_no, outcol, f"use one of {sorted(valid)}")
+    subject, quant, predicate = prop
+    if quant not in ("will_obtain", "is_in_state"):
+        raise ScenarioParseError(f"unknown quantifier {quant!r}", line_no,
+                                 pcol, "use will_obtain or is_in_state")
+    basis = _prop_basis(subject, predicate, line_no, pcol, schema, apparatus_actions, stages)
+    return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics, models, basis)
+
+
+def _model_list(field_value, line_no, col0, declared_models) -> tuple[str, ...]:
+    mval, mcol = field_value
+    models = tuple(n for n, _ in _parse_name_list(mval, line_no, col0 + mcol))
+    for mn in models:
+        if mn not in declared_models:
+            raise ScenarioParseError(f"model {mn!r} was never declared",
+                                     line_no, col0 + mcol,
+                                     "declare it in the models: section")
+    return models
+
+
+def _apparatus(name, line_no, col, apparatus_actions, final=None) -> PremeasureAction:
+    """The premeasure action of apparatus ``name``; given the ``final``
+    schema, the apparatus must also be a register of the final layout."""
+    if name not in apparatus_actions:
+        raise ScenarioParseError(
+            f"{name!r} is not the apparatus of any premeasure action", line_no, col,
+            "name an apparatus used in the actions section")
+    if final is not None and name not in final.labels:
+        raise ScenarioParseError(f"apparatus {name!r} is grouped away before the end",
+                                 line_no, col, "name an apparatus of the final layout")
+    return apparatus_actions[name]
+
+
 def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
-                      model_names, stages) -> Query:
+                      declared_models, stages) -> Query:
     """``stages`` holds the register labels of the declared layout and after
     each action, in order."""
     toks = _tokens(stripped)
@@ -917,19 +1014,9 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
             if not raw:
                 continue
             if ":" in raw:
-                name, brace = raw.split(":", 1)
-                name = name.strip()
-                schema.require(name, line_no, col0 + off)
-                items = _parse_basis_items(brace.strip(), line_no, col0 + off)
-                labels = []
-                for it, ioff in items:
-                    if not isinstance(it, str):
-                        raise ScenarioParseError(
-                            "born bases use labels, not vector literals",
-                            line_no, col0 + ioff, "declare a derived label instead")
-                    labels.append(it)
-                bases.append(schema.basis(name, labels, line_no, col0 + off))
-                targets.append((name, tuple(labels)))
+                name, labels, basis = _labelled_basis(head, raw, line_no, col0, off, schema)
+                bases.append(basis)
+                targets.append((name, labels))
             else:
                 schema.require(raw, line_no, col0 + off)
                 bases.append(None)
@@ -942,32 +1029,10 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         fields = _field_map(toks[1:], line_no,
                             ("observer", "outcome", "prop", "semantics", "models"))
         oval, ocol = _need(fields, "observer", line_no, "certainty")
-        if oval not in apparatus_actions:
-            raise ScenarioParseError(
-                f"observer {oval!r} is not the apparatus of any premeasure action",
-                line_no, col0 + ocol, "name an apparatus used in the actions section")
-        action = apparatus_actions[oval]
         outval, outcol = _need(fields, "outcome", line_no, "certainty")
-        valid = set(action.outcomes) | {b for b in action.basis if isinstance(b, str)}
-        if outval not in valid:
-            raise ScenarioParseError(
-                f"outcome {outval!r} is not a record or basis label of {oval!r}",
-                line_no, col0 + outcol, f"use one of {sorted(valid)}")
         pval, pcol = _need(fields, "prop", line_no, "certainty")
-        if not (pval.startswith('"') and pval.endswith('"')):
-            raise ScenarioParseError("prop must be quoted", line_no, col0 + pcol,
-                                     'write prop="SUBJECT QUANTIFIER LABEL"')
-        parts = pval[1:-1].split()
-        if len(parts) != 3:
-            raise ScenarioParseError(
-                f"prop needs three words, got {pval}", line_no, col0 + pcol,
-                'write prop="SUBJECT will_obtain|is_in_state LABEL"')
-        subject, quant, predicate = parts
-        if quant not in ("will_obtain", "is_in_state"):
-            raise ScenarioParseError(f"unknown quantifier {quant!r}", line_no,
-                                     col0 + pcol, "use will_obtain or is_in_state")
-        prop_basis = _prop_basis(subject, predicate, line_no, col0 + pcol, schema,
-                                 apparatus_actions, stages)
+        words = _quoted_words(pval, line_no, col0 + pcol, "prop",
+                              "SUBJECT will_obtain|is_in_state LABEL")
         sval, scol = _need(fields, "semantics", line_no, "certainty")
         if sval not in ("premeasurement", "decoherent"):
             raise ScenarioParseError(f"unknown semantics {sval!r}", line_no,
@@ -978,18 +1043,12 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                 raise ScenarioParseError(
                     "decoherent semantics needs models=(...)", line_no, col0 + scol,
                     "reference models declared in the models: section")
-            mval, mcol = fields["models"]
-            models = tuple(n for n, _ in _parse_name_list(mval, line_no, col0 + mcol))
-            for mn in models:
-                if mn not in model_names:
-                    raise ScenarioParseError(f"model {mn!r} was never declared",
-                                             line_no, col0 + mcol,
-                                             "declare it in the models: section")
+            models = _model_list(fields["models"], line_no, col0, declared_models)
         elif "models" in fields:
             raise ScenarioParseError("models= only applies to decoherent semantics",
                                      line_no, col0, "drop models= or switch semantics")
-        return CertaintyQuery(oval, outval, subject, quant, predicate, sval, models,
-                              prop_basis)
+        return _claim(oval, col0 + ocol, outval, col0 + outcol, words, col0 + pcol,
+                      line_no, schema, apparatus_actions, stages, sval, models)
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
         bval, bcol = _need(fields, "bases", line_no, "rewrite")
@@ -1002,23 +1061,14 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
             if ":" not in raw:
                 raise ScenarioParseError(f"malformed bases entry {raw!r}", line_no,
                                          col0 + off, "entries look like NAME:{a,b}")
-            name, brace = raw.split(":", 1)
-            name = name.strip()
-            labels_avail = schema.require(name, line_no, col0 + off)
-            items = _parse_basis_items(brace.strip(), line_no, col0 + off)
-            labels = []
-            for it, ioff in items:
-                if not isinstance(it, str):
-                    raise ScenarioParseError("rewrite bases use labels", line_no,
-                                             col0 + ioff, "declare derived labels")
-                labels.append(it)
-            if len(labels) != len(labels_avail):
+            name, labels, basis = _labelled_basis(head, raw, line_no, col0, off, schema)
+            if basis.size != len(schema.labels[name]):
                 raise ScenarioParseError(
-                    f"rewrite basis for {name!r} has {len(labels)} vectors, "
-                    f"needs {len(labels_avail)}", line_no, col0 + off,
+                    f"rewrite basis for {name!r} has {basis.size} vectors, "
+                    f"needs {len(schema.labels[name])}", line_no, col0 + off,
                     "rewrite bases must be complete")
-            bases.append(schema.basis(name, labels, line_no, col0 + off))
-            out.append((name, tuple(labels)))
+            bases.append(basis)
+            out.append((name, labels))
         return RewriteQuery(tuple(out), tuple(bases))
     if head == "triortho":
         fields = _field_map(toks[1:], line_no, ("parts",))
@@ -1042,15 +1092,61 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                                      f"cover {tuple(schema.order)} once each")
         return TriorthoQuery((groups[0], groups[1], groups[2]))
     if head == "consistency_audit":
-        if len(toks) > 1:
-            raise ScenarioParseError("consistency_audit takes no fields", line_no,
-                                     col0, "write it bare")
-        return AuditQuery()
+        fields = _field_map(toks[1:], line_no, ("chain", "joint", "decoherent", "models"))
+        cval, ccol = _need(fields, "chain", line_no, "consistency_audit")
+        chain: dict[str, CertaintyQuery] = {}
+        for raw, off in _parse_name_list(cval, line_no, col0 + ccol):
+            name, _, quoted = (part.strip() for part in raw.partition(":"))
+            if not _NAME_RE.match(name) or name in chain:
+                raise ScenarioParseError(
+                    f"chain entry {raw!r} needs a fresh statement name", line_no, off,
+                    'write NAME:"OBSERVER OUTCOME SUBJECT QUANTIFIER LABEL"')
+            words = _quoted_words(quoted, line_no, off, "statement",
+                                  "OBSERVER OUTCOME SUBJECT QUANTIFIER LABEL")
+            chain[name] = _claim(words[0], off, words[1], off, words[2:], off, line_no,
+                                 schema, apparatus_actions, stages)
+        jval, jcol = _need(fields, "joint", line_no, "consistency_audit")
+        joint = []
+        for raw, off in _parse_name_list(jval, line_no, col0 + jcol):
+            apparatus, _, label = (part.strip() for part in raw.partition(":"))
+            action = _apparatus(apparatus, line_no, off, apparatus_actions, schema)
+            labels = action.resolved.labels
+            if label not in labels:
+                raise ScenarioParseError(
+                    f"joint entry {raw!r} needs a measured basis label of {apparatus!r}",
+                    line_no, off, f"write {apparatus}:LABEL with LABEL in {list(labels)}")
+            joint.append((apparatus, label))
+        dval, dcol = _need(fields, "decoherent", line_no, "consistency_audit")
+        if dval not in chain:
+            raise ScenarioParseError(f"decoherent names no chain statement: {dval!r}",
+                                     line_no, col0 + dcol, f"use one of {list(chain)}")
+        models = _model_list(_need(fields, "models", line_no, "consistency_audit"),
+                             line_no, col0, declared_models)
+        return AuditQuery(tuple(chain.items()), tuple(joint), dval, models)
     if head == "decoherence_compare":
-        if len(toks) > 1:
-            raise ScenarioParseError("decoherence_compare takes no fields", line_no,
-                                     col0, "write it bare")
-        return CompareQuery()
+        fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
+        mval, mcol = _need(fields, "models", line_no, "decoherence_compare")
+        models = _model_list((mval, mcol), line_no, col0, declared_models)
+        if len(set(models)) != 2 or len(models) != 2:
+            raise ScenarioParseError("decoherence_compare compares two distinct models",
+                                     line_no, col0 + mcol, "write models=(COARSE, FINE)")
+        for mn in models:
+            for t in declared_models[mn].targets:
+                if schema.labels.get(t) != stages[0][t]:
+                    raise ScenarioParseError(
+                        f"model {mn!r} couples {t!r}, which is not in the final layout "
+                        "as declared", line_no, col0 + mcol,
+                        "decoherence_compare couples the final state; model its registers")
+        hval, hcol = _need(fields, "hidden", line_no, "decoherence_compare")
+        hidden = tuple(n for n, _ in _parse_name_list(hval, line_no, col0 + hcol))
+        for n in hidden:
+            schema.require(n, line_no, col0 + hcol)
+        aval, acol = _need(fields, "apparatus", line_no, "decoherence_compare")
+        _apparatus(aval, line_no, col0 + acol, apparatus_actions, schema)
+        if aval in hidden:
+            raise ScenarioParseError(f"apparatus {aval!r} is hidden", line_no, col0 + acol,
+                                     "the apparatus record must stay visible")
+        return CompareQuery(models, hidden, aval)
     raise ScenarioParseError(f"unknown query {head!r}", line_no, col0,
                              "queries: born, certainty, rewrite, triortho, "
                              "consistency_audit, decoherence_compare")
@@ -1081,20 +1177,22 @@ def _fmt_basis_item(item: BasisItem) -> str:
     return "(" + ",".join(_fmt_complex_plain(c) for c in item) + ")"
 
 
+def _fmt_derived(d: DerivedDecl) -> str:
+    terms = _fmt_terms([StateTerm(c, (lab,)) for lab, c in d.terms])
+    return f"  derived {d.subsystem} {d.label} = {terms}"
+
+
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; parsing it back yields an equal Scenario."""
     out = ["layout:"]
     for decl in s.subsystems:
         out.append(f"  subsystem {decl.name} {{{', '.join(decl.labels)}}}")
-    for d in s.derived:
-        out.append(f"  derived {d.subsystem} {d.label} = "
-                   f"{_fmt_terms([StateTerm(c, (lab,)) for lab, c in d.terms])}")
+    out.extend(_fmt_derived(d) for d in s.derived)
     out.append(f"state: {_fmt_terms(s.state_terms)}")
     out.append("actions:")
     for step in s.steps:
         if isinstance(step, DerivedDecl):
-            out.append(f"  derived {step.subsystem} {step.label} = "
-                       f"{_fmt_terms([StateTerm(c, (lab,)) for lab, c in step.terms])}")
+            out.append(_fmt_derived(step))
         elif isinstance(step, PremeasureAction):
             out.append(
                 f"  premeasure target={step.target} apparatus={step.apparatus} "
@@ -1138,7 +1236,13 @@ def serialize_scenario(s: Scenario) -> str:
             groups = ",".join(f"({','.join(g)})" for g in q.parts)
             out.append(f"  triortho parts=({groups})")
         elif isinstance(q, AuditQuery):
-            out.append("  consistency_audit")
+            chain = ", ".join(
+                f'{name}:"{st.observer} {st.outcome} {st.prop_subject} '
+                f'{st.prop_quantifier} {st.prop_predicate}"' for name, st in q.chain)
+            joint = ", ".join(f"{a}:{label}" for a, label in q.joint)
+            out.append(f"  consistency_audit chain=({chain}) joint=({joint}) "
+                       f"decoherent={q.decoherent} models=({', '.join(q.models)})")
         elif isinstance(q, CompareQuery):
-            out.append("  decoherence_compare")
+            out.append(f"  decoherence_compare models=({', '.join(q.models)}) "
+                       f"hidden=({', '.join(q.hidden)}) apparatus={q.apparatus}")
     return "\n".join(out) + "\n"

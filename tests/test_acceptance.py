@@ -12,17 +12,20 @@ import numpy as np
 import pointerlab as pl
 from pointerlab.cli import bundled_scenario_text
 from pointerlab.decomposition import relative_states, rewrite, triortho_verdict
-from pointerlab.experiment import (
-    Proposition,
-    fail_ok_basis,
-    spin_direction_basis,
-)
+from pointerlab.experiment import Proposition
 from pointerlab.measurement import Basis, MeasurementSpec, correlating_unitary
-from pointerlab.scenario import parse_scenario, serialize_scenario
+from pointerlab.scenario import AuditQuery, PremeasureAction, parse_scenario, serialize_scenario
 
 SQ = math.sqrt
 H = 1 / SQ(2)
 TOL = 1e-9
+
+# The initial state and bases come from the bundled FR scenario.
+FR = parse_scenario(bundled_scenario_text("fr"))
+FAIL_OK = next(a.resolved for a in FR.actions
+               if isinstance(a, PremeasureAction) and a.apparatus == "W")
+SPIN_DIRECTION = next(dict(q.chain)["statement-1-spin"].resolved
+                      for q in FR.queries if isinstance(q, AuditQuery))
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -42,9 +45,9 @@ def test_criterion_1_final_joint_distribution():
 
 
 def test_criterion_2_decomposition_equality_suite():
-    init = pl.build_init()
+    init = FR.initial
     lay = init.layout
-    spin = spin_direction_basis(lay)
+    spin = SPIN_DIRECTION
     coin = Basis(("h+t", "h-t"), (
         pl.make_state(lay.sublayout(["R"]), [(("head",), H), (("tail",), H)]),
         pl.make_state(lay.sublayout(["R"]), [(("head",), H), (("tail",), -H)]),
@@ -54,7 +57,7 @@ def test_criterion_2_decomposition_equality_suite():
         dec = rewrite(init, bases)
         ok = ok and np.linalg.norm(dec.reconstruct() - init.amplitudes) < TOL
     native = rewrite(init, {})
-    ok = ok and native.coefficient(("head", "up")) == 0
+    ok = ok and native.coefficient(("head", "up", "F0", "F0", "W0", "W0")) == 0
     report("criterion 2: all four expansions rebuild the initial amplitudes "
            "within 1e-9 and the (head, up) component reports exactly 0", ok)
 
@@ -63,7 +66,7 @@ def test_criterion_3_statement_chain():
     tr = pl.run_protocol()
     final_layout = tr.final_state.layout
     checks = [
-        ("Fbar", "F2", Proposition("L", fail_ok_basis(final_layout),
+        ("Fbar", "F2", Proposition("L", FAIL_OK,
                                    "fail", "will_obtain"), ("fail",)),
         ("F", "F2", Proposition("Lbar", Basis.computational(final_layout, "Lbar"),
                                 "t", "is_in_state"), ("t",)),

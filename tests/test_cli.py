@@ -77,9 +77,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "'Q'" in err and "line 5" in err
 
 
-def test_execution_error_exit_code(tmp_path, capsys):
-    # Parses fine, fails at run time: the apparatus starts off-ready.
-    text = """\
+# Parses fine, fails at run time: the apparatus starts off-ready.
+STUCK = """\
 layout:
   subsystem R {head, tail}
   subsystem F {F0, F1, F2}
@@ -89,7 +88,10 @@ actions:
 queries:
   born targets=(F)
 """
-    path = write(tmp_path, "stuck.scn", text)
+
+
+def test_execution_error_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "stuck.scn", STUCK)
     assert main(["run", path]) == EXIT_EXEC
     err = capsys.readouterr().err
     assert "action 1" in err
@@ -98,7 +100,7 @@ queries:
 def test_check_subcommand(tmp_path, capsys):
     path = write(tmp_path, "fr.scn", bundled_scenario_text("fr"))
     assert main(["check", path]) == EXIT_OK
-    assert "4 actions, 3 queries" in capsys.readouterr().out
+    assert "6 actions, 3 queries" in capsys.readouterr().out
     bad = write(tmp_path, "bad.scn", "layout:\nstate: 1|x>\nqueries:\n")
     assert main(["check", bad]) == EXIT_PARSE
 
@@ -121,12 +123,33 @@ def test_check_accepts_every_bundled_scenario(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_jobs_runs_files_in_order(tmp_path, capsys):
+def test_run_prints_files_in_order(tmp_path, capsys):
     p1 = write(tmp_path, "a.scn", bundled_scenario_text("ambiguity"))
     p2 = write(tmp_path, "b.scn", bundled_scenario_text("triortho"))
-    assert main(["run", p1, p2, "--jobs", "2"]) == EXIT_OK
+    assert main(["run", p1, p2]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.index("a.scn") < out.index("b.scn")
+
+
+BAD = "layout:\n  subsystem R {head}\nstate: 1|head>\nqueries:\n  born targets=(Q)\n"
+
+
+def test_run_keeps_going_after_a_failing_file(tmp_path, capsys):
+    first = write(tmp_path, "first.scn", bundled_scenario_text("ambiguity"))
+    bad = write(tmp_path, "bad.scn", BAD)
+    last = write(tmp_path, "last.scn", bundled_scenario_text("triortho"))
+    assert main(["run", first, bad, last]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out.count("scenario sha256") == 2
+    assert captured.out.index(f"### {first}\n") < captured.out.index(f"### {last}\n")
+    assert f"### {bad}" not in captured.out
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{bad}: parse error: ")
+    # The exit code is the first failure's, an unreadable file counting as 2.
+    stuck = write(tmp_path, "stuck.scn", STUCK)
+    assert main(["run", stuck, bad, str(tmp_path / "missing.scn")]) == EXIT_EXEC
+    assert main(["run", str(tmp_path / "missing.scn"), stuck]) == EXIT_PARSE
+    assert len(capsys.readouterr().err.splitlines()) == 5
 
 
 def test_tolerance_flag_zeroes_small_probabilities(tmp_path, capsys):
@@ -308,20 +331,10 @@ def test_oversized_layout_exits_3_with_one_line(tmp_path, capsys):
 
 def test_diagnostics_name_the_failing_file(tmp_path, capsys):
     good = write(tmp_path, "good.scn", bundled_scenario_text("ambiguity"))
-    bad = write(tmp_path, "bad.scn",
-                "layout:\n  subsystem R {head}\nstate: 1|head>\nqueries:\n  born targets=(Q)\n")
+    bad = write(tmp_path, "bad.scn", BAD)
     assert main(["run", good, bad]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith(f"{bad}: parse error: line 5, col 21: ")
-    stuck = write(tmp_path, "stuck.scn", """\
-layout:
-  subsystem R {head, tail}
-  subsystem F {F0, F1, F2}
-state: 1|head,F1>
-actions:
-  premeasure target=R apparatus=F basis={head,tail} outcomes={F1,F2} ready=F0
-queries:
-  born targets=(F)
-""")
-    assert main(["run", good, stuck, "--jobs", "2"]) == EXIT_EXEC
+    stuck = write(tmp_path, "stuck.scn", STUCK)
+    assert main(["run", good, stuck]) == EXIT_EXEC
     assert capsys.readouterr().err.startswith(f"{stuck}: execution error: action 1 ")

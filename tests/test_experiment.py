@@ -6,25 +6,33 @@ import numpy as np
 import pytest
 
 import pointerlab as pl
+from pointerlab import experiment as ex
+from pointerlab.cli import bundled_scenario_text
 from pointerlab.errors import ImpossibleOutcomeError, PointerLabError
-from pointerlab.experiment import (
-    Proposition,
-    fail_ok_basis,
-    failbar_okbar_basis,
-    spin_direction_basis,
-)
+from pointerlab.experiment import Proposition, run_transcript
 from pointerlab.measurement import Basis
+from pointerlab.scenario import AuditQuery, PremeasureAction, parse_scenario
 
 SQ = math.sqrt
 H = 1 / SQ(2)
 
+# The protocol's pieces, as the bundled FR scenario declares them.
+FR = parse_scenario(bundled_scenario_text("fr"))
+MEASURED = {a.apparatus: a.resolved for a in FR.actions if isinstance(a, PremeasureAction)}
+FAILBAR_OKBAR = MEASURED["Wbar"]  # {failbar, okbar} over Lbar
+FAIL_OK = MEASURED["W"]  # {fail, ok} over L
+SPIN_DIRECTION = next(dict(q.chain)["statement-1-spin"].resolved
+                      for q in FR.queries if isinstance(q, AuditQuery))  # {right, left} over S
+MODELS = tuple(pl.EnvironmentModel(m.name, m.resolved) for m in FR.models)
+READY = ("F0", "F0", "W0", "W0")
 
-def test_build_init():
-    s = pl.build_init()
+
+def test_initial_state():
+    s = FR.initial
     assert abs(s.norm() - 1.0) < 1e-12
-    assert s.amplitude(("head", "up")) == 0
-    assert abs(s.amplitude(("tail", "down")) - 1 / SQ(3)) < 1e-12
-    assert abs(s.amplitude(("head", "down")) - SQ(1 / 3)) < 1e-12
+    assert s.amplitude(("head", "up") + READY) == 0
+    assert abs(s.amplitude(("tail", "down") + READY) - 1 / SQ(3)) < 1e-12
+    assert abs(s.amplitude(("head", "down") + READY) - SQ(1 / 3)) < 1e-12
 
 
 def test_stage_after_inside_coin_measurement():
@@ -55,7 +63,7 @@ def test_stage_after_outer_lab_measurement():
     tr = pl.run_protocol()
     st = tr.stage("after-Wbar").state
     lay = st.layout
-    okbar = failbar_okbar_basis(lay).vectors[1]
+    okbar = FAILBAR_OKBAR.vectors[1]
     probe = pl.tensor(
         pl.tensor(okbar, pl.basis_state(lay.sublayout(["L"]), ("+1/2",))),
         pl.tensor(pl.basis_state(lay.sublayout(["Wbar"]), ("W2",)),
@@ -68,8 +76,8 @@ def test_final_stage_amplitudes():
     tr = pl.run_protocol()
     st = tr.final_state
     lay = st.layout
-    fb = failbar_okbar_basis(lay)
-    fo = fail_ok_basis(lay)
+    fb = FAILBAR_OKBAR
+    fo = FAIL_OK
 
     def amp(lbar_i, l_i, wbar, w):
         probe = pl.tensor(
@@ -124,7 +132,7 @@ def test_statement_chain_premeasurement():
     final_layout = tr.final_state.layout
 
     s1 = pl.certainty(tr, "Fbar", "F2",
-                      Proposition("L", fail_ok_basis(final_layout), "fail", "will_obtain"))
+                      Proposition("L", FAIL_OK, "fail", "will_obtain"))
     assert s1.kind == "certain"
     assert abs(s1.conditional.probability(("fail",)) - 1.0) < 1e-9
 
@@ -151,8 +159,7 @@ def test_head_record_certifies_spin_down():
 
 def test_observed_outcome_accepts_basis_label_too():
     tr = pl.run_protocol()
-    lay = tr.stage("after-Fbar").state.layout
-    prop = Proposition("S", spin_direction_basis(lay), "right", "is_in_state")
+    prop = Proposition("S", SPIN_DIRECTION, "right", "is_in_state")
     by_record = pl.certainty(tr, "Fbar", "F2", prop)
     by_label = pl.certainty(tr, "Fbar", "tail", prop)
     assert by_record.kind == by_label.kind == "certain"
@@ -160,10 +167,9 @@ def test_observed_outcome_accepts_basis_label_too():
 
 def test_decoherent_semantics_blocks_spin_claim():
     tr = pl.run_protocol()
-    lay = tr.stage("after-Fbar").state.layout
-    prop = Proposition("S", spin_direction_basis(lay), "right", "is_in_state")
+    prop = Proposition("S", SPIN_DIRECTION, "right", "is_in_state")
     v = pl.certainty(tr, "Fbar", "F2", prop, semantics="decoherent",
-                     models=pl.default_environment_models())
+                     models=MODELS)
     assert v.kind == "undetermined"
     probs = {name: d.probability(("right",)) for name, d in v.evidence}
     assert abs(probs["two-branch"] - 1.0) < 1e-9
@@ -172,9 +178,9 @@ def test_decoherent_semantics_blocks_spin_claim():
 
 def test_decoherent_semantics_blocks_final_outcome_claim():
     tr = pl.run_protocol()
-    prop = Proposition("L", fail_ok_basis(tr.final_state.layout), "fail", "will_obtain")
+    prop = Proposition("L", FAIL_OK, "fail", "will_obtain")
     v = pl.certainty(tr, "Fbar", "F2", prop, semantics="decoherent",
-                     models=pl.default_environment_models())
+                     models=MODELS)
     assert v.kind == "undetermined"
     probs = [d.probability(("fail",)) for _, d in v.evidence]
     assert abs(probs[0] - probs[1]) > 0.1
@@ -182,11 +188,10 @@ def test_decoherent_semantics_blocks_final_outcome_claim():
 
 def test_certainty_refuted_kind():
     tr = pl.run_protocol()
-    lay = tr.stage("after-Fbar").state.layout
-    prop = Proposition("S", spin_direction_basis(lay), "left", "is_in_state")
+    prop = Proposition("S", SPIN_DIRECTION, "left", "is_in_state")
     v = pl.certainty(tr, "Fbar", "F2", prop)
     assert v.kind == "refuted"
-    models = pl.default_environment_models()[:1]  # two-branch only
+    models = MODELS[:1]  # two-branch only
     vd = pl.certainty(tr, "Fbar", "F2", prop, semantics="decoherent", models=models)
     assert vd.kind == "refuted"
 
@@ -272,12 +277,9 @@ def test_inside_record_marginal_stable_until_outer_measurement():
 def test_record_marginals_insensitive_to_measurement_order():
     # Swapping the two inside measurements leaves both record marginals as
     # they were; they act on disjoint registers.
-    from pointerlab.experiment import protocol_steps, run_transcript, FULL_LAYOUT
-
-    ready = pl.basis_state(
-        FULL_LAYOUT.sublayout(["Fbar", "F", "Wbar", "W"]), ("F0", "F0", "W0", "W0"))
-    initial = pl.tensor(pl.build_init(), ready)
-    steps = list(protocol_steps())
+    tr = pl.run_protocol()
+    initial = tr.stages[0].state
+    steps = [(st.name, step) for st, step in zip(tr.stages[1:], tr.steps[1:])]
     swapped = [steps[2], steps[0], steps[3], steps[1]] + steps[4:]
     tr_orig = run_transcript(initial, steps)
     tr_swap = run_transcript(initial, swapped)
@@ -295,3 +297,42 @@ def test_final_probabilities_are_exact_rationals():
                 ("okbar", "fail"): 1 / 12, ("okbar", "ok"): 1 / 12}
     for labels, p in dist.entries:
         assert abs(p - expected[labels]) < 1e-9
+
+
+def test_audit_reads_the_chain_its_query_declares():
+    # F's down record leaves Lbar undetermined, so this chain derives
+    # nothing and neither semantics flags a contradiction.
+    from pointerlab.runner import run
+
+    text = bundled_scenario_text("fr").replace('"F F2 Lbar is_in_state t"',
+                                               '"F F1 Lbar is_in_state t"')
+    audit = run(parse_scenario(text), source_text=text).results[2]
+    pre = audit["premeasurement"]
+    assert [st["verdict"] for st in pre["statements"]] == [
+        "certain", "certain", "undetermined", "certain"]
+    assert not pre["chain_derivable"] and pre["claimed_probability"] is None
+    assert pre["computed_probability"] == 0.0833333333333
+    assert not pre["contradiction"] and not audit["decoherent"]["contradiction"]
+
+
+def test_compare_reads_the_models_its_query_declares():
+    from pointerlab.runner import run
+
+    text = bundled_scenario_text("decoherence").replace(
+        "models=(two-branch, three-branch) hidden", "models=(three-branch, two-branch) hidden")
+    cmp = run(parse_scenario(text), source_text=text).results[1]
+    assert cmp["branch_weights"] == {"coarse": [0.333333333333] * 3,
+                                     "fine": [0.333333333333, 0.666666666667]}
+    assert cmp["restriction_equal"]
+
+
+def test_reports_take_the_transcript_and_declared_inputs():
+    tr = pl.run_protocol()
+    chain = [pl.Statement("s1", "Fbar", "F2", Proposition("L", FAIL_OK, "fail", "will_obtain"))]
+    audit = ex.consistency_audit(tr, chain, [("Wbar", "okbar"), ("W", "ok")], "s1", MODELS)
+    assert audit.chain_derivable and audit.contradiction_premeasurement
+    assert audit.statement_1_decoherent.kind == "undetermined"
+    with pytest.raises(PointerLabError):
+        ex.consistency_audit(tr, chain, [("W", "ok")], "s9", MODELS)
+    with pytest.raises(PointerLabError):
+        ex.decoherence_compare(tr.final_state, MODELS[:1], ("S",), "W")

@@ -1,6 +1,7 @@
 """Scenario-file parsing, diagnostics, and serialization round-trips."""
 
 import math
+import warnings
 
 import pytest
 
@@ -25,7 +26,7 @@ queries:
 
 
 def test_bundled_scenarios_parse_with_expected_shapes():
-    shapes = {"fr": (4, 3), "ambiguity": (0, 3), "decoherence": (1, 2),
+    shapes = {"fr": (6, 3), "ambiguity": (0, 3), "decoherence": (1, 2),
               "triortho": (0, 2)}
     for name, (n_actions, n_queries) in shapes.items():
         s = parse_scenario(bundled_scenario_text(name))
@@ -188,7 +189,8 @@ def test_group_requires_fresh_injective_map():
 layout:
   subsystem R {head, tail}
   subsystem F {F0, F1}
-state: 1|head,F0>
+  subsystem C {c0, c1}
+state: 1|head,F0,c0>
 actions:
   group parts=(R,F) as G map={(head,F0):x, (tail,F1):x}
 queries:
@@ -197,6 +199,29 @@ queries:
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert "distinct" in str(err.value) or "several" in str(err.value)
+    # Another live register's name is taken (it used to fail only at run
+    # time); a part's own name is fresh enough.
+    fresh_map = "map={(head,F0):x, (tail,F1):y}"
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text.replace("as G map={(head,F0):x, (tail,F1):x}", f"as C {fresh_map}"))
+    assert "'C' already taken" in err.value.message and err.value.hint == "pick a fresh name"
+    reused = text.replace("as G map={(head,F0):x, (tail,F1):x}", f"as R {fresh_map}")
+    assert parse_scenario(reused.replace("targets=(G)", "targets=(R)")).actions[0].new_name == "R"
+
+
+@pytest.mark.parametrize("state, message", [
+    ("1e999|head> + 1|tail>", "coefficient '1e999' is not finite"),
+    ("1e200|head> + 1e200|tail>", "state norm inf is out of floating-point range"),
+])
+def test_non_finite_state_rejected_at_parse_time(state, message):
+    # The first used to run to nan probabilities, the second to exit 3 with
+    # a numpy RuntimeWarning and a wrong message.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(MINIMAL.replace("sqrt(1/2)|head> + sqrt(1/2)|tail>", state))
+    assert message in err.value.message
+    assert err.value.line == 3
 
 
 def test_prop_parsing_round_trip():
@@ -252,7 +277,7 @@ def test_zero_initial_state_rejected_at_parse_time():
 
 def test_parser_resolves_vectors_outside_equality():
     s = parse_scenario(bundled_scenario_text("fr"))
-    assert s.initial.layout.names == ("R", "S", "Fbar", "F")
+    assert s.initial.layout.names == ("R", "S", "Fbar", "F", "Wbar", "W")
     premeasure = s.actions[0]
     assert premeasure.resolved.labels == ("head", "tail")
     prop = [q for q in s.queries if isinstance(q, CertaintyQuery)][0].resolved
@@ -276,3 +301,40 @@ def test_expression_and_list_columns():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert (err.value.line, err.value.column) == (5, 24)
+
+
+AUDIT = ('consistency_audit chain=(statement-1-spin:"Fbar F2 S is_in_state right", '
+         'statement-1:"Fbar F2 L will_obtain fail", statement-2:"F F2 Lbar is_in_state t", '
+         'statement-3:"Wbar W2 L is_in_state +1/2") joint=(Wbar:okbar, W:ok) '
+         'decoherent=statement-1 models=(two-branch, three-branch)')
+COMPARE = "decoherence_compare models=(two-branch, three-branch) hidden=(S) apparatus=A"
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("fr", AUDIT, "consistency_audit", "missing chain="),
+    ("fr", "decoherent=statement-1", "decoherent=statement-9", "no chain statement"),
+    ("fr", "models=(two-branch, three-branch)", "models=(mystery)", "'mystery' was never"),
+    ("fr", "joint=(Wbar:okbar", "joint=(Lbar:okbar", "'Lbar' is not the apparatus"),
+    ("fr", "joint=(Wbar:okbar", "joint=(Wbar:fail", "measured basis label of 'Wbar'"),
+    ("fr", '"Wbar W2 L is_in_state +1/2"', '"Wbar W2 Q is_in_state +1/2"', "'Q' is unknown"),
+    ("fr", '"F F2 Lbar is_in_state t"', '"G F2 Lbar is_in_state t"', "'G' is not the apparatus"),
+    ("fr", '"F F2 Lbar is_in_state t"', '"F F2 Lbar t"', "quoted words"),
+    ("fr", "statement-2:", "statement-1:", "fresh statement name"),
+    ("decoherence", COMPARE, "decoherence_compare", "missing models="),
+    ("decoherence", "hidden=(S)", "hidden=(Q)", "'Q' was never declared"),
+    ("decoherence", "three-branch) hidden", "two-branch) hidden", "two distinct models"),
+    ("decoherence", "hidden=(S) apparatus=A", "hidden=(S) apparatus=R",
+     "'R' is not the apparatus"),
+    ("decoherence", "hidden=(S) apparatus=A", "hidden=(A) apparatus=A", "'A' is hidden"),
+    ("fr", "queries:\n", "queries:\n  " + COMPARE.replace("(S)", "(L)").replace("=A", "=W") + "\n",
+     "not in the final layout"),
+])
+def test_report_queries_declare_their_inputs(name, old, new, message):
+    # A report reads only what its query names in its own scenario; a bare
+    # or dangling query is a parse error with a fix hint.
+    text = bundled_scenario_text(name)
+    assert old in text
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text.replace(old, new, 1))
+    assert message in err.value.message
+    assert err.value.hint
