@@ -25,7 +25,9 @@ SEARCH_TOL = 1e-6
 # A candidate whose factor-set distance from every trivial relabeling of the
 # canonical decomposition exceeds this counts as a genuine alternative.
 DISTINCT_TOL = 1e-3
+# Seed and count of the Haar restarts that follow the rotation grid.
 _SEED = 902140
+_RESTARTS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,8 +405,7 @@ def _rotate_pair(frame: np.ndarray, i: int, j: int, theta: float, phi: float) ->
     return out
 
 
-def _candidate_bases(t3: np.ndarray, anchor: int, rng: np.random.Generator,
-                     restarts: int):
+def _candidate_bases(t3: np.ndarray, anchor: int, rng: np.random.Generator):
     """Deterministic stream of orthonormal anchor bases: the refined
     eigenbasis, a rotation grid over support-frame pairs, then seeded Haar
     restarts."""
@@ -418,7 +419,7 @@ def _candidate_bases(t3: np.ndarray, anchor: int, rng: np.random.Generator,
             for theta in thetas:
                 for phi in phis:
                     yield _rotate_pair(frame, i, j, float(theta), float(phi))
-        for _ in range(restarts):
+        for _ in range(_RESTARTS):
             g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             q, r = np.linalg.qr(g)
             q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
@@ -428,7 +429,6 @@ def _candidate_bases(t3: np.ndarray, anchor: int, rng: np.random.Generator,
 def triortho_verdict(
     state: StateVector,
     tripartition: tuple[Sequence[str], Sequence[str], Sequence[str]],
-    restarts: int = 1000,
 ) -> UniquenessVerdict:
     """Search verdict on tripartite product decompositions.
 
@@ -454,7 +454,7 @@ def triortho_verdict(
     canonical: Decomposition | None = None
     for anchor in range(3):
         rng = np.random.default_rng(_SEED + anchor)
-        for rows in _candidate_bases(t3, anchor, rng, restarts):
+        for rows in _candidate_bases(t3, anchor, rng):
             dec = _try_anchor_basis(state, parts, anchor, rows, t3)
             if dec is not None:
                 canonical = dec
@@ -466,7 +466,7 @@ def triortho_verdict(
 
     for anchor in range(3):
         rng = np.random.default_rng(_SEED + anchor)
-        for rows in _candidate_bases(t3, anchor, rng, restarts):
+        for rows in _candidate_bases(t3, anchor, rng):
             dec = _try_anchor_basis(state, parts, anchor, rows, t3)
             if dec is None:
                 continue

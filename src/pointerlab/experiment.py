@@ -304,10 +304,7 @@ def certainty(
 
     evidence = []
     for model in models:
-        extended, rec_labels = attach_environment(
-            stage_state, model.name, len(model.branches)
-        )
-        coupled = environment_couple(extended, model.branches, model.name, rec_labels)
+        coupled = apply_step(stage_state, CoupleStep(model.name, model.branches))
         env_basis = Basis.computational(coupled.layout, model.name)
         mixture: list[tuple[float, StateVector]] = []
         for k in range(env_basis.size):
@@ -370,8 +367,7 @@ def decoherence_compare(state: StateVector, models: Sequence[EnvironmentModel],
         raise PointerLabError(f"decoherence_compare needs two models, got {len(models)}")
 
     def couple_and_reduce(model: EnvironmentModel) -> tuple[DensityOperator, tuple[float, ...]]:
-        extended, rec = attach_environment(state, model.name, len(model.branches))
-        coupled = environment_couple(extended, model.branches, model.name, rec)
+        coupled = apply_step(state, CoupleStep(model.name, model.branches))
         rho = pointer_reduce(coupled, model.name)
         on_targets = partial_trace(rho, model.branches[0].layout.names).matrix
         weights = tuple(

@@ -1,11 +1,13 @@
-"""Pre-measurement unitaries, environment couplings, Born statistics,
-outcome conditioning and pointer-state reduction.
+"""Premeasurements, environment couplings, Born statistics, outcome
+conditioning and pointer-state reduction.
 
-A measurement here is a unitary that correlates a target register with an
-apparatus register: ready |a0> goes to the record |a_i> on the branch where
-the target holds basis vector |s_i>, and the target is left untouched.  The
-same construction, with a multi-register target, implements the one-shot
-environment couplings used for decoherence arguments.
+A measurement here is von Neumann's premeasurement, the isometry that
+correlates a target register with a ready apparatus register: ready |a0>
+goes to the record |a_i> on the branch where the target holds basis vector
+|s_i>, and the target is left untouched.  The same map, with a
+multi-register target, implements the one-shot environment couplings used
+for decoherence arguments.  States only ever pass through the ready sector;
+``correlating_unitary`` completes the map to a full unitary for inspection.
 """
 
 from __future__ import annotations
@@ -156,13 +158,7 @@ def _axes_of(layout: SubsystemLayout, names: Sequence[str]) -> list[int]:
     return [layout.axis(n) for n in names]
 
 
-def _flat_permutation(layout: SubsystemLayout, order: Sequence[int]) -> np.ndarray:
-    """flat-index permutation realizing an axis transpose."""
-    idx = np.arange(layout.dimension).reshape(layout.dims)
-    return idx.transpose(order).reshape(-1)
-
-
-def _correlating_small(
+def _isometry(
     layout: SubsystemLayout,
     targets: Sequence[str],
     vectors: Sequence[StateVector],
@@ -170,22 +166,18 @@ def _correlating_small(
     ready_label: str,
     record_labels: Sequence[str],
 ) -> tuple[np.ndarray, list[int], int]:
-    """The correlating unitary on (targets x apparatus) only; returns the
-    matrix together with the target axes (sorted) and the apparatus axis.
+    """The correlating map on the apparatus ready sector,
+    V = sum_i |s_i><s_i| (x) |record_i><ready| + (1 - P) (x) |ready><ready|,
+    as an array V[t', a', t]; returned with the front axes (target axes in
+    layout order, then the apparatus axis) and the ready level's index.
 
-    Sends |s_i>|ready> to |s_i>|record_i|, keeps unmeasured target directions
-    in the ready sector, and completes the leftover (non-ready) sector
-    deterministically: free input columns are assigned, in ascending
-    flat-index order, to the orthonormal complement of the used image
-    directions, itself built by Gram-Schmidt over canonical vectors in
-    ascending index order.  The completion never touches physical branches;
-    it only makes the matrix a genuine unitary, reproducibly.
+    Unmeasured target directions keep the apparatus ready.  The non-ready
+    sector is left undefined: no physical branch reaches it.
     """
     target_axes = sorted(_axes_of(layout, targets))
-    target_names = [layout.subsystems[i].name for i in target_axes]
-    sub_layout = layout.sublayout(target_names)
+    sub_layout = layout.sublayout([layout.subsystems[i].name for i in target_axes])
     app = layout.subsystem(apparatus)
-    if apparatus in target_names:
+    if apparatus in sub_layout.names:
         raise LayoutConflictError("apparatus cannot be part of the measured target")
     ready_idx = app.index_of(ready_label)
     record_idx = [app.index_of(r) for r in record_labels]
@@ -196,9 +188,6 @@ def _correlating_small(
         raise LayoutConflictError(
             f"apparatus {apparatus!r} needs at least {len(vectors) + extra} levels"
         )
-
-    d_t = sub_layout.dimension
-    d_a = app.dimension
     for v in vectors:
         if v.layout != sub_layout:
             raise LayoutMismatchError(
@@ -208,43 +197,44 @@ def _correlating_small(
     if gram_defect(vmat) is not None:
         raise NonOrthonormalBasisError("measurement basis vectors are not orthonormal")
 
-    dim = d_t * d_a
-    small = np.zeros((dim, dim), dtype=np.complex128)
-    proj_span = vmat.T @ vmat.conj()  # sum_i |s_i><s_i| on the target
-    e_ready = np.zeros(d_a, dtype=np.complex128)
-    e_ready[ready_idx] = 1.0
+    d_t = sub_layout.dimension
+    iso = np.zeros((d_t, app.dimension, d_t), dtype=np.complex128)
     for v, rec in zip(vmat, record_idx):
-        e_rec = np.zeros(d_a, dtype=np.complex128)
-        e_rec[rec] = 1.0
-        small += np.kron(np.outer(v, v.conj()), np.outer(e_rec, e_ready.conj()))
-    # Unmeasured target directions keep the apparatus ready.
-    small += np.kron(np.eye(d_t) - proj_span, np.outer(e_ready, e_ready.conj()))
+        iso[:, rec, :] += np.outer(v, v.conj())
+    iso[:, ready_idx, :] += np.eye(d_t) - vmat.T @ vmat.conj()
+    if gram_defect(iso.reshape(-1, d_t).T) is not None:
+        raise LayoutConflictError("correlating map is not an isometry")
+    return iso, target_axes + [layout.axis(apparatus)], ready_idx
 
-    # Deterministic completion of the non-ready sector.
-    assigned = np.abs(small).sum(axis=0) > 1e-12  # columns already defined
-    used_images: list[np.ndarray] = [small[:, j] for j in range(dim) if assigned[j]]
-    complement: list[np.ndarray] = []
-    needed = int(dim - np.count_nonzero(assigned))
-    for j in range(dim):
-        if len(complement) == needed:
-            break
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[j] = 1.0
-        for u in used_images:
-            cand -= u * np.vdot(u, cand)
-        for u in complement:
-            cand -= u * np.vdot(u, cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            complement.append(cand / nrm)
-    k = 0
-    for j in range(dim):
-        if not assigned[j]:
-            small[:, j] = complement[k]
-            k += 1
-    if np.max(np.abs(small.conj().T @ small - np.eye(dim))) > ATOL:
-        raise LayoutConflictError("constructed correlating operator is not unitary")
-    return small, target_axes, layout.axis(apparatus)
+
+def _correlate(
+    state: StateVector,
+    targets: Sequence[str],
+    vectors: Sequence[StateVector],
+    apparatus: str,
+    ready_label: str,
+    record_labels: Sequence[str],
+    role: str,
+) -> StateVector:
+    """Apply the correlating isometry: one tensordot on the ready slice of
+    the (targets, apparatus) axes.  The weight outside the ready sector,
+    at most 1e-9 once the ready check passes, is projected out and the
+    result renormalized."""
+    iso, front, ready_idx = _isometry(
+        state.layout, targets, vectors, apparatus, ready_label, record_labels
+    )
+    d_t, d_a = iso.shape[:2]
+    moved = range(len(front))
+    t = np.moveaxis(state.tensor_view(), front, moved)
+    ready = t.reshape(d_t, d_a, -1)[:, ready_idx]
+    weight = float(np.vdot(ready, ready).real)
+    if weight < 1.0 - ATOL:
+        raise ApparatusNotReadyError(
+            f"{role} {apparatus!r} is not in its ready state {ready_label!r}"
+        )
+    out = np.tensordot(iso, ready, axes=1) / np.sqrt(weight)
+    out = np.moveaxis(out.reshape(t.shape), moved, front)
+    return StateVector(state.layout, out.reshape(-1), input_norm=state.input_norm)
 
 
 def correlating_unitary(
@@ -255,68 +245,41 @@ def correlating_unitary(
     ready_label: str,
     record_labels: Sequence[str],
 ) -> LinearOperator:
-    """Full-layout correlating unitary (identity on uninvolved registers).
+    """Full-layout correlating unitary (identity on uninvolved registers),
+    for inspection and as the reference for `premeasure` and
+    `environment_couple`.
 
-    See `_correlating_small` for the construction; this embeds it into the
-    whole layout, which is handy for inspection but quadratically larger
-    than applying the small block directly.
+    Its ready-sector columns are the isometry those two apply; the other
+    columns, which no ready state reaches, complete it to a unitary with
+    the orthonormal complement from one complete QR, in ascending column
+    order.
     """
-    small, target_axes, app_axis = _correlating_small(
+    iso, front, ready_idx = _isometry(
         layout, targets, vectors, apparatus, ready_label, record_labels
     )
+    d_t, d_a = iso.shape[:2]
+    dim = d_t * d_a
+    block = iso.reshape(dim, d_t)
+    ready_cols = np.arange(d_t) * d_a + ready_idx
+    small = np.empty((dim, dim), dtype=np.complex128)
+    small[:, ready_cols] = block
+    small[:, np.setdiff1d(np.arange(dim), ready_cols)] = (
+        np.linalg.qr(block, mode="complete")[0][:, d_t:]
+    )
     n = len(layout.subsystems)
-    front = target_axes + [app_axis]
     order = front + [i for i in range(n) if i not in front]
-    perm = _flat_permutation(layout, order)
-    rest_dim = layout.dimension // small.shape[0]
-    big = np.kron(small, np.eye(rest_dim, dtype=np.complex128))
+    perm = np.arange(layout.dimension).reshape(layout.dims).transpose(order).reshape(-1)
+    big = np.kron(small, np.eye(layout.dimension // dim, dtype=np.complex128))
     full = np.zeros_like(big)
     full[perm[:, None], perm[None, :]] = big
     return LinearOperator(layout, layout, full, kind="unitary")
 
 
-def _apply_correlating(
-    state: StateVector,
-    small: np.ndarray,
-    target_axes: Sequence[int],
-    app_axis: int,
-) -> StateVector:
-    """Apply the (targets x apparatus) block in place of the embedded full
-    matrix; exact, just cheaper."""
-    layout = state.layout
-    n = len(layout.subsystems)
-    front = list(target_axes) + [app_axis]
-    order = front + [i for i in range(n) if i not in front]
-    t = state.tensor_view().transpose(order)
-    shape = t.shape
-    mat = t.reshape(small.shape[0], -1)
-    out = (small @ mat).reshape(shape)
-    inverse = np.argsort(order)
-    return StateVector(layout, out.transpose(inverse).reshape(-1),
-                       input_norm=state.input_norm)
-
-
-def _apparatus_ready_weight(state: StateVector, apparatus: str, ready_label: str) -> float:
-    layout = state.layout
-    axis = layout.axis(apparatus)
-    ridx = layout.subsystem(apparatus).index_of(ready_label)
-    t = state.tensor_view()
-    probs = np.abs(np.moveaxis(t, axis, 0).reshape(layout.subsystem(apparatus).dimension, -1)) ** 2
-    return float(probs[ridx].sum())
-
-
 def premeasure(state: StateVector, spec: MeasurementSpec) -> StateVector:
     """Correlate the target with the apparatus: c1|s1> + c2|s2> with a ready
     apparatus becomes c1|s1>|a1> + c2|s2>|a2>."""
-    if _apparatus_ready_weight(state, spec.apparatus, spec.ready_label) < 1.0 - ATOL:
-        raise ApparatusNotReadyError(
-            f"apparatus {spec.apparatus!r} is not in its ready state {spec.ready_label!r}"
-        )
-    small, target_axes, app_axis = _correlating_small(
-        state.layout, [spec.target], spec.basis.vectors,
-        spec.apparatus, spec.ready_label, spec.outcome_labels,
-    )
-    return _apply_correlating(state, small, target_axes, app_axis)
+    return _correlate(state, [spec.target], spec.basis.vectors, spec.apparatus,
+                      spec.ready_label, spec.outcome_labels, "apparatus")
 
 
 def environment_couple(
@@ -344,10 +307,6 @@ def environment_couple(
     if not branches:
         raise IncompleteBranchingError("at least one branch is required")
     target_names = [n for n in branches[0].layout.names]
-    if _apparatus_ready_weight(state, environment, ready_label) < 1.0 - ATOL:
-        raise ApparatusNotReadyError(
-            f"environment {environment!r} is not in its ready state {ready_label!r}"
-        )
 
     # Span check: the state must lie inside span{branches} on the subset.
     sub_layout = layout.sublayout(sorted(target_names, key=layout.axis))
@@ -364,11 +323,8 @@ def environment_couple(
         raise IncompleteBranchingError(
             f"branches miss state support (residual norm {leak:.3g})"
         )
-
-    small, target_axes, app_axis = _correlating_small(
-        layout, target_names, branches, environment, ready_label, env_labels
-    )
-    return _apply_correlating(state, small, target_axes, app_axis)
+    return _correlate(state, target_names, branches, environment, ready_label,
+                      env_labels, "environment")
 
 
 def attach_environment(

@@ -207,7 +207,7 @@ def _named_step(action: sc.Action) -> tuple[str, Step]:
 
 
 def run(scenario: sc.Scenario, source_text: str | None = None,
-        zero_tol: float = DEFAULT_ZERO_TOL, triortho_restarts: int = 1000) -> Report:
+        zero_tol: float = DEFAULT_ZERO_TOL) -> Report:
     """Execute a scenario: apply its actions in order, answer its queries.
 
     Deterministic: identical input yields byte-identical structured output.
@@ -221,7 +221,7 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
     results = []
     for qi, query in enumerate(scenario.queries, start=1):
         try:
-            results.append(_run_query(query, transcript, models, zero_tol, triortho_restarts))
+            results.append(_run_query(query, transcript, models, zero_tol))
         except PointerLabError as exc:
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
 
@@ -291,8 +291,8 @@ def _decomposition_payload(dec: Decomposition, zero_tol: float) -> dict[str, Any
     }
 
 
-def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
-               triortho_restarts: int) -> dict[str, Any]:
+def _run_query(query, transcript: ProtocolTranscript, models,
+               zero_tol: float) -> dict[str, Any]:
     final = transcript.final_state
     if isinstance(query, sc.BornQuery):
         names = [name for name, _ in query.targets]
@@ -328,7 +328,7 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
             ],
         }
     if isinstance(query, sc.TriorthoQuery):
-        verdict = triortho_verdict(final, query.parts, restarts=triortho_restarts)
+        verdict = triortho_verdict(final, query.parts)
         payload: dict[str, Any] = {"kind": "triortho", "verdict": verdict.kind}
         payload["canonical"] = (
             _decomposition_payload(verdict.canonical, zero_tol) if verdict.canonical else None

@@ -251,9 +251,10 @@ def _split(text: str, base: int, cut: Callable[[int, str], bool],
     return [(raw.strip(), base + off + len(raw) - len(raw.lstrip())) for raw, off in pieces]
 
 
-def _tokens(text: str) -> list[tuple[str, int]]:
-    """Split on top-level whitespace; (), {}, "..." and |...> bind."""
-    return [(tok, off) for tok, off in _split(text, 0, lambda i, ch: ch.isspace()) if tok]
+def _tokens(text: str, base: int) -> list[tuple[str, int]]:
+    """Split on top-level whitespace; (), {}, "..." and |...> bind.  Each
+    token comes with its column, ``base`` being the column of ``text[0]``."""
+    return [(tok, off) for tok, off in _split(text, base, lambda i, ch: ch.isspace()) if tok]
 
 
 def _split_commas(text: str, base: int) -> list[tuple[str, int]]:
@@ -486,16 +487,16 @@ def _field_map(tokens: list[tuple[str, int]], line: int,
     out: dict[str, tuple[str, int]] = {}
     for tok, off in tokens:
         if "=" not in tok:
-            raise ScenarioParseError(f"expected key=value, got {tok!r}", line, off + 1,
+            raise ScenarioParseError(f"expected key=value, got {tok!r}", line, off,
                                      f"allowed keys: {sorted(allowed)}")
         key, value = tok.split("=", 1)
         if key not in allowed:
-            raise ScenarioParseError(f"unknown field {key!r}", line, off + 1,
+            raise ScenarioParseError(f"unknown field {key!r}", line, off,
                                      f"allowed keys: {sorted(allowed)}")
         if key in out:
-            raise ScenarioParseError(f"duplicate field {key!r}", line, off + 1,
+            raise ScenarioParseError(f"duplicate field {key!r}", line, off,
                                      "give each field once")
-        out[key] = (value, off + len(key) + 2)
+        out[key] = (value, off + len(key) + 1)
     return out
 
 
@@ -638,8 +639,8 @@ def parse_scenario(text: str) -> Scenario:
             if not isinstance(step, DerivedDecl):
                 stage_schemas.append(schema.snapshot())
         elif section == "models":
-            model = _parse_model_line(stripped, line_no, col0, schema, subsystems,
-                                      derived_layout)
+            model = _parse_model_line(stripped, line_no, col0, subsystems, derived_layout,
+                                      [{d.name: d.labels for d in subsystems}, *stage_schemas])
             if model.name in declared_models:
                 raise ScenarioParseError(f"model {model.name!r} declared twice",
                                          line_no, col0, "model names must be unique")
@@ -712,7 +713,7 @@ def _parse_layout_line(stripped, line_no, col0, schema, subsystems, derived_layo
             raise ScenarioParseError(f"malformed subsystem name {name!r}", line_no, col0,
                                      "names start with a letter or underscore")
         labels = []
-        for lab, off in _split_commas(m.group(2), col0):
+        for lab, off in _split_commas(m.group(2), col0 + m.start(2)):
             if not lab:
                 continue
             if not _LABEL_RE.match(lab):
@@ -755,7 +756,7 @@ def _parse_state(expr, line_no, col, schema, subsystems):
 
 
 def _parse_action_line(stripped, line_no, col0, schema) -> Step:
-    toks = _tokens(stripped)
+    toks = _tokens(stripped, col0)
     head = toks[0][0]
     if head == "derived":
         return _parse_derived(stripped, line_no, col0, schema)
@@ -763,36 +764,36 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         fields = _field_map(toks[1:], line_no,
                             ("target", "apparatus", "basis", "outcomes", "ready"))
         tval, tcol = _need(fields, "target", line_no, "premeasure")
-        schema.require(tval, line_no, col0 + tcol)
+        schema.require(tval, line_no, tcol)
         aval, acol = _need(fields, "apparatus", line_no, "premeasure")
-        app_labels = schema.require(aval, line_no, col0 + acol)
+        app_labels = schema.require(aval, line_no, acol)
         if aval == tval:
-            raise ScenarioParseError("apparatus cannot equal target", line_no, col0 + acol,
+            raise ScenarioParseError("apparatus cannot equal target", line_no, acol,
                                      "measure one register with another")
         bval, bcol = _need(fields, "basis", line_no, "premeasure")
-        items = _parse_basis_items(bval, line_no, col0 + bcol)
+        items = _parse_basis_items(bval, line_no, bcol)
         basis = tuple(it for it, _ in items)
-        resolved = schema.basis(tval, basis, line_no, col0 + bcol)
+        resolved = schema.basis(tval, basis, line_no, bcol)
         oval, ocol = _need(fields, "outcomes", line_no, "premeasure")
-        outcome_items = _parse_basis_items(oval, line_no, col0 + ocol)
+        outcome_items = _parse_basis_items(oval, line_no, ocol)
         outcomes = []
         for it, off in outcome_items:
             if not isinstance(it, str) or it not in app_labels:
                 raise ScenarioParseError(
                     f"outcome {it!r} is not a label of apparatus {aval!r}",
-                    line_no, col0 + off, "outcomes name apparatus levels")
+                    line_no, off, "outcomes name apparatus levels")
             outcomes.append(it)
         if len(set(outcomes)) != len(outcomes):
-            raise ScenarioParseError("duplicate outcome labels", line_no, col0 + ocol,
+            raise ScenarioParseError("duplicate outcome labels", line_no, ocol,
                                      "outcomes must be distinct")
         if len(outcomes) != len(basis):
             raise ScenarioParseError(
                 f"{len(basis)} basis vectors but {len(outcomes)} outcomes",
-                line_no, col0 + ocol, "give one outcome per basis vector")
+                line_no, ocol, "give one outcome per basis vector")
         rval, rcol = _need(fields, "ready", line_no, "premeasure")
         if rval not in app_labels:
             raise ScenarioParseError(f"ready label {rval!r} not on apparatus {aval!r}",
-                                     line_no, col0 + rcol, "ready names an apparatus level")
+                                     line_no, rcol, "ready names an apparatus level")
         return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, resolved)
     if head == "group":
         m = re.match(r"^group\s+parts=(\S+)\s+as\s+(\S+)\s+map=(.+)$", stripped)
@@ -833,16 +834,16 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         eval_, ecol = _need(fields, "env", line_no, "couple")
         if eval_ in schema.labels:
             raise ScenarioParseError(f"environment name {eval_!r} already taken",
-                                     line_no, col0 + ecol, "pick a fresh name")
+                                     line_no, ecol, "pick a fresh name")
         tval, tcol = _need(fields, "targets", line_no, "couple")
-        targets = tuple(n for n, _ in _parse_name_list(tval, line_no, col0 + tcol))
+        targets = tuple(n for n, _ in _parse_name_list(tval, line_no, tcol))
         for t in targets:
-            schema.require(t, line_no, col0 + tcol)
+            schema.require(t, line_no, tcol)
         bval, bcol = _need(fields, "branches", line_no, "couple")
-        ordered, branches, vectors = _parse_branch_set(bval, line_no, col0 + bcol,
+        ordered, branches, vectors = _parse_branch_set(bval, line_no, bcol,
                                                        schema, targets)
         env_labels = tuple(f"eps{i}" for i in range(len(branches) + 1))
-        schema.add(eval_, env_labels, line_no, col0 + ecol)
+        schema.add(eval_, env_labels, line_no, ecol)
         return CoupleAction(eval_, ordered, branches, vectors)
     raise ScenarioParseError(f"unknown action {head!r}", line_no, col0,
                              "actions are premeasure, group, couple (or derived)")
@@ -881,7 +882,10 @@ def _parse_branch_set(bval, line_no, col, schema, targets):
     return ordered, tuple(branches), tuple(normalized(layout, v) for v in vecs)
 
 
-def _parse_model_line(stripped, line_no, col0, schema, subsystems, derived_layout):
+def _parse_model_line(stripped, line_no, col0, subsystems, derived_layout, stages):
+    """``stages`` holds the register labels of the declared layout and after
+    each action: a model attaches its environment under its own name, so no
+    register may carry that name at any stage."""
     m = re.match(r"^model\s+(\S+)\s+(.*)$", stripped)
     if not m:
         raise ScenarioParseError("malformed model declaration", line_no, col0,
@@ -890,18 +894,22 @@ def _parse_model_line(stripped, line_no, col0, schema, subsystems, derived_layou
     if not _NAME_RE.match(name):
         raise ScenarioParseError(f"malformed model name {name!r}", line_no, col0,
                                  "names start with a letter or underscore")
-    toks = _tokens(m.group(2))
+    if any(name in st for st in stages):
+        raise ScenarioParseError(f"model name {name!r} is taken by a register",
+                                 line_no, col0 + m.start(1),
+                                 "pick a model name that no register uses")
+    toks = _tokens(m.group(2), col0 + m.start(2))
     fields = _field_map(toks, line_no, ("targets", "branches"))
     tval, tcol = _need(fields, "targets", line_no, "model")
     # Models describe couplings at measurement time; validate against the
     # declared (pre-group) layout.
     declared = _Schema({d.name: d.labels for d in subsystems},
                        {(d.subsystem, d.label): d.terms for d in derived_layout})
-    targets = tuple(n for n, _ in _parse_name_list(tval, line_no, col0 + tcol))
+    targets = tuple(n for n, _ in _parse_name_list(tval, line_no, tcol))
     for t in targets:
-        declared.require(t, line_no, col0 + tcol)
+        declared.require(t, line_no, tcol)
     bval, bcol = _need(fields, "branches", line_no, "model")
-    return ModelDecl(name, *_parse_branch_set(bval, line_no, col0 + bcol, declared, targets))
+    return ModelDecl(name, *_parse_branch_set(bval, line_no, bcol, declared, targets))
 
 
 def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, stages) -> Basis:
@@ -932,18 +940,20 @@ def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, sta
     return at_subject.basis(subject, derived, line_no, col)
 
 
-def _labelled_basis(query, raw, line_no, col0, off, schema
+def _labelled_basis(query, raw, line_no, col, schema
                     ) -> tuple[str, tuple[str, ...], Basis]:
-    """A born or rewrite entry NAME:{label, ...}: (name, labels, basis)."""
+    """A born or rewrite entry NAME:{label, ...} at column ``col``:
+    (name, labels, basis)."""
     name, brace = (part.strip() for part in raw.split(":", 1))
-    schema.require(name, line_no, col0 + off)
+    schema.require(name, line_no, col)
+    brace_col = col + len(raw) - len(brace)
     labels = []
-    for it, ioff in _parse_basis_items(brace, line_no, col0 + off):
+    for it, ioff in _parse_basis_items(brace, line_no, brace_col):
         if not isinstance(it, str):
             raise ScenarioParseError(f"{query} bases use labels, not vector literals",
-                                     line_no, col0 + ioff, "declare a derived label instead")
+                                     line_no, ioff, "declare a derived label instead")
         labels.append(it)
-    return name, tuple(labels), schema.basis(name, labels, line_no, col0 + off)
+    return name, tuple(labels), schema.basis(name, labels, line_no, brace_col)
 
 
 def _quoted_words(text, line_no, col, what, shape) -> list[str]:
@@ -974,13 +984,13 @@ def _claim(observer, ocol, outcome, outcol, prop, pcol, line_no, schema,
     return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics, models, basis)
 
 
-def _model_list(field_value, line_no, col0, declared_models) -> tuple[str, ...]:
+def _model_list(field_value, line_no, declared_models) -> tuple[str, ...]:
     mval, mcol = field_value
-    models = tuple(n for n, _ in _parse_name_list(mval, line_no, col0 + mcol))
+    models = tuple(n for n, _ in _parse_name_list(mval, line_no, mcol))
     for mn in models:
         if mn not in declared_models:
             raise ScenarioParseError(f"model {mn!r} was never declared",
-                                     line_no, col0 + mcol,
+                                     line_no, mcol,
                                      "declare it in the models: section")
     return models
 
@@ -1002,23 +1012,23 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                       declared_models, stages) -> Query:
     """``stages`` holds the register labels of the declared layout and after
     each action, in order."""
-    toks = _tokens(stripped)
+    toks = _tokens(stripped, col0)
     head = toks[0][0]
     if head == "born":
         fields = _field_map(toks[1:], line_no, ("targets",))
         tval, tcol = _need(fields, "targets", line_no, "born")
-        inner, base = _unwrap(tval, "(", ")", line_no, col0 + tcol, "target list")
+        inner, base = _unwrap(tval, "(", ")", line_no, tcol, "target list")
         targets = []
         bases: list[Basis | None] = []
         for raw, off in _split_commas(inner, base):
             if not raw:
                 continue
             if ":" in raw:
-                name, labels, basis = _labelled_basis(head, raw, line_no, col0, off, schema)
+                name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
                 bases.append(basis)
                 targets.append((name, labels))
             else:
-                schema.require(raw, line_no, col0 + off)
+                schema.require(raw, line_no, off)
                 bases.append(None)
                 targets.append((raw, None))
         if not targets:
@@ -1031,28 +1041,28 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         oval, ocol = _need(fields, "observer", line_no, "certainty")
         outval, outcol = _need(fields, "outcome", line_no, "certainty")
         pval, pcol = _need(fields, "prop", line_no, "certainty")
-        words = _quoted_words(pval, line_no, col0 + pcol, "prop",
+        words = _quoted_words(pval, line_no, pcol, "prop",
                               "SUBJECT will_obtain|is_in_state LABEL")
         sval, scol = _need(fields, "semantics", line_no, "certainty")
         if sval not in ("premeasurement", "decoherent"):
             raise ScenarioParseError(f"unknown semantics {sval!r}", line_no,
-                                     col0 + scol, "use premeasurement or decoherent")
+                                     scol, "use premeasurement or decoherent")
         models: tuple[str, ...] = ()
         if sval == "decoherent":
             if "models" not in fields:
                 raise ScenarioParseError(
-                    "decoherent semantics needs models=(...)", line_no, col0 + scol,
+                    "decoherent semantics needs models=(...)", line_no, scol,
                     "reference models declared in the models: section")
-            models = _model_list(fields["models"], line_no, col0, declared_models)
+            models = _model_list(fields["models"], line_no, declared_models)
         elif "models" in fields:
             raise ScenarioParseError("models= only applies to decoherent semantics",
                                      line_no, col0, "drop models= or switch semantics")
-        return _claim(oval, col0 + ocol, outval, col0 + outcol, words, col0 + pcol,
+        return _claim(oval, ocol, outval, outcol, words, pcol,
                       line_no, schema, apparatus_actions, stages, sval, models)
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
         bval, bcol = _need(fields, "bases", line_no, "rewrite")
-        inner, base = _unwrap(bval, "(", ")", line_no, col0 + bcol, "bases list")
+        inner, base = _unwrap(bval, "(", ")", line_no, bcol, "bases list")
         out = []
         bases = []
         for raw, off in _split_commas(inner, base):
@@ -1060,12 +1070,12 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                 continue
             if ":" not in raw:
                 raise ScenarioParseError(f"malformed bases entry {raw!r}", line_no,
-                                         col0 + off, "entries look like NAME:{a,b}")
-            name, labels, basis = _labelled_basis(head, raw, line_no, col0, off, schema)
+                                         off, "entries look like NAME:{a,b}")
+            name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
             if basis.size != len(schema.labels[name]):
                 raise ScenarioParseError(
                     f"rewrite basis for {name!r} has {basis.size} vectors, "
-                    f"needs {len(schema.labels[name])}", line_no, col0 + off,
+                    f"needs {len(schema.labels[name])}", line_no, off,
                     "rewrite bases must be complete")
             bases.append(basis)
             out.append((name, labels))
@@ -1073,29 +1083,29 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "triortho":
         fields = _field_map(toks[1:], line_no, ("parts",))
         pval, pcol = _need(fields, "parts", line_no, "triortho")
-        inner, base = _unwrap(pval, "(", ")", line_no, col0 + pcol, "parts list")
+        inner, base = _unwrap(pval, "(", ")", line_no, pcol, "parts list")
         groups = []
         for raw, off in _split_commas(inner, base):
             if not raw:
                 continue
-            names = tuple(n for n, _ in _parse_name_list(raw, line_no, col0 + off))
-            for n in names:
-                schema.require(n, line_no, col0 + off)
-            groups.append(names)
+            names = _parse_name_list(raw, line_no, off)
+            for n, noff in names:
+                schema.require(n, line_no, noff)
+            groups.append(tuple(n for n, _ in names))
         if len(groups) != 3:
             raise ScenarioParseError(f"triortho needs three parts, got {len(groups)}",
-                                     line_no, col0 + pcol, "write parts=((A),(B),(C))")
+                                     line_no, pcol, "write parts=((A),(B),(C))")
         covered = [n for g in groups for n in g]
         if sorted(covered) != sorted(schema.order):
             raise ScenarioParseError("triortho parts must cover the layout exactly",
-                                     line_no, col0 + pcol,
+                                     line_no, pcol,
                                      f"cover {tuple(schema.order)} once each")
         return TriorthoQuery((groups[0], groups[1], groups[2]))
     if head == "consistency_audit":
         fields = _field_map(toks[1:], line_no, ("chain", "joint", "decoherent", "models"))
         cval, ccol = _need(fields, "chain", line_no, "consistency_audit")
         chain: dict[str, CertaintyQuery] = {}
-        for raw, off in _parse_name_list(cval, line_no, col0 + ccol):
+        for raw, off in _parse_name_list(cval, line_no, ccol):
             name, _, quoted = (part.strip() for part in raw.partition(":"))
             if not _NAME_RE.match(name) or name in chain:
                 raise ScenarioParseError(
@@ -1107,7 +1117,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                                  schema, apparatus_actions, stages)
         jval, jcol = _need(fields, "joint", line_no, "consistency_audit")
         joint = []
-        for raw, off in _parse_name_list(jval, line_no, col0 + jcol):
+        for raw, off in _parse_name_list(jval, line_no, jcol):
             apparatus, _, label = (part.strip() for part in raw.partition(":"))
             action = _apparatus(apparatus, line_no, off, apparatus_actions, schema)
             labels = action.resolved.labels
@@ -1119,32 +1129,32 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         dval, dcol = _need(fields, "decoherent", line_no, "consistency_audit")
         if dval not in chain:
             raise ScenarioParseError(f"decoherent names no chain statement: {dval!r}",
-                                     line_no, col0 + dcol, f"use one of {list(chain)}")
+                                     line_no, dcol, f"use one of {list(chain)}")
         models = _model_list(_need(fields, "models", line_no, "consistency_audit"),
-                             line_no, col0, declared_models)
+                             line_no, declared_models)
         return AuditQuery(tuple(chain.items()), tuple(joint), dval, models)
     if head == "decoherence_compare":
         fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
         mval, mcol = _need(fields, "models", line_no, "decoherence_compare")
-        models = _model_list((mval, mcol), line_no, col0, declared_models)
+        models = _model_list((mval, mcol), line_no, declared_models)
         if len(set(models)) != 2 or len(models) != 2:
             raise ScenarioParseError("decoherence_compare compares two distinct models",
-                                     line_no, col0 + mcol, "write models=(COARSE, FINE)")
+                                     line_no, mcol, "write models=(COARSE, FINE)")
         for mn in models:
             for t in declared_models[mn].targets:
                 if schema.labels.get(t) != stages[0][t]:
                     raise ScenarioParseError(
                         f"model {mn!r} couples {t!r}, which is not in the final layout "
-                        "as declared", line_no, col0 + mcol,
+                        "as declared", line_no, mcol,
                         "decoherence_compare couples the final state; model its registers")
         hval, hcol = _need(fields, "hidden", line_no, "decoherence_compare")
-        hidden = tuple(n for n, _ in _parse_name_list(hval, line_no, col0 + hcol))
+        hidden = tuple(n for n, _ in _parse_name_list(hval, line_no, hcol))
         for n in hidden:
-            schema.require(n, line_no, col0 + hcol)
+            schema.require(n, line_no, hcol)
         aval, acol = _need(fields, "apparatus", line_no, "decoherence_compare")
-        _apparatus(aval, line_no, col0 + acol, apparatus_actions, schema)
+        _apparatus(aval, line_no, acol, apparatus_actions, schema)
         if aval in hidden:
-            raise ScenarioParseError(f"apparatus {aval!r} is hidden", line_no, col0 + acol,
+            raise ScenarioParseError(f"apparatus {aval!r} is hidden", line_no, acol,
                                      "the apparatus record must stay visible")
         return CompareQuery(models, hidden, aval)
     raise ScenarioParseError(f"unknown query {head!r}", line_no, col0,

@@ -131,6 +131,34 @@ def test_run_prints_files_in_order(tmp_path, capsys):
     assert out.index("a.scn") < out.index("b.scn")
 
 
+def test_structured_output_of_several_files_is_one_document_per_file(tmp_path, capsys):
+    names = ("ambiguity", "triortho")
+    paths = [write(tmp_path, f"{n}.scn", bundled_scenario_text(n)) for n in names]
+    assert main(["run", *paths, "--format", "structured"]) == EXIT_OK
+    chunks = capsys.readouterr().out.split("### ")[1:]
+    assert [c.split("\n", 1)[0] for c in chunks] == paths
+    for name, chunk in zip(names, chunks):
+        text = bundled_scenario_text(name)
+        expected = run(parse_scenario(text), source_text=text).to_json()
+        assert json.loads(chunk.split("\n", 1)[1]) == json.loads(expected)
+
+
+def test_model_cannot_take_a_register_name(tmp_path, capsys):
+    # A model attaches its environment under its own name, so a model named
+    # after a register, declared (S) or made by a group (Lbar), is a parse
+    # error for check and run alike.
+    cases = [("decoherence", "two-branch", "S"), ("fr", "three-branch", "Lbar")]
+    for demo, model, register in cases:
+        text = bundled_scenario_text(demo).replace(model, register)
+        path = write(tmp_path, f"{demo}-{register}.scn", text)
+        for command in ("check", "run"):
+            assert main([command, path]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"{path}: parse error: ")
+            assert f"model name {register!r} is taken by a register (fix: " in err
+
+
 BAD = "layout:\n  subsystem R {head}\nstate: 1|head>\nqueries:\n  born targets=(Q)\n"
 
 
@@ -334,7 +362,7 @@ def test_diagnostics_name_the_failing_file(tmp_path, capsys):
     bad = write(tmp_path, "bad.scn", BAD)
     assert main(["run", good, bad]) == EXIT_PARSE
     err = capsys.readouterr().err
-    assert err.startswith(f"{bad}: parse error: line 5, col 21: ")
+    assert err.startswith(f"{bad}: parse error: line 5, col 17: ")
     stuck = write(tmp_path, "stuck.scn", STUCK)
     assert main(["run", good, stuck]) == EXIT_EXEC
     assert capsys.readouterr().err.startswith(f"{stuck}: execution error: action 1 ")

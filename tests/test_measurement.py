@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointerlab as pl
 from pointerlab.errors import (
@@ -377,3 +379,94 @@ def test_apparatus_needs_room_for_ready_plus_records():
     with pytest.raises(LayoutConflictError):
         correlating_unitary(small, ["R"], Basis.computational(small, "R").vectors,
                             "B", "B0", ("B1", "B1"))
+
+
+# --------------------------------------------------------------------------
+# The correlating kernel against the full reference unitary
+# --------------------------------------------------------------------------
+
+# Target registers a and b sit on both sides of the apparatus, so the kernel
+# has to move non-adjacent axes; c is a bystander.
+KERNEL_LAYOUT = pl.SubsystemLayout.of(
+    ("a", ("a0", "a1")), ("A", ("A0", "A1", "A2", "A3", "A4")),
+    ("b", ("b0", "b1", "b2")), ("c", ("c0", "c1")),
+)
+
+
+def _random_unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(g)[0]
+
+
+def _ready_state(rng, targets, vectors, ready="A1"):
+    """Random complex state with the apparatus ready; with ``vectors`` the
+    target part lies in their span (as a coupling requires)."""
+    lay = KERNEL_LAYOUT
+    rest = [n for n in lay.names if n not in targets and n != "A"]
+    shape = [lay.subsystem(n).dimension for n in (*targets, *rest)]
+    coeff = rng.standard_normal((len(vectors), math.prod(shape[len(targets):])))
+    coeff = coeff + 1j * rng.standard_normal(coeff.shape)
+    on_targets = np.stack([v.amplitudes for v in vectors]).T @ coeff
+    ready_vec = np.zeros(lay.subsystem("A").dimension)
+    ready_vec[lay.subsystem("A").index_of(ready)] = 1.0
+    t = np.multiply.outer(on_targets.reshape(shape), ready_vec)
+    t = np.moveaxis(t, -1, 0)
+    order = ["A", *targets, *rest]
+    t = t.transpose([order.index(n) for n in lay.names]).reshape(-1)
+    return pl.StateVector(lay, t / np.linalg.norm(t))
+
+
+def _target_vectors(rng, targets, k):
+    sub = KERNEL_LAYOUT.sublayout(sorted(targets, key=KERNEL_LAYOUT.axis))
+    u = _random_unitary(rng, sub.dimension)
+    return tuple(pl.StateVector(sub, u[:, i]) for i in range(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["premeasure", "reuse-ready", "couple"]),
+       st.integers(1, 3))
+def test_kernel_matches_reference_unitary(seed, case, k):
+    rng = np.random.default_rng(seed)
+    lay = KERNEL_LAYOUT
+    if case == "couple":
+        # A grouped multi-register target, spanned by k of its basis vectors.
+        targets = ("a", "b")
+        vectors = _target_vectors(rng, targets, k)
+        state = _ready_state(rng, targets, vectors)
+        records = ("A0", "A2", "A3")[:k]
+        out = pl.environment_couple(state, vectors, "A", records, ready_label="A1")
+    else:
+        # k vectors of a random basis of b; the rest of b keeps A ready.
+        targets = ("b",)
+        vectors = _target_vectors(rng, targets, k)
+        state = _ready_state(rng, targets, _target_vectors(rng, targets, 3))
+        records = ("A1", "A3", "A4")[:k] if case == "reuse-ready" else ("A0", "A3", "A4")[:k]
+        spec = MeasurementSpec("b", Basis(tuple(f"s{i}" for i in range(k)), vectors),
+                               "A", "A1", records)
+        out = pl.premeasure(state, spec)
+    ref = pl.apply(correlating_unitary(lay, targets, vectors, "A", "A1", records), state)
+    assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-9
+    assert abs(out.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["premeasure", "couple"])
+def test_kernel_projects_out_weight_outside_the_ready_sector(case):
+    rng = np.random.default_rng(7)
+    lay = KERNEL_LAYOUT
+    targets = ("b",)
+    vectors = _target_vectors(rng, targets, 3)
+    ready = _ready_state(rng, targets, vectors)
+    leak = _ready_state(rng, targets, vectors, ready="A3")
+    amps = np.sqrt(1 - 1e-10) * ready.amplitudes + np.sqrt(1e-10) * leak.amplitudes
+    state = pl.StateVector(lay, amps)
+    records = ("A0", "A2", "A4")
+    if case == "couple":
+        out = pl.environment_couple(state, vectors, "A", records, ready_label="A1")
+    else:
+        spec = MeasurementSpec("b", Basis(("s0", "s1", "s2"), vectors), "A", "A1", records)
+        out = pl.premeasure(state, spec)
+    expected = pl.apply(correlating_unitary(lay, targets, vectors, "A", "A1", records), ready)
+    assert abs(out.norm() - 1.0) < 1e-12
+    assert np.max(np.abs(out.amplitudes - expected.amplitudes)) < 1e-12
+    # Nothing of the leaked part survives: A3 is neither ready nor a record.
+    assert np.max(np.abs(out.tensor_view()[:, 3])) == 0.0

@@ -297,10 +297,23 @@ def test_expression_and_list_columns():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert (err.value.line, err.value.column) == (3, 23)
-    text = MINIMAL.replace("born targets=(R)", "born targets=(R, Q)")
+    # List entries inside born, rewrite and triortho fields, and the fields
+    # themselves, report the column where they start on the line.
+    for query, column in [("born targets=(R, Q)", 20),
+                          ("rewrite bases=(R:{head,tail}, Q:{x})", 33),
+                          ("triortho parts=((R), (R, Q), (R))", 28),
+                          ("born targets=(R) bogus=1", 20)]:
+        text = MINIMAL.replace("born targets=(R)", query)
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.column) == (5, column), query
+    text = ("layout:\n  subsystem R {head, tail}\n  subsystem A {A0, A1, A2}\n"
+            "state: 1|head,A0>\nactions:\n"
+            "  premeasure target=R apparatus=A basis={head,tail} outcomes={A1,Z2} ready=A0\n"
+            "queries:\n  born targets=(R)\n")
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
-    assert (err.value.line, err.value.column) == (5, 24)
+    assert (err.value.line, err.value.column) == (6, 66)
 
 
 AUDIT = ('consistency_audit chain=(statement-1-spin:"Fbar F2 S is_in_state right", '
