@@ -3,31 +3,31 @@
 Covers four related tools: rewriting a state in alternative per-subsystem
 bases, Schmidt analysis of a bipartition, relative-state decompositions
 (which exhibit basis ambiguity: the relative factors need not be
-orthogonal), and a searched verdict on whether a tripartite product-form
-decomposition is essentially unique.
+orthogonal), and a certified verdict on whether a tripartite product-form
+decomposition is essentially unique, from one simultaneous diagonalisation
+per candidate anchor (Jennrich's algorithm; Leurgans, Ross & Abel, SIAM J.
+Matrix Anal. Appl. 14, 1993).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BasisCoverageError, InvalidPartitionError
+from .errors import BasisCoverageError, InvalidPartitionError, PointerLabError
 from .hilbert import ATOL, PRUNE_PROB, StateVector, SubsystemLayout
 from .measurement import Basis
 
-# Reconstruction residual below which a candidate decomposition "exists".
-SEARCH_TOL = 1e-6
-# A candidate whose factor-set distance from every trivial relabeling of the
-# canonical decomposition exceeds this counts as a genuine alternative.
-DISTINCT_TOL = 1e-3
-# Seed and count of the Haar restarts that follow the rotation grid.
-_SEED = 902140
-_RESTARTS = 1000
+# Phase steps of the two fixed probe vectors, exp(2 pi i step j) for
+# j = 1..d, that contract the third part of a tripartite state.  Any pair
+# works outside a measure-zero set of states; golden-ratio steps keep the
+# ratios of computational-basis factors far apart.
+_PROBE_STEPS = (0.6180339887498949, 1.2360679774997898)
+# Relative gap below which two eigenvalues of N1 N2^-1 count as tied.
+_TIE_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,12 +215,12 @@ def relative_states(state: StateVector, subsystem: str, basis: Basis) -> Decompo
 
 @dataclass(frozen=True, eq=False)
 class UniquenessVerdict:
-    """Outcome of the tripartite-decomposition search.
+    """Certified verdict on the tripartite product-form decompositions.
 
     kind is one of "unique", "ambiguous", "no_decomposition".  ``canonical``
-    is the decomposition found first (absent only for no_decomposition);
+    is the decomposition found (absent only for no_decomposition);
     ``witness`` is a genuinely different decomposition, present iff
-    ambiguous.
+    ambiguous.  Each rebuilds the state within ``hilbert.ATOL``.
     """
 
     kind: str
@@ -239,14 +239,11 @@ def _phase_fix(v: np.ndarray) -> tuple[np.ndarray, complex]:
     return v / phase, phase
 
 
-def _part_tensor(state: StateVector, parts: Sequence[Sequence[str]]) -> tuple[np.ndarray, list[int]]:
+def _part_tensor(state: StateVector, parts: Sequence[Sequence[str]]) -> np.ndarray:
     layout = state.layout
     axes = [layout.axis(n) for part in parts for n in part]
-    dims = []
-    for part in parts:
-        dims.append(int(np.prod([layout.subsystem(n).dimension for n in part])))
-    t = state.tensor_view().transpose(axes).reshape(dims)
-    return t, dims
+    dims = [int(np.prod([layout.subsystem(n).dimension for n in part])) for part in parts]
+    return state.tensor_view().transpose(axes).reshape(dims)
 
 
 def _try_anchor_basis(
@@ -257,7 +254,7 @@ def _try_anchor_basis(
     t3: np.ndarray,
 ) -> Decomposition | None:
     """Build the decomposition induced by an orthonormal anchor basis, or
-    None when some relative state is not a product.
+    None when it misses the state by more than ``ATOL``.
 
     The squared reconstruction residual is exactly the sum of squared
     truncation errors of the rank-1 fits, so the acceptance check is an
@@ -275,12 +272,11 @@ def _try_anchor_basis(
             residual_sq += d_sq
             continue
         u, s, vh = np.linalg.svd(rel)
-        tail = float(np.sum(s[1:] ** 2))
-        residual_sq += tail
-        if residual_sq > SEARCH_TOL**2:
+        residual_sq += float(np.sum(s[1:] ** 2))
+        if residual_sq > ATOL**2:
             return None
         raw_terms.append((v, s[0], u[:, 0], vh[0, :]))
-    if residual_sq > SEARCH_TOL**2 or not raw_terms:
+    if residual_sq > ATOL**2 or not raw_terms:
         return None
     terms = []
     for v, sigma, b, c in raw_terms:
@@ -297,179 +293,103 @@ def _try_anchor_basis(
     return Decomposition(layout, parts, tuple(terms))
 
 
-def _factor_distance(a: Decomposition, b: Decomposition) -> float:
-    """Distance of b from the nearest trivial relabeling of a.
-
-    0 means "same up to per-term phases and a permutation"; the returned
-    value is min over permutations of the worst factor mismatch, with
-    coefficient-magnitude mismatches folded in.
-    """
-    if len(a.terms) != len(b.terms):
-        return 1.0
-    n = len(a.terms)
-    best = 1.0
-    for perm in itertools.permutations(range(n)):
-        worst = 0.0
-        for i, j in enumerate(perm):
-            ta, tb = a.terms[i], b.terms[j]
-            worst = max(worst, abs(abs(ta.coefficient) - abs(tb.coefficient)))
-            for fa, fb in zip(ta.factors, tb.factors):
-                ov = abs(np.vdot(fa.amplitudes, fb.amplitudes))
-                worst = max(worst, 1.0 - ov)
-            if worst >= best:
-                break
-        best = min(best, worst)
-        if best == 0.0:
-            break
-    return best
-
-
-def _support_frame(t3: np.ndarray, anchor: int) -> np.ndarray:
-    """Orthonormal rows spanning the anchor's reduced support, with
-    deterministic phases, descending weight."""
-    mat = np.moveaxis(t3, anchor, 0).reshape(t3.shape[anchor], -1)
+def _support(t3: np.ndarray, part: int) -> np.ndarray:
+    """Orthonormal columns spanning the part's reduced support."""
+    mat = np.moveaxis(t3, part, 0).reshape(t3.shape[part], -1)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    cols = [k for k in range(len(s)) if s[k] ** 2 >= PRUNE_PROB]
-    rows = []
-    for k in cols:
-        fixed, _ = _phase_fix(u[:, k])
-        rows.append(fixed)
-    return np.stack(rows)
+    return u[:, s**2 >= PRUNE_PROB]
 
 
-def _eigen_candidate(t3: np.ndarray, anchor: int) -> np.ndarray:
-    """Reduced-density eigenbasis of the anchor part, with degeneracies
-    resolved by probe operators weighted on the other parts (so e.g. equal
-    branch weights still pick out the branch basis)."""
-    mat = np.moveaxis(t3, anchor, 0).reshape(t3.shape[anchor], -1)
-    rho = mat @ mat.conj().T
-    vals, vecs = np.linalg.eigh(rho)
-    order = np.argsort(-vals)
-    vals, vecs = vals[order], vecs[:, order]
-    keep = vals >= PRUNE_PROB
-    vals, vecs = vals[keep], vecs[:, keep]
+def _anchor_rows(t3: np.ndarray, anchor: int, second: int,
+                 frames: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]] | None:
+    """Jennrich's simultaneous diagonalisation for one anchor.
 
-    other = [i for i in range(3) if i != anchor]
-
-    def probe(part: int) -> np.ndarray:
-        w = np.arange(1, t3.shape[part] + 1, dtype=np.float64)
-        m = np.moveaxis(t3, (anchor, part), (0, 1))
-        m = m.reshape(m.shape[0], m.shape[1], -1)
-        return np.einsum("abr,b,cbr->ac", m, w, np.conj(m))
-
-    def refine(groups: list[list[int]], k_op: np.ndarray) -> list[list[int]]:
-        out: list[list[int]] = []
-        for g in groups:
-            if len(g) == 1:
-                out.append(g)
-                continue
-            block = vecs[:, g]
-            sub = block.conj().T @ k_op @ block
-            sub = (sub + sub.conj().T) / 2
-            bvals, bvecs = np.linalg.eigh(sub)
-            order = np.argsort(-bvals)
-            bvals, bvecs = bvals[order], bvecs[:, order]
-            vecs[:, g] = block @ bvecs
-            start = 0
-            for t in range(1, len(g) + 1):
-                if t == len(g) or abs(bvals[t] - bvals[start]) > 1e-8:
-                    out.append(g[start:t])
-                    start = t
-        return out
-
-    groups: list[list[int]] = []
-    i = 0
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) < 1e-8:
-            j += 1
-        groups.append(list(range(i, j + 1)))
-        i = j + 1
-    # Probe the outermost other part first, then the middle one, splitting
-    # resolved ties so later probes never undo earlier refinements.
-    groups = refine(groups, probe(other[1]))
-    refine(groups, probe(other[0]))
-    rows = []
-    for k in range(vecs.shape[1]):
-        fixed, _ = _phase_fix(vecs[:, k])
-        rows.append(fixed)
-    return np.stack(rows)
-
-
-def _rotate_pair(frame: np.ndarray, i: int, j: int, theta: float, phi: float) -> np.ndarray:
-    out = frame.copy()
-    c, s = np.cos(theta), np.sin(theta)
-    e = np.exp(1j * phi)
-    out[i] = c * frame[i] + s * e * frame[j]
-    out[j] = -s * np.conj(e) * frame[i] + c * frame[j]
-    return out
-
-
-def _candidate_bases(t3: np.ndarray, anchor: int, rng: np.random.Generator):
-    """Deterministic stream of orthonormal anchor bases: the refined
-    eigenbasis, a rotation grid over support-frame pairs, then seeded Haar
-    restarts."""
-    yield _eigen_candidate(t3, anchor)
-    frame = _support_frame(t3, anchor)
-    k = frame.shape[0]
-    if k >= 2:
-        thetas = np.linspace(0.0, np.pi / 2, 13)
-        phis = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-        for i, j in itertools.combinations(range(k), 2):
-            for theta in thetas:
-                for phi in phis:
-                    yield _rotate_pair(frame, i, j, float(theta), float(phi))
-        for _ in range(_RESTARTS):
-            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            q, r = np.linalg.qr(g)
-            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            yield q.conj().T @ frame
+    Contracting the third part with the two probes gives N1 = A D1 B^T and
+    N2 = A D2 B^T in support coordinates, for any decomposition with
+    factors A on the anchor and B on ``second`` (both invertible, the parts
+    having top rank).  So the eigenvectors of N1 N2^-1 are the anchor
+    factors; two eigenvalues tie when the third part's factors are
+    collinear.  Returns the eigenvectors orthonormalised one tie cluster at
+    a time, as anchor rows, and the cluster sizes; None when N2 is singular,
+    which no decomposition allows.
+    """
+    third = 3 - anchor - second
+    m = np.moveaxis(t3, (anchor, second, third), (0, 1, 2))
+    j = np.arange(1, m.shape[2] + 1)
+    n1, n2 = (frames[anchor].conj().T @ (m @ np.exp(2j * np.pi * step * j))
+              @ frames[second].conj() for step in _PROBE_STEPS)
+    try:
+        vals, vecs = np.linalg.eig(np.linalg.solve(n2.T, n1.T).T)
+    except np.linalg.LinAlgError:
+        return None
+    clusters: list[list[int]] = []
+    for k, mu in enumerate(vals):
+        tie = next((c for c in clusters
+                    if abs(mu - vals[c[0]]) <= _TIE_TOL * max(abs(mu), abs(vals[c[0]]))), None)
+        if tie is None:
+            clusters.append([k])
+        else:
+            tie.append(k)
+    q, _ = np.linalg.qr(vecs[:, [k for c in clusters for k in c]])
+    return (frames[anchor] @ q).T, [len(c) for c in clusters]
 
 
 def triortho_verdict(
     state: StateVector,
     tripartition: tuple[Sequence[str], Sequence[str], Sequence[str]],
 ) -> UniquenessVerdict:
-    """Search verdict on tripartite product decompositions.
+    """Certified verdict on tripartite product decompositions.
 
-    A candidate decomposition is induced by an orthonormal basis of one
-    part's reduced support whose relative states on the other two parts are
-    all products; the search sweeps such bases for each of the three parts
-    in turn (a deterministic grid plus seeded random restarts).  Collinear
-    factor sets in the *other* parts arise naturally this way, which is how
-    the classic ambiguous case (a biorthogonal pair times a fixed third
-    factor) gets its witness.
+    A decomposition is induced by an orthonormal basis of one part's reduced
+    support (the anchor) whose relative states on the other two parts are
+    all products.  It has as many terms as its anchor's rank r, and its
+    factors span every part's support, so only parts of the largest rank r
+    can anchor, and on each of them the factors of any decomposition are
+    linearly independent.  One simultaneous diagonalisation per such anchor
+    (``_anchor_rows``) then yields the only candidate basis, which
+    ``_try_anchor_basis`` checks.
 
-    Verdicts: no basis works for any part -> "no_decomposition"; some basis
-    works and every other working basis differs only trivially (per-term
-    phases and a permutation) -> "unique"; otherwise "ambiguous" with the
-    first genuinely different decomposition as witness.
+    Verdicts: no anchor's candidate passes -> "no_decomposition"; a
+    candidate passes with distinct eigenvalues -> "unique", since the
+    eigenvectors, and with them every decomposition, are fixed; a candidate
+    passes with tied eigenvalues -> "ambiguous", with the pi/4 rotation of
+    the first tie's first two rows as witness (Elby-Bub: a triorthogonal
+    state has no ties).  A tie the witness does not confirm is a chance
+    coincidence of the probe ratios, and the verdict stays "unique".
+
+    When a single part has the largest rank (then r >= 3, e.g. 3x2x2), one
+    eigendecomposition cannot settle the verdict and PointerLabError is
+    raised.
     """
     parts = tuple(tuple(p) for p in tripartition)
     if len(parts) != 3:
         raise InvalidPartitionError("tripartition must have exactly three parts")
     _check_partition(state.layout, parts)
-    t3, _ = _part_tensor(state, parts)
-
-    canonical: Decomposition | None = None
-    for anchor in range(3):
-        rng = np.random.default_rng(_SEED + anchor)
-        for rows in _candidate_bases(t3, anchor, rng):
-            dec = _try_anchor_basis(state, parts, anchor, rows, t3)
-            if dec is not None:
-                canonical = dec
-                break
-        if canonical is not None:
-            break
-    if canonical is None:
-        return UniquenessVerdict("no_decomposition")
-
-    for anchor in range(3):
-        rng = np.random.default_rng(_SEED + anchor)
-        for rows in _candidate_bases(t3, anchor, rng):
-            dec = _try_anchor_basis(state, parts, anchor, rows, t3)
-            if dec is None:
-                continue
-            if _factor_distance(canonical, dec) > DISTINCT_TOL:
-                return UniquenessVerdict("ambiguous", canonical, dec)
-    return UniquenessVerdict("unique", canonical)
+    t3 = _part_tensor(state, parts)
+    frames = [_support(t3, p) for p in range(3)]
+    ranks = [f.shape[1] for f in frames]
+    top = [p for p in range(3) if ranks[p] == max(ranks)]
+    if len(top) == 1:
+        part = top[0]
+        raise PointerLabError(
+            f"triortho cannot decide: only part {part + 1} ({', '.join(parts[part])}) has "
+            f"the largest reduced rank (ranks {', '.join(map(str, ranks))})"
+        )
+    for anchor in top:
+        found = _anchor_rows(t3, anchor, next(p for p in top if p != anchor), frames)
+        if found is None:
+            continue
+        rows, sizes = found
+        canonical = _try_anchor_basis(state, parts, anchor, rows, t3)
+        if canonical is None:
+            continue
+        first = next((sum(sizes[:i]) for i, n in enumerate(sizes) if n > 1), None)
+        if first is not None:
+            rotated = rows.copy()
+            rotated[first] = (rows[first] + rows[first + 1]) / np.sqrt(2)
+            rotated[first + 1] = (rows[first + 1] - rows[first]) / np.sqrt(2)
+            witness = _try_anchor_basis(state, parts, anchor, rotated, t3)
+            if witness is not None:
+                return UniquenessVerdict("ambiguous", canonical, witness)
+        return UniquenessVerdict("unique", canonical)
+    return UniquenessVerdict("no_decomposition")

@@ -242,17 +242,6 @@ def _evaluate_prop(transcript: ProtocolTranscript, state: StateVector,
     return born(state, [(prop.subject, prop.basis)])
 
 
-def _weighted_distribution(
-    parts: Sequence[tuple[float, OutcomeDistribution]]
-) -> OutcomeDistribution:
-    acc: dict[tuple[str, ...], float] = {}
-    for w, dist in parts:
-        for labels, p in dist.entries:
-            acc[labels] = acc.get(labels, 0.0) + w * p
-    entries = tuple(sorted(acc.items()))
-    return OutcomeDistribution(entries)
-
-
 def certainty(
     transcript: ProtocolTranscript,
     observer: str,
@@ -266,13 +255,14 @@ def certainty(
 
     Premeasurement semantics conditions the observer's stage state on the
     record and propagates.  Decoherent semantics instead couples each
-    environment model at the observer's stage, reduces to the pointer
-    mixture, conditions that mixture on the record, and requires the
-    proposition to hold with probability one under every model.  The engine
-    never tries to discriminate between the consulted models: doing so would
-    take a further measurement on the measured system itself, which is
-    incompatible with the rest of the protocol, so the model family stays
-    whole and caps what the observer may call certain.
+    environment model at the observer's stage, conditions on the record,
+    and requires the proposition to hold with probability one under every
+    model; the Born rule then sums over the environment, which weighs the
+    pointer mixture's branches.  The engine never tries to discriminate
+    between the consulted models: doing so would take a further measurement
+    on the measured system itself, which is incompatible with the rest of
+    the protocol, so the model family stays whole and caps what the
+    observer may call certain.
     """
     idx, step = transcript.agent_premeasure(observer)
     stage_state = transcript.stages[idx].state
@@ -302,33 +292,13 @@ def certainty(
     if not models:
         raise PointerLabError("decoherent semantics needs a non-empty model list")
 
+    # The environment stays on as a spectator register: no later step
+    # touches it and born sums over it, so one replay covers every branch.
     evidence = []
     for model in models:
         coupled = apply_step(stage_state, CoupleStep(model.name, model.branches))
-        env_basis = Basis.computational(coupled.layout, model.name)
-        mixture: list[tuple[float, StateVector]] = []
-        for k in range(env_basis.size):
-            w = outcome_probability(coupled, model.name, env_basis, k)
-            if w <= PRUNE_PROB:
-                continue
-            mixture.append((w, condition(coupled, model.name, env_basis, k)))
-        conditioned: list[tuple[float, StateVector]] = []
-        total = 0.0
-        for w, branch in mixture:
-            pw = outcome_probability(branch, step.apparatus, app_basis, out_i)
-            if w * pw <= PRUNE_PROB:
-                continue
-            conditioned.append((w * pw, condition(branch, step.apparatus, app_basis, out_i)))
-            total += w * pw
-        if not conditioned:
-            raise ImpossibleOutcomeError(
-                f"record {observed!r} survives no branch of model {model.name!r}"
-            )
-        weighted = [
-            (w / total, _evaluate_prop(transcript, branch, idx, prop))
-            for w, branch in conditioned
-        ]
-        evidence.append((model.name, _weighted_distribution(weighted)))
+        conditioned = condition(coupled, step.apparatus, app_basis, out_i)
+        evidence.append((model.name, _evaluate_prop(transcript, conditioned, idx, prop)))
 
     probs = [dist.probability((prop.predicate,)) for _, dist in evidence]
     return CertaintyVerdict(_kind_from_probs(probs), evidence[0][1], tuple(evidence))

@@ -433,10 +433,12 @@ class _Schema:
             )
         return np.array(item, dtype=np.complex128)
 
-    def basis(self, name: str, items: Sequence[BasisItem], line: int, col: int) -> Basis:
-        """Orthonormal basis over one register; a vector literal is labelled
-        b<k> after its position."""
-        raw = np.stack([self.item_vector(name, it, line, col) for it in items])
+    def basis(self, name: str, items: Sequence[tuple[BasisItem, int]], line: int,
+              col: int) -> Basis:
+        """Orthonormal basis over one register from (item, column) pairs; a
+        vector literal is labelled b<k> after its position.  An item error
+        points at the item, a Gram defect at the set's column ``col``."""
+        raw = np.stack([self.item_vector(name, it, line, icol) for it, icol in items])
         defect = gram_defect(raw)
         if defect is not None:
             i, j, g = defect
@@ -445,7 +447,7 @@ class _Schema:
                 f"{_fmt_complex_plain(g)}", line, col, "make the vectors orthonormal",
             )
         layout = self.layout([name])
-        labels = tuple(it if isinstance(it, str) else f"b{k}" for k, it in enumerate(items))
+        labels = tuple(it if isinstance(it, str) else f"b{k}" for k, (it, _) in enumerate(items))
         return Basis(labels, tuple(normalized(layout, v) for v in raw))
 
     def group(self, parts: Sequence[str], new_name: str,
@@ -773,7 +775,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         bval, bcol = _need(fields, "basis", line_no, "premeasure")
         items = _parse_basis_items(bval, line_no, bcol)
         basis = tuple(it for it, _ in items)
-        resolved = schema.basis(tval, basis, line_no, bcol)
+        resolved = schema.basis(tval, items, line_no, bcol)
         oval, ocol = _need(fields, "outcomes", line_no, "premeasure")
         outcome_items = _parse_basis_items(oval, line_no, ocol)
         outcomes = []
@@ -937,7 +939,7 @@ def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, sta
         raise ScenarioParseError(
             f"predicate {predicate!r} is neither a basis nor a derived label of "
             f"{subject!r}", line_no, col, f"declare it with: derived {subject} ...")
-    return at_subject.basis(subject, derived, line_no, col)
+    return at_subject.basis(subject, [(lab, col) for lab in derived], line_no, col)
 
 
 def _labelled_basis(query, raw, line_no, col, schema
@@ -947,13 +949,13 @@ def _labelled_basis(query, raw, line_no, col, schema
     name, brace = (part.strip() for part in raw.split(":", 1))
     schema.require(name, line_no, col)
     brace_col = col + len(raw) - len(brace)
-    labels = []
-    for it, ioff in _parse_basis_items(brace, line_no, brace_col):
+    items = _parse_basis_items(brace, line_no, brace_col)
+    for it, ioff in items:
         if not isinstance(it, str):
             raise ScenarioParseError(f"{query} bases use labels, not vector literals",
                                      line_no, ioff, "declare a derived label instead")
-        labels.append(it)
-    return name, tuple(labels), schema.basis(name, labels, line_no, brace_col)
+    labels = tuple(it for it, _ in items)
+    return name, labels, schema.basis(name, items, line_no, brace_col)
 
 
 def _quoted_words(text, line_no, col, what, shape) -> list[str]:

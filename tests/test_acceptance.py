@@ -145,7 +145,7 @@ def test_criterion_7_triortho_verdicts():
         ambiguous.witness.reconstruct() - loose.amplitudes) < TOL
     ok = ok and elapsed < 10.0
     report("criterion 7: environment-tagged state unique, biorthogonal pair "
-           "with fixed third ambiguous with verified witness, search < 10 s", ok)
+           "with fixed third ambiguous with verified witness, verdicts < 10 s", ok)
 
 
 def test_criterion_8_property_suites():

@@ -357,6 +357,25 @@ def test_oversized_layout_exits_3_with_one_line(tmp_path, capsys):
     assert "ValueError: Maximum allowed dimension exceeded" in err
 
 
+def test_undecidable_triortho_exits_3_with_one_line(tmp_path, capsys):
+    # 3x2x2 with reduced ranks (3, 2, 2): only part (A) has the top rank.
+    text = """\
+layout:
+  subsystem A {a0, a1, a2}
+  subsystem B {b0, b1}
+  subsystem C {c0, c1}
+state: 1|a0,b0,c0> + 1|a1,b1,c1> + 0.5|a2,b0,c0> + 0.5|a2,b0,c1> + 0.5|a2,b1,c0> + 0.5|a2,b1,c1>
+queries:
+  triortho parts=((A),(B),(C))
+"""
+    path = write(tmp_path, "top.scn", text)
+    assert main(["run", path]) == EXIT_EXEC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{path}: execution error: query 1 (TriorthoQuery): ")
+    assert "part 1 (A)" in err and "ranks 3, 2, 2" in err
+
+
 def test_diagnostics_name_the_failing_file(tmp_path, capsys):
     good = write(tmp_path, "good.scn", bundled_scenario_text("ambiguity"))
     bad = write(tmp_path, "bad.scn", BAD)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pointerlab as pl
 from pointerlab.decomposition import relative_states, rewrite, schmidt, triortho_verdict
-from pointerlab.errors import BasisCoverageError, InvalidPartitionError
+from pointerlab.errors import BasisCoverageError, InvalidPartitionError, PointerLabError
 from pointerlab.measurement import Basis
 
 SQ = math.sqrt
@@ -233,7 +233,7 @@ def test_triortho_environment_tagged_state_unique():
 def test_triortho_rotated_form_rejected_explicitly():
     # The two-branch tagged state admits no decomposition using the rotated
     # record frame: every rotated relative state stays entangled.  Checked
-    # directly, independent of the search machinery.
+    # directly, independent of the verdict machinery.
     psi = env_tagged_state()
     t3 = psi.amplitudes.reshape(2, 2, 2)
     for theta in np.linspace(0.05, np.pi / 2 - 0.05, 9):
@@ -346,7 +346,7 @@ def test_triortho_witness_is_deterministic():
             assert np.array_equal(f1.amplitudes, f2.amplitudes)
 
 
-def test_triortho_search_completes_quickly():
+def test_triortho_verdicts_complete_quickly():
     start = time.time()
     triortho_verdict(env_tagged_state(), (("R",), ("A",), ("E",)))
     lay = pl.SubsystemLayout.of(("a", ("0", "1", "2")), ("b", ("0", "1", "2")),
@@ -412,3 +412,106 @@ def test_triortho_unique_after_complex_unitary_on_environment():
     verdict = triortho_verdict(state, (("R",), ("A",), ("E",)))
     assert verdict.kind == "unique"
     assert np.linalg.norm(verdict.canonical.reconstruct() - state.amplitudes) < 1e-9
+
+
+# Verdicts by construction.  A state sum_i w_i a_i (x) b_i (x) c_i over three
+# registers of dimension d each, its factors given as matrix columns.
+
+
+def tri_state(a, b, c, weights):
+    t = np.einsum("i,ai,bi,ci->abc", np.asarray(weights, dtype=complex), a, b, c)
+    d = t.shape
+    lay = pl.SubsystemLayout.of(*((n, tuple(map(str, range(k)))) for n, k in zip("abc", d)))
+    return pl.StateVector(lay, t.reshape(-1) / np.linalg.norm(t))
+
+
+def random_unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rebuilds(verdict, state):
+    decs = [d for d in (verdict.canonical, verdict.witness) if d is not None]
+    return all(np.linalg.norm(d.reconstruct() - state.amplitudes) < 1e-9 for d in decs)
+
+
+ABC = (("a",), ("b",), ("c",))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_triortho_finds_orthonormal_anchor_with_generic_partners(kind):
+    # Orthonormal a_i with generic b_i, c_i on 3x3x3: unique by Kruskal's
+    # condition (k-ranks 3 + 3 + 3 >= 2 * 3 + 2).  The anchor basis is
+    # generic, so no grid of pair rotations or random restarts hits it.
+    rng = np.random.default_rng(3711)
+    a = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    bc = [rng.standard_normal((3, 3)) for _ in range(2)]
+    if kind == "complex":
+        a = random_unitary(rng, 3)
+        bc = [m + 1j * rng.standard_normal((3, 3)) for m in bc]
+    b, c = (m / np.linalg.norm(m, axis=0) for m in bc)
+    state = tri_state(a, b, c, [0.5, 0.7, 0.9])
+    verdict = triortho_verdict(state, ABC)
+    assert verdict.kind == "unique"
+    assert rebuilds(verdict, state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_triorthogonal_states_are_unique_under_local_unitaries(seed, d):
+    # Elby-Bub: orthonormal factors on all three parts fix the decomposition,
+    # whatever the weights, degenerate or not.
+    rng = np.random.default_rng(seed)
+    u = [random_unitary(rng, d) for _ in range(3)]
+    weights = rng.choice([1.0, rng.uniform(0.2, 1.0)], size=d)
+    state = tri_state(*u, weights)
+    verdict = triortho_verdict(state, ABC)
+    assert verdict.kind == "unique"
+    assert verdict.witness is None
+    assert rebuilds(verdict, state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_shared_third_factor_is_ambiguous(seed, d):
+    # Two terms with one third factor: any orthonormal basis of their anchor
+    # span gives product relative states.
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_unitary(rng, d) for _ in range(3))
+    c[:, 1] = c[:, 0]
+    state = tri_state(a, b, c, rng.uniform(0.3, 1.0, size=d))
+    verdict = triortho_verdict(state, ABC)
+    assert verdict.kind == "ambiguous"
+    assert rebuilds(verdict, state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_generic_states_have_no_decomposition(seed, d):
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    lay = pl.SubsystemLayout.of(*((n, tuple(map(str, range(d)))) for n in "abc"))
+    state = pl.StateVector(lay, t.reshape(-1) / np.linalg.norm(t))
+    assert triortho_verdict(state, ABC).kind == "no_decomposition"
+
+
+def test_triortho_singular_pencil_has_no_decomposition():
+    # Ranks (3, 3, 2), but every contraction of the third part is singular
+    # (row 1 and row 2 share one column), which no decomposition allows.
+    t = np.zeros((3, 3, 2))
+    t[0, 0, 0] = t[0, 1, 1] = t[1, 2, 0] = t[2, 2, 1] = 0.5
+    lay = pl.SubsystemLayout.of(*((n, tuple(map(str, range(k)))) for n, k in zip("abc", t.shape)))
+    verdict = triortho_verdict(pl.StateVector(lay, t.reshape(-1)), ABC)
+    assert verdict.kind == "no_decomposition"
+
+
+def test_triortho_single_top_rank_part_raises():
+    # 3x2x2 with reduced ranks (3, 2, 2): no second part to diagonalise
+    # against, so the verdict is refused rather than guessed.
+    e2, e3 = np.eye(2), np.eye(3)
+    plus = np.array([1.0, 1.0]) / SQ(2)
+    b = np.column_stack([e2[0], e2[1], plus])
+    state = tri_state(e3, b, b.copy(), [1.0, 1.0, 1.0])
+    with pytest.raises(PointerLabError, match=r"part 1 \(a\) .*ranks 3, 2, 2"):
+        triortho_verdict(state, ABC)

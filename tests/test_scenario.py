@@ -302,7 +302,9 @@ def test_expression_and_list_columns():
     for query, column in [("born targets=(R, Q)", 20),
                           ("rewrite bases=(R:{head,tail}, Q:{x})", 33),
                           ("triortho parts=((R), (R, Q), (R))", 28),
-                          ("born targets=(R) bogus=1", 20)]:
+                          ("born targets=(R) bogus=1", 20),
+                          ("born targets=(R:{head, bad})", 26),
+                          ("rewrite bases=(R:{tail, bad})", 27)]:
         text = MINIMAL.replace("born targets=(R)", query)
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
@@ -314,6 +316,14 @@ def test_expression_and_list_columns():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert (err.value.line, err.value.column) == (6, 66)
+    # A bad label inside a basis set is reported at the label, not the brace.
+    for old, new, where in [("basis={head,tail}", "basis={head,bad}", (6, 47)),
+                            ("born targets=(R)", "born targets=(R, A:{A0, bad})", (8, 27))]:
+        fixed = text.replace("outcomes={A1,Z2}", "outcomes={A1,A2}")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(fixed.replace(old, new))
+        assert "'bad'" in err.value.message
+        assert (err.value.line, err.value.column) == where, new
 
 
 AUDIT = ('consistency_audit chain=(statement-1-spin:"Fbar F2 S is_in_state right", '
