@@ -28,14 +28,12 @@ from .hilbert import (
     apply,
     basis_state,
     density,
-    embed,
     group_layout,
     group_state,
     inner,
     make_state,
     partial_trace,
     tensor,
-    ungroup_state,
 )
 from .measurement import (
     Basis,

@@ -73,11 +73,25 @@ class Decomposition:
         return 0.0 + 0.0j
 
 
+def _pruned(weights: np.ndarray) -> np.ndarray:
+    """Mask of the components to omit: the smallest ones of probability
+    below ``PRUNE_PROB``, as long as their summed probability stays within
+    ``ATOL**2``, so omitting them keeps the rebuild within ``ATOL``."""
+    order = np.argsort(weights, axis=None, kind="stable")
+    w = weights.reshape(-1)[order]
+    drop = np.zeros(weights.size, dtype=bool)
+    drop[order] = (w < PRUNE_PROB) & (np.cumsum(w) <= ATOL**2)
+    return drop.reshape(weights.shape)
+
+
 def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Decomposition:
     """Expand the state in the given complete per-subsystem bases.
 
-    Subsystems without an entry keep their computational basis.  Components
-    with probability below 1e-12 are omitted.
+    Subsystems without an entry keep their computational basis.  The
+    smallest components of probability below 1e-12 are omitted while their
+    summed probability stays within 1e-18; the terms that remain rebuild the
+    state within 1e-9 or BasisCoverageError is raised.  Terms come in C
+    order of their basis indices.
     """
     layout = state.layout
     bases: list[Basis] = []
@@ -91,22 +105,24 @@ def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Dec
                 f"needs {sub.dimension}"
             )
         bases.append(basis)
+    matrices = [basis.matrix for basis in bases]
     t = state.tensor_view()
-    for axis, basis in enumerate(bases):
-        t = np.moveaxis(np.tensordot(t, np.conj(basis.matrix), axes=([axis], [1])), -1, axis)
-    terms = []
-    for idx in np.ndindex(*t.shape):
-        c = complex(t[idx])
-        if abs(c) ** 2 < PRUNE_PROB:
-            continue
-        factors = tuple(basis.vectors[k] for basis, k in zip(bases, idx))
-        labels = tuple(basis.labels[k] for basis, k in zip(bases, idx))
-        terms.append(Term(c, factors, labels))
-    parts = tuple((sub.name,) for sub in layout.subsystems)
-    dec = Decomposition(layout, parts, tuple(terms))
-    if dec.residual(state) > ATOL:
+    for axis, mat in enumerate(matrices):
+        t = np.moveaxis(np.tensordot(t, np.conj(mat), axes=([axis], [1])), -1, axis)
+    t[_pruned(np.abs(t) ** 2)] = 0.0
+    back = t
+    for axis, mat in enumerate(matrices):
+        back = np.moveaxis(np.tensordot(back, mat, axes=([axis], [0])), -1, axis)
+    if np.linalg.norm(back.reshape(-1) - state.amplitudes) > ATOL:
         raise BasisCoverageError("rewrite failed to reconstruct the state")
-    return dec
+    terms = tuple(
+        Term(complex(t[idx]),
+             tuple(basis.vectors[k] for basis, k in zip(bases, idx)),
+             tuple(basis.labels[k] for basis, k in zip(bases, idx)))
+        for idx in zip(*np.nonzero(t))
+    )
+    parts = tuple((sub.name,) for sub in layout.subsystems)
+    return Decomposition(layout, parts, terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,15 +208,16 @@ def relative_states(state: StateVector, subsystem: str, basis: Basis) -> Decompo
     if not rest:
         raise InvalidPartitionError("relative states need at least two subsystems")
     rest_layout = layout.sublayout(rest)
-    terms = []
     t = state.tensor_view()
-    for label, vec in zip(basis.labels, basis.vectors):
-        component = np.tensordot(np.conj(vec.amplitudes), t, axes=([0], [axis]))
-        d = float(np.linalg.norm(component))
-        if d**2 < PRUNE_PROB:
-            continue
-        factor = StateVector(rest_layout, component.reshape(-1) / d)
-        terms.append(Term(complex(d), (factor, vec), (None, label)))
+    components = [np.tensordot(np.conj(vec.amplitudes), t, axes=([0], [axis]))
+                  for vec in basis.vectors]
+    norms = np.array([np.linalg.norm(c) for c in components])
+    terms = [
+        Term(complex(d), (StateVector(rest_layout, c.reshape(-1) / d), vec), (None, label))
+        for label, vec, c, d, drop in zip(basis.labels, basis.vectors, components, norms,
+                                          _pruned(norms**2))
+        if not drop
+    ]
     parts = (tuple(rest), (subsystem,))
     dec = Decomposition(layout, parts, tuple(terms))
     if dec.residual(state) > ATOL:

@@ -114,15 +114,6 @@ class SubsystemLayout:
             flat = flat * sub.dimension + sub.index_of(label)
         return flat
 
-    def labels_at(self, flat: int) -> tuple[str, ...]:
-        out = []
-        for dim in reversed(self.dims):
-            flat, k = divmod(flat, dim)
-            out.append(k)
-        return tuple(
-            sub.labels[k] for sub, k in zip(self.subsystems, reversed(out))
-        )
-
     def sublayout(self, names: Sequence[str]) -> "SubsystemLayout":
         """Layout over the given subsystems, in the given order."""
         return SubsystemLayout(tuple(self.subsystem(n) for n in names))
@@ -226,10 +217,6 @@ class DensityOperator:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    def diagonal_probability(self, labels: Sequence[str]) -> float:
-        i = self.layout.index(labels)
-        return float(self.matrix[i, i].real)
-
 
 def make_state(
     layout: SubsystemLayout,
@@ -321,25 +308,6 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     return DensityOperator(sub, reduced.reshape(d, d))
 
 
-def embed(layout: SubsystemLayout, blocks: Mapping[str, np.ndarray]) -> LinearOperator:
-    """Operator acting as the given square blocks on named subsystems and as
-    identity elsewhere."""
-    mat = np.array([[1.0 + 0.0j]])
-    for sub in layout.subsystems:
-        block = blocks.get(sub.name)
-        if block is None:
-            block = np.eye(sub.dimension, dtype=np.complex128)
-        else:
-            block = np.asarray(block, dtype=np.complex128)
-            if block.shape != (sub.dimension, sub.dimension):
-                raise LayoutMismatchError(
-                    f"block for {sub.name!r} has shape {block.shape}, "
-                    f"expected {(sub.dimension,) * 2}"
-                )
-        mat = np.kron(mat, block)
-    return LinearOperator(layout, layout, mat)
-
-
 def _merged_labels(
     parts: Sequence[Subsystem],
     label_map: Mapping[tuple[str, ...], str],
@@ -398,8 +366,7 @@ def group_state(
 ) -> StateVector:
     """Re-express a state over the grouped layout.
 
-    Pure index re-association: amplitudes are permuted, never recomputed, so
-    a group followed by an ungroup is bit-identical.
+    Pure index re-association: amplitudes are permuted, never recomputed.
     """
     layout = state.layout
     new_layout = group_layout(layout, parts, new_name, label_map)
@@ -416,26 +383,3 @@ def group_state(
     t = state.tensor_view().transpose(order)
     return StateVector(new_layout, t.reshape(new_layout.dimension),
                        input_norm=state.input_norm)
-
-
-def ungroup_state(
-    state: StateVector,
-    name: str,
-    parts: Sequence[tuple[str, Sequence[str]]],
-    label_map: Mapping[tuple[str, ...], str],
-) -> StateVector:
-    """Split a grouped subsystem back into its parts (placed consecutively
-    at the grouped position)."""
-    layout = state.layout
-    axis = layout.axis(name)
-    part_subs = [Subsystem(n, tuple(labels)) for n, labels in parts]
-    expected = _merged_labels(part_subs, label_map)
-    if layout.subsystems[axis].labels != expected:
-        raise NonInjectiveLabelMapError(
-            f"grouped labels of {name!r} do not match the declared parts/label_map"
-        )
-    subs = (
-        layout.subsystems[:axis] + tuple(part_subs) + layout.subsystems[axis + 1:]
-    )
-    new_layout = SubsystemLayout(subs)
-    return StateVector(new_layout, state.amplitudes.copy(), input_norm=state.input_norm)

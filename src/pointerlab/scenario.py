@@ -377,6 +377,7 @@ class _Schema:
         self.labels: dict[str, tuple[str, ...]] = dict(labels or {})
         self.order: list[str] = list(self.labels)
         self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = dict(derived or {})
+        self._bases: dict[tuple, Basis] = {}
 
     def add(self, name: str, labels: tuple[str, ...], line: int, col: int) -> None:
         if name in self.labels:
@@ -437,7 +438,11 @@ class _Schema:
               col: int) -> Basis:
         """Orthonormal basis over one register from (item, column) pairs; a
         vector literal is labelled b<k> after its position.  An item error
-        points at the item, a Gram defect at the set's column ``col``."""
+        points at the item, a Gram defect at the set's column ``col``.  Each
+        distinct set over the register's current labels resolves once."""
+        key = (name, self.labels[name], tuple(it for it, _ in items))
+        if key in self._bases:
+            return self._bases[key]
         raw = np.stack([self.item_vector(name, it, line, icol) for it, icol in items])
         defect = gram_defect(raw)
         if defect is not None:
@@ -448,7 +453,8 @@ class _Schema:
             )
         layout = self.layout([name])
         labels = tuple(it if isinstance(it, str) else f"b{k}" for k, (it, _) in enumerate(items))
-        return Basis(labels, tuple(normalized(layout, v) for v in raw))
+        basis = self._bases[key] = Basis(labels, tuple(normalized(layout, v) for v in raw))
+        return basis
 
     def group(self, parts: Sequence[str], new_name: str,
               label_map: dict[tuple[str, ...], str], line: int, col: int) -> None:

@@ -385,3 +385,11 @@ def test_diagnostics_name_the_failing_file(tmp_path, capsys):
     stuck = write(tmp_path, "stuck.scn", STUCK)
     assert main(["run", good, stuck]) == EXIT_EXEC
     assert capsys.readouterr().err.startswith(f"{stuck}: execution error: action 1 ")
+
+
+def test_rewrite_prints_a_tiny_component_the_rebuild_needs(tmp_path, capsys):
+    text = ("layout:\n  subsystem R {head, tail}\n  subsystem S {up, down}\n"
+            "state: 1|head,up> + 1e-7|tail,down>\nqueries:\n  rewrite bases=()\n")
+    path = write(tmp_path, "tiny.scn", text)
+    assert main(["run", path]) == EXIT_OK
+    assert "tail, down  1e-07" in capsys.readouterr().out

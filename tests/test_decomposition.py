@@ -2,6 +2,7 @@
 
 import math
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -101,6 +102,67 @@ def test_rewrite_requires_complete_bases():
         rewrite(s, {"R": partial})
 
 
+def tiny_tail_state(amplitude):
+    return pl.make_state(coin_spin(), [(("head", "up"), 1.0), (("tail", "down"), amplitude)])
+
+
+def test_rewrite_keeps_a_tiny_component_the_rebuild_needs():
+    # |c|^2 = 1e-14 is below the pruning probability, but dropping it would
+    # miss the state by 1e-7.
+    s = tiny_tail_state(1e-7)
+    dec = rewrite(s, {})
+    assert [t.labels for t in dec.terms] == [("head", "up"), ("tail", "down")]
+    assert abs(dec.coefficient(("tail", "down")) - s.amplitude(("tail", "down"))) < 1e-15
+    assert rewrite(tiny_tail_state(1e-10), {}).coefficient(("tail", "down")) == 0
+
+
+def test_relative_states_keep_a_tiny_component_the_rebuild_needs():
+    s = tiny_tail_state(1e-7)
+    dec = relative_states(s, "R", Basis.computational(s.layout, "R"))
+    assert [t.labels[1] for t in dec.terms] == ["head", "tail"]
+    assert abs(dec.terms[1].coefficient - 1e-7) < 1e-15
+    dec = relative_states(tiny_tail_state(1e-10), "R", Basis.computational(s.layout, "R"))
+    assert [t.labels[1] for t in dec.terms] == ["head"]
+
+
+def random_unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    return q
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 3), min_size=2, max_size=4))
+def test_rewrite_matches_plain_tensor_contraction(seed, dims):
+    rng = np.random.default_rng(seed)
+    lay = pl.SubsystemLayout.of(*((f"r{i}", tuple(map(str, range(d))))
+                                  for i, d in enumerate(dims)))
+    v = rng.standard_normal(lay.dimension) + 1j * rng.standard_normal(lay.dimension)
+    v[rng.random(lay.dimension) < 0.3] = 0.0  # some exact zeros to prune
+    v[0] += 1.0
+    psi = pl.StateVector(lay, v / np.linalg.norm(v))
+    rotated = [i for i in range(len(dims)) if rng.random() < 0.5]
+    matrices = [random_unitary(rng, d) if i in rotated else np.eye(d)
+                for i, d in enumerate(dims)]
+    bases = {
+        f"r{i}": Basis(tuple(f"u{k}" for k in range(dims[i])),
+                       tuple(pl.StateVector(lay.sublayout([f"r{i}"]), row)
+                             for row in matrices[i]))
+        for i in rotated
+    }
+    dec = rewrite(psi, bases)
+    expected = reduce(np.kron, [np.conj(m) for m in matrices]) @ psi.amplitudes
+    expected = expected.reshape(dims)
+    indices = [tuple(int(lab[-1]) for lab in t.labels) for t in dec.terms]
+    assert indices == sorted(indices)
+    for idx, term in zip(indices, dec.terms):
+        assert abs(term.coefficient - expected[idx]) < 1e-9
+    omitted = np.ones(dims, dtype=bool)
+    omitted[tuple(np.array(indices).T)] = False
+    assert np.sum(np.abs(expected[omitted]) ** 2) <= 1e-18
+    assert np.linalg.norm(dec.reconstruct() - psi.amplitudes) < 1e-9
+
+
 def eq17_state():
     lay = pl.SubsystemLayout.of(("R", ("head", "tail")), ("A", ("A1", "A2")))
     return pl.make_state(lay, [(("head", "A1"), SQ(1 / 3)), (("tail", "A2"), SQ(2 / 3))])
@@ -148,9 +210,8 @@ def test_schmidt_coefficients_invariant_under_local_unitaries():
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         s = pl.StateVector(lay, v / np.linalg.norm(v))
         base = schmidt(s, (("a",), ("b",))).coefficients
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        q, _ = np.linalg.qr(g)
-        rotated = pl.apply(pl.embed(lay, {"b": q}), s)
+        q = random_unitary(rng, 3)
+        rotated = pl.StateVector(lay, (s.tensor_view() @ q.T).reshape(-1))
         rot = schmidt(rotated, (("a",), ("b",))).coefficients
         assert len(base) == len(rot)
         for x, y in zip(base, rot):

@@ -361,3 +361,31 @@ def test_report_queries_declare_their_inputs(name, old, new, message):
         parse_scenario(text.replace(old, new, 1))
     assert message in err.value.message
     assert err.value.hint
+
+
+MEMO = """\
+layout:
+  subsystem R {head, tail}
+  subsystem A {A0, A1}
+  derived A plus = sqrt(1/2)|A0> + sqrt(1/2)|A1>
+  derived A minus = sqrt(1/2)|A0> - sqrt(1/2)|A1>
+state: sqrt(1/2)|head,A0> + sqrt(1/2)|tail,A1>
+queries:
+  born targets=(R, A:{plus, minus})
+  rewrite bases=(A:{plus, minus})
+  rewrite bases=(A:{minus, plus})
+"""
+
+
+def test_each_basis_set_resolves_once_per_parse():
+    born, same, swapped = parse_scenario(MEMO).queries
+    assert born.resolved[1] is same.resolved[0]
+    assert swapped.resolved[0] is not same.resolved[0]
+    assert swapped.resolved[0].labels == ("minus", "plus")
+    # A fresh parse resolves afresh.
+    assert parse_scenario(MEMO).queries[1].resolved[0] is not same.resolved[0]
+    # A bad label in a set next to a resolved one is reported at the label.
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(MEMO + "  rewrite bases=(A:{plus, bad})\n")
+    assert "'bad'" in err.value.message
+    assert (err.value.line, err.value.column) == (11, 27)
