@@ -177,18 +177,13 @@ class LinearOperator:
         expected = (self.layout_out.dimension, self.layout_in.dimension)
         if mat.shape != expected:
             raise LayoutMismatchError(f"operator shape {mat.shape}, expected {expected}")
-        if self.kind == "unitary":
-            if mat.shape[0] != mat.shape[1]:
-                raise LayoutMismatchError("unitary operator must be square")
-            gram = mat.conj().T @ mat
-            if np.max(np.abs(gram - np.eye(mat.shape[1]))) > ATOL:
-                raise LayoutConflictError("operator flagged unitary is not unitary")
-        elif self.kind == "isometry":
-            gram = mat.conj().T @ mat
-            if np.max(np.abs(gram - np.eye(mat.shape[1]))) > ATOL:
-                raise LayoutConflictError("operator flagged isometry is not an isometry")
-        elif self.kind != "general":
+        if self.kind not in ("general", "unitary", "isometry"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.kind == "unitary" and mat.shape[0] != mat.shape[1]:
+            raise LayoutMismatchError("unitary operator must be square")
+        if self.kind != "general" and gram_defect(mat.T) is not None:
+            article = "" if self.kind == "unitary" else "an "
+            raise LayoutConflictError(f"operator flagged {self.kind} is not {article}{self.kind}")
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)

@@ -6,8 +6,11 @@ correlates a target register with a ready apparatus register: ready |a0>
 goes to the record |a_i> on the branch where the target holds basis vector
 |s_i>, and the target is left untouched.  The same map, with a
 multi-register target, implements the one-shot environment couplings used
-for decoherence arguments.  States only ever pass through the ready sector;
-``correlating_unitary`` completes the map to a full unitary for inspection.
+for decoherence arguments.  States only ever pass through the ready sector,
+where the map is applied straight from the k x d_t matrix of branch rows;
+their orthonormality is checked once, where the rows are made (`Basis`,
+`environment_couple`).  ``correlating_unitary`` completes the map to a full
+unitary for inspection.
 """
 
 from __future__ import annotations
@@ -158,22 +161,20 @@ def _axes_of(layout: SubsystemLayout, names: Sequence[str]) -> list[int]:
     return [layout.axis(n) for n in names]
 
 
-def _isometry(
+def _branch_rows(
     layout: SubsystemLayout,
     targets: Sequence[str],
     vectors: Sequence[StateVector],
     apparatus: str,
     ready_label: str,
     record_labels: Sequence[str],
-) -> tuple[np.ndarray, list[int], int]:
+) -> tuple[np.ndarray, list[int], int, list[int]]:
     """The correlating map on the apparatus ready sector,
     V = sum_i |s_i><s_i| (x) |record_i><ready| + (1 - P) (x) |ready><ready|,
-    as an array V[t', a', t]; returned with the front axes (target axes in
-    layout order, then the apparatus axis) and the ready level's index.
-
-    Unmeasured target directions keep the apparatus ready.  The non-ready
-    sector is left undefined: no physical branch reaches it.
-    """
+    as its branch rows s_i (shape (k, d_t)), the front axes (target axes in
+    layout order, then the apparatus axis), the ready index and the record
+    indices.  Orthonormal rows make V an isometry; `Basis` and
+    `environment_couple` check them, once each."""
     target_axes = sorted(_axes_of(layout, targets))
     sub_layout = layout.sublayout([layout.subsystems[i].name for i in target_axes])
     app = layout.subsystem(apparatus)
@@ -193,18 +194,8 @@ def _isometry(
             raise LayoutMismatchError(
                 f"branch vector layout {v.layout.names} != target layout {sub_layout.names}"
             )
-    vmat = np.stack([v.amplitudes for v in vectors])  # (k, d_t)
-    if gram_defect(vmat) is not None:
-        raise NonOrthonormalBasisError("measurement basis vectors are not orthonormal")
-
-    d_t = sub_layout.dimension
-    iso = np.zeros((d_t, app.dimension, d_t), dtype=np.complex128)
-    for v, rec in zip(vmat, record_idx):
-        iso[:, rec, :] += np.outer(v, v.conj())
-    iso[:, ready_idx, :] += np.eye(d_t) - vmat.T @ vmat.conj()
-    if gram_defect(iso.reshape(-1, d_t).T) is not None:
-        raise LayoutConflictError("correlating map is not an isometry")
-    return iso, target_axes + [layout.axis(apparatus)], ready_idx
+    rows = np.stack([v.amplitudes for v in vectors])
+    return rows, target_axes + [layout.axis(apparatus)], ready_idx, record_idx
 
 
 def _correlate(
@@ -216,24 +207,28 @@ def _correlate(
     record_labels: Sequence[str],
     role: str,
 ) -> StateVector:
-    """Apply the correlating isometry: one tensordot on the ready slice of
-    the (targets, apparatus) axes.  The weight outside the ready sector,
+    """Apply the correlating isometry from its branch rows to the ready slice
+    of the (targets, apparatus) axes.  The weight outside the ready sector,
     at most 1e-9 once the ready check passes, is projected out and the
     result renormalized."""
-    iso, front, ready_idx = _isometry(
+    rows, front, ready_idx, record_idx = _branch_rows(
         state.layout, targets, vectors, apparatus, ready_label, record_labels
     )
-    d_t, d_a = iso.shape[:2]
     moved = range(len(front))
     t = np.moveaxis(state.tensor_view(), front, moved)
+    d_t, d_a = rows.shape[1], state.layout.dims[front[-1]]
     ready = t.reshape(d_t, d_a, -1)[:, ready_idx]
     weight = float(np.vdot(ready, ready).real)
     if weight < 1.0 - ATOL:
         raise ApparatusNotReadyError(
             f"{role} {apparatus!r} is not in its ready state {ready_label!r}"
         )
-    out = np.tensordot(iso, ready, axes=1) / np.sqrt(weight)
-    out = np.moveaxis(out.reshape(t.shape), moved, front)
+    c = rows.conj() @ ready
+    out = np.zeros((d_t, d_a, ready.shape[1]), dtype=np.complex128)
+    out[:, ready_idx] = ready - rows.T @ c
+    for row, ci, rec in zip(rows, c, record_idx):
+        out[:, rec] += np.outer(row, ci)  # += keeps a ready level reused as a record
+    out = np.moveaxis((out / np.sqrt(weight)).reshape(t.shape), moved, front)
     return StateVector(state.layout, out.reshape(-1), input_norm=state.input_norm)
 
 
@@ -254,10 +249,16 @@ def correlating_unitary(
     the orthonormal complement from one complete QR, in ascending column
     order.
     """
-    iso, front, ready_idx = _isometry(
+    rows, front, ready_idx, record_idx = _branch_rows(
         layout, targets, vectors, apparatus, ready_label, record_labels
     )
-    d_t, d_a = iso.shape[:2]
+    if gram_defect(rows) is not None:
+        raise NonOrthonormalBasisError("measurement basis vectors are not orthonormal")
+    d_t, d_a = rows.shape[1], layout.dims[front[-1]]
+    iso = np.zeros((d_t, d_a, d_t), dtype=np.complex128)
+    for row, rec in zip(rows, record_idx):
+        iso[:, rec, :] += np.outer(row, row.conj())
+    iso[:, ready_idx, :] += np.eye(d_t) - rows.T @ rows.conj()
     dim = d_t * d_a
     block = iso.reshape(dim, d_t)
     ready_cols = np.arange(d_t) * d_a + ready_idx

@@ -65,6 +65,12 @@ _LABEL_RE = re.compile(r"^[A-Za-z0-9_+\-/.]+$")
 
 SECTION_ORDER = ("layout", "state", "actions", "models", "queries")
 
+# Most amplitudes a layout may hold at any stage: the smallest power of two
+# above the 11-agent, three-level chain of bench/scaling.py (1,062,882
+# amplitudes, 25 s on one core of a 2-CPU machine), the largest generated
+# chain that finishes within that script's one-minute limit.
+MAX_AMPLITUDES = 2**21
+
 
 def _resolved():
     """A field holding what the parser resolved from the fields before it."""
@@ -383,6 +389,11 @@ class _Schema:
         if name in self.labels:
             raise ScenarioParseError(f"subsystem {name!r} already declared", line, col,
                                      "pick a fresh name")
+        amplitudes = len(labels) * math.prod(len(v) for v in self.labels.values())
+        if amplitudes > MAX_AMPLITUDES:
+            raise ScenarioParseError(
+                f"layout would hold {amplitudes:,} amplitudes, over the limit of "
+                f"{MAX_AMPLITUDES:,}", line, col, "use fewer or smaller registers")
         self.order.append(name)
         self.labels[name] = labels
 

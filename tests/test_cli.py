@@ -342,19 +342,19 @@ queries:
     assert dist[("eps0",)] == 0.0
 
 
-def test_oversized_layout_exits_3_with_one_line(tmp_path, capsys):
-    # 10**20 amplitudes: numpy refuses the shape before allocating anything.
+def test_oversized_layout_exits_2_with_one_line(tmp_path, capsys):
+    # 10**20 amplitudes: the seventh register already passes the parser's limit.
     names = [f"s{k}" for k in range(20)]
     levels = ", ".join(f"l{i}" for i in range(10))
     text = ("layout:\n" + "".join(f"  subsystem {n} {{{levels}}}\n" for n in names)
             + "state: 1|" + ",".join("l0" for _ in names) + ">\n"
             + "queries:\n  born targets=(s0)\n")
     path = write(tmp_path, "big.scn", text)
-    assert main(["run", path]) == EXIT_EXEC
+    assert main(["run", path]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"{path}: ")
-    assert "ValueError: Maximum allowed dimension exceeded" in err
+    assert "line 8, col 3: layout would hold 10,000,000 amplitudes, over the limit" in err
 
 
 def test_undecidable_triortho_exits_3_with_one_line(tmp_path, capsys):

@@ -2,6 +2,7 @@
 environment couplings, pointer reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,8 @@ def test_measurement_basis_must_be_orthonormal():
     v = pl.make_state(lay.sublayout(["R"]), [(("head",), 1.0)])
     with pytest.raises(NonOrthonormalBasisError):
         Basis(("a", "b"), (v, v))
+    with pytest.raises(NonOrthonormalBasisError):
+        correlating_unitary(lay, ["R"], (v, v), "Fbar", "F0", ("F1", "F2"))
 
 
 def test_constructed_operators_are_unitary():
@@ -471,3 +474,23 @@ def test_kernel_projects_out_weight_outside_the_ready_sector(case):
     assert np.max(np.abs(out.amplitudes - expected.amplitudes)) < 1e-12
     # Nothing of the leaked part survives: A3 is neither ready nor a record.
     assert np.max(np.abs(out.tensor_view()[:, 3])) == 0.0
+
+
+@pytest.mark.parametrize("case", ["premeasure", "couple"])
+def test_kernel_allocates_in_proportion_to_the_state(case):
+    # Two of the 729 basis vectors of a target, and a 3-level apparatus: 2,187
+    # amplitudes.  A dense map would take d_t**2 * d_a * 16 B, about 25 MB.
+    lay = pl.SubsystemLayout.of(("T", tuple(f"t{i}" for i in range(729))),
+                                ("A", ("A0", "A1", "A2")))
+    basis = Basis.computational(lay, "T", ("t0", "t1"))
+    state = pl.make_state(lay, [(("t0", "A0"), 0.6), (("t1", "A0"), 0.8)])
+    tracemalloc.start()
+    try:
+        if case == "couple":
+            pl.environment_couple(state, basis.vectors, "A", ("A1", "A2"), ready_label="A0")
+        else:
+            pl.premeasure(state, MeasurementSpec("T", basis, "A", "A0", ("A1", "A2")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * state.amplitudes.nbytes

@@ -8,6 +8,7 @@ import pytest
 from pointerlab.cli import bundled_scenario_text
 from pointerlab.errors import ScenarioParseError
 from pointerlab.scenario import (
+    MAX_AMPLITUDES,
     CertaintyQuery,
     parse_coefficient,
     parse_scenario,
@@ -389,3 +390,24 @@ def test_each_basis_set_resolves_once_per_parse():
         parse_scenario(MEMO + "  rewrite bases=(A:{plus, bad})\n")
     assert "'bad'" in err.value.message
     assert (err.value.line, err.value.column) == (11, 27)
+
+
+@pytest.mark.parametrize("stage", ["layout", "couple"])
+def test_layout_just_over_the_amplitude_limit_is_a_parse_error(stage):
+    # (2**10 + 1) * 2**(bits - 10) amplitudes against a limit of 2**bits, reached
+    # by the last declared qubit or by the four-level environment of a couple.
+    bits = MAX_AMPLITUDES.bit_length() - 1
+    assert MAX_AMPLITUDES == 2**bits
+    qubits = bits - 10 if stage == "layout" else bits - 12
+    wide = ", ".join(f"w{i}" for i in range(2**10 + 1))
+    text = ("layout:\n" + f"  subsystem W {{{wide}}}\n"
+            + "".join(f"  subsystem q{k} {{0, 1}}\n" for k in range(qubits))
+            + "state: 1|w0" + ",0" * qubits + ">\n")
+    if stage == "couple":
+        text += "actions:\n  couple env=E targets=(W) branches={|w0>, |w1>, |w2>}\n"
+    text += "queries:\n  born targets=(W)\n"
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    over = (2**10 + 1) * 2**(bits - 10)
+    assert err.value.message.startswith(f"layout would hold {over:,} amplitudes")
+    assert err.value.line == (qubits + 2 if stage == "layout" else qubits + 5)
