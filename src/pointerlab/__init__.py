@@ -32,6 +32,7 @@ from .hilbert import (
     group_state,
     inner,
     make_state,
+    merged_register,
     partial_trace,
     tensor,
 )

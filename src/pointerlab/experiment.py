@@ -34,6 +34,7 @@ from .hilbert import (
     PRUNE_PROB,
     DensityOperator,
     StateVector,
+    Subsystem,
     group_state,
     partial_trace,
 )
@@ -55,12 +56,11 @@ CERTAIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GroupStep:
-    parts: tuple[str, ...]
-    new_name: str
-    label_map: tuple[tuple[tuple[str, ...], str], ...]
+    """Merge ``parts`` into ``register``, whose labels were resolved once
+    (see ``hilbert.merged_register``)."""
 
-    def mapping(self) -> dict[tuple[str, ...], str]:
-        return dict(self.label_map)
+    parts: tuple[str, ...]
+    register: Subsystem
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +80,7 @@ def apply_step(state: StateVector, step: Step) -> StateVector:
     if isinstance(step, MeasurementSpec):
         return premeasure(state, step)
     if isinstance(step, GroupStep):
-        return group_state(state, step.parts, step.new_name, step.mapping())
+        return group_state(state, step.parts, step.register)
     if isinstance(step, CoupleStep):
         extended, rec_labels = attach_environment(
             state, step.environment, len(step.branches)

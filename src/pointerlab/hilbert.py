@@ -13,8 +13,9 @@ function, which makes them safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,17 +40,21 @@ PRUNE_PROB = 1e-12
 
 @dataclass(frozen=True)
 class Subsystem:
-    """A named register with an ordered set of basis labels."""
+    """A named register with an ordered set of basis labels; ``positions``
+    maps each label to its index."""
 
     name: str
     labels: tuple[str, ...]
+    positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise InvalidPartitionError(f"subsystem {self.name!r} has no basis labels")
-        if len(set(self.labels)) != len(self.labels):
+        positions = {label: i for i, label in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise LayoutConflictError(f"duplicate basis label in subsystem {self.name!r}")
+        object.__setattr__(self, "positions", positions)
 
     @property
     def dimension(self) -> int:
@@ -57,8 +62,8 @@ class Subsystem:
 
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.positions[label]
+        except KeyError:
             raise UnknownLabelError(
                 f"subsystem {self.name!r} has no basis label {label!r}"
             ) from None
@@ -66,17 +71,21 @@ class Subsystem:
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered collection of subsystems; the index space of a state vector."""
+    """Ordered collection of subsystems; the index space of a state vector.
+    ``axes`` maps each subsystem name to its position."""
 
     subsystems: tuple[Subsystem, ...]
+    axes: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
-        names = [s.name for s in self.subsystems]
-        if len(set(names)) != len(names):
+        axes = {s.name: i for i, s in enumerate(self.subsystems)}
+        if len(axes) != len(self.subsystems):
+            names = [s.name for s in self.subsystems]
             raise LayoutConflictError(f"duplicate subsystem names in layout: {names}")
         if not self.subsystems:
             raise InvalidPartitionError("layout needs at least one subsystem")
+        object.__setattr__(self, "axes", axes)
 
     @classmethod
     def of(cls, *specs: tuple[str, Sequence[str]]) -> "SubsystemLayout":
@@ -95,10 +104,10 @@ class SubsystemLayout:
         return math.prod(self.dims)
 
     def axis(self, name: str) -> int:
-        for i, s in enumerate(self.subsystems):
-            if s.name == name:
-                return i
-        raise UnknownSubsystemError(f"layout has no subsystem {name!r}")
+        try:
+            return self.axes[name]
+        except KeyError:
+            raise UnknownSubsystemError(f"layout has no subsystem {name!r}") from None
 
     def subsystem(self, name: str) -> Subsystem:
         return self.subsystems[self.axis(name)]
@@ -285,11 +294,8 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     keep = set(keep)
     if not keep:
         raise InvalidPartitionError("partial trace must keep at least one subsystem")
+    kept_axes = sorted(rho.layout.axis(name) for name in keep)
     names = rho.layout.names
-    for name in keep:
-        if name not in names:
-            raise UnknownSubsystemError(f"layout has no subsystem {name!r}")
-    kept_axes = [i for i, n in enumerate(names) if n in keep]
     dims = rho.layout.dims
     n = len(dims)
     t = rho.matrix.reshape(dims + dims)
@@ -303,52 +309,56 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     return DensityOperator(sub, reduced.reshape(d, d))
 
 
-def _merged_labels(
-    parts: Sequence[Subsystem],
+def merged_register(
+    layout: SubsystemLayout,
+    parts: Sequence[str],
+    new_name: str,
     label_map: Mapping[tuple[str, ...], str],
-) -> tuple[str, ...]:
-    import itertools
+) -> Subsystem:
+    """The register ``new_name`` that groups ``parts`` of ``layout``.
 
+    Its labels are the lexicographic product of the part labels, renamed
+    through ``label_map``; unnamed product labels keep tuple form.
+    """
+    subs = [layout.subsystem(p) for p in parts]
     for key in label_map:
-        if len(key) != len(parts):
+        if len(key) != len(subs):
             raise UnknownLabelError(f"label_map key {key!r} does not match parts")
-        for sub, label in zip(parts, key):
+        for sub, label in zip(subs, key):
             sub.index_of(label)
     values = list(label_map.values())
     if len(set(values)) != len(values):
         raise NonInjectiveLabelMapError("label_map assigns one name to several label tuples")
-    merged = []
-    for combo in itertools.product(*(s.labels for s in parts)):
-        name = label_map.get(combo, "(" + ",".join(combo) + ")")
-        merged.append(name)
+    merged = tuple(label_map.get(combo, "(" + ",".join(combo) + ")")
+                   for combo in itertools.product(*(s.labels for s in subs)))
     if len(set(merged)) != len(merged):
         raise NonInjectiveLabelMapError("grouped labels collide with auto-generated names")
-    return tuple(merged)
+    return Subsystem(new_name, merged)
 
 
 def group_layout(
     layout: SubsystemLayout,
     parts: Sequence[str],
-    new_name: str,
-    label_map: Mapping[tuple[str, ...], str],
+    register: Subsystem,
 ) -> SubsystemLayout:
-    """Merge ``parts`` into one subsystem placed at the first part's position.
+    """Replace ``parts`` by ``register``, placed at the first part's position.
 
-    Combined labels are the lexicographic product of the part labels, renamed
-    through ``label_map``; unnamed product labels keep tuple form.
+    The register's dimension must be the product of the parts' dimensions.
     """
-    if len(parts) < 2:
-        raise InvalidPartitionError("grouping needs at least two parts")
-    part_subs = [layout.subsystem(p) for p in parts]
-    merged = Subsystem(new_name, _merged_labels(part_subs, label_map))
+    if len(parts) < 2 or len(set(parts)) != len(parts):
+        raise InvalidPartitionError("grouping needs at least two distinct parts")
+    spanned = math.prod(layout.subsystem(p).dimension for p in parts)
+    if register.dimension != spanned:
+        raise LayoutMismatchError(
+            f"register {register.name!r} has dimension {register.dimension}, "
+            f"parts {tuple(parts)} span {spanned}"
+        )
     part_set = set(parts)
     out: list[Subsystem] = []
     for sub in layout.subsystems:
         if sub.name == parts[0]:
-            out.append(merged)
-        elif sub.name in part_set:
-            continue
-        else:
+            out.append(register)
+        elif sub.name not in part_set:
             out.append(sub)
     return SubsystemLayout(tuple(out))
 
@@ -356,24 +366,22 @@ def group_layout(
 def group_state(
     state: StateVector,
     parts: Sequence[str],
-    new_name: str,
-    label_map: Mapping[tuple[str, ...], str],
+    register: Subsystem,
 ) -> StateVector:
-    """Re-express a state over the grouped layout.
+    """Re-express a state over the layout with ``parts`` grouped into
+    ``register`` (see ``group_layout``).
 
     Pure index re-association: amplitudes are permuted, never recomputed.
     """
     layout = state.layout
-    new_layout = group_layout(layout, parts, new_name, label_map)
+    new_layout = group_layout(layout, parts, register)
     part_axes = [layout.axis(p) for p in parts]
     part_set = set(part_axes)
     order: list[int] = []
     for i in range(len(layout.subsystems)):
         if i == part_axes[0]:
             order.extend(part_axes)
-        elif i in part_set:
-            continue
-        else:
+        elif i not in part_set:
             order.append(i)
     t = state.tensor_view().transpose(order)
     return StateVector(new_layout, t.reshape(new_layout.dimension),

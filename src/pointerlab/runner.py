@@ -201,8 +201,7 @@ def _named_step(action: sc.Action) -> tuple[str, Step]:
         return f"after-{action.apparatus}", MeasurementSpec(
             action.target, action.resolved, action.apparatus, action.ready, action.outcomes)
     if isinstance(action, sc.GroupAction):
-        return f"group-{action.new_name}", GroupStep(action.parts, action.new_name,
-                                                      action.label_map)
+        return f"group-{action.new_name}", GroupStep(action.parts, action.resolved)
     return f"couple-{action.environment}", CoupleStep(action.environment, action.resolved)
 
 

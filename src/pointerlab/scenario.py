@@ -2,11 +2,12 @@
 
 A scenario declares a layout, an initial state, an ordered list of actions
 (premeasure / group / couple), optional environment models, and queries.
-The parser is the one place where labels become vectors.  It tracks the
-layout through every group and couple, and resolves each label expression
-(the initial state, premeasure/born/rewrite bases, couple and model
-branches, the basis of a certainty proposition) against the layout in force
-where it appears.  A resolved value sits in the ``resolved`` field beside
+The parser is the one place where labels become vectors.  It tracks a
+``SubsystemLayout`` through every group and couple, grouping with the
+``hilbert`` functions the run uses, and resolves each label expression (the
+initial state, premeasure/born/rewrite bases, couple and model branches,
+the basis of a certainty proposition) against the layout in force where it
+appears.  A resolved value sits in the ``resolved`` field beside
 the text-level fields it came from; those fields take no part in equality,
 so ``parse_scenario(serialize_scenario(s)) == s`` compares scenario text.
 
@@ -45,7 +46,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -54,8 +55,9 @@ from .hilbert import (
     StateVector,
     Subsystem,
     SubsystemLayout,
-    _merged_labels,
     gram_defect,
+    group_layout,
+    merged_register,
     normalized,
 )
 from .measurement import Basis
@@ -67,8 +69,10 @@ SECTION_ORDER = ("layout", "state", "actions", "models", "queries")
 
 # Most amplitudes a layout may hold at any stage: the smallest power of two
 # above the 11-agent, three-level chain of bench/scaling.py (1,062,882
-# amplitudes, 25 s on one core of a 2-CPU machine), the largest generated
-# chain that finishes within that script's one-minute limit.
+# amplitudes), the largest generated chain that finished within that
+# script's one-minute limit when the limit was set.  A run keeps every
+# stage, so that chain's CLI run peaks near 870 MiB (6 s on one core of a
+# 2-CPU machine); the next size up would need about three times as much.
 MAX_AMPLITUDES = 2**21
 
 
@@ -80,12 +84,6 @@ def _resolved():
 # --------------------------------------------------------------------------
 # Declarations
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubsystemDecl:
-    name: str
-    labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -122,6 +120,7 @@ class GroupAction:
     parts: tuple[str, ...]
     new_name: str
     label_map: tuple[tuple[tuple[str, ...], str], ...]
+    resolved: Subsystem = _resolved()
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ Query = Union[BornQuery, CertaintyQuery, RewriteQuery, TriorthoQuery, AuditQuery
 
 @dataclass(frozen=True)
 class Scenario:
-    subsystems: tuple[SubsystemDecl, ...]
+    subsystems: tuple[Subsystem, ...]
     derived: tuple[DerivedDecl, ...]
     state_terms: tuple[StateTerm, ...]
     steps: tuple[Step, ...]
@@ -375,55 +374,45 @@ def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
 
 
 class _Schema:
-    """Evolving name/label environment: validates names and resolves labels
-    to vectors against the layout in force."""
+    """The layout in force (None before the first subsystem line) and the
+    derived labels, against which labels resolve to vectors."""
 
-    def __init__(self, labels: Mapping[str, tuple[str, ...]] | None = None,
-                 derived: Mapping[tuple[str, str], tuple[tuple[str, complex], ...]] | None = None):
-        self.labels: dict[str, tuple[str, ...]] = dict(labels or {})
-        self.order: list[str] = list(self.labels)
-        self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = dict(derived or {})
+    def __init__(self):
+        self.layout: SubsystemLayout | None = None
+        self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = {}
         self._bases: dict[tuple, Basis] = {}
 
     def add(self, name: str, labels: tuple[str, ...], line: int, col: int) -> None:
-        if name in self.labels:
+        held = self.layout.subsystems if self.layout else ()
+        if self.layout and name in self.layout.axes:
             raise ScenarioParseError(f"subsystem {name!r} already declared", line, col,
                                      "pick a fresh name")
-        amplitudes = len(labels) * math.prod(len(v) for v in self.labels.values())
+        amplitudes = len(labels) * math.prod(sub.dimension for sub in held)
         if amplitudes > MAX_AMPLITUDES:
             raise ScenarioParseError(
                 f"layout would hold {amplitudes:,} amplitudes, over the limit of "
                 f"{MAX_AMPLITUDES:,}", line, col, "use fewer or smaller registers")
-        self.order.append(name)
-        self.labels[name] = labels
+        self.layout = SubsystemLayout(held + (Subsystem(name, labels),))
 
-    def require(self, name: str, line: int, col: int) -> tuple[str, ...]:
-        if name not in self.labels:
-            raise ScenarioParseError(f"subsystem {name!r} was never declared", line, col,
-                                     "declare it in the layout section")
-        return self.labels[name]
-
-    def layout(self, names: Sequence[str]) -> SubsystemLayout:
-        return SubsystemLayout.of(*((n, self.labels[n]) for n in names))
-
-    def _expand(self, name: str, label: str, line: int, col: int) -> list[tuple[int, complex]]:
-        labels = self.labels[name]
-        terms = ((label, 1.0 + 0.0j),) if label in labels else self.derived.get((name, label))
-        if terms is None or any(lab not in labels for lab, _ in terms):
+    def _expand(self, sub: Subsystem, label: str, line: int, col: int) -> list[tuple[int, complex]]:
+        if label in sub.positions:
+            return [(sub.positions[label], 1.0 + 0.0j)]
+        terms = self.derived.get((sub.name, label))
+        if terms is None or any(lab not in sub.positions for lab, _ in terms):
             raise ScenarioParseError(
-                f"{label!r} is neither a basis label nor a derived label of {name!r}",
-                line, col, f"declare it with: derived {name} {label} = ...",
+                f"{label!r} is neither a basis label nor a derived label of {sub.name!r}",
+                line, col, f"declare it with: derived {sub.name} {label} = ...",
             )
-        return [(labels.index(lab), c) for lab, c in terms]
+        return [(sub.positions[lab], c) for lab, c in terms]
 
-    def vector(self, names: Sequence[str], terms: Sequence[StateTerm],
+    def vector(self, subs: Sequence[Subsystem], terms: Sequence[StateTerm],
                line: int, col: int) -> np.ndarray:
-        """Raw amplitudes of ``terms`` (one basis or derived label per name)
-        over ``names``, flat index lexicographic in the order given."""
-        dims = [len(self.labels[n]) for n in names]
+        """Raw amplitudes of ``terms`` (one basis or derived label per
+        register) over ``subs``, flat index lexicographic in the order given."""
+        dims = [sub.dimension for sub in subs]
         vec = np.zeros(math.prod(dims), dtype=np.complex128)
         for term in terms:
-            expansions = [self._expand(n, lab, line, col) for n, lab in zip(names, term.labels)]
+            expansions = [self._expand(sub, lab, line, col) for sub, lab in zip(subs, term.labels)]
             for combo in itertools.product(*expansions):
                 flat = 0
                 coeff = term.coefficient
@@ -433,66 +422,66 @@ class _Schema:
                 vec[flat] += coeff
         return vec
 
-    def item_vector(self, name: str, item: BasisItem, line: int, col: int) -> np.ndarray:
+    def item_vector(self, sub: Subsystem, item: BasisItem, line: int, col: int) -> np.ndarray:
         if isinstance(item, str):
-            return self.vector((name,), (StateTerm(1.0 + 0.0j, (item,)),), line, col)
-        labels = self.labels[name]
-        if len(item) != len(labels):
+            return self.vector((sub,), (StateTerm(1.0 + 0.0j, (item,)),), line, col)
+        if len(item) != sub.dimension:
             raise ScenarioParseError(
-                f"vector literal has {len(item)} entries, subsystem {name!r} "
-                f"has dimension {len(labels)}", line, col,
+                f"vector literal has {len(item)} entries, subsystem {sub.name!r} "
+                f"has dimension {sub.dimension}", line, col,
                 "give one amplitude per basis label",
             )
         return np.array(item, dtype=np.complex128)
 
-    def basis(self, name: str, items: Sequence[tuple[BasisItem, int]], line: int,
+    def basis(self, sub: Subsystem, items: Sequence[tuple[BasisItem, int]], line: int,
               col: int) -> Basis:
         """Orthonormal basis over one register from (item, column) pairs; a
         vector literal is labelled b<k> after its position.  An item error
         points at the item, a Gram defect at the set's column ``col``.  Each
-        distinct set over the register's current labels resolves once."""
-        key = (name, self.labels[name], tuple(it for it, _ in items))
+        distinct set over the same register resolves once."""
+        key = (sub, tuple(it for it, _ in items))
         if key in self._bases:
             return self._bases[key]
-        raw = np.stack([self.item_vector(name, it, line, icol) for it, icol in items])
+        raw = np.stack([self.item_vector(sub, it, line, icol) for it, icol in items])
         defect = gram_defect(raw)
         if defect is not None:
             i, j, g = defect
             raise ScenarioParseError(
-                f"basis over {name!r} is not orthonormal: Gram[{i},{j}] = "
+                f"basis over {sub.name!r} is not orthonormal: Gram[{i},{j}] = "
                 f"{_fmt_complex_plain(g)}", line, col, "make the vectors orthonormal",
             )
-        layout = self.layout([name])
+        layout = SubsystemLayout((sub,))
         labels = tuple(it if isinstance(it, str) else f"b{k}" for k, (it, _) in enumerate(items))
         basis = self._bases[key] = Basis(labels, tuple(normalized(layout, v) for v in raw))
         return basis
 
     def group(self, parts: Sequence[str], new_name: str,
-              label_map: dict[tuple[str, ...], str], line: int, col: int) -> None:
-        if new_name in self.labels and new_name not in parts:
+              label_map: dict[tuple[str, ...], str], line: int, col: int) -> Subsystem:
+        if new_name in self.layout.axes and new_name not in parts:
             raise ScenarioParseError(f"group name {new_name!r} already taken", line, col,
                                      "pick a fresh name")
-        subs = [Subsystem(p, self.labels[p]) for p in parts]
         try:
-            merged = _merged_labels(subs, label_map)
+            register = merged_register(self.layout, parts, new_name, label_map)
         except (NonInjectiveLabelMapError, UnknownLabelError) as exc:
             raise ScenarioParseError(str(exc), line, col,
                                      "map distinct label tuples to distinct names") from None
-        # The merged register takes the first part's slot once the other
-        # parts are gone, mirroring the runtime layout exactly.
-        others = set(parts) - {parts[0]}
-        position = [n for n in self.order if n not in others].index(parts[0])
-        for p in parts:
-            self.order.remove(p)
-            del self.labels[p]
-        self.order.insert(position, new_name)
-        self.labels[new_name] = merged
+        self.layout = group_layout(self.layout, parts, register)
+        return register
 
-    def canonical_target_order(self, targets: Sequence[str]) -> tuple[str, ...]:
-        return tuple(sorted(targets, key=self.order.index))
 
-    def snapshot(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.labels)
+def _register(layout: SubsystemLayout | None, name: str, line: int, col: int) -> Subsystem:
+    """Register ``name`` of ``layout``, or a parse error at ``col``."""
+    if layout is None or name not in layout.axes:
+        raise ScenarioParseError(f"subsystem {name!r} was never declared", line, col,
+                                 "declare it in the layout section")
+    return layout.subsystems[layout.axes[name]]
+
+
+def _once(seen: set, key, what: str, line: int, col: int) -> None:
+    """Record ``key`` in ``seen``; a repeat is an error at its column."""
+    if key in seen:
+        raise ScenarioParseError(f"{what} appears twice", line, col, "give each entry once")
+    seen.add(key)
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +583,6 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; raises ScenarioParseError with
     line/column and a fix hint on the first problem found."""
     schema = _Schema()
-    subsystems: list[SubsystemDecl] = []
     derived_layout: list[DerivedDecl] = []
     state_terms: tuple[StateTerm, ...] | None = None
     initial: StateVector | None = None
@@ -602,7 +590,8 @@ def parse_scenario(text: str) -> Scenario:
     queries: list[Query] = []
     declared_models: dict[str, ModelDecl] = {}
     apparatus_actions: dict[str, PremeasureAction] = {}
-    stage_schemas: list[dict[str, tuple[str, ...]]] = []
+    # The declared layout, then the layout after each action.
+    stages: list[SubsystemLayout] = []
 
     section = None
     seen_sections: list[str] = []
@@ -624,13 +613,18 @@ def parse_scenario(text: str) -> Scenario:
                     f"order sections as {', '.join(SECTION_ORDER)}",
                 )
             seen_sections.append(section)
+            if section != "layout" and not stages:
+                if schema.layout is None:
+                    raise ScenarioParseError(f"{section}: comes before any subsystem",
+                                             line_no, 1, "start with layout: and a subsystem")
+                stages.append(schema.layout)
             rest = header.group(2).strip()
             if section == "state":
                 if not rest:
                     raise ScenarioParseError("state: needs an expression on the same line",
                                              line_no, 1, "write state: coeff|ket> + ...")
                 col = raw_line.index("state:") + len("state:") + 1
-                state_terms, initial = _parse_state(rest, line_no, col, schema, subsystems)
+                state_terms, initial = _parse_state(rest, line_no, col, schema)
             elif rest:
                 raise ScenarioParseError(f"unexpected text after {section}:", line_no, 1,
                                          "put directives on their own lines")
@@ -642,7 +636,7 @@ def parse_scenario(text: str) -> Scenario:
         col0 = raw_line.index(stripped[0]) + 1 if stripped else 1
 
         if section == "layout":
-            _parse_layout_line(stripped, line_no, col0, schema, subsystems, derived_layout)
+            _parse_layout_line(stripped, line_no, col0, schema, derived_layout)
         elif section == "state":
             raise ScenarioParseError("state section holds a single expression line",
                                      line_no, col0, "put the expression after state:")
@@ -656,10 +650,9 @@ def parse_scenario(text: str) -> Scenario:
                         line_no, col0, "use one apparatus per measurement")
                 apparatus_actions[step.apparatus] = step
             if not isinstance(step, DerivedDecl):
-                stage_schemas.append(schema.snapshot())
+                stages.append(schema.layout)
         elif section == "models":
-            model = _parse_model_line(stripped, line_no, col0, subsystems, derived_layout,
-                                      [{d.name: d.labels for d in subsystems}, *stage_schemas])
+            model = _parse_model_line(stripped, line_no, col0, schema, stages)
             if model.name in declared_models:
                 raise ScenarioParseError(f"model {model.name!r} declared twice",
                                          line_no, col0, "model names must be unique")
@@ -667,8 +660,7 @@ def parse_scenario(text: str) -> Scenario:
         elif section == "queries":
             queries.append(
                 _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
-                                  declared_models,
-                                  [{d.name: d.labels for d in subsystems}, *stage_schemas])
+                                  declared_models, stages)
             )
 
     if state_terms is None:
@@ -678,7 +670,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError("no queries", len(lines) or 1, 1,
                                  "add a queries: section with at least one query")
     return Scenario(
-        subsystems=tuple(subsystems),
+        subsystems=stages[0].subsystems,
         derived=tuple(derived_layout),
         state_terms=state_terms,
         steps=tuple(steps),
@@ -694,11 +686,11 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
         raise ScenarioParseError("malformed derived declaration", line_no, col0,
                                  "write: derived SUBSYSTEM LABEL = expression")
     sub_name, label, expr = m.group(1), m.group(2), m.group(3)
-    labels = schema.require(sub_name, line_no, col0)
+    sub = _register(schema.layout, sub_name, line_no, col0)
     if not _LABEL_RE.match(label):
         raise ScenarioParseError(f"malformed derived label {label!r}", line_no, col0,
                                  "labels use letters, digits, + - / . _")
-    if label in labels or (sub_name, label) in schema.derived:
+    if label in sub.positions or (sub_name, label) in schema.derived:
         raise ScenarioParseError(f"label {label!r} already exists on {sub_name!r}",
                                  line_no, col0, "pick a fresh label")
     expr_col = col0 + stripped.index("=") + 1
@@ -707,11 +699,11 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
         if len(term.labels) != 1:
             raise ScenarioParseError("derived vectors use single-label kets",
                                      line_no, expr_col, "write |up>, not |up,down>")
-        if term.labels[0] not in labels:
+        if term.labels[0] not in sub.positions:
             raise ScenarioParseError(
                 f"{term.labels[0]!r} is not a basis label of {sub_name!r}", line_no, expr_col,
                 "derived vectors expand over computational labels only")
-    nrm = float(np.linalg.norm(schema.vector((sub_name,), terms, line_no, expr_col)))
+    nrm = float(np.linalg.norm(schema.vector((sub,), terms, line_no, expr_col)))
     if abs(nrm - 1.0) > 1e-9:
         raise ScenarioParseError(
             f"derived vector {label!r} has norm {nrm:.9g}, expected 1", line_no,
@@ -721,7 +713,7 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
     return decl
 
 
-def _parse_layout_line(stripped, line_no, col0, schema, subsystems, derived_layout):
+def _parse_layout_line(stripped, line_no, col0, schema, derived_layout):
     if stripped.startswith("subsystem"):
         m = re.match(r"^subsystem\s+(\S+)\s*\{(.*)\}$", stripped)
         if not m:
@@ -746,7 +738,6 @@ def _parse_layout_line(stripped, line_no, col0, schema, subsystems, derived_layo
             raise ScenarioParseError(f"duplicate label in subsystem {name!r}",
                                      line_no, col0, "labels must be unique")
         schema.add(name, tuple(labels), line_no, col0)
-        subsystems.append(SubsystemDecl(name, tuple(labels)))
     elif stripped.startswith("derived"):
         derived_layout.append(_parse_derived(stripped, line_no, col0, schema))
     else:
@@ -754,15 +745,15 @@ def _parse_layout_line(stripped, line_no, col0, schema, subsystems, derived_layo
                                  line_no, col0, "use subsystem or derived")
 
 
-def _parse_state(expr, line_no, col, schema, subsystems):
+def _parse_state(expr, line_no, col, schema):
     terms = parse_expression(expr, line_no, col)
-    names = [d.name for d in subsystems]
+    subs = schema.layout.subsystems
     for term in terms:
-        if len(term.labels) != len(names):
+        if len(term.labels) != len(subs):
             raise ScenarioParseError(
-                f"ket has {len(term.labels)} labels, layout has {len(names)} subsystems",
+                f"ket has {len(term.labels)} labels, layout has {len(subs)} subsystems",
                 line_no, col, "give one label per declared subsystem, in order")
-    amps = schema.vector(names, terms, line_no, col)
+    amps = schema.vector(subs, terms, line_no, col)
     if not amps.any():
         raise ScenarioParseError("state terms sum to the zero vector", line_no, col,
                                  "give the state a nonzero amplitude")
@@ -771,7 +762,7 @@ def _parse_state(expr, line_no, col, schema, subsystems):
     if not 0.0 < nrm < math.inf:
         raise ScenarioParseError(f"state norm {nrm} is out of floating-point range",
                                  line_no, col, "scale the coefficients toward 1")
-    return terms, normalized(schema.layout(names), amps)
+    return terms, normalized(schema.layout, amps)
 
 
 def _parse_action_line(stripped, line_no, col0, schema) -> Step:
@@ -783,21 +774,21 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         fields = _field_map(toks[1:], line_no,
                             ("target", "apparatus", "basis", "outcomes", "ready"))
         tval, tcol = _need(fields, "target", line_no, "premeasure")
-        schema.require(tval, line_no, tcol)
+        target = _register(schema.layout, tval, line_no, tcol)
         aval, acol = _need(fields, "apparatus", line_no, "premeasure")
-        app_labels = schema.require(aval, line_no, acol)
+        app = _register(schema.layout, aval, line_no, acol)
         if aval == tval:
             raise ScenarioParseError("apparatus cannot equal target", line_no, acol,
                                      "measure one register with another")
         bval, bcol = _need(fields, "basis", line_no, "premeasure")
         items = _parse_basis_items(bval, line_no, bcol)
         basis = tuple(it for it, _ in items)
-        resolved = schema.basis(tval, items, line_no, bcol)
+        resolved = schema.basis(target, items, line_no, bcol)
         oval, ocol = _need(fields, "outcomes", line_no, "premeasure")
         outcome_items = _parse_basis_items(oval, line_no, ocol)
         outcomes = []
         for it, off in outcome_items:
-            if not isinstance(it, str) or it not in app_labels:
+            if not isinstance(it, str) or it not in app.positions:
                 raise ScenarioParseError(
                     f"outcome {it!r} is not a label of apparatus {aval!r}",
                     line_no, off, "outcomes name apparatus levels")
@@ -810,7 +801,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                 f"{len(basis)} basis vectors but {len(outcomes)} outcomes",
                 line_no, ocol, "give one outcome per basis vector")
         rval, rcol = _need(fields, "ready", line_no, "premeasure")
-        if rval not in app_labels:
+        if rval not in app.positions:
             raise ScenarioParseError(f"ready label {rval!r} not on apparatus {aval!r}",
                                      line_no, rcol, "ready names an apparatus level")
         return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, resolved)
@@ -821,7 +812,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                                      "write: group parts=(A,B) as NAME map={(a,b):x, ...}")
         parts = tuple(n for n, _ in _parse_name_list(m.group(1), line_no, col0))
         for p in parts:
-            schema.require(p, line_no, col0)
+            _register(schema.layout, p, line_no, col0)
         if len(parts) < 2 or len(set(parts)) != len(parts):
             raise ScenarioParseError("group needs two or more distinct parts",
                                      line_no, col0, "list distinct subsystem names")
@@ -833,6 +824,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         map_col = col0 + stripped.index("map=") + 4
         inner, base = _unwrap(map_text, "{", "}", line_no, map_col, "label map")
         pairs = []
+        keys: set[tuple[str, ...]] = set()
         for raw, off in _split_commas(inner, base):
             if not raw:
                 continue
@@ -841,26 +833,25 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                 raise ScenarioParseError(f"malformed map entry {raw!r}", line_no, off,
                                          "entries look like (a,b):name")
             key = tuple(k for k, _ in _split_commas(pm.group(1), off))
+            _once(keys, key, f"map key ({','.join(key)})", line_no, off)
             value = pm.group(2)
             if not _LABEL_RE.match(value):
                 raise ScenarioParseError(f"malformed label {value!r}", line_no, off,
                                          "labels use letters, digits, + - / . _")
             pairs.append((key, value))
-        schema.group(parts, new_name, dict(pairs), line_no, map_col)
-        return GroupAction(parts, new_name, tuple(pairs))
+        register = schema.group(parts, new_name, dict(pairs), line_no, map_col)
+        return GroupAction(parts, new_name, tuple(pairs), register)
     if head == "couple":
         fields = _field_map(toks[1:], line_no, ("env", "targets", "branches"))
         eval_, ecol = _need(fields, "env", line_no, "couple")
-        if eval_ in schema.labels:
+        if eval_ in schema.layout.axes:
             raise ScenarioParseError(f"environment name {eval_!r} already taken",
                                      line_no, ecol, "pick a fresh name")
         tval, tcol = _need(fields, "targets", line_no, "couple")
-        targets = tuple(n for n, _ in _parse_name_list(tval, line_no, tcol))
-        for t in targets:
-            schema.require(t, line_no, tcol)
+        targets = _parse_targets(tval, line_no, tcol, schema.layout)
         bval, bcol = _need(fields, "branches", line_no, "couple")
-        ordered, branches, vectors = _parse_branch_set(bval, line_no, bcol,
-                                                       schema, targets)
+        ordered, branches, vectors = _parse_branch_set(bval, line_no, bcol, schema,
+                                                       schema.layout, targets)
         env_labels = tuple(f"eps{i}" for i in range(len(branches) + 1))
         schema.add(eval_, env_labels, line_no, ecol)
         return CoupleAction(eval_, ordered, branches, vectors)
@@ -868,11 +859,22 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                              "actions are premeasure, group, couple (or derived)")
 
 
-def _parse_branch_set(bval, line_no, col, schema, targets):
-    """Branches written over ``targets``, put in layout order (so their kets
-    line up with the registers the coupling acts on), resolved and checked
-    orthonormal: (ordered targets, branch terms, branch vectors)."""
-    ordered = schema.canonical_target_order(targets)
+def _parse_targets(tval, line_no, col, layout) -> tuple[str, ...]:
+    """A couple or model target list: distinct registers of ``layout``."""
+    targets = _parse_name_list(tval, line_no, col)
+    seen: set[str] = set()
+    for name, off in targets:
+        _register(layout, name, line_no, col)
+        _once(seen, name, f"target {name!r}", line_no, off)
+    return tuple(n for n, _ in targets)
+
+
+def _parse_branch_set(bval, line_no, col, schema, layout, targets):
+    """Branches written over ``targets``, put in the order of ``layout`` (so
+    their kets line up with the registers the coupling acts on), resolved
+    and checked orthonormal: (ordered targets, branch terms, branch vectors)."""
+    ordered = tuple(sorted(targets, key=layout.axes.__getitem__))
+    on = layout.sublayout(ordered)
     perm = [targets.index(t) for t in ordered]
     branches = []
     vecs = []
@@ -884,7 +886,7 @@ def _parse_branch_set(bval, line_no, col, schema, targets):
                     line_no, off, "one label per target subsystem")
         terms = tuple(StateTerm(t.coefficient, tuple(t.labels[p] for p in perm))
                       for t in terms)
-        vec = schema.vector(ordered, terms, line_no, off)
+        vec = schema.vector(on.subsystems, terms, line_no, off)
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > 1e-9:
             raise ScenarioParseError(f"branch vector has norm {nrm:.9g}, expected 1",
@@ -897,14 +899,13 @@ def _parse_branch_set(bval, line_no, col, schema, targets):
         raise ScenarioParseError(
             f"branches not orthonormal: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
             line_no, col, "make the branch vectors orthonormal")
-    layout = schema.layout(ordered)
-    return ordered, tuple(branches), tuple(normalized(layout, v) for v in vecs)
+    return ordered, tuple(branches), tuple(normalized(on, v) for v in vecs)
 
 
-def _parse_model_line(stripped, line_no, col0, subsystems, derived_layout, stages):
-    """``stages`` holds the register labels of the declared layout and after
-    each action: a model attaches its environment under its own name, so no
-    register may carry that name at any stage."""
+def _parse_model_line(stripped, line_no, col0, schema, stages):
+    """``stages`` holds the declared layout and the layout after each action:
+    a model attaches its environment under its own name, so no register may
+    carry that name at any stage."""
     m = re.match(r"^model\s+(\S+)\s+(.*)$", stripped)
     if not m:
         raise ScenarioParseError("malformed model declaration", line_no, col0,
@@ -913,7 +914,7 @@ def _parse_model_line(stripped, line_no, col0, subsystems, derived_layout, stage
     if not _NAME_RE.match(name):
         raise ScenarioParseError(f"malformed model name {name!r}", line_no, col0,
                                  "names start with a letter or underscore")
-    if any(name in st for st in stages):
+    if any(name in st.axes for st in stages):
         raise ScenarioParseError(f"model name {name!r} is taken by a register",
                                  line_no, col0 + m.start(1),
                                  "pick a model name that no register uses")
@@ -922,13 +923,9 @@ def _parse_model_line(stripped, line_no, col0, subsystems, derived_layout, stage
     tval, tcol = _need(fields, "targets", line_no, "model")
     # Models describe couplings at measurement time; validate against the
     # declared (pre-group) layout.
-    declared = _Schema({d.name: d.labels for d in subsystems},
-                       {(d.subsystem, d.label): d.terms for d in derived_layout})
-    targets = tuple(n for n, _ in _parse_name_list(tval, line_no, tcol))
-    for t in targets:
-        declared.require(t, line_no, tcol)
+    targets = _parse_targets(tval, line_no, tcol, stages[0])
     bval, bcol = _need(fields, "branches", line_no, "model")
-    return ModelDecl(name, *_parse_branch_set(bval, line_no, bcol, declared, targets))
+    return ModelDecl(name, *_parse_branch_set(bval, line_no, bcol, schema, stages[0], targets))
 
 
 def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, stages) -> Basis:
@@ -944,19 +941,18 @@ def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, sta
                 f"predicate {predicate!r} is not among the measured basis labels "
                 f"{basis.labels}", line_no, col, f"use one of {list(basis.labels)}")
         return basis
-    labels = next((st[subject] for st in stages if subject in st), None)
-    if labels is None:
+    sub = next((st.subsystem(subject) for st in stages if subject in st.axes), None)
+    if sub is None:
         raise ScenarioParseError(f"prop subject {subject!r} is unknown", line_no,
                                  col, "name a subsystem or an apparatus")
-    at_subject = _Schema({subject: labels}, schema.derived)
-    if predicate in labels:
-        return Basis.computational(at_subject.layout([subject]), subject)
-    derived = [lab for sub, lab in schema.derived if sub == subject]
+    if predicate in sub.positions:
+        return Basis.computational(SubsystemLayout((sub,)), subject)
+    derived = [lab for name, lab in schema.derived if name == subject]
     if predicate not in derived:
         raise ScenarioParseError(
             f"predicate {predicate!r} is neither a basis nor a derived label of "
             f"{subject!r}", line_no, col, f"declare it with: derived {subject} ...")
-    return at_subject.basis(subject, [(lab, col) for lab in derived], line_no, col)
+    return schema.basis(sub, [(lab, col) for lab in derived], line_no, col)
 
 
 def _labelled_basis(query, raw, line_no, col, schema
@@ -964,7 +960,7 @@ def _labelled_basis(query, raw, line_no, col, schema
     """A born or rewrite entry NAME:{label, ...} at column ``col``:
     (name, labels, basis)."""
     name, brace = (part.strip() for part in raw.split(":", 1))
-    schema.require(name, line_no, col)
+    sub = _register(schema.layout, name, line_no, col)
     brace_col = col + len(raw) - len(brace)
     items = _parse_basis_items(brace, line_no, brace_col)
     for it, ioff in items:
@@ -972,7 +968,7 @@ def _labelled_basis(query, raw, line_no, col, schema
             raise ScenarioParseError(f"{query} bases use labels, not vector literals",
                                      line_no, ioff, "declare a derived label instead")
     labels = tuple(it for it, _ in items)
-    return name, labels, schema.basis(name, items, line_no, brace_col)
+    return name, labels, schema.basis(sub, items, line_no, brace_col)
 
 
 def _quoted_words(text, line_no, col, what, shape) -> list[str]:
@@ -1021,7 +1017,7 @@ def _apparatus(name, line_no, col, apparatus_actions, final=None) -> PremeasureA
         raise ScenarioParseError(
             f"{name!r} is not the apparatus of any premeasure action", line_no, col,
             "name an apparatus used in the actions section")
-    if final is not None and name not in final.labels:
+    if final is not None and name not in final.layout.axes:
         raise ScenarioParseError(f"apparatus {name!r} is grouped away before the end",
                                  line_no, col, "name an apparatus of the final layout")
     return apparatus_actions[name]
@@ -1039,17 +1035,18 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         inner, base = _unwrap(tval, "(", ")", line_no, tcol, "target list")
         targets = []
         bases: list[Basis | None] = []
+        seen: set[str] = set()
         for raw, off in _split_commas(inner, base):
             if not raw:
                 continue
             if ":" in raw:
                 name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
-                bases.append(basis)
-                targets.append((name, labels))
             else:
-                schema.require(raw, line_no, off)
-                bases.append(None)
-                targets.append((raw, None))
+                name, labels, basis = raw, None, None
+                _register(schema.layout, raw, line_no, off)
+            _once(seen, name, f"target {name!r}", line_no, off)
+            bases.append(basis)
+            targets.append((name, labels))
         if not targets:
             raise ScenarioParseError("born needs at least one target", line_no, col0,
                                      "write targets=(NAME) or targets=(NAME:{a,b})")
@@ -1084,6 +1081,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         inner, base = _unwrap(bval, "(", ")", line_no, bcol, "bases list")
         out = []
         bases = []
+        seen = set()
         for raw, off in _split_commas(inner, base):
             if not raw:
                 continue
@@ -1091,10 +1089,11 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                 raise ScenarioParseError(f"malformed bases entry {raw!r}", line_no,
                                          off, "entries look like NAME:{a,b}")
             name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
-            if basis.size != len(schema.labels[name]):
+            _once(seen, name, f"basis for {name!r}", line_no, off)
+            if basis.size != basis.layout.dimension:
                 raise ScenarioParseError(
                     f"rewrite basis for {name!r} has {basis.size} vectors, "
-                    f"needs {len(schema.labels[name])}", line_no, off,
+                    f"needs {basis.layout.dimension}", line_no, off,
                     "rewrite bases must be complete")
             bases.append(basis)
             out.append((name, labels))
@@ -1109,16 +1108,16 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                 continue
             names = _parse_name_list(raw, line_no, off)
             for n, noff in names:
-                schema.require(n, line_no, noff)
+                _register(schema.layout, n, line_no, noff)
             groups.append(tuple(n for n, _ in names))
         if len(groups) != 3:
             raise ScenarioParseError(f"triortho needs three parts, got {len(groups)}",
                                      line_no, pcol, "write parts=((A),(B),(C))")
         covered = [n for g in groups for n in g]
-        if sorted(covered) != sorted(schema.order):
+        if sorted(covered) != sorted(schema.layout.names):
             raise ScenarioParseError("triortho parts must cover the layout exactly",
                                      line_no, pcol,
-                                     f"cover {tuple(schema.order)} once each")
+                                     f"cover {schema.layout.names} once each")
         return TriorthoQuery((groups[0], groups[1], groups[2]))
     if head == "consistency_audit":
         fields = _field_map(toks[1:], line_no, ("chain", "joint", "decoherent", "models"))
@@ -1136,9 +1135,11 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                                  schema, apparatus_actions, stages)
         jval, jcol = _need(fields, "joint", line_no, "consistency_audit")
         joint = []
+        seen = set()
         for raw, off in _parse_name_list(jval, line_no, jcol):
             apparatus, _, label = (part.strip() for part in raw.partition(":"))
             action = _apparatus(apparatus, line_no, off, apparatus_actions, schema)
+            _once(seen, apparatus, f"apparatus {apparatus!r}", line_no, off)
             labels = action.resolved.labels
             if label not in labels:
                 raise ScenarioParseError(
@@ -1161,7 +1162,8 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                                      line_no, mcol, "write models=(COARSE, FINE)")
         for mn in models:
             for t in declared_models[mn].targets:
-                if schema.labels.get(t) != stages[0][t]:
+                final = schema.layout
+                if t not in final.axes or final.subsystem(t) != stages[0].subsystem(t):
                     raise ScenarioParseError(
                         f"model {mn!r} couples {t!r}, which is not in the final layout "
                         "as declared", line_no, mcol,
@@ -1169,7 +1171,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         hval, hcol = _need(fields, "hidden", line_no, "decoherence_compare")
         hidden = tuple(n for n, _ in _parse_name_list(hval, line_no, hcol))
         for n in hidden:
-            schema.require(n, line_no, hcol)
+            _register(schema.layout, n, line_no, hcol)
         aval, acol = _need(fields, "apparatus", line_no, "decoherence_compare")
         _apparatus(aval, line_no, acol, apparatus_actions, schema)
         if aval in hidden:

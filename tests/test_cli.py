@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from pointerlab.cli import EXIT_EXEC, EXIT_OK, EXIT_PARSE, bundled_scenario_text, main
 from pointerlab.runner import run
 from pointerlab.scenario import parse_scenario
@@ -393,3 +395,38 @@ def test_rewrite_prints_a_tiny_component_the_rebuild_needs(tmp_path, capsys):
     path = write(tmp_path, "tiny.scn", text)
     assert main(["run", path]) == EXIT_OK
     assert "tail, down  1e-07" in capsys.readouterr().out
+
+
+PAIR = """\
+layout:
+  subsystem R {head, tail}
+  subsystem A {a0, a1, a2}
+state: sqrt(1/2)|head,a0> + sqrt(1/2)|tail,a0>
+actions:
+  premeasure target=R apparatus=A basis={head,tail} outcomes={a1,a2} ready=a0
+models:
+  model m targets=(R) branches={|head>, |tail>}
+queries:
+  born targets=(R, A)
+"""
+
+
+@pytest.mark.parametrize("old, new, line, col", [
+    ("actions:\n", "actions:\n  couple env=E targets=(R,R) branches={|head,head>, |tail,tail>}\n",
+     6, 27),
+    ("model m targets=(R)", "model m targets=(R,R)", 8, 22),
+    ("born targets=(R, A)", "born targets=(R, R)", 10, 20),
+    ("born targets=(R, A)", "rewrite bases=(R:{head,tail}, R:{tail,head})", 10, 33),
+    ("born targets=(R, A)", 'consistency_audit chain=(s1:"A a1 R is_in_state head") '
+     "joint=(A:head, A:tail) decoherent=s1 models=(m)", 10, 73),
+    ("models:\n", "  group parts=(R,A) as G map={(head,a0):x, (head,a0):y}\nmodels:\n", 7, 44),
+], ids=["couple-targets", "model-targets", "born-targets", "rewrite-bases", "audit-joint",
+        "group-map"])
+def test_repeated_entry_is_a_parse_error_at_its_column(tmp_path, capsys, old, new, line, col):
+    # These used to exit 3 (a layout with R twice), fail only at run time,
+    # or exit 0 with the last repeat silently winning.
+    text = PAIR.replace(old, new, 1).replace("born targets=(R, A)", "born targets=(A)")
+    path = write(tmp_path, "repeat.scn", text)
+    assert main(["check", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"line {line}, col {col}: " in err and "appears twice" in err

@@ -45,6 +45,12 @@ def test_index_bijection_random_layouts():
             digits = np.unravel_index(flat, lay.dims)
             labels = tuple(sub.labels[k] for sub, k in zip(lay.subsystems, digits))
             assert lay.index(labels) == flat
+        # The label and name indexes take no part in equality, hashing or repr.
+        again = pl.SubsystemLayout.of(*specs)
+        assert again == lay and hash(again) == hash(lay) and repr(again) == repr(lay)
+        for sub, twin in zip(lay.subsystems, again.subsystems):
+            assert sub is not twin and sub == twin and hash(sub) == hash(twin)
+            assert repr(sub) == repr(twin) == f"Subsystem(name={sub.name!r}, labels={sub.labels!r})"
 
 
 def test_make_state_sums_repeats_and_normalizes():
@@ -225,8 +231,9 @@ def test_group_merges_at_first_part_position():
         (("tail", "up", "F2"), SQ(1 / 3)),
         (("tail", "down", "F2"), SQ(1 / 3)),
     ])
-    g = pl.group_state(s, ("R", "Fbar"), "Lbar",
-                       {("head", "F1"): "h", ("tail", "F2"): "t"})
+    lbar = pl.merged_register(lay, ("R", "Fbar"), "Lbar",
+                              {("head", "F1"): "h", ("tail", "F2"): "t"})
+    g = pl.group_state(s, ("R", "Fbar"), lbar)
     assert g.layout.names == ("Lbar", "S")
     assert abs(g.amplitude(("h", "down")) - SQ(1 / 3)) < 1e-12
     assert abs(g.amplitude(("t", "up")) - SQ(1 / 3)) < 1e-12
@@ -240,7 +247,7 @@ def test_group_of_adjacent_parts_is_bit_identical():
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     s = pl.StateVector(lay, v / np.linalg.norm(v))
     label_map = {("down", "F1"): "-1/2", ("up", "F2"): "+1/2"}
-    g = pl.group_state(s, ("S", "F"), "L", label_map)
+    g = pl.group_state(s, ("S", "F"), pl.merged_register(lay, ("S", "F"), "L", label_map))
     assert g.layout.names == ("L",)
     assert np.array_equal(g.amplitudes, s.amplitudes)
 
@@ -252,7 +259,7 @@ def test_group_reordered_parts_round_trip_by_label():
     rng = np.random.default_rng(9)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     s = pl.StateVector(lay, v / np.linalg.norm(v))
-    g = pl.group_state(s, ("R", "F"), "G", {})
+    g = pl.group_state(s, ("R", "F"), pl.merged_register(lay, ("R", "F"), "G", {}))
     assert g.layout.names == ("G", "S")
     for labels in [("head", "up", "F0"), ("tail", "down", "F1")]:
         grouped = (f"({labels[0]},{labels[2]})", labels[1])
@@ -263,8 +270,13 @@ def test_group_non_injective_map_rejected():
     lay = pl.SubsystemLayout.of(("R", ("head", "tail")), ("F", ("F0", "F1")))
     s = pl.basis_state(lay, ("head", "F0"))
     with pytest.raises(NonInjectiveLabelMapError):
-        pl.group_state(s, ("R", "F"), "G",
-                       {("head", "F0"): "x", ("tail", "F1"): "x"})
+        pl.merged_register(lay, ("R", "F"), "G",
+                           {("head", "F0"): "x", ("tail", "F1"): "x"})
+    # A register handed in must span exactly the parts it replaces, once each.
+    with pytest.raises(LayoutMismatchError):
+        pl.group_state(s, ("R", "F"), pl.Subsystem("G", ("a", "b", "c")))
+    with pytest.raises(InvalidPartitionError):
+        pl.group_state(s, ("R", "R"), pl.merged_register(lay, ("R", "R"), "G", {}))
 
 
 def test_amplitudes_are_read_only():

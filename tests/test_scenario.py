@@ -7,9 +7,15 @@ import pytest
 
 from pointerlab.cli import bundled_scenario_text
 from pointerlab.errors import ScenarioParseError
+from pointerlab.runner import DEMOS, scenario_transcript
 from pointerlab.scenario import (
     MAX_AMPLITUDES,
+    BornQuery,
     CertaintyQuery,
+    CoupleAction,
+    GroupAction,
+    PremeasureAction,
+    RewriteQuery,
     parse_coefficient,
     parse_scenario,
     serialize_scenario,
@@ -411,3 +417,60 @@ def test_layout_just_over_the_amplitude_limit_is_a_parse_error(stage):
     over = (2**10 + 1) * 2**(bits - 10)
     assert err.value.message.startswith(f"layout would hold {over:,} amplitudes")
     assert err.value.line == (qubits + 2 if stage == "layout" else qubits + 5)
+
+
+# A derived label over a grouped register, a couple with targets out of
+# layout order, a group whose first part sits after the second, and a model
+# written in derived labels declared among the actions.
+GROUPED_CHAIN = """\
+layout:
+  subsystem R {head, tail}
+  subsystem A {a0, a1, a2}
+  subsystem B {b0, b1, b2}
+state: sqrt(1/2)|head,a0,b0> + sqrt(1/2)|tail,a0,b0>
+actions:
+  premeasure target=R apparatus=A basis={head,tail} outcomes={a1,a2} ready=a0
+  derived R right = sqrt(1/2)|head> + sqrt(1/2)|tail>
+  derived R left = sqrt(1/2)|head> - sqrt(1/2)|tail>
+  couple env=E targets=(A,R) branches={|a1,head>, |a2,tail>}
+  group parts=(A,R) as L map={(a1,head):h, (a2,tail):t}
+  derived L plus = sqrt(1/2)|h> + sqrt(1/2)|t>
+  derived L minus = sqrt(1/2)|h> - sqrt(1/2)|t>
+  premeasure target=L apparatus=B basis={plus,minus} outcomes={b1,b2} ready=b0
+models:
+  model m targets=(A,R) branches={|a1,right>, |a2,left>}
+queries:
+  born targets=(B, L:{plus,minus})
+  rewrite bases=(E:{eps0,eps1,eps2})
+"""
+
+
+@pytest.mark.parametrize("text", [*map(bundled_scenario_text, DEMOS), GROUPED_CHAIN],
+                         ids=[*DEMOS, "grouped-chain"])
+def test_parse_time_layouts_match_the_runtime_stages(text):
+    # Every value the parser resolves lives on the part of the runtime layout
+    # it is applied to: stage i - 1 for action i, stage i for a group's
+    # register, the declared layout for models, the final layout for queries.
+    s = parse_scenario(text)
+    stages = [stage.state.layout for stage in scenario_transcript(s).stages]
+    for i, action in enumerate(s.actions, start=1):
+        if isinstance(action, PremeasureAction):
+            assert action.resolved.layout == stages[i - 1].sublayout([action.target])
+        elif isinstance(action, CoupleAction):
+            for branch in action.resolved:
+                assert branch.layout == stages[i - 1].sublayout(action.targets)
+        else:
+            assert isinstance(action, GroupAction)
+            assert action.resolved == stages[i].subsystem(action.new_name)
+    for model in s.models:
+        for branch in model.resolved:
+            assert branch.layout == stages[0].sublayout(model.targets)
+    for query in s.queries:
+        if isinstance(query, BornQuery):
+            entries = zip(query.targets, query.resolved)
+        elif isinstance(query, RewriteQuery):
+            entries = zip(query.bases, query.resolved)
+        else:
+            continue
+        for (name, _), basis in entries:
+            assert basis is None or basis.layout == stages[-1].sublayout([name])
