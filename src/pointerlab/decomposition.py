@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress, product, starmap
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -115,12 +116,10 @@ def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Dec
         back = np.moveaxis(np.tensordot(back, mat, axes=([axis], [0])), -1, axis)
     if np.linalg.norm(back.reshape(-1) - state.amplitudes) > ATOL:
         raise BasisCoverageError("rewrite failed to reconstruct the state")
-    terms = tuple(
-        Term(complex(t[idx]),
-             tuple(basis.vectors[k] for basis, k in zip(bases, idx)),
-             tuple(basis.labels[k] for basis, k in zip(bases, idx)))
-        for idx in zip(*np.nonzero(t))
-    )
+    components = zip(t.reshape(-1).tolist(),
+                     product(*(basis.vectors for basis in bases)),
+                     product(*(basis.labels for basis in bases)))
+    terms = tuple(starmap(Term, compress(components, (t != 0).reshape(-1).tolist())))
     parts = tuple((sub.name,) for sub in layout.subsystems)
     return Decomposition(layout, parts, terms)
 

@@ -15,7 +15,7 @@ unitary for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,16 +41,20 @@ from .hilbert import (
     density,
     gram_defect,
     partial_trace,
+    tensor,
 )
 from .hilbert import DensityOperator
 
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Ordered, labeled, pairwise-orthonormal vectors over one (sub)layout."""
+    """Ordered, labeled, pairwise-orthonormal vectors over one (sub)layout.
+    ``matrix`` holds the vectors' amplitudes as rows, shape (k, d); it is
+    stacked once, when the basis is made, and is read-only."""
 
     labels: tuple[str, ...]
     vectors: tuple[StateVector, ...]
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -63,7 +67,10 @@ class Basis:
         for v in self.vectors:
             if v.layout != layout:
                 raise LayoutMismatchError("basis vectors live over different layouts")
-        defect = gram_defect(self.matrix)
+        matrix = np.stack([v.amplitudes for v in self.vectors])
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        defect = gram_defect(matrix)
         if defect is not None:
             i, j, g = defect
             raise NonOrthonormalBasisError(f"basis not orthonormal: Gram[{i},{j}] = {g:.6g}")
@@ -71,11 +78,6 @@ class Basis:
     @property
     def layout(self) -> SubsystemLayout:
         return self.vectors[0].layout
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Rows are the basis vectors' amplitudes, shape (k, d)."""
-        return np.stack([v.amplitudes for v in self.vectors])
 
     @property
     def size(self) -> int:
@@ -89,8 +91,9 @@ class Basis:
         sub = layout.subsystem(name)
         chosen = tuple(labels) if labels is not None else sub.labels
         sub_layout = layout.sublayout([name])
-        vectors = tuple(basis_state(sub_layout, (lab,)) for lab in chosen)
-        return cls(chosen, vectors)
+        rows = np.eye(sub.dimension, dtype=np.complex128)
+        return cls(chosen, tuple(StateVector(sub_layout, rows[sub.index_of(lab)])
+                                 for lab in chosen))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +339,6 @@ def attach_environment(
     labels = tuple(f"{label_prefix}{i}" for i in range(n_branches + 1))
     env_layout = SubsystemLayout((Subsystem(name, labels),))
     env_state = basis_state(env_layout, (labels[0],))
-    from .hilbert import tensor
-
     return tensor(state, env_state), labels[1:]
 
 

@@ -66,7 +66,7 @@ def _pair(c: complex, zero_tol: float) -> list[float]:
 
 
 def _matrix_rows(m: np.ndarray, zero_tol: float) -> list[list[list[float]]]:
-    return [[_pair(complex(v), zero_tol) for v in row] for row in m]
+    return [[_pair(v, zero_tol) for v in row] for row in m.tolist()]
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,10 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_structured(), indent=2)
+        """``json.dumps(self.to_structured(), indent=2)``, byte for byte."""
+        if _c_make_encoder is None:
+            return json.dumps(self.to_structured(), indent=2)
+        return _render(self.to_structured(), 0)
 
     def to_table(self) -> str:
         lines: list[str] = []
@@ -100,6 +103,45 @@ class Report:
             lines.append(f"-- query {i}: {res['kind']} --")
             lines.extend(_table_lines(res))
         return "\n".join(lines) + "\n"
+
+
+# The structured document renders like ``json.dumps(doc, indent=2)``, whose
+# ``indent`` sends every value through the pure-Python encoder.  Here a
+# container of scalars goes through one C encoder instead: at nesting depth d
+# its items sit on lines indented d + 1 levels, which is the C encoder's
+# output with the item separator ",\n" plus that indent.  One encoder per
+# depth up to 15 is built at import; containers of containers, and anything
+# deeper, recurse in Python.
+_c_make_encoder = json.encoder.c_make_encoder
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_FLAT = tuple(
+    _c_make_encoder(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                    None, ": ", ",\n" + "  " * (depth + 1), False, False, True)
+    for depth in range(16)
+) if _c_make_encoder is not None else ()
+
+
+def _render(value: Any, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` for ``value`` at nesting ``depth``;
+    dictionary keys are strings."""
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return "".join(_FLAT[0](value, 0))
+    if not value:
+        return brackets
+    indent = "\n" + "  " * (depth + 1)
+    if depth < len(_FLAT) and _SCALARS.issuperset(map(type, items)):
+        body = "".join(_FLAT[depth](value, 0))[1:-1]
+    elif brackets == "{}":
+        key = json.encoder.encode_basestring_ascii
+        body = ("," + indent).join([f"{key(k)}: {_render(v, depth + 1)}"
+                                    for k, v in value.items()])
+    else:
+        body = ("," + indent).join([_render(v, depth + 1) for v in value])
+    return f"{brackets[0]}{indent}{body}\n{'  ' * depth}{brackets[1]}"
 
 
 def _fmt(x: float) -> str:
@@ -281,7 +323,7 @@ def _decomposition_payload(dec: Decomposition, zero_tol: float) -> dict[str, Any
             {
                 "coefficient": _pair(t.coefficient, zero_tol),
                 "factors": [
-                    [_pair(complex(a), zero_tol) for a in f.amplitudes]
+                    [_pair(a, zero_tol) for a in f.amplitudes.tolist()]
                     for f in t.factors
                 ],
             }
@@ -318,11 +360,11 @@ def _run_query(query, transcript: ProtocolTranscript, models,
         payload.update(_verdict_payload(verdict, zero_tol))
         return payload
     if isinstance(query, sc.RewriteQuery):
-        dec = rewrite(final, {name: b for (name, _), b in zip(query.bases, query.resolved)})
+        dec = rewrite(final, {b.layout.names[0]: b for b in query.resolved})
         return {
             "kind": "rewrite",
             "terms": [
-                {"labels": list(t.labels or ()), "coefficient": _pair(t.coefficient, zero_tol)}
+                {"labels": list(t.labels), "coefficient": _pair(t.coefficient, zero_tol)}
                 for t in dec.terms
             ],
         }

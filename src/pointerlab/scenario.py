@@ -141,8 +141,11 @@ class ModelDecl:
 
 @dataclass(frozen=True)
 class BornQuery:
+    """``resolved`` holds one basis per target; a target without labels is
+    read in its computational basis."""
+
     targets: tuple[tuple[str, tuple[str, ...] | None], ...]
-    resolved: tuple[Basis | None, ...] = _resolved()
+    resolved: tuple[Basis, ...] = _resolved()
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,9 @@ class CertaintyQuery:
 
 @dataclass(frozen=True)
 class RewriteQuery:
+    """``resolved`` holds the declared bases, in order, then the
+    computational basis of each register the query leaves alone."""
+
     bases: tuple[tuple[str, tuple[str, ...]], ...]
     resolved: tuple[Basis, ...] = _resolved()
 
@@ -454,6 +460,14 @@ class _Schema:
         labels = tuple(it if isinstance(it, str) else f"b{k}" for k, (it, _) in enumerate(items))
         basis = self._bases[key] = Basis(labels, tuple(normalized(layout, v) for v in raw))
         return basis
+
+    def computational(self, sub: Subsystem) -> Basis:
+        """The computational basis of one register, through the same memo as
+        ``basis`` (the set of all its labels, in order)."""
+        key = (sub, sub.labels)
+        if key not in self._bases:
+            self._bases[key] = Basis.computational(SubsystemLayout((sub,)), sub.name)
+        return self._bases[key]
 
     def group(self, parts: Sequence[str], new_name: str,
               label_map: dict[tuple[str, ...], str], line: int, col: int) -> Subsystem:
@@ -946,7 +960,7 @@ def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, sta
         raise ScenarioParseError(f"prop subject {subject!r} is unknown", line_no,
                                  col, "name a subsystem or an apparatus")
     if predicate in sub.positions:
-        return Basis.computational(SubsystemLayout((sub,)), subject)
+        return schema.computational(sub)
     derived = [lab for name, lab in schema.derived if name == subject]
     if predicate not in derived:
         raise ScenarioParseError(
@@ -1042,8 +1056,8 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
             if ":" in raw:
                 name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
             else:
-                name, labels, basis = raw, None, None
-                _register(schema.layout, raw, line_no, off)
+                name, labels = raw, None
+                basis = schema.computational(_register(schema.layout, raw, line_no, off))
             _once(seen, name, f"target {name!r}", line_no, off)
             bases.append(basis)
             targets.append((name, labels))
@@ -1097,6 +1111,8 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                     "rewrite bases must be complete")
             bases.append(basis)
             out.append((name, labels))
+        bases += [schema.computational(sub) for sub in schema.layout.subsystems
+                  if sub.name not in seen]
         return RewriteQuery(tuple(out), tuple(bases))
     if head == "triortho":
         fields = _field_map(toks[1:], line_no, ("parts",))

@@ -17,6 +17,7 @@ from pointerlab.errors import (
     IncompleteBranchingError,
     NonOrthonormalBasisError,
 )
+from pointerlab.decomposition import rewrite
 from pointerlab.measurement import Basis, MeasurementSpec, correlating_unitary
 
 SQ = math.sqrt
@@ -182,6 +183,34 @@ def test_born_outcome_tuples_follow_caller_order():
     backward = pl.born(s, [("S", None), ("R", None)])
     assert forward.probability(("head", "down")) == 1.0
     assert backward.probability(("down", "head")) == 1.0
+
+
+def test_basis_matrix_is_built_once_and_read_only():
+    lay = coin_spin_app()
+    for b in (Basis.computational(lay, "Fbar"), Basis.computational(lay, "S", ("down",))):
+        assert b.matrix is b.matrix
+        assert np.array_equal(b.matrix, np.stack([v.amplitudes for v in b.vectors]))
+        with pytest.raises(ValueError):
+            b.matrix[0, 0] = 0.5
+
+
+def test_default_bases_read_as_explicit_computational_ones():
+    lay = coin_spin_app()
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=lay.dimension) + 1j * rng.normal(size=lay.dimension)
+    s = pl.StateVector(lay, amps / np.linalg.norm(amps))
+    comp = {name: Basis.computational(lay, name) for name in lay.names}
+    implicit = pl.born(s, [("Fbar", None), ("R", None)])
+    explicit = pl.born(s, [("Fbar", comp["Fbar"]), ("R", comp["R"])])
+    assert implicit.entries == explicit.entries
+    spin_dir = Basis(("in", "out"), (
+        pl.make_state(lay.sublayout(["S"]), [(("up",), H), (("down",), 1j * H)]),
+        pl.make_state(lay.sublayout(["S"]), [(("up",), H), (("down",), -1j * H)]),
+    ))
+    alone = rewrite(s, {"S": spin_dir}).terms
+    spelled = rewrite(s, {"R": comp["R"], "S": spin_dir, "Fbar": comp["Fbar"]}).terms
+    assert [t.labels for t in alone] == [t.labels for t in spelled]
+    assert max(abs(a.coefficient - b.coefficient) for a, b in zip(alone, spelled)) < 1e-12
 
 
 def test_born_basis_state_point_mass():

@@ -398,6 +398,15 @@ def test_each_basis_set_resolves_once_per_parse():
     assert (err.value.line, err.value.column) == (11, 27)
 
 
+def test_computational_bases_resolve_once_per_parse():
+    born, same, swapped = parse_scenario(MEMO).queries
+    coin = born.resolved[0]
+    assert coin.labels == ("head", "tail")
+    # A rewrite resolves the registers it leaves alone after its own bases.
+    assert same.resolved[1] is coin and swapped.resolved[1] is coin
+    assert len(same.resolved) == len(swapped.resolved) == 2
+
+
 @pytest.mark.parametrize("stage", ["layout", "couple"])
 def test_layout_just_over_the_amplitude_limit_is_a_parse_error(stage):
     # (2**10 + 1) * 2**(bits - 10) amplitudes against a limit of 2**bits, reached
