@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BasisCoverageError, InvalidPartitionError, PointerLabError
-from .hilbert import ATOL, PRUNE_PROB, StateVector, SubsystemLayout
+from .hilbert import ATOL, PRUNE_PROB, StateVector, SubsystemLayout, apply_to_axis
 from .measurement import Basis
 
 # Phase steps of the two fixed probe vectors, exp(2 pi i step j) for
@@ -109,11 +109,11 @@ def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Dec
     matrices = [basis.matrix for basis in bases]
     t = state.tensor_view()
     for axis, mat in enumerate(matrices):
-        t = np.moveaxis(np.tensordot(t, np.conj(mat), axes=([axis], [1])), -1, axis)
+        t = apply_to_axis(t, np.conj(mat), axis)
     t[_pruned(np.abs(t) ** 2)] = 0.0
     back = t
     for axis, mat in enumerate(matrices):
-        back = np.moveaxis(np.tensordot(back, mat, axes=([axis], [0])), -1, axis)
+        back = apply_to_axis(back, mat.T, axis)
     if np.linalg.norm(back.reshape(-1) - state.amplitudes) > ATOL:
         raise BasisCoverageError("rewrite failed to reconstruct the state")
     components = zip(t.reshape(-1).tolist(),

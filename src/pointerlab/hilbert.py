@@ -76,32 +76,28 @@ class SubsystemLayout:
 
     subsystems: tuple[Subsystem, ...]
     axes: dict[str, int] = field(init=False, compare=False, repr=False)
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    dimension: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "subsystems", tuple(self.subsystems))
-        axes = {s.name: i for i, s in enumerate(self.subsystems)}
-        if len(axes) != len(self.subsystems):
-            names = [s.name for s in self.subsystems]
-            raise LayoutConflictError(f"duplicate subsystem names in layout: {names}")
-        if not self.subsystems:
+        subsystems = tuple(self.subsystems)
+        object.__setattr__(self, "subsystems", subsystems)
+        names = tuple(s.name for s in subsystems)
+        axes = {name: i for i, name in enumerate(names)}
+        if len(axes) != len(subsystems):
+            raise LayoutConflictError(f"duplicate subsystem names in layout: {list(names)}")
+        if not subsystems:
             raise InvalidPartitionError("layout needs at least one subsystem")
+        dims = tuple(len(s.labels) for s in subsystems)
         object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dimension", math.prod(dims))
 
     @classmethod
     def of(cls, *specs: tuple[str, Sequence[str]]) -> "SubsystemLayout":
         return cls(tuple(Subsystem(name, tuple(labels)) for name, labels in specs))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dimension for s in self.subsystems)
-
-    @property
-    def dimension(self) -> int:
-        return math.prod(self.dims)
 
     def axis(self, name: str) -> int:
         try:
@@ -256,6 +252,24 @@ def gram_defect(rows: np.ndarray) -> tuple[int, int, complex] | None:
     if dev[i, j] > ATOL:
         return int(i), int(j), complex(gram[i, j])
     return None
+
+
+def apply_to_axis(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """The (k, d) matrix ``mat`` applied to axis ``axis`` (of length d) of
+    ``t``, which comes back with length k on that axis.
+
+    Bit for bit ``np.moveaxis(np.tensordot(t, mat, ([axis], [1])), -1, axis)``:
+    the same transpose, 2-D ``dot`` and reshape, without the axis
+    normalisation of ``tensordot`` and ``moveaxis``; ``axis`` must lie in
+    ``range(t.ndim)``.
+    """
+    shape = t.shape
+    n = len(shape)
+    rest = shape[:axis] + shape[axis + 1:]
+    front = [*range(axis), *range(axis + 1, n), axis]
+    flat = t.transpose(front).reshape(math.prod(rest), shape[axis]).dot(mat.T)
+    return flat.reshape(rest + (mat.shape[0],)).transpose(
+        [*range(axis), n - 1, *range(axis, n - 1)])
 
 
 def basis_state(layout: SubsystemLayout, labels: Sequence[str]) -> StateVector:

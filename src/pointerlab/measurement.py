@@ -16,6 +16,8 @@ unitary for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +39,7 @@ from .hilbert import (
     StateVector,
     Subsystem,
     SubsystemLayout,
+    apply_to_axis,
     basis_state,
     density,
     gram_defect,
@@ -374,21 +377,16 @@ def born(
         raise LayoutConflictError("born targets must name distinct subsystems")
     t = state.tensor_view()
     for axis, basis in resolved:
-        mat = np.conj(basis.matrix)  # (k, d)
-        t = np.moveaxis(np.tensordot(t, mat, axes=([axis], [1])), -1, axis)
+        t = apply_to_axis(t, np.conj(basis.matrix), axis)
     probs = np.abs(t) ** 2
-    other = tuple(i for i in range(probs.ndim) if i not in {a for a, _ in resolved})
+    measured_axes = sorted(a for a, _ in resolved)
+    other = tuple(i for i in range(probs.ndim) if i not in measured_axes)
     joint = probs.sum(axis=other) if other else probs
     # Summation leaves measured axes in ascending layout order; put them back
     # in the caller's target order so outcome tuples read as requested.
-    measured_axes = sorted(a for a, _ in resolved)
     joint = joint.transpose([measured_axes.index(a) for a, _ in resolved])
-    bases = [b for _, b in resolved]
-    entries = []
-    for flat_idx in np.ndindex(*joint.shape):
-        labels = tuple(b.labels[k] for b, k in zip(bases, flat_idx))
-        entries.append((labels, float(joint[flat_idx])))
-    entries.sort(key=lambda e: e[0])
+    entries = sorted(zip(product(*(b.labels for _, b in resolved)), joint.reshape(-1).tolist()),
+                     key=itemgetter(0))
     total = sum(p for _, p in entries)
     if total < 1.0 - ATOL:
         raise BasisCoverageError(

@@ -110,8 +110,10 @@ class Report:
 # container of scalars goes through one C encoder instead: at nesting depth d
 # its items sit on lines indented d + 1 levels, which is the C encoder's
 # output with the item separator ",\n" plus that indent.  One encoder per
-# depth up to 15 is built at import; containers of containers, and anything
-# deeper, recurse in Python.
+# depth up to 15 is built at import.  A container of containers writes its
+# scalar children, its flat-list children, and dicts of those inline through
+# the same encoders; it recurses in Python only into other containers, and
+# into anything deeper.
 _c_make_encoder = json.encoder.c_make_encoder
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _FLAT = tuple(
@@ -119,6 +121,7 @@ _FLAT = tuple(
                     None, ": ", ",\n" + "  " * (depth + 1), False, False, True)
     for depth in range(16)
 ) if _c_make_encoder is not None else ()
+_key = json.encoder.encode_basestring_ascii
 
 
 def _render(value: Any, depth: int) -> str:
@@ -135,12 +138,38 @@ def _render(value: Any, depth: int) -> str:
     indent = "\n" + "  " * (depth + 1)
     if depth < len(_FLAT) and _SCALARS.issuperset(map(type, items)):
         body = "".join(_FLAT[depth](value, 0))[1:-1]
-    elif brackets == "{}":
-        key = json.encoder.encode_basestring_ascii
-        body = ("," + indent).join([f"{key(k)}: {_render(v, depth + 1)}"
-                                    for k, v in value.items()])
-    else:
-        body = ("," + indent).join([_render(v, depth + 1) for v in value])
+        return f"{brackets[0]}{indent}{body}\n{'  ' * depth}{brackets[1]}"
+    # Children sit at depth + 1 and a child dict's values at depth + 2; a
+    # flat list there opens on the line after "[" and closes on a line of
+    # its own at its parent's item indent.
+    flat = _FLAT[depth + 1] if depth + 1 < len(_FLAT) else None
+    inner = _FLAT[depth + 2] if depth + 2 < len(_FLAT) else None
+    indent2 = indent + "  "
+    opened, closed = "[" + indent2, indent + "]"
+    opened2, closed2 = opened + "  ", indent2 + "]"
+    children = []
+    for v in items:
+        kind = type(v)
+        if kind in _SCALARS:
+            children.append("".join(_FLAT[0](v, 0)))
+        elif kind is list and v and flat is not None and _SCALARS.issuperset(map(type, v)):
+            children.append(opened + "".join(flat(v, 0))[1:-1] + closed)
+        elif kind is dict and v and inner is not None:
+            entries = []
+            for k, w in v.items():
+                if type(w) in _SCALARS:
+                    text = "".join(_FLAT[0](w, 0))
+                elif type(w) is list and w and _SCALARS.issuperset(map(type, w)):
+                    text = opened2 + "".join(inner(w, 0))[1:-1] + closed2
+                else:
+                    text = _render(w, depth + 2)
+                entries.append(f"{_key(k)}: {text}")
+            children.append("{" + indent2 + ("," + indent2).join(entries) + indent + "}")
+        else:
+            children.append(_render(v, depth + 1))
+    if brackets == "{}":
+        children = [f"{_key(k)}: {c}" for k, c in zip(value, children)]
+    body = ("," + indent).join(children)
     return f"{brackets[0]}{indent}{body}\n{'  ' * depth}{brackets[1]}"
 
 

@@ -225,39 +225,47 @@ class Scenario:
 # --------------------------------------------------------------------------
 
 
-def _scan(text: str) -> Iterator[tuple[int, str]]:
-    """(index, char) of each character outside brackets, kets |...> and
-    quoted strings: the only places where text may be split."""
-    depth = 0
-    in_ket = in_str = False
-    for i, ch in enumerate(text):
-        if in_str:
-            in_str = ch != '"'
-        elif in_ket:
-            in_ket = ch != ">"
-        elif ch == '"':
-            in_str = True
-        elif ch == "|":
-            in_ket = True
-        elif ch in "({[":
+# What changes the lexing state, in one match each: an opening bracket
+# (group 1), a closing one (group 2), or a whole quoted string or ket, up to
+# its closing '"' or '>' or else to the end of the text.
+_STRUCTURE_RE = re.compile(r'([({\[])|([)}\]])|"[^"]*"?|\|[^>]*>?')
+_SPACE_RE = re.compile(r"\s+")
+_COMMA_RE = re.compile(",")
+_SIGN_RE = re.compile("[+-]")
+
+
+def _scan(text: str) -> Iterator[tuple[int, int]]:
+    """(start, end) of each run of text outside brackets, kets |...> and
+    quoted strings: the only places where text may be split.  A closing
+    bracket without a match keeps what follows out until its balance
+    returns."""
+    depth = start = 0
+    for m in _STRUCTURE_RE.finditer(text):
+        if depth == 0 and m.start() > start:
+            yield start, m.start()
+        if m.lastindex == 1:
             depth += 1
-        elif ch in ")}]":
+        elif m.lastindex == 2:
             depth -= 1
-        elif depth == 0:
-            yield i, ch
+        start = m.end()
+    if depth == 0 and start < len(text):
+        yield start, len(text)
 
 
-def _split(text: str, base: int, cut: Callable[[int, str], bool],
-           keep: bool = False) -> list[tuple[str, int]]:
-    """Split ``text`` at each top-level character where ``cut(i, ch)`` holds,
-    dropping that character unless ``keep``.  Pieces come back stripped,
-    each with its column: ``base`` plus its offset in ``text``."""
+def _split(text: str, base: int, sep: re.Pattern, keep: bool = False,
+           cut: Callable[[int], bool] | None = None) -> list[tuple[str, int]]:
+    """Split ``text`` at each top-level match of ``sep`` that starts where
+    ``cut`` (when given) holds, dropping the match unless ``keep``.  Pieces
+    come back stripped, each with its column: ``base`` plus its offset in
+    ``text``."""
     pieces = []
     start = 0
-    for i, ch in _scan(text):
-        if cut(i, ch):
-            pieces.append((text[start:i], start))
-            start = i if keep else i + 1
+    for lo, hi in _scan(text):
+        for m in sep.finditer(text, lo, hi):
+            i = m.start()
+            if cut is None or cut(i):
+                pieces.append((text[start:i], start))
+                start = i if keep else m.end()
     pieces.append((text[start:], start))
     return [(raw.strip(), base + off + len(raw) - len(raw.lstrip())) for raw, off in pieces]
 
@@ -265,11 +273,11 @@ def _split(text: str, base: int, cut: Callable[[int, str], bool],
 def _tokens(text: str, base: int) -> list[tuple[str, int]]:
     """Split on top-level whitespace; (), {}, "..." and |...> bind.  Each
     token comes with its column, ``base`` being the column of ``text[0]``."""
-    return [(tok, off) for tok, off in _split(text, base, lambda i, ch: ch.isspace()) if tok]
+    return [(tok, off) for tok, off in _split(text, base, _SPACE_RE) if tok]
 
 
 def _split_commas(text: str, base: int) -> list[tuple[str, int]]:
-    return _split(text, base, lambda i, ch: ch == ",")
+    return _split(text, base, _COMMA_RE)
 
 
 def _unwrap(text: str, open_ch: str, close_ch: str, line: int, col: int,
@@ -349,14 +357,16 @@ def _parse_ket(text: str, line: int, col: int) -> tuple[str, ...]:
 def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
     """Parse ``coeff|ket> + coeff|ket> - ...`` into state terms."""
 
-    def starts_term(i: int, ch: str) -> bool:
-        if ch not in "+-" or i == 0:
-            return False
-        prev = text[:i].rstrip()
-        return bool(prev) and prev[-1] not in "eE(+-,"
+    def starts_term(i: int) -> bool:
+        # The last non-space character before i, found without copying
+        # text[:i], which made long expressions take quadratic time.
+        j = i - 1
+        while j >= 0 and text[j].isspace():
+            j -= 1
+        return j >= 0 and text[j] not in "eE(+-,"
 
     terms: list[StateTerm] = []
-    for chunk, at in _split(text, col, starts_term, keep=True):
+    for chunk, at in _split(text, col, _SIGN_RE, keep=True, cut=starts_term):
         if not chunk:
             continue
         bar = chunk.find("|")

@@ -15,6 +15,7 @@ from pointerlab.errors import (
     UnknownLabelError,
     UnknownSubsystemError,
 )
+from pointerlab.hilbert import apply_to_axis
 
 SQ = math.sqrt
 
@@ -295,3 +296,35 @@ def test_isometry_flag_checked():
     bad = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(LayoutConflictError):
         pl.LinearOperator(lay2, lay3, bad, kind="isometry")
+
+
+def test_apply_to_axis_is_tensordot_then_moveaxis_bit_for_bit():
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    checked = 0
+    for ndim in range(1, 6):
+        for _ in range(12):
+            t = cplx(*rng.integers(1, 5, size=ndim))
+            for axis in range(ndim):
+                d = t.shape[axis]
+                # Square, rectangular (k != d), and the F-ordered transpose
+                # that rewrite's rebuild passes.
+                for mat in (cplx(d, d), cplx(d + 1, d), cplx(max(d - 1, 1), d), cplx(d, d).T):
+                    want = np.moveaxis(np.tensordot(t, mat, ([axis], [1])), -1, axis)
+                    got = apply_to_axis(t, mat, axis)
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                    checked += 1
+    assert checked > 600
+
+
+def test_layout_caches_names_dims_and_dimension_outside_equality():
+    lay = coin_spin()
+    assert (lay.names, lay.dims, lay.dimension) == (("R", "S"), (2, 2), 4)
+    again = pl.SubsystemLayout(lay.subsystems)
+    assert again == lay and hash(again) == hash(lay)
+    assert repr(lay) == f"SubsystemLayout(subsystems={lay.subsystems!r})"
+    with pytest.raises(InvalidPartitionError):
+        pl.SubsystemLayout(())

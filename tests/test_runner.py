@@ -51,9 +51,23 @@ def test_render_matches_json_dumps_indent_2(doc):
     assert runner._render(doc, 0) == json.dumps(doc, indent=2)
 
 
+def _nested(depth, inner):
+    """``inner`` at nesting ``depth``, through alternating dicts and lists."""
+    for level in range(depth):
+        inner = {"k": inner} if level % 2 else [inner]
+    return inner
+
+
 def test_render_of_a_flat_document():
-    for doc in ([1, -0.0, 5e-324, 1e22, 1e-07, 0.1, "a\"[,]:\\\x01é", None, True, 2**100],
-                {"k": 0.1, "": None, "→": "\x1f", "b": False}, [], {}, "top", 1e-07):
+    docs = [[1, -0.0, 5e-324, 1e22, 1e-07, 0.1, "a\"[,]:\\\x01é", None, True, 2**100],
+            {"k": 0.1, "": None, "→": "\x1f", "b": False}, [], {}, "top", 1e-07]
+    # Containers that mix scalars, empty containers and flat lists, on either
+    # side of the deepest level with its own flat encoder.
+    assert len(runner._FLAT) == 16
+    for depth in range(14, 18):
+        docs.append(_nested(depth, [0.5, [], {}, ["a", 1e-07], "s", [None, True]]))
+        docs.append(_nested(depth, {"x": [1, 2], "e": [], "y": 0.1, "d": {}, "z": ["q"]}))
+    for doc in docs:
         assert runner._render(doc, 0) == json.dumps(doc, indent=2)
 
 

@@ -1,10 +1,15 @@
 """Scenario-file parsing, diagnostics, and serialization round-trips."""
 
 import math
+import time
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pointerlab import scenario as sc
 from pointerlab.cli import bundled_scenario_text
 from pointerlab.errors import ScenarioParseError
 from pointerlab.runner import DEMOS, scenario_transcript
@@ -483,3 +488,86 @@ def test_parse_time_layouts_match_the_runtime_stages(text):
             continue
         for (name, _), basis in entries:
             assert basis is None or basis.layout == stages[-1].sublayout([name])
+
+
+# The lexer as it was before it matched separators with patterns: one step
+# per character, and a cut test per top-level character.
+def _old_scan(text):
+    depth = 0
+    in_ket = in_str = False
+    for i, ch in enumerate(text):
+        if in_str:
+            in_str = ch != '"'
+        elif in_ket:
+            in_ket = ch != ">"
+        elif ch == '"':
+            in_str = True
+        elif ch == "|":
+            in_ket = True
+        elif ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        elif depth == 0:
+            yield i, ch
+
+
+def _old_starts_term(text, i, ch):
+    if ch not in "+-" or i == 0:
+        return False
+    prev = text[:i].rstrip()
+    return bool(prev) and prev[-1] not in "eE(+-,"
+
+
+def _old_split(text, base, sep, keep=False, cut=None):
+    # Stands in for ``_split``; the old sign test replaces ``cut``.
+    test = {sc._SPACE_RE: lambda i, ch: ch.isspace(),
+            sc._COMMA_RE: lambda i, ch: ch == ",",
+            sc._SIGN_RE: lambda i, ch: _old_starts_term(text, i, ch)}[sep]
+    pieces = []
+    start = 0
+    for i, ch in _old_scan(text):
+        if test(i, ch):
+            pieces.append((text[start:i], start))
+            start = i if keep else i + 1
+    pieces.append((text[start:], start))
+    return [(raw.strip(), base + off + len(raw) - len(raw.lstrip())) for raw, off in pieces]
+
+
+def _lexed(text):
+    """Tokens, comma pieces, and the parsed expression or its diagnostic."""
+    try:
+        expression = sc.parse_expression(text, 3, 5)
+    except ScenarioParseError as exc:
+        expression = (exc.line, exc.column, exc.message)
+    return sc._tokens(text, 5), sc._split_commas(text, 5), expression
+
+
+LEXER_TEXT = st.lists(st.sampled_from(list('"|<>(){}[], +-eE') + ["\t", "\u00a0", "\u2003",
+                                      "\x1c", "1", "0.5", "i", "a", "Z_"]),
+                      max_size=24).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(LEXER_TEXT)
+@example("1e-3|x> - 2E+1|y>")
+@example('a "b|c" ) d, e ( f, g')
+@example("|x, y> + |z")
+@example("a\u00a0b\u2003c\x1cd")
+@example("(a, b)) c, d (e")
+@example("+1|x> -|y>")
+@example("2|x> +\u00a0-1|y> + 1e\x1c-3|z>")
+def test_lexer_matches_the_per_character_scan(text):
+    # Unmatched closing brackets, unterminated kets and strings, "|" inside
+    # quotes, exponent signs and non-ASCII whitespace all split as before.
+    new = _lexed(text)
+    with mock.patch.object(sc, "_split", _old_split):
+        assert new == _lexed(text)
+
+
+def test_long_expression_parses_in_linear_time():
+    # Each sign once copied the text before it: 64,000 terms took 27 s.
+    text = " + ".join(f"0.001|l{i}>" for i in range(64000))
+    start = time.perf_counter()
+    assert len(sc.parse_expression(text, 1, 1)) == 64000
+    assert time.perf_counter() - start < 5.0
