@@ -22,6 +22,7 @@ from .errors import (
 from .hilbert import (
     DensityOperator,
     LinearOperator,
+    StateBatch,
     StateVector,
     Subsystem,
     SubsystemLayout,
@@ -42,7 +43,9 @@ from .measurement import (
     OutcomeDistribution,
     attach_environment,
     born,
+    branch_basis,
     condition,
+    conditioned_branches,
     correlating_unitary,
     environment_couple,
     outcome_probability,
@@ -61,6 +64,7 @@ from .decomposition import (
 )
 from .experiment import (
     CertaintyVerdict,
+    Claim,
     ConsistencyAudit,
     CoupleStep,
     DecoherenceComparison,
@@ -69,6 +73,7 @@ from .experiment import (
     Proposition,
     ProtocolTranscript,
     Statement,
+    certainties,
     certainty,
     joint_outcome,
 )

@@ -14,11 +14,15 @@ implements two rules for when an agent may call a proposition certain:
 
 The second rule blocks the inference chain that otherwise produces a joint
 prediction contradicting the final-stage statistics.
+
+Certainty claims are answered from one replay of the later steps: the
+states they condition on go through each step together, as one StateBatch
+(see ``certainties``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,10 +35,13 @@ from .errors import (
     UnknownSubsystemError,
 )
 from .hilbert import (
+    MAX_AMPLITUDES,
     PRUNE_PROB,
     DensityOperator,
+    StateBatch,
     StateVector,
     Subsystem,
+    SubsystemLayout,
     group_state,
     partial_trace,
 )
@@ -44,7 +51,9 @@ from .measurement import (
     OutcomeDistribution,
     attach_environment,
     born,
+    branch_basis,
     condition,
+    conditioned_branches,
     environment_couple,
     outcome_probability,
     pointer_reduce,
@@ -66,17 +75,23 @@ class GroupStep:
 @dataclass(frozen=True, eq=False)
 class CoupleStep:
     """One-shot environment coupling; the environment register is attached
-    on the fly (ready level plus one record level per branch)."""
+    on the fly (ready level plus one record level per branch).  ``basis``
+    holds the branches, checked orthonormal once, when the step is made."""
 
     environment: str
     branches: tuple[StateVector, ...]
+    basis: Basis = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", branch_basis(self.branches))
 
 
 # A premeasurement step is its MeasurementSpec: the basis is built once.
 Step = MeasurementSpec | GroupStep | CoupleStep
 
 
-def apply_step(state: StateVector, step: Step) -> StateVector:
+def apply_step(state: StateVector | StateBatch, step: Step) -> StateVector | StateBatch:
+    """The state (each state of a batch) after ``step``."""
     if isinstance(step, MeasurementSpec):
         return premeasure(state, step)
     if isinstance(step, GroupStep):
@@ -85,7 +100,7 @@ def apply_step(state: StateVector, step: Step) -> StateVector:
         extended, rec_labels = attach_environment(
             state, step.environment, len(step.branches)
         )
-        return environment_couple(extended, step.branches, step.environment, rec_labels)
+        return environment_couple(extended, step.basis, step.environment, rec_labels)
     raise TypeError(f"unknown step {step!r}")
 
 
@@ -118,11 +133,6 @@ class ProtocolTranscript:
             if isinstance(step, MeasurementSpec) and step.apparatus == agent:
                 return i, step
         raise UnknownSubsystemError(f"no premeasurement with apparatus {agent!r}")
-
-    def replay(self, state: StateVector, from_index: int) -> StateVector:
-        for step in self.steps[from_index + 1:]:
-            state = apply_step(state, step)  # type: ignore[arg-type]
-        return state
 
 
 def run_transcript(initial: StateVector, named_steps: Sequence[tuple[str, Step]],
@@ -200,10 +210,16 @@ class Statement:
 @dataclass(frozen=True, eq=False)
 class EnvironmentModel:
     """Hypothetical one-shot coupling: the orthonormal branches, over some
-    registers in layout order, that the environment records."""
+    registers in layout order, that the environment records.  ``coupling``
+    is that coupling as a step, with an environment named after the model;
+    it checks the branches once, when the model is made."""
 
     name: str
     branches: tuple[StateVector, ...]
+    coupling: CoupleStep = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coupling", CoupleStep(self.name, tuple(self.branches)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,22 +240,17 @@ def _kind_from_probs(probs: Sequence[float]) -> str:
     return "undetermined"
 
 
-def _evaluate_prop(transcript: ProtocolTranscript, state: StateVector,
-                   stage_index: int, prop: Proposition) -> OutcomeDistribution:
-    if prop.quantifier == "will_obtain":
-        state = transcript.replay(state, stage_index)
-        return born(state, [(prop.subject, prop.basis)])
-    # is_in_state: evaluate as soon as the subject register exists (later
-    # steps may consume it by grouping).
-    i = stage_index
-    while prop.subject not in state.layout.names:
-        i += 1
-        if i >= len(transcript.steps):
-            raise UnknownSubsystemError(
-                f"proposition subject {prop.subject!r} never exists after stage {stage_index}"
-            )
-        state = apply_step(state, transcript.steps[i])  # type: ignore[arg-type]
-    return born(state, [(prop.subject, prop.basis)])
+@dataclass(frozen=True, eq=False)
+class Claim:
+    """One certainty question: may ``observer``, having seen ``observed`` on
+    their own apparatus, assert ``prop`` under ``semantics`` (decoherent
+    semantics consults ``models``)?"""
+
+    observer: str
+    observed: str
+    prop: Proposition
+    semantics: str = "premeasurement"
+    models: tuple[EnvironmentModel, ...] = ()
 
 
 def certainty(
@@ -251,57 +262,224 @@ def certainty(
     models: Sequence[EnvironmentModel] | None = None,
 ) -> CertaintyVerdict:
     """Decide whether ``observer``, having seen ``observed`` on their own
-    apparatus, may assert ``prop``.
+    apparatus, may assert ``prop``: the one-claim case of ``certainties``.
 
     Premeasurement semantics conditions the observer's stage state on the
     record and propagates.  Decoherent semantics instead couples each
     environment model at the observer's stage, conditions on the record,
     and requires the proposition to hold with probability one under every
     model; the Born rule then sums over the environment, which weighs the
-    pointer mixture's branches.  The engine never tries to discriminate
-    between the consulted models: doing so would take a further measurement
-    on the measured system itself, which is incompatible with the rest of
-    the protocol, so the model family stays whole and caps what the
-    observer may call certain.
+    pointer mixture's branches.  Since no later step touches that
+    environment, each model's evidence is the mixture of its branches'
+    statistics, each branch conditioned and propagated on its own (see
+    ``measurement.conditioned_branches``), so no environment register is
+    attached.  The engine never tries to discriminate between the consulted
+    models: doing so would take a further measurement on the measured
+    system itself, which is incompatible with the rest of the protocol, so
+    the model family stays whole and caps what the observer may call
+    certain.
     """
-    idx, step = transcript.agent_premeasure(observer)
-    stage_state = transcript.stages[idx].state
-    app_basis = Basis.computational(stage_state.layout, step.apparatus)
-    if observed in app_basis.labels:
-        out_i = app_basis.labels.index(observed)
+    (result,) = certainties(transcript,
+                            [Claim(observer, observed, prop, semantics, tuple(models or ()))])
+    if isinstance(result, PointerLabError):
+        raise result
+    return result
+
+
+@dataclass(frozen=True)
+class _Part:
+    """One distribution a claim needs: the states at stage ``start`` (where
+    ``apparatus`` records in ``record``) conditioned on record ``outcome``
+    (under ``model``'s branches, or none), read through ``read`` =
+    (stage index, subject, basis)."""
+
+    start: int
+    apparatus: str
+    record: Basis
+    outcome: int
+    model: EnvironmentModel | None
+    read: tuple[int, str, Basis]
+
+
+def certainties(
+    transcript: ProtocolTranscript,
+    claims: Sequence[Claim],
+) -> tuple[CertaintyVerdict | PointerLabError, ...]:
+    """Answer ``claims``, in order, with one replay of the transcript's
+    later steps.
+
+    Each premeasurement claim adds its record-conditioned stage state to the
+    replay, and each decoherent claim adds, per model, the model's
+    record-conditioned branches.  The states join the replay at their
+    observer's stage and go through each later step together, as one
+    StateBatch of at most MAX_AMPLITUDES amplitudes (more go in consecutive
+    chunks), so each stage is replayed once, whatever the number of claims
+    and observers.  Each entry of the result is the claim's verdict, or the
+    error ``certainty`` raises for that claim alone.
+    """
+    observers: dict[str, tuple[int, MeasurementSpec, Basis]] = {}
+    plans: list[tuple[_Part, ...] | PointerLabError] = []
+    for claim in claims:
+        try:
+            plans.append(_parts(transcript, observers, claim))
+        except PointerLabError as exc:
+            plans.append(exc)
+    try:
+        dists = iter(_evidence(transcript, [p for plan in plans if isinstance(plan, tuple)
+                                            for p in plan]))
+        return tuple(plan if isinstance(plan, PointerLabError)
+                     else _verdict(claim, [next(dists) for _ in plan])
+                     for claim, plan in zip(claims, plans))
+    except PointerLabError:
+        pass
+    # Some state failed a check: ask each part on its own, in order, so that
+    # each claim reports the error it raises alone.
+    results: list[CertaintyVerdict | PointerLabError] = []
+    for claim, plan in zip(claims, plans):
+        if isinstance(plan, tuple):
+            try:
+                plan = _verdict(claim, [_evidence(transcript, [part])[0] for part in plan])
+            except PointerLabError as exc:
+                plan = exc
+        results.append(plan)
+    return tuple(results)
+
+
+def _parts(transcript: ProtocolTranscript,
+           observers: dict[str, tuple[int, MeasurementSpec, Basis]], claim: Claim
+           ) -> tuple[_Part, ...]:
+    """What ``claim`` needs from the replay, after the checks that need none
+    of it.  ``observers`` caches each observer's stage index, premeasurement
+    and record basis."""
+    if claim.observer not in observers:
+        idx, step = transcript.agent_premeasure(claim.observer)
+        observers[claim.observer] = (
+            idx, step, Basis.computational(transcript.stages[idx].state.layout, step.apparatus))
+    idx, step, record = observers[claim.observer]
+    observed = claim.observed
+    if observed in record.labels:
+        out_i = record.labels.index(observed)
     elif observed in step.basis.labels:
-        out_i = app_basis.labels.index(step.outcome_labels[step.basis.labels.index(observed)])
+        out_i = record.labels.index(step.outcome_labels[step.basis.labels.index(observed)])
     else:
         raise UnknownLabelError(
-            f"{observed!r} is neither a record nor a basis label of {observer!r}"
+            f"{observed!r} is neither a record nor a basis label of {step.apparatus!r}"
         )
-    p_obs = outcome_probability(stage_state, step.apparatus, app_basis, out_i)
+    p_obs = outcome_probability(transcript.stages[idx].state, step.apparatus, record, out_i)
     if p_obs <= PRUNE_PROB:
         raise ImpossibleOutcomeError(
-            f"record {observed!r} has probability {p_obs:.3g} at {observer!r}'s stage"
+            f"record {observed!r} has probability {p_obs:.3g} at {step.apparatus!r}'s stage"
         )
-
-    if semantics == "premeasurement":
-        conditioned = condition(stage_state, step.apparatus, app_basis, out_i)
-        dist = _evaluate_prop(transcript, conditioned, idx, prop)
-        kind = _kind_from_probs([dist.probability((prop.predicate,))])
-        return CertaintyVerdict(kind, dist)
-
-    if semantics != "decoherent":
-        raise PointerLabError(f"unknown semantics {semantics!r}")
-    if not models:
+    if claim.semantics == "premeasurement":
+        models: tuple[EnvironmentModel | None, ...] = (None,)
+    elif claim.semantics != "decoherent":
+        raise PointerLabError(f"unknown semantics {claim.semantics!r}")
+    elif not claim.models:
         raise PointerLabError("decoherent semantics needs a non-empty model list")
+    else:
+        models = claim.models
+    prop = claim.prop
+    # will_obtain reads the final stage; is_in_state reads the first stage
+    # that holds the subject (later steps may consume it by grouping).
+    read_at = len(transcript.stages) - 1
+    if prop.quantifier == "is_in_state":
+        read_at = next((j for j in range(idx, len(transcript.stages))
+                        if prop.subject in transcript.stages[j].state.layout.axes), None)
+        if read_at is None:
+            raise UnknownSubsystemError(
+                f"proposition subject {prop.subject!r} never exists after stage {idx}"
+            )
+    return tuple(_Part(idx, step.apparatus, record, out_i, m,
+                       (read_at, prop.subject, prop.basis)) for m in models)
 
-    # The environment stays on as a spectator register: no later step
-    # touches it and born sums over it, so one replay covers every branch.
-    evidence = []
-    for model in models:
-        coupled = apply_step(stage_state, CoupleStep(model.name, model.branches))
-        conditioned = condition(coupled, step.apparatus, app_basis, out_i)
-        evidence.append((model.name, _evaluate_prop(transcript, conditioned, idx, prop)))
 
-    probs = [dist.probability((prop.predicate,)) for _, dist in evidence]
-    return CertaintyVerdict(_kind_from_probs(probs), evidence[0][1], tuple(evidence))
+def _verdict(claim: Claim, dists: Sequence[OutcomeDistribution]) -> CertaintyVerdict:
+    kind = _kind_from_probs([d.probability((claim.prop.predicate,)) for d in dists])
+    if claim.semantics == "premeasurement":
+        return CertaintyVerdict(kind, dists[0])
+    return CertaintyVerdict(kind, dists[0],
+                            tuple((m.name, d) for m, d in zip(claim.models, dists)))
+
+
+def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part]
+              ) -> list[OutcomeDistribution]:
+    """One distribution per part, from one replay of the states the parts
+    condition on; raises the first error any state meets."""
+    rows: list[np.ndarray] = []
+    starts: list[int] = []
+    made: dict[tuple[int, int, EnvironmentModel | None], list[tuple[int, float]]] = {}
+    reads: dict[tuple[int, str, Basis], list[int]] = {}
+    for part in parts:
+        key = (part.start, part.outcome, part.model)
+        if key not in made:
+            stage = transcript.stages[part.start].state
+            if part.model is None:
+                amps = condition(stage, part.apparatus, part.record, part.outcome).rows()
+                weights: tuple[float, ...] = (1.0,)
+            else:
+                batch, weights = conditioned_branches(stage, part.model.coupling.basis,
+                                                      part.apparatus, part.record, part.outcome)
+                amps = batch.amplitudes
+            made[key] = [(len(rows) + i, w) for i, w in enumerate(weights)]
+            rows.extend(amps)
+            starts.extend(part.start for _ in weights)
+        read = reads.setdefault(part.read, [])
+        read.extend(r for r, _ in made[key] if r not in read)
+    tables = _replay(transcript, rows, starts, reads)
+    # A model's environment would stay a spectator of every later step, so
+    # summing over it, as the Born rule does, mixes its branches' tables
+    # with the branch weights.  A conditioned state is a mixture of one.
+    out = []
+    for part in parts:
+        mixed = made[part.start, part.outcome, part.model]
+        dists = [tables[r, part.read] for r, _ in mixed]
+        out.append(OutcomeDistribution(tuple(
+            (labels, sum(w * d.entries[i][1] for (_, w), d in zip(mixed, dists)))
+            for i, (labels, _) in enumerate(dists[0].entries))))
+    return out
+
+
+def _replay(transcript: ProtocolTranscript, rows: Sequence[np.ndarray], starts: Sequence[int],
+            reads: Mapping[tuple[int, str, Basis], Sequence[int]]
+            ) -> dict[tuple[int, tuple[int, str, Basis]], OutcomeDistribution]:
+    """Replay each of ``rows`` from its stage ``starts[r]`` through the later
+    steps and read each of ``reads`` (stage index, subject, basis) from the
+    rows it names: {(row, read): distribution}.  A batch holds at most
+    max(1, MAX_AMPLITUDES // D_final) states, and more go in consecutive
+    chunks; a state joins its chunk's batch at its own stage."""
+    size = max(1, MAX_AMPLITUDES // transcript.final_state.layout.dimension)
+    tables = {}
+    for lo in range(0, len(rows), size):
+        chunk = range(lo, min(lo + size, len(rows)))
+        due: dict[int, list[tuple[tuple[int, str, Basis], set[int]]]] = {}
+        for read, wanted in reads.items():
+            here = {r for r in wanted if r in chunk}
+            if here:
+                due.setdefault(read[0], []).append((read, here))
+        held: list[int] = []
+        batch = None
+        for j in range(min(starts[r] for r in chunk), max(due) + 1):
+            if batch is not None:
+                batch = apply_step(batch, transcript.steps[j])  # type: ignore[arg-type]
+            joining = [r for r in chunk if starts[r] == j]
+            if joining:
+                batch = _joined(batch, transcript.stages[j].state.layout,
+                                [rows[r] for r in joining])
+                held += joining
+            for read, here in due.get(j, ()):
+                at = [i for i, r in enumerate(held) if r in here]
+                chosen = batch if len(at) == len(held) else batch.take(at)
+                for i, dist in zip(at, born(chosen, [read[1:]])):
+                    tables[held[i], read] = dist
+    return tables
+
+
+def _joined(batch: StateBatch | None, layout: SubsystemLayout, rows: Sequence[np.ndarray]
+            ) -> StateBatch:
+    """``batch`` (if any) with ``rows`` appended.  A function of its own, so
+    that no name in the replay loop keeps the old batch's memory alive."""
+    new = np.stack(rows)
+    return StateBatch(layout, new if batch is None else np.concatenate([batch.amplitudes, new]))
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +515,7 @@ def decoherence_compare(state: StateVector, models: Sequence[EnvironmentModel],
         raise PointerLabError(f"decoherence_compare needs two models, got {len(models)}")
 
     def couple_and_reduce(model: EnvironmentModel) -> tuple[DensityOperator, tuple[float, ...]]:
-        coupled = apply_step(state, CoupleStep(model.name, model.branches))
+        coupled = apply_step(state, model.coupling)
         rho = pointer_reduce(coupled, model.name)
         on_targets = partial_trace(rho, model.branches[0].layout.names).matrix
         weights = tuple(
@@ -411,17 +589,23 @@ def consistency_audit(transcript: ProtocolTranscript, chain: Sequence[Statement]
     by_name = {s.name: s for s in chain}
     if decoherent not in by_name:
         raise UnknownLabelError(f"no statement named {decoherent!r} in the chain")
-    statements = tuple(
-        (s.name, certainty(transcript, s.observer, s.outcome, s.prop)) for s in chain
-    )
+    rechecked = by_name[decoherent]
+    claims = [Claim(s.observer, s.outcome, s.prop) for s in chain]
+    claims.append(Claim(rechecked.observer, rechecked.outcome, rechecked.prop,
+                        "decoherent", tuple(models)))
+    answers = certainties(transcript, claims)
+    for answer in answers[:-1]:
+        if isinstance(answer, PointerLabError):
+            raise answer
+    statements = tuple((s.name, v) for s, v in zip(chain, answers))
     chain_derivable = all(v.kind == "certain" for _, v in statements)
     registers, labels = zip(*joint)
     computed = joint_outcome(transcript, registers).probability(labels)
     contradiction = chain_derivable and computed > PRUNE_PROB
 
-    rechecked = by_name[decoherent]
-    dec = certainty(transcript, rechecked.observer, rechecked.outcome, rechecked.prop,
-                    semantics="decoherent", models=models)
+    dec = answers[-1]
+    if isinstance(dec, PointerLabError):
+        raise dec
 
     return ConsistencyAudit(
         statements_premeasurement=statements,

@@ -36,6 +36,14 @@ ATOL = 1e-9
 NORM_DRIFT = 1e-12
 # Probabilities below this are treated as exactly zero.
 PRUNE_PROB = 1e-12
+# Most amplitudes a layout may hold at any stage, and a replay batch in all:
+# the smallest power of two above the 11-agent, three-level chain of
+# bench/scaling.py (1,062,882 amplitudes), the largest generated chain that
+# finished within that script's one-minute limit when the limit was set.  A
+# run keeps every stage, so that chain's CLI run peaks near 870 MiB (6 s on
+# one core of a 2-CPU machine); the next size up would need about three
+# times as much.
+MAX_AMPLITUDES = 2**21
 
 
 @dataclass(frozen=True)
@@ -160,8 +168,57 @@ class StateVector:
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
 
+    def rows(self) -> np.ndarray:
+        """The amplitudes as the one row of a (1, D) array: the m = 1 case
+        of a StateBatch, which is how the kernels read every state."""
+        return self.amplitudes.reshape(1, -1)
+
+    def with_rows(self, layout: SubsystemLayout, rows: np.ndarray) -> "StateVector":
+        """The state with amplitudes ``rows`` (shape (1, D)) over ``layout``,
+        keeping ``input_norm``."""
+        return StateVector(layout, rows.reshape(-1), input_norm=self.input_norm)
+
     def __repr__(self) -> str:
         return f"StateVector({'x'.join(map(str, self.layout.dims))} over {self.layout.names})"
+
+
+@dataclass(frozen=True, eq=False)
+class StateBatch:
+    """m unit-norm states over one layout: the columns of a (D, m) matrix,
+    held as its (m, D) transpose so that each state's amplitudes are
+    contiguous, as in a StateVector.  The kernels (``premeasure``,
+    ``environment_couple``, ``group_state``) and ``born`` apply to every
+    state at once and check each one on its own; a StateVector goes through
+    the same code as a batch of one."""
+
+    layout: SubsystemLayout
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
+        if amps.ndim != 2 or not len(amps) or amps.shape[1] != self.layout.dimension:
+            raise LayoutMismatchError(
+                f"batch of shape {amps.shape} does not hold states of layout "
+                f"dimension {self.layout.dimension}"
+            )
+        parts = amps.view(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+        j = int(np.argmax(np.abs(norms - 1.0)))
+        if abs(norms[j] - 1.0) > ATOL:
+            raise DegenerateStateError(f"state {j} of the batch has norm {norms[j]}, not 1 "
+                                       f"within {ATOL}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+
+    def rows(self) -> np.ndarray:
+        return self.amplitudes
+
+    def with_rows(self, layout: SubsystemLayout, rows: np.ndarray) -> "StateBatch":
+        return StateBatch(layout, rows)
+
+    def take(self, indices: Sequence[int]) -> "StateBatch":
+        """The batch of the states at ``indices``, in that order."""
+        return StateBatch(self.layout, self.amplitudes[list(indices)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,13 +333,17 @@ def basis_state(layout: SubsystemLayout, labels: Sequence[str]) -> StateVector:
     return make_state(layout, [(tuple(labels), 1.0)])
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; subsystem names must be disjoint."""
+def tensor(a: StateVector | StateBatch, b: StateVector) -> StateVector | StateBatch:
+    """Tensor product (of each state of a batch ``a``); subsystem names must
+    be disjoint."""
     overlap = set(a.layout.names) & set(b.layout.names)
     if overlap:
         raise LayoutConflictError(f"tensor operands share subsystem names {sorted(overlap)}")
     layout = SubsystemLayout(a.layout.subsystems + b.layout.subsystems)
-    return StateVector(layout, np.kron(a.amplitudes, b.amplitudes))
+    rows = (a.rows()[:, :, None] * b.amplitudes).reshape(-1, layout.dimension)
+    if isinstance(a, StateBatch):
+        return StateBatch(layout, rows)
+    return StateVector(layout, rows.reshape(-1))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -378,12 +439,12 @@ def group_layout(
 
 
 def group_state(
-    state: StateVector,
+    state: StateVector | StateBatch,
     parts: Sequence[str],
     register: Subsystem,
-) -> StateVector:
-    """Re-express a state over the layout with ``parts`` grouped into
-    ``register`` (see ``group_layout``).
+) -> StateVector | StateBatch:
+    """Re-express a state (each state of a batch) over the layout with
+    ``parts`` grouped into ``register`` (see ``group_layout``).
 
     Pure index re-association: amplitudes are permuted, never recomputed.
     """
@@ -391,12 +452,12 @@ def group_state(
     new_layout = group_layout(layout, parts, register)
     part_axes = [layout.axis(p) for p in parts]
     part_set = set(part_axes)
-    order: list[int] = []
+    order = [0]
     for i in range(len(layout.subsystems)):
         if i == part_axes[0]:
-            order.extend(part_axes)
+            order.extend(a + 1 for a in part_axes)
         elif i not in part_set:
-            order.append(i)
-    t = state.tensor_view().transpose(order)
-    return StateVector(new_layout, t.reshape(new_layout.dimension),
-                       input_norm=state.input_norm)
+            order.append(i + 1)
+    rows = state.rows()
+    t = rows.reshape((len(rows),) + layout.dims).transpose(order)
+    return state.with_rows(new_layout, t.reshape(len(rows), new_layout.dimension))

@@ -9,8 +9,11 @@ multi-register target, implements the one-shot environment couplings used
 for decoherence arguments.  States only ever pass through the ready sector,
 where the map is applied straight from the k x d_t matrix of branch rows;
 their orthonormality is checked once, where the rows are made (`Basis`,
-`environment_couple`).  ``correlating_unitary`` completes the map to a full
+`branch_basis`).  ``correlating_unitary`` completes the map to a full
 unitary for inspection.
+
+The kernels and ``born`` take a StateVector or a StateBatch, and a batch's
+states go through them together, each checked on its own.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .hilbert import (
     ATOL,
     PRUNE_PROB,
     LinearOperator,
+    StateBatch,
     StateVector,
     Subsystem,
     SubsystemLayout,
@@ -167,75 +171,90 @@ def _axes_of(layout: SubsystemLayout, names: Sequence[str]) -> list[int]:
     return [layout.axis(n) for n in names]
 
 
-def _branch_rows(
+def _branch_axes(
     layout: SubsystemLayout,
     targets: Sequence[str],
-    vectors: Sequence[StateVector],
+    rows_layout: SubsystemLayout,
+    n_rows: int,
     apparatus: str,
     ready_label: str,
     record_labels: Sequence[str],
-) -> tuple[np.ndarray, list[int], int, list[int]]:
-    """The correlating map on the apparatus ready sector,
-    V = sum_i |s_i><s_i| (x) |record_i><ready| + (1 - P) (x) |ready><ready|,
-    as its branch rows s_i (shape (k, d_t)), the front axes (target axes in
-    layout order, then the apparatus axis), the ready index and the record
-    indices.  Orthonormal rows make V an isometry; `Basis` and
-    `environment_couple` check them, once each."""
+) -> tuple[list[int], int, list[int]]:
+    """Where the correlating map
+    V = sum_i |s_i><s_i| (x) |record_i><ready| + (1 - P) (x) |ready><ready|
+    acts, for ``n_rows`` branch rows s_i over ``rows_layout``: the front
+    axes (target axes in layout order, then the apparatus axis), the ready
+    index and the record indices.  Orthonormal rows make V an isometry;
+    `Basis` and `branch_basis` check them, once each."""
     target_axes = sorted(_axes_of(layout, targets))
-    sub_layout = layout.sublayout([layout.subsystems[i].name for i in target_axes])
-    app = layout.subsystem(apparatus)
-    if apparatus in sub_layout.names:
+    on = tuple(layout.subsystems[i] for i in target_axes)
+    app_axis = layout.axis(apparatus)
+    app = layout.subsystems[app_axis]
+    if app_axis in target_axes:
         raise LayoutConflictError("apparatus cannot be part of the measured target")
     ready_idx = app.index_of(ready_label)
     record_idx = [app.index_of(r) for r in record_labels]
-    if len(record_idx) != len(vectors):
+    if len(record_idx) != n_rows:
         raise NonOrthonormalBasisError("one record label per branch vector required")
     extra = 0 if ready_label in record_labels else 1
-    if app.dimension < len(vectors) + extra:
+    if app.dimension < n_rows + extra:
         raise LayoutConflictError(
-            f"apparatus {apparatus!r} needs at least {len(vectors) + extra} levels"
+            f"apparatus {apparatus!r} needs at least {n_rows + extra} levels"
         )
-    for v in vectors:
-        if v.layout != sub_layout:
-            raise LayoutMismatchError(
-                f"branch vector layout {v.layout.names} != target layout {sub_layout.names}"
-            )
-    rows = np.stack([v.amplitudes for v in vectors])
-    return rows, target_axes + [layout.axis(apparatus)], ready_idx, record_idx
+    if rows_layout.subsystems != on:
+        raise LayoutMismatchError(
+            f"branch vector layout {rows_layout.names} != target layout "
+            f"{tuple(sub.name for sub in on)}"
+        )
+    return target_axes + [app_axis], ready_idx, record_idx
 
 
 def _correlate(
-    state: StateVector,
-    targets: Sequence[str],
-    vectors: Sequence[StateVector],
+    state: StateVector | StateBatch,
+    branches: Basis,
     apparatus: str,
     ready_label: str,
     record_labels: Sequence[str],
     role: str,
-) -> StateVector:
-    """Apply the correlating isometry from its branch rows to the ready slice
-    of the (targets, apparatus) axes.  The weight outside the ready sector,
-    at most 1e-9 once the ready check passes, is projected out and the
-    result renormalized."""
-    rows, front, ready_idx, record_idx = _branch_rows(
-        state.layout, targets, vectors, apparatus, ready_label, record_labels
+) -> StateVector | StateBatch:
+    """Apply the correlating isometry from the branch rows to the ready slice
+    of the (targets, apparatus) axes of every state.  Each state's weight
+    outside the ready sector, at most 1e-9 once its ready check passes, is
+    projected out and the state renormalized."""
+    layout = state.layout
+    rows = branches.matrix
+    front, ready_idx, record_idx = _branch_axes(
+        layout, branches.layout.names, branches.layout, len(rows), apparatus, ready_label,
+        record_labels
     )
-    moved = range(len(front))
-    t = np.moveaxis(state.tensor_view(), front, moved)
-    d_t, d_a = rows.shape[1], state.layout.dims[front[-1]]
-    ready = t.reshape(d_t, d_a, -1)[:, ready_idx]
-    weight = float(np.vdot(ready, ready).real)
-    if weight < 1.0 - ATOL:
+    # The front axes go first, then the batch axis: ``ready`` holds the
+    # states side by side, each one as a (d_t, rest) block.
+    amps = state.rows()
+    m = len(amps)
+    order = [f + 1 for f in front] + [0] + [i + 1 for i in range(len(layout.dims))
+                                            if i not in front]
+    t = amps.reshape((m,) + layout.dims).transpose(order)
+    d_t, d_a = rows.shape[1], layout.dims[front[-1]]
+    ready = t[(slice(None),) * (len(front) - 1) + (ready_idx,)].reshape(d_t, -1)
+    blocks = ready.reshape(d_t, m, -1)
+    weights = [np.vdot(blocks[:, j], blocks[:, j]).real for j in range(m)]
+    if min(weights) < 1.0 - ATOL:
         raise ApparatusNotReadyError(
             f"{role} {apparatus!r} is not in its ready state {ready_label!r}"
         )
     c = rows.conj() @ ready
     out = np.zeros((d_t, d_a, ready.shape[1]), dtype=np.complex128)
     out[:, ready_idx] = ready - rows.T @ c
+    del ready, blocks
     for row, ci, rec in zip(rows, c, record_idx):
         out[:, rec] += np.outer(row, ci)  # += keeps a ready level reused as a record
-    out = np.moveaxis((out / np.sqrt(weight)).reshape(t.shape), moved, front)
-    return StateVector(state.layout, out.reshape(-1), input_norm=state.input_norm)
+    out.reshape(d_t, d_a, m, -1)[...] /= np.sqrt(weights)[:, None]
+    # Back in layout order; ``out`` goes before the state copies the result,
+    # so no more than three copies of the batch are held at once.
+    laid = out.reshape(t.shape).transpose(sorted(range(len(order)), key=order.__getitem__))
+    laid = laid.reshape(m, -1)
+    del out
+    return state.with_rows(layout, laid)
 
 
 def correlating_unitary(
@@ -255,8 +274,12 @@ def correlating_unitary(
     the orthonormal complement from one complete QR, in ascending column
     order.
     """
-    rows, front, ready_idx, record_idx = _branch_rows(
-        layout, targets, vectors, apparatus, ready_label, record_labels
+    for v in vectors:
+        if v.layout != vectors[0].layout:
+            raise LayoutMismatchError("branch vectors live over different layouts")
+    rows = np.stack([v.amplitudes for v in vectors])
+    front, ready_idx, record_idx = _branch_axes(
+        layout, targets, vectors[0].layout, len(rows), apparatus, ready_label, record_labels
     )
     if gram_defect(rows) is not None:
         raise NonOrthonormalBasisError("measurement basis vectors are not orthonormal")
@@ -282,28 +305,73 @@ def correlating_unitary(
     return LinearOperator(layout, layout, full, kind="unitary")
 
 
-def premeasure(state: StateVector, spec: MeasurementSpec) -> StateVector:
+def premeasure(state: StateVector | StateBatch, spec: MeasurementSpec
+               ) -> StateVector | StateBatch:
     """Correlate the target with the apparatus: c1|s1> + c2|s2> with a ready
     apparatus becomes c1|s1>|a1> + c2|s2>|a2>."""
-    return _correlate(state, [spec.target], spec.basis.vectors, spec.apparatus,
-                      spec.ready_label, spec.outcome_labels, "apparatus")
+    return _correlate(state, spec.basis, spec.apparatus, spec.ready_label,
+                      spec.outcome_labels, "apparatus")
+
+
+def branch_basis(branches: Sequence[StateVector]) -> Basis:
+    """Environment branches as a Basis labeled eps1, eps2, ... (the records
+    ``attach_environment`` names), checked orthonormal once, here."""
+    if not branches:
+        raise IncompleteBranchingError("at least one branch is required")
+    try:
+        return Basis(tuple(f"eps{i}" for i in range(1, len(branches) + 1)), tuple(branches))
+    except NonOrthonormalBasisError:
+        raise NonOrthonormalBasisError("branch vectors are not orthonormal") from None
+
+
+def _along_branches(state: StateVector | StateBatch, branches: Basis
+                    ) -> tuple[list[int], np.ndarray]:
+    """The axis order that puts the branch registers first, then the batch
+    axis, then the rest; and each state's coefficients along the branches,
+    c[k, j] = <b_k|state_j>, shape (K, m, rest).  Raises
+    IncompleteBranchingError when the branches miss a state's support."""
+    layout = state.layout
+    axes = sorted(_axes_of(layout, branches.layout.names))
+    if branches.layout.subsystems != tuple(layout.subsystems[a] for a in axes):
+        raise LayoutMismatchError(
+            f"branch vector layout {branches.layout.names} != target layout "
+            f"{tuple(layout.names[a] for a in axes)}"
+        )
+    amps = state.rows()
+    m = len(amps)
+    order = [a + 1 for a in axes] + [0] + [i + 1 for i in range(len(layout.dims))
+                                           if i not in axes]
+    t = amps.reshape((m,) + layout.dims).transpose(order).reshape(branches.layout.dimension, -1)
+    if np.may_share_memory(t, amps):
+        t = t.copy()  # the residual is formed in place below
+    vmat = branches.matrix
+    c = vmat.conj() @ t
+    t -= vmat.T @ c
+    parts = t.view(np.float64).reshape(len(t), m, -1)
+    leak = float(np.sqrt(np.max(np.einsum("imk,imk->m", parts, parts))))
+    if leak > ATOL:
+        raise IncompleteBranchingError(
+            f"branches miss state support (residual norm {leak:.3g})"
+        )
+    return order, c.reshape(len(vmat), m, -1)
 
 
 def environment_couple(
-    state: StateVector,
-    branches: Sequence[StateVector],
+    state: StateVector | StateBatch,
+    branches: Sequence[StateVector] | Basis,
     environment: str,
     env_labels: Sequence[str],
     ready_label: str | None = None,
-) -> StateVector:
+) -> StateVector | StateBatch:
     """One-shot coupling: branch k of the named subset gets tagged with the
     environment record env_labels[k].
 
-    Branches must be orthonormal and must span the state's support on their
-    subsystems; anything left over raises IncompleteBranchingError.
+    Branches must be orthonormal (plain vectors are checked by
+    ``branch_basis``, a Basis was checked when it was made) and must span
+    each state's support on their subsystems; anything left over raises
+    IncompleteBranchingError.
     """
-    layout = state.layout
-    env = layout.subsystem(environment)
+    env = state.layout.subsystem(environment)
     if ready_label is None:
         leftovers = [l for l in env.labels if l not in set(env_labels)]
         if len(leftovers) != 1:
@@ -311,32 +379,59 @@ def environment_couple(
                 f"cannot infer ready label of {environment!r}; pass ready_label"
             )
         ready_label = leftovers[0]
-    if not branches:
-        raise IncompleteBranchingError("at least one branch is required")
-    target_names = [n for n in branches[0].layout.names]
+    basis = branches if isinstance(branches, Basis) else branch_basis(branches)
+    _along_branches(state, basis)
+    return _correlate(state, basis, environment, ready_label, env_labels, "environment")
 
-    # Span check: the state must lie inside span{branches} on the subset.
-    sub_layout = layout.sublayout(sorted(target_names, key=layout.axis))
-    vmat = np.stack([b.amplitudes for b in branches])
-    if gram_defect(vmat) is not None:
-        raise NonOrthonormalBasisError("branch vectors are not orthonormal")
-    axes = sorted(_axes_of(layout, target_names))
-    n = len(layout.subsystems)
-    order = axes + [i for i in range(n) if i not in axes]
-    t = state.tensor_view().transpose(order).reshape(sub_layout.dimension, -1)
-    residual = t - vmat.T @ (vmat.conj() @ t)
-    leak = float(np.linalg.norm(residual))
-    if leak > ATOL:
-        raise IncompleteBranchingError(
-            f"branches miss state support (residual norm {leak:.3g})"
+
+def conditioned_branches(
+    state: StateVector,
+    branches: Basis,
+    subsystem: str,
+    basis: Basis,
+    outcome_index: int,
+) -> tuple[StateBatch, tuple[float, ...]]:
+    """The branches of ``state`` conditioned on an outcome: the states
+    Q·P_k·state, each normalised, and their weights
+    ‖Q·P_k·state‖² / sum_j ‖Q·P_j·state‖².
+
+    P_k projects onto branch k on its registers and Q onto the outcome's
+    vector of ``basis`` on ``subsystem``.  Coupling an environment that
+    records the branches (``environment_couple``) and conditioning on the
+    outcome (``condition``) leaves sum_k Q·P_k·state (x) |eps_k>, normalised;
+    a step that leaves the environment alone acts on each branch on its
+    own, and Born statistics that sum over the environment are this mixture
+    of the branches' statistics.  Branches whose weight is at most
+    PRUNE_PROB are left out.  Raises IncompleteBranchingError if the
+    branches miss the state's support, ImpossibleOutcomeError if the outcome
+    has no weight.
+    """
+    layout = state.layout
+    order, c = _along_branches(state, branches)
+    vmat = branches.matrix
+    # P_k·state in the moved axis order, then back in layout order.
+    moved = (len(vmat),) + tuple(((1,) + layout.dims)[o] for o in order)
+    comps = (vmat[:, :, None, None] * c[:, None]).reshape(moved)
+    comps = comps.transpose([0] + [1 + o for o in np.argsort(order)])[:, 0]
+    axis = layout.axis(subsystem) + 1
+    vec = basis.vectors[outcome_index].amplitudes
+    comps = apply_to_axis(apply_to_axis(comps, vec.conj()[None], axis), vec[:, None], axis)
+    rows = comps.reshape(len(vmat), -1)
+    weights = np.sum(np.abs(rows) ** 2, axis=1)
+    total = float(weights.sum())
+    if total <= PRUNE_PROB:
+        raise ImpossibleOutcomeError(
+            f"outcome {basis.labels[outcome_index]!r} on {subsystem!r} has "
+            f"probability {total:.3g}"
         )
-    return _correlate(state, target_names, branches, environment, ready_label,
-                      env_labels, "environment")
+    keep = np.flatnonzero(weights > PRUNE_PROB * total)
+    kept = rows[keep] / np.sqrt(weights[keep])[:, None]
+    return StateBatch(layout, kept), tuple((weights[keep] / total).tolist())
 
 
 def attach_environment(
-    state: StateVector, name: str, n_branches: int, label_prefix: str = "eps"
-) -> tuple[StateVector, tuple[str, ...]]:
+    state: StateVector | StateBatch, name: str, n_branches: int, label_prefix: str = "eps"
+) -> tuple[StateVector | StateBatch, tuple[str, ...]]:
     """Tensor on a minimal ready environment register (one ready level plus
     one record level per branch); returns the new state and record labels."""
     labels = tuple(f"{label_prefix}{i}" for i in range(n_branches + 1))
@@ -346,14 +441,15 @@ def attach_environment(
 
 
 def born(
-    state: StateVector,
+    state: StateVector | StateBatch,
     targets: Sequence[tuple[str, Basis | None]],
-) -> OutcomeDistribution:
-    """Joint Born distribution over the given subsystems and bases.
+) -> OutcomeDistribution | tuple[OutcomeDistribution, ...]:
+    """Joint Born distribution over the given subsystems and bases; for a
+    StateBatch, one distribution per state.
 
     ``None`` means the subsystem's computational basis.  Entries come out
     sorted lexicographically by outcome labels, with tuples ordered the way
-    the targets were given.  If the measured bases miss part of the state's
+    the targets were given.  If the measured bases miss part of a state's
     support the probabilities cannot sum to one and a BasisCoverageError is
     raised.
 
@@ -375,24 +471,29 @@ def born(
         resolved.append((layout.axis(name), basis))
     if len({a for a, _ in resolved}) != len(resolved):
         raise LayoutConflictError("born targets must name distinct subsystems")
-    t = state.tensor_view()
+    amps = state.rows()
+    m = len(amps)
+    t = amps.reshape((m,) + layout.dims)
     for axis, basis in resolved:
-        t = apply_to_axis(t, np.conj(basis.matrix), axis)
+        t = apply_to_axis(t, np.conj(basis.matrix), axis + 1)
     probs = np.abs(t) ** 2
     measured_axes = sorted(a for a, _ in resolved)
-    other = tuple(i for i in range(probs.ndim) if i not in measured_axes)
+    other = tuple(i + 1 for i in range(len(layout.dims)) if i not in measured_axes)
     joint = probs.sum(axis=other) if other else probs
     # Summation leaves measured axes in ascending layout order; put them back
     # in the caller's target order so outcome tuples read as requested.
-    joint = joint.transpose([measured_axes.index(a) for a, _ in resolved])
-    entries = sorted(zip(product(*(b.labels for _, b in resolved)), joint.reshape(-1).tolist()),
-                     key=itemgetter(0))
-    total = sum(p for _, p in entries)
-    if total < 1.0 - ATOL:
-        raise BasisCoverageError(
-            f"measured bases cover only probability {total:.6g} of the state"
-        )
-    return OutcomeDistribution(tuple(entries))
+    joint = joint.transpose([0] + [measured_axes.index(a) + 1 for a, _ in resolved])
+    labels = list(product(*(b.labels for _, b in resolved)))
+    dists = []
+    for row in joint.reshape(m, -1).tolist():
+        entries = sorted(zip(labels, row), key=itemgetter(0))
+        total = sum(p for _, p in entries)
+        if total < 1.0 - ATOL:
+            raise BasisCoverageError(
+                f"measured bases cover only probability {total:.6g} of the state"
+            )
+        dists.append(OutcomeDistribution(tuple(entries)))
+    return tuple(dists) if isinstance(state, StateBatch) else dists[0]
 
 
 def condition(

@@ -28,6 +28,7 @@ from .measurement import MeasurementSpec, OutcomeDistribution, born
 from .decomposition import Decomposition, rewrite, triortho_verdict
 from .experiment import (
     CertaintyVerdict,
+    Claim,
     ConsistencyAudit,
     CoupleStep,
     DecoherenceComparison,
@@ -37,7 +38,7 @@ from .experiment import (
     ProtocolTranscript,
     Statement,
     Step,
-    certainty,
+    certainties,
     run_transcript,
 )
 from . import experiment as ex
@@ -288,10 +289,15 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     transcript = scenario_transcript(scenario)
     models = _models(scenario)
+    # Every certainty query is answered at the first one, from one replay of
+    # the later steps; each keeps its own verdict or error for its turn.
+    verdicts: dict[int, CertaintyVerdict | PointerLabError] = {}
     results = []
     for qi, query in enumerate(scenario.queries, start=1):
         try:
-            results.append(_run_query(query, transcript, models, zero_tol))
+            if isinstance(query, sc.CertaintyQuery) and not verdicts:
+                verdicts = _certainties(scenario, transcript, models)
+            results.append(_run_query(query, transcript, models, zero_tol, verdicts.get(qi)))
         except PointerLabError as exc:
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
 
@@ -305,6 +311,17 @@ def scenario_transcript(scenario: sc.Scenario) -> ProtocolTranscript:
 
 def _models(scenario: sc.Scenario) -> dict[str, EnvironmentModel]:
     return {m.name: EnvironmentModel(m.name, m.resolved) for m in scenario.models}
+
+
+def _certainties(scenario: sc.Scenario, transcript: ProtocolTranscript,
+                 models: dict[str, EnvironmentModel]
+                 ) -> dict[int, CertaintyVerdict | PointerLabError]:
+    """The verdict or error of each certainty query, by 1-based query index."""
+    asked = {qi: Claim(q.observer, q.outcome, _proposition(q), q.semantics,
+                       tuple(models[m] for m in q.models))
+             for qi, q in enumerate(scenario.queries, start=1)
+             if isinstance(q, sc.CertaintyQuery)}
+    return dict(zip(asked, certainties(transcript, list(asked.values()))))
 
 
 def _proposition(query: sc.CertaintyQuery) -> Proposition:
@@ -361,8 +378,8 @@ def _decomposition_payload(dec: Decomposition, zero_tol: float) -> dict[str, Any
     }
 
 
-def _run_query(query, transcript: ProtocolTranscript, models,
-               zero_tol: float) -> dict[str, Any]:
+def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
+               verdict: CertaintyVerdict | PointerLabError | None = None) -> dict[str, Any]:
     final = transcript.final_state
     if isinstance(query, sc.BornQuery):
         names = [name for name, _ in query.targets]
@@ -376,9 +393,8 @@ def _run_query(query, transcript: ProtocolTranscript, models,
             "distribution": _dist_payload(dist, zero_tol),
         }
     if isinstance(query, sc.CertaintyQuery):
-        model_list = [models[m] for m in query.models]
-        verdict = certainty(transcript, query.observer, query.outcome, _proposition(query),
-                            semantics=query.semantics, models=model_list or None)
+        if isinstance(verdict, PointerLabError):
+            raise verdict
         payload = {
             "kind": "certainty",
             "observer": query.observer,

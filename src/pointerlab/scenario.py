@@ -107,12 +107,15 @@ BasisItem = Union[str, tuple[complex, ...]]
 
 @dataclass(frozen=True)
 class PremeasureAction:
+    """``stage`` is the layout in force when the apparatus measures."""
+
     target: str
     apparatus: str
     basis: tuple[BasisItem, ...]
     outcomes: tuple[str, ...]
     ready: str
     resolved: Basis = _resolved()
+    stage: SubsystemLayout = _resolved()
 
 
 @dataclass(frozen=True)
@@ -828,7 +831,8 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         if rval not in app.positions:
             raise ScenarioParseError(f"ready label {rval!r} not on apparatus {aval!r}",
                                      line_no, rcol, "ready names an apparatus level")
-        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, resolved)
+        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, resolved,
+                                schema.layout)
     if head == "group":
         m = re.match(r"^group\s+parts=(\S+)\s+as\s+(\S+)\s+map=(.+)$", stripped)
         if not m:
@@ -1034,6 +1038,27 @@ def _model_list(field_value, line_no, declared_models) -> tuple[str, ...]:
     return models
 
 
+def _model_targets_in(models, declared_models, layout, where, line_no, col, hint) -> None:
+    """Each of ``models`` couples registers of ``layout`` as they were
+    declared, or a parse error at ``col``."""
+    for mn in models:
+        declared = declared_models[mn].resolved[0].layout
+        for t in declared_models[mn].targets:
+            if t not in layout.axes or layout.subsystem(t) != declared.subsystem(t):
+                raise ScenarioParseError(
+                    f"model {mn!r} couples {t!r}, which is not in {where} as declared",
+                    line_no, col, hint)
+
+
+def _models_at_stage(models, declared_models, observer: PremeasureAction, line_no, col
+                     ) -> None:
+    """The models a decoherent claim by ``observer`` consults couple
+    registers of the observer's stage."""
+    _model_targets_in(models, declared_models, observer.stage,
+                      f"the layout where {observer.apparatus!r} measures", line_no, col,
+                      "decoherent semantics couples the observer's stage; model its registers")
+
+
 def _apparatus(name, line_no, col, apparatus_actions, final=None) -> PremeasureAction:
     """The premeasure action of apparatus ``name``; given the ``final``
     schema, the apparatus must also be a register of the final layout."""
@@ -1097,8 +1122,12 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         elif "models" in fields:
             raise ScenarioParseError("models= only applies to decoherent semantics",
                                      line_no, col0, "drop models= or switch semantics")
-        return _claim(oval, ocol, outval, outcol, words, pcol,
-                      line_no, schema, apparatus_actions, stages, sval, models)
+        claim = _claim(oval, ocol, outval, outcol, words, pcol,
+                       line_no, schema, apparatus_actions, stages, sval, models)
+        if models:
+            _models_at_stage(models, declared_models, apparatus_actions[oval], line_no,
+                             fields["models"][1])
+        return claim
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
         bval, bcol = _need(fields, "bases", line_no, "rewrite")
@@ -1176,8 +1205,10 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if dval not in chain:
             raise ScenarioParseError(f"decoherent names no chain statement: {dval!r}",
                                      line_no, dcol, f"use one of {list(chain)}")
-        models = _model_list(_need(fields, "models", line_no, "consistency_audit"),
-                             line_no, declared_models)
+        mval, mcol = _need(fields, "models", line_no, "consistency_audit")
+        models = _model_list((mval, mcol), line_no, declared_models)
+        _models_at_stage(models, declared_models, apparatus_actions[chain[dval].observer],
+                         line_no, mcol)
         return AuditQuery(tuple(chain.items()), tuple(joint), dval, models)
     if head == "decoherence_compare":
         fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
@@ -1186,14 +1217,9 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if len(set(models)) != 2 or len(models) != 2:
             raise ScenarioParseError("decoherence_compare compares two distinct models",
                                      line_no, mcol, "write models=(COARSE, FINE)")
-        for mn in models:
-            for t in declared_models[mn].targets:
-                final = schema.layout
-                if t not in final.axes or final.subsystem(t) != stages[0].subsystem(t):
-                    raise ScenarioParseError(
-                        f"model {mn!r} couples {t!r}, which is not in the final layout "
-                        "as declared", line_no, mcol,
-                        "decoherence_compare couples the final state; model its registers")
+        _model_targets_in(models, declared_models, schema.layout, "the final layout",
+                          line_no, mcol,
+                          "decoherence_compare couples the final state; model its registers")
         hval, hcol = _need(fields, "hidden", line_no, "decoherence_compare")
         hidden = tuple(n for n, _ in _parse_name_list(hval, line_no, hcol))
         for n in hidden:

@@ -430,3 +430,81 @@ def test_repeated_entry_is_a_parse_error_at_its_column(tmp_path, capsys, old, ne
     assert main(["check", path]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert f"line {line}, col {col}: " in err and "appears twice" in err
+
+
+SHARED_OBSERVER = """\
+layout:
+  subsystem R {head, tail}
+  derived R plus = sqrt(1/2)|head> + sqrt(1/2)|tail>
+  subsystem A {a0, a1, a2}
+state: 1|head,a0>
+actions:
+  premeasure target=R apparatus=A basis={head,tail} outcomes={a1,a2} ready=a0
+models:
+  model m targets=(R,A) branches={|head,a1>, |tail,a2>}
+queries:
+  born targets=(R)
+"""
+UNCOVERED = 'observer=A outcome=a1 prop="R is_in_state plus" semantics=decoherent models=(m)'
+IMPOSSIBLE = 'observer=A outcome=a2 prop="R is_in_state head" semantics=premeasurement'
+CERTAIN = 'observer=A outcome=a1 prop="R is_in_state head" semantics=premeasurement'
+
+
+@pytest.mark.parametrize("queries, message", [
+    ((UNCOVERED, IMPOSSIBLE), "query 2 (CertaintyQuery): measured bases cover only "
+                              "probability 0.5 of the state"),
+    ((IMPOSSIBLE, UNCOVERED), "query 2 (CertaintyQuery): record 'a2' has probability 0 at "
+                              "'A''s stage"),
+    ((CERTAIN, UNCOVERED), "query 3 (CertaintyQuery): measured bases cover only "
+                           "probability 0.5 of the state"),
+], ids=["replay-then-plan", "plan-then-replay", "certain-then-replay"])
+def test_a_failing_certainty_query_is_named_as_when_answered_alone(
+        tmp_path, capsys, queries, message):
+    # The queries share an observer and so one replay; the diagnostic still
+    # names the first failing query with its own message, as when each
+    # query was answered alone.  One failure comes from the replay (Born
+    # coverage), the other before it (an impossible record).
+    text = SHARED_OBSERVER + "".join(f"  certainty {q}\n" for q in queries)
+    path = write(tmp_path, "shared.scn", text)
+    assert main(["run", path]) == EXIT_EXEC
+    assert capsys.readouterr().err == f"{path}: execution error: {message}\n"
+
+
+GROUPED_AWAY = """\
+layout:
+  subsystem S {s0, s1}
+  subsystem F1 {a0, a1, a2}
+  subsystem W2 {a0, a1, a2}
+state: sqrt(1/2)|s0,a0,a0> + sqrt(1/2)|s1,a0,a0>
+actions:
+  premeasure target=S apparatus=F1 basis={s0,s1} outcomes={a1,a2} ready=a0
+  group parts=(S,F1) as L1 map={(s0,a1):x, (s1,a2):y}
+  derived L1 p = sqrt(1/2)|x> + sqrt(1/2)|y>
+  derived L1 q = sqrt(1/2)|x> - sqrt(1/2)|y>
+  premeasure target=L1 apparatus=W2 basis={p,q} outcomes={a1,a2} ready=a0
+models:
+  model two targets=(S,F1) branches={|s0,a1>, |s1,a2>}
+queries:
+"""
+
+
+@pytest.mark.parametrize("query", [
+    'certainty observer=W2 outcome=a1 prop="W2 will_obtain p" semantics=decoherent '
+    "models=(two)",
+    'consistency_audit chain=(s1:"W2 a1 W2 will_obtain p") joint=(W2:p) decoherent=s1 '
+    "models=(two)",
+], ids=["certainty", "audit"])
+def test_a_model_of_registers_gone_by_the_observers_stage_is_a_parse_error(
+        tmp_path, capsys, query):
+    # This used to exit 3 with "layout has no subsystem 'S'" from the run.
+    # The diagnostic points at the models= value.
+    col = 3 + query.index("models=") + len("models=")
+    path = write(tmp_path, "gone.scn", GROUPED_AWAY + f"  {query}\n")
+    assert main(["run", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"parse error: line 15, col {col}: model 'two' couples 'S', which is not in " \
+           "the layout where 'W2' measures" in err
+    # At F1's stage the model's registers are all there.
+    fine = GROUPED_AWAY + "  " + query.replace("observer=W2", "observer=F1").replace(
+        '"W2 a1', '"F1 a1') + "\n"
+    assert main(["check", write(tmp_path, "fine.scn", fine)]) == EXIT_OK

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointerlab as pl
 from pointerlab import experiment as ex
 from pointerlab.cli import bundled_scenario_text
-from pointerlab.errors import ImpossibleOutcomeError, PointerLabError
+from pointerlab.errors import ImpossibleOutcomeError, NonOrthonormalBasisError, PointerLabError
 from pointerlab.experiment import Proposition, run_transcript
 from pointerlab.measurement import Basis
+from pointerlab.runner import scenario_transcript
 from pointerlab.scenario import AuditQuery, PremeasureAction, parse_scenario
 
 SQ = math.sqrt
@@ -336,3 +339,267 @@ def test_reports_take_the_transcript_and_declared_inputs():
         ex.consistency_audit(tr, chain, [("W", "ok")], "s9", MODELS)
     with pytest.raises(PointerLabError):
         ex.decoherence_compare(tr.final_state, MODELS[:1], ("S",), "W")
+
+
+# --------------------------------------------------------------------------
+# Batched certainty against the spectator-environment reference
+# --------------------------------------------------------------------------
+
+
+def _cx(c) -> str:
+    c = complex(c)
+    return f"({c.real!r}{'-' if c.imag < 0 else '+'}{abs(c.imag)!r}i)"
+
+
+def _chain_text(rng, n) -> str:
+    """A nested chain of ``n`` agents with three-level apparatus: F1 records
+    a spin S and is tagged by an environment E; each outer agent W_k
+    measures the laboratory L_{k-1} in a rotated basis of its two record
+    branches and then groups with it (the last one stays separate)."""
+    p0 = rng.uniform(0.2, 0.8)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    ready = ",a0" * n
+    agents = ["F1"] + [f"W{k}" for k in range(2, n + 1)]
+    lines = ["layout:", "  subsystem S {s0, s1}"]
+    lines += [f"  subsystem {a} {{a0, a1, a2}}" for a in agents]
+    lines += [f"state: {_cx(SQ(p0))}|s0{ready}> + {_cx(SQ(1 - p0) * phase)}|s1{ready}>",
+              "actions:",
+              "  premeasure target=S apparatus=F1 basis={s0,s1} outcomes={a1,a2} ready=a0",
+              "  couple env=E targets=(F1) branches={|a1>, |a2>}",
+              "  group parts=(S,F1) as L1 map={(s0,a1):x, (s1,a2):y}"]
+    P, Q = {"x": 1.0}, {"y": 1.0}
+    for k in range(2, n + 1):
+        th, e = rng.uniform(0.25, 1.3), np.exp(1j * rng.uniform(0, 2 * np.pi))
+        p = {**{l: math.cos(th) * v for l, v in P.items()},
+             **{l: e * math.sin(th) * v for l, v in Q.items()}}
+        q = {**{l: -np.conj(e) * math.sin(th) * v for l, v in P.items()},
+             **{l: math.cos(th) * v for l, v in Q.items()}}
+        for name, vec in ((f"p{k - 1}", p), (f"q{k - 1}", q)):
+            terms = " + ".join(f"{_cx(c)}|{l}>" for l, c in vec.items())
+            lines.append(f"  derived L{k - 1} {name} = {terms}")
+        lines.append(f"  premeasure target=L{k - 1} apparatus=W{k} "
+                     f"basis={{p{k - 1},q{k - 1}}} outcomes={{a1,a2}} ready=a0")
+        if k < n:
+            entries = ", ".join(f"({l},{r}):{l}{s}" for l in p for r, s in (("a1", "a"), ("a2", "b")))
+            lines.append(f"  group parts=(L{k - 1},W{k}) as L{k} map={{{entries}}}")
+            P = {l + "a": v for l, v in p.items()}
+            Q = {l + "b": v for l, v in q.items()}
+    eta = rng.uniform(0.3, 1.2)
+    c, s = math.cos(eta), math.sin(eta)
+    lines += ["models:",
+              "  model two targets=(S,F1) branches={|s0,a1>, |s1,a2>}",
+              f"  model rot targets=(S,F1) branches={{{c!r}|s0,a1> + {s!r}|s1,a2>, "
+              f"{-s!r}|s0,a1> + {c!r}|s1,a2>}}"]
+    lines += [f"  model rec{k} targets=(W{k}) branches={{|a1>, |a2>}}" for k in range(2, n + 1)]
+    lines += ["queries:", f"  born targets=(W{n})"]
+    return "\n".join(lines) + "\n"
+
+
+def _chain_claims(scenario, transcript, n):
+    """Premeasurement and decoherent claims from every agent, on both
+    records: the last agent's outcome (will_obtain), and registers that
+    exist at the observer's stage or only after it (is_in_state)."""
+    models = _models(scenario)
+    last = next(a.resolved for a in scenario.actions
+                if isinstance(a, PremeasureAction) and a.apparatus == f"W{n}")
+    outcome = Proposition(last.layout.names[0], last, f"p{n - 1}", "will_obtain")
+    spin = Proposition("S", Basis.computational(transcript.stages[1].state.layout, "S"),
+                       "s0", "is_in_state")
+    lab = Proposition("L1", Basis.computational(transcript.stage("group-L1").state.layout,
+                                                "L1"), "x", "is_in_state")
+    claims = []
+    for k in range(1, n + 1):
+        if k == 1:
+            observer, props, decoherent = "F1", (outcome, spin, lab), (models["two"], models["rot"])
+        else:
+            observer, props, decoherent = f"W{k}", (outcome,), (models[f"rec{k}"],)
+        for record in ("a1", "a2"):
+            for prop in props:
+                claims.append(ex.Claim(observer, record, prop))
+                claims.append(ex.Claim(observer, record, prop, "decoherent", decoherent))
+    return claims
+
+
+def _models(scenario):
+    return {m.name: ex.EnvironmentModel(m.name, m.resolved) for m in scenario.models}
+
+
+def _proposition(query):
+    """A certainty query's proposition, read on its resolved basis."""
+    basis = query.resolved
+    return Proposition(basis.layout.names[0], basis, query.prop_predicate, query.prop_quantifier)
+
+
+def _reference(transcript, claim):
+    """The spectator-environment path, from public functions only: condition
+    the stage state (coupled to each model's environment, under decoherent
+    semantics), apply the later steps one by one, read the proposition."""
+    idx, step = transcript.agent_premeasure(claim.observer)
+    stage = transcript.stages[idx].state
+    record = Basis.computational(stage.layout, claim.observer)
+    out_i = record.labels.index(claim.observed)
+    if claim.semantics == "premeasurement":
+        starts = [pl.condition(stage, claim.observer, record, out_i)]
+    else:
+        starts = []
+        for model in claim.models:
+            ext, rec = pl.attach_environment(stage, model.name, len(model.branches))
+            coupled = pl.environment_couple(ext, model.branches, model.name, rec)
+            starts.append(pl.condition(coupled, claim.observer,
+                                       Basis.computational(coupled.layout, claim.observer),
+                                       out_i))
+    prop = claim.prop
+    dists = []
+    for state in starts:
+        i = idx
+        while i + 1 < len(transcript.steps) and (
+                prop.quantifier == "will_obtain" or prop.subject not in state.layout.names):
+            i += 1
+            state = ex.apply_step(state, transcript.steps[i])
+        dists.append(pl.born(state, [(prop.subject, prop.basis)]))
+    probs = [d.probability((prop.predicate,)) for d in dists]
+    if all(p >= 1 - ex.CERTAIN_TOL for p in probs):
+        kind = "certain"
+    elif all(p <= ex.CERTAIN_TOL for p in probs):
+        kind = "refuted"
+    else:
+        kind = "undetermined"
+    return kind, dists
+
+
+def _assert_matches_reference(transcript, claims):
+    verdicts = ex.certainties(transcript, claims)
+    for claim, verdict in zip(claims, verdicts):
+        assert isinstance(verdict, ex.CertaintyVerdict), (claim, verdict)
+        kind, dists = _reference(transcript, claim)
+        got = [verdict.conditional] if claim.semantics == "premeasurement" else [
+            d for _, d in verdict.evidence]
+        assert verdict.kind == kind
+        assert verdict.conditional == got[0]
+        for mine, ref in zip(got, dists, strict=True):
+            assert [k for k, _ in mine.entries] == [k for k, _ in ref.entries]
+            for (_, p), (_, r) in zip(mine.entries, ref.entries):
+                assert abs(p - r) <= 1e-12, (claim, mine, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_batched_certainty_matches_the_spectator_environment(seed, n):
+    # Every claim of a generated chain, answered in one call (one replay of
+    # each stage), against the same claim answered alone by the spectator
+    # reference: premeasurement and decoherent, will_obtain and is_in_state,
+    # and models with a zero-weight branch once the record is conditioned on.
+    scenario = parse_scenario(_chain_text(np.random.default_rng(seed), n))
+    transcript = scenario_transcript(scenario)
+    _assert_matches_reference(transcript, _chain_claims(scenario, transcript, n))
+
+
+@pytest.mark.parametrize("name", ["fr", "decoherence"])
+def test_batched_certainty_matches_the_reference_on_the_bundled_scenarios(name):
+    scenario = parse_scenario(bundled_scenario_text(name))
+    transcript = scenario_transcript(scenario)
+    models = tuple(_models(scenario).values())
+    claims = []
+    for q in scenario.queries:
+        asked = [q] if hasattr(q, "observer") else [s for _, s in getattr(q, "chain", ())]
+        for s in asked:
+            idx, step = transcript.agent_premeasure(s.observer)
+            # The models couple registers that F and the outer agents no
+            # longer hold at their stages.
+            held = set(models[0].branches[0].layout.names) <= set(
+                transcript.stages[idx].state.layout.names)
+            for record in step.outcome_labels:
+                claims.append(ex.Claim(s.observer, record, _proposition(s)))
+                if held:
+                    claims.append(ex.Claim(s.observer, record, _proposition(s), "decoherent",
+                                           models))
+    assert sum(c.semantics == "decoherent" for c in claims) >= 2
+    _assert_matches_reference(transcript, claims)
+
+
+def _chain(n=3, seed=5):
+    scenario = parse_scenario(_chain_text(np.random.default_rng(seed), n))
+    return scenario, scenario_transcript(scenario)
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    for name in ("premeasure", "group_state", "environment_couple"):
+        kernel = getattr(ex, name)
+
+        def counted(state, *args, kernel=kernel, **kwargs):
+            calls.append(len(state.rows()))
+            return kernel(state, *args, **kwargs)
+
+        monkeypatch.setattr(ex, name, counted)
+    return calls
+
+
+def test_claims_sharing_an_observer_replay_each_later_step_once(monkeypatch):
+    scenario, transcript = _chain()
+    claims = [c for c in _chain_claims(scenario, transcript, 3) if c.observer == "F1"]
+    calls = _count_kernels(monkeypatch)
+    ex.certainties(transcript, claims)
+    later = len(transcript.steps) - 2  # the steps after F1's premeasurement
+    assert len(calls) == later
+    # The columns: one conditioned state per record, and per record each
+    # model's branches that keep weight (two's other branch has none).
+    assert calls[0] == 2 + 2 * (1 + 2)
+
+
+def test_a_run_replays_each_stage_once(monkeypatch):
+    from pointerlab.runner import run
+
+    asked = [f"observer={o} outcome={r} prop=\"W3 will_obtain p2\" semantics=premeasurement"
+             for o in ("F1", "W2") for r in ("a1", "a2")]
+    asked.append('observer=F1 outcome=a1 prop="W3 will_obtain p2" semantics=decoherent '
+                 "models=(two, rot)")
+    text = _chain_text(np.random.default_rng(5), 3) + "".join(
+        f"  certainty {a}\n" for a in asked)
+    scenario = parse_scenario(text)
+    calls = _count_kernels(monkeypatch)
+    report = run(scenario, source_text=text)
+    # The transcript's six steps, then one replay of the five after F1's
+    # premeasurement: F1's five states (two records, and two's one branch
+    # and rot's two on a1) until W2 measures, and W2's two records with them
+    # after that.
+    assert calls == [1] * 6 + [5] * 3 + [7] * 2
+    assert [r["kind"] for r in report.results] == ["born"] + ["certainty"] * 5
+
+
+def test_a_replay_over_the_amplitude_limit_goes_in_chunks(monkeypatch):
+    scenario, transcript = _chain()
+    claims = [c for c in _chain_claims(scenario, transcript, 3) if c.observer == "F1"]
+    whole = ex.certainties(transcript, claims)
+    final = transcript.final_state.layout.dimension
+    monkeypatch.setattr(ex, "MAX_AMPLITUDES", 3 * final + 1)  # three states per chunk
+    calls = _count_kernels(monkeypatch)
+    chunked = ex.certainties(transcript, claims)
+    later = len(transcript.steps) - 2
+    # 8 columns (see above) in chunks of 3, 3 and 2, each through every step.
+    assert calls == [3] * later + [3] * later + [2] * later
+    for a, b in zip(whole, chunked, strict=True):
+        assert a.kind == b.kind
+        pairs = [(a.conditional, b.conditional)] + [
+            (x, y) for (_, x), (_, y) in zip(a.evidence, b.evidence, strict=True)]
+        for x, y in pairs:
+            assert [k for k, _ in x.entries] == [k for k, _ in y.entries]
+            assert all(abs(p - q) <= 1e-12 for (_, p), (_, q) in zip(x.entries, y.entries))
+
+
+def test_couple_branches_are_checked_once_when_the_step_is_made(monkeypatch):
+    from pointerlab import measurement
+
+    scenario, transcript = _chain()
+    checks = []
+    real = measurement.gram_defect
+    monkeypatch.setattr(measurement, "gram_defect", lambda rows: checks.append(1) or real(rows))
+    couple = next(s for s in transcript.steps if isinstance(s, ex.CoupleStep))
+    remade = ex.CoupleStep(couple.environment, couple.branches)
+    model = ex.EnvironmentModel("m", couple.branches)
+    assert len(checks) == 2
+    ex.apply_step(transcript.stages[1].state, remade)
+    ex.apply_step(transcript.stages[1].state, model.coupling)
+    assert len(checks) == 2
+    with pytest.raises(NonOrthonormalBasisError):
+        ex.CoupleStep("E", (couple.branches[0], couple.branches[0]))

@@ -13,10 +13,13 @@ import pointerlab as pl
 from pointerlab.errors import (
     ApparatusNotReadyError,
     BasisCoverageError,
+    DegenerateStateError,
     ImpossibleOutcomeError,
     IncompleteBranchingError,
+    LayoutMismatchError,
     NonOrthonormalBasisError,
 )
+from pointerlab.hilbert import StateBatch
 from pointerlab.decomposition import rewrite
 from pointerlab.measurement import Basis, MeasurementSpec, correlating_unitary
 
@@ -523,3 +526,82 @@ def test_kernel_allocates_in_proportion_to_the_state(case):
     finally:
         tracemalloc.stop()
     assert peak < 10 * state.amplitudes.nbytes
+
+
+def _batch_case(rng, case):
+    """A maker of random states of KERNEL_LAYOUT with the apparatus A at a
+    given level, and a kernel that acts on them (A1 is ready)."""
+    if case == "couple":
+        targets = ("a", "b")
+        vectors = _target_vectors(rng, targets, 3)
+        return (lambda ready="A1": _ready_state(rng, targets, vectors, ready),
+                lambda s: pl.environment_couple(s, vectors, "A", ("A0", "A2", "A3"),
+                                                ready_label="A1"))
+    make = lambda ready="A1": _ready_state(rng, ("b",), _target_vectors(rng, ("b",), 3), ready)
+    if case == "group":
+        register = pl.merged_register(KERNEL_LAYOUT, ("c", "a"), "G", {})
+        return make, lambda s: pl.group_state(s, ("c", "a"), register)
+    vectors = _target_vectors(rng, ("b",), 2)
+    spec = MeasurementSpec("b", Basis(("s0", "s1"), vectors), "A", "A1", ("A0", "A3"))
+    return make, lambda s: pl.premeasure(s, spec)
+
+
+@pytest.mark.parametrize("case", ["premeasure", "couple", "group"])
+def test_a_batch_goes_through_a_kernel_as_its_states_do_alone(case):
+    # Up to rounding: BLAS may sum a wider product in another order.
+    make, kernel = _batch_case(np.random.default_rng(11), case)
+    states = [make() for _ in range(3)]
+    batch = kernel(StateBatch(KERNEL_LAYOUT, np.stack([s.amplitudes for s in states])))
+    assert isinstance(batch, StateBatch) and len(batch.amplitudes) == 3
+    dists = pl.born(batch, [("b", None)])
+    for row, dist, state in zip(batch.amplitudes, dists, states):
+        alone = kernel(state)
+        assert batch.layout == alone.layout
+        assert np.max(np.abs(row - alone.amplitudes)) < 1e-14
+        ref = pl.born(alone, [("b", None)])
+        assert [k for k, _ in dist.entries] == [k for k, _ in ref.entries]
+        assert max(abs(p - q) for (_, p), (_, q) in zip(dist.entries, ref.entries)) < 1e-14
+
+
+@pytest.mark.parametrize("case", ["premeasure", "couple"])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_a_state_off_the_ready_sector_fails_its_batch(case, bad):
+    # Each state gets its own ready check: one state with its apparatus in a
+    # record level fails the batch even though the others are ready.
+    make, kernel = _batch_case(np.random.default_rng(3), case)
+    states = [make("A3" if i == bad else "A1") for i in range(3)]
+    role = "environment" if case == "couple" else "apparatus"
+    batch = StateBatch(KERNEL_LAYOUT, np.stack([s.amplitudes for s in states]))
+    with pytest.raises(ApparatusNotReadyError, match=f"{role} 'A' is not in its ready state"):
+        kernel(batch)
+    kernel(batch.take([i for i in range(3) if i != bad]))
+
+
+def test_a_batch_checks_each_state_for_unit_norm():
+    lay = coin_spin_app()
+    good = pl.basis_state(lay, ("head", "up", "F0")).amplitudes
+    with pytest.raises(DegenerateStateError, match="state 1 of the batch"):
+        StateBatch(lay, np.stack([good, 1.1 * good]))
+    with pytest.raises(LayoutMismatchError):
+        StateBatch(lay, good)
+
+
+def test_conditioned_branches_weigh_what_the_environment_records():
+    # The weights are the environment's record probabilities once the record
+    # is conditioned on; a branch the record rules out is left out.
+    lay, state = eq21_layout_state()
+    record = Basis.computational(lay, "A")
+    branches = pl.branch_basis(fine_branches(lay))
+    batch, weights = pl.conditioned_branches(state, branches, "A", record, 2)
+    ext, rec = pl.attach_environment(state, "E", 3)
+    coupled = pl.condition(pl.environment_couple(ext, branches, "E", rec), "A",
+                           Basis.computational(ext.layout, "A"), 2)
+    env = pl.born(coupled, [("E", None)])
+    assert env.probability(("eps1",)) < 1e-24 and len(weights) == 2
+    assert np.allclose(weights, [env.probability(("eps2",)), env.probability(("eps3",))],
+                       atol=1e-15)
+    assert np.allclose(np.linalg.norm(batch.amplitudes, axis=1), 1.0, atol=1e-15)
+    with pytest.raises(ImpossibleOutcomeError):
+        pl.conditioned_branches(state, branches, "A", record, 0)
+    with pytest.raises(IncompleteBranchingError):
+        pl.conditioned_branches(state, pl.branch_basis(coarse_branches(lay)[:1]), "A", record, 2)
