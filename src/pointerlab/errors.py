@@ -34,7 +34,12 @@ class InvalidPartitionError(PointerLabError):
 
 
 class NonOrthonormalBasisError(PointerLabError):
-    pass
+    """``gram`` is the Gram entry (i, j, value) furthest from the identity
+    when that is what failed, else None."""
+
+    def __init__(self, message: str, gram: tuple[int, int, complex] | None = None):
+        super().__init__(message)
+        self.gram = gram
 
 
 class ApparatusNotReadyError(PointerLabError):

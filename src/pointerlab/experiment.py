@@ -51,7 +51,6 @@ from .measurement import (
     OutcomeDistribution,
     attach_environment,
     born,
-    branch_basis,
     condition,
     conditioned_branches,
     environment_couple,
@@ -75,15 +74,12 @@ class GroupStep:
 @dataclass(frozen=True, eq=False)
 class CoupleStep:
     """One-shot environment coupling; the environment register is attached
-    on the fly (ready level plus one record level per branch).  ``basis``
-    holds the branches, checked orthonormal once, when the step is made."""
+    on the fly (ready level plus one record level per branch).  ``branches``
+    was checked orthonormal when it was made: by the parser, or by
+    ``branch_basis`` from plain vectors."""
 
     environment: str
-    branches: tuple[StateVector, ...]
-    basis: Basis = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", branch_basis(self.branches))
+    branches: Basis
 
 
 # A premeasurement step is its MeasurementSpec: the basis is built once.
@@ -97,10 +93,8 @@ def apply_step(state: StateVector | StateBatch, step: Step) -> StateVector | Sta
     if isinstance(step, GroupStep):
         return group_state(state, step.parts, step.register)
     if isinstance(step, CoupleStep):
-        extended, rec_labels = attach_environment(
-            state, step.environment, len(step.branches)
-        )
-        return environment_couple(extended, step.basis, step.environment, rec_labels)
+        extended, rec_labels = attach_environment(state, step.environment, step.branches.size)
+        return environment_couple(extended, step.branches, step.environment, rec_labels)
     raise TypeError(f"unknown step {step!r}")
 
 
@@ -211,15 +205,15 @@ class Statement:
 class EnvironmentModel:
     """Hypothetical one-shot coupling: the orthonormal branches, over some
     registers in layout order, that the environment records.  ``coupling``
-    is that coupling as a step, with an environment named after the model;
-    it checks the branches once, when the model is made."""
+    is that coupling as a step, with an environment named after the model
+    and the same checked branches."""
 
     name: str
-    branches: tuple[StateVector, ...]
+    branches: Basis
     coupling: CoupleStep = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coupling", CoupleStep(self.name, tuple(self.branches)))
+        object.__setattr__(self, "coupling", CoupleStep(self.name, self.branches))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +411,7 @@ def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part]
                 amps = condition(stage, part.apparatus, part.record, part.outcome).rows()
                 weights: tuple[float, ...] = (1.0,)
             else:
-                batch, weights = conditioned_branches(stage, part.model.coupling.basis,
+                batch, weights = conditioned_branches(stage, part.model.branches,
                                                       part.apparatus, part.record, part.outcome)
                 amps = batch.amplitudes
             made[key] = [(len(rows) + i, w) for i, w in enumerate(weights)]
@@ -517,11 +511,9 @@ def decoherence_compare(state: StateVector, models: Sequence[EnvironmentModel],
     def couple_and_reduce(model: EnvironmentModel) -> tuple[DensityOperator, tuple[float, ...]]:
         coupled = apply_step(state, model.coupling)
         rho = pointer_reduce(coupled, model.name)
-        on_targets = partial_trace(rho, model.branches[0].layout.names).matrix
-        weights = tuple(
-            float(np.real(np.vdot(b.amplitudes, on_targets @ b.amplitudes)))
-            for b in model.branches
-        )
+        on_targets = partial_trace(rho, model.branches.layout.names).matrix
+        weights = tuple(float(np.real(np.vdot(b, on_targets @ b)))
+                        for b in model.branches.matrix)
         return rho, weights
 
     (rho_coarse, w_coarse), (rho_fine, w_fine) = map(couple_and_reduce, models)

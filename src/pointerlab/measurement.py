@@ -8,8 +8,8 @@ goes to the record |a_i> on the branch where the target holds basis vector
 multi-register target, implements the one-shot environment couplings used
 for decoherence arguments.  States only ever pass through the ready sector,
 where the map is applied straight from the k x d_t matrix of branch rows;
-their orthonormality is checked once, where the rows are made (`Basis`,
-`branch_basis`).  ``correlating_unitary`` completes the map to a full
+their orthonormality is checked once, where the rows are made (`Basis`).
+``correlating_unitary`` completes the map to a full
 unitary for inspection.
 
 The kernels and ``born`` take a StateVector or a StateBatch, and a batch's
@@ -19,6 +19,7 @@ states go through them together, each checked on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from typing import Sequence
@@ -53,54 +54,97 @@ from .hilbert import (
 from .hilbert import DensityOperator
 
 
-@dataclass(frozen=True, eq=False)
+def _check_orthonormal(rows: np.ndarray) -> None:
+    """Raise NonOrthonormalBasisError, carrying the Gram entry, unless the
+    rows of ``rows`` are orthonormal."""
+    defect = gram_defect(rows)
+    if defect is not None:
+        i, j, g = defect
+        raise NonOrthonormalBasisError(f"basis not orthonormal: Gram[{i},{j}] = {g:.6g}", defect)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Basis:
-    """Ordered, labeled, pairwise-orthonormal vectors over one (sub)layout.
-    ``matrix`` holds the vectors' amplitudes as rows, shape (k, d); it is
-    stacked once, when the basis is made, and is read-only."""
+    """Ordered, labeled, pairwise-orthonormal vectors over one (sub)layout,
+    held as the rows of ``matrix``, shape (k, d), which is read-only.
+
+    ``Basis(labels, vectors)`` stacks unit StateVectors; ``from_rows``
+    takes raw rows and normalises them.  Either way the rows are checked
+    orthonormal once, when the basis is made.  ``vectors`` are the rows as
+    StateVectors, made when first read."""
 
     labels: tuple[str, ...]
-    vectors: tuple[StateVector, ...]
-    matrix: np.ndarray = field(init=False, repr=False)
+    layout: SubsystemLayout
+    matrix: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        if len(self.labels) != len(self.vectors) or not self.vectors:
+    def __init__(self, labels: Sequence[str], vectors: Sequence[StateVector]):
+        vectors = tuple(vectors)
+        if not vectors:
             raise NonOrthonormalBasisError("basis needs one label per vector")
-        if len(set(self.labels)) != len(self.labels):
-            raise NonOrthonormalBasisError("basis labels must be distinct")
-        layout = self.vectors[0].layout
-        for v in self.vectors:
+        layout = vectors[0].layout
+        for v in vectors:
             if v.layout != layout:
                 raise LayoutMismatchError("basis vectors live over different layouts")
-        matrix = np.stack([v.amplitudes for v in self.vectors])
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        defect = gram_defect(matrix)
-        if defect is not None:
-            i, j, g = defect
-            raise NonOrthonormalBasisError(f"basis not orthonormal: Gram[{i},{j}] = {g:.6g}")
+        rows = np.stack([v.amplitudes for v in vectors])
+        _check_orthonormal(rows)
+        self._hold(labels, layout, rows)
+        object.__setattr__(self, "vectors", vectors)
 
-    @property
-    def layout(self) -> SubsystemLayout:
-        return self.vectors[0].layout
-
-    @property
-    def size(self) -> int:
-        return len(self.vectors)
+    @classmethod
+    def from_rows(cls, labels: Sequence[str], layout: SubsystemLayout,
+                  rows: np.ndarray) -> "Basis":
+        """The basis along the raw rows ``rows`` over ``layout``.  The rows
+        are checked as given, so one of the wrong norm fails on the Gram
+        diagonal; then each is divided by its own norm, as
+        ``hilbert.normalized`` does."""
+        rows = np.asarray(rows, dtype=np.complex128)
+        _check_orthonormal(rows)
+        norms = np.array([np.linalg.norm(row) for row in rows])
+        basis = cls.__new__(cls)
+        basis._hold(labels, layout, rows / norms[:, None])
+        return basis
 
     @classmethod
     def computational(cls, layout: SubsystemLayout, name: str,
                       labels: Sequence[str] | None = None) -> "Basis":
         """Computational basis of one subsystem, optionally restricted to a
-        subset of its labels."""
+        subset of its labels, in the order given: rows of the identity,
+        orthonormal by construction."""
         sub = layout.subsystem(name)
-        chosen = tuple(labels) if labels is not None else sub.labels
-        sub_layout = layout.sublayout([name])
         rows = np.eye(sub.dimension, dtype=np.complex128)
-        return cls(chosen, tuple(StateVector(sub_layout, rows[sub.index_of(lab)])
-                                 for lab in chosen))
+        if labels is None:
+            labels = sub.labels
+        else:
+            labels = tuple(labels)
+            rows = rows[[sub.index_of(lab) for lab in labels]]
+        if layout.names != (name,):
+            layout = SubsystemLayout((sub,))
+        basis = cls.__new__(cls)
+        basis._hold(labels, layout, rows)
+        return basis
+
+    def _hold(self, labels: Sequence[str], layout: SubsystemLayout, matrix: np.ndarray
+              ) -> None:
+        labels = tuple(labels)
+        if matrix.ndim != 2 or matrix.shape[1] != layout.dimension:
+            raise LayoutMismatchError(f"basis rows of shape {matrix.shape} do not match "
+                                      f"layout dimension {layout.dimension}")
+        if len(labels) != len(matrix) or not labels:
+            raise NonOrthonormalBasisError("basis needs one label per vector")
+        if len(set(labels)) != len(labels):
+            raise NonOrthonormalBasisError("basis labels must be distinct")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "matrix", matrix)
+
+    @cached_property
+    def vectors(self) -> tuple[StateVector, ...]:
+        return tuple(StateVector(self.layout, row) for row in self.matrix)
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +229,7 @@ def _branch_axes(
     acts, for ``n_rows`` branch rows s_i over ``rows_layout``: the front
     axes (target axes in layout order, then the apparatus axis), the ready
     index and the record indices.  Orthonormal rows make V an isometry;
-    `Basis` and `branch_basis` check them, once each."""
+    `Basis` checks them once, when it is made."""
     target_axes = sorted(_axes_of(layout, targets))
     on = tuple(layout.subsystems[i] for i in target_axes)
     app_axis = layout.axis(apparatus)
@@ -313,13 +357,20 @@ def premeasure(state: StateVector | StateBatch, spec: MeasurementSpec
                       spec.outcome_labels, "apparatus")
 
 
+def branch_labels(n: int) -> tuple[str, ...]:
+    """eps1 ... eps<n>: the labels of n environment branches, which are the
+    records ``attach_environment`` names."""
+    return tuple(f"eps{i}" for i in range(1, n + 1))
+
+
 def branch_basis(branches: Sequence[StateVector]) -> Basis:
-    """Environment branches as a Basis labeled eps1, eps2, ... (the records
-    ``attach_environment`` names), checked orthonormal once, here."""
+    """Environment branches given as plain vectors, as a Basis labelled by
+    ``branch_labels`` and checked orthonormal once, here.  The parser makes
+    its branch sets from rows (``Basis.from_rows``) instead."""
     if not branches:
         raise IncompleteBranchingError("at least one branch is required")
     try:
-        return Basis(tuple(f"eps{i}" for i in range(1, len(branches) + 1)), tuple(branches))
+        return Basis(branch_labels(len(branches)), tuple(branches))
     except NonOrthonormalBasisError:
         raise NonOrthonormalBasisError("branch vectors are not orthonormal") from None
 
@@ -414,7 +465,7 @@ def conditioned_branches(
     comps = (vmat[:, :, None, None] * c[:, None]).reshape(moved)
     comps = comps.transpose([0] + [1 + o for o in np.argsort(order)])[:, 0]
     axis = layout.axis(subsystem) + 1
-    vec = basis.vectors[outcome_index].amplitudes
+    vec = basis.matrix[outcome_index]
     comps = apply_to_axis(apply_to_axis(comps, vec.conj()[None], axis), vec[:, None], axis)
     rows = comps.reshape(len(vmat), -1)
     weights = np.sum(np.abs(rows) ** 2, axis=1)
@@ -466,7 +517,7 @@ def born(
     for name, basis in targets:
         if basis is None:
             basis = Basis.computational(layout, name)
-        if basis.layout != layout.sublayout([name]):
+        if basis.layout.subsystems != (layout.subsystem(name),):
             raise LayoutMismatchError(f"basis for {name!r} has the wrong layout")
         resolved.append((layout.axis(name), basis))
     if len({a for a, _ in resolved}) != len(resolved):
@@ -503,7 +554,7 @@ def condition(
     for every conditional claim in this package)."""
     layout = state.layout
     axis = layout.axis(subsystem)
-    vec = basis.vectors[outcome_index].amplitudes
+    vec = basis.matrix[outcome_index]
     t = state.tensor_view()
     component = np.tensordot(np.conj(vec), t, axes=([0], [axis]))
     prob = float(np.linalg.norm(component) ** 2)
@@ -521,7 +572,7 @@ def outcome_probability(state: StateVector, subsystem: str, basis: Basis,
                         outcome_index: int) -> float:
     layout = state.layout
     axis = layout.axis(subsystem)
-    vec = basis.vectors[outcome_index].amplitudes
+    vec = basis.matrix[outcome_index]
     component = np.tensordot(np.conj(vec), state.tensor_view(), axes=([0], [axis]))
     return float(np.linalg.norm(component) ** 2)
 

@@ -46,21 +46,25 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import NonInjectiveLabelMapError, ScenarioParseError, UnknownLabelError
+from .errors import (
+    NonInjectiveLabelMapError,
+    NonOrthonormalBasisError,
+    ScenarioParseError,
+    UnknownLabelError,
+)
 from .hilbert import (
     StateVector,
     Subsystem,
     SubsystemLayout,
-    gram_defect,
     group_layout,
     merged_register,
     normalized,
 )
-from .measurement import Basis
+from .measurement import Basis, branch_labels
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_+\-/.]+$")
@@ -128,18 +132,24 @@ class GroupAction:
 
 @dataclass(frozen=True)
 class CoupleAction:
+    """``resolved`` is the branch set, checked orthonormal, as the coupling
+    step holds it."""
+
     environment: str
     targets: tuple[str, ...]
     branches: tuple[tuple[StateTerm, ...], ...]
-    resolved: tuple[StateVector, ...] = _resolved()
+    resolved: Basis = _resolved()
 
 
 @dataclass(frozen=True)
 class ModelDecl:
+    """``resolved`` is the branch set, checked orthonormal, as the model
+    holds it."""
+
     name: str
     targets: tuple[str, ...]
     branches: tuple[tuple[StateTerm, ...], ...]
-    resolved: tuple[StateVector, ...] = _resolved()
+    resolved: Basis = _resolved()
 
 
 @dataclass(frozen=True)
@@ -237,40 +247,43 @@ _COMMA_RE = re.compile(",")
 _SIGN_RE = re.compile("[+-]")
 
 
-def _scan(text: str) -> Iterator[tuple[int, int]]:
-    """(start, end) of each run of text outside brackets, kets |...> and
-    quoted strings: the only places where text may be split.  A closing
-    bracket without a match keeps what follows out until its balance
-    returns."""
-    depth = start = 0
+def _split(text: str, base: int, sep: re.Pattern, keep: bool = False,
+           cut: Callable[[int], bool] | None = None) -> list[tuple[str, int]]:
+    """Split ``text`` at each top-level match of ``sep`` (outside brackets,
+    kets |...> and quoted strings) that starts where ``cut`` (when given)
+    holds, dropping the match unless ``keep``.  A closing bracket without a
+    match keeps what follows out until its balance returns.  Pieces come
+    back stripped, each with its column: ``base`` plus its offset in
+    ``text``."""
+    pieces = []
+    start = depth = lo = 0
+    # Each run of top-level text ends where a structural match starts; the
+    # last one, after the loop, runs to the end of the text.  The cut is
+    # written out twice rather than called: this is the parser's hottest loop.
     for m in _STRUCTURE_RE.finditer(text):
-        if depth == 0 and m.start() > start:
-            yield start, m.start()
+        hi = m.start()
+        if depth == 0 and hi > lo:
+            for s in sep.finditer(text, lo, hi):
+                i = s.start()
+                if cut is None or cut(i):
+                    body = text[start:i].lstrip()
+                    pieces.append((body.rstrip(), base + i - len(body)))
+                    start = i if keep else s.end()
         if m.lastindex == 1:
             depth += 1
         elif m.lastindex == 2:
             depth -= 1
-        start = m.end()
-    if depth == 0 and start < len(text):
-        yield start, len(text)
-
-
-def _split(text: str, base: int, sep: re.Pattern, keep: bool = False,
-           cut: Callable[[int], bool] | None = None) -> list[tuple[str, int]]:
-    """Split ``text`` at each top-level match of ``sep`` that starts where
-    ``cut`` (when given) holds, dropping the match unless ``keep``.  Pieces
-    come back stripped, each with its column: ``base`` plus its offset in
-    ``text``."""
-    pieces = []
-    start = 0
-    for lo, hi in _scan(text):
-        for m in sep.finditer(text, lo, hi):
-            i = m.start()
+        lo = m.end()
+    if depth == 0:
+        for s in sep.finditer(text, lo):
+            i = s.start()
             if cut is None or cut(i):
-                pieces.append((text[start:i], start))
-                start = i if keep else m.end()
-    pieces.append((text[start:], start))
-    return [(raw.strip(), base + off + len(raw) - len(raw.lstrip())) for raw, off in pieces]
+                body = text[start:i].lstrip()
+                pieces.append((body.rstrip(), base + i - len(body)))
+                start = i if keep else s.end()
+    body = text[start:].lstrip()
+    pieces.append((body.rstrip(), base + len(text) - len(body)))
+    return pieces
 
 
 def _tokens(text: str, base: int) -> list[tuple[str, int]]:
@@ -394,11 +407,13 @@ def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
 
 class _Schema:
     """The layout in force (None before the first subsystem line) and the
-    derived labels, against which labels resolve to vectors."""
+    derived labels, against which labels resolve to vectors.  A derived
+    label keeps the register it was declared on and its vector there."""
 
     def __init__(self):
         self.layout: SubsystemLayout | None = None
         self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = {}
+        self.derived_vectors: dict[tuple[str, str], tuple[Subsystem, np.ndarray]] = {}
         self._bases: dict[tuple, Basis] = {}
 
     def add(self, name: str, labels: tuple[str, ...], line: int, col: int) -> None:
@@ -443,6 +458,9 @@ class _Schema:
 
     def item_vector(self, sub: Subsystem, item: BasisItem, line: int, col: int) -> np.ndarray:
         if isinstance(item, str):
+            declared_on, vec = self.derived_vectors.get((sub.name, item), (None, None))
+            if declared_on is sub:
+                return vec
             return self.vector((sub,), (StateTerm(1.0 + 0.0j, (item,)),), line, col)
         if len(item) != sub.dimension:
             raise ScenarioParseError(
@@ -462,16 +480,10 @@ class _Schema:
         if key in self._bases:
             return self._bases[key]
         raw = np.stack([self.item_vector(sub, it, line, icol) for it, icol in items])
-        defect = gram_defect(raw)
-        if defect is not None:
-            i, j, g = defect
-            raise ScenarioParseError(
-                f"basis over {sub.name!r} is not orthonormal: Gram[{i},{j}] = "
-                f"{_fmt_complex_plain(g)}", line, col, "make the vectors orthonormal",
-            )
-        layout = SubsystemLayout((sub,))
         labels = tuple(it if isinstance(it, str) else f"b{k}" for k, (it, _) in enumerate(items))
-        basis = self._bases[key] = Basis(labels, tuple(normalized(layout, v) for v in raw))
+        basis = self._bases[key] = _checked(labels, SubsystemLayout((sub,)), raw, line, col,
+                                            f"basis over {sub.name!r} is not orthonormal",
+                                            "make the vectors orthonormal")
         return basis
 
     def computational(self, sub: Subsystem) -> Basis:
@@ -502,6 +514,20 @@ def _register(layout: SubsystemLayout | None, name: str, line: int, col: int) ->
         raise ScenarioParseError(f"subsystem {name!r} was never declared", line, col,
                                  "declare it in the layout section")
     return layout.subsystems[layout.axes[name]]
+
+
+def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
+             line: int, col: int, what: str, hint: str) -> Basis:
+    """The basis along raw ``rows``; rows that are not orthonormal are a
+    parse error at ``col`` naming ``what`` and the Gram entry."""
+    try:
+        return Basis.from_rows(labels, layout, rows)
+    except NonOrthonormalBasisError as exc:
+        if exc.gram is None:
+            raise
+        i, j, g = exc.gram
+        raise ScenarioParseError(f"{what}: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
+                                 line, col, hint) from None
 
 
 def _once(seen: set, key, what: str, line: int, col: int) -> None:
@@ -730,13 +756,15 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
             raise ScenarioParseError(
                 f"{term.labels[0]!r} is not a basis label of {sub_name!r}", line_no, expr_col,
                 "derived vectors expand over computational labels only")
-    nrm = float(np.linalg.norm(schema.vector((sub,), terms, line_no, expr_col)))
+    vec = schema.vector((sub,), terms, line_no, expr_col)
+    nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-9:
         raise ScenarioParseError(
             f"derived vector {label!r} has norm {nrm:.9g}, expected 1", line_no,
             expr_col, "normalize the coefficients")
     decl = DerivedDecl(sub_name, label, tuple((t.labels[0], t.coefficient) for t in terms))
     schema.derived[(sub_name, label)] = decl.terms
+    schema.derived_vectors[(sub_name, label)] = (sub, vec)
     return decl
 
 
@@ -793,12 +821,14 @@ def _parse_state(expr, line_no, col, schema):
 
 
 def _parse_action_line(stripped, line_no, col0, schema) -> Step:
-    toks = _tokens(stripped, col0)
-    head = toks[0][0]
+    # A directive word needs no lexing (it holds no bracket, ket or quote),
+    # and derived and group lines are matched whole: only premeasure and
+    # couple lines, and the head of an unknown action, are tokenized.
+    head = stripped.split(None, 1)[0]
     if head == "derived":
         return _parse_derived(stripped, line_no, col0, schema)
     if head == "premeasure":
-        fields = _field_map(toks[1:], line_no,
+        fields = _field_map(_tokens(stripped, col0)[1:], line_no,
                             ("target", "apparatus", "basis", "outcomes", "ready"))
         tval, tcol = _need(fields, "target", line_no, "premeasure")
         target = _register(schema.layout, tval, line_no, tcol)
@@ -870,7 +900,8 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         register = schema.group(parts, new_name, dict(pairs), line_no, map_col)
         return GroupAction(parts, new_name, tuple(pairs), register)
     if head == "couple":
-        fields = _field_map(toks[1:], line_no, ("env", "targets", "branches"))
+        fields = _field_map(_tokens(stripped, col0)[1:], line_no,
+                            ("env", "targets", "branches"))
         eval_, ecol = _need(fields, "env", line_no, "couple")
         if eval_ in schema.layout.axes:
             raise ScenarioParseError(f"environment name {eval_!r} already taken",
@@ -878,11 +909,12 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         tval, tcol = _need(fields, "targets", line_no, "couple")
         targets = _parse_targets(tval, line_no, tcol, schema.layout)
         bval, bcol = _need(fields, "branches", line_no, "couple")
-        ordered, branches, vectors = _parse_branch_set(bval, line_no, bcol, schema,
-                                                       schema.layout, targets)
+        ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema,
+                                                     schema.layout, targets)
         env_labels = tuple(f"eps{i}" for i in range(len(branches) + 1))
         schema.add(eval_, env_labels, line_no, ecol)
-        return CoupleAction(eval_, ordered, branches, vectors)
+        return CoupleAction(eval_, ordered, branches, basis)
+    head = _tokens(stripped, col0)[0][0]
     raise ScenarioParseError(f"unknown action {head!r}", line_no, col0,
                              "actions are premeasure, group, couple (or derived)")
 
@@ -900,7 +932,7 @@ def _parse_targets(tval, line_no, col, layout) -> tuple[str, ...]:
 def _parse_branch_set(bval, line_no, col, schema, layout, targets):
     """Branches written over ``targets``, put in the order of ``layout`` (so
     their kets line up with the registers the coupling acts on), resolved
-    and checked orthonormal: (ordered targets, branch terms, branch vectors)."""
+    and checked orthonormal: (ordered targets, branch terms, branch basis)."""
     ordered = tuple(sorted(targets, key=layout.axes.__getitem__))
     on = layout.sublayout(ordered)
     perm = [targets.index(t) for t in ordered]
@@ -921,13 +953,9 @@ def _parse_branch_set(bval, line_no, col, schema, layout, targets):
                                      line_no, off, "normalize the branch")
         vecs.append(vec)
         branches.append(terms)
-    defect = gram_defect(np.stack(vecs))
-    if defect is not None:
-        i, j, g = defect
-        raise ScenarioParseError(
-            f"branches not orthonormal: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
-            line_no, col, "make the branch vectors orthonormal")
-    return ordered, tuple(branches), tuple(normalized(on, v) for v in vecs)
+    basis = _checked(branch_labels(len(vecs)), on, np.stack(vecs), line_no, col,
+                     "branches not orthonormal", "make the branch vectors orthonormal")
+    return ordered, tuple(branches), basis
 
 
 def _parse_model_line(stripped, line_no, col0, schema, stages):
@@ -1042,7 +1070,7 @@ def _model_targets_in(models, declared_models, layout, where, line_no, col, hint
     """Each of ``models`` couples registers of ``layout`` as they were
     declared, or a parse error at ``col``."""
     for mn in models:
-        declared = declared_models[mn].resolved[0].layout
+        declared = declared_models[mn].resolved.layout
         for t in declared_models[mn].targets:
             if t not in layout.axes or layout.subsystem(t) != declared.subsystem(t):
                 raise ScenarioParseError(

@@ -14,7 +14,7 @@ from pointerlab.errors import ImpossibleOutcomeError, NonOrthonormalBasisError, 
 from pointerlab.experiment import Proposition, run_transcript
 from pointerlab.measurement import Basis
 from pointerlab.runner import scenario_transcript
-from pointerlab.scenario import AuditQuery, PremeasureAction, parse_scenario
+from pointerlab.scenario import AuditQuery, CoupleAction, PremeasureAction, parse_scenario
 
 SQ = math.sqrt
 H = 1 / SQ(2)
@@ -443,7 +443,7 @@ def _reference(transcript, claim):
     else:
         starts = []
         for model in claim.models:
-            ext, rec = pl.attach_environment(stage, model.name, len(model.branches))
+            ext, rec = pl.attach_environment(stage, model.name, model.branches.size)
             coupled = pl.environment_couple(ext, model.branches, model.name, rec)
             starts.append(pl.condition(coupled, claim.observer,
                                        Basis.computational(coupled.layout, claim.observer),
@@ -506,7 +506,7 @@ def test_batched_certainty_matches_the_reference_on_the_bundled_scenarios(name):
             idx, step = transcript.agent_premeasure(s.observer)
             # The models couple registers that F and the outer agents no
             # longer hold at their stages.
-            held = set(models[0].branches[0].layout.names) <= set(
+            held = set(models[0].branches.layout.names) <= set(
                 transcript.stages[idx].state.layout.names)
             for record in step.outcome_labels:
                 claims.append(ex.Claim(s.observer, record, _proposition(s)))
@@ -595,11 +595,48 @@ def test_couple_branches_are_checked_once_when_the_step_is_made(monkeypatch):
     real = measurement.gram_defect
     monkeypatch.setattr(measurement, "gram_defect", lambda rows: checks.append(1) or real(rows))
     couple = next(s for s in transcript.steps if isinstance(s, ex.CoupleStep))
-    remade = ex.CoupleStep(couple.environment, couple.branches)
-    model = ex.EnvironmentModel("m", couple.branches)
+    vectors = couple.branches.vectors
+    remade = ex.CoupleStep(couple.environment, pl.branch_basis(vectors))
+    model = ex.EnvironmentModel("m", pl.branch_basis(vectors))
     assert len(checks) == 2
     ex.apply_step(transcript.stages[1].state, remade)
     ex.apply_step(transcript.stages[1].state, model.coupling)
     assert len(checks) == 2
     with pytest.raises(NonOrthonormalBasisError):
-        ex.CoupleStep("E", (couple.branches[0], couple.branches[0]))
+        ex.CoupleStep("E", pl.branch_basis((vectors[0], vectors[0])))
+
+
+# Distinct bases and branch sets each file declares.  fr: four premeasured
+# bases, S's {right, left} (a proposition's) and two models; decoherence: one
+# premeasured basis, S's {right, left} and two models; the chain: three
+# premeasured bases, one couple and four models.  A computational basis is
+# identity rows and needs no check.
+@pytest.mark.parametrize("name, declared", [("fr", 7), ("decoherence", 4), ("chain", 8)])
+def test_each_basis_is_checked_once_and_the_parsed_one_reaches_the_kernels(
+        monkeypatch, name, declared):
+    from pointerlab import measurement, runner
+
+    checks = []
+    real = measurement.gram_defect
+    monkeypatch.setattr(measurement, "gram_defect", lambda rows: checks.append(1) or real(rows))
+    text = (_chain_text(np.random.default_rng(5), 3) if name == "chain"
+            else bundled_scenario_text(name))
+    scenario = parse_scenario(text)
+    assert len(checks) == declared
+    received = []
+    for kernel in ("environment_couple", "conditioned_branches"):
+        def seen(state, branches, *args, real_kernel=getattr(ex, kernel)):
+            received.append(branches)
+            return real_kernel(state, branches, *args)
+
+        monkeypatch.setattr(ex, kernel, seen)
+    runner.run(scenario, source_text=text)
+    assert len(checks) == declared
+    couples = [a.resolved for a in scenario.actions if isinstance(a, CoupleAction)]
+    parsed = couples + [m.resolved for m in scenario.models]
+    assert received and all(any(b is p for p in parsed) for b in received)
+    steps = [s for s in scenario_transcript(scenario).steps if isinstance(s, ex.CoupleStep)]
+    assert len(steps) == len(couples)
+    assert all(step.branches is basis for step, basis in zip(steps, couples))
+    for decl, model in zip(scenario.models, runner._models(scenario).values(), strict=True):
+        assert model.branches is decl.resolved and model.coupling.branches is decl.resolved

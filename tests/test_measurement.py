@@ -22,6 +22,8 @@ from pointerlab.errors import (
 from pointerlab.hilbert import StateBatch
 from pointerlab.decomposition import rewrite
 from pointerlab.measurement import Basis, MeasurementSpec, correlating_unitary
+from pointerlab.runner import DEMOS, bundled_scenario_text
+from pointerlab.scenario import parse_scenario
 
 SQ = math.sqrt
 H = 1 / SQ(2)
@@ -190,11 +192,62 @@ def test_born_outcome_tuples_follow_caller_order():
 
 def test_basis_matrix_is_built_once_and_read_only():
     lay = coin_spin_app()
-    for b in (Basis.computational(lay, "Fbar"), Basis.computational(lay, "S", ("down",))):
+    eye = np.eye(3)
+    # Identity rows in the order the labels are given, full or restricted.
+    for b, rows in ((Basis.computational(lay, "Fbar"), eye),
+                    (Basis.computational(lay, "S", ("down",)), np.eye(2)[[1]]),
+                    (Basis.computational(lay, "Fbar", ("F2", "F0")), eye[[2, 0]]),
+                    (Basis.computational(lay.sublayout(["Fbar"]), "Fbar"), eye)):
         assert b.matrix is b.matrix
+        assert b.matrix.dtype == np.complex128 and np.array_equal(b.matrix, rows)
+        assert b.layout == lay.sublayout([b.layout.names[0]])
         assert np.array_equal(b.matrix, np.stack([v.amplitudes for v in b.vectors]))
         with pytest.raises(ValueError):
             b.matrix[0, 0] = 0.5
+    with pytest.raises(NonOrthonormalBasisError):
+        Basis.computational(lay, "Fbar", ("F1", "F1"))
+
+
+# Rows a little off unit norm, and complex ones, as vector literals.
+NEAR_UNIT = """\
+layout:
+  subsystem a {x, y}
+  subsystem b {p, q, r}
+state: 0.6|x,p> + 0.8i|y,p>
+actions:
+  premeasure target=a apparatus=b basis={(0.6,0.8000000004),(0.8000000004i,-0.6i)} outcomes={q,r} ready=p
+queries:
+  born targets=(b)
+"""
+
+
+@pytest.mark.parametrize("text", [*(bundled_scenario_text(n) for n in sorted(DEMOS)
+                                    if n != "triortho"), NEAR_UNIT],
+                         ids=[*(n for n in sorted(DEMOS) if n != "triortho"), "near-unit"])
+def test_row_built_bases_equal_the_vector_built_ones(monkeypatch, text):
+    # Every basis and branch set a scenario resolves is made from its raw
+    # rows; normalised row by row it must be the basis that the rows made
+    # into unit StateVectors give, bit for bit.  (The bundled triortho
+    # scenario resolves only a computational basis.)
+    made = []
+    from_rows = Basis.from_rows.__func__
+
+    def recorded(cls, labels, layout, rows):
+        basis = from_rows(cls, labels, layout, rows)
+        made.append((labels, layout, rows.copy(), basis))
+        return basis
+
+    monkeypatch.setattr(Basis, "from_rows", classmethod(recorded))
+    parse_scenario(text)
+    assert made
+    for labels, layout, rows, basis in made:
+        old = Basis(labels, tuple(pl.hilbert.normalized(layout, row) for row in rows))
+        assert basis.labels == old.labels and basis.layout == old.layout
+        assert np.array_equal(basis.matrix, old.matrix)
+        for new_vec, old_vec in zip(basis.vectors, old.vectors, strict=True):
+            assert np.array_equal(new_vec.amplitudes, old_vec.amplitudes)
+        with pytest.raises(ValueError):
+            basis.matrix[0, 0] = 0.5
 
 
 def test_default_bases_read_as_explicit_computational_ones():
@@ -605,3 +658,15 @@ def test_conditioned_branches_weigh_what_the_environment_records():
         pl.conditioned_branches(state, branches, "A", record, 0)
     with pytest.raises(IncompleteBranchingError):
         pl.conditioned_branches(state, pl.branch_basis(coarse_branches(lay)[:1]), "A", record, 2)
+
+
+def test_rows_are_checked_as_given_then_normalised():
+    lay = pl.SubsystemLayout.of(("a", ("x", "y")))
+    basis = Basis.from_rows(("u", "v"), lay, np.array([[0.6, 0.8000000004], [-0.8, 0.6]]))
+    assert basis.matrix.dtype == np.complex128
+    assert np.allclose(np.linalg.norm(basis.matrix, axis=1), 1.0, rtol=0, atol=1e-15)
+    with pytest.raises(NonOrthonormalBasisError) as err:
+        Basis.from_rows(("u", "v"), lay, np.array([[2.0, 0.0], [0.0, 1.0]]))
+    assert err.value.gram == (0, 0, 4.0)
+    with pytest.raises(LayoutMismatchError):
+        Basis.from_rows(("u",), lay, np.array([[1.0, 0.0, 0.0]]))

@@ -100,20 +100,27 @@ def test_undeclared_subsystem_names_offender_and_line():
 
 
 def test_nonorthonormal_vector_basis_reports_gram_entry():
-    text = """\
+    # Pinned messages and columns: the Gram entry furthest from the
+    # identity, at the set's column.
+    for basis, message in [
+        ("{(1,0),(1,0)}", "basis over 'a' is not orthonormal: Gram[0,1] = 1.0"),
+        ("{(0.6,0.8),(0.8i,0.6)}",
+         "basis over 'a' is not orthonormal: Gram[0,1] = (0.48+0.48i)"),
+        ("{(2,0),(0,1)}", "basis over 'a' is not orthonormal: Gram[0,0] = 4.0"),
+    ]:
+        text = f"""\
 layout:
-  subsystem a {x, y}
-  subsystem b {p, q, r}
+  subsystem a {{x, y}}
+  subsystem b {{p, q, r}}
 state: 1|x,p>
 actions:
-  premeasure target=a apparatus=b basis={(1,0),(1,0)} outcomes={q,r} ready=p
+  premeasure target=a apparatus=b basis={basis} outcomes={{q,r}} ready=p
 queries:
   born targets=(a)
 """
-    with pytest.raises(ScenarioParseError) as err:
-        parse_scenario(text)
-    assert "Gram[0,1]" in err.value.message
-    assert "1" in err.value.message
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, 6, 41)
 
 
 def test_nonorthonormal_derived_basis_rejected():
@@ -128,6 +135,46 @@ queries:
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert "Gram" in err.value.message
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "basis over 'S' is not orthonormal: Gram[0,1] = 0.7071067811865476", 6, 19)
+
+
+BRANCHES = """\
+layout:
+  subsystem R {head, tail}
+  subsystem S {up, down}
+  derived S right = sqrt(1/2)|up> + sqrt(1/2)|down>
+  derived S tilt = 0.6|up> + 0.8i|down>
+  subsystem A {a0, a1, a2}
+state: sqrt(1/2)|head,up,a0> + sqrt(1/2)|tail,up,a0>
+actions:
+  ACTION
+models:
+  MODEL
+queries:
+  born targets=(R)
+"""
+PREMEASURE = "premeasure target=R apparatus=A basis={head,tail} outcomes={a1,a2} ready=a0"
+MODEL = "model m targets=(R) branches={|head>, |tail>}"
+
+
+# Pinned messages and columns of branch-set diagnostics.
+@pytest.mark.parametrize("action, model, message, line, col", [
+    ("couple env=E targets=(S,R) branches={|up,head>, |right,head>}", MODEL,
+     "branches not orthonormal: Gram[0,1] = 0.7071067811865476", 9, 39),
+    ("couple env=E targets=(R,S) branches={|head,up>, (0.6+0.8i)|head,tilt>}", MODEL,
+     "branches not orthonormal: Gram[0,1] = (0.36+0.48i)", 9, 39),
+    (PREMEASURE, "model m targets=(S) branches={|up>, |tilt>}",
+     "branches not orthonormal: Gram[0,1] = 0.6", 11, 32),
+    ("couple env=E targets=(R) branches={|head>, 0.5|tail>}", MODEL,
+     "branch vector has norm 0.5, expected 1", 9, 46),
+    (PREMEASURE, "model m targets=(R,S) branches={|head,up>, 1|tail,up> + 1|tail,down>}",
+     "branch vector has norm 1.41421356, expected 1", 11, 46),
+])
+def test_branch_set_diagnostics_are_pinned(action, model, message, line, col):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(BRANCHES.replace("ACTION", action).replace("MODEL", model))
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, col)
 
 
 def test_ket_arity_checked_against_layout():
@@ -168,6 +215,11 @@ queries:
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert "teleport" in str(err.value)
+    # The head is the first token, brackets and all.
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text.replace("teleport target=a", "frob(a b) x=1"))
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "unknown action 'frob(a b)'", 5, 3)
 
 
 def test_decoherent_certainty_requires_declared_models():
@@ -471,14 +523,12 @@ def test_parse_time_layouts_match_the_runtime_stages(text):
         if isinstance(action, PremeasureAction):
             assert action.resolved.layout == stages[i - 1].sublayout([action.target])
         elif isinstance(action, CoupleAction):
-            for branch in action.resolved:
-                assert branch.layout == stages[i - 1].sublayout(action.targets)
+            assert action.resolved.layout == stages[i - 1].sublayout(action.targets)
         else:
             assert isinstance(action, GroupAction)
             assert action.resolved == stages[i].subsystem(action.new_name)
     for model in s.models:
-        for branch in model.resolved:
-            assert branch.layout == stages[0].sublayout(model.targets)
+        assert model.resolved.layout == stages[0].sublayout(model.targets)
     for query in s.queries:
         if isinstance(query, BornQuery):
             entries = zip(query.targets, query.resolved)
