@@ -51,7 +51,6 @@ from .measurement import (
     OutcomeDistribution,
     attach_environment,
     born,
-    condition,
     conditioned_branches,
     environment_couple,
     outcome_probability,
@@ -129,11 +128,11 @@ class ProtocolTranscript:
         raise UnknownSubsystemError(f"no premeasurement with apparatus {agent!r}")
 
 
-def run_transcript(initial: StateVector, named_steps: Sequence[tuple[str, Step]],
-                   initial_name: str = "initial") -> ProtocolTranscript:
+def run_transcript(initial: StateVector, named_steps: Sequence[tuple[str, Step]]
+                   ) -> ProtocolTranscript:
     """Apply the named steps in order, keeping every stage.  A failing step
     raises ExecutionError naming its 1-based action index and stage name."""
-    stages = [Stage(initial_name, initial)]
+    stages = [Stage("initial", initial)]
     steps: list[Step | None] = [None]
     state = initial
     for i, (name, step) in enumerate(named_steps, start=1):
@@ -284,14 +283,14 @@ def certainty(
 class _Part:
     """One distribution a claim needs: the states at stage ``start`` (where
     ``apparatus`` records in ``record``) conditioned on record ``outcome``
-    (under ``model``'s branches, or none), read through ``read`` =
-    (stage index, subject, basis)."""
+    along a model's ``branches`` (None: premeasurement's single branch),
+    read through ``read`` = (stage index, subject, basis)."""
 
     start: int
     apparatus: str
     record: Basis
     outcome: int
-    model: EnvironmentModel | None
+    branches: Basis | None
     read: tuple[int, str, Basis]
 
 
@@ -365,13 +364,13 @@ def _parts(transcript: ProtocolTranscript,
             f"record {observed!r} has probability {p_obs:.3g} at {step.apparatus!r}'s stage"
         )
     if claim.semantics == "premeasurement":
-        models: tuple[EnvironmentModel | None, ...] = (None,)
+        branch_sets: tuple[Basis | None, ...] = (None,)
     elif claim.semantics != "decoherent":
         raise PointerLabError(f"unknown semantics {claim.semantics!r}")
     elif not claim.models:
         raise PointerLabError("decoherent semantics needs a non-empty model list")
     else:
-        models = claim.models
+        branch_sets = tuple(m.branches for m in claim.models)
     prop = claim.prop
     # will_obtain reads the final stage; is_in_state reads the first stage
     # that holds the subject (later steps may consume it by grouping).
@@ -383,8 +382,8 @@ def _parts(transcript: ProtocolTranscript,
             raise UnknownSubsystemError(
                 f"proposition subject {prop.subject!r} never exists after stage {idx}"
             )
-    return tuple(_Part(idx, step.apparatus, record, out_i, m,
-                       (read_at, prop.subject, prop.basis)) for m in models)
+    return tuple(_Part(idx, step.apparatus, record, out_i, b,
+                       (read_at, prop.subject, prop.basis)) for b in branch_sets)
 
 
 def _verdict(claim: Claim, dists: Sequence[OutcomeDistribution]) -> CertaintyVerdict:
@@ -401,31 +400,26 @@ def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part]
     condition on; raises the first error any state meets."""
     rows: list[np.ndarray] = []
     starts: list[int] = []
-    made: dict[tuple[int, int, EnvironmentModel | None], list[tuple[int, float]]] = {}
+    made: dict[tuple[int, int, Basis | None], list[tuple[int, float]]] = {}
     reads: dict[tuple[int, str, Basis], list[int]] = {}
     for part in parts:
-        key = (part.start, part.outcome, part.model)
+        key = (part.start, part.outcome, part.branches)
         if key not in made:
-            stage = transcript.stages[part.start].state
-            if part.model is None:
-                amps = condition(stage, part.apparatus, part.record, part.outcome).rows()
-                weights: tuple[float, ...] = (1.0,)
-            else:
-                batch, weights = conditioned_branches(stage, part.model.branches,
-                                                      part.apparatus, part.record, part.outcome)
-                amps = batch.amplitudes
+            batch, weights = conditioned_branches(transcript.stages[part.start].state,
+                                                  part.branches, part.apparatus, part.record,
+                                                  part.outcome)
             made[key] = [(len(rows) + i, w) for i, w in enumerate(weights)]
-            rows.extend(amps)
+            rows.extend(batch.amplitudes)
             starts.extend(part.start for _ in weights)
         read = reads.setdefault(part.read, [])
         read.extend(r for r, _ in made[key] if r not in read)
     tables = _replay(transcript, rows, starts, reads)
     # A model's environment would stay a spectator of every later step, so
     # summing over it, as the Born rule does, mixes its branches' tables
-    # with the branch weights.  A conditioned state is a mixture of one.
+    # with the branch weights; premeasurement semantics is the one branch.
     out = []
     for part in parts:
-        mixed = made[part.start, part.outcome, part.model]
+        mixed = made[part.start, part.outcome, part.branches]
         dists = [tables[r, part.read] for r, _ in mixed]
         out.append(OutcomeDistribution(tuple(
             (labels, sum(w * d.entries[i][1] for (_, w), d in zip(mixed, dists)))

@@ -9,8 +9,10 @@ multi-register target, implements the one-shot environment couplings used
 for decoherence arguments.  States only ever pass through the ready sector,
 where the map is applied straight from the k x d_t matrix of branch rows;
 their orthonormality is checked once, where the rows are made (`Basis`).
-``correlating_unitary`` completes the map to a full
-unitary for inspection.
+``correlating_unitary`` builds the same map densely from a checked `Basis`
+and completes it to a full unitary for inspection.  Conditioning on an
+outcome has one path, ``conditioned_branches``, whose one-branch case is
+premeasurement semantics (``condition``).
 
 The kernels and ``born`` take a StateVector or a StateBatch, and a batch's
 states go through them together, each checked on its own.
@@ -18,6 +20,7 @@ states go through them together, each checked on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -217,20 +220,19 @@ def _axes_of(layout: SubsystemLayout, names: Sequence[str]) -> list[int]:
 
 def _branch_axes(
     layout: SubsystemLayout,
-    targets: Sequence[str],
-    rows_layout: SubsystemLayout,
-    n_rows: int,
+    branches: Basis,
     apparatus: str,
     ready_label: str,
     record_labels: Sequence[str],
 ) -> tuple[list[int], int, list[int]]:
     """Where the correlating map
     V = sum_i |s_i><s_i| (x) |record_i><ready| + (1 - P) (x) |ready><ready|
-    acts, for ``n_rows`` branch rows s_i over ``rows_layout``: the front
-    axes (target axes in layout order, then the apparatus axis), the ready
-    index and the record indices.  Orthonormal rows make V an isometry;
-    `Basis` checks them once, when it is made."""
-    target_axes = sorted(_axes_of(layout, targets))
+    acts, for the rows s_i of ``branches`` on the registers they live on:
+    the front axes (target axes in layout order, then the apparatus axis),
+    the ready index and the record indices.  Orthonormal rows make V an
+    isometry; `Basis` checks them once, when it is made."""
+    n_rows = branches.size
+    target_axes = sorted(_axes_of(layout, branches.layout.names))
     on = tuple(layout.subsystems[i] for i in target_axes)
     app_axis = layout.axis(apparatus)
     app = layout.subsystems[app_axis]
@@ -245,9 +247,9 @@ def _branch_axes(
         raise LayoutConflictError(
             f"apparatus {apparatus!r} needs at least {n_rows + extra} levels"
         )
-    if rows_layout.subsystems != on:
+    if branches.layout.subsystems != on:
         raise LayoutMismatchError(
-            f"branch vector layout {rows_layout.names} != target layout "
+            f"branch vector layout {branches.layout.names} != target layout "
             f"{tuple(sub.name for sub in on)}"
         )
     return target_axes + [app_axis], ready_idx, record_idx
@@ -267,10 +269,8 @@ def _correlate(
     projected out and the state renormalized."""
     layout = state.layout
     rows = branches.matrix
-    front, ready_idx, record_idx = _branch_axes(
-        layout, branches.layout.names, branches.layout, len(rows), apparatus, ready_label,
-        record_labels
-    )
+    front, ready_idx, record_idx = _branch_axes(layout, branches, apparatus, ready_label,
+                                                record_labels)
     # The front axes go first, then the batch axis: ``ready`` holds the
     # states side by side, each one as a (d_t, rest) block.
     amps = state.rows()
@@ -303,30 +303,23 @@ def _correlate(
 
 def correlating_unitary(
     layout: SubsystemLayout,
-    targets: Sequence[str],
-    vectors: Sequence[StateVector],
+    basis: Basis,
     apparatus: str,
     ready_label: str,
     record_labels: Sequence[str],
 ) -> LinearOperator:
-    """Full-layout correlating unitary (identity on uninvolved registers),
-    for inspection and as the reference for `premeasure` and
-    `environment_couple`.
+    """Full-layout correlating unitary (identity on uninvolved registers)
+    for the rows of ``basis`` on the registers it lives on, for inspection
+    and as the reference for `premeasure` and `environment_couple`.
 
     Its ready-sector columns are the isometry those two apply; the other
     columns, which no ready state reaches, complete it to a unitary with
     the orthonormal complement from one complete QR, in ascending column
-    order.
+    order.  The result is checked unitary (``LinearOperator``).
     """
-    for v in vectors:
-        if v.layout != vectors[0].layout:
-            raise LayoutMismatchError("branch vectors live over different layouts")
-    rows = np.stack([v.amplitudes for v in vectors])
-    front, ready_idx, record_idx = _branch_axes(
-        layout, targets, vectors[0].layout, len(rows), apparatus, ready_label, record_labels
-    )
-    if gram_defect(rows) is not None:
-        raise NonOrthonormalBasisError("measurement basis vectors are not orthonormal")
+    rows = basis.matrix
+    front, ready_idx, record_idx = _branch_axes(layout, basis, apparatus, ready_label,
+                                                record_labels)
     d_t, d_a = rows.shape[1], layout.dims[front[-1]]
     iso = np.zeros((d_t, d_a, d_t), dtype=np.complex128)
     for row, rec in zip(rows, record_idx):
@@ -437,7 +430,7 @@ def environment_couple(
 
 def conditioned_branches(
     state: StateVector,
-    branches: Basis,
+    branches: Basis | None,
     subsystem: str,
     basis: Basis,
     outcome_index: int,
@@ -447,45 +440,67 @@ def conditioned_branches(
     ‖Q·P_k·state‖² / sum_j ‖Q·P_j·state‖².
 
     P_k projects onto branch k on its registers and Q onto the outcome's
-    vector of ``basis`` on ``subsystem``.  Coupling an environment that
-    records the branches (``environment_couple``) and conditioning on the
-    outcome (``condition``) leaves sum_k Q·P_k·state (x) |eps_k>, normalised;
-    a step that leaves the environment alone acts on each branch on its
-    own, and Born statistics that sum over the environment are this mixture
-    of the branches' statistics.  Branches whose weight is at most
-    PRUNE_PROB are left out.  Raises IncompleteBranchingError if the
-    branches miss the state's support, ImpossibleOutcomeError if the outcome
-    has no weight.
+    vector of ``basis`` on ``subsystem``; ``branches=None`` is the single
+    branch P = 1, whose state is Q·state normalised, with weight 1
+    (``condition``).  Coupling an environment that records the branches
+    (``environment_couple``) and conditioning on the outcome leaves
+    sum_k Q·P_k·state (x) |eps_k>, normalised; a step that leaves the
+    environment alone acts on each branch on its own, and Born statistics
+    that sum over the environment are this mixture of the branches'
+    statistics.  Branches whose weight is at most PRUNE_PROB are left out.
+    Raises IncompleteBranchingError if the branches miss the state's
+    support, ImpossibleOutcomeError if the outcome has no weight.
     """
     layout = state.layout
-    order, c = _along_branches(state, branches)
-    vmat = branches.matrix
-    # P_k·state in the moved axis order, then back in layout order.
-    moved = (len(vmat),) + tuple(((1,) + layout.dims)[o] for o in order)
-    comps = (vmat[:, :, None, None] * c[:, None]).reshape(moved)
-    comps = comps.transpose([0] + [1 + o for o in np.argsort(order)])[:, 0]
-    axis = layout.axis(subsystem) + 1
+    if branches is None:
+        comps = state.rows()
+    else:
+        order, c = _along_branches(state, branches)
+        vmat = branches.matrix
+        # P_k·state in the moved axis order, then back in layout order.
+        moved = (len(vmat),) + tuple(((1,) + layout.dims)[o] for o in order)
+        comps = (vmat[:, :, None, None] * c[:, None]).reshape(moved)
+        comps = comps.transpose([0] + [1 + o for o in np.argsort(order)])[:, 0]
+    rows, weights = _conditioned(comps.reshape(len(comps), -1), layout, subsystem, basis,
+                                 outcome_index)
+    return StateBatch(layout, rows), tuple(weights.tolist())
+
+
+def _projected(rows: np.ndarray, layout: SubsystemLayout, subsystem: str, basis: Basis,
+               outcome_index: int) -> np.ndarray:
+    """Q·row for each row of ``rows`` (m states or branches over ``layout``,
+    shape (m, D)), Q the projector onto the outcome's vector on ``subsystem``."""
+    axis = layout.axis(subsystem)
     vec = basis.matrix[outcome_index]
-    comps = apply_to_axis(apply_to_axis(comps, vec.conj()[None], axis), vec[:, None], axis)
-    rows = comps.reshape(len(vmat), -1)
-    weights = np.sum(np.abs(rows) ** 2, axis=1)
+    t = rows.reshape(-1, len(vec), math.prod(layout.dims[axis + 1:]))
+    return (vec[:, None] * (vec.conj() @ t)[:, None]).reshape(rows.shape)
+
+
+def _conditioned(rows: np.ndarray, layout: SubsystemLayout, subsystem: str, basis: Basis,
+                 outcome_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows Q·row normalised, and their weights, as ``conditioned_branches``
+    gives them."""
+    q = _projected(rows, layout, subsystem, basis, outcome_index)
+    parts = q.view(np.float64)
+    weights = np.einsum("ij,ij->i", parts, parts)
     total = float(weights.sum())
     if total <= PRUNE_PROB:
         raise ImpossibleOutcomeError(
             f"outcome {basis.labels[outcome_index]!r} on {subsystem!r} has "
             f"probability {total:.3g}"
         )
-    keep = np.flatnonzero(weights > PRUNE_PROB * total)
-    kept = rows[keep] / np.sqrt(weights[keep])[:, None]
-    return StateBatch(layout, kept), tuple((weights[keep] / total).tolist())
+    keep = weights > PRUNE_PROB * total
+    weights = weights[keep]
+    return q[keep] / np.sqrt(weights)[:, None], weights / total
 
 
 def attach_environment(
-    state: StateVector | StateBatch, name: str, n_branches: int, label_prefix: str = "eps"
+    state: StateVector | StateBatch, name: str, n_branches: int
 ) -> tuple[StateVector | StateBatch, tuple[str, ...]]:
-    """Tensor on a minimal ready environment register (one ready level plus
-    one record level per branch); returns the new state and record labels."""
-    labels = tuple(f"{label_prefix}{i}" for i in range(n_branches + 1))
+    """Tensor on a minimal ready environment register (ready level eps0 plus
+    one record level per branch, ``branch_labels``); returns the new state
+    and record labels."""
+    labels = ("eps0",) + branch_labels(n_branches)
     env_layout = SubsystemLayout((Subsystem(name, labels),))
     env_state = basis_state(env_layout, (labels[0],))
     return tensor(state, env_state), labels[1:]
@@ -551,30 +566,17 @@ def condition(
     state: StateVector, subsystem: str, basis: Basis, outcome_index: int
 ) -> StateVector:
     """Project onto the outcome and renormalize (the state-update rule used
-    for every conditional claim in this package)."""
-    layout = state.layout
-    axis = layout.axis(subsystem)
-    vec = basis.matrix[outcome_index]
-    t = state.tensor_view()
-    component = np.tensordot(np.conj(vec), t, axes=([0], [axis]))
-    prob = float(np.linalg.norm(component) ** 2)
-    if prob <= PRUNE_PROB:
-        raise ImpossibleOutcomeError(
-            f"outcome {basis.labels[outcome_index]!r} on {subsystem!r} has "
-            f"probability {prob:.3g}"
-        )
-    full = np.multiply.outer(vec, component) / np.sqrt(prob)
-    full = np.moveaxis(full, 0, axis)
-    return StateVector(layout, full.reshape(-1))
+    for every conditional claim in this package): the one-branch case of
+    ``conditioned_branches``."""
+    rows, _ = _conditioned(state.rows(), state.layout, subsystem, basis, outcome_index)
+    return StateVector(state.layout, rows[0])
 
 
 def outcome_probability(state: StateVector, subsystem: str, basis: Basis,
                         outcome_index: int) -> float:
-    layout = state.layout
-    axis = layout.axis(subsystem)
-    vec = basis.matrix[outcome_index]
-    component = np.tensordot(np.conj(vec), state.tensor_view(), axes=([0], [axis]))
-    return float(np.linalg.norm(component) ** 2)
+    """‖Q·state‖², Q the projector ``condition`` applies."""
+    q = _projected(state.rows(), state.layout, subsystem, basis, outcome_index)
+    return float(np.vdot(q, q).real)
 
 
 def pointer_reduce(state: StateVector, environment: str) -> DensityOperator:

@@ -57,6 +57,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .hilbert import (
+    MAX_AMPLITUDES,
     StateVector,
     Subsystem,
     SubsystemLayout,
@@ -70,14 +71,6 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_+\-/.]+$")
 
 SECTION_ORDER = ("layout", "state", "actions", "models", "queries")
-
-# Most amplitudes a layout may hold at any stage: the smallest power of two
-# above the 11-agent, three-level chain of bench/scaling.py (1,062,882
-# amplitudes), the largest generated chain that finished within that
-# script's one-minute limit when the limit was set.  A run keeps every
-# stage, so that chain's CLI run peaks near 870 MiB (6 s on one core of a
-# 2-CPU machine); the next size up would need about three times as much.
-MAX_AMPLITUDES = 2**21
 
 
 def _resolved():
@@ -327,12 +320,12 @@ def parse_coefficient(text: str, line: int, col: int) -> complex:
 
 def _coefficient(text: str, line: int, col: int) -> complex:
     raw = text.strip()
-    if raw == "":
-        return 1.0 + 0.0j
     sign = 1.0
-    if raw[0] in "+-":
+    if raw[:1] in ("+", "-"):
         sign = -1.0 if raw[0] == "-" else 1.0
         raw = raw[1:].strip()
+    if raw == "":
+        return complex(sign)
     m = _SQRT_RE.match(raw)
     if m:
         p, q = int(m.group(1)), int(m.group(2))
@@ -473,14 +466,20 @@ class _Schema:
     def basis(self, sub: Subsystem, items: Sequence[tuple[BasisItem, int]], line: int,
               col: int) -> Basis:
         """Orthonormal basis over one register from (item, column) pairs; a
-        vector literal is labelled b<k> after its position.  An item error
-        points at the item, a Gram defect at the set's column ``col``.  Each
-        distinct set over the same register resolves once."""
+        vector literal is labelled b<k> after its position.  An item error,
+        or a literal's label that the set also names, points at the item, a
+        Gram defect at the set's column ``col``.  Each distinct set over the
+        same register resolves once."""
         key = (sub, tuple(it for it, _ in items))
         if key in self._bases:
             return self._bases[key]
         raw = np.stack([self.item_vector(sub, it, line, icol) for it, icol in items])
         labels = tuple(it if isinstance(it, str) else f"b{k}" for k, (it, _) in enumerate(items))
+        for k, (it, icol) in enumerate(items):
+            if not isinstance(it, str) and labels.count(labels[k]) > 1:
+                raise ScenarioParseError(
+                    f"vector literal {k} is labelled {labels[k]!r}, which the set also names",
+                    line, icol, "name the vector with a derived label")
         basis = self._bases[key] = _checked(labels, SubsystemLayout((sub,)), raw, line, col,
                                             f"basis over {sub.name!r} is not orthonormal",
                                             "make the vectors orthonormal")
@@ -911,7 +910,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         bval, bcol = _need(fields, "branches", line_no, "couple")
         ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema,
                                                      schema.layout, targets)
-        env_labels = tuple(f"eps{i}" for i in range(len(branches) + 1))
+        env_labels = ("eps0",) + branch_labels(len(branches))
         schema.add(eval_, env_labels, line_no, ecol)
         return CoupleAction(eval_, ordered, branches, basis)
     head = _tokens(stripped, col0)[0][0]

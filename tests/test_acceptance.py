@@ -159,8 +159,7 @@ def test_criterion_8_property_suites():
             continue
         layout = tr.stages[i].state.layout
         spec = step
-        op = correlating_unitary(layout, [spec.target], spec.basis.vectors,
-                                 spec.apparatus, spec.ready_label,
+        op = correlating_unitary(layout, spec.basis, spec.apparatus, spec.ready_label,
                                  spec.outcome_labels)
         gram = op.matrix.conj().T @ op.matrix
         ok = ok and float(np.max(np.abs(gram - np.eye(gram.shape[0])))) < TOL

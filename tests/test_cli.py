@@ -508,3 +508,123 @@ def test_a_model_of_registers_gone_by_the_observers_stage_is_a_parse_error(
     fine = GROUPED_AWAY + "  " + query.replace("observer=W2", "observer=F1").replace(
         '"W2 a1', '"F1 a1') + "\n"
     assert main(["check", write(tmp_path, "fine.scn", fine)]) == EXIT_OK
+
+
+# Parses: every directive and query kind once, for the malformed forms below.
+EVERY_DIRECTIVE = """\
+layout:
+  subsystem R {head, tail}
+  subsystem S {up, down}
+  derived S right = sqrt(1/2)|up> + sqrt(1/2)|down>
+  subsystem A {a0, a1, a2}
+  subsystem B {b0, b1, b2}
+state: sqrt(1/2)|head,up,a0,b0> + sqrt(1/2)|tail,up,a0,b0>
+actions:
+  premeasure target=R apparatus=A basis={head,tail} outcomes={a1,a2} ready=a0
+  couple env=E targets=(S) branches={|up>, |down>}
+  group parts=(R,A) as L map={(head,a1):h, (tail,a2):t}
+  premeasure target=L apparatus=B basis={h,t} outcomes={b1,b2} ready=b0
+models:
+  model m targets=(R,A) branches={|head,a1>, |tail,a2>}
+  model m2 targets=(B) branches={|b1>, |b2>}
+  model m3 targets=(B) branches={|b0>, |b1>, |b2>}
+queries:
+  born targets=(B)
+  certainty observer=A outcome=a1 prop="B will_obtain h" semantics=premeasurement
+  certainty observer=A outcome=a1 prop="B will_obtain h" semantics=decoherent models=(m)
+  rewrite bases=(B:{b0,b1,b2})
+  triortho parts=((L),(S,E),(B))
+  consistency_audit chain=(s1:"A a1 B will_obtain h", s2:"B b1 L is_in_state h") \
+joint=(B:t) decoherent=s1 models=(m)
+  decoherence_compare models=(m2, m3) hidden=(S) apparatus=B
+"""
+PREMEASURE_A = "premeasure target=R apparatus=A basis={head,tail} outcomes={a1,a2} ready=a0"
+CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=premeasurement'
+
+
+@pytest.mark.parametrize("old, new, line, col", [
+    pytest.param("models:", "queries:\n  born targets=(B)\nmodels:", 15, 1, id="section-order"),
+    pytest.param("queries:", "layout:\nqueries:", 17, 1, id="section-twice"),
+    pytest.param("actions:", "actions: now", 8, 1, id="section-text"),
+    pytest.param("layout:\n", "  subsystem Z {z}\nlayout:\n", 1, 1, id="before-header"),
+    pytest.param("state: sqrt(1/2)", "state:\n  sqrt(1/2)", 7, 1, id="state-empty"),
+    pytest.param("\nactions:", "\n  1|head,up,a0,b0>\nactions:", 8, 3, id="state-two-lines"),
+    pytest.param("state: sqrt(1/2)|head,up,a0,b0> + sqrt(1/2)|tail,up,a0,b0>\n", "", 23, 1,
+                 id="no-state"),
+    pytest.param(EVERY_DIRECTIVE[EVERY_DIRECTIVE.index("queries:"):], "", 16, 1,
+                 id="no-queries"),
+    pytest.param("|tail,up,a0,b0>", "|tail,u*p,a0,b0>", 7, 43, id="ket-label"),
+    pytest.param("subsystem R {head, tail}", "subsystem R head, tail", 2, 3,
+                 id="subsystem-braces"),
+    pytest.param("subsystem R {", "subsystem 1R {", 2, 3, id="subsystem-name"),
+    pytest.param("{head, tail}", "{head, ta*l}", 2, 22, id="subsystem-label"),
+    pytest.param("{head, tail}", "{}", 2, 3, id="subsystem-empty"),
+    pytest.param("{head, tail}", "{head, head}", 2, 3, id="subsystem-repeat"),
+    pytest.param("subsystem R", "qubit R", 2, 3, id="layout-directive"),
+    pytest.param("derived S right = ", "derived S right ", 4, 3, id="derived-shape"),
+    pytest.param("derived S right", "derived S ri*ht", 4, 3, id="derived-label"),
+    pytest.param("derived S right", "derived S up", 4, 3, id="derived-taken"),
+    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up,down>", 4, 20, id="derived-arity"),
+    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|left>", 4, 20, id="derived-unknown"),
+    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up> + 1|down>", 4, 20,
+                 id="derived-norm"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("apparatus=A", "apparatus=R"), 9, 33,
+                 id="premeasure-self"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{a1,a2}", "{a1,a1}"), 9, 62,
+                 id="premeasure-outcome-repeat"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{a1,a2}", "{a1}"), 9, 62,
+                 id="premeasure-outcome-count"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("ready=a0", "ready=zz"), 9, 76,
+                 id="premeasure-ready"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{head,tail}", "{(1,0,0),(0,1)}"), 9, 42,
+                 id="premeasure-literal-size"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{head,tail}", "{head,ta*l}"), 9, 47,
+                 id="premeasure-basis-label"),
+    pytest.param("couple env=E targets=(S) branches={|up>, |down>}",
+                 "premeasure target=S apparatus=A basis={up,down} outcomes={a1,a2} ready=a0",
+                 10, 3, id="premeasure-apparatus-twice"),
+    pytest.param("parts=(R,A) as L", "parts=(R,A) L", 11, 3, id="group-shape"),
+    pytest.param("parts=(R,A) as L", "parts=(R,R) as L", 11, 3, id="group-parts"),
+    pytest.param("parts=(R,A) as L", "parts=(R,A) as 1L", 11, 3, id="group-name"),
+    pytest.param("(tail,a2):t}", "tail:t}", 11, 44, id="group-entry"),
+    pytest.param("(tail,a2):t}", "(tail,a2):t*}", 11, 44, id="group-label"),
+    pytest.param("map={(head,a1):h, (tail,a2):t}", "map=(head,a1):h", 11, 30,
+                 id="group-map-braces"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{head,tail}", "{}"), 9, 41,
+                 id="premeasure-empty-basis"),
+    pytest.param("couple env=E", "couple env=R", 10, 14, id="couple-env"),
+    pytest.param("targets=(S) branches", "targets=() branches", 10, 24, id="couple-no-targets"),
+    pytest.param("{|up>, |down>}", "{}", 10, 37, id="couple-no-branches"),
+    pytest.param("{|up>, |down>}", "{|up>, |down,up>}", 10, 44, id="couple-arity"),
+    pytest.param("model m targets=(R,A) branches={|head,a1>, |tail,a2>}", "model m", 14, 3,
+                 id="model-shape"),
+    pytest.param("model m targets", "model 1m targets", 14, 3, id="model-name"),
+    pytest.param("  model m2 ", "  model m targets=(R) branches={|head>, |tail>}\n  model m2 ",
+                 15, 3, id="model-twice"),
+    pytest.param("born targets=(B)", "born targets=()", 18, 3, id="born-empty"),
+    pytest.param("born targets=(B)", "born targets=(B) targets=(B)", 18, 20,
+                 id="born-field-twice"),
+    pytest.param("{b0,b1,b2}", "{(1,0,0),b1,b2}", 21, 21, id="rewrite-literal"),
+    pytest.param("(B:{b0,b1,b2})", "(B {b0,b1,b2})", 21, 18, id="rewrite-entry"),
+    pytest.param("{b0,b1,b2}", "{b0,b1}", 21, 18, id="rewrite-incomplete"),
+    pytest.param(CERTAIN_A, CERTAIN_A.replace("outcome=a1", "outcome=zz"), 19, 32,
+                 id="certainty-outcome"),
+    pytest.param(CERTAIN_A, CERTAIN_A.replace("will_obtain", "may_obtain"), 19, 40,
+                 id="certainty-quantifier"),
+    pytest.param(CERTAIN_A, CERTAIN_A.replace("=premeasurement", "=classical"), 19, 68,
+                 id="certainty-semantics"),
+    pytest.param(CERTAIN_A, CERTAIN_A + " models=(m)", 19, 3, id="certainty-models"),
+    pytest.param("parts=((L),(S,E),(B))", "parts=((L),(S,E,B))", 22, 18, id="triortho-count"),
+    pytest.param("parts=((L),(S,E),(B))", "parts=((L),(S),(B))", 22, 18, id="triortho-cover"),
+    pytest.param("joint=(B:t)", "joint=(A:head)", 23, 89, id="audit-joint"),
+    pytest.param("models=(m2, m3)", "models=(m2)", 24, 30, id="compare-models"),
+])
+def test_each_malformed_directive_is_one_positioned_diagnostic(tmp_path, capsys, old, new,
+                                                               line, col):
+    assert EVERY_DIRECTIVE.count(old) == 1
+    path = write(tmp_path, "bad.scn", EVERY_DIRECTIVE.replace(old, new))
+    assert main(["check", path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    (diagnostic,) = captured.err.splitlines()
+    assert captured.out == ""
+    assert diagnostic.startswith(f"{path}: parse error: line {line}, col {col}: ")

@@ -102,14 +102,14 @@ def test_measurement_basis_must_be_orthonormal():
     v = pl.make_state(lay.sublayout(["R"]), [(("head",), 1.0)])
     with pytest.raises(NonOrthonormalBasisError):
         Basis(("a", "b"), (v, v))
+    # The reference takes only a checked Basis, so such rows never reach it.
     with pytest.raises(NonOrthonormalBasisError):
-        correlating_unitary(lay, ["R"], (v, v), "Fbar", "F0", ("F1", "F2"))
+        correlating_unitary(lay, Basis(("a", "b"), (v, v)), "Fbar", "F0", ("F1", "F2"))
 
 
 def test_constructed_operators_are_unitary():
     lay, s = init_with_ready()
-    op = correlating_unitary(lay, ["R"], coin_basis(lay).vectors, "Fbar", "F0",
-                             ("F1", "F2"))
+    op = correlating_unitary(lay, coin_basis(lay), "Fbar", "F0", ("F1", "F2"))
     gram = op.matrix.conj().T @ op.matrix
     assert np.max(np.abs(gram - np.eye(op.matrix.shape[0]))) < 1e-9
 
@@ -124,7 +124,7 @@ def test_unitary_on_grouped_laboratory_target():
     sub = lay.sublayout(["Lbar"])
     failbar = pl.make_state(sub, [(("h",), H), (("t",), H)])
     okbar = pl.make_state(sub, [(("h",), H), (("t",), -H)])
-    op = correlating_unitary(lay, ["Lbar"], (failbar, okbar), "Wbar", "W0",
+    op = correlating_unitary(lay, Basis(("fail", "ok"), (failbar, okbar)), "Wbar", "W0",
                              ("W1", "W2"))
     gram = op.matrix.conj().T @ op.matrix
     assert np.max(np.abs(gram - np.eye(18))) < 1e-9
@@ -437,8 +437,7 @@ def test_coin_record_unitary_as_explicit_operator():
     # Applying the record-correlating unitary to a coin superposition with a
     # ready apparatus leaves the perfectly correlated pair behind.
     lay = pl.SubsystemLayout.of(("R", ("head", "tail")), ("A", ("A0", "A1", "A2")))
-    u_ra = correlating_unitary(lay, ["R"], Basis.computational(lay, "R").vectors,
-                               "A", "A0", ("A1", "A2"))
+    u_ra = correlating_unitary(lay, Basis.computational(lay, "R"), "A", "A0", ("A1", "A2"))
     psi0 = pl.make_state(lay, [(("head", "A0"), SQ(1 / 3)), (("tail", "A0"), SQ(2 / 3))])
     psi = pl.apply(u_ra, psi0)
     assert abs(psi.amplitude(("head", "A1")) - SQ(1 / 3)) < 1e-9
@@ -466,8 +465,7 @@ def test_apparatus_needs_room_for_ready_plus_records():
     # Two records distinct from the ready level cannot fit in two levels.
     small = pl.SubsystemLayout.of(("R", ("head", "tail")), ("B", ("B0", "B1")))
     with pytest.raises(LayoutConflictError):
-        correlating_unitary(small, ["R"], Basis.computational(small, "R").vectors,
-                            "B", "B0", ("B1", "B1"))
+        correlating_unitary(small, Basis.computational(small, "R"), "B", "B0", ("B1", "B1"))
 
 
 # --------------------------------------------------------------------------
@@ -533,7 +531,7 @@ def test_kernel_matches_reference_unitary(seed, case, k):
         spec = MeasurementSpec("b", Basis(tuple(f"s{i}" for i in range(k)), vectors),
                                "A", "A1", records)
         out = pl.premeasure(state, spec)
-    ref = pl.apply(correlating_unitary(lay, targets, vectors, "A", "A1", records), state)
+    ref = pl.apply(correlating_unitary(lay, pl.branch_basis(vectors), "A", "A1", records), state)
     assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-9
     assert abs(out.norm() - 1.0) < 1e-12
 
@@ -554,7 +552,8 @@ def test_kernel_projects_out_weight_outside_the_ready_sector(case):
     else:
         spec = MeasurementSpec("b", Basis(("s0", "s1", "s2"), vectors), "A", "A1", records)
         out = pl.premeasure(state, spec)
-    expected = pl.apply(correlating_unitary(lay, targets, vectors, "A", "A1", records), ready)
+    expected = pl.apply(correlating_unitary(lay, pl.branch_basis(vectors), "A", "A1", records),
+                        ready)
     assert abs(out.norm() - 1.0) < 1e-12
     assert np.max(np.abs(out.amplitudes - expected.amplitudes)) < 1e-12
     # Nothing of the leaked part survives: A3 is neither ready nor a record.

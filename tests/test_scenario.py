@@ -50,6 +50,12 @@ def test_round_trip_bundled():
     for name in ("fr", "ambiguity", "decoherence", "triortho"):
         s = parse_scenario(bundled_scenario_text(name))
         assert parse_scenario(serialize_scenario(s)) == s
+    # A couple, its targets given out of layout order.
+    couple = BRANCHES.replace(
+        "ACTION", "couple env=E targets=(S,R) branches={|up,head>, |right,tail>}"
+    ).replace("MODEL", MODEL)
+    s = parse_scenario(couple)
+    assert parse_scenario(serialize_scenario(s)) == s
 
 
 def test_round_trip_complex_coefficients_and_vector_literals():
@@ -80,6 +86,12 @@ def test_coefficient_literals():
     assert parse_coefficient("-0.5i", 1, 1) == -0.5j
     assert parse_coefficient("(0.6-0.8i)", 1, 1) == 0.6 - 0.8j
     assert parse_coefficient("", 1, 1) == 1.0
+    assert parse_coefficient("-", 1, 1) == -1.0
+    assert parse_coefficient("+", 1, 1) == 1.0
+    # A bare sign before a ket is the coefficient -1 or +1.
+    s = parse_scenario(MINIMAL.replace("sqrt(1/2)|head> + sqrt(1/2)|tail>", "|head> - |tail>"))
+    assert [t.coefficient for t in s.state_terms] == [1.0, -1.0]
+    assert s.initial.amplitudes.tolist() == pytest.approx([SQ(1 / 2), -SQ(1 / 2)])
 
 
 def test_malformed_coefficient_diagnostic():
@@ -101,18 +113,21 @@ def test_undeclared_subsystem_names_offender_and_line():
 
 def test_nonorthonormal_vector_basis_reports_gram_entry():
     # Pinned messages and columns: the Gram entry furthest from the
-    # identity, at the set's column.
-    for basis, message in [
-        ("{(1,0),(1,0)}", "basis over 'a' is not orthonormal: Gram[0,1] = 1.0"),
-        ("{(0.6,0.8),(0.8i,0.6)}",
-         "basis over 'a' is not orthonormal: Gram[0,1] = (0.48+0.48i)"),
-        ("{(2,0),(0,1)}", "basis over 'a' is not orthonormal: Gram[0,0] = 4.0"),
+    # identity, at the set's column; a vector literal, labelled b<k> after
+    # its position, whose label the set also names, at the literal.
+    for (x, y), basis, message, column in [
+        ("xy", "{(1,0),(1,0)}", "basis over 'a' is not orthonormal: Gram[0,1] = 1.0", 41),
+        ("xy", "{(0.6,0.8),(0.8i,0.6)}",
+         "basis over 'a' is not orthonormal: Gram[0,1] = (0.48+0.48i)", 41),
+        ("xy", "{(2,0),(0,1)}", "basis over 'a' is not orthonormal: Gram[0,0] = 4.0", 41),
+        (("b0", "b1"), "{b1,(1,0)}",
+         "vector literal 1 is labelled 'b1', which the set also names", 45),
     ]:
         text = f"""\
 layout:
-  subsystem a {{x, y}}
+  subsystem a {{{x}, {y}}}
   subsystem b {{p, q, r}}
-state: 1|x,p>
+state: 1|{x},p>
 actions:
   premeasure target=a apparatus=b basis={basis} outcomes={{q,r}} ready=p
 queries:
@@ -120,7 +135,7 @@ queries:
 """
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
-        assert (err.value.message, err.value.line, err.value.column) == (message, 6, 41)
+        assert (err.value.message, err.value.line, err.value.column) == (message, 6, column)
 
 
 def test_nonorthonormal_derived_basis_rejected():
