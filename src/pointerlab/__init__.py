@@ -72,7 +72,6 @@ from .experiment import (
     GroupStep,
     Proposition,
     ProtocolTranscript,
-    Statement,
     certainties,
     certainty,
     joint_outcome,

@@ -22,7 +22,7 @@ states they condition on go through each step together, as one StateBatch
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -187,17 +187,6 @@ class Proposition:
             raise UnknownLabelError(
                 f"predicate {self.predicate!r} not among basis labels {self.basis.labels}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class Statement:
-    """A named inference: ``observer``, having seen ``outcome`` on their own
-    apparatus, asserts ``prop``."""
-
-    name: str
-    observer: str
-    outcome: str
-    prop: Proposition
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,7 +540,6 @@ class ConsistencyAudit:
 
     statements_premeasurement: tuple[tuple[str, CertaintyVerdict], ...]
     chain_derivable: bool
-    chained_claim_probability: float
     computed_probability: float
     contradiction_premeasurement: bool
     statement_1_decoherent: CertaintyVerdict
@@ -559,10 +547,11 @@ class ConsistencyAudit:
     decoherent_models: tuple[str, ...]
 
 
-def consistency_audit(transcript: ProtocolTranscript, chain: Sequence[Statement],
+def consistency_audit(transcript: ProtocolTranscript, chain: Sequence[tuple[str, Claim]],
                       joint: Sequence[tuple[str, str]], decoherent: str,
                       models: Sequence[EnvironmentModel]) -> ConsistencyAudit:
-    """Run a statement chain both ways against one joint outcome.
+    """Run a chain of named premeasurement-semantics claims both ways
+    against one joint outcome.
 
     ``joint`` pairs each outer apparatus with a measured-basis label; the
     chain, when every statement is certain under premeasurement semantics,
@@ -572,18 +561,20 @@ def consistency_audit(transcript: ProtocolTranscript, chain: Sequence[Statement]
     again against ``models``; once it is no longer certain, no chained claim
     exists and the flag clears.
     """
-    by_name = {s.name: s for s in chain}
+    for name, claim in chain:
+        if claim.semantics != "premeasurement":
+            raise PointerLabError(f"chain statement {name!r} has {claim.semantics} semantics; "
+                                  "a chain is derived under premeasurement semantics")
+    by_name = dict(chain)
     if decoherent not in by_name:
         raise UnknownLabelError(f"no statement named {decoherent!r} in the chain")
-    rechecked = by_name[decoherent]
-    claims = [Claim(s.observer, s.outcome, s.prop) for s in chain]
-    claims.append(Claim(rechecked.observer, rechecked.outcome, rechecked.prop,
-                        "decoherent", tuple(models)))
+    claims = [claim for _, claim in chain]
+    claims.append(replace(by_name[decoherent], semantics="decoherent", models=tuple(models)))
     answers = certainties(transcript, claims)
     for answer in answers[:-1]:
         if isinstance(answer, PointerLabError):
             raise answer
-    statements = tuple((s.name, v) for s, v in zip(chain, answers))
+    statements = tuple((name, v) for (name, _), v in zip(chain, answers))
     chain_derivable = all(v.kind == "certain" for _, v in statements)
     registers, labels = zip(*joint)
     computed = joint_outcome(transcript, registers).probability(labels)
@@ -596,7 +587,6 @@ def consistency_audit(transcript: ProtocolTranscript, chain: Sequence[Statement]
     return ConsistencyAudit(
         statements_premeasurement=statements,
         chain_derivable=chain_derivable,
-        chained_claim_probability=0.0 if chain_derivable else float("nan"),
         computed_probability=computed,
         contradiction_premeasurement=contradiction,
         statement_1_decoherent=dec,

@@ -210,9 +210,6 @@ class OutcomeDistribution:
                 return p
         raise UnknownLabelError(f"no outcome {labels!r} in distribution")
 
-    def as_dict(self) -> dict[tuple[str, ...], float]:
-        return {k: p for k, p in self.entries}
-
 
 def _axes_of(layout: SubsystemLayout, names: Sequence[str]) -> list[int]:
     return [layout.axis(n) for n in names]

@@ -1,9 +1,10 @@
 """Scenario execution and report building.
 
 ``run`` turns a parsed Scenario into a Report.  The parser has already
-resolved every label to vectors, so ``run`` only wraps them in steps,
-executes those through ``experiment.run_transcript`` (the one transcript
-loop), answers the queries against the transcript, and keeps plain data:
+resolved every directive to the object the engine runs (steps, models,
+claims), so ``run`` only names the steps' stages, executes them through
+``experiment.run_transcript`` (the one transcript loop), answers the
+queries against the transcript, and keeps plain data:
 query results with probabilities quantized to 12 significant digits.  Both
 the human-readable table and the structured JSON document render from the
 same Report values, so every printed number agrees between the two formats.
@@ -24,21 +25,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ExecutionError, PointerLabError
-from .measurement import MeasurementSpec, OutcomeDistribution, born
+from .measurement import OutcomeDistribution, born
 from .decomposition import Decomposition, rewrite, triortho_verdict
 from .experiment import (
     CertaintyVerdict,
-    Claim,
     ConsistencyAudit,
-    CoupleStep,
     DecoherenceComparison,
-    EnvironmentModel,
-    GroupStep,
-    Proposition,
     ProtocolTranscript,
-    Statement,
-    Step,
-    certainties,
     run_transcript,
 )
 from . import experiment as ex
@@ -268,13 +261,12 @@ def _table_lines(res: dict[str, Any]) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def _named_step(action: sc.Action) -> tuple[str, Step]:
+def _stage_name(action: sc.Action) -> str:
     if isinstance(action, sc.PremeasureAction):
-        return f"after-{action.apparatus}", MeasurementSpec(
-            action.target, action.resolved, action.apparatus, action.ready, action.outcomes)
+        return f"after-{action.apparatus}"
     if isinstance(action, sc.GroupAction):
-        return f"group-{action.new_name}", GroupStep(action.parts, action.resolved)
-    return f"couple-{action.environment}", CoupleStep(action.environment, action.resolved)
+        return f"group-{action.new_name}"
+    return f"couple-{action.environment}"
 
 
 def run(scenario: sc.Scenario, source_text: str | None = None,
@@ -288,7 +280,6 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
     text = source_text if source_text is not None else sc.serialize_scenario(scenario)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     transcript = scenario_transcript(scenario)
-    models = _models(scenario)
     # Every certainty query is answered at the first one, from one replay of
     # the later steps; each keeps its own verdict or error for its turn.
     verdicts: dict[int, CertaintyVerdict | PointerLabError] = {}
@@ -296,8 +287,8 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
     for qi, query in enumerate(scenario.queries, start=1):
         try:
             if isinstance(query, sc.CertaintyQuery) and not verdicts:
-                verdicts = _certainties(scenario, transcript, models)
-            results.append(_run_query(query, transcript, models, zero_tol, verdicts.get(qi)))
+                verdicts = _certainties(scenario, transcript)
+            results.append(_run_query(query, transcript, zero_tol, verdicts.get(qi)))
         except PointerLabError as exc:
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
 
@@ -306,42 +297,26 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
 
 def scenario_transcript(scenario: sc.Scenario) -> ProtocolTranscript:
     """Apply a scenario's actions to its initial state, keeping every stage."""
-    return run_transcript(scenario.initial, [_named_step(a) for a in scenario.actions])
+    return run_transcript(scenario.initial,
+                          [(_stage_name(a), a.resolved) for a in scenario.actions])
 
 
-def _models(scenario: sc.Scenario) -> dict[str, EnvironmentModel]:
-    return {m.name: EnvironmentModel(m.name, m.resolved) for m in scenario.models}
-
-
-def _certainties(scenario: sc.Scenario, transcript: ProtocolTranscript,
-                 models: dict[str, EnvironmentModel]
+def _certainties(scenario: sc.Scenario, transcript: ProtocolTranscript
                  ) -> dict[int, CertaintyVerdict | PointerLabError]:
     """The verdict or error of each certainty query, by 1-based query index."""
-    asked = {qi: Claim(q.observer, q.outcome, _proposition(q), q.semantics,
-                       tuple(models[m] for m in q.models))
-             for qi, q in enumerate(scenario.queries, start=1)
+    asked = {qi: q.resolved for qi, q in enumerate(scenario.queries, start=1)
              if isinstance(q, sc.CertaintyQuery)}
-    return dict(zip(asked, certainties(transcript, list(asked.values()))))
+    return dict(zip(asked, ex.certainties(transcript, list(asked.values()))))
 
 
-def _proposition(query: sc.CertaintyQuery) -> Proposition:
-    """A query's proposition; its subject is the register its resolved basis
-    lives on (an apparatus subject names its target)."""
-    basis = query.resolved
-    return Proposition(basis.layout.names[0], basis, query.prop_predicate, query.prop_quantifier)
+def _audit(query: sc.AuditQuery, transcript: ProtocolTranscript) -> ConsistencyAudit:
+    return ex.consistency_audit(transcript, [(name, q.resolved) for name, q in query.chain],
+                                query.joint, query.decoherent, query.resolved)
 
 
-def _audit(query: sc.AuditQuery, transcript: ProtocolTranscript,
-           models: dict[str, EnvironmentModel]) -> ConsistencyAudit:
-    chain = [Statement(name, q.observer, q.outcome, _proposition(q)) for name, q in query.chain]
-    return ex.consistency_audit(transcript, chain, query.joint, query.decoherent,
-                                [models[m] for m in query.models])
-
-
-def _compare(query: sc.CompareQuery, transcript: ProtocolTranscript,
-             models: dict[str, EnvironmentModel]) -> DecoherenceComparison:
-    return ex.decoherence_compare(transcript.final_state, [models[m] for m in query.models],
-                                  query.hidden, query.apparatus)
+def _compare(query: sc.CompareQuery, transcript: ProtocolTranscript) -> DecoherenceComparison:
+    return ex.decoherence_compare(transcript.final_state, query.resolved, query.hidden,
+                                  query.apparatus)
 
 
 def _dist_payload(dist: OutcomeDistribution, zero_tol: float) -> list[dict[str, Any]]:
@@ -378,7 +353,7 @@ def _decomposition_payload(dec: Decomposition, zero_tol: float) -> dict[str, Any
     }
 
 
-def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
+def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
                verdict: CertaintyVerdict | PointerLabError | None = None) -> dict[str, Any]:
     final = transcript.final_state
     if isinstance(query, sc.BornQuery):
@@ -424,7 +399,7 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
         )
         return payload
     if isinstance(query, sc.AuditQuery):
-        audit = _audit(query, transcript, models)
+        audit = _audit(query, transcript)
         return {
             "kind": "consistency_audit",
             "premeasurement": {
@@ -433,10 +408,11 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
                         "name": name,
                         "verdict": v.kind,
                         "probability": _q(
-                            max(p for _, p in v.conditional.entries), zero_tol
+                            v.conditional.probability(statement.prop_predicate), zero_tol
                         ),
                     }
-                    for name, v in audit.statements_premeasurement
+                    for (name, v), (_, statement) in zip(audit.statements_premeasurement,
+                                                         query.chain, strict=True)
                 ],
                 "chain_derivable": audit.chain_derivable,
                 "claimed_probability": 0.0 if audit.chain_derivable else None,
@@ -450,7 +426,7 @@ def _run_query(query, transcript: ProtocolTranscript, models, zero_tol: float,
             },
         }
     if isinstance(query, sc.CompareQuery):
-        cmp = _compare(query, transcript, models)
+        cmp = _compare(query, transcript)
         return {
             "kind": "decoherence_compare",
             "full_max_difference": _q(cmp.full_max_difference, zero_tol),
@@ -497,11 +473,11 @@ def consistency_audit() -> ConsistencyAudit:
     """The audit declared in the bundled FR scenario."""
     scenario, transcript = _bundled("fr")
     query = next(q for q in scenario.queries if isinstance(q, sc.AuditQuery))
-    return _audit(query, transcript, _models(scenario))
+    return _audit(query, transcript)
 
 
 def decoherence_compare() -> DecoherenceComparison:
     """The comparison declared in the bundled decoherence scenario."""
     scenario, transcript = _bundled("decoherence")
     query = next(q for q in scenario.queries if isinstance(q, sc.CompareQuery))
-    return _compare(query, transcript, _models(scenario))
+    return _compare(query, transcript)

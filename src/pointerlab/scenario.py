@@ -7,9 +7,11 @@ The parser is the one place where labels become vectors.  It tracks a
 ``hilbert`` functions the run uses, and resolves each label expression (the
 initial state, premeasure/born/rewrite bases, couple and model branches,
 the basis of a certainty proposition) against the layout in force where it
-appears.  A resolved value sits in the ``resolved`` field beside
-the text-level fields it came from; those fields take no part in equality,
-so ``parse_scenario(serialize_scenario(s)) == s`` compares scenario text.
+appears.  The ``resolved`` field beside the text-level fields holds what
+the engine runs: an action's step, a model's ``EnvironmentModel``, a
+certainty claim's ``Claim``, the models an audit or comparison names.
+Those fields take no part in equality, so
+``parse_scenario(serialize_scenario(s)) == s`` compares scenario text.
 
 The format is purpose-built so diagnostics can talk physics: undeclared
 subsystems, bad ket arity, and non-orthonormal bases (with the offending
@@ -65,7 +67,8 @@ from .hilbert import (
     merged_register,
     normalized,
 )
-from .measurement import Basis, branch_labels
+from .experiment import Claim, CoupleStep, EnvironmentModel, GroupStep, Proposition
+from .measurement import Basis, MeasurementSpec, branch_labels
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_+\-/.]+$")
@@ -104,45 +107,47 @@ BasisItem = Union[str, tuple[complex, ...]]
 
 @dataclass(frozen=True)
 class PremeasureAction:
-    """``stage`` is the layout in force when the apparatus measures."""
+    """``resolved`` is the premeasurement step; ``stage`` is the layout in
+    force when the apparatus measures."""
 
     target: str
     apparatus: str
     basis: tuple[BasisItem, ...]
     outcomes: tuple[str, ...]
     ready: str
-    resolved: Basis = _resolved()
+    resolved: MeasurementSpec = _resolved()
     stage: SubsystemLayout = _resolved()
 
 
 @dataclass(frozen=True)
 class GroupAction:
+    """``resolved`` is the grouping step, with the merged register."""
+
     parts: tuple[str, ...]
     new_name: str
     label_map: tuple[tuple[tuple[str, ...], str], ...]
-    resolved: Subsystem = _resolved()
+    resolved: GroupStep = _resolved()
 
 
 @dataclass(frozen=True)
 class CoupleAction:
-    """``resolved`` is the branch set, checked orthonormal, as the coupling
-    step holds it."""
+    """``resolved`` is the coupling step, with the branch set checked
+    orthonormal."""
 
     environment: str
     targets: tuple[str, ...]
     branches: tuple[tuple[StateTerm, ...], ...]
-    resolved: Basis = _resolved()
+    resolved: CoupleStep = _resolved()
 
 
 @dataclass(frozen=True)
 class ModelDecl:
-    """``resolved`` is the branch set, checked orthonormal, as the model
-    holds it."""
+    """``resolved`` is the model, with the branch set checked orthonormal."""
 
     name: str
     targets: tuple[str, ...]
     branches: tuple[tuple[StateTerm, ...], ...]
-    resolved: Basis = _resolved()
+    resolved: EnvironmentModel = _resolved()
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,9 @@ class BornQuery:
 
 @dataclass(frozen=True)
 class CertaintyQuery:
-    """``resolved`` is the proposition's basis; the register it lives on is
-    the proposition's subject (an apparatus subject names its target)."""
+    """``resolved`` is the claim.  Its proposition's subject is the register
+    the proposition's basis lives on (an apparatus subject names its
+    target), and its models are the declared models' own objects."""
 
     observer: str
     outcome: str
@@ -166,7 +172,7 @@ class CertaintyQuery:
     prop_predicate: str
     semantics: str
     models: tuple[str, ...]
-    resolved: Basis = _resolved()
+    resolved: Claim = _resolved()
 
 
 @dataclass(frozen=True)
@@ -188,22 +194,25 @@ class AuditQuery:
     """A chain of named statements (premeasurement certainty queries) whose
     conclusion is that the ``joint`` outcome ((apparatus, measured-basis
     label) pairs) is impossible; the statement named ``decoherent`` is
-    checked again under decoherent semantics."""
+    checked again under decoherent semantics, against the models in
+    ``resolved``."""
 
     chain: tuple[tuple[str, CertaintyQuery], ...]
     joint: tuple[tuple[str, str], ...]
     decoherent: str
     models: tuple[str, ...]
+    resolved: tuple[EnvironmentModel, ...] = _resolved()
 
 
 @dataclass(frozen=True)
 class CompareQuery:
     """Two environment models of the final state, compared in full and with
-    the ``hidden`` registers traced out."""
+    the ``hidden`` registers traced out; ``resolved`` holds the models."""
 
     models: tuple[str, ...]
     hidden: tuple[str, ...]
     apparatus: str
+    resolved: tuple[EnvironmentModel, ...] = _resolved()
 
 
 Action = Union[PremeasureAction, GroupAction, CoupleAction]
@@ -860,8 +869,8 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         if rval not in app.positions:
             raise ScenarioParseError(f"ready label {rval!r} not on apparatus {aval!r}",
                                      line_no, rcol, "ready names an apparatus level")
-        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, resolved,
-                                schema.layout)
+        step = MeasurementSpec(tval, resolved, aval, rval, tuple(outcomes))
+        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, step, schema.layout)
     if head == "group":
         m = re.match(r"^group\s+parts=(\S+)\s+as\s+(\S+)\s+map=(.+)$", stripped)
         if not m:
@@ -897,7 +906,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                                          "labels use letters, digits, + - / . _")
             pairs.append((key, value))
         register = schema.group(parts, new_name, dict(pairs), line_no, map_col)
-        return GroupAction(parts, new_name, tuple(pairs), register)
+        return GroupAction(parts, new_name, tuple(pairs), GroupStep(parts, register))
     if head == "couple":
         fields = _field_map(_tokens(stripped, col0)[1:], line_no,
                             ("env", "targets", "branches"))
@@ -912,7 +921,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                                                      schema.layout, targets)
         env_labels = ("eps0",) + branch_labels(len(branches))
         schema.add(eval_, env_labels, line_no, ecol)
-        return CoupleAction(eval_, ordered, branches, basis)
+        return CoupleAction(eval_, ordered, branches, CoupleStep(eval_, basis))
     head = _tokens(stripped, col0)[0][0]
     raise ScenarioParseError(f"unknown action {head!r}", line_no, col0,
                              "actions are premeasure, group, couple (or derived)")
@@ -980,7 +989,8 @@ def _parse_model_line(stripped, line_no, col0, schema, stages):
     # declared (pre-group) layout.
     targets = _parse_targets(tval, line_no, tcol, stages[0])
     bval, bcol = _need(fields, "branches", line_no, "model")
-    return ModelDecl(name, *_parse_branch_set(bval, line_no, bcol, schema, stages[0], targets))
+    ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema, stages[0], targets)
+    return ModelDecl(name, ordered, branches, EnvironmentModel(name, basis))
 
 
 def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, stages) -> Basis:
@@ -990,7 +1000,7 @@ def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, sta
     when the predicate is one of them, with the labels it has where it first
     exists."""
     if subject in apparatus_actions:
-        basis = apparatus_actions[subject].resolved
+        basis = apparatus_actions[subject].resolved.basis
         if predicate not in basis.labels:
             raise ScenarioParseError(
                 f"predicate {predicate!r} is not among the measured basis labels "
@@ -1051,10 +1061,13 @@ def _claim(observer, ocol, outcome, outcol, prop, pcol, line_no, schema,
         raise ScenarioParseError(f"unknown quantifier {quant!r}", line_no,
                                  pcol, "use will_obtain or is_in_state")
     basis = _prop_basis(subject, predicate, line_no, pcol, schema, apparatus_actions, stages)
-    return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics, models, basis)
+    claim = Claim(observer, outcome, Proposition(basis.layout.names[0], basis, predicate, quant),
+                  semantics, models)
+    return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics,
+                          tuple(m.name for m in models), claim)
 
 
-def _model_list(field_value, line_no, declared_models) -> tuple[str, ...]:
+def _model_list(field_value, line_no, declared_models) -> tuple[EnvironmentModel, ...]:
     mval, mcol = field_value
     models = tuple(n for n, _ in _parse_name_list(mval, line_no, mcol))
     for mn in models:
@@ -1062,26 +1075,24 @@ def _model_list(field_value, line_no, declared_models) -> tuple[str, ...]:
             raise ScenarioParseError(f"model {mn!r} was never declared",
                                      line_no, mcol,
                                      "declare it in the models: section")
-    return models
+    return tuple(declared_models[mn].resolved for mn in models)
 
 
-def _model_targets_in(models, declared_models, layout, where, line_no, col, hint) -> None:
+def _model_targets_in(models, layout, where, line_no, col, hint) -> None:
     """Each of ``models`` couples registers of ``layout`` as they were
     declared, or a parse error at ``col``."""
-    for mn in models:
-        declared = declared_models[mn].resolved.layout
-        for t in declared_models[mn].targets:
-            if t not in layout.axes or layout.subsystem(t) != declared.subsystem(t):
+    for model in models:
+        for sub in model.branches.layout.subsystems:
+            if sub.name not in layout.axes or layout.subsystem(sub.name) != sub:
                 raise ScenarioParseError(
-                    f"model {mn!r} couples {t!r}, which is not in {where} as declared",
-                    line_no, col, hint)
+                    f"model {model.name!r} couples {sub.name!r}, which is not in {where} "
+                    "as declared", line_no, col, hint)
 
 
-def _models_at_stage(models, declared_models, observer: PremeasureAction, line_no, col
-                     ) -> None:
+def _models_at_stage(models, observer: PremeasureAction, line_no, col) -> None:
     """The models a decoherent claim by ``observer`` consults couple
     registers of the observer's stage."""
-    _model_targets_in(models, declared_models, observer.stage,
+    _model_targets_in(models, observer.stage,
                       f"the layout where {observer.apparatus!r} measures", line_no, col,
                       "decoherent semantics couples the observer's stage; model its registers")
 
@@ -1139,7 +1150,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if sval not in ("premeasurement", "decoherent"):
             raise ScenarioParseError(f"unknown semantics {sval!r}", line_no,
                                      scol, "use premeasurement or decoherent")
-        models: tuple[str, ...] = ()
+        models: tuple[EnvironmentModel, ...] = ()
         if sval == "decoherent":
             if "models" not in fields:
                 raise ScenarioParseError(
@@ -1149,12 +1160,11 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         elif "models" in fields:
             raise ScenarioParseError("models= only applies to decoherent semantics",
                                      line_no, col0, "drop models= or switch semantics")
-        claim = _claim(oval, ocol, outval, outcol, words, pcol,
+        query = _claim(oval, ocol, outval, outcol, words, pcol,
                        line_no, schema, apparatus_actions, stages, sval, models)
         if models:
-            _models_at_stage(models, declared_models, apparatus_actions[oval], line_no,
-                             fields["models"][1])
-        return claim
+            _models_at_stage(models, apparatus_actions[oval], line_no, fields["models"][1])
+        return query
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
         bval, bcol = _need(fields, "bases", line_no, "rewrite")
@@ -1222,7 +1232,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
             apparatus, _, label = (part.strip() for part in raw.partition(":"))
             action = _apparatus(apparatus, line_no, off, apparatus_actions, schema)
             _once(seen, apparatus, f"apparatus {apparatus!r}", line_no, off)
-            labels = action.resolved.labels
+            labels = action.resolved.basis.labels
             if label not in labels:
                 raise ScenarioParseError(
                     f"joint entry {raw!r} needs a measured basis label of {apparatus!r}",
@@ -1234,9 +1244,9 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                                      line_no, dcol, f"use one of {list(chain)}")
         mval, mcol = _need(fields, "models", line_no, "consistency_audit")
         models = _model_list((mval, mcol), line_no, declared_models)
-        _models_at_stage(models, declared_models, apparatus_actions[chain[dval].observer],
-                         line_no, mcol)
-        return AuditQuery(tuple(chain.items()), tuple(joint), dval, models)
+        _models_at_stage(models, apparatus_actions[chain[dval].observer], line_no, mcol)
+        return AuditQuery(tuple(chain.items()), tuple(joint), dval,
+                          tuple(m.name for m in models), models)
     if head == "decoherence_compare":
         fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
         mval, mcol = _need(fields, "models", line_no, "decoherence_compare")
@@ -1244,7 +1254,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if len(set(models)) != 2 or len(models) != 2:
             raise ScenarioParseError("decoherence_compare compares two distinct models",
                                      line_no, mcol, "write models=(COARSE, FINE)")
-        _model_targets_in(models, declared_models, schema.layout, "the final layout",
+        _model_targets_in(models, schema.layout, "the final layout",
                           line_no, mcol,
                           "decoherence_compare couples the final state; model its registers")
         hval, hcol = _need(fields, "hidden", line_no, "decoherence_compare")
@@ -1256,7 +1266,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if aval in hidden:
             raise ScenarioParseError(f"apparatus {aval!r} is hidden", line_no, acol,
                                      "the apparatus record must stay visible")
-        return CompareQuery(models, hidden, aval)
+        return CompareQuery(tuple(m.name for m in models), hidden, aval, models)
     raise ScenarioParseError(f"unknown query {head!r}", line_no, col0,
                              "queries: born, certainty, rewrite, triortho, "
                              "consistency_audit, decoherence_compare")

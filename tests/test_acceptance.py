@@ -22,9 +22,9 @@ TOL = 1e-9
 
 # The initial state and bases come from the bundled FR scenario.
 FR = parse_scenario(bundled_scenario_text("fr"))
-FAIL_OK = next(a.resolved for a in FR.actions
+FAIL_OK = next(a.resolved.basis for a in FR.actions
                if isinstance(a, PremeasureAction) and a.apparatus == "W")
-SPIN_DIRECTION = next(dict(q.chain)["statement-1-spin"].resolved
+SPIN_DIRECTION = next(dict(q.chain)["statement-1-spin"].resolved.prop.basis
                       for q in FR.queries if isinstance(q, AuditQuery))
 
 

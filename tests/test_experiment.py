@@ -14,19 +14,20 @@ from pointerlab.errors import ImpossibleOutcomeError, NonOrthonormalBasisError, 
 from pointerlab.experiment import Proposition, run_transcript
 from pointerlab.measurement import Basis
 from pointerlab.runner import scenario_transcript
-from pointerlab.scenario import AuditQuery, CoupleAction, PremeasureAction, parse_scenario
+from pointerlab.scenario import (AuditQuery, CertaintyQuery, CompareQuery, CoupleAction,
+                                 PremeasureAction, parse_scenario)
 
 SQ = math.sqrt
 H = 1 / SQ(2)
 
 # The protocol's pieces, as the bundled FR scenario declares them.
 FR = parse_scenario(bundled_scenario_text("fr"))
-MEASURED = {a.apparatus: a.resolved for a in FR.actions if isinstance(a, PremeasureAction)}
+MEASURED = {a.apparatus: a.resolved.basis for a in FR.actions if isinstance(a, PremeasureAction)}
 FAILBAR_OKBAR = MEASURED["Wbar"]  # {failbar, okbar} over Lbar
 FAIL_OK = MEASURED["W"]  # {fail, ok} over L
-SPIN_DIRECTION = next(dict(q.chain)["statement-1-spin"].resolved
+SPIN_DIRECTION = next(dict(q.chain)["statement-1-spin"].resolved.prop.basis
                       for q in FR.queries if isinstance(q, AuditQuery))  # {right, left} over S
-MODELS = tuple(pl.EnvironmentModel(m.name, m.resolved) for m in FR.models)
+MODELS = tuple(m.resolved for m in FR.models)
 READY = ("F0", "F0", "W0", "W0")
 
 
@@ -303,19 +304,33 @@ def test_final_probabilities_are_exact_rationals():
 
 
 def test_audit_reads_the_chain_its_query_declares():
-    # F's down record leaves Lbar undetermined, so this chain derives
-    # nothing and neither semantics flags a contradiction.
+    # Neither chain derives anything, so neither semantics flags a
+    # contradiction.
     from pointerlab.runner import run
 
-    text = bundled_scenario_text("fr").replace('"F F2 Lbar is_in_state t"',
-                                               '"F F1 Lbar is_in_state t"')
-    audit = run(parse_scenario(text), source_text=text).results[2]
-    pre = audit["premeasurement"]
-    assert [st["verdict"] for st in pre["statements"]] == [
-        "certain", "certain", "undetermined", "certain"]
-    assert not pre["chain_derivable"] and pre["claimed_probability"] is None
-    assert pre["computed_probability"] == 0.0833333333333
-    assert not pre["contradiction"] and not audit["decoherent"]["contradiction"]
+    inputs = [
+        # F's down record leaves Lbar undetermined.
+        ('"F F2 Lbar is_in_state t"', '"F F1 Lbar is_in_state t"',
+         ["certain", "certain", "undetermined", "certain"], [1.0, 1.0, 0.5, 1.0]),
+        # Fbar's tail record rules ok out: the statement's own predicate has
+        # probability 0, though another outcome has 1.
+        ('"Fbar F2 L will_obtain fail"', '"Fbar F2 L will_obtain ok"',
+         ["certain", "refuted", "certain", "certain"], [1.0, 0.0, 1.0, 1.0]),
+    ]
+    for old, new, verdicts, probabilities in inputs:
+        text = bundled_scenario_text("fr").replace(old, new)
+        assert text.count(new) == 1
+        report = run(parse_scenario(text), source_text=text)
+        audit = report.results[2]
+        pre = audit["premeasurement"]
+        assert [st["verdict"] for st in pre["statements"]] == verdicts
+        assert [st["probability"] for st in pre["statements"]] == probabilities
+        for st in pre["statements"]:
+            line = f"    {st['name']}: {st['verdict']} (p = {st['probability']})\n"
+            assert line in report.to_table()
+        assert not pre["chain_derivable"] and pre["claimed_probability"] is None
+        assert pre["computed_probability"] == 0.0833333333333
+        assert not pre["contradiction"] and not audit["decoherent"]["contradiction"]
 
 
 def test_compare_reads_the_models_its_query_declares():
@@ -331,12 +346,17 @@ def test_compare_reads_the_models_its_query_declares():
 
 def test_reports_take_the_transcript_and_declared_inputs():
     tr = pl.run_protocol()
-    chain = [pl.Statement("s1", "Fbar", "F2", Proposition("L", FAIL_OK, "fail", "will_obtain"))]
+    claim = ex.Claim("Fbar", "F2", Proposition("L", FAIL_OK, "fail", "will_obtain"))
+    chain = [("s1", claim)]
     audit = ex.consistency_audit(tr, chain, [("Wbar", "okbar"), ("W", "ok")], "s1", MODELS)
     assert audit.chain_derivable and audit.contradiction_premeasurement
     assert audit.statement_1_decoherent.kind == "undetermined"
     with pytest.raises(PointerLabError):
         ex.consistency_audit(tr, chain, [("W", "ok")], "s9", MODELS)
+    # A chain is derived under premeasurement semantics only.
+    decoherent = [("s1", ex.Claim("Fbar", "F2", claim.prop, "decoherent", MODELS))]
+    with pytest.raises(PointerLabError, match="premeasurement semantics"):
+        ex.consistency_audit(tr, decoherent, [("Wbar", "okbar"), ("W", "ok")], "s1", MODELS)
     with pytest.raises(PointerLabError):
         ex.decoherence_compare(tr.final_state, MODELS[:1], ("S",), "W")
 
@@ -399,8 +419,8 @@ def _chain_claims(scenario, transcript, n):
     """Premeasurement and decoherent claims from every agent, on both
     records: the last agent's outcome (will_obtain), and registers that
     exist at the observer's stage or only after it (is_in_state)."""
-    models = _models(scenario)
-    last = next(a.resolved for a in scenario.actions
+    models = {m.name: m.resolved for m in scenario.models}
+    last = next(a.resolved.basis for a in scenario.actions
                 if isinstance(a, PremeasureAction) and a.apparatus == f"W{n}")
     outcome = Proposition(last.layout.names[0], last, f"p{n - 1}", "will_obtain")
     spin = Proposition("S", Basis.computational(transcript.stages[1].state.layout, "S"),
@@ -418,16 +438,6 @@ def _chain_claims(scenario, transcript, n):
                 claims.append(ex.Claim(observer, record, prop))
                 claims.append(ex.Claim(observer, record, prop, "decoherent", decoherent))
     return claims
-
-
-def _models(scenario):
-    return {m.name: ex.EnvironmentModel(m.name, m.resolved) for m in scenario.models}
-
-
-def _proposition(query):
-    """A certainty query's proposition, read on its resolved basis."""
-    basis = query.resolved
-    return Proposition(basis.layout.names[0], basis, query.prop_predicate, query.prop_quantifier)
 
 
 def _reference(transcript, claim):
@@ -498,7 +508,7 @@ def test_batched_certainty_matches_the_spectator_environment(seed, n):
 def test_batched_certainty_matches_the_reference_on_the_bundled_scenarios(name):
     scenario = parse_scenario(bundled_scenario_text(name))
     transcript = scenario_transcript(scenario)
-    models = tuple(_models(scenario).values())
+    models = tuple(m.resolved for m in scenario.models)
     claims = []
     for q in scenario.queries:
         asked = [q] if hasattr(q, "observer") else [s for _, s in getattr(q, "chain", ())]
@@ -509,9 +519,9 @@ def test_batched_certainty_matches_the_reference_on_the_bundled_scenarios(name):
             held = set(models[0].branches.layout.names) <= set(
                 transcript.stages[idx].state.layout.names)
             for record in step.outcome_labels:
-                claims.append(ex.Claim(s.observer, record, _proposition(s)))
+                claims.append(ex.Claim(s.observer, record, s.resolved.prop))
                 if held:
-                    claims.append(ex.Claim(s.observer, record, _proposition(s), "decoherent",
+                    claims.append(ex.Claim(s.observer, record, s.resolved.prop, "decoherent",
                                            models))
     assert sum(c.semantics == "decoherent" for c in claims) >= 2
     _assert_matches_reference(transcript, claims)
@@ -630,13 +640,47 @@ def test_each_basis_is_checked_once_and_the_parsed_one_reaches_the_kernels(
             return real_kernel(state, branches, *args)
 
         monkeypatch.setattr(ex, kernel, seen)
+    # Record the claims certainty is asked and the models each report couples.
+    asked, consulted = [], []
+    real_certainties, real_audit = ex.certainties, ex.consistency_audit
+    real_compare = ex.decoherence_compare
+    monkeypatch.setattr(ex, "certainties", lambda transcript, claims: (
+        asked.extend(claims) or real_certainties(transcript, claims)))
+    monkeypatch.setattr(ex, "consistency_audit", lambda *args: (
+        consulted.append(args[4]) or real_audit(*args)))
+    monkeypatch.setattr(ex, "decoherence_compare", lambda *args: (
+        consulted.append(args[1]) or real_compare(*args)))
     runner.run(scenario, source_text=text)
     assert len(checks) == declared
-    couples = [a.resolved for a in scenario.actions if isinstance(a, CoupleAction)]
-    parsed = couples + [m.resolved for m in scenario.models]
+    models = {m.name: m.resolved for m in scenario.models}
+    parsed = [a.resolved.branches for a in scenario.actions if isinstance(a, CoupleAction)]
+    parsed += [m.branches for m in models.values()]
     assert any(received) and all(b is None or any(b is p for p in parsed) for b in received)
-    steps = [s for s in scenario_transcript(scenario).steps if isinstance(s, ex.CoupleStep)]
-    assert len(steps) == len(couples)
-    assert all(step.branches is basis for step, basis in zip(steps, couples))
-    for decl, model in zip(scenario.models, runner._models(scenario).values(), strict=True):
-        assert model.branches is decl.resolved and model.coupling.branches is decl.resolved
+    # The objects the parser resolved are the objects the engine runs: the
+    # steps, the claims (an audit adds the decoherent recheck of its named
+    # statement) and the declared models.
+    steps = scenario_transcript(scenario).steps[1:]
+    assert _same(steps, [a.resolved for a in scenario.actions])
+    claims = [q.resolved for q in scenario.queries if isinstance(q, CertaintyQuery)]
+    reports = []
+    for q in scenario.queries:
+        if isinstance(q, (AuditQuery, CompareQuery)):
+            reports.append([models[n] for n in q.models])
+        if isinstance(q, AuditQuery):
+            claims += [s.resolved for _, s in q.chain]
+            claims.append((dict(q.chain)[q.decoherent].resolved, reports[-1]))
+    assert len(asked) == len(claims)
+    for got, claim in zip(asked, claims):
+        if isinstance(claim, tuple):
+            rechecked, consults = claim
+            assert got.semantics == "decoherent" and got.prop is rechecked.prop
+            assert _same(got.models, consults)
+        else:
+            assert got is claim and all(m is models[m.name] for m in got.models)
+    assert len(consulted) == len(reports)
+    assert all(_same(got, want) for got, want in zip(consulted, reports))
+
+
+def _same(got, want):
+    """The same objects, in the same order."""
+    return len(got) == len(want) and all(g is w for g, w in zip(got, want))

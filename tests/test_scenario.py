@@ -358,8 +358,8 @@ def test_parser_resolves_vectors_outside_equality():
     s = parse_scenario(bundled_scenario_text("fr"))
     assert s.initial.layout.names == ("R", "S", "Fbar", "F", "Wbar", "W")
     premeasure = s.actions[0]
-    assert premeasure.resolved.labels == ("head", "tail")
-    prop = [q for q in s.queries if isinstance(q, CertaintyQuery)][0].resolved
+    assert premeasure.resolved.basis.labels == ("head", "tail")
+    prop = [q for q in s.queries if isinstance(q, CertaintyQuery)][0].resolved.prop.basis
     assert prop.layout.names == ("L",) and prop.labels == ("fail", "ok")
     again = parse_scenario(serialize_scenario(s))
     assert again == s and again.initial is not s.initial
@@ -536,14 +536,14 @@ def test_parse_time_layouts_match_the_runtime_stages(text):
     stages = [stage.state.layout for stage in scenario_transcript(s).stages]
     for i, action in enumerate(s.actions, start=1):
         if isinstance(action, PremeasureAction):
-            assert action.resolved.layout == stages[i - 1].sublayout([action.target])
+            assert action.resolved.basis.layout == stages[i - 1].sublayout([action.target])
         elif isinstance(action, CoupleAction):
-            assert action.resolved.layout == stages[i - 1].sublayout(action.targets)
+            assert action.resolved.branches.layout == stages[i - 1].sublayout(action.targets)
         else:
             assert isinstance(action, GroupAction)
-            assert action.resolved == stages[i].subsystem(action.new_name)
+            assert action.resolved.register == stages[i].subsystem(action.new_name)
     for model in s.models:
-        assert model.resolved.layout == stages[0].sublayout(model.targets)
+        assert model.resolved.branches.layout == stages[0].sublayout(model.targets)
     for query in s.queries:
         if isinstance(query, BornQuery):
             entries = zip(query.targets, query.resolved)
