@@ -17,12 +17,12 @@ prediction contradicting the final-stage statistics.
 
 Certainty claims are answered from one replay of the later steps: the
 states they condition on go through each step together, as one StateBatch
-(see ``certainties``).
+(see ``certainties``), and the consistency audit judges those answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -547,49 +547,44 @@ class ConsistencyAudit:
     decoherent_models: tuple[str, ...]
 
 
-def consistency_audit(transcript: ProtocolTranscript, chain: Sequence[tuple[str, Claim]],
-                      joint: Sequence[tuple[str, str]], decoherent: str,
-                      models: Sequence[EnvironmentModel]) -> ConsistencyAudit:
-    """Run a chain of named premeasurement-semantics claims both ways
-    against one joint outcome.
+def consistency_audit(transcript: ProtocolTranscript,
+                      statements: Sequence[tuple[str, CertaintyVerdict | PointerLabError]],
+                      recheck: CertaintyVerdict | PointerLabError,
+                      joint: Sequence[tuple[str, str]]) -> ConsistencyAudit:
+    """Judge the answers to a chain of named premeasurement-semantics claims
+    against one joint outcome, under both semantics.
 
+    ``statements`` pairs each statement's name with its answer from
+    ``certainties`` (a verdict, or the error of its claim); ``recheck`` is
+    the answer to one statement's claim under decoherent semantics.
     ``joint`` pairs each outer apparatus with a measured-basis label; the
-    chain, when every statement is certain under premeasurement semantics,
-    composes into the claim that this joint outcome is impossible.  The
-    final state assigning it positive probability is a contradiction.
-    Under decoherent semantics the statement named ``decoherent`` is checked
-    again against ``models``; once it is no longer certain, no chained claim
-    exists and the flag clears.
+    chain, when every statement is certain, composes into the claim that
+    this joint outcome is impossible.  The final state assigning it
+    positive probability is a contradiction.  Once the recheck is no longer
+    certain, no chained claim exists and the flag clears.  Nothing is
+    replayed here.
     """
-    for name, claim in chain:
-        if claim.semantics != "premeasurement":
-            raise PointerLabError(f"chain statement {name!r} has {claim.semantics} semantics; "
-                                  "a chain is derived under premeasurement semantics")
-    by_name = dict(chain)
-    if decoherent not in by_name:
-        raise UnknownLabelError(f"no statement named {decoherent!r} in the chain")
-    claims = [claim for _, claim in chain]
-    claims.append(replace(by_name[decoherent], semantics="decoherent", models=tuple(models)))
-    answers = certainties(transcript, claims)
-    for answer in answers[:-1]:
+    for name, answer in statements:
         if isinstance(answer, PointerLabError):
             raise answer
-    statements = tuple((name, v) for (name, _), v in zip(chain, answers))
+        if answer.evidence:
+            raise PointerLabError(f"chain statement {name!r} has decoherent semantics; "
+                                  "a chain is derived under premeasurement semantics")
     chain_derivable = all(v.kind == "certain" for _, v in statements)
     registers, labels = zip(*joint)
     computed = joint_outcome(transcript, registers).probability(labels)
     contradiction = chain_derivable and computed > PRUNE_PROB
-
-    dec = answers[-1]
-    if isinstance(dec, PointerLabError):
-        raise dec
+    if isinstance(recheck, PointerLabError):
+        raise recheck
+    if not recheck.evidence:
+        raise PointerLabError("the recheck needs decoherent semantics, not premeasurement")
 
     return ConsistencyAudit(
-        statements_premeasurement=statements,
+        statements_premeasurement=tuple(statements),
         chain_derivable=chain_derivable,
         computed_probability=computed,
         contradiction_premeasurement=contradiction,
-        statement_1_decoherent=dec,
-        contradiction_decoherent=contradiction and dec.kind == "certain",
-        decoherent_models=tuple(m.name for m in models),
+        statement_1_decoherent=recheck,
+        contradiction_decoherent=contradiction and recheck.kind == "certain",
+        decoherent_models=tuple(name for name, _ in recheck.evidence),
     )

@@ -3,9 +3,10 @@
 ``run`` turns a parsed Scenario into a Report.  The parser has already
 resolved every directive to the object the engine runs (steps, models,
 claims), so ``run`` only names the steps' stages, executes them through
-``experiment.run_transcript`` (the one transcript loop), answers the
-queries against the transcript, and keeps plain data:
-query results with probabilities quantized to 12 significant digits.  Both
+``experiment.run_transcript`` (the one transcript loop), answers every
+claim its queries ask with one ``experiment.certainties`` call, answers the
+queries, and keeps plain data: query results with probabilities quantized
+to 12 significant digits.  Both
 the human-readable table and the structured JSON document render from the
 same Report values, so every printed number agrees between the two formats.
 
@@ -280,15 +281,17 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
     text = source_text if source_text is not None else sc.serialize_scenario(scenario)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     transcript = scenario_transcript(scenario)
-    # Every certainty query is answered at the first one, from one replay of
-    # the later steps; each keeps its own verdict or error for its turn.
-    verdicts: dict[int, CertaintyVerdict | PointerLabError] = {}
+    # Every claim is answered at the first query that asks one, from one
+    # replay of the later steps; each query takes its own answers in turn.
+    asked = [_claims(q) for q in scenario.queries]
+    answers = None
     results = []
-    for qi, query in enumerate(scenario.queries, start=1):
+    for qi, (query, claims) in enumerate(zip(scenario.queries, asked), start=1):
         try:
-            if isinstance(query, sc.CertaintyQuery) and not verdicts:
-                verdicts = _certainties(scenario, transcript)
-            results.append(_run_query(query, transcript, zero_tol, verdicts.get(qi)))
+            if claims and answers is None:
+                answers = iter(ex.certainties(transcript, [c for cs in asked for c in cs]))
+            results.append(_run_query(query, transcript, zero_tol,
+                                      [next(answers) for _ in claims]))
         except PointerLabError as exc:
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
 
@@ -301,17 +304,17 @@ def scenario_transcript(scenario: sc.Scenario) -> ProtocolTranscript:
                           [(_stage_name(a), a.resolved) for a in scenario.actions])
 
 
-def _certainties(scenario: sc.Scenario, transcript: ProtocolTranscript
-                 ) -> dict[int, CertaintyVerdict | PointerLabError]:
-    """The verdict or error of each certainty query, by 1-based query index."""
-    asked = {qi: q.resolved for qi, q in enumerate(scenario.queries, start=1)
-             if isinstance(q, sc.CertaintyQuery)}
-    return dict(zip(asked, ex.certainties(transcript, list(asked.values()))))
+def _claims(query: sc.Query) -> list[ex.Claim]:
+    """The claims ``query`` asks; an audit's decoherent recheck comes last."""
+    if isinstance(query, sc.AuditQuery):
+        return [s.resolved for _, s in query.chain] + [query.resolved]
+    return [query.resolved] if isinstance(query, sc.CertaintyQuery) else []
 
 
-def _audit(query: sc.AuditQuery, transcript: ProtocolTranscript) -> ConsistencyAudit:
-    return ex.consistency_audit(transcript, [(name, q.resolved) for name, q in query.chain],
-                                query.joint, query.decoherent, query.resolved)
+def _audit(query: sc.AuditQuery, transcript: ProtocolTranscript,
+           answers: Sequence[CertaintyVerdict | PointerLabError]) -> ConsistencyAudit:
+    return ex.consistency_audit(transcript, list(zip(dict(query.chain), answers)),
+                                answers[-1], query.joint)
 
 
 def _compare(query: sc.CompareQuery, transcript: ProtocolTranscript) -> DecoherenceComparison:
@@ -354,7 +357,7 @@ def _decomposition_payload(dec: Decomposition, zero_tol: float) -> dict[str, Any
 
 
 def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
-               verdict: CertaintyVerdict | PointerLabError | None = None) -> dict[str, Any]:
+               answers: Sequence[CertaintyVerdict | PointerLabError]) -> dict[str, Any]:
     final = transcript.final_state
     if isinstance(query, sc.BornQuery):
         names = [name for name, _ in query.targets]
@@ -368,6 +371,7 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
             "distribution": _dist_payload(dist, zero_tol),
         }
     if isinstance(query, sc.CertaintyQuery):
+        (verdict,) = answers
         if isinstance(verdict, PointerLabError):
             raise verdict
         payload = {
@@ -399,7 +403,7 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
         )
         return payload
     if isinstance(query, sc.AuditQuery):
-        audit = _audit(query, transcript)
+        audit = _audit(query, transcript, answers)
         return {
             "kind": "consistency_audit",
             "premeasurement": {
@@ -473,7 +477,7 @@ def consistency_audit() -> ConsistencyAudit:
     """The audit declared in the bundled FR scenario."""
     scenario, transcript = _bundled("fr")
     query = next(q for q in scenario.queries if isinstance(q, sc.AuditQuery))
-    return _audit(query, transcript)
+    return _audit(query, transcript, ex.certainties(transcript, _claims(query)))
 
 
 def decoherence_compare() -> DecoherenceComparison:

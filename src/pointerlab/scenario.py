@@ -9,8 +9,8 @@ initial state, premeasure/born/rewrite bases, couple and model branches,
 the basis of a certainty proposition) against the layout in force where it
 appears.  The ``resolved`` field beside the text-level fields holds what
 the engine runs: an action's step, a model's ``EnvironmentModel``, a
-certainty claim's ``Claim``, the models an audit or comparison names.
-Those fields take no part in equality, so
+certainty claim's ``Claim``, an audit's decoherent recheck (a ``Claim``),
+the models a comparison names.  Those fields take no part in equality, so
 ``parse_scenario(serialize_scenario(s)) == s`` compares scenario text.
 
 The format is purpose-built so diagnostics can talk physics: undeclared
@@ -47,7 +47,7 @@ import cmath
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -193,15 +193,15 @@ class TriorthoQuery:
 class AuditQuery:
     """A chain of named statements (premeasurement certainty queries) whose
     conclusion is that the ``joint`` outcome ((apparatus, measured-basis
-    label) pairs) is impossible; the statement named ``decoherent`` is
-    checked again under decoherent semantics, against the models in
-    ``resolved``."""
+    label) pairs) is impossible.  ``resolved`` is the recheck: the claim of
+    the statement named ``decoherent`` under decoherent semantics, against
+    the declared models' own objects."""
 
     chain: tuple[tuple[str, CertaintyQuery], ...]
     joint: tuple[tuple[str, str], ...]
     decoherent: str
     models: tuple[str, ...]
-    resolved: tuple[EnvironmentModel, ...] = _resolved()
+    resolved: Claim = _resolved()
 
 
 @dataclass(frozen=True)
@@ -1245,8 +1245,8 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         mval, mcol = _need(fields, "models", line_no, "consistency_audit")
         models = _model_list((mval, mcol), line_no, declared_models)
         _models_at_stage(models, apparatus_actions[chain[dval].observer], line_no, mcol)
-        return AuditQuery(tuple(chain.items()), tuple(joint), dval,
-                          tuple(m.name for m in models), models)
+        return AuditQuery(tuple(chain.items()), tuple(joint), dval, tuple(m.name for m in models),
+                          replace(chain[dval].resolved, semantics="decoherent", models=models))
     if head == "decoherence_compare":
         fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
         mval, mcol = _need(fields, "models", line_no, "decoherence_compare")

@@ -397,6 +397,18 @@ def test_rewrite_prints_a_tiny_component_the_rebuild_needs(tmp_path, capsys):
     assert "tail, down  1e-07" in capsys.readouterr().out
 
 
+def test_table_prints_complex_coefficients_with_their_signs(tmp_path, capsys):
+    # A zero imaginary part is left out; a zero real part is kept.
+    text = ("layout:\n  subsystem a {x, y}\n  subsystem b {p, q}\n"
+            "state: (0.5+0.5i)|x,p> - 0.5|y,p> - 0.5i|y,q>\nqueries:\n"
+            "  rewrite bases=(a:{x,y})\n")
+    path = write(tmp_path, "complex.scn", text)
+    assert main(["run", path]) == EXIT_OK
+    table = capsys.readouterr().out.splitlines()
+    assert table[-4:] == ["  component  coefficient", "  x, p       0.5+0.5i",
+                          "  y, p       -0.5", "  y, q       0.0-0.5i"]
+
+
 PAIR = """\
 layout:
   subsystem R {head, tail}
@@ -445,26 +457,40 @@ models:
 queries:
   born targets=(R)
 """
-UNCOVERED = 'observer=A outcome=a1 prop="R is_in_state plus" semantics=decoherent models=(m)'
-IMPOSSIBLE = 'observer=A outcome=a2 prop="R is_in_state head" semantics=premeasurement'
-CERTAIN = 'observer=A outcome=a1 prop="R is_in_state head" semantics=premeasurement'
+UNCOVERED = 'certainty observer=A outcome=a1 prop="R is_in_state plus" semantics=decoherent ' \
+            'models=(m)'
+IMPOSSIBLE = 'certainty observer=A outcome=a2 prop="R is_in_state head" semantics=premeasurement'
+CERTAIN = 'certainty observer=A outcome=a1 prop="R is_in_state head" semantics=premeasurement'
+# An audit whose second statement names an impossible record, and one whose
+# statement fails in the replay; both recheck statement s1.
+AUDIT_IMPOSSIBLE = 'consistency_audit chain=(s1:"A a1 R is_in_state head", ' \
+                   's2:"A a2 R is_in_state head") joint=(A:head) decoherent=s1 models=(m)'
+AUDIT_UNCOVERED = 'consistency_audit chain=(s1:"A a1 R is_in_state plus") joint=(A:head) ' \
+                  'decoherent=s1 models=(m)'
+ZERO_A2 = "record 'a2' has probability 0 at 'A''s stage"
+HALF = "measured bases cover only probability 0.5 of the state"
 
 
 @pytest.mark.parametrize("queries, message", [
-    ((UNCOVERED, IMPOSSIBLE), "query 2 (CertaintyQuery): measured bases cover only "
-                              "probability 0.5 of the state"),
-    ((IMPOSSIBLE, UNCOVERED), "query 2 (CertaintyQuery): record 'a2' has probability 0 at "
-                              "'A''s stage"),
-    ((CERTAIN, UNCOVERED), "query 3 (CertaintyQuery): measured bases cover only "
-                           "probability 0.5 of the state"),
-], ids=["replay-then-plan", "plan-then-replay", "certain-then-replay"])
+    ((UNCOVERED, IMPOSSIBLE), f"query 2 (CertaintyQuery): {HALF}"),
+    ((IMPOSSIBLE, UNCOVERED), f"query 2 (CertaintyQuery): {ZERO_A2}"),
+    ((CERTAIN, UNCOVERED), f"query 3 (CertaintyQuery): {HALF}"),
+    ((CERTAIN, AUDIT_IMPOSSIBLE), f"query 3 (AuditQuery): {ZERO_A2}"),
+    ((UNCOVERED, AUDIT_IMPOSSIBLE), f"query 2 (CertaintyQuery): {HALF}"),
+    ((AUDIT_IMPOSSIBLE, UNCOVERED), f"query 2 (AuditQuery): {ZERO_A2}"),
+    ((IMPOSSIBLE, AUDIT_UNCOVERED), f"query 2 (CertaintyQuery): {ZERO_A2}"),
+    ((CERTAIN, AUDIT_UNCOVERED), f"query 3 (AuditQuery): {HALF}"),
+], ids=["replay-then-plan", "plan-then-replay", "certain-then-replay", "certain-then-audit-plan",
+        "replay-then-audit-plan", "audit-plan-then-replay", "plan-then-audit-replay",
+        "certain-then-audit-replay"])
 def test_a_failing_certainty_query_is_named_as_when_answered_alone(
         tmp_path, capsys, queries, message):
     # The queries share an observer and so one replay; the diagnostic still
     # names the first failing query with its own message, as when each
     # query was answered alone.  One failure comes from the replay (Born
-    # coverage), the other before it (an impossible record).
-    text = SHARED_OBSERVER + "".join(f"  certainty {q}\n" for q in queries)
+    # coverage), the other before it (an impossible record).  An audit's
+    # statements join the same replay.
+    text = SHARED_OBSERVER + "".join(f"  {q}\n" for q in queries)
     path = write(tmp_path, "shared.scn", text)
     assert main(["run", path]) == EXIT_EXEC
     assert capsys.readouterr().err == f"{path}: execution error: {message}\n"
@@ -604,6 +630,7 @@ CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=pr
     pytest.param("born targets=(B)", "born targets=()", 18, 3, id="born-empty"),
     pytest.param("born targets=(B)", "born targets=(B) targets=(B)", 18, 20,
                  id="born-field-twice"),
+    pytest.param("born targets=(B)", "born (B)", 18, 8, id="born-no-key"),
     pytest.param("{b0,b1,b2}", "{(1,0,0),b1,b2}", 21, 21, id="rewrite-literal"),
     pytest.param("(B:{b0,b1,b2})", "(B {b0,b1,b2})", 21, 18, id="rewrite-entry"),
     pytest.param("{b0,b1,b2}", "{b0,b1}", 21, 18, id="rewrite-incomplete"),

@@ -1,6 +1,7 @@
 """Protocol transcript, joint outcomes, certainty semantics, audits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import pointerlab as pl
 from pointerlab import experiment as ex
 from pointerlab.cli import bundled_scenario_text
-from pointerlab.errors import ImpossibleOutcomeError, NonOrthonormalBasisError, PointerLabError
+from pointerlab.errors import (ImpossibleOutcomeError, NonOrthonormalBasisError, PointerLabError,
+                               UnknownLabelError)
 from pointerlab.experiment import Proposition, run_transcript
 from pointerlab.measurement import Basis
 from pointerlab.runner import scenario_transcript
@@ -208,6 +210,16 @@ def test_certainty_error_paths():
         pl.certainty(tr, "Fbar", "F0", prop)
     with pytest.raises(PointerLabError):
         pl.certainty(tr, "Fbar", "F2", prop, semantics="decoherent", models=[])
+    with pytest.raises(UnknownLabelError):
+        pl.certainty(tr, "Fbar", "nope", prop)
+    with pytest.raises(PointerLabError, match="unknown semantics"):
+        pl.certainty(tr, "Fbar", "F2", prop, semantics="bogus")
+    # F measures at stage 3, after R is grouped into Lbar.
+    coin = Proposition("R", Basis.computational(lay, "R"), "head", "is_in_state")
+    with pytest.raises(PointerLabError, match="never exists after stage 3"):
+        pl.certainty(tr, "F", "F2", coin)
+    with pytest.raises(PointerLabError, match="no premeasurement with apparatus"):
+        pl.certainty(tr, "Q", "F2", prop)
 
 
 def test_decoherence_compare_report():
@@ -344,19 +356,30 @@ def test_compare_reads_the_models_its_query_declares():
     assert cmp["restriction_equal"]
 
 
-def test_reports_take_the_transcript_and_declared_inputs():
+def test_reports_take_the_transcript_and_declared_inputs(monkeypatch):
     tr = pl.run_protocol()
     claim = ex.Claim("Fbar", "F2", Proposition("L", FAIL_OK, "fail", "will_obtain"))
-    chain = [("s1", claim)]
-    audit = ex.consistency_audit(tr, chain, [("Wbar", "okbar"), ("W", "ok")], "s1", MODELS)
+    answer, recheck = ex.certainties(
+        tr, [claim, replace(claim, semantics="decoherent", models=MODELS)])
+    joint = [("Wbar", "okbar"), ("W", "ok")]
+    # The audit judges the answers it is given and replays nothing.
+    monkeypatch.setattr(ex, "apply_step", None)
+    audit = ex.consistency_audit(tr, [("s1", answer)], recheck, joint)
     assert audit.chain_derivable and audit.contradiction_premeasurement
     assert audit.statement_1_decoherent.kind == "undetermined"
-    with pytest.raises(PointerLabError):
-        ex.consistency_audit(tr, chain, [("W", "ok")], "s9", MODELS)
-    # A chain is derived under premeasurement semantics only.
-    decoherent = [("s1", ex.Claim("Fbar", "F2", claim.prop, "decoherent", MODELS))]
-    with pytest.raises(PointerLabError, match="premeasurement semantics"):
-        ex.consistency_audit(tr, decoherent, [("Wbar", "okbar"), ("W", "ok")], "s1", MODELS)
+    assert audit.decoherent_models == tuple(m.name for m in MODELS)
+    # A statement's error comes first, then the recheck's.
+    failed, refused = PointerLabError("statement failed"), PointerLabError("recheck failed")
+    with pytest.raises(PointerLabError, match="statement failed"):
+        ex.consistency_audit(tr, [("s1", answer), ("s2", failed)], refused, joint)
+    with pytest.raises(PointerLabError, match="recheck failed"):
+        ex.consistency_audit(tr, [("s1", answer)], refused, joint)
+    # A chain is derived under premeasurement semantics only, and the
+    # recheck is made under decoherent semantics.
+    with pytest.raises(PointerLabError, match="a chain is derived under premeasurement"):
+        ex.consistency_audit(tr, [("s1", recheck)], recheck, joint)
+    with pytest.raises(PointerLabError, match="recheck needs decoherent semantics"):
+        ex.consistency_audit(tr, [("s1", answer)], answer, joint)
     with pytest.raises(PointerLabError):
         ex.decoherence_compare(tr.final_state, MODELS[:1], ("S",), "W")
 
@@ -616,6 +639,25 @@ def test_couple_branches_are_checked_once_when_the_step_is_made(monkeypatch):
         ex.CoupleStep("E", pl.branch_basis((vectors[0], vectors[0])))
 
 
+def test_one_run_answers_every_claim_with_one_replay(monkeypatch):
+    # The bundled FR run asks one certainty query, then an audit of four
+    # statements and the recheck of one.  One certainties call answers all
+    # six claims, so the steps after Fbar's stage (the earliest observer's)
+    # run once in the replay, after the transcript's six.
+    from pointerlab import runner
+
+    calls = dict.fromkeys(("certainties", "apply_step"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(ex, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ex, name, counted)
+    text = bundled_scenario_text("fr")
+    runner.run(parse_scenario(text), source_text=text)
+    assert calls == {"certainties": 1, "apply_step": 6 + 5}
+
+
 # Distinct bases and branch sets each file declares.  fr: four premeasured
 # bases, S's {right, left} (a proposition's) and two models; decoherence: one
 # premeasured basis, S's {right, left} and two models; the chain: three
@@ -640,14 +682,11 @@ def test_each_basis_is_checked_once_and_the_parsed_one_reaches_the_kernels(
             return real_kernel(state, branches, *args)
 
         monkeypatch.setattr(ex, kernel, seen)
-    # Record the claims certainty is asked and the models each report couples.
+    # Record the claims certainty is asked and the models a comparison couples.
     asked, consulted = [], []
-    real_certainties, real_audit = ex.certainties, ex.consistency_audit
-    real_compare = ex.decoherence_compare
+    real_certainties, real_compare = ex.certainties, ex.decoherence_compare
     monkeypatch.setattr(ex, "certainties", lambda transcript, claims: (
         asked.extend(claims) or real_certainties(transcript, claims)))
-    monkeypatch.setattr(ex, "consistency_audit", lambda *args: (
-        consulted.append(args[4]) or real_audit(*args)))
     monkeypatch.setattr(ex, "decoherence_compare", lambda *args: (
         consulted.append(args[1]) or real_compare(*args)))
     runner.run(scenario, source_text=text)
@@ -657,18 +696,20 @@ def test_each_basis_is_checked_once_and_the_parsed_one_reaches_the_kernels(
     parsed += [m.branches for m in models.values()]
     assert any(received) and all(b is None or any(b is p for p in parsed) for b in received)
     # The objects the parser resolved are the objects the engine runs: the
-    # steps, the claims (an audit adds the decoherent recheck of its named
-    # statement) and the declared models.
+    # steps, the claims in query order (an audit adds the decoherent recheck
+    # of its named statement, which consults the audit's declared models)
+    # and the models a comparison declares.
     steps = scenario_transcript(scenario).steps[1:]
     assert _same(steps, [a.resolved for a in scenario.actions])
-    claims = [q.resolved for q in scenario.queries if isinstance(q, CertaintyQuery)]
-    reports = []
+    claims, reports = [], []
     for q in scenario.queries:
-        if isinstance(q, (AuditQuery, CompareQuery)):
-            reports.append([models[n] for n in q.models])
+        if isinstance(q, CertaintyQuery):
+            claims.append(q.resolved)
         if isinstance(q, AuditQuery):
             claims += [s.resolved for _, s in q.chain]
-            claims.append((dict(q.chain)[q.decoherent].resolved, reports[-1]))
+            claims.append((dict(q.chain)[q.decoherent].resolved, [models[n] for n in q.models]))
+        if isinstance(q, CompareQuery):
+            reports.append([models[n] for n in q.models])
     assert len(asked) == len(claims)
     for got, claim in zip(asked, claims):
         if isinstance(claim, tuple):

@@ -1,0 +1,18 @@
+"""Every ```python block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text("utf-8"), re.M | re.S)
+
+
+def test_the_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block-{i}" for i in range(1, len(BLOCKS) + 1)])
+def test_readme_example_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})
