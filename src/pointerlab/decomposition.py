@@ -85,14 +85,16 @@ def _pruned(weights: np.ndarray) -> np.ndarray:
     return drop.reshape(weights.shape)
 
 
-def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Decomposition:
-    """Expand the state in the given complete per-subsystem bases.
+def rewrite_coefficients(state: StateVector, per_subsystem_bases: Mapping[str, Basis]
+                         ) -> tuple[list[Basis], np.ndarray]:
+    """The state's coefficients in the given complete per-subsystem bases.
 
-    Subsystems without an entry keep their computational basis.  The
-    smallest components of probability below 1e-12 are omitted while their
-    summed probability stays within 1e-18; the terms that remain rebuild the
-    state within 1e-9 or BasisCoverageError is raised.  Terms come in C
-    order of their basis indices.
+    Returns the basis of every subsystem, in layout order (subsystems
+    without an entry keep their computational basis), and the coefficient
+    tensor, one axis per subsystem indexed by basis vector.  The smallest
+    components of probability below 1e-12 are set to exactly 0 while their
+    summed probability stays within 1e-18; the rest rebuild the state
+    within 1e-9 or BasisCoverageError is raised.
     """
     layout = state.layout
     bases: list[Basis] = []
@@ -116,12 +118,20 @@ def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Dec
         back = apply_to_axis(back, mat.T, axis)
     if np.linalg.norm(back.reshape(-1) - state.amplitudes) > ATOL:
         raise BasisCoverageError("rewrite failed to reconstruct the state")
+    return bases, t
+
+
+def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Decomposition:
+    """Expand the state in the given complete per-subsystem bases: one Term
+    per nonzero coefficient of ``rewrite_coefficients``, in C order of
+    its basis indices."""
+    bases, t = rewrite_coefficients(state, per_subsystem_bases)
     components = zip(t.reshape(-1).tolist(),
                      product(*(basis.vectors for basis in bases)),
                      product(*(basis.labels for basis in bases)))
     terms = tuple(starmap(Term, compress(components, (t != 0).reshape(-1).tolist())))
-    parts = tuple((sub.name,) for sub in layout.subsystems)
-    return Decomposition(layout, parts, terms)
+    parts = tuple((sub.name,) for sub in state.layout.subsystems)
+    return Decomposition(state.layout, parts, terms)
 
 
 @dataclass(frozen=True, eq=False)

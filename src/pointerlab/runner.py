@@ -20,14 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from importlib import resources
+from itertools import chain, compress, product
 from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ExecutionError, PointerLabError
 from .measurement import OutcomeDistribution, born
-from .decomposition import Decomposition, rewrite, triortho_verdict
+from .decomposition import Decomposition, rewrite_coefficients, triortho_verdict
 from .experiment import (
     CertaintyVerdict,
     ConsistencyAudit,
@@ -108,15 +108,70 @@ class Report:
 # depth up to 15 is built at import.  A container of containers writes its
 # scalar children, its flat-list children, and dicts of those inline through
 # the same encoders; it recurses in Python only into other containers, and
-# into anything deeper.
+# into anything deeper.  A list of at least ``_MIN_RECORDS`` records, dicts
+# that share key order and value shape, fills one template from one C encode
+# instead (``_records``).
 _c_make_encoder = json.encoder.c_make_encoder
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _encoder(item_separator: str):
+    return _c_make_encoder(None, json.JSONEncoder().default,
+                           json.encoder.encode_basestring_ascii, None, ": ",
+                           item_separator, False, False, True)
+
+
 _FLAT = tuple(
-    _c_make_encoder(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-                    None, ": ", ",\n" + "  " * (depth + 1), False, False, True)
-    for depth in range(16)
+    _encoder(",\n" + "  " * (depth + 1)) for depth in range(16)
 ) if _c_make_encoder is not None else ()
+# Items split on NUL, which encoded JSON never holds: a NUL inside a string
+# is written as \u0000.
+_NUL = _encoder("\x00") if _c_make_encoder is not None else None
 _key = json.encoder.encode_basestring_ascii
+# Below this many records the per-dict path is as fast: ``_records`` builds
+# its template anew for every list.
+_MIN_RECORDS = 8
+
+
+def _records(value: list | tuple, depth: int) -> str | None:
+    """``_render`` of a list of records: non-empty dicts with the first
+    one's key order whose values are, key by key alike, scalars or non-empty
+    flat lists of scalars of one length.  None for any other list.
+
+    Every scalar of the list is encoded by one C encoder call, and one
+    ``%``-template holds the layout of the whole list."""
+    keys = list(value[0])
+    if (not keys or set(map(type, value)) != {dict}
+            or list(chain.from_iterable(value)) != keys * len(value)):
+        return None
+    values = list(chain.from_iterable(map(dict.values, value)))
+    columns, shape = [], []
+    for i in range(len(keys)):
+        column = values[i::len(keys)]
+        if type(column[0]) is not list:
+            columns.append(zip(column))
+            shape.append(-1)
+            continue
+        n = len(column[0])
+        if not n or set(map(type, column)) != {list} or set(map(len, column)) != {n}:
+            return None
+        columns.append(column)
+        shape.append(n)
+    # Record by record, key by key: the order the template reads them in.
+    flat = list(chain.from_iterable(chain.from_iterable(zip(*columns))))
+    if not _SCALARS.issuperset(map(type, flat)):
+        return None
+    pieces = "".join(_NUL(flat, 0))[1:-1].split("\x00")
+    indent = "\n" + "  " * (depth + 1)
+    indent2, indent3 = indent + "  ", indent + "    "
+    fields = [
+        _key(k).replace("%", "%%") + ": "
+        + ("%s" if n < 0 else "[" + indent3 + ("," + indent3).join(["%s"] * n) + indent2 + "]")
+        for k, n in zip(keys, shape)
+    ]
+    record = "{" + indent2 + ("," + indent2).join(fields) + indent + "}"
+    template = "[" + indent + ("," + indent).join([record] * len(value)) + "\n" + "  " * depth + "]"
+    return template % tuple(pieces)
 
 
 def _render(value: Any, depth: int) -> str:
@@ -130,6 +185,10 @@ def _render(value: Any, depth: int) -> str:
         return "".join(_FLAT[0](value, 0))
     if not value:
         return brackets
+    if brackets == "[]" and len(value) >= _MIN_RECORDS and type(value[0]) is dict:
+        text = _records(value, depth)
+        if text is not None:
+            return text
     indent = "\n" + "  " * (depth + 1)
     if depth < len(_FLAT) and _SCALARS.issuperset(map(type, items)):
         body = "".join(_FLAT[depth](value, 0))[1:-1]
@@ -384,13 +443,13 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
         payload.update(_verdict_payload(verdict, zero_tol))
         return payload
     if isinstance(query, sc.RewriteQuery):
-        dec = rewrite(final, {b.layout.names[0]: b for b in query.resolved})
+        bases, t = rewrite_coefficients(final, {b.layout.names[0]: b for b in query.resolved})
+        kept = compress(zip(product(*(b.labels for b in bases)), t.reshape(-1).tolist()),
+                        (t != 0).reshape(-1).tolist())
         return {
             "kind": "rewrite",
-            "terms": [
-                {"labels": list(t.labels), "coefficient": _pair(t.coefficient, zero_tol)}
-                for t in dec.terms
-            ],
+            "terms": [{"labels": list(labels), "coefficient": _pair(c, zero_tol)}
+                      for labels, c in kept],
         }
     if isinstance(query, sc.TriorthoQuery):
         verdict = triortho_verdict(final, query.parts)
@@ -460,6 +519,8 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
 
 
 def bundled_scenario_text(name: str) -> str:
+    from importlib import resources  # only the bundled scenarios read package data
+
     return (resources.files("pointerlab") / "scenarios" / DEMOS[name]).read_text("utf-8")
 
 

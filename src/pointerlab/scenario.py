@@ -527,12 +527,12 @@ def _register(layout: SubsystemLayout | None, name: str, line: int, col: int) ->
 def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
              line: int, col: int, what: str, hint: str) -> Basis:
     """The basis along raw ``rows``; rows that are not orthonormal are a
-    parse error at ``col`` naming ``what`` and the Gram entry."""
+    parse error at ``col`` naming ``what`` and the Gram entry.  The callers
+    give one label per row and repeat a label only on a repeated row, so
+    every failure is a Gram defect."""
     try:
         return Basis.from_rows(labels, layout, rows)
     except NonOrthonormalBasisError as exc:
-        if exc.gram is None:
-            raise
         i, j, g = exc.gram
         raise ScenarioParseError(f"{what}: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
                                  line, col, hint) from None

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from pointerlab import runner
 from pointerlab.runner import Report
+from pointerlab.scenario import parse_scenario
 
 # Characters that JSON escapes or that look like its own syntax, non-ASCII
-# ones, and a few plain ones.
+# ones, format directives, and a few plain ones.
 TRICKY = (list('[]{}",:\\') + ["\x00", "\x07", "\x1f", "\n", "\t", "\x7f"]
-          + ["é", "→", "\U0001f600", "a", "Z", " "])
+          + ["é", "→", "\U0001f600", "%", "%s", "a", "Z", " "])
 
 texts = st.lists(st.sampled_from(TRICKY), max_size=6).map("".join)
 floats = st.sampled_from([-0.0, 5e-324, 1e22, 1e-07, 0.1]) | st.floats()
@@ -79,3 +80,92 @@ def test_report_to_json_is_json_dumps():
         {"kind": "rewrite", "terms": []},
     ))
     assert report.to_json() == json.dumps(report.to_structured(), indent=2)
+
+
+@st.composite
+def record_lists(draw, size=st.integers(1, 2 * runner._MIN_RECORDS)):
+    """A list of records, dicts with one key order whose values are, key by
+    key alike, scalars or flat lists of scalars of one length."""
+    keys = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    shape = [draw(st.none() | st.integers(1, 3)) for _ in keys]
+
+    def value(length):
+        if length is None:
+            return draw(scalars)
+        return draw(st.lists(scalars, min_size=length, max_size=length))
+
+    return [{k: value(n) for k, n in zip(keys, shape)} for _ in range(draw(size))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists(), st.integers(0, 20))
+def test_a_list_of_records_renders_as_one_template(records, depth):
+    assert runner._records(records, 0) is not None
+    doc = _nested(depth, records)
+    assert runner._render(doc, 0) == json.dumps(doc, indent=2)
+
+
+def _reorder(rec, key):
+    return dict(reversed(rec.items()))
+
+
+def _lengthen(rec, key):
+    value = rec[key]
+    return {**rec, key: value + [value[0]] if isinstance(value, list) else [value]}
+
+
+def _nest(rec, key):
+    value = rec[key]
+    return {**rec, key: [[value[0]]] + value[1:] if isinstance(value, list) else {"k": value}}
+
+
+def _empty(rec, key):
+    return {**rec, key: []}
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists(size=st.integers(2, 2 * runner._MIN_RECORDS)), st.data())
+def test_a_near_miss_of_a_record_list_falls_back(records, data):
+    """One record with another key order, list length or nesting, or an
+    empty list, leaves the rest to the general emitter."""
+    miss = data.draw(st.sampled_from([_reorder, _lengthen, _nest, _empty]))
+    if miss is _reorder and len(records[0]) < 2:
+        miss = _empty
+    i = data.draw(st.integers(0, len(records) - 1))
+    key = data.draw(st.sampled_from(list(records[i])))
+    # An empty list misses even when every record from i on holds one.
+    for j in range(i, len(records) if miss is _empty else i + 1):
+        records[j] = miss(records[j], key)
+    assert runner._records(records, 0) is None
+    for doc in (records, {"terms": records}, [records, 0.5]):
+        assert runner._render(doc, 0) == json.dumps(doc, indent=2)
+
+
+def test_lists_of_empty_records_fall_back():
+    for records in ([{}], [{}, {}], [{"a": []}], [{"a": [], "b": 1}, {"a": [], "b": 2}]):
+        assert runner._records(records, 0) is None
+        assert runner._render(records, 0) == json.dumps(records, indent=2)
+
+
+def test_report_to_json_is_the_same_without_the_c_encoder(monkeypatch):
+    kets = [f"{x},{y}" for x in "xyz" for y in "pqr"]
+    terms = " + ".join(f"sqrt({k}/45)|{ket}>" for k, ket in enumerate(kets, start=1))
+    text = f"""\
+layout:
+  subsystem a {{x, y, z}}
+  subsystem b {{p, q, r}}
+  derived a u = sqrt(1/2)|x> + sqrt(1/2)|y>
+  derived a v = sqrt(1/2)|x> - sqrt(1/2)|y>
+state: {terms}
+actions:
+queries:
+  born targets=(a, b)
+  rewrite bases=(a:{{u,v,z}})
+"""
+    report = runner.run(parse_scenario(text), source_text=text)
+    for res, records in zip(report.results, ("distribution", "terms")):
+        assert len(res[records]) >= runner._MIN_RECORDS
+        assert runner._records(res[records], 3) is not None
+    rendered = report.to_json()
+    monkeypatch.setattr(runner, "_c_make_encoder", None)
+    assert report.to_json() == rendered

@@ -5,13 +5,14 @@ import time
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointerlab import scenario as sc
 from pointerlab.cli import bundled_scenario_text
-from pointerlab.errors import ScenarioParseError
+from pointerlab.errors import NonOrthonormalBasisError, ScenarioParseError
 from pointerlab.runner import DEMOS, scenario_transcript
 from pointerlab.scenario import (
     MAX_AMPLITUDES,
@@ -109,6 +110,36 @@ def test_undeclared_subsystem_names_offender_and_line():
         parse_scenario(text)
     assert "'Q'" in err.value.message
     assert err.value.line == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_every_basis_failure_the_parser_can_meet_carries_a_gram_entry(d, data):
+    """``_checked`` reads ``.gram`` of every ``Basis.from_rows`` failure.
+    Its callers give one label per row of the register's dimension, and a
+    repeated label names one vector, so only a repeated row repeats a label.
+    Rows drawn that way (picks of unitary rows, scaled, tilted and
+    repeated, up to one more row than the dimension) fail, if at all, with
+    the Gram entry, which ``_checked`` turns into a positioned parse error."""
+    sub = sc.Subsystem("a", tuple(f"x{i}" for i in range(d)))
+    layout = sc.SubsystemLayout((sub,))
+    parts = data.draw(st.lists(st.floats(-1, 1), min_size=2 * d * d, max_size=2 * d * d))
+    raw = np.array(parts[:d * d]).reshape(d, d) + 1j * np.array(parts[d * d:]).reshape(d, d)
+    unitary = np.linalg.qr(raw + 3 * np.eye(d))[0]
+    scale = data.draw(st.lists(st.sampled_from([1.0, 1.0, 1.0 + 1e-6, 0.5, 0.0]),
+                               min_size=d, max_size=d))
+    tilt = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-12, 1e-6]), min_size=d,
+                              max_size=d))
+    picks = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d + 1))
+    rows = np.array([unitary[p] * scale[p] + tilt[p] for p in picks])
+    try:
+        sc.Basis.from_rows([f"v{p}" for p in picks], layout, rows)
+    except NonOrthonormalBasisError as exc:
+        assert exc.gram is not None
+        with pytest.raises(ScenarioParseError) as err:
+            sc._checked(tuple(f"v{p}" for p in picks), layout, rows, 3, 5, "w", "h")
+        assert err.value.message.startswith("w: Gram[")
+        assert (err.value.line, err.value.column) == (3, 5)
 
 
 def test_nonorthonormal_vector_basis_reports_gram_entry():
