@@ -54,12 +54,10 @@ from .measurement import (
 )
 from .decomposition import (
     Decomposition,
-    SchmidtDecomposition,
     Term,
     UniquenessVerdict,
     relative_states,
     rewrite,
-    schmidt,
     triortho_verdict,
 )
 from .experiment import (

@@ -12,6 +12,7 @@ Every diagnostic is one line on stderr that starts with the file it is about.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -24,6 +25,18 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_EXEC = 3
 
+
+def _tolerance(text: str) -> float:
+    """``--tolerance``: a finite number >= 0, else an argparse usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointerlab",
@@ -34,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute scenario files")
     run_p.add_argument("files", nargs="+", metavar="FILE")
     run_p.add_argument("--format", choices=("table", "structured"), default="table")
-    run_p.add_argument("--tolerance", type=float, default=DEFAULT_ZERO_TOL,
+    run_p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_ZERO_TOL,
                        help="probabilities below this render as exactly 0")
 
     check_p = sub.add_parser("check", help="parse a scenario file without running it")
@@ -43,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_p = sub.add_parser("demo", help="run a bundled scenario")
     demo_p.add_argument("name", choices=sorted(DEMOS))
     demo_p.add_argument("--format", choices=("table", "structured"), default="table")
-    demo_p.add_argument("--tolerance", type=float, default=DEFAULT_ZERO_TOL)
+    demo_p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_ZERO_TOL)
     return parser
 
 

@@ -1,12 +1,11 @@
 """Product-form decompositions of entangled states.
 
-Covers four related tools: rewriting a state in alternative per-subsystem
-bases, Schmidt analysis of a bipartition, relative-state decompositions
-(which exhibit basis ambiguity: the relative factors need not be
-orthogonal), and a certified verdict on whether a tripartite product-form
-decomposition is essentially unique, from one simultaneous diagonalisation
-per candidate anchor (Jennrich's algorithm; Leurgans, Ross & Abel, SIAM J.
-Matrix Anal. Appl. 14, 1993).
+Covers three related tools: rewriting a state in alternative per-subsystem
+bases, relative-state decompositions (which exhibit basis ambiguity: the
+relative factors need not be orthogonal), and a certified verdict on
+whether a tripartite product-form decomposition is essentially unique, from
+one simultaneous diagonalisation per candidate anchor (Jennrich's
+algorithm; Leurgans, Ross & Abel, SIAM J. Matrix Anal. Appl. 14, 1993).
 """
 
 from __future__ import annotations
@@ -134,29 +133,6 @@ def rewrite(state: StateVector, per_subsystem_bases: Mapping[str, Basis]) -> Dec
     return Decomposition(state.layout, parts, terms)
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtTerm:
-    coefficient: float
-    left: StateVector
-    right: StateVector
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Biorthogonal expansion across a bipartition, coefficients descending.
-
-    ``degenerate`` flags repeated coefficients, in which case the
-    biorthogonal factor pairs are not unique.
-    """
-
-    terms: tuple[SchmidtTerm, ...]
-    degenerate: bool
-
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        return tuple(t.coefficient for t in self.terms)
-
-
 def _check_partition(layout: SubsystemLayout, parts: Sequence[Sequence[str]]) -> None:
     seen: list[str] = []
     for part in parts:
@@ -167,40 +143,6 @@ def _check_partition(layout: SubsystemLayout, parts: Sequence[Sequence[str]]) ->
         raise InvalidPartitionError(
             f"partition {tuple(tuple(p) for p in parts)} does not cover layout {layout.names}"
         )
-
-
-def _matricize(state: StateVector, left: Sequence[str], right: Sequence[str]) -> np.ndarray:
-    layout = state.layout
-    axes = [layout.axis(n) for n in list(left) + list(right)]
-    t = state.tensor_view().transpose(axes)
-    d_left = int(np.prod([layout.subsystem(n).dimension for n in left]))
-    return t.reshape(d_left, -1)
-
-
-def schmidt(
-    state: StateVector, bipartition: tuple[Sequence[str], Sequence[str]]
-) -> SchmidtDecomposition:
-    """Schmidt decomposition across the bipartition (via SVD)."""
-    left, right = bipartition
-    _check_partition(state.layout, [left, right])
-    mat = _matricize(state, left, right)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    left_layout = state.layout.sublayout(left)
-    right_layout = state.layout.sublayout(right)
-    terms = []
-    for k, sigma in enumerate(s):
-        if sigma**2 < PRUNE_PROB:
-            continue
-        terms.append(
-            SchmidtTerm(
-                float(sigma),
-                StateVector(left_layout, u[:, k]),
-                StateVector(right_layout, vh[k, :]),
-            )
-        )
-    coeffs = [t.coefficient for t in terms]
-    degenerate = any(abs(a - b) <= ATOL for a, b in zip(coeffs, coeffs[1:]))
-    return SchmidtDecomposition(tuple(terms), degenerate)
 
 
 def relative_states(state: StateVector, subsystem: str, basis: Basis) -> Decomposition:

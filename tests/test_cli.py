@@ -191,6 +191,29 @@ def test_tolerance_flag_zeroes_small_probabilities(tmp_path, capsys):
     assert small == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("command", ["run", "demo"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, value):
+    # inf used to zero every probability, and nan or a negative value
+    # switched the zero clamp off; each is now a usage error.
+    target = write(tmp_path, "fr.scn", bundled_scenario_text("fr")) if command == "run" else "fr"
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, "--tolerance", value])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --tolerance: not a finite number >= 0: '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "demo"])
+def test_tolerance_zero_runs(tmp_path, capsys, command):
+    target = write(tmp_path, "fr.scn", bundled_scenario_text("fr")) if command == "run" else "fr"
+    assert main([command, target, "--format", "structured", "--tolerance", "0"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    okok = [e for e in doc["results"][0]["distribution"] if e["outcome"] == ["okbar", "ok"]]
+    assert okok[0]["probability"] == 0.0833333333333
+
+
 def test_group_with_leading_part_absorbed_and_reordered_couple_targets():
     # The merged register takes the first part's slot even when another part
     # sat earlier in the layout, and couple targets written out of layout

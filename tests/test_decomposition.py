@@ -1,4 +1,4 @@
-"""Basis rewrites, Schmidt analysis, relative states, tripartite uniqueness."""
+"""Basis rewrites, relative states, tripartite uniqueness."""
 
 import math
 import time
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointerlab as pl
-from pointerlab.decomposition import relative_states, rewrite, schmidt, triortho_verdict
+from pointerlab.decomposition import relative_states, rewrite, triortho_verdict
 from pointerlab.errors import BasisCoverageError, InvalidPartitionError, PointerLabError
 from pointerlab.measurement import Basis
 
@@ -166,56 +166,6 @@ def test_rewrite_matches_plain_tensor_contraction(seed, dims):
 def eq17_state():
     lay = pl.SubsystemLayout.of(("R", ("head", "tail")), ("A", ("A1", "A2")))
     return pl.make_state(lay, [(("head", "A1"), SQ(1 / 3)), (("tail", "A2"), SQ(2 / 3))])
-
-
-def test_schmidt_perfect_correlation():
-    psi = eq17_state()
-    sd = schmidt(psi, (("R",), ("A",)))
-    assert not sd.degenerate
-    assert abs(sd.coefficients[0] - SQ(2 / 3)) < 1e-9
-    assert abs(sd.coefficients[1] - SQ(1 / 3)) < 1e-9
-    big, small = sd.terms
-    assert abs(abs(big.left.amplitude(("tail",))) - 1.0) < 1e-9
-    assert abs(abs(big.right.amplitude(("A2",))) - 1.0) < 1e-9
-    assert abs(abs(small.left.amplitude(("head",))) - 1.0) < 1e-9
-
-
-def test_schmidt_bell_degenerate():
-    lay = pl.SubsystemLayout.of(("a", ("0", "1")), ("b", ("0", "1")))
-    bell = pl.make_state(lay, [(("0", "0"), 1.0), (("1", "1"), 1.0)])
-    sd = schmidt(bell, (("a",), ("b",)))
-    assert sd.degenerate
-    assert abs(sd.coefficients[0] - H) < 1e-9
-    assert abs(sd.coefficients[1] - H) < 1e-9
-
-
-def test_schmidt_product_state_single_term():
-    lay = pl.SubsystemLayout.of(("a", ("0", "1")), ("b", ("0", "1")))
-    s = pl.make_state(lay, [(("0", "0"), H), (("0", "1"), H)])
-    sd = schmidt(s, (("a",), ("b",)))
-    assert len(sd.terms) == 1
-    assert abs(sd.coefficients[0] - 1.0) < 1e-9
-
-
-def test_schmidt_invalid_partition():
-    psi = eq17_state()
-    with pytest.raises(InvalidPartitionError):
-        schmidt(psi, (("R",), ("R",)))
-
-
-def test_schmidt_coefficients_invariant_under_local_unitaries():
-    rng = np.random.default_rng(17)
-    lay = pl.SubsystemLayout.of(("a", ("0", "1")), ("b", ("0", "1", "2")))
-    for _ in range(15):
-        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        s = pl.StateVector(lay, v / np.linalg.norm(v))
-        base = schmidt(s, (("a",), ("b",))).coefficients
-        q = random_unitary(rng, 3)
-        rotated = pl.StateVector(lay, (s.tensor_view() @ q.T).reshape(-1))
-        rot = schmidt(rotated, (("a",), ("b",))).coefficients
-        assert len(base) == len(rot)
-        for x, y in zip(base, rot):
-            assert abs(x - y) < 1e-9
 
 
 def rotated_record_basis(lay):
@@ -384,6 +334,18 @@ def test_triortho_multi_subsystem_part():
     assert np.linalg.norm(verdict.canonical.reconstruct() - psi.amplitudes) < 1e-9
 
 
+@pytest.mark.parametrize("parts", [
+    (("a",), ("a",), ("b", "c", "d")),
+    (("a",), ("b",), ("c",)),
+    (("a", "b"), ("c", "d"), ()),
+], ids=["repeats-a-register", "misses-a-register", "empty-part"])
+def test_triortho_invalid_partition(parts):
+    lay = pl.SubsystemLayout.of(*((n, ("0", "1")) for n in "abcd"))
+    ghz = pl.make_state(lay, [(("0",) * 4, H), (("1",) * 4, H)])
+    with pytest.raises(InvalidPartitionError):
+        triortho_verdict(ghz, parts)
+
+
 def test_triortho_perturbed_state_has_no_decomposition():
     rng = np.random.default_rng(2)
     lay = pl.SubsystemLayout.of(("x", ("0", "1")), ("y", ("0", "1")), ("z", ("0", "1")))
@@ -421,31 +383,6 @@ def test_triortho_verdicts_complete_quickly():
 
 # Complex amplitudes: each returned factor is the ket itself, not its
 # conjugate, so every decomposition rebuilds its input.
-
-
-def test_schmidt_rebuilds_random_complex_state():
-    rng = np.random.default_rng(7)
-    lay = pl.SubsystemLayout.of(("a", ("0", "1")), ("b", ("0", "1", "2")))
-    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    psi = pl.StateVector(lay, v / np.linalg.norm(v))
-    dec = schmidt(psi, (["a"], ["b"]))
-    rebuilt = sum(t.coefficient * np.kron(t.left.amplitudes, t.right.amplitudes)
-                  for t in dec.terms)
-    assert np.linalg.norm(rebuilt - psi.amplitudes) < 1e-9
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2))
-def test_schmidt_rebuilds_any_complex_state(seed, d_left, d_mid, d_right):
-    rng = np.random.default_rng(seed)
-    dims = (d_left, d_mid, d_right)
-    lay = pl.SubsystemLayout.of(*((n, tuple(map(str, range(d)))) for n, d in zip("abc", dims)))
-    v = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
-    psi = pl.StateVector(lay, v / np.linalg.norm(v))
-    dec = schmidt(psi, (["a", "c"], ["b"]))
-    rebuilt = sum(np.multiply.outer(t.coefficient * t.left.tensor_view(), t.right.tensor_view())
-                  for t in dec.terms)
-    assert np.linalg.norm(rebuilt.transpose(0, 2, 1).reshape(-1) - psi.amplitudes) < 1e-9
 
 
 def test_triortho_complex_degenerate_state_rebuilds():
