@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    pointerlab run FILE... [--format table|structured] [--tolerance T]
+    pointerlab run FILE... [--format table|structured]
     pointerlab check FILE
     pointerlab demo {fr,ambiguity,decoherence,triortho} [--format ...]
 
@@ -12,29 +12,17 @@ Every diagnostic is one line on stderr that starts with the file it is about.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
 
 from .errors import PointerLabError, ScenarioParseError
-from .runner import DEFAULT_ZERO_TOL, DEMOS, bundled_scenario_text, run
+from .runner import DEMOS, bundled_scenario_text, run
 from .scenario import parse_scenario
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_EXEC = 3
-
-
-def _tolerance(text: str) -> float:
-    """``--tolerance``: a finite number >= 0, else an argparse usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute scenario files")
     run_p.add_argument("files", nargs="+", metavar="FILE")
     run_p.add_argument("--format", choices=("table", "structured"), default="table")
-    run_p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_ZERO_TOL,
-                       help="probabilities below this render as exactly 0")
 
     check_p = sub.add_parser("check", help="parse a scenario file without running it")
     check_p.add_argument("file", metavar="FILE")
@@ -56,13 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_p = sub.add_parser("demo", help="run a bundled scenario")
     demo_p.add_argument("name", choices=sorted(DEMOS))
     demo_p.add_argument("--format", choices=("table", "structured"), default="table")
-    demo_p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_ZERO_TOL)
     return parser
 
 
-def _run_one(text: str, fmt: str, tolerance: float) -> str:
-    scenario = parse_scenario(text)
-    report = run(scenario, source_text=text, zero_tol=tolerance)
+def _run_one(text: str, fmt: str) -> str:
+    report = run(parse_scenario(text), source_text=text)
     if fmt == "structured":
         return report.to_json() + "\n"
     return report.to_table()
@@ -99,8 +83,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "demo":
         text = bundled_scenario_text(args.name)
-        code, out = _guarded(f"demo {args.name}",
-                             lambda: _run_one(text, args.format, args.tolerance))
+        code, out = _guarded(f"demo {args.name}", lambda: _run_one(text, args.format))
         if code == EXIT_OK:
             sys.stdout.write(out)
         else:
@@ -110,8 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     # run: every file, in order; the first failure sets the exit code.
     first_failure = EXIT_OK
     for name in args.files:
-        code, out = _guarded(name, lambda: _run_one(Path(name).read_text("utf-8"),
-                                                    args.format, args.tolerance))
+        code, out = _guarded(name, lambda: _run_one(Path(name).read_text("utf-8"), args.format))
         if code != EXIT_OK:
             print(out, file=sys.stderr)
             first_failure = first_failure or code

@@ -134,16 +134,10 @@ class SubsystemLayout:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm complex amplitudes over a layout.
-
-    ``input_norm`` records the norm of whatever raw coefficients the state
-    was built from: callers asserting exact declared coefficients can demand
-    it be 1 (no rescaling happened).
-    """
+    """Unit-norm complex amplitudes over a layout."""
 
     layout: SubsystemLayout
     amplitudes: np.ndarray
-    input_norm: float = 1.0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -174,9 +168,8 @@ class StateVector:
         return self.amplitudes.reshape(1, -1)
 
     def with_rows(self, layout: SubsystemLayout, rows: np.ndarray) -> "StateVector":
-        """The state with amplitudes ``rows`` (shape (1, D)) over ``layout``,
-        keeping ``input_norm``."""
-        return StateVector(layout, rows.reshape(-1), input_norm=self.input_norm)
+        """The state with amplitudes ``rows`` (shape (1, D)) over ``layout``."""
+        return StateVector(layout, rows.reshape(-1))
 
     def __repr__(self) -> str:
         return f"StateVector({'x'.join(map(str, self.layout.dims))} over {self.layout.names})"
@@ -282,7 +275,6 @@ def make_state(
     """Build a state from (label tuple, amplitude) terms.
 
     Amplitudes of repeated tuples are summed, then the vector is normalized.
-    The pre-normalization norm is recorded on the result as ``input_norm``.
     """
     amps = np.zeros(layout.dimension, dtype=np.complex128)
     for labels, coeff in terms:
@@ -291,12 +283,11 @@ def make_state(
 
 
 def normalized(layout: SubsystemLayout, amps: np.ndarray) -> StateVector:
-    """The state along raw amplitudes ``amps``, with their norm kept as
-    ``input_norm``."""
+    """The state along raw amplitudes ``amps``."""
     nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:
         raise DegenerateStateError("terms sum to the zero vector")
-    return StateVector(layout, amps / nrm, input_norm=nrm)
+    return StateVector(layout, amps / nrm)
 
 
 def gram_defect(rows: np.ndarray) -> tuple[int, int, complex] | None:

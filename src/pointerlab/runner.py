@@ -38,7 +38,7 @@ from .experiment import (
 from . import experiment as ex
 from . import scenario as sc
 
-DEFAULT_ZERO_TOL = 1e-12
+_ZERO_TOL = 1e-12
 
 DEMOS = {
     "fr": "fr_full.scn",
@@ -48,20 +48,20 @@ DEMOS = {
 }
 
 
-def _q(x: float, zero_tol: float) -> float:
-    """Quantize to 12 significant digits; clamp |x| below zero_tol to 0."""
+def _q(x: float) -> float:
+    """Quantize to 12 significant digits; clamp |x| below _ZERO_TOL to 0."""
     x = float(x)
-    if abs(x) < zero_tol:
+    if abs(x) < _ZERO_TOL:
         return 0.0
     return float(f"{x:.12g}")
 
 
-def _pair(c: complex, zero_tol: float) -> list[float]:
-    return [_q(c.real, zero_tol), _q(c.imag, zero_tol)]
+def _pair(c: complex) -> list[float]:
+    return [_q(c.real), _q(c.imag)]
 
 
-def _matrix_rows(m: np.ndarray, zero_tol: float) -> list[list[list[float]]]:
-    return [[_pair(v, zero_tol) for v in row] for row in m.tolist()]
+def _matrix_rows(m: np.ndarray) -> list[list[list[float]]]:
+    return [[_pair(v) for v in row] for row in m.tolist()]
 
 
 @dataclass(frozen=True)
@@ -329,16 +329,16 @@ def _stage_name(action: sc.Action) -> str:
     return f"couple-{action.environment}"
 
 
-def run(scenario: sc.Scenario, source_text: str | None = None,
-        zero_tol: float = DEFAULT_ZERO_TOL) -> Report:
+def run(scenario: sc.Scenario, source_text: str) -> Report:
     """Execute a scenario: apply its actions in order, answer its queries.
+    ``source_text`` is the text it was parsed from; the report carries its
+    sha256.
 
     Deterministic: identical input yields byte-identical structured output.
     Module errors propagate as ExecutionError annotated with the failing
     action or query index.
     """
-    text = source_text if source_text is not None else sc.serialize_scenario(scenario)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
     transcript = scenario_transcript(scenario)
     # Every claim is answered at the first query that asks one, from one
     # replay of the later steps; each query takes its own answers in turn.
@@ -349,8 +349,7 @@ def run(scenario: sc.Scenario, source_text: str | None = None,
         try:
             if claims and answers is None:
                 answers = iter(ex.certainties(transcript, [c for cs in asked for c in cs]))
-            results.append(_run_query(query, transcript, zero_tol,
-                                      [next(answers) for _ in claims]))
+            results.append(_run_query(query, transcript, [next(answers) for _ in claims]))
         except PointerLabError as exc:
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
 
@@ -381,41 +380,35 @@ def _compare(query: sc.CompareQuery, transcript: ProtocolTranscript) -> Decohere
                                   query.apparatus)
 
 
-def _dist_payload(dist: OutcomeDistribution, zero_tol: float) -> list[dict[str, Any]]:
-    return [
-        {"outcome": list(labels), "probability": _q(p, zero_tol)}
-        for labels, p in dist.entries
-    ]
+def _dist_payload(dist: OutcomeDistribution) -> list[dict[str, Any]]:
+    return [{"outcome": list(labels), "probability": _q(p)} for labels, p in dist.entries]
 
 
-def _verdict_payload(v: CertaintyVerdict, zero_tol: float) -> dict[str, Any]:
+def _verdict_payload(v: CertaintyVerdict) -> dict[str, Any]:
     return {
         "verdict": v.kind,
-        "conditional": _dist_payload(v.conditional, zero_tol),
+        "conditional": _dist_payload(v.conditional),
         "evidence": [
-            {"model": name, "distribution": _dist_payload(d, zero_tol)}
+            {"model": name, "distribution": _dist_payload(d)}
             for name, d in v.evidence
         ],
     }
 
 
-def _decomposition_payload(dec: Decomposition, zero_tol: float) -> dict[str, Any]:
+def _decomposition_payload(dec: Decomposition) -> dict[str, Any]:
     return {
         "parts": [list(p) for p in dec.parts],
         "terms": [
             {
-                "coefficient": _pair(t.coefficient, zero_tol),
-                "factors": [
-                    [_pair(a, zero_tol) for a in f.amplitudes.tolist()]
-                    for f in t.factors
-                ],
+                "coefficient": _pair(t.coefficient),
+                "factors": [[_pair(a) for a in f.amplitudes.tolist()] for f in t.factors],
             }
             for t in dec.terms
         ],
     }
 
 
-def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
+def _run_query(query, transcript: ProtocolTranscript,
                answers: Sequence[CertaintyVerdict | PointerLabError]) -> dict[str, Any]:
     final = transcript.final_state
     if isinstance(query, sc.BornQuery):
@@ -427,7 +420,7 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
                 {"subsystem": n, "basis": list(l) if l else "computational"}
                 for n, l in query.targets
             ],
-            "distribution": _dist_payload(dist, zero_tol),
+            "distribution": _dist_payload(dist),
         }
     if isinstance(query, sc.CertaintyQuery):
         (verdict,) = answers
@@ -440,7 +433,7 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
             "prop": f"{query.prop_subject} {query.prop_quantifier} {query.prop_predicate}",
             "semantics": query.semantics,
         }
-        payload.update(_verdict_payload(verdict, zero_tol))
+        payload.update(_verdict_payload(verdict))
         return payload
     if isinstance(query, sc.RewriteQuery):
         bases, t = rewrite_coefficients(final, {b.layout.names[0]: b for b in query.resolved})
@@ -448,17 +441,17 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
                         (t != 0).reshape(-1).tolist())
         return {
             "kind": "rewrite",
-            "terms": [{"labels": list(labels), "coefficient": _pair(c, zero_tol)}
+            "terms": [{"labels": list(labels), "coefficient": _pair(c)}
                       for labels, c in kept],
         }
     if isinstance(query, sc.TriorthoQuery):
         verdict = triortho_verdict(final, query.parts)
         payload: dict[str, Any] = {"kind": "triortho", "verdict": verdict.kind}
         payload["canonical"] = (
-            _decomposition_payload(verdict.canonical, zero_tol) if verdict.canonical else None
+            _decomposition_payload(verdict.canonical) if verdict.canonical else None
         )
         payload["witness"] = (
-            _decomposition_payload(verdict.witness, zero_tol) if verdict.witness else None
+            _decomposition_payload(verdict.witness) if verdict.witness else None
         )
         return payload
     if isinstance(query, sc.AuditQuery):
@@ -470,16 +463,14 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
                     {
                         "name": name,
                         "verdict": v.kind,
-                        "probability": _q(
-                            v.conditional.probability(statement.prop_predicate), zero_tol
-                        ),
+                        "probability": _q(v.conditional.probability(statement.prop_predicate)),
                     }
                     for (name, v), (_, statement) in zip(audit.statements_premeasurement,
                                                          query.chain, strict=True)
                 ],
                 "chain_derivable": audit.chain_derivable,
                 "claimed_probability": 0.0 if audit.chain_derivable else None,
-                "computed_probability": _q(audit.computed_probability, zero_tol),
+                "computed_probability": _q(audit.computed_probability),
                 "contradiction": audit.contradiction_premeasurement,
             },
             "decoherent": {
@@ -492,22 +483,22 @@ def _run_query(query, transcript: ProtocolTranscript, zero_tol: float,
         cmp = _compare(query, transcript)
         return {
             "kind": "decoherence_compare",
-            "full_max_difference": _q(cmp.full_max_difference, zero_tol),
+            "full_max_difference": _q(cmp.full_max_difference),
             "restriction_equal": cmp.reduced_equal,
-            "restriction_max_difference": _q(cmp.reduced_max_difference, zero_tol),
+            "restriction_max_difference": _q(cmp.reduced_max_difference),
             "branch_weights": {
-                "coarse": [_q(w, zero_tol) for w in cmp.branch_weights_coarse],
-                "fine": [_q(w, zero_tol) for w in cmp.branch_weights_fine],
+                "coarse": [_q(w) for w in cmp.branch_weights_coarse],
+                "fine": [_q(w) for w in cmp.branch_weights_fine],
             },
             "apparatus_marginal": {
-                "coarse": _dist_payload(cmp.apparatus_marginal_coarse, zero_tol),
-                "fine": _dist_payload(cmp.apparatus_marginal_fine, zero_tol),
+                "coarse": _dist_payload(cmp.apparatus_marginal_coarse),
+                "fine": _dist_payload(cmp.apparatus_marginal_fine),
             },
             "matrices": {
-                "pointer_coarse": _matrix_rows(cmp.rho_coarse.matrix, zero_tol),
-                "pointer_fine": _matrix_rows(cmp.rho_fine.matrix, zero_tol),
-                "reduced_coarse": _matrix_rows(cmp.reduced_coarse.matrix, zero_tol),
-                "reduced_fine": _matrix_rows(cmp.reduced_fine.matrix, zero_tol),
+                "pointer_coarse": _matrix_rows(cmp.rho_coarse.matrix),
+                "pointer_fine": _matrix_rows(cmp.rho_fine.matrix),
+                "reduced_coarse": _matrix_rows(cmp.reduced_coarse.matrix),
+                "reduced_fine": _matrix_rows(cmp.reduced_fine.matrix),
             },
         }
     raise ExecutionError(f"unhandled query {query!r}")

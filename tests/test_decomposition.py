@@ -127,8 +127,8 @@ def test_relative_states_keep_a_tiny_component_the_rebuild_needs():
 
 def random_unitary(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(g)
-    return q
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -421,12 +421,6 @@ def tri_state(a, b, c, weights):
     d = t.shape
     lay = pl.SubsystemLayout.of(*((n, tuple(map(str, range(k)))) for n, k in zip("abc", d)))
     return pl.StateVector(lay, t.reshape(-1) / np.linalg.norm(t))
-
-
-def random_unitary(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def rebuilds(verdict, state):

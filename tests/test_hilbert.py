@@ -56,16 +56,17 @@ def test_index_bijection_random_layouts():
 
 def test_make_state_sums_repeats_and_normalizes():
     lay = coin_spin()
-    s = pl.make_state(lay, [(("head", "up"), 1.0), (("head", "up"), 1.0)])
-    assert abs(s.amplitude(("head", "up")) - 1.0) < 1e-12
-    assert abs(s.input_norm - 2.0) < 1e-12
+    s = pl.make_state(lay, [(("head", "up"), 1.0), (("tail", "down"), 2.0),
+                            (("head", "up"), 1.0)])
+    # The two head-up terms sum to the weight of the one tail-down term.
+    assert abs(s.amplitude(("head", "up")) - SQ(1 / 2)) < 1e-12
+    assert abs(s.amplitude(("tail", "down")) - SQ(1 / 2)) < 1e-12
 
 
 def test_make_state_init_has_no_head_up_component():
     s = init_state()
     assert s.amplitude(("head", "up")) == 0
     assert abs(s.norm() - 1.0) < 1e-12
-    assert abs(s.input_norm - 1.0) < 1e-9  # coefficients already unit
 
 
 def test_make_state_single_term_basis_state():
