@@ -37,6 +37,17 @@ Grammar sketch::
           joint=(Wbar:okbar, W:ok) decoherent=s1 models=(two-branch)   # on one line
       decoherence_compare models=(two-branch, three-branch) hidden=(S) apparatus=A
 
+Each token kind is read one way.  A name a directive declares (subsystem,
+group, couple environment, model, audit statement) starts with a letter or
+underscore; a label is letters, digits and ``+ - / . _``.  A set-like
+bracketed list (names, basis and branch sets, the group map, born targets,
+rewrite bases, triortho parts) splits at its top-level commas, with spaces
+allowed and empty entries skipped.  Kets and vector literals are strict
+positional lists: every entry counts, and an empty one is an error.
+Directive lines split into whitespace tokens, inside which brackets, kets
+and quoted strings bind; only ``subsystem`` and ``derived`` lines are
+matched whole.
+
 Coefficients accept ``sqrt(p/q)`` sugar, plain decimals, and pure-imaginary
 ``0.5i``; a complex with both parts needs parentheses: ``(0.5+0.5i)``.
 """
@@ -298,14 +309,44 @@ def _split_commas(text: str, base: int) -> list[tuple[str, int]]:
     return _split(text, base, _COMMA_RE)
 
 
-def _unwrap(text: str, open_ch: str, close_ch: str, line: int, col: int,
-            what: str) -> tuple[str, int]:
+def _unwrap(text: str, brackets: str, line: int, col: int, what: str) -> tuple[str, int]:
+    """The inside of ``text`` wrapped in ``brackets`` (such as "()"), with
+    its column."""
+    open_ch, close_ch = brackets
     if not (text.startswith(open_ch) and text.endswith(close_ch)):
         raise ScenarioParseError(
             f"{what} must be wrapped in {open_ch}...{close_ch}, got {text!r}",
             line, col, f"write {what} as {open_ch}...{close_ch}",
         )
     return text[1:-1], col + 1
+
+
+def _entries(text: str, brackets: str, line: int, col: int, what: str,
+             hint: str = "") -> list[tuple[str, int]]:
+    """The entries of the set-like list ``what``, wrapped in ``brackets``:
+    the non-empty pieces between its top-level commas, each with its
+    column.  Given a ``hint``, an empty list is a parse error at ``col``."""
+    inner, base = _unwrap(text, brackets, line, col, what)
+    out = [(entry, off) for entry, off in _split_commas(inner, base) if entry]
+    if hint and not out:
+        raise ScenarioParseError(f"empty {what}", line, col, hint)
+    return out
+
+
+def _name(text: str, line: int, col: int, what: str) -> str:
+    """``text`` as the name a ``what`` declares, or a parse error at ``col``."""
+    if not _NAME_RE.match(text):
+        raise ScenarioParseError(f"malformed {what} name {text!r}", line, col,
+                                 "names start with a letter or underscore")
+    return text
+
+
+def _label(text: str, line: int, col: int, what: str = "label") -> str:
+    """``text`` as a label, or a parse error at ``col`` calling it ``what``."""
+    if not _LABEL_RE.match(text):
+        raise ScenarioParseError(f"malformed {what} {text!r}", line, col,
+                                 "labels use letters, digits, + - / . _")
+    return text
 
 
 _SQRT_RE = re.compile(r"^sqrt\(\s*(\d+)\s*/\s*(\d+)\s*\)$")
@@ -359,19 +400,6 @@ def _coefficient(text: str, line: int, col: int) -> complex:
     )
 
 
-def _parse_ket(text: str, line: int, col: int) -> tuple[str, ...]:
-    if not (text.startswith("|") and text.endswith(">")):
-        raise ScenarioParseError(f"malformed ket {text!r}", line, col,
-                                 "write kets as |label,label,...>")
-    inner = text[1:-1]
-    labels = tuple(part.strip() for part in inner.split(","))
-    for lab in labels:
-        if not _LABEL_RE.match(lab):
-            raise ScenarioParseError(f"malformed label {lab!r} in ket", line, col,
-                                     "labels use letters, digits, + - / . _")
-    return labels
-
-
 def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
     """Parse ``coeff|ket> + coeff|ket> - ...`` into state terms."""
 
@@ -394,7 +422,8 @@ def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
                 "each term looks like sqrt(1/3)|head,down>",
             )
         coeff = parse_coefficient(chunk[:bar], line, at)
-        labels = _parse_ket(chunk[bar:], line, at + bar)
+        labels = tuple(_label(lab.strip(), line, at + bar, "ket label")
+                       for lab in chunk[bar + 1:-1].split(","))
         terms.append(StateTerm(coeff, labels))
     if not terms:
         raise ScenarioParseError("empty state expression", line, col,
@@ -524,6 +553,14 @@ def _register(layout: SubsystemLayout | None, name: str, line: int, col: int) ->
     return layout.subsystems[layout.axes[name]]
 
 
+def _registers(text: str, line: int, col: int, layout: SubsystemLayout) -> tuple[str, ...]:
+    """A name list of registers of ``layout``, each checked at its column."""
+    names = _parse_name_list(text, line, col)
+    for name, off in names:
+        _register(layout, name, line, off)
+    return tuple(n for n, _ in names)
+
+
 def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
              line: int, col: int, what: str, hint: str) -> Basis:
     """The basis along raw ``rows``; rows that are not orthonormal are a
@@ -577,49 +614,26 @@ def _need(fields: dict[str, tuple[str, int]], key: str, line: int, directive: st
     return fields[key]
 
 
-def _parse_name_list(text: str, line: int, col: int) -> tuple[tuple[str, int], ...]:
-    inner, base = _unwrap(text, "(", ")", line, col, "name list")
-    out = []
-    for item, off in _split_commas(inner, base):
-        if item:
-            out.append((item, off))
-    if not out:
-        raise ScenarioParseError("empty name list", line, col, "list at least one name")
-    return tuple(out)
+def _parse_name_list(text: str, line: int, col: int) -> list[tuple[str, int]]:
+    return _entries(text, "()", line, col, "name list", "list at least one name")
+
+
+def _vector_literal(text: str, line: int, col: int) -> tuple[complex, ...]:
+    """``(a, b, ...)``: one amplitude per entry, none of them left out."""
+    inner, base = _unwrap(text, "()", line, col, "vector literal")
+    comps = []
+    for c, off in _split_commas(inner, base):
+        if c in ("", "+", "-"):
+            raise ScenarioParseError(f"vector literal entry {c!r} has no amplitude", line,
+                                     off, "write every amplitude out, such as 1 or -1")
+        comps.append(parse_coefficient(c, line, off))
+    return tuple(comps)
 
 
 def _parse_basis_items(text: str, line: int, col: int) -> tuple[tuple[BasisItem, int], ...]:
-    inner, base = _unwrap(text, "{", "}", line, col, "basis set")
-    items: list[tuple[BasisItem, int]] = []
-    for raw, off in _split_commas(inner, base):
-        if not raw:
-            continue
-        if raw.startswith("("):
-            vec_inner, vbase = _unwrap(raw, "(", ")", line, off, "vector literal")
-            comps = tuple(
-                parse_coefficient(c, line, coff)
-                for c, coff in _split_commas(vec_inner, vbase)
-            )
-            items.append((comps, off))
-        else:
-            if not _LABEL_RE.match(raw):
-                raise ScenarioParseError(f"malformed label {raw!r}", line, off,
-                                         "labels use letters, digits, + - / . _")
-            items.append((raw, off))
-    if not items:
-        raise ScenarioParseError("empty basis set", line, col, "list basis elements")
-    return tuple(items)
-
-
-def _parse_branches(text: str, line: int, col: int) -> tuple[tuple[tuple[StateTerm, ...], int], ...]:
-    inner, base = _unwrap(text, "{", "}", line, col, "branch set")
-    out = []
-    for raw, off in _split_commas(inner, base):
-        if raw:
-            out.append((parse_expression(raw, line, off), off))
-    if not out:
-        raise ScenarioParseError("empty branch set", line, col, "list branch vectors")
-    return tuple(out)
+    return tuple(
+        (_vector_literal(raw, line, off) if raw.startswith("(") else _label(raw, line, off), off)
+        for raw, off in _entries(text, "{}", line, col, "basis set", "list basis elements"))
 
 
 def _fmt_float_plain(x: float) -> str:
@@ -748,9 +762,7 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
                                  "write: derived SUBSYSTEM LABEL = expression")
     sub_name, label, expr = m.group(1), m.group(2), m.group(3)
     sub = _register(schema.layout, sub_name, line_no, col0)
-    if not _LABEL_RE.match(label):
-        raise ScenarioParseError(f"malformed derived label {label!r}", line_no, col0,
-                                 "labels use letters, digits, + - / . _")
+    _label(label, line_no, col0, "derived label")
     if label in sub.positions or (sub_name, label) in schema.derived:
         raise ScenarioParseError(f"label {label!r} already exists on {sub_name!r}",
                                  line_no, col0, "pick a fresh label")
@@ -778,22 +790,13 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
 
 def _parse_layout_line(stripped, line_no, col0, schema, derived_layout):
     if stripped.startswith("subsystem"):
-        m = re.match(r"^subsystem\s+(\S+)\s*\{(.*)\}$", stripped)
+        m = re.match(r"^subsystem\s+(\S+)\s*(\{.*\})$", stripped)
         if not m:
             raise ScenarioParseError("malformed subsystem declaration", line_no, col0,
                                      "write: subsystem NAME {label, label, ...}")
-        name = m.group(1)
-        if not _NAME_RE.match(name):
-            raise ScenarioParseError(f"malformed subsystem name {name!r}", line_no, col0,
-                                     "names start with a letter or underscore")
-        labels = []
-        for lab, off in _split_commas(m.group(2), col0 + m.start(2)):
-            if not lab:
-                continue
-            if not _LABEL_RE.match(lab):
-                raise ScenarioParseError(f"malformed label {lab!r}", line_no, off,
-                                         "labels use letters, digits, + - / . _")
-            labels.append(lab)
+        name = _name(m.group(1), line_no, col0, "subsystem")
+        labels = [_label(lab, line_no, off) for lab, off in
+                  _entries(m.group(2), "{}", line_no, col0 + m.start(2), "label set")]
         if not labels:
             raise ScenarioParseError(f"subsystem {name!r} has no labels", line_no, col0,
                                      "list at least one label")
@@ -830,8 +833,8 @@ def _parse_state(expr, line_no, col, schema):
 
 def _parse_action_line(stripped, line_no, col0, schema) -> Step:
     # A directive word needs no lexing (it holds no bracket, ket or quote),
-    # and derived and group lines are matched whole: only premeasure and
-    # couple lines, and the head of an unknown action, are tokenized.
+    # and derived lines are matched whole: premeasure, group and couple
+    # lines, and the head of an unknown action, are tokenized.
     head = stripped.split(None, 1)[0]
     if head == "derived":
         return _parse_derived(stripped, line_no, col0, schema)
@@ -872,45 +875,36 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         step = MeasurementSpec(tval, resolved, aval, rval, tuple(outcomes))
         return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, step, schema.layout)
     if head == "group":
-        m = re.match(r"^group\s+parts=(\S+)\s+as\s+(\S+)\s+map=(.+)$", stripped)
-        if not m:
+        toks = _tokens(stripped, col0)
+        if not (len(toks) == 5 and toks[1][0].startswith("parts=") and toks[2][0] == "as"
+                and toks[4][0].startswith("map=")):
             raise ScenarioParseError("malformed group action", line_no, col0,
                                      "write: group parts=(A,B) as NAME map={(a,b):x, ...}")
-        parts = tuple(n for n, _ in _parse_name_list(m.group(1), line_no, col0))
-        for p in parts:
-            _register(schema.layout, p, line_no, col0)
+        fields = _field_map([toks[1], toks[4]], line_no, ("parts", "map"))
+        pval, pcol = fields["parts"]
+        parts = _registers(pval, line_no, pcol, schema.layout)
         if len(parts) < 2 or len(set(parts)) != len(parts):
             raise ScenarioParseError("group needs two or more distinct parts",
                                      line_no, col0, "list distinct subsystem names")
-        new_name = m.group(2)
-        if not _NAME_RE.match(new_name):
-            raise ScenarioParseError(f"malformed group name {new_name!r}", line_no, col0,
-                                     "names start with a letter or underscore")
-        map_text = m.group(3)
-        map_col = col0 + stripped.index("map=") + 4
-        inner, base = _unwrap(map_text, "{", "}", line_no, map_col, "label map")
+        new_name = _name(toks[3][0], line_no, col0, "group")
+        mval, mcol = fields["map"]
         pairs = []
         keys: set[tuple[str, ...]] = set()
-        for raw, off in _split_commas(inner, base):
-            if not raw:
-                continue
+        for raw, off in _entries(mval, "{}", line_no, mcol, "label map"):
             pm = re.match(r"^\((.*)\)\s*:\s*(\S+)$", raw)
             if not pm:
                 raise ScenarioParseError(f"malformed map entry {raw!r}", line_no, off,
                                          "entries look like (a,b):name")
             key = tuple(k for k, _ in _split_commas(pm.group(1), off))
             _once(keys, key, f"map key ({','.join(key)})", line_no, off)
-            value = pm.group(2)
-            if not _LABEL_RE.match(value):
-                raise ScenarioParseError(f"malformed label {value!r}", line_no, off,
-                                         "labels use letters, digits, + - / . _")
-            pairs.append((key, value))
-        register = schema.group(parts, new_name, dict(pairs), line_no, map_col)
+            pairs.append((key, _label(pm.group(2), line_no, off)))
+        register = schema.group(parts, new_name, dict(pairs), line_no, mcol)
         return GroupAction(parts, new_name, tuple(pairs), GroupStep(parts, register))
     if head == "couple":
         fields = _field_map(_tokens(stripped, col0)[1:], line_no,
                             ("env", "targets", "branches"))
         eval_, ecol = _need(fields, "env", line_no, "couple")
+        _name(eval_, line_no, ecol, "environment")
         if eval_ in schema.layout.axes:
             raise ScenarioParseError(f"environment name {eval_!r} already taken",
                                      line_no, ecol, "pick a fresh name")
@@ -932,7 +926,7 @@ def _parse_targets(tval, line_no, col, layout) -> tuple[str, ...]:
     targets = _parse_name_list(tval, line_no, col)
     seen: set[str] = set()
     for name, off in targets:
-        _register(layout, name, line_no, col)
+        _register(layout, name, line_no, off)
         _once(seen, name, f"target {name!r}", line_no, off)
     return tuple(n for n, _ in targets)
 
@@ -946,7 +940,8 @@ def _parse_branch_set(bval, line_no, col, schema, layout, targets):
     perm = [targets.index(t) for t in ordered]
     branches = []
     vecs = []
-    for terms, off in _parse_branches(bval, line_no, col):
+    for raw, off in _entries(bval, "{}", line_no, col, "branch set", "list branch vectors"):
+        terms = parse_expression(raw, line_no, off)
         for term in terms:
             if len(term.labels) != len(targets):
                 raise ScenarioParseError(
@@ -974,10 +969,7 @@ def _parse_model_line(stripped, line_no, col0, schema, stages):
     if not m:
         raise ScenarioParseError("malformed model declaration", line_no, col0,
                                  "write: model NAME targets=(...) branches={...}")
-    name = m.group(1)
-    if not _NAME_RE.match(name):
-        raise ScenarioParseError(f"malformed model name {name!r}", line_no, col0,
-                                 "names start with a letter or underscore")
+    name = _name(m.group(1), line_no, col0, "model")
     if any(name in st.axes for st in stages):
         raise ScenarioParseError(f"model name {name!r} is taken by a register",
                                  line_no, col0 + m.start(1),
@@ -1119,13 +1111,10 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "born":
         fields = _field_map(toks[1:], line_no, ("targets",))
         tval, tcol = _need(fields, "targets", line_no, "born")
-        inner, base = _unwrap(tval, "(", ")", line_no, tcol, "target list")
         targets = []
         bases: list[Basis | None] = []
         seen: set[str] = set()
-        for raw, off in _split_commas(inner, base):
-            if not raw:
-                continue
+        for raw, off in _entries(tval, "()", line_no, tcol, "target list"):
             if ":" in raw:
                 name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
             else:
@@ -1168,13 +1157,10 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
         bval, bcol = _need(fields, "bases", line_no, "rewrite")
-        inner, base = _unwrap(bval, "(", ")", line_no, bcol, "bases list")
         out = []
         bases = []
         seen = set()
-        for raw, off in _split_commas(inner, base):
-            if not raw:
-                continue
+        for raw, off in _entries(bval, "()", line_no, bcol, "bases list"):
             if ":" not in raw:
                 raise ScenarioParseError(f"malformed bases entry {raw!r}", line_no,
                                          off, "entries look like NAME:{a,b}")
@@ -1193,15 +1179,9 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "triortho":
         fields = _field_map(toks[1:], line_no, ("parts",))
         pval, pcol = _need(fields, "parts", line_no, "triortho")
-        inner, base = _unwrap(pval, "(", ")", line_no, pcol, "parts list")
         groups = []
-        for raw, off in _split_commas(inner, base):
-            if not raw:
-                continue
-            names = _parse_name_list(raw, line_no, off)
-            for n, noff in names:
-                _register(schema.layout, n, line_no, noff)
-            groups.append(tuple(n for n, _ in names))
+        for raw, off in _entries(pval, "()", line_no, pcol, "parts list"):
+            groups.append(_registers(raw, line_no, off, schema.layout))
         if len(groups) != 3:
             raise ScenarioParseError(f"triortho needs three parts, got {len(groups)}",
                                      line_no, pcol, "write parts=((A),(B),(C))")
@@ -1217,7 +1197,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         chain: dict[str, CertaintyQuery] = {}
         for raw, off in _parse_name_list(cval, line_no, ccol):
             name, _, quoted = (part.strip() for part in raw.partition(":"))
-            if not _NAME_RE.match(name) or name in chain:
+            if _name(name, line_no, off, "statement") in chain:
                 raise ScenarioParseError(
                     f"chain entry {raw!r} needs a fresh statement name", line_no, off,
                     'write NAME:"OBSERVER OUTCOME SUBJECT QUANTIFIER LABEL"')
@@ -1258,9 +1238,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
                           line_no, mcol,
                           "decoherence_compare couples the final state; model its registers")
         hval, hcol = _need(fields, "hidden", line_no, "decoherence_compare")
-        hidden = tuple(n for n, _ in _parse_name_list(hval, line_no, hcol))
-        for n in hidden:
-            _register(schema.layout, n, line_no, hcol)
+        hidden = _registers(hval, line_no, hcol, schema.layout)
         aval, acol = _need(fields, "apparatus", line_no, "decoherence_compare")
         _apparatus(aval, line_no, acol, apparatus_actions, schema)
         if aval in hidden:

@@ -611,6 +611,8 @@ CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=pr
                  id="premeasure-literal-size"),
     pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{head,tail}", "{head,ta*l}"), 9, 47,
                  id="premeasure-basis-label"),
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{head,tail}", "{(,0),(0,1)}"), 9, 43,
+                 id="premeasure-literal-empty"),
     pytest.param("couple env=E targets=(S) branches={|up>, |down>}",
                  "premeasure target=S apparatus=A basis={up,down} outcomes={a1,a2} ready=a0",
                  10, 3, id="premeasure-apparatus-twice"),
@@ -660,3 +662,31 @@ def test_each_malformed_directive_is_one_positioned_diagnostic(tmp_path, capsys,
     (diagnostic,) = captured.err.splitlines()
     assert captured.out == ""
     assert diagnostic.startswith(f"{path}: parse error: line {line}, col {col}: ")
+
+
+@pytest.mark.parametrize("old, new, line, col, message", [
+    ("couple env=E", "couple env=E:x,y", 10, 14, "malformed environment name 'E:x,y'"),
+    ("{head,tail}", "{(1,0), (0,-)}", 9, 52, "vector literal entry '-' has no amplitude"),
+], ids=["environment-name", "literal-sign-only-entry"])
+def test_names_and_literal_entries_are_read_one_way(tmp_path, capsys, old, new, line, col,
+                                                    message):
+    # An environment name passes the check every declared name passes.  A
+    # vector literal entry needs a number: unlike a ket's omitted
+    # coefficient, a bare sign does not stand for 1 or -1.
+    path = write(tmp_path, "bad.scn", EVERY_DIRECTIVE.replace(old, new, 1))
+    assert main(["check", path]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(
+        f"{path}: parse error: line {line}, col {col}: {message} (fix: ")
+
+
+def test_group_parts_may_have_spaces_like_every_other_list(tmp_path, capsys):
+    # Group lines are split into tokens like premeasure and couple lines, so
+    # a space after the comma of parts=(...) reads as in any other list.
+    results = []
+    for parts in ("parts=(R,Fbar)", "parts=(R, Fbar)", "parts=( R ,Fbar )"):
+        text = bundled_scenario_text("fr")
+        assert text.count("parts=(R,Fbar)") == 1
+        path = write(tmp_path, "fr.scn", text.replace("parts=(R,Fbar)", parts))
+        assert main(["run", path, "--format", "structured"]) == EXIT_OK
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1] == results[2]
