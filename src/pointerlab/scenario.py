@@ -42,8 +42,10 @@ group, couple environment, model, audit statement) starts with a letter or
 underscore; a label is letters, digits and ``+ - / . _``.  A set-like
 bracketed list (names, basis and branch sets, the group map, born targets,
 rewrite bases, triortho parts) splits at its top-level commas, with spaces
-allowed and empty entries skipped.  Kets and vector literals are strict
-positional lists: every entry counts, and an empty one is an error.
+allowed and empty entries skipped; an entry whose key (a name or label, the
+name before ``:``, a map entry's ``(a,b)``) repeats is an error at its
+column.  Kets and vector literals are strict positional lists: every entry
+counts, and an empty one is an error.
 Directive lines split into whitespace tokens, inside which brackets, kets
 and quoted strings bind; only ``subsystem`` and ``derived`` lines are
 matched whole.
@@ -325,11 +327,19 @@ def _entries(text: str, brackets: str, line: int, col: int, what: str,
              hint: str = "") -> list[tuple[str, int]]:
     """The entries of the set-like list ``what``, wrapped in ``brackets``:
     the non-empty pieces between its top-level commas, each with its
-    column.  Given a ``hint``, an empty list is a parse error at ``col``."""
+    column.  Given a ``hint``, an empty list is a parse error at ``col``.
+    An entry whose key (its text before any ':', spaces dropped: a name, a
+    label, or a map entry's ``(a,b)``) repeats an earlier one's is an error
+    at its column; kets, vector literals and sublists have no key."""
     inner, base = _unwrap(text, brackets, line, col, what)
     out = [(entry, off) for entry, off in _split_commas(inner, base) if entry]
     if hint and not out:
         raise ScenarioParseError(f"empty {what}", line, col, hint)
+    seen: set[str] = set()
+    for entry, off in out:
+        key, colon, _ = entry.partition(":")
+        if "|" not in entry and (colon or not key.startswith("(")):
+            _once(seen, "".join(key.split()), what, line, off)
     return out
 
 
@@ -555,10 +565,8 @@ def _register(layout: SubsystemLayout | None, name: str, line: int, col: int) ->
 
 def _registers(text: str, line: int, col: int, layout: SubsystemLayout) -> tuple[str, ...]:
     """A name list of registers of ``layout``, each checked at its column."""
-    names = _parse_name_list(text, line, col)
-    for name, off in names:
-        _register(layout, name, line, off)
-    return tuple(n for n, _ in names)
+    return tuple(_register(layout, name, line, off).name
+                 for name, off in _parse_name_list(text, line, col))
 
 
 def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
@@ -575,10 +583,14 @@ def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
                                  line, col, hint) from None
 
 
-def _once(seen: set, key, what: str, line: int, col: int) -> None:
+class _Repeated(ScenarioParseError):
+    """An entry of a set-like list whose key repeats an earlier one's."""
+
+
+def _once(seen: set[str], key: str, what: str, line: int, col: int) -> None:
     """Record ``key`` in ``seen``; a repeat is an error at its column."""
     if key in seen:
-        raise ScenarioParseError(f"{what} appears twice", line, col, "give each entry once")
+        raise _Repeated(f"{what} entry {key!r} appears twice", line, col, "give each entry once")
     seen.add(key)
 
 
@@ -636,17 +648,13 @@ def _parse_basis_items(text: str, line: int, col: int) -> tuple[tuple[BasisItem,
         for raw, off in _entries(text, "{}", line, col, "basis set", "list basis elements"))
 
 
-def _fmt_float_plain(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_complex_plain(c: complex) -> str:
-    if c.imag == 0:
-        return _fmt_float_plain(c.real)
-    if c.real == 0:
-        return f"{_fmt_float_plain(c.imag)}i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({_fmt_float_plain(c.real)}{sign}{_fmt_float_plain(abs(c.imag))}i)"
+    re_part, im_part = float(c.real), float(c.imag)
+    if im_part == 0:
+        return repr(re_part)
+    if re_part == 0:
+        return f"{im_part!r}i"
+    return f"({re_part!r}{'+' if im_part >= 0 else '-'}{abs(im_part)!r}i)"
 
 
 # --------------------------------------------------------------------------
@@ -795,14 +803,15 @@ def _parse_layout_line(stripped, line_no, col0, schema, derived_layout):
             raise ScenarioParseError("malformed subsystem declaration", line_no, col0,
                                      "write: subsystem NAME {label, label, ...}")
         name = _name(m.group(1), line_no, col0, "subsystem")
-        labels = [_label(lab, line_no, off) for lab, off in
-                  _entries(m.group(2), "{}", line_no, col0 + m.start(2), "label set")]
+        try:
+            labels = [_label(lab, line_no, off) for lab, off in
+                      _entries(m.group(2), "{}", line_no, col0 + m.start(2), "label set")]
+        except _Repeated:
+            raise ScenarioParseError(f"duplicate label in subsystem {name!r}",
+                                     line_no, col0, "labels must be unique") from None
         if not labels:
             raise ScenarioParseError(f"subsystem {name!r} has no labels", line_no, col0,
                                      "list at least one label")
-        if len(set(labels)) != len(labels):
-            raise ScenarioParseError(f"duplicate label in subsystem {name!r}",
-                                     line_no, col0, "labels must be unique")
         schema.add(name, tuple(labels), line_no, col0)
     elif stripped.startswith("derived"):
         derived_layout.append(_parse_derived(stripped, line_no, col0, schema))
@@ -853,7 +862,11 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         basis = tuple(it for it, _ in items)
         resolved = schema.basis(target, items, line_no, bcol)
         oval, ocol = _need(fields, "outcomes", line_no, "premeasure")
-        outcome_items = _parse_basis_items(oval, line_no, ocol)
+        try:
+            outcome_items = _parse_basis_items(oval, line_no, ocol)
+        except _Repeated:
+            raise ScenarioParseError("duplicate outcome labels", line_no, ocol,
+                                     "outcomes must be distinct") from None
         outcomes = []
         for it, off in outcome_items:
             if not isinstance(it, str) or it not in app.positions:
@@ -861,9 +874,6 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                     f"outcome {it!r} is not a label of apparatus {aval!r}",
                     line_no, off, "outcomes name apparatus levels")
             outcomes.append(it)
-        if len(set(outcomes)) != len(outcomes):
-            raise ScenarioParseError("duplicate outcome labels", line_no, ocol,
-                                     "outcomes must be distinct")
         if len(outcomes) != len(basis):
             raise ScenarioParseError(
                 f"{len(basis)} basis vectors but {len(outcomes)} outcomes",
@@ -882,21 +892,22 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                                      "write: group parts=(A,B) as NAME map={(a,b):x, ...}")
         fields = _field_map([toks[1], toks[4]], line_no, ("parts", "map"))
         pval, pcol = fields["parts"]
-        parts = _registers(pval, line_no, pcol, schema.layout)
-        if len(parts) < 2 or len(set(parts)) != len(parts):
+        try:
+            parts = _registers(pval, line_no, pcol, schema.layout)
+        except _Repeated:
+            parts = ()
+        if len(parts) < 2:
             raise ScenarioParseError("group needs two or more distinct parts",
                                      line_no, col0, "list distinct subsystem names")
         new_name = _name(toks[3][0], line_no, col0, "group")
         mval, mcol = fields["map"]
         pairs = []
-        keys: set[tuple[str, ...]] = set()
         for raw, off in _entries(mval, "{}", line_no, mcol, "label map"):
             pm = re.match(r"^\((.*)\)\s*:\s*(\S+)$", raw)
             if not pm:
                 raise ScenarioParseError(f"malformed map entry {raw!r}", line_no, off,
                                          "entries look like (a,b):name")
             key = tuple(k for k, _ in _split_commas(pm.group(1), off))
-            _once(keys, key, f"map key ({','.join(key)})", line_no, off)
             pairs.append((key, _label(pm.group(2), line_no, off)))
         register = schema.group(parts, new_name, dict(pairs), line_no, mcol)
         return GroupAction(parts, new_name, tuple(pairs), GroupStep(parts, register))
@@ -909,7 +920,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
             raise ScenarioParseError(f"environment name {eval_!r} already taken",
                                      line_no, ecol, "pick a fresh name")
         tval, tcol = _need(fields, "targets", line_no, "couple")
-        targets = _parse_targets(tval, line_no, tcol, schema.layout)
+        targets = _registers(tval, line_no, tcol, schema.layout)
         bval, bcol = _need(fields, "branches", line_no, "couple")
         ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema,
                                                      schema.layout, targets)
@@ -919,16 +930,6 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
     head = _tokens(stripped, col0)[0][0]
     raise ScenarioParseError(f"unknown action {head!r}", line_no, col0,
                              "actions are premeasure, group, couple (or derived)")
-
-
-def _parse_targets(tval, line_no, col, layout) -> tuple[str, ...]:
-    """A couple or model target list: distinct registers of ``layout``."""
-    targets = _parse_name_list(tval, line_no, col)
-    seen: set[str] = set()
-    for name, off in targets:
-        _register(layout, name, line_no, off)
-        _once(seen, name, f"target {name!r}", line_no, off)
-    return tuple(n for n, _ in targets)
 
 
 def _parse_branch_set(bval, line_no, col, schema, layout, targets):
@@ -979,7 +980,7 @@ def _parse_model_line(stripped, line_no, col0, schema, stages):
     tval, tcol = _need(fields, "targets", line_no, "model")
     # Models describe couplings at measurement time; validate against the
     # declared (pre-group) layout.
-    targets = _parse_targets(tval, line_no, tcol, stages[0])
+    targets = _registers(tval, line_no, tcol, stages[0])
     bval, bcol = _need(fields, "branches", line_no, "model")
     ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema, stages[0], targets)
     return ModelDecl(name, ordered, branches, EnvironmentModel(name, basis))
@@ -1060,14 +1061,14 @@ def _claim(observer, ocol, outcome, outcol, prop, pcol, line_no, schema,
 
 
 def _model_list(field_value, line_no, declared_models) -> tuple[EnvironmentModel, ...]:
+    """The declared models a models=(...) list names, each checked at its column."""
     mval, mcol = field_value
-    models = tuple(n for n, _ in _parse_name_list(mval, line_no, mcol))
-    for mn in models:
+    names = _parse_name_list(mval, line_no, mcol)
+    for mn, off in names:
         if mn not in declared_models:
-            raise ScenarioParseError(f"model {mn!r} was never declared",
-                                     line_no, mcol,
+            raise ScenarioParseError(f"model {mn!r} was never declared", line_no, off,
                                      "declare it in the models: section")
-    return tuple(declared_models[mn].resolved for mn in models)
+    return tuple(declared_models[mn].resolved for mn, _ in names)
 
 
 def _model_targets_in(models, layout, where, line_no, col, hint) -> None:
@@ -1113,14 +1114,12 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         tval, tcol = _need(fields, "targets", line_no, "born")
         targets = []
         bases: list[Basis | None] = []
-        seen: set[str] = set()
         for raw, off in _entries(tval, "()", line_no, tcol, "target list"):
             if ":" in raw:
                 name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
             else:
                 name, labels = raw, None
                 basis = schema.computational(_register(schema.layout, raw, line_no, off))
-            _once(seen, name, f"target {name!r}", line_no, off)
             bases.append(basis)
             targets.append((name, labels))
         if not targets:
@@ -1157,25 +1156,23 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
         bval, bcol = _need(fields, "bases", line_no, "rewrite")
-        out = []
+        out: dict[str, tuple[str, ...]] = {}
         bases = []
-        seen = set()
         for raw, off in _entries(bval, "()", line_no, bcol, "bases list"):
             if ":" not in raw:
                 raise ScenarioParseError(f"malformed bases entry {raw!r}", line_no,
                                          off, "entries look like NAME:{a,b}")
             name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
-            _once(seen, name, f"basis for {name!r}", line_no, off)
             if basis.size != basis.layout.dimension:
                 raise ScenarioParseError(
                     f"rewrite basis for {name!r} has {basis.size} vectors, "
                     f"needs {basis.layout.dimension}", line_no, off,
                     "rewrite bases must be complete")
             bases.append(basis)
-            out.append((name, labels))
+            out[name] = labels
         bases += [schema.computational(sub) for sub in schema.layout.subsystems
-                  if sub.name not in seen]
-        return RewriteQuery(tuple(out), tuple(bases))
+                  if sub.name not in out]
+        return RewriteQuery(tuple(out.items()), tuple(bases))
     if head == "triortho":
         fields = _field_map(toks[1:], line_no, ("parts",))
         pval, pcol = _need(fields, "parts", line_no, "triortho")
@@ -1195,23 +1192,23 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         fields = _field_map(toks[1:], line_no, ("chain", "joint", "decoherent", "models"))
         cval, ccol = _need(fields, "chain", line_no, "consistency_audit")
         chain: dict[str, CertaintyQuery] = {}
-        for raw, off in _parse_name_list(cval, line_no, ccol):
+        try:
+            statements = _parse_name_list(cval, line_no, ccol)
+        except _Repeated as exc:
+            raise ScenarioParseError(f"{exc.message}: use a fresh statement name",
+                                     line_no, exc.column, exc.hint) from None
+        for raw, off in statements:
             name, _, quoted = (part.strip() for part in raw.partition(":"))
-            if _name(name, line_no, off, "statement") in chain:
-                raise ScenarioParseError(
-                    f"chain entry {raw!r} needs a fresh statement name", line_no, off,
-                    'write NAME:"OBSERVER OUTCOME SUBJECT QUANTIFIER LABEL"')
+            _name(name, line_no, off, "statement")
             words = _quoted_words(quoted, line_no, off, "statement",
                                   "OBSERVER OUTCOME SUBJECT QUANTIFIER LABEL")
             chain[name] = _claim(words[0], off, words[1], off, words[2:], off, line_no,
                                  schema, apparatus_actions, stages)
         jval, jcol = _need(fields, "joint", line_no, "consistency_audit")
         joint = []
-        seen = set()
         for raw, off in _parse_name_list(jval, line_no, jcol):
             apparatus, _, label = (part.strip() for part in raw.partition(":"))
             action = _apparatus(apparatus, line_no, off, apparatus_actions, schema)
-            _once(seen, apparatus, f"apparatus {apparatus!r}", line_no, off)
             labels = action.resolved.basis.labels
             if label not in labels:
                 raise ScenarioParseError(
@@ -1230,8 +1227,11 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "decoherence_compare":
         fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
         mval, mcol = _need(fields, "models", line_no, "decoherence_compare")
-        models = _model_list((mval, mcol), line_no, declared_models)
-        if len(set(models)) != 2 or len(models) != 2:
+        try:
+            models = _model_list((mval, mcol), line_no, declared_models)
+        except _Repeated:
+            models = ()
+        if len(models) != 2:
             raise ScenarioParseError("decoherence_compare compares two distinct models",
                                      line_no, mcol, "write models=(COARSE, FINE)")
         _model_targets_in(models, schema.layout, "the final layout",

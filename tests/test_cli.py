@@ -437,8 +437,16 @@ queries:
     ("born targets=(R, A)", 'consistency_audit chain=(s1:"A a1 R is_in_state head") '
      "joint=(A:head, A:tail) decoherent=s1 models=(m)", 10, 73),
     ("models:\n", "  group parts=(R,A) as G map={(head,a0):x, (head,a0):y}\nmodels:\n", 7, 44),
+    ("born targets=(R, A)", 'certainty observer=A outcome=a1 prop="R is_in_state head" '
+     "semantics=decoherent models=(m, m)", 10, 93),
+    ("born targets=(R, A)", 'consistency_audit chain=(s1:"A a1 R is_in_state head") '
+     "joint=(A:head) decoherent=s1 models=(m, m)", 10, 98),
+    ("born targets=(R, A)", "triortho parts=((R),(A,A),(A))", 10, 26),
+    ("born targets=(R, A)", "born targets=(R, R:{head,tail})", 10, 20),
+    ("basis={head,tail}", "basis={head,head}", 6, 47),
 ], ids=["couple-targets", "model-targets", "born-targets", "rewrite-bases", "audit-joint",
-        "group-map"])
+        "group-map", "certainty-models", "audit-models", "triortho-part", "born-bare-and-labelled",
+        "premeasure-basis"])
 def test_repeated_entry_is_a_parse_error_at_its_column(tmp_path, capsys, old, new, line, col):
     # These used to exit 3 (a layout with R twice), fail only at run time,
     # or exit 0 with the last repeat silently winning.

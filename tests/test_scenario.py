@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointerlab import scenario as sc
-from pointerlab.cli import bundled_scenario_text
+from pointerlab.cli import EXIT_PARSE, bundled_scenario_text, main
 from pointerlab.errors import NonOrthonormalBasisError, ScenarioParseError
 from pointerlab.runner import DEMOS, scenario_transcript
 from pointerlab.scenario import (
@@ -471,6 +471,28 @@ def test_report_queries_declare_their_inputs(name, old, new, message):
         parse_scenario(text.replace(old, new, 1))
     assert message in err.value.message
     assert err.value.hint
+
+
+@pytest.mark.parametrize("line, old, new, col, message", [
+    (17, "models=(two-branch, three-branch)", "models=(two-branch, two-branch)", 103,
+     "name list entry 'two-branch' appears twice"),
+    (18, "hidden=(S)", "hidden=(S, S)", 68, "name list entry 'S' appears twice"),
+    (17, "models=(two-branch, three-branch)", "models=(two-branch, mystery)", 103,
+     "model 'mystery' was never declared"),
+], ids=["certainty-models-repeat", "compare-hidden-repeat", "certainty-model-undeclared"])
+def test_model_and_hidden_entries_are_checked_at_their_own_column(tmp_path, capsys, line, old,
+                                                                   new, col, message):
+    # Both repeats used to be accepted (the table printed "model two-branch"
+    # twice), and the undeclared model was reported at the list, col 90.
+    lines = bundled_scenario_text("decoherence").splitlines(keepends=True)
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    path = tmp_path / "decoherence.scn"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{path}: parse error: line {line}, col {col}: {message} (fix: ")
 
 
 MEMO = """\
