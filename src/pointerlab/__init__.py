@@ -66,7 +66,6 @@ from .experiment import (
     ConsistencyAudit,
     CoupleStep,
     DecoherenceComparison,
-    EnvironmentModel,
     GroupStep,
     Proposition,
     ProtocolTranscript,

@@ -18,11 +18,13 @@ prediction contradicting the final-stage statistics.
 Certainty claims are answered from one replay of the later steps: the
 states they condition on go through each step together, as one StateBatch
 (see ``certainties``), and the consistency audit judges those answers.
+A model is a ``CoupleStep`` the run does not apply: neither certainty nor
+``decoherence_compare`` attaches its environment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,10 +53,10 @@ from .measurement import (
     OutcomeDistribution,
     attach_environment,
     born,
+    branch_components,
     conditioned_branches,
     environment_couple,
     outcome_probability,
-    pointer_reduce,
     premeasure,
 )
 
@@ -75,7 +77,8 @@ class CoupleStep:
     """One-shot environment coupling; the environment register is attached
     on the fly (ready level plus one record level per branch).  ``branches``
     was checked orthonormal when it was made: by the parser, or by
-    ``branch_basis`` from plain vectors."""
+    ``branch_basis`` from plain vectors.  A declared model is a CoupleStep
+    that no transcript applies, named by its ``environment``."""
 
     environment: str
     branches: Basis
@@ -190,21 +193,6 @@ class Proposition:
 
 
 @dataclass(frozen=True, eq=False)
-class EnvironmentModel:
-    """Hypothetical one-shot coupling: the orthonormal branches, over some
-    registers in layout order, that the environment records.  ``coupling``
-    is that coupling as a step, with an environment named after the model
-    and the same checked branches."""
-
-    name: str
-    branches: Basis
-    coupling: CoupleStep = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coupling", CoupleStep(self.name, self.branches))
-
-
-@dataclass(frozen=True, eq=False)
 class CertaintyVerdict:
     """certain / refuted / undetermined, with the conditional distribution
     as evidence (per consulted model under decoherent semantics)."""
@@ -232,7 +220,7 @@ class Claim:
     observed: str
     prop: Proposition
     semantics: str = "premeasurement"
-    models: tuple[EnvironmentModel, ...] = ()
+    models: tuple[CoupleStep, ...] = ()
 
 
 def certainty(
@@ -241,7 +229,7 @@ def certainty(
     observed: str,
     prop: Proposition,
     semantics: str = "premeasurement",
-    models: Sequence[EnvironmentModel] | None = None,
+    models: Sequence[CoupleStep] | None = None,
 ) -> CertaintyVerdict:
     """Decide whether ``observer``, having seen ``observed`` on their own
     apparatus, may assert ``prop``: the one-claim case of ``certainties``.
@@ -380,7 +368,7 @@ def _verdict(claim: Claim, dists: Sequence[OutcomeDistribution]) -> CertaintyVer
     if claim.semantics == "premeasurement":
         return CertaintyVerdict(kind, dists[0])
     return CertaintyVerdict(kind, dists[0],
-                            tuple((m.name, d) for m, d in zip(claim.models, dists)))
+                            tuple((m.environment, d) for m, d in zip(claim.models, dists)))
 
 
 def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part]
@@ -483,23 +471,22 @@ class DecoherenceComparison:
     apparatus_marginal_fine: OutcomeDistribution
 
 
-def decoherence_compare(state: StateVector, models: Sequence[EnvironmentModel],
+def decoherence_compare(state: StateVector, models: Sequence[CoupleStep],
                         hidden: Sequence[str], apparatus: str) -> DecoherenceComparison:
-    """Couple ``state`` to each of two environment models (coarse first) and
-    compare the pointer mixtures, in full and with the ``hidden`` registers
-    traced out, along with the record marginal of ``apparatus``."""
+    """Trace each of two environment models (coarse first) out of ``state``
+    and compare the pointer mixtures sum_k P_k|state><state|P_k, made from
+    the branch components (``measurement.branch_components``), in full and
+    with the ``hidden`` registers traced out, along with the record marginal
+    of ``apparatus``.  Branch k's weight is ‖P_k·state‖²."""
     if len(models) != 2:
         raise PointerLabError(f"decoherence_compare needs two models, got {len(models)}")
 
-    def couple_and_reduce(model: EnvironmentModel) -> tuple[DensityOperator, tuple[float, ...]]:
-        coupled = apply_step(state, model.coupling)
-        rho = pointer_reduce(coupled, model.name)
-        on_targets = partial_trace(rho, model.branches.layout.names).matrix
-        weights = tuple(float(np.real(np.vdot(b, on_targets @ b)))
-                        for b in model.branches.matrix)
-        return rho, weights
+    def traced_out(model: CoupleStep) -> tuple[DensityOperator, tuple[float, ...]]:
+        comps = branch_components(state, model.branches)
+        weights = tuple(float(np.vdot(c, c).real) for c in comps)
+        return DensityOperator(state.layout, comps.T @ comps.conj()), weights
 
-    (rho_coarse, w_coarse), (rho_fine, w_fine) = map(couple_and_reduce, models)
+    (rho_coarse, w_coarse), (rho_fine, w_fine) = map(traced_out, models)
     full_diff = float(np.max(np.abs(rho_coarse.matrix - rho_fine.matrix)))
 
     visible = [n for n in state.layout.names if n not in hidden]

@@ -12,7 +12,9 @@ their orthonormality is checked once, where the rows are made (`Basis`).
 ``correlating_unitary`` builds the same map densely from a checked `Basis`
 and completes it to a full unitary for inspection.  Conditioning on an
 outcome has one path, ``conditioned_branches``, whose one-branch case is
-premeasurement semantics (``condition``).
+premeasurement semantics (``condition``).  It and the pointer mixture of
+``experiment.decoherence_compare`` start from ``branch_components``, the
+state split along an environment's branches, and attach no environment.
 
 The kernels and ``born`` take a StateVector or a StateBatch, and a batch's
 states go through them together, each checked on its own.
@@ -211,8 +213,16 @@ class OutcomeDistribution:
         raise UnknownLabelError(f"no outcome {labels!r} in distribution")
 
 
-def _axes_of(layout: SubsystemLayout, names: Sequence[str]) -> list[int]:
-    return [layout.axis(n) for n in names]
+def _target_axes(layout: SubsystemLayout, branches: Basis) -> list[int]:
+    """The layout-order axes of the registers ``branches`` lives on; raises
+    LayoutMismatchError unless it lives on them as ``layout`` holds them."""
+    axes = sorted(layout.axis(n) for n in branches.layout.names)
+    if branches.layout.subsystems != tuple(layout.subsystems[a] for a in axes):
+        raise LayoutMismatchError(
+            f"branch vector layout {branches.layout.names} != target layout "
+            f"{tuple(layout.names[a] for a in axes)}"
+        )
+    return axes
 
 
 def _branch_axes(
@@ -229,8 +239,7 @@ def _branch_axes(
     the ready index and the record indices.  Orthonormal rows make V an
     isometry; `Basis` checks them once, when it is made."""
     n_rows = branches.size
-    target_axes = sorted(_axes_of(layout, branches.layout.names))
-    on = tuple(layout.subsystems[i] for i in target_axes)
+    target_axes = _target_axes(layout, branches)
     app_axis = layout.axis(apparatus)
     app = layout.subsystems[app_axis]
     if app_axis in target_axes:
@@ -243,11 +252,6 @@ def _branch_axes(
     if app.dimension < n_rows + extra:
         raise LayoutConflictError(
             f"apparatus {apparatus!r} needs at least {n_rows + extra} levels"
-        )
-    if branches.layout.subsystems != on:
-        raise LayoutMismatchError(
-            f"branch vector layout {branches.layout.names} != target layout "
-            f"{tuple(sub.name for sub in on)}"
         )
     return target_axes + [app_axis], ready_idx, record_idx
 
@@ -372,12 +376,7 @@ def _along_branches(state: StateVector | StateBatch, branches: Basis
     c[k, j] = <b_k|state_j>, shape (K, m, rest).  Raises
     IncompleteBranchingError when the branches miss a state's support."""
     layout = state.layout
-    axes = sorted(_axes_of(layout, branches.layout.names))
-    if branches.layout.subsystems != tuple(layout.subsystems[a] for a in axes):
-        raise LayoutMismatchError(
-            f"branch vector layout {branches.layout.names} != target layout "
-            f"{tuple(layout.names[a] for a in axes)}"
-        )
+    axes = _target_axes(layout, branches)
     amps = state.rows()
     m = len(amps)
     order = [a + 1 for a in axes] + [0] + [i + 1 for i in range(len(layout.dims))
@@ -425,6 +424,20 @@ def environment_couple(
     return _correlate(state, basis, environment, ready_label, env_labels, "environment")
 
 
+def branch_components(state: StateVector, branches: Basis) -> np.ndarray:
+    """The rows P_k·state, shape (K, D), P_k the projector onto branch k on
+    its registers; an environment that records the branches, traced out,
+    leaves sum_k P_k|state><state|P_k.  Raises IncompleteBranchingError if
+    the branches miss the state's support."""
+    dims = state.layout.dims
+    order, c = _along_branches(state, branches)
+    vmat = branches.matrix
+    # P_k·state in the moved axis order, then back in layout order.
+    moved = (len(vmat),) + tuple(((1,) + dims)[o] for o in order)
+    comps = (vmat[:, :, None, None] * c[:, None]).reshape(moved)
+    return comps.transpose([0] + [1 + o for o in np.argsort(order)]).reshape(len(vmat), -1)
+
+
 def conditioned_branches(
     state: StateVector,
     branches: Basis | None,
@@ -448,19 +461,9 @@ def conditioned_branches(
     Raises IncompleteBranchingError if the branches miss the state's
     support, ImpossibleOutcomeError if the outcome has no weight.
     """
-    layout = state.layout
-    if branches is None:
-        comps = state.rows()
-    else:
-        order, c = _along_branches(state, branches)
-        vmat = branches.matrix
-        # P_k·state in the moved axis order, then back in layout order.
-        moved = (len(vmat),) + tuple(((1,) + layout.dims)[o] for o in order)
-        comps = (vmat[:, :, None, None] * c[:, None]).reshape(moved)
-        comps = comps.transpose([0] + [1 + o for o in np.argsort(order)])[:, 0]
-    rows, weights = _conditioned(comps.reshape(len(comps), -1), layout, subsystem, basis,
-                                 outcome_index)
-    return StateBatch(layout, rows), tuple(weights.tolist())
+    comps = state.rows() if branches is None else branch_components(state, branches)
+    rows, weights = _conditioned(comps, state.layout, subsystem, basis, outcome_index)
+    return StateBatch(state.layout, rows), tuple(weights.tolist())
 
 
 def _projected(rows: np.ndarray, layout: SubsystemLayout, subsystem: str, basis: Basis,

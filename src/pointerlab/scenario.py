@@ -8,7 +8,7 @@ The parser is the one place where labels become vectors.  It tracks a
 initial state, premeasure/born/rewrite bases, couple and model branches,
 the basis of a certainty proposition) against the layout in force where it
 appears.  The ``resolved`` field beside the text-level fields holds what
-the engine runs: an action's step, a model's ``EnvironmentModel``, a
+the engine runs: an action's step, a model's ``CoupleStep`` (never run), a
 certainty claim's ``Claim``, an audit's decoherent recheck (a ``Claim``),
 the models a comparison names.  Those fields take no part in equality, so
 ``parse_scenario(serialize_scenario(s)) == s`` compares scenario text.
@@ -80,7 +80,7 @@ from .hilbert import (
     merged_register,
     normalized,
 )
-from .experiment import Claim, CoupleStep, EnvironmentModel, GroupStep, Proposition
+from .experiment import Claim, CoupleStep, GroupStep, Proposition
 from .measurement import Basis, MeasurementSpec, branch_labels
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
@@ -155,12 +155,12 @@ class CoupleAction:
 
 @dataclass(frozen=True)
 class ModelDecl:
-    """``resolved`` is the model, with the branch set checked orthonormal."""
+    """``resolved`` is the model's coupling step, its branches checked orthonormal."""
 
     name: str
     targets: tuple[str, ...]
     branches: tuple[tuple[StateTerm, ...], ...]
-    resolved: EnvironmentModel = _resolved()
+    resolved: CoupleStep = _resolved()
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ class CompareQuery:
     models: tuple[str, ...]
     hidden: tuple[str, ...]
     apparatus: str
-    resolved: tuple[EnvironmentModel, ...] = _resolved()
+    resolved: tuple[CoupleStep, ...] = _resolved()
 
 
 Action = Union[PremeasureAction, GroupAction, CoupleAction]
@@ -735,7 +735,7 @@ def parse_scenario(text: str) -> Scenario:
             if not isinstance(step, DerivedDecl):
                 stages.append(schema.layout)
         elif section == "models":
-            model = _parse_model_line(stripped, line_no, col0, schema, stages)
+            model = _parse_model_line(stripped, line_no, col0, schema, stages[0])
             if model.name in declared_models:
                 raise ScenarioParseError(f"model {model.name!r} declared twice",
                                          line_no, col0, "model names must be unique")
@@ -962,36 +962,32 @@ def _parse_branch_set(bval, line_no, col, schema, layout, targets):
     return ordered, tuple(branches), basis
 
 
-def _parse_model_line(stripped, line_no, col0, schema, stages):
-    """``stages`` holds the declared layout and the layout after each action:
-    a model attaches its environment under its own name, so no register may
-    carry that name at any stage."""
+def _parse_model_line(stripped, line_no, col0, schema, declared):
     m = re.match(r"^model\s+(\S+)\s+(.*)$", stripped)
     if not m:
         raise ScenarioParseError("malformed model declaration", line_no, col0,
                                  "write: model NAME targets=(...) branches={...}")
     name = _name(m.group(1), line_no, col0, "model")
-    if any(name in st.axes for st in stages):
-        raise ScenarioParseError(f"model name {name!r} is taken by a register",
-                                 line_no, col0 + m.start(1),
-                                 "pick a model name that no register uses")
     toks = _tokens(m.group(2), col0 + m.start(2))
     fields = _field_map(toks, line_no, ("targets", "branches"))
     tval, tcol = _need(fields, "targets", line_no, "model")
     # Models describe couplings at measurement time; validate against the
     # declared (pre-group) layout.
-    targets = _registers(tval, line_no, tcol, stages[0])
+    targets = _registers(tval, line_no, tcol, declared)
     bval, bcol = _need(fields, "branches", line_no, "model")
-    ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema, stages[0], targets)
-    return ModelDecl(name, ordered, branches, EnvironmentModel(name, basis))
+    ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema, declared, targets)
+    return ModelDecl(name, ordered, branches, CoupleStep(name, basis))
 
 
-def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, stages) -> Basis:
-    """The basis a certainty proposition is read in.  An apparatus subject
-    stands for its measured basis (on the target register); a register
-    subject is read in its computational basis, or in all its derived labels
-    when the predicate is one of them, with the labels it has where it first
-    exists."""
+def _prop_basis(prop, observer, line_no, col, schema, apparatus_actions, stages) -> Basis:
+    """The basis the words ``prop`` (SUBJECT QUANTIFIER PREDICATE) of a claim
+    by ``observer`` are read in.  An apparatus subject stands for its
+    measured basis (on the target register); a register subject is read in
+    its computational basis, or in all its derived labels when the predicate
+    is one of them, with the labels it has where ``experiment.certainties``
+    reads it: is_in_state at the first stage, from the observer's on, that
+    holds it; will_obtain at the final stage."""
+    subject, quant, predicate = prop
     if subject in apparatus_actions:
         basis = apparatus_actions[subject].resolved.basis
         if predicate not in basis.labels:
@@ -999,13 +995,21 @@ def _prop_basis(subject, predicate, line_no, col, schema, apparatus_actions, sta
                 f"predicate {predicate!r} is not among the measured basis labels "
                 f"{basis.labels}", line_no, col, f"use one of {list(basis.labels)}")
         return basis
-    sub = next((st.subsystem(subject) for st in stages if subject in st.axes), None)
-    if sub is None:
+    if not any(subject in st.axes for st in stages):
         raise ScenarioParseError(f"prop subject {subject!r} is unknown", line_no,
                                  col, "name a subsystem or an apparatus")
+    if quant == "is_in_state":
+        start = next(i for i, st in enumerate(stages) if st is observer.stage)
+        reads, where = stages[start:], f"where {observer.apparatus!r} measures"
+    else:
+        reads, where = stages[-1:], "at the final stage, where will_obtain reads it"
+    sub = next((st.subsystem(subject) for st in reads if subject in st.axes), None)
+    if sub is None:
+        raise ScenarioParseError(f"prop subject {subject!r} no longer exists {where}",
+                                 line_no, col, "name a register that exists there")
     if predicate in sub.positions:
         return schema.computational(sub)
-    derived = [lab for name, lab in schema.derived if name == subject]
+    derived = [lab for (_, lab), (on, _) in schema.derived_vectors.items() if on is sub]
     if predicate not in derived:
         raise ScenarioParseError(
             f"predicate {predicate!r} is neither a basis nor a derived label of "
@@ -1053,14 +1057,14 @@ def _claim(observer, ocol, outcome, outcol, prop, pcol, line_no, schema,
     if quant not in ("will_obtain", "is_in_state"):
         raise ScenarioParseError(f"unknown quantifier {quant!r}", line_no,
                                  pcol, "use will_obtain or is_in_state")
-    basis = _prop_basis(subject, predicate, line_no, pcol, schema, apparatus_actions, stages)
+    basis = _prop_basis(prop, action, line_no, pcol, schema, apparatus_actions, stages)
     claim = Claim(observer, outcome, Proposition(basis.layout.names[0], basis, predicate, quant),
                   semantics, models)
     return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics,
-                          tuple(m.name for m in models), claim)
+                          tuple(m.environment for m in models), claim)
 
 
-def _model_list(field_value, line_no, declared_models) -> tuple[EnvironmentModel, ...]:
+def _model_list(field_value, line_no, declared_models) -> tuple[CoupleStep, ...]:
     """The declared models a models=(...) list names, each checked at its column."""
     mval, mcol = field_value
     names = _parse_name_list(mval, line_no, mcol)
@@ -1078,7 +1082,7 @@ def _model_targets_in(models, layout, where, line_no, col, hint) -> None:
         for sub in model.branches.layout.subsystems:
             if sub.name not in layout.axes or layout.subsystem(sub.name) != sub:
                 raise ScenarioParseError(
-                    f"model {model.name!r} couples {sub.name!r}, which is not in {where} "
+                    f"model {model.environment!r} couples {sub.name!r}, which is not in {where} "
                     "as declared", line_no, col, hint)
 
 
@@ -1138,7 +1142,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if sval not in ("premeasurement", "decoherent"):
             raise ScenarioParseError(f"unknown semantics {sval!r}", line_no,
                                      scol, "use premeasurement or decoherent")
-        models: tuple[EnvironmentModel, ...] = ()
+        models: tuple[CoupleStep, ...] = ()
         if sval == "decoherent":
             if "models" not in fields:
                 raise ScenarioParseError(
@@ -1222,7 +1226,8 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         mval, mcol = _need(fields, "models", line_no, "consistency_audit")
         models = _model_list((mval, mcol), line_no, declared_models)
         _models_at_stage(models, apparatus_actions[chain[dval].observer], line_no, mcol)
-        return AuditQuery(tuple(chain.items()), tuple(joint), dval, tuple(m.name for m in models),
+        return AuditQuery(tuple(chain.items()), tuple(joint), dval,
+                          tuple(m.environment for m in models),
                           replace(chain[dval].resolved, semantics="decoherent", models=models))
     if head == "decoherence_compare":
         fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
@@ -1244,7 +1249,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         if aval in hidden:
             raise ScenarioParseError(f"apparatus {aval!r} is hidden", line_no, acol,
                                      "the apparatus record must stay visible")
-        return CompareQuery(tuple(m.name for m in models), hidden, aval, models)
+        return CompareQuery(tuple(m.environment for m in models), hidden, aval, models)
     raise ScenarioParseError(f"unknown query {head!r}", line_no, col0,
                              "queries: born, certainty, rewrite, triortho, "
                              "consistency_audit, decoherence_compare")

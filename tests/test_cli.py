@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, output formats, determinism, table/JSON parity."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pointerlab.cli import EXIT_EXEC, EXIT_OK, EXIT_PARSE, bundled_scenario_text, main
 from pointerlab.runner import run
 from pointerlab.scenario import parse_scenario
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write(tmp_path, name, text):
@@ -145,20 +148,93 @@ def test_structured_output_of_several_files_is_one_document_per_file(tmp_path, c
         assert json.loads(chunk.split("\n", 1)[1]) == json.loads(expected)
 
 
-def test_model_cannot_take_a_register_name(tmp_path, capsys):
-    # A model attaches its environment under its own name, so a model named
-    # after a register, declared (S) or made by a group (Lbar), is a parse
-    # error for check and run alike.
+def _renamed(value, old, new):
+    """``value`` (a JSON document) with every string ``old`` replaced by ``new``."""
+    if isinstance(value, dict):
+        return {k: _renamed(v, old, new) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, old, new) for v in value]
+    return new if value == old else value
+
+
+def test_a_model_may_take_a_register_name(tmp_path, capsys):
+    # A model is a coupling the run does not apply, and no environment
+    # register is attached under its name, so a model may share its name with
+    # a register, declared (S) or made by a group (Lbar).  The results are
+    # the bundled ones with only the model's name changed.
     cases = [("decoherence", "two-branch", "S"), ("fr", "three-branch", "Lbar")]
     for demo, model, register in cases:
         text = bundled_scenario_text(demo).replace(model, register)
         path = write(tmp_path, f"{demo}-{register}.scn", text)
-        for command in ("check", "run"):
-            assert main([command, path]) == EXIT_PARSE
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1
-            assert err.startswith(f"{path}: parse error: ")
-            assert f"model name {register!r} is taken by a register (fix: " in err
+        assert main(["check", path]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"{path}: OK (")
+        assert main(["run", path, "--format", "structured"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        bundled = json.loads((GOLDEN / f"{demo}.json").read_text("utf-8"))
+        results = json.loads(captured.out)["results"]
+        assert results != bundled["results"]
+        assert results == _renamed(bundled["results"], model, register)
+
+
+# R is regrouped under its own name, with labels {x, y, ...}, before B
+# measures it; each R has a derived label of its own.
+STAGE_READ = """\
+layout:
+  subsystem R {h, t}
+  derived R plus = sqrt(1/2)|h> + sqrt(1/2)|t>
+  subsystem A {a0, a1, a2}
+  subsystem B {b0, b1, b2}
+state: sqrt(1/2)|h,a0,b0> + sqrt(1/2)|t,a0,b0>
+actions:
+  premeasure target=R apparatus=A basis={h,t} outcomes={a1,a2} ready=a0
+  group parts=(R,A) as R map={(h,a1):x, (t,a2):y}
+  derived R xp = sqrt(1/2)|x> + sqrt(1/2)|y>
+  derived R xm = sqrt(1/2)|x> - sqrt(1/2)|y>
+  premeasure target=R apparatus=B basis={x,y} outcomes={b1,b2} ready=b0
+queries:
+  certainty observer=B outcome=b1 prop="R is_in_state x" semantics=premeasurement
+  certainty observer=B outcome=b1 prop="R is_in_state xp" semantics=premeasurement
+"""
+
+
+@pytest.mark.parametrize("demo, line, old, new, col, message", [
+    # F measures after R is grouped into Lbar.
+    ("fr", 34, 'observer=Fbar outcome=F2 prop="L will_obtain fail"',
+     'observer=F outcome=F2 prop="R is_in_state head"', 40,
+     "prop subject 'R' no longer exists where 'F' measures"),
+    # will_obtain reads the final stage, where Lbar holds R.
+    ("fr", 34, 'prop="L will_obtain fail"', 'prop="R will_obtain head"', 43,
+     "prop subject 'R' no longer exists at the final stage, where will_obtain reads it"),
+    (None, 14, '"R is_in_state x"', '"R is_in_state h"', 40,
+     "predicate 'h' is neither a basis nor a derived label of 'R'"),
+    (None, 14, '"R is_in_state x"', '"R is_in_state plus"', 40,
+     "predicate 'plus' is neither a basis nor a derived label of 'R'"),
+], ids=["is_in_state-gone", "will_obtain-gone", "regrouped-old-label", "regrouped-old-derived"])
+def test_a_claim_reads_its_subject_where_the_run_reads_it(tmp_path, capsys, demo, line, old,
+                                                          new, col, message):
+    # A claim's register subject resolves at the stage the run reads it,
+    # not where the name first appears, so check and run reject it alike.
+    lines = (bundled_scenario_text(demo) if demo else STAGE_READ).splitlines(keepends=True)
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    path = write(tmp_path, "stage.scn", "".join(lines))
+    for command in ("check", "run"):
+        assert main([command, path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{path}: parse error: line {line}, col {col}: {message} (fix: ")
+
+
+def test_a_claim_on_a_register_regrouped_under_its_own_name_runs(tmp_path, capsys):
+    path = write(tmp_path, "stage.scn", STAGE_READ)
+    assert main(["run", path, "--format", "structured"]) == EXIT_OK
+    computational, derived = json.loads(capsys.readouterr().out)["results"]
+    assert computational["verdict"] == "certain"
+    assert {"outcome": ["x"], "probability": 1.0} in computational["conditional"]
+    assert derived["verdict"] == "undetermined"
+    assert derived["conditional"] == [{"outcome": ["xm"], "probability": 0.5},
+                                      {"outcome": ["xp"], "probability": 0.5}]
 
 
 BAD = "layout:\n  subsystem R {head}\nstate: 1|head>\nqueries:\n  born targets=(Q)\n"

@@ -234,6 +234,55 @@ def test_decoherence_compare_report():
         assert abs(marginal.probability(("A2",)) - 2 / 3) < 1e-9
 
 
+@st.composite
+def _state_and_models(draw):
+    """A random complex state over 2-3 registers of 2-3 levels, two random
+    complete complex branch sets (coarse and fine), each over a random
+    subset of the registers, and the registers to hide (never the first)."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    layout = pl.SubsystemLayout.of(*((f"Q{i}", [f"q{j}" for j in range(d)])
+                                     for i, d in enumerate(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    amps = gaussian(layout.dimension)
+    state = pl.StateVector(layout, amps / np.linalg.norm(amps))
+    models = []
+    for environment in ("coarse", "fine"):
+        names = draw(st.sets(st.sampled_from(layout.names), min_size=1))
+        on = layout.sublayout(sorted(names, key=layout.names.index))
+        rows = np.linalg.qr(gaussian(on.dimension, on.dimension))[0].T
+        models.append(ex.CoupleStep(environment, Basis.from_rows(
+            [f"b{k}" for k in range(on.dimension)], on, rows)))
+    hidden = draw(st.lists(st.sampled_from(layout.names[1:]), unique=True))
+    return state, models, hidden
+
+
+@settings(max_examples=100, deadline=None)
+@given(_state_and_models())
+def test_decoherence_compare_mixes_branch_components_as_a_coupled_environment_does(case):
+    # Reference: attach each model's environment, couple it, build the
+    # coupled state's density matrix and trace the environment out.  The
+    # record populations and the mixture's weight on each branch are that
+    # environment's branch weights.
+    state, models, hidden = case
+    rep = ex.decoherence_compare(state, models, hidden, state.layout.names[0])
+    for model, rho, weights in zip(models, (rep.rho_coarse, rep.rho_fine),
+                                   (rep.branch_weights_coarse, rep.branch_weights_fine)):
+        ext, records = pl.attach_environment(state, "E", model.branches.size)
+        coupled = pl.environment_couple(ext, model.branches, "E", records)
+        dense = pl.pointer_reduce(coupled, "E")
+        assert np.max(np.abs(rho.matrix - dense.matrix)) <= 1e-12
+        populations = np.diag(pl.partial_trace(pl.density(coupled), ["E"]).matrix).real[1:]
+        on_targets = pl.partial_trace(dense, model.branches.layout.names).matrix
+        on_branches = [np.vdot(b, on_targets @ b).real for b in model.branches.matrix]
+        assert len(weights) == model.branches.size
+        assert np.max(np.abs(np.array(weights) - populations)) <= 1e-12
+        assert np.max(np.abs(np.array(weights) - on_branches)) <= 1e-12
+
+
 def test_consistency_audit_flags():
     audit = pl.consistency_audit()
     assert audit.chain_derivable
@@ -367,7 +416,7 @@ def test_reports_take_the_transcript_and_declared_inputs(monkeypatch):
     audit = ex.consistency_audit(tr, [("s1", answer)], recheck, joint)
     assert audit.chain_derivable and audit.contradiction_premeasurement
     assert audit.statement_1_decoherent.kind == "undetermined"
-    assert audit.decoherent_models == tuple(m.name for m in MODELS)
+    assert audit.decoherent_models == tuple(m.environment for m in MODELS)
     # A statement's error comes first, then the recheck's.
     failed, refused = PointerLabError("statement failed"), PointerLabError("recheck failed")
     with pytest.raises(PointerLabError, match="statement failed"):
@@ -476,8 +525,8 @@ def _reference(transcript, claim):
     else:
         starts = []
         for model in claim.models:
-            ext, rec = pl.attach_environment(stage, model.name, model.branches.size)
-            coupled = pl.environment_couple(ext, model.branches, model.name, rec)
+            ext, rec = pl.attach_environment(stage, model.environment, model.branches.size)
+            coupled = pl.environment_couple(ext, model.branches, model.environment, rec)
             starts.append(pl.condition(coupled, claim.observer,
                                        Basis.computational(coupled.layout, claim.observer),
                                        out_i))
@@ -630,10 +679,10 @@ def test_couple_branches_are_checked_once_when_the_step_is_made(monkeypatch):
     couple = next(s for s in transcript.steps if isinstance(s, ex.CoupleStep))
     vectors = couple.branches.vectors
     remade = ex.CoupleStep(couple.environment, pl.branch_basis(vectors))
-    model = ex.EnvironmentModel("m", pl.branch_basis(vectors))
+    model = ex.CoupleStep("m", pl.branch_basis(vectors))
     assert len(checks) == 2
     ex.apply_step(transcript.stages[1].state, remade)
-    ex.apply_step(transcript.stages[1].state, model.coupling)
+    ex.apply_step(transcript.stages[1].state, model)
     assert len(checks) == 2
     with pytest.raises(NonOrthonormalBasisError):
         ex.CoupleStep("E", pl.branch_basis((vectors[0], vectors[0])))
@@ -676,7 +725,7 @@ def test_each_basis_is_checked_once_and_the_parsed_one_reaches_the_kernels(
     scenario = parse_scenario(text)
     assert len(checks) == declared
     received = []
-    for kernel in ("environment_couple", "conditioned_branches"):
+    for kernel in ("environment_couple", "conditioned_branches", "branch_components"):
         def seen(state, branches, *args, real_kernel=getattr(ex, kernel)):
             received.append(branches)
             return real_kernel(state, branches, *args)
@@ -717,7 +766,7 @@ def test_each_basis_is_checked_once_and_the_parsed_one_reaches_the_kernels(
             assert got.semantics == "decoherent" and got.prop is rechecked.prop
             assert _same(got.models, consults)
         else:
-            assert got is claim and all(m is models[m.name] for m in got.models)
+            assert got is claim and all(m is models[m.environment] for m in got.models)
     assert len(consulted) == len(reports)
     assert all(_same(got, want) for got, want in zip(consulted, reports))
 
