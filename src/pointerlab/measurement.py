@@ -357,6 +357,12 @@ def branch_labels(n: int) -> tuple[str, ...]:
     return tuple(f"eps{i}" for i in range(1, n + 1))
 
 
+def environment_labels(n: int) -> tuple[str, ...]:
+    """The levels of an environment register that records n branches: the
+    ready level eps0, then ``branch_labels(n)``."""
+    return ("eps0",) + branch_labels(n)
+
+
 def branch_basis(branches: Sequence[StateVector]) -> Basis:
     """Environment branches given as plain vectors, as a Basis labelled by
     ``branch_labels`` and checked orthonormal once, here.  The parser makes
@@ -497,10 +503,9 @@ def _conditioned(rows: np.ndarray, layout: SubsystemLayout, subsystem: str, basi
 def attach_environment(
     state: StateVector | StateBatch, name: str, n_branches: int
 ) -> tuple[StateVector | StateBatch, tuple[str, ...]]:
-    """Tensor on a minimal ready environment register (ready level eps0 plus
-    one record level per branch, ``branch_labels``); returns the new state
-    and record labels."""
-    labels = ("eps0",) + branch_labels(n_branches)
+    """Tensor on a minimal ready environment register (its levels are
+    ``environment_labels``); returns the new state and record labels."""
+    labels = environment_labels(n_branches)
     env_layout = SubsystemLayout((Subsystem(name, labels),))
     env_state = basis_state(env_layout, (labels[0],))
     return tensor(state, env_state), labels[1:]

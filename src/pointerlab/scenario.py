@@ -7,7 +7,9 @@ The parser is the one place where labels become vectors.  It tracks a
 ``hilbert`` functions the run uses, and resolves each label expression (the
 initial state, premeasure/born/rewrite bases, couple and model branches,
 the basis of a certainty proposition) against the layout in force where it
-appears.  The ``resolved`` field beside the text-level fields holds what
+appears.  A derived label belongs to the register object it was declared
+on, so a register that ``group`` puts in another's place starts with none.
+The ``resolved`` field beside the text-level fields holds what
 the engine runs: an action's step, a model's ``CoupleStep`` (never run), a
 certainty claim's ``Claim``, an audit's decoherent recheck (a ``Claim``),
 the models a comparison names.  Those fields take no part in equality, so
@@ -81,7 +83,7 @@ from .hilbert import (
     normalized,
 )
 from .experiment import Claim, CoupleStep, GroupStep, Proposition
-from .measurement import Basis, MeasurementSpec, branch_labels
+from .measurement import Basis, MeasurementSpec, branch_labels, environment_labels
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_+\-/.]+$")
@@ -339,7 +341,11 @@ def _entries(text: str, brackets: str, line: int, col: int, what: str,
     for entry, off in out:
         key, colon, _ = entry.partition(":")
         if "|" not in entry and (colon or not key.startswith("(")):
-            _once(seen, "".join(key.split()), what, line, off)
+            key = "".join(key.split())
+            if key in seen:
+                raise ScenarioParseError(f"{what} entry {key!r} appears twice", line, off,
+                                         "give each entry once")
+            seen.add(key)
     return out
 
 
@@ -449,19 +455,20 @@ def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
 class _Schema:
     """The layout in force (None before the first subsystem line) and the
     derived labels, against which labels resolve to vectors.  A derived
-    label keeps the register it was declared on and its vector there."""
+    label belongs to the register object it was declared on: ``derived``
+    maps (the register's ``id``, label) to the register, which keeps the id
+    taken, the label's terms and its vector.  A register that ``group``
+    puts in another's place, even under the same name and labels, has none
+    of them.  The basis memo is keyed by register object too."""
 
     def __init__(self):
         self.layout: SubsystemLayout | None = None
-        self.derived: dict[tuple[str, str], tuple[tuple[str, complex], ...]] = {}
-        self.derived_vectors: dict[tuple[str, str], tuple[Subsystem, np.ndarray]] = {}
+        self.derived: dict[tuple[int, str],
+                           tuple[Subsystem, tuple[tuple[str, complex], ...], np.ndarray]] = {}
         self._bases: dict[tuple, Basis] = {}
 
     def add(self, name: str, labels: tuple[str, ...], line: int, col: int) -> None:
         held = self.layout.subsystems if self.layout else ()
-        if self.layout and name in self.layout.axes:
-            raise ScenarioParseError(f"subsystem {name!r} already declared", line, col,
-                                     "pick a fresh name")
         amplitudes = len(labels) * math.prod(sub.dimension for sub in held)
         if amplitudes > MAX_AMPLITUDES:
             raise ScenarioParseError(
@@ -472,13 +479,13 @@ class _Schema:
     def _expand(self, sub: Subsystem, label: str, line: int, col: int) -> list[tuple[int, complex]]:
         if label in sub.positions:
             return [(sub.positions[label], 1.0 + 0.0j)]
-        terms = self.derived.get((sub.name, label))
-        if terms is None or any(lab not in sub.positions for lab, _ in terms):
+        entry = self.derived.get((id(sub), label))
+        if entry is None:
             raise ScenarioParseError(
                 f"{label!r} is neither a basis label nor a derived label of {sub.name!r}",
                 line, col, f"declare it with: derived {sub.name} {label} = ...",
             )
-        return [(sub.positions[lab], c) for lab, c in terms]
+        return [(sub.positions[lab], c) for lab, c in entry[1]]
 
     def vector(self, subs: Sequence[Subsystem], terms: Sequence[StateTerm],
                line: int, col: int) -> np.ndarray:
@@ -499,9 +506,9 @@ class _Schema:
 
     def item_vector(self, sub: Subsystem, item: BasisItem, line: int, col: int) -> np.ndarray:
         if isinstance(item, str):
-            declared_on, vec = self.derived_vectors.get((sub.name, item), (None, None))
-            if declared_on is sub:
-                return vec
+            entry = self.derived.get((id(sub), item))
+            if entry is not None:
+                return entry[2]
             return self.vector((sub,), (StateTerm(1.0 + 0.0j, (item,)),), line, col)
         if len(item) != sub.dimension:
             raise ScenarioParseError(
@@ -518,7 +525,7 @@ class _Schema:
         or a literal's label that the set also names, points at the item, a
         Gram defect at the set's column ``col``.  Each distinct set over the
         same register resolves once."""
-        key = (sub, tuple(it for it, _ in items))
+        key = (id(sub), tuple(it for it, _ in items))
         if key in self._bases:
             return self._bases[key]
         raw = np.stack([self.item_vector(sub, it, line, icol) for it, icol in items])
@@ -536,16 +543,13 @@ class _Schema:
     def computational(self, sub: Subsystem) -> Basis:
         """The computational basis of one register, through the same memo as
         ``basis`` (the set of all its labels, in order)."""
-        key = (sub, sub.labels)
+        key = (id(sub), sub.labels)
         if key not in self._bases:
             self._bases[key] = Basis.computational(SubsystemLayout((sub,)), sub.name)
         return self._bases[key]
 
     def group(self, parts: Sequence[str], new_name: str,
               label_map: dict[tuple[str, ...], str], line: int, col: int) -> Subsystem:
-        if new_name in self.layout.axes and new_name not in parts:
-            raise ScenarioParseError(f"group name {new_name!r} already taken", line, col,
-                                     "pick a fresh name")
         try:
             register = merged_register(self.layout, parts, new_name, label_map)
         except (NonInjectiveLabelMapError, UnknownLabelError) as exc:
@@ -581,17 +585,6 @@ def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
         i, j, g = exc.gram
         raise ScenarioParseError(f"{what}: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
                                  line, col, hint) from None
-
-
-class _Repeated(ScenarioParseError):
-    """An entry of a set-like list whose key repeats an earlier one's."""
-
-
-def _once(seen: set[str], key: str, what: str, line: int, col: int) -> None:
-    """Record ``key`` in ``seen``; a repeat is an error at its column."""
-    if key in seen:
-        raise _Repeated(f"{what} entry {key!r} appears twice", line, col, "give each entry once")
-    seen.add(key)
 
 
 # --------------------------------------------------------------------------
@@ -724,21 +717,15 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError("state section holds a single expression line",
                                      line_no, col0, "put the expression after state:")
         elif section == "actions":
-            step = _parse_action_line(stripped, line_no, col0, schema)
+            step = _parse_action_line(stripped, line_no, col0, schema, apparatus_actions)
             steps.append(step)
             if isinstance(step, PremeasureAction):
-                if step.apparatus in apparatus_actions:
-                    raise ScenarioParseError(
-                        f"apparatus {step.apparatus!r} used by two premeasure actions",
-                        line_no, col0, "use one apparatus per measurement")
                 apparatus_actions[step.apparatus] = step
             if not isinstance(step, DerivedDecl):
                 stages.append(schema.layout)
         elif section == "models":
-            model = _parse_model_line(stripped, line_no, col0, schema, stages[0])
-            if model.name in declared_models:
-                raise ScenarioParseError(f"model {model.name!r} declared twice",
-                                         line_no, col0, "model names must be unique")
+            model = _parse_model_line(stripped, line_no, col0, schema, stages[0],
+                                      declared_models)
             declared_models[model.name] = model
         elif section == "queries":
             queries.append(
@@ -769,11 +756,12 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
         raise ScenarioParseError("malformed derived declaration", line_no, col0,
                                  "write: derived SUBSYSTEM LABEL = expression")
     sub_name, label, expr = m.group(1), m.group(2), m.group(3)
-    sub = _register(schema.layout, sub_name, line_no, col0)
-    _label(label, line_no, col0, "derived label")
-    if label in sub.positions or (sub_name, label) in schema.derived:
+    sub = _register(schema.layout, sub_name, line_no, col0 + m.start(1))
+    lcol = col0 + m.start(2)
+    _label(label, line_no, lcol, "derived label")
+    if label in sub.positions or (id(sub), label) in schema.derived:
         raise ScenarioParseError(f"label {label!r} already exists on {sub_name!r}",
-                                 line_no, col0, "pick a fresh label")
+                                 line_no, lcol, "pick a fresh label")
     expr_col = col0 + stripped.index("=") + 1
     terms = parse_expression(expr, line_no, expr_col)
     for term in terms:
@@ -791,8 +779,7 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
             f"derived vector {label!r} has norm {nrm:.9g}, expected 1", line_no,
             expr_col, "normalize the coefficients")
     decl = DerivedDecl(sub_name, label, tuple((t.labels[0], t.coefficient) for t in terms))
-    schema.derived[(sub_name, label)] = decl.terms
-    schema.derived_vectors[(sub_name, label)] = (sub, vec)
+    schema.derived[(id(sub), label)] = (sub, decl.terms, vec)
     return decl
 
 
@@ -802,17 +789,15 @@ def _parse_layout_line(stripped, line_no, col0, schema, derived_layout):
         if not m:
             raise ScenarioParseError("malformed subsystem declaration", line_no, col0,
                                      "write: subsystem NAME {label, label, ...}")
-        name = _name(m.group(1), line_no, col0, "subsystem")
-        try:
-            labels = [_label(lab, line_no, off) for lab, off in
-                      _entries(m.group(2), "{}", line_no, col0 + m.start(2), "label set")]
-        except _Repeated:
-            raise ScenarioParseError(f"duplicate label in subsystem {name!r}",
-                                     line_no, col0, "labels must be unique") from None
-        if not labels:
-            raise ScenarioParseError(f"subsystem {name!r} has no labels", line_no, col0,
-                                     "list at least one label")
-        schema.add(name, tuple(labels), line_no, col0)
+        ncol = col0 + m.start(1)
+        name = _name(m.group(1), line_no, ncol, "subsystem")
+        if schema.layout and name in schema.layout.axes:
+            raise ScenarioParseError(f"subsystem {name!r} already declared", line_no, ncol,
+                                     "pick a fresh name")
+        labels = tuple(_label(lab, line_no, off) for lab, off in
+                       _entries(m.group(2), "{}", line_no, col0 + m.start(2), "label set",
+                                "list at least one label"))
+        schema.add(name, labels, line_no, col0)
     elif stripped.startswith("derived"):
         derived_layout.append(_parse_derived(stripped, line_no, col0, schema))
     else:
@@ -840,7 +825,7 @@ def _parse_state(expr, line_no, col, schema):
     return terms, normalized(schema.layout, amps)
 
 
-def _parse_action_line(stripped, line_no, col0, schema) -> Step:
+def _parse_action_line(stripped, line_no, col0, schema, apparatus_actions) -> Step:
     # A directive word needs no lexing (it holds no bracket, ket or quote),
     # and derived lines are matched whole: premeasure, group and couple
     # lines, and the head of an unknown action, are tokenized.
@@ -854,6 +839,9 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         target = _register(schema.layout, tval, line_no, tcol)
         aval, acol = _need(fields, "apparatus", line_no, "premeasure")
         app = _register(schema.layout, aval, line_no, acol)
+        if aval in apparatus_actions:
+            raise ScenarioParseError(f"apparatus {aval!r} used by two premeasure actions",
+                                     line_no, acol, "use one apparatus per measurement")
         if aval == tval:
             raise ScenarioParseError("apparatus cannot equal target", line_no, acol,
                                      "measure one register with another")
@@ -862,14 +850,9 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         basis = tuple(it for it, _ in items)
         resolved = schema.basis(target, items, line_no, bcol)
         oval, ocol = _need(fields, "outcomes", line_no, "premeasure")
-        try:
-            outcome_items = _parse_basis_items(oval, line_no, ocol)
-        except _Repeated:
-            raise ScenarioParseError("duplicate outcome labels", line_no, ocol,
-                                     "outcomes must be distinct") from None
         outcomes = []
-        for it, off in outcome_items:
-            if not isinstance(it, str) or it not in app.positions:
+        for it, off in _entries(oval, "{}", line_no, ocol, "outcome set", "list outcomes"):
+            if it not in app.positions:
                 raise ScenarioParseError(
                     f"outcome {it!r} is not a label of apparatus {aval!r}",
                     line_no, off, "outcomes name apparatus levels")
@@ -892,14 +875,15 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                                      "write: group parts=(A,B) as NAME map={(a,b):x, ...}")
         fields = _field_map([toks[1], toks[4]], line_no, ("parts", "map"))
         pval, pcol = fields["parts"]
-        try:
-            parts = _registers(pval, line_no, pcol, schema.layout)
-        except _Repeated:
-            parts = ()
+        parts = _registers(pval, line_no, pcol, schema.layout)
         if len(parts) < 2:
             raise ScenarioParseError("group needs two or more distinct parts",
-                                     line_no, col0, "list distinct subsystem names")
-        new_name = _name(toks[3][0], line_no, col0, "group")
+                                     line_no, pcol, "list distinct subsystem names")
+        new_name, ncol = toks[3]
+        _name(new_name, line_no, ncol, "group")
+        if new_name in schema.layout.axes and new_name not in parts:
+            raise ScenarioParseError(f"group name {new_name!r} already taken", line_no, ncol,
+                                     "pick a fresh name")
         mval, mcol = fields["map"]
         pairs = []
         for raw, off in _entries(mval, "{}", line_no, mcol, "label map"):
@@ -908,7 +892,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
                 raise ScenarioParseError(f"malformed map entry {raw!r}", line_no, off,
                                          "entries look like (a,b):name")
             key = tuple(k for k, _ in _split_commas(pm.group(1), off))
-            pairs.append((key, _label(pm.group(2), line_no, off)))
+            pairs.append((key, _label(pm.group(2), line_no, off + pm.start(2))))
         register = schema.group(parts, new_name, dict(pairs), line_no, mcol)
         return GroupAction(parts, new_name, tuple(pairs), GroupStep(parts, register))
     if head == "couple":
@@ -924,8 +908,7 @@ def _parse_action_line(stripped, line_no, col0, schema) -> Step:
         bval, bcol = _need(fields, "branches", line_no, "couple")
         ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema,
                                                      schema.layout, targets)
-        env_labels = ("eps0",) + branch_labels(len(branches))
-        schema.add(eval_, env_labels, line_no, ecol)
+        schema.add(eval_, environment_labels(len(branches)), line_no, ecol)
         return CoupleAction(eval_, ordered, branches, CoupleStep(eval_, basis))
     head = _tokens(stripped, col0)[0][0]
     raise ScenarioParseError(f"unknown action {head!r}", line_no, col0,
@@ -962,12 +945,16 @@ def _parse_branch_set(bval, line_no, col, schema, layout, targets):
     return ordered, tuple(branches), basis
 
 
-def _parse_model_line(stripped, line_no, col0, schema, declared):
+def _parse_model_line(stripped, line_no, col0, schema, declared, declared_models):
     m = re.match(r"^model\s+(\S+)\s+(.*)$", stripped)
     if not m:
         raise ScenarioParseError("malformed model declaration", line_no, col0,
                                  "write: model NAME targets=(...) branches={...}")
-    name = _name(m.group(1), line_no, col0, "model")
+    ncol = col0 + m.start(1)
+    name = _name(m.group(1), line_no, ncol, "model")
+    if name in declared_models:
+        raise ScenarioParseError(f"model {name!r} declared twice", line_no, ncol,
+                                 "model names must be unique")
     toks = _tokens(m.group(2), col0 + m.start(2))
     fields = _field_map(toks, line_no, ("targets", "branches"))
     tval, tcol = _need(fields, "targets", line_no, "model")
@@ -1009,7 +996,7 @@ def _prop_basis(prop, observer, line_no, col, schema, apparatus_actions, stages)
                                  line_no, col, "name a register that exists there")
     if predicate in sub.positions:
         return schema.computational(sub)
-    derived = [lab for (_, lab), (on, _) in schema.derived_vectors.items() if on is sub]
+    derived = [lab for on, lab in schema.derived if on == id(sub)]
     if predicate not in derived:
         raise ScenarioParseError(
             f"predicate {predicate!r} is neither a basis nor a derived label of "
@@ -1196,12 +1183,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         fields = _field_map(toks[1:], line_no, ("chain", "joint", "decoherent", "models"))
         cval, ccol = _need(fields, "chain", line_no, "consistency_audit")
         chain: dict[str, CertaintyQuery] = {}
-        try:
-            statements = _parse_name_list(cval, line_no, ccol)
-        except _Repeated as exc:
-            raise ScenarioParseError(f"{exc.message}: use a fresh statement name",
-                                     line_no, exc.column, exc.hint) from None
-        for raw, off in statements:
+        for raw, off in _parse_name_list(cval, line_no, ccol):
             name, _, quoted = (part.strip() for part in raw.partition(":"))
             _name(name, line_no, off, "statement")
             words = _quoted_words(quoted, line_no, off, "statement",
@@ -1232,10 +1214,7 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "decoherence_compare":
         fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
         mval, mcol = _need(fields, "models", line_no, "decoherence_compare")
-        try:
-            models = _model_list((mval, mcol), line_no, declared_models)
-        except _Repeated:
-            models = ()
+        models = _model_list((mval, mcol), line_no, declared_models)
         if len(models) != 2:
             raise ScenarioParseError("decoherence_compare compares two distinct models",
                                      line_no, mcol, "write models=(COARSE, FINE)")

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, determinism, table/JSON parity."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,27 @@ def test_a_claim_reads_its_subject_where_the_run_reads_it(tmp_path, capsys, demo
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"{path}: parse error: line {line}, col {col}: {message} (fix: ")
+
+
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
+
+
+def test_a_regrouped_register_declares_its_own_derived_labels(capsys):
+    # The new R declares plus and minus, which the replaced R also declared.
+    assert main(["run", str(SCENARIOS / "regroup.scn")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "  minus    0.0\n  plus     1.0\n" in out
+
+
+def test_a_replaced_register_passes_no_derived_label_on(capsys):
+    # The new R equals the replaced one by value, and B resolved {plus,
+    # minus} on the replaced R; the born target still may not read them.
+    path = str(SCENARIOS / "regroup2.scn")
+    for command in ("check", "run"):
+        assert main([command, path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == (f"{path}: parse error: line 16, col 20: 'plus' is neither a basis label "
+                       "nor a derived label of 'R' (fix: declare it with: derived R plus = ...)\n")
 
 
 def test_a_claim_on_a_register_regrouped_under_its_own_name_runs(tmp_path, capsys):
@@ -657,6 +679,18 @@ PREMEASURE_A = "premeasure target=R apparatus=A basis={head,tail} outcomes={a1,a
 CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=premeasurement'
 
 
+# Rows whose diagnostic quotes a token other than the one it points at,
+# with the reason.
+QUOTES_ANOTHER_TOKEN = {
+    "ket-label": "expression columns sit one left of the text; the ket is reported",
+    "derived-unknown": "ket labels are resolved after the expression is read, at the expression",
+    "derived-norm": "about the whole expression; quotes the label it defines",
+    "premeasure-literal-size": "about the literal; quotes the register it is measured against",
+    "couple-arity": "about the branch ket; quotes the targets it is written over",
+    "certainty-quantifier": "a proposition's words are reported at the quoted proposition",
+}
+
+
 @pytest.mark.parametrize("old, new, line, col", [
     pytest.param("models:", "queries:\n  born targets=(B)\nmodels:", 15, 1, id="section-order"),
     pytest.param("queries:", "layout:\nqueries:", 17, 1, id="section-twice"),
@@ -671,21 +705,21 @@ CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=pr
     pytest.param("|tail,up,a0,b0>", "|tail,u*p,a0,b0>", 7, 43, id="ket-label"),
     pytest.param("subsystem R {head, tail}", "subsystem R head, tail", 2, 3,
                  id="subsystem-braces"),
-    pytest.param("subsystem R {", "subsystem 1R {", 2, 3, id="subsystem-name"),
+    pytest.param("subsystem R {", "subsystem 1R {", 2, 13, id="subsystem-name"),
     pytest.param("{head, tail}", "{head, ta*l}", 2, 22, id="subsystem-label"),
-    pytest.param("{head, tail}", "{}", 2, 3, id="subsystem-empty"),
-    pytest.param("{head, tail}", "{head, head}", 2, 3, id="subsystem-repeat"),
+    pytest.param("{head, tail}", "{}", 2, 15, id="subsystem-empty"),
+    pytest.param("{head, tail}", "{head, head}", 2, 22, id="subsystem-repeat"),
     pytest.param("subsystem R", "qubit R", 2, 3, id="layout-directive"),
     pytest.param("derived S right = ", "derived S right ", 4, 3, id="derived-shape"),
-    pytest.param("derived S right", "derived S ri*ht", 4, 3, id="derived-label"),
-    pytest.param("derived S right", "derived S up", 4, 3, id="derived-taken"),
+    pytest.param("derived S right", "derived S ri*ht", 4, 13, id="derived-label"),
+    pytest.param("derived S right", "derived S up", 4, 13, id="derived-taken"),
     pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up,down>", 4, 20, id="derived-arity"),
     pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|left>", 4, 20, id="derived-unknown"),
     pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up> + 1|down>", 4, 20,
                  id="derived-norm"),
     pytest.param(PREMEASURE_A, PREMEASURE_A.replace("apparatus=A", "apparatus=R"), 9, 33,
                  id="premeasure-self"),
-    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{a1,a2}", "{a1,a1}"), 9, 62,
+    pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{a1,a2}", "{a1,a1}"), 9, 66,
                  id="premeasure-outcome-repeat"),
     pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{a1,a2}", "{a1}"), 9, 62,
                  id="premeasure-outcome-count"),
@@ -699,12 +733,13 @@ CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=pr
                  id="premeasure-literal-empty"),
     pytest.param("couple env=E targets=(S) branches={|up>, |down>}",
                  "premeasure target=S apparatus=A basis={up,down} outcomes={a1,a2} ready=a0",
-                 10, 3, id="premeasure-apparatus-twice"),
+                 10, 33, id="premeasure-apparatus-twice"),
     pytest.param("parts=(R,A) as L", "parts=(R,A) L", 11, 3, id="group-shape"),
-    pytest.param("parts=(R,A) as L", "parts=(R,R) as L", 11, 3, id="group-parts"),
-    pytest.param("parts=(R,A) as L", "parts=(R,A) as 1L", 11, 3, id="group-name"),
+    pytest.param("parts=(R,A) as L", "parts=(R,R) as L", 11, 18, id="group-parts"),
+    pytest.param("parts=(R,A) as L", "parts=(R) as L", 11, 15, id="group-one-part"),
+    pytest.param("parts=(R,A) as L", "parts=(R,A) as 1L", 11, 24, id="group-name"),
     pytest.param("(tail,a2):t}", "tail:t}", 11, 44, id="group-entry"),
-    pytest.param("(tail,a2):t}", "(tail,a2):t*}", 11, 44, id="group-label"),
+    pytest.param("(tail,a2):t}", "(tail,a2):t*}", 11, 54, id="group-label"),
     pytest.param("map={(head,a1):h, (tail,a2):t}", "map=(head,a1):h", 11, 30,
                  id="group-map-braces"),
     pytest.param(PREMEASURE_A, PREMEASURE_A.replace("{head,tail}", "{}"), 9, 41,
@@ -715,9 +750,9 @@ CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=pr
     pytest.param("{|up>, |down>}", "{|up>, |down,up>}", 10, 44, id="couple-arity"),
     pytest.param("model m targets=(R,A) branches={|head,a1>, |tail,a2>}", "model m", 14, 3,
                  id="model-shape"),
-    pytest.param("model m targets", "model 1m targets", 14, 3, id="model-name"),
+    pytest.param("model m targets", "model 1m targets", 14, 9, id="model-name"),
     pytest.param("  model m2 ", "  model m targets=(R) branches={|head>, |tail>}\n  model m2 ",
-                 15, 3, id="model-twice"),
+                 15, 9, id="model-twice"),
     pytest.param("born targets=(B)", "born targets=()", 18, 3, id="born-empty"),
     pytest.param("born targets=(B)", "born targets=(B) targets=(B)", 18, 20,
                  id="born-field-twice"),
@@ -737,15 +772,24 @@ CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=pr
     pytest.param("joint=(B:t)", "joint=(A:head)", 23, 89, id="audit-joint"),
     pytest.param("models=(m2, m3)", "models=(m2)", 24, 30, id="compare-models"),
 ])
-def test_each_malformed_directive_is_one_positioned_diagnostic(tmp_path, capsys, old, new,
-                                                               line, col):
+def test_each_malformed_directive_is_one_positioned_diagnostic(request, tmp_path, capsys, old,
+                                                               new, line, col):
     assert EVERY_DIRECTIVE.count(old) == 1
-    path = write(tmp_path, "bad.scn", EVERY_DIRECTIVE.replace(old, new))
+    text = EVERY_DIRECTIVE.replace(old, new)
+    path = write(tmp_path, "bad.scn", text)
     assert main(["check", path]) == EXIT_PARSE
     captured = capsys.readouterr()
     (diagnostic,) = captured.err.splitlines()
     assert captured.out == ""
-    assert diagnostic.startswith(f"{path}: parse error: line {line}, col {col}: ")
+    head = f"{path}: parse error: line {line}, col {col}: "
+    assert diagnostic.startswith(head)
+    # A diagnostic whose message quotes a token points at it, unless its
+    # row is listed, with the reason, as quoting another.
+    quoted = re.search(r"'([^']*)'", diagnostic[len(head):].partition(" (fix: ")[0])
+    if quoted:
+        at = text.splitlines()[line - 1][col - 1:]
+        listed = request.node.callspec.id in QUOTES_ANOTHER_TOKEN
+        assert at.startswith(quoted.group(1)) != listed, (diagnostic, at)
 
 
 @pytest.mark.parametrize("old, new, line, col, message", [

@@ -8,9 +8,7 @@ check`` must then exit 2 with one diagnostic:
 * a keyed entry (a name or label, ``NAME:...``, a group map entry) at the
   copy's column, saying it appears twice;
 * a ket, vector literal or sublist, which has no key, at the list's column,
-  where its repeat is a Gram defect or a wrong part count;
-* for the lists in ``PINNED``, with the message and at the column that the
-  pinned rows of ``test_cli.py`` and ``test_scenario.py`` fix.
+  where its repeat is a Gram defect or a wrong part count.
 
 The lists are found here with a bracket scanner of the test's own, so the
 expected columns do not come from the parser under test.
@@ -37,15 +35,6 @@ LIST_FIELDS = {
     "triortho": ("parts", "parts/"),
     "consistency_audit": ("chain", "joint", "models"),
     "decoherence_compare": ("models", "hidden"),
-}
-# Repeats whose pinned rows fix another column or message: reported at the
-# line's first column ("line"), the list's ("list") or the copy's ("entry").
-PINNED = {
-    ("subsystem", ""): ("line", "duplicate label in subsystem"),
-    ("group", "parts"): ("line", "group needs two or more distinct parts"),
-    ("premeasure", "outcomes"): ("list", "duplicate outcome labels"),
-    ("decoherence_compare", "models"): ("list", "decoherence_compare compares two distinct"),
-    ("consistency_audit", "chain"): ("entry", "fresh statement name"),
 }
 # What a repeated entry without a key is reported as, by field.
 UNKEYED = {"basis": "not orthonormal: Gram[", "branches": "not orthonormal: Gram[",
@@ -107,11 +96,8 @@ def repeats(text: str):
             hi, entries = scan(line, lo)
             for _, entry in entries:
                 keyed = "|" not in entry and (field == "map" or not entry.startswith("("))
-                where, message = PINNED.get((head, field)) or (
-                    ("entry", "appears twice") if keyed else ("list", UNKEYED[field]))
                 # The copy goes in after ", " at the closing bracket's index.
-                col = {"line": len(line) - len(line.lstrip()) + 1, "list": lo + 1,
-                       "entry": hi + 3}[where]
+                col, message = (hi + 3, "appears twice") if keyed else (lo + 1, UNKEYED[field])
                 mutated = lines[:n - 1] + [line[:hi] + ", " + entry + line[hi:] + "\n"] + lines[n:]
                 yield (head, field), "".join(mutated), n, col, message
 

@@ -452,10 +452,11 @@ COMPARE = "decoherence_compare models=(two-branch, three-branch) hidden=(S) appa
     ("fr", '"Wbar W2 L is_in_state +1/2"', '"Wbar W2 Q is_in_state +1/2"', "'Q' is unknown"),
     ("fr", '"F F2 Lbar is_in_state t"', '"G F2 Lbar is_in_state t"', "'G' is not the apparatus"),
     ("fr", '"F F2 Lbar is_in_state t"', '"F F2 Lbar t"', "quoted words"),
-    ("fr", "statement-2:", "statement-1:", "fresh statement name"),
+    ("fr", "statement-2:", "statement-1:", "name list entry 'statement-1' appears twice"),
     ("decoherence", COMPARE, "decoherence_compare", "missing models="),
     ("decoherence", "hidden=(S)", "hidden=(Q)", "'Q' was never declared"),
-    ("decoherence", "three-branch) hidden", "two-branch) hidden", "two distinct models"),
+    ("decoherence", "three-branch) hidden", "two-branch) hidden",
+     "name list entry 'two-branch' appears twice"),
     ("decoherence", "hidden=(S) apparatus=A", "hidden=(S) apparatus=R",
      "'R' is not the apparatus"),
     ("decoherence", "hidden=(S) apparatus=A", "hidden=(A) apparatus=A", "'A' is hidden"),
