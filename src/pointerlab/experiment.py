@@ -37,6 +37,7 @@ from .errors import (
     UnknownSubsystemError,
 )
 from .hilbert import (
+    ATOL,
     MAX_AMPLITUDES,
     PRUNE_PROB,
     DensityOperator,
@@ -510,7 +511,7 @@ def decoherence_compare(state: StateVector, models: Sequence[CoupleStep],
         reduced_coarse=red_coarse,
         reduced_fine=red_fine,
         reduced_max_difference=red_diff,
-        reduced_equal=red_diff <= 1e-9,
+        reduced_equal=red_diff <= ATOL,
         branch_weights_coarse=w_coarse,
         branch_weights_fine=w_fine,
         apparatus_marginal_coarse=apparatus_marginal(rho_coarse),

@@ -50,10 +50,12 @@ column.  Kets and vector literals are strict positional lists: every entry
 counts, and an empty one is an error.
 Directive lines split into whitespace tokens, inside which brackets, kets
 and quoted strings bind; only ``subsystem`` and ``derived`` lines are
-matched whole.
-
-Coefficients accept ``sqrt(p/q)`` sugar, plain decimals, and pure-imaginary
-``0.5i``; a complex with both parts needs parentheses: ``(0.5+0.5i)``.
+matched whole.  An expression is read one term at a time, a coefficient
+and then ``|labels>``, and every term after the first opens with ``+`` or
+``-``.  Coefficients accept ``sqrt(p/q)`` sugar, plain decimals, and
+pure-imaginary ``0.5i``; a complex with both parts needs parentheses:
+``(0.5+0.5i)``.  A coefficient, a ket label and a word of a quoted
+proposition or statement are each reported at their own column.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -74,6 +76,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .hilbert import (
+    ATOL,
     MAX_AMPLITUDES,
     StateVector,
     Subsystem,
@@ -113,8 +116,12 @@ class DerivedDecl:
 
 @dataclass(frozen=True)
 class StateTerm:
+    """One ``coefficient|labels>`` term; ``columns`` holds the column of
+    each label in the text it was read from, and takes no part in equality."""
+
     coefficient: complex
     labels: tuple[str, ...]
+    columns: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 BasisItem = Union[str, tuple[complex, ...]]
@@ -256,48 +263,35 @@ class Scenario:
 
 
 # What changes the lexing state, in one match each: an opening bracket
-# (group 1), a closing one (group 2), or a whole quoted string or ket, up to
-# its closing '"' or '>' or else to the end of the text.
-_STRUCTURE_RE = re.compile(r'([({\[])|([)}\]])|"[^"]*"?|\|[^>]*>?')
+# (group 1), a closing one (group 2), a whole quoted string or ket, up to its
+# closing '"' or '>' or else to the end of the text, or the end of the text.
+_STRUCTURE_RE = re.compile(r'([({\[])|([)}\]])|"[^"]*"?|\|[^>]*>?|\Z')
 _SPACE_RE = re.compile(r"\s+")
 _COMMA_RE = re.compile(",")
-_SIGN_RE = re.compile("[+-]")
 
 
-def _split(text: str, base: int, sep: re.Pattern, keep: bool = False,
-           cut: Callable[[int], bool] | None = None) -> list[tuple[str, int]]:
+def _split(text: str, base: int, sep: re.Pattern) -> list[tuple[str, int]]:
     """Split ``text`` at each top-level match of ``sep`` (outside brackets,
-    kets |...> and quoted strings) that starts where ``cut`` (when given)
-    holds, dropping the match unless ``keep``.  A closing bracket without a
-    match keeps what follows out until its balance returns.  Pieces come
-    back stripped, each with its column: ``base`` plus its offset in
-    ``text``."""
+    kets |...> and quoted strings), dropping the match.  A closing bracket
+    without a match keeps what follows out until its balance returns.
+    Pieces come back stripped, each with its column: ``base`` plus its
+    offset in ``text``."""
     pieces = []
     start = depth = lo = 0
     # Each run of top-level text ends where a structural match starts; the
-    # last one, after the loop, runs to the end of the text.  The cut is
-    # written out twice rather than called: this is the parser's hottest loop.
+    # last one ends at the match of the end of the text.
     for m in _STRUCTURE_RE.finditer(text):
         hi = m.start()
         if depth == 0 and hi > lo:
             for s in sep.finditer(text, lo, hi):
-                i = s.start()
-                if cut is None or cut(i):
-                    body = text[start:i].lstrip()
-                    pieces.append((body.rstrip(), base + i - len(body)))
-                    start = i if keep else s.end()
+                body = text[start:s.start()].lstrip()
+                pieces.append((body.rstrip(), base + s.start() - len(body)))
+                start = s.end()
         if m.lastindex == 1:
             depth += 1
         elif m.lastindex == 2:
             depth -= 1
         lo = m.end()
-    if depth == 0:
-        for s in sep.finditer(text, lo):
-            i = s.start()
-            if cut is None or cut(i):
-                body = text[start:i].lstrip()
-                pieces.append((body.rstrip(), base + i - len(body)))
-                start = i if keep else s.end()
     body = text[start:].lstrip()
     pieces.append((body.rstrip(), base + len(text) - len(body)))
     return pieces
@@ -365,18 +359,24 @@ def _label(text: str, line: int, col: int, what: str = "label") -> str:
     return text
 
 
-_SQRT_RE = re.compile(r"^sqrt\(\s*(\d+)\s*/\s*(\d+)\s*\)$")
-_NUM_RE = re.compile(r"^[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?$")
-_COMPLEX_RE = re.compile(
-    r"^\(\s*([+-]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*"
-    r"([+-])\s*([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)i\s*\)$"
-)
+_NUMBER = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
+# Every coefficient form in one match: a sign (group 1), then sqrt(p/q)
+# (groups 2, 3), (a+bi) (4, 5, 6), or a decimal (7) and an i (8), either of
+# which may be left out.
+_COEFFICIENT_RE = re.compile(
+    rf"\s*([+-]?)\s*(?:sqrt\(\s*(\d+)\s*/\s*(\d+)\s*\)"
+    rf"|\(\s*([+-]?{_NUMBER})\s*([+-])\s*({_NUMBER})i\s*\)|({_NUMBER})?(i)?)\s*\Z")
+# One term of an expression: its coefficient text, up to the ket's "|", then
+# the ket's labels and the space after it.
+_TERM_RE = re.compile(r"([^|]*)\|([^>]*)>\s*")
 
 
 def parse_coefficient(text: str, line: int, col: int) -> complex:
-    """Parse one coefficient literal: sqrt(p/q), decimal, imaginary (0.5i or
-    i), or parenthesized complex (a+bi); optional leading sign.  A decimal
-    too large for a double is rejected."""
+    """Parse one coefficient literal: an optional sign, then sqrt(p/q), a
+    decimal, an imaginary (0.5i or i), a parenthesized complex (a+bi), or
+    nothing, which stands for 1.  Spaces may surround the sign and the
+    literal, and ``col`` is where the text starts.  A decimal too large for
+    a double is rejected."""
     value = _coefficient(text, line, col)
     if not cmath.isfinite(value):
         raise ScenarioParseError(f"coefficient {text.strip()!r} is not finite", line, col,
@@ -385,65 +385,51 @@ def parse_coefficient(text: str, line: int, col: int) -> complex:
 
 
 def _coefficient(text: str, line: int, col: int) -> complex:
-    raw = text.strip()
-    sign = 1.0
-    if raw[:1] in ("+", "-"):
-        sign = -1.0 if raw[0] == "-" else 1.0
-        raw = raw[1:].strip()
-    if raw == "":
-        return complex(sign)
-    m = _SQRT_RE.match(raw)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
-        if q == 0:
+    m = _COEFFICIENT_RE.match(text)
+    if m is None:
+        raise ScenarioParseError(
+            f"malformed coefficient {text.strip()!r}", line, col,
+            "use sqrt(p/q), a decimal, 0.5i, or (a+bi)",
+        )
+    sign_text, p, q, re_text, im_sign, im_text, number, imaginary = m.groups()
+    sign = -1.0 if sign_text == "-" else 1.0
+    if p is not None:
+        if int(q) == 0:
             raise ScenarioParseError("sqrt with zero denominator", line, col,
                                      "use a nonzero denominator")
-        return complex(sign * math.sqrt(p / q))
-    if raw == "i":
-        return complex(0.0, sign)
-    if raw.endswith("i") and _NUM_RE.match(raw[:-1] or "x") and raw[:-1]:
-        return complex(0.0, sign * float(raw[:-1]))
-    if _NUM_RE.match(raw):
-        return complex(sign * float(raw))
-    m = _COMPLEX_RE.match(raw)
-    if m:
-        re_part = float(m.group(1))
-        im_part = float(m.group(3)) * (-1.0 if m.group(2) == "-" else 1.0)
-        return sign * complex(re_part, im_part)
-    raise ScenarioParseError(
-        f"malformed coefficient {text.strip()!r}", line, col,
-        "use sqrt(p/q), a decimal, 0.5i, or (a+bi)",
-    )
+        return complex(sign * math.sqrt(int(p) / int(q)))
+    if re_text is not None:
+        im_part = float(im_text) * (-1.0 if im_sign == "-" else 1.0)
+        return sign * complex(float(re_text), im_part)
+    magnitude = sign * (float(number) if number else 1.0)
+    return complex(0.0, magnitude) if imaginary else complex(magnitude)
 
 
 def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
-    """Parse ``coeff|ket> + coeff|ket> - ...`` into state terms."""
-
-    def starts_term(i: int) -> bool:
-        # The last non-space character before i, found without copying
-        # text[:i], which made long expressions take quadratic time.
-        j = i - 1
-        while j >= 0 and text[j].isspace():
-            j -= 1
-        return j >= 0 and text[j] not in "eE(+-,"
-
-    terms: list[StateTerm] = []
-    for chunk, at in _split(text, col, _SIGN_RE, keep=True, cut=starts_term):
-        if not chunk:
-            continue
-        bar = chunk.find("|")
-        if bar < 0 or not chunk.endswith(">"):
-            raise ScenarioParseError(
-                f"expected coefficient|ket> term, got {chunk!r}", line, at,
-                "each term looks like sqrt(1/3)|head,down>",
-            )
-        coeff = parse_coefficient(chunk[:bar], line, at)
-        labels = tuple(_label(lab.strip(), line, at + bar, "ket label")
-                       for lab in chunk[bar + 1:-1].split(","))
-        terms.append(StateTerm(coeff, labels))
-    if not terms:
+    """Parse ``coeff|ket> + coeff|ket> - ...`` into state terms, ``col``
+    being the column of ``text[0]``.  Terms are read one at a time: a
+    coefficient (``parse_coefficient``), then ``|labels>``; every term after
+    the first opens with ``+`` or ``-``, the sign of its coefficient.  Each
+    term keeps the column of each of its labels."""
+    pos = len(text) - len(text.lstrip())
+    if pos == len(text):
         raise ScenarioParseError("empty state expression", line, col,
                                  "give at least one coefficient|ket> term")
+    terms: list[StateTerm] = []
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            raise ScenarioParseError(
+                f"expected coefficient|ket> term, got {text[pos:].rstrip()!r}", line, col + pos,
+                "each term looks like sqrt(1/3)|head,down>")
+        if terms and text[pos] not in "+-":
+            raise ScenarioParseError(f"expected + or - before {m.group().rstrip()!r}", line,
+                                     col + pos, "join terms with + or -")
+        coeff = parse_coefficient(m.group(1), line, col + pos)
+        labels = _split_commas(m.group(2), col + m.start(2))
+        terms.append(StateTerm(coeff, tuple(_label(lab, line, at, "ket label")
+                                            for lab, at in labels), tuple(at for _, at in labels)))
+        pos = m.end()
     return tuple(terms)
 
 
@@ -488,13 +474,15 @@ class _Schema:
         return [(sub.positions[lab], c) for lab, c in entry[1]]
 
     def vector(self, subs: Sequence[Subsystem], terms: Sequence[StateTerm],
-               line: int, col: int) -> np.ndarray:
+               line: int) -> np.ndarray:
         """Raw amplitudes of ``terms`` (one basis or derived label per
-        register) over ``subs``, flat index lexicographic in the order given."""
+        register) over ``subs``, flat index lexicographic in the order given;
+        an unknown label is an error at its column."""
         dims = [sub.dimension for sub in subs]
         vec = np.zeros(math.prod(dims), dtype=np.complex128)
         for term in terms:
-            expansions = [self._expand(sub, lab, line, col) for sub, lab in zip(subs, term.labels)]
+            expansions = [self._expand(sub, lab, line, at)
+                          for sub, lab, at in zip(subs, term.labels, term.columns, strict=True)]
             for combo in itertools.product(*expansions):
                 flat = 0
                 coeff = term.coefficient
@@ -509,7 +497,7 @@ class _Schema:
             entry = self.derived.get((id(sub), item))
             if entry is not None:
                 return entry[2]
-            return self.vector((sub,), (StateTerm(1.0 + 0.0j, (item,)),), line, col)
+            return self.vector((sub,), (StateTerm(1.0 + 0.0j, (item,), (col,)),), line)
         if len(item) != sub.dimension:
             raise ScenarioParseError(
                 f"vector literal has {len(item)} entries, subsystem {sub.name!r} "
@@ -677,7 +665,7 @@ def parse_scenario(text: str) -> Scenario:
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        header = re.match(r"^(\w+):(.*)$", line.strip())
+        header = re.match(r"\s*(\w+):\s*(.*)", line)
         if header and header.group(1) in SECTION_ORDER:
             section = header.group(1)
             if section in seen_sections:
@@ -694,13 +682,12 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioParseError(f"{section}: comes before any subsystem",
                                              line_no, 1, "start with layout: and a subsystem")
                 stages.append(schema.layout)
-            rest = header.group(2).strip()
+            rest = header.group(2)
             if section == "state":
                 if not rest:
                     raise ScenarioParseError("state: needs an expression on the same line",
                                              line_no, 1, "write state: coeff|ket> + ...")
-                col = raw_line.index("state:") + len("state:") + 1
-                state_terms, initial = _parse_state(rest, line_no, col, schema)
+                state_terms, initial = _parse_state(rest, line_no, header.start(2) + 1, schema)
             elif rest:
                 raise ScenarioParseError(f"unexpected text after {section}:", line_no, 1,
                                          "put directives on their own lines")
@@ -762,19 +749,19 @@ def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> D
     if label in sub.positions or (id(sub), label) in schema.derived:
         raise ScenarioParseError(f"label {label!r} already exists on {sub_name!r}",
                                  line_no, lcol, "pick a fresh label")
-    expr_col = col0 + stripped.index("=") + 1
+    expr_col = col0 + m.start(3)
     terms = parse_expression(expr, line_no, expr_col)
     for term in terms:
         if len(term.labels) != 1:
             raise ScenarioParseError("derived vectors use single-label kets",
-                                     line_no, expr_col, "write |up>, not |up,down>")
+                                     line_no, term.columns[0], "write |up>, not |up,down>")
         if term.labels[0] not in sub.positions:
             raise ScenarioParseError(
-                f"{term.labels[0]!r} is not a basis label of {sub_name!r}", line_no, expr_col,
-                "derived vectors expand over computational labels only")
-    vec = schema.vector((sub,), terms, line_no, expr_col)
+                f"{term.labels[0]!r} is not a basis label of {sub_name!r}", line_no,
+                term.columns[0], "derived vectors expand over computational labels only")
+    vec = schema.vector((sub,), terms, line_no)
     nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > 1e-9:
+    if abs(nrm - 1.0) > ATOL:
         raise ScenarioParseError(
             f"derived vector {label!r} has norm {nrm:.9g}, expected 1", line_no,
             expr_col, "normalize the coefficients")
@@ -812,8 +799,8 @@ def _parse_state(expr, line_no, col, schema):
         if len(term.labels) != len(subs):
             raise ScenarioParseError(
                 f"ket has {len(term.labels)} labels, layout has {len(subs)} subsystems",
-                line_no, col, "give one label per declared subsystem, in order")
-    amps = schema.vector(subs, terms, line_no, col)
+                line_no, term.columns[0], "give one label per declared subsystem, in order")
+    amps = schema.vector(subs, terms, line_no)
     if not amps.any():
         raise ScenarioParseError("state terms sum to the zero vector", line_no, col,
                                  "give the state a nonzero amplitude")
@@ -930,12 +917,12 @@ def _parse_branch_set(bval, line_no, col, schema, layout, targets):
             if len(term.labels) != len(targets):
                 raise ScenarioParseError(
                     f"branch ket has {len(term.labels)} labels, targets are {targets}",
-                    line_no, off, "one label per target subsystem")
-        terms = tuple(StateTerm(t.coefficient, tuple(t.labels[p] for p in perm))
-                      for t in terms)
-        vec = schema.vector(on.subsystems, terms, line_no, off)
+                    line_no, term.columns[0], "one label per target subsystem")
+        terms = tuple(StateTerm(t.coefficient, tuple(t.labels[p] for p in perm),
+                                tuple(t.columns[p] for p in perm)) for t in terms)
+        vec = schema.vector(on.subsystems, terms, line_no)
         nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > 1e-9:
+        if abs(nrm - 1.0) > ATOL:
             raise ScenarioParseError(f"branch vector has norm {nrm:.9g}, expected 1",
                                      line_no, off, "normalize the branch")
         vecs.append(vec)
@@ -966,25 +953,26 @@ def _parse_model_line(stripped, line_no, col0, schema, declared, declared_models
     return ModelDecl(name, ordered, branches, CoupleStep(name, basis))
 
 
-def _prop_basis(prop, observer, line_no, col, schema, apparatus_actions, stages) -> Basis:
-    """The basis the words ``prop`` (SUBJECT QUANTIFIER PREDICATE) of a claim
-    by ``observer`` are read in.  An apparatus subject stands for its
-    measured basis (on the target register); a register subject is read in
-    its computational basis, or in all its derived labels when the predicate
-    is one of them, with the labels it has where ``experiment.certainties``
-    reads it: is_in_state at the first stage, from the observer's on, that
-    holds it; will_obtain at the final stage."""
-    subject, quant, predicate = prop
+def _prop_basis(prop, observer, line_no, schema, apparatus_actions, stages) -> Basis:
+    """The basis the words ``prop`` (SUBJECT QUANTIFIER PREDICATE, each with
+    its column) of a claim by ``observer`` are read in.  An apparatus
+    subject stands for its measured basis (on the target register); a
+    register subject is read in its computational basis, or in all its
+    derived labels when the predicate is one of them, with the labels it has
+    where ``experiment.certainties`` reads it: is_in_state at the first
+    stage, from the observer's on, that holds it; will_obtain at the final
+    stage."""
+    (subject, scol), (quant, _), (predicate, pcol) = prop
     if subject in apparatus_actions:
         basis = apparatus_actions[subject].resolved.basis
         if predicate not in basis.labels:
             raise ScenarioParseError(
                 f"predicate {predicate!r} is not among the measured basis labels "
-                f"{basis.labels}", line_no, col, f"use one of {list(basis.labels)}")
+                f"{basis.labels}", line_no, pcol, f"use one of {list(basis.labels)}")
         return basis
     if not any(subject in st.axes for st in stages):
         raise ScenarioParseError(f"prop subject {subject!r} is unknown", line_no,
-                                 col, "name a subsystem or an apparatus")
+                                 scol, "name a subsystem or an apparatus")
     if quant == "is_in_state":
         start = next(i for i, st in enumerate(stages) if st is observer.stage)
         reads, where = stages[start:], f"where {observer.apparatus!r} measures"
@@ -993,15 +981,15 @@ def _prop_basis(prop, observer, line_no, col, schema, apparatus_actions, stages)
     sub = next((st.subsystem(subject) for st in reads if subject in st.axes), None)
     if sub is None:
         raise ScenarioParseError(f"prop subject {subject!r} no longer exists {where}",
-                                 line_no, col, "name a register that exists there")
+                                 line_no, scol, "name a register that exists there")
     if predicate in sub.positions:
         return schema.computational(sub)
     derived = [lab for on, lab in schema.derived if on == id(sub)]
     if predicate not in derived:
         raise ScenarioParseError(
             f"predicate {predicate!r} is neither a basis nor a derived label of "
-            f"{subject!r}", line_no, col, f"declare it with: derived {subject} ...")
-    return schema.basis(sub, [(lab, col) for lab in derived], line_no, col)
+            f"{subject!r}", line_no, pcol, f"declare it with: derived {subject} ...")
+    return schema.basis(sub, [(lab, pcol) for lab in derived], line_no, pcol)
 
 
 def _labelled_basis(query, raw, line_no, col, schema
@@ -1020,31 +1008,34 @@ def _labelled_basis(query, raw, line_no, col, schema
     return name, labels, schema.basis(sub, items, line_no, brace_col)
 
 
-def _quoted_words(text, line_no, col, what, shape) -> list[str]:
-    """The words of a quoted ``what`` that must read ``shape``."""
-    words = text[1:-1].split() if len(text) >= 2 and text[0] == text[-1] == '"' else None
+def _quoted_words(text, line_no, col, what, shape) -> list[tuple[str, int]]:
+    """The words of a quoted ``what`` at column ``col`` that must read
+    ``shape``, each with its column."""
+    words = _tokens(text[1:-1], col + 1) if len(text) >= 2 and text[0] == text[-1] == '"' else None
     if words is None or len(words) != len(shape.split()):
         raise ScenarioParseError(f"{what} must be the quoted words {shape}, got {text}",
                                  line_no, col, f'write "{shape}"')
     return words
 
 
-def _claim(observer, ocol, outcome, outcol, prop, pcol, line_no, schema,
-           apparatus_actions, stages, semantics="premeasurement", models=()) -> CertaintyQuery:
+def _claim(observer, outcome, prop, line_no, schema, apparatus_actions, stages,
+           semantics="premeasurement", models=()) -> CertaintyQuery:
     """Check one inference (certainty queries and audit statements alike):
     ``observer`` is an apparatus, ``outcome`` one of its records or measured
-    labels, and ``prop`` the words SUBJECT QUANTIFIER PREDICATE."""
+    labels, and ``prop`` the words SUBJECT QUANTIFIER PREDICATE, each word
+    with its column."""
+    (observer, ocol), (outcome, outcol) = observer, outcome
     action = _apparatus(observer, line_no, ocol, apparatus_actions)
     valid = set(action.outcomes) | {b for b in action.basis if isinstance(b, str)}
     if outcome not in valid:
         raise ScenarioParseError(
             f"outcome {outcome!r} is not a record or basis label of {observer!r}",
             line_no, outcol, f"use one of {sorted(valid)}")
-    subject, quant, predicate = prop
+    (subject, _), (quant, qcol), (predicate, _) = prop
     if quant not in ("will_obtain", "is_in_state"):
         raise ScenarioParseError(f"unknown quantifier {quant!r}", line_no,
-                                 pcol, "use will_obtain or is_in_state")
-    basis = _prop_basis(prop, action, line_no, pcol, schema, apparatus_actions, stages)
+                                 qcol, "use will_obtain or is_in_state")
+    basis = _prop_basis(prop, action, line_no, schema, apparatus_actions, stages)
     claim = Claim(observer, outcome, Proposition(basis.layout.names[0], basis, predicate, quant),
                   semantics, models)
     return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics,
@@ -1120,8 +1111,8 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
     if head == "certainty":
         fields = _field_map(toks[1:], line_no,
                             ("observer", "outcome", "prop", "semantics", "models"))
-        oval, ocol = _need(fields, "observer", line_no, "certainty")
-        outval, outcol = _need(fields, "outcome", line_no, "certainty")
+        observer = _need(fields, "observer", line_no, "certainty")
+        outcome = _need(fields, "outcome", line_no, "certainty")
         pval, pcol = _need(fields, "prop", line_no, "certainty")
         words = _quoted_words(pval, line_no, pcol, "prop",
                               "SUBJECT will_obtain|is_in_state LABEL")
@@ -1139,10 +1130,11 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         elif "models" in fields:
             raise ScenarioParseError("models= only applies to decoherent semantics",
                                      line_no, col0, "drop models= or switch semantics")
-        query = _claim(oval, ocol, outval, outcol, words, pcol,
-                       line_no, schema, apparatus_actions, stages, sval, models)
+        query = _claim(observer, outcome, words, line_no, schema, apparatus_actions, stages,
+                       sval, models)
         if models:
-            _models_at_stage(models, apparatus_actions[oval], line_no, fields["models"][1])
+            _models_at_stage(models, apparatus_actions[observer[0]], line_no,
+                             fields["models"][1])
         return query
     if head == "rewrite":
         fields = _field_map(toks[1:], line_no, ("bases",))
@@ -1186,10 +1178,10 @@ def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
         for raw, off in _parse_name_list(cval, line_no, ccol):
             name, _, quoted = (part.strip() for part in raw.partition(":"))
             _name(name, line_no, off, "statement")
-            words = _quoted_words(quoted, line_no, off, "statement",
+            words = _quoted_words(quoted, line_no, off + len(raw) - len(quoted), "statement",
                                   "OBSERVER OUTCOME SUBJECT QUANTIFIER LABEL")
-            chain[name] = _claim(words[0], off, words[1], off, words[2:], off, line_no,
-                                 schema, apparatus_actions, stages)
+            chain[name] = _claim(words[0], words[1], words[2:], line_no, schema,
+                                 apparatus_actions, stages)
         jval, jcol = _need(fields, "joint", line_no, "consistency_audit")
         joint = []
         for raw, off in _parse_name_list(jval, line_no, jcol):

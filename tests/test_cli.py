@@ -202,23 +202,25 @@ queries:
 @pytest.mark.parametrize("demo, line, old, new, col, message", [
     # F measures after R is grouped into Lbar.
     ("fr", 34, 'observer=Fbar outcome=F2 prop="L will_obtain fail"',
-     'observer=F outcome=F2 prop="R is_in_state head"', 40,
+     'observer=F outcome=F2 prop="R is_in_state head"', 41,
      "prop subject 'R' no longer exists where 'F' measures"),
     # will_obtain reads the final stage, where Lbar holds R.
-    ("fr", 34, 'prop="L will_obtain fail"', 'prop="R will_obtain head"', 43,
+    ("fr", 34, 'prop="L will_obtain fail"', 'prop="R will_obtain head"', 44,
      "prop subject 'R' no longer exists at the final stage, where will_obtain reads it"),
-    (None, 14, '"R is_in_state x"', '"R is_in_state h"', 40,
+    (None, 14, '"R is_in_state x"', '"R is_in_state h"', 55,
      "predicate 'h' is neither a basis nor a derived label of 'R'"),
-    (None, 14, '"R is_in_state x"', '"R is_in_state plus"', 40,
+    (None, 14, '"R is_in_state x"', '"R is_in_state plus"', 55,
      "predicate 'plus' is neither a basis nor a derived label of 'R'"),
 ], ids=["is_in_state-gone", "will_obtain-gone", "regrouped-old-label", "regrouped-old-derived"])
 def test_a_claim_reads_its_subject_where_the_run_reads_it(tmp_path, capsys, demo, line, old,
                                                           new, col, message):
     # A claim's register subject resolves at the stage the run reads it,
-    # not where the name first appears, so check and run reject it alike.
+    # not where the name first appears, so check and run reject it alike,
+    # at the subject or predicate word the message quotes.
     lines = (bundled_scenario_text(demo) if demo else STAGE_READ).splitlines(keepends=True)
     assert old in lines[line - 1]
     lines[line - 1] = lines[line - 1].replace(old, new)
+    assert lines[line - 1][col - 1:].startswith(re.search("'([^']*)'", message).group(1))
     path = write(tmp_path, "stage.scn", "".join(lines))
     for command in ("check", "run"):
         assert main([command, path]) == EXIT_PARSE
@@ -682,12 +684,9 @@ CERTAIN_A = 'certainty observer=A outcome=a1 prop="B will_obtain h" semantics=pr
 # Rows whose diagnostic quotes a token other than the one it points at,
 # with the reason.
 QUOTES_ANOTHER_TOKEN = {
-    "ket-label": "expression columns sit one left of the text; the ket is reported",
-    "derived-unknown": "ket labels are resolved after the expression is read, at the expression",
     "derived-norm": "about the whole expression; quotes the label it defines",
     "premeasure-literal-size": "about the literal; quotes the register it is measured against",
     "couple-arity": "about the branch ket; quotes the targets it is written over",
-    "certainty-quantifier": "a proposition's words are reported at the quoted proposition",
 }
 
 
@@ -702,7 +701,8 @@ QUOTES_ANOTHER_TOKEN = {
                  id="no-state"),
     pytest.param(EVERY_DIRECTIVE[EVERY_DIRECTIVE.index("queries:"):], "", 16, 1,
                  id="no-queries"),
-    pytest.param("|tail,up,a0,b0>", "|tail,u*p,a0,b0>", 7, 43, id="ket-label"),
+    pytest.param("|tail,up,a0,b0>", "|tail,u*p,a0,b0>", 7, 50, id="ket-label"),
+    pytest.param("|tail,up,a0,b0>", "|tail,left,a0,b0>", 7, 50, id="state-unknown-label"),
     pytest.param("subsystem R {head, tail}", "subsystem R head, tail", 2, 3,
                  id="subsystem-braces"),
     pytest.param("subsystem R {", "subsystem 1R {", 2, 13, id="subsystem-name"),
@@ -713,9 +713,9 @@ QUOTES_ANOTHER_TOKEN = {
     pytest.param("derived S right = ", "derived S right ", 4, 3, id="derived-shape"),
     pytest.param("derived S right", "derived S ri*ht", 4, 13, id="derived-label"),
     pytest.param("derived S right", "derived S up", 4, 13, id="derived-taken"),
-    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up,down>", 4, 20, id="derived-arity"),
-    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|left>", 4, 20, id="derived-unknown"),
-    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up> + 1|down>", 4, 20,
+    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up,down>", 4, 23, id="derived-arity"),
+    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|left>", 4, 23, id="derived-unknown"),
+    pytest.param("= sqrt(1/2)|up> + sqrt(1/2)|down>", "= 1|up> + 1|down>", 4, 21,
                  id="derived-norm"),
     pytest.param(PREMEASURE_A, PREMEASURE_A.replace("apparatus=A", "apparatus=R"), 9, 33,
                  id="premeasure-self"),
@@ -747,7 +747,8 @@ QUOTES_ANOTHER_TOKEN = {
     pytest.param("couple env=E", "couple env=R", 10, 14, id="couple-env"),
     pytest.param("targets=(S) branches", "targets=() branches", 10, 24, id="couple-no-targets"),
     pytest.param("{|up>, |down>}", "{}", 10, 37, id="couple-no-branches"),
-    pytest.param("{|up>, |down>}", "{|up>, |down,up>}", 10, 44, id="couple-arity"),
+    pytest.param("{|up>, |down>}", "{|up>, |down,up>}", 10, 45, id="couple-arity"),
+    pytest.param("{|up>, |down>}", "{|up>, |left>}", 10, 45, id="couple-unknown-label"),
     pytest.param("model m targets=(R,A) branches={|head,a1>, |tail,a2>}", "model m", 14, 3,
                  id="model-shape"),
     pytest.param("model m targets", "model 1m targets", 14, 9, id="model-name"),
@@ -762,13 +763,14 @@ QUOTES_ANOTHER_TOKEN = {
     pytest.param("{b0,b1,b2}", "{b0,b1}", 21, 18, id="rewrite-incomplete"),
     pytest.param(CERTAIN_A, CERTAIN_A.replace("outcome=a1", "outcome=zz"), 19, 32,
                  id="certainty-outcome"),
-    pytest.param(CERTAIN_A, CERTAIN_A.replace("will_obtain", "may_obtain"), 19, 40,
+    pytest.param(CERTAIN_A, CERTAIN_A.replace("will_obtain", "may_obtain"), 19, 43,
                  id="certainty-quantifier"),
     pytest.param(CERTAIN_A, CERTAIN_A.replace("=premeasurement", "=classical"), 19, 68,
                  id="certainty-semantics"),
     pytest.param(CERTAIN_A, CERTAIN_A + " models=(m)", 19, 3, id="certainty-models"),
     pytest.param("parts=((L),(S,E),(B))", "parts=((L),(S,E,B))", 22, 18, id="triortho-count"),
     pytest.param("parts=((L),(S,E),(B))", "parts=((L),(S),(B))", 22, 18, id="triortho-cover"),
+    pytest.param('s2:"B b1', 's2:"B b9', 23, 61, id="audit-statement-outcome"),
     pytest.param("joint=(B:t)", "joint=(A:head)", 23, 89, id="audit-joint"),
     pytest.param("models=(m2, m3)", "models=(m2)", 24, 30, id="compare-models"),
 ])

@@ -1,6 +1,7 @@
 """Scenario-file parsing, diagnostics, and serialization round-trips."""
 
 import math
+import re
 import time
 import warnings
 from unittest import mock
@@ -397,16 +398,16 @@ def test_parser_resolves_vectors_outside_equality():
 
 
 def test_expression_and_list_columns():
-    # One scanner splits fields, comma lists and expressions; each piece
-    # keeps the column it starts at.
+    # A ket with too many labels is reported at its first label, and a
+    # malformed coefficient at its sign.
     text = MINIMAL.replace("sqrt(1/2)|tail>", "sqrt(1/2)|tail,x>")
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
-    assert (err.value.line, err.value.column) == (3, 7)
+    assert (err.value.line, err.value.column) == (3, 36)
     text = MINIMAL.replace("+ sqrt(1/2)|tail>", "+ bogus|tail>")
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
-    assert (err.value.line, err.value.column) == (3, 23)
+    assert (err.value.line, err.value.column) == (3, 24)
     # List entries inside born, rewrite and triortho fields, and the fields
     # themselves, report the column where they start on the line.
     for query, column in [("born targets=(R, Q)", 20),
@@ -638,11 +639,16 @@ def _old_starts_term(text, i, ch):
     return bool(prev) and prev[-1] not in "eE(+-,"
 
 
-def _old_split(text, base, sep, keep=False, cut=None):
-    # Stands in for ``_split``; the old sign test replaces ``cut``.
+# Expressions were once cut at signs: ``_old_split`` does so given this.
+_SIGN_RE = re.compile("[+-]")
+
+
+def _old_split(text, base, sep, keep=False):
+    # Stands in for ``_split``; with ``_SIGN_RE`` it cuts where the old sign
+    # test holds, keeping the sign.
     test = {sc._SPACE_RE: lambda i, ch: ch.isspace(),
             sc._COMMA_RE: lambda i, ch: ch == ",",
-            sc._SIGN_RE: lambda i, ch: _old_starts_term(text, i, ch)}[sep]
+            _SIGN_RE: lambda i, ch: _old_starts_term(text, i, ch)}[sep]
     pieces = []
     start = 0
     for i, ch in _old_scan(text):
@@ -653,22 +659,65 @@ def _old_split(text, base, sep, keep=False, cut=None):
     return [(raw.strip(), base + off + len(raw) - len(raw.lstrip())) for raw, off in pieces]
 
 
-def _lexed(text):
-    """Tokens, comma pieces, and the parsed expression or its diagnostic."""
+def _old_expression(text, line, col):
+    """The expression reader before terms were read one at a time: cut the
+    text at each top-level sign that follows a term, then read each piece
+    as coefficient|labels>."""
+    terms = []
+    for chunk, at in _old_split(text, col, _SIGN_RE, keep=True):
+        if not chunk:
+            continue
+        bar = chunk.find("|")
+        if bar < 0 or not chunk.endswith(">"):
+            raise ScenarioParseError(f"expected coefficient|ket> term, got {chunk!r}", line, at)
+        coeff = sc.parse_coefficient(chunk[:bar], line, at)
+        terms.append(sc.StateTerm(coeff, tuple(sc._label(lab.strip(), line, at + bar)
+                                               for lab in chunk[bar + 1:-1].split(","))))
+    if not terms:
+        raise ScenarioParseError("empty state expression", line, col)
+    return tuple(terms)
+
+
+def _read_expression(reader, text):
     try:
-        expression = sc.parse_expression(text, 3, 5)
+        return reader(text, 3, 5)
     except ScenarioParseError as exc:
-        expression = (exc.line, exc.column, exc.message)
-    return sc._tokens(text, 5), sc._split_commas(text, 5), expression
+        return exc
 
 
-LEXER_TEXT = st.lists(st.sampled_from(list('"|<>(){}[], +-eE') + ["\t", "\u00a0", "\u2003",
-                                      "\x1c", "1", "0.5", "i", "a", "Z_"]),
-                      max_size=24).map("".join)
+LEXER_ALPHABET = list('"|<>(){}[], +-eE') + ["\t", "\u00a0", "\u2003", "\x1c", "1", "0.5",
+                                            "i", "a", "Z_"]
+LEXER_TEXT = st.lists(st.sampled_from(LEXER_ALPHABET), max_size=24).map("".join)
+SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0", "\u2003", "\x1c"])
+
+
+@st.composite
+def near_expressions(draw):
+    """An expression of one to four terms, unsigned coefficients in every
+    form, labels holding signs and exponent letters, spaced at random; one
+    time in two, a character of the lexer alphabet is put in or taken out."""
+    terms = []
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["+", "-"] if k else ["", "", "+", "-"]))
+        coeff = draw(st.sampled_from(["", "1", "0.5", ".25", "1e-3", "2E+1", "sqrt(1/3)",
+                                      "sqrt( 2 / 5 )", "i", "0.5i", "(0.6-0.8i)",
+                                      "( -1 + 2e1i )"]))
+        labels = draw(st.lists(st.sampled_from(["a", "x", "Z_", "1", "a+b", "e-1", "E", "i",
+                                                "h/t"]), min_size=1, max_size=3))
+        ket = ",".join(draw(SPACE) + label + draw(SPACE) for label in labels)
+        terms.append(f"{draw(SPACE)}{sign}{draw(SPACE)}{coeff}|{ket}>")
+    text = "".join(terms) + draw(SPACE)
+    edit = draw(st.sampled_from(["none", "none", "insert", "delete"]))
+    at = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        text = text[:at] + draw(st.sampled_from(LEXER_ALPHABET)) + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1:]
+    return text
 
 
 @settings(max_examples=400, deadline=None)
-@given(LEXER_TEXT)
+@given(st.one_of(LEXER_TEXT, near_expressions()))
 @example("1e-3|x> - 2E+1|y>")
 @example('a "b|c" ) d, e ( f, g')
 @example("|x, y> + |z")
@@ -676,12 +725,73 @@ LEXER_TEXT = st.lists(st.sampled_from(list('"|<>(){}[], +-eE') + ["\t", "\u00a0"
 @example("(a, b)) c, d (e")
 @example("+1|x> -|y>")
 @example("2|x> +\u00a0-1|y> + 1e\x1c-3|z>")
+@example("|x> |y>")
+@example("|a+b> - (0.5+0.5i)|e-1>")
 def test_lexer_matches_the_per_character_scan(text):
     # Unmatched closing brackets, unterminated kets and strings, "|" inside
     # quotes, exponent signs and non-ASCII whitespace all split as before.
-    new = _lexed(text)
+    lexed = sc._tokens(text, 5), sc._split_commas(text, 5)
     with mock.patch.object(sc, "_split", _old_split):
-        assert new == _lexed(text)
+        assert lexed == (sc._tokens(text, 5), sc._split_commas(text, 5))
+    # Reading an expression one term at a time accepts what cutting it at
+    # signs accepted, with the same terms; a rejection is one positioned
+    # diagnostic inside the text, and each label keeps its own column.
+    new = _read_expression(sc.parse_expression, text)
+    old = _read_expression(_old_expression, text)
+    if isinstance(old, ScenarioParseError):
+        assert isinstance(new, ScenarioParseError), new
+        assert new.line == 3 and 5 <= new.column < 5 + max(len(text), 1)
+    else:
+        assert new == old
+        for term in new:
+            for label, column in zip(term.labels, term.columns, strict=True):
+                assert text[column - 5:].startswith(label)
+
+
+@st.composite
+def coefficient_texts(draw):
+    """A coefficient in one of its forms, spaced at random, and its value."""
+    number = st.from_regex(r"[0-9]{0,3}\.?[0-9]{1,3}(?:[eE][+-]?[0-9]{1,2})?", fullmatch=True)
+    sign_text = draw(st.sampled_from(["", "+", "-"]))
+    sign = -1.0 if sign_text == "-" else 1.0
+    form = draw(st.sampled_from(["empty", "sqrt", "decimal", "imaginary", "i", "complex"]))
+    if form == "empty":
+        body, value = "", complex(sign)
+    elif form == "sqrt":
+        p, q = draw(st.integers(0, 10**6)), draw(st.integers(1, 10**6))
+        body = f"sqrt({draw(SPACE)}{p}{draw(SPACE)}/{draw(SPACE)}{q}{draw(SPACE)})"
+        value = complex(sign * math.sqrt(p / q))
+    elif form == "decimal":
+        body = draw(number)
+        value = complex(sign * float(body))
+    elif form == "imaginary":
+        digits = draw(number)
+        body, value = digits + "i", complex(0.0, sign * float(digits))
+    elif form == "i":
+        body, value = "i", complex(0.0, sign)
+    else:
+        re_sign, op = draw(st.sampled_from(["", "+", "-"])), draw(st.sampled_from("+-"))
+        re_text, im_text = re_sign + draw(number), draw(number)
+        body = f"({draw(SPACE)}{re_text}{draw(SPACE)}{op}{draw(SPACE)}{im_text}i{draw(SPACE)})"
+        value = sign * complex(float(re_text), float(im_text) * (-1.0 if op == "-" else 1.0))
+    return f"{draw(SPACE)}{sign_text}{draw(SPACE)}{body}{draw(SPACE)}", value
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefficient_texts())
+def test_every_coefficient_form_reads_its_value(case):
+    # Bit for bit, signed zeros included.
+    text, value = case
+    got = parse_coefficient(text, 1, 1)
+    assert (repr(got.real), repr(got.imag)) == (repr(value.real), repr(value.imag)), text
+
+
+def test_a_coefficient_ends_at_the_end_of_its_text():
+    # A newline before a final "i" once read "1\ni" as 1j.
+    with pytest.raises(ScenarioParseError) as err:
+        parse_coefficient("1\ni", 2, 7)
+    assert (err.value.line, err.value.column) == (2, 7)
+    assert err.value.message == "malformed coefficient '1\\ni'"
 
 
 def test_long_expression_parses_in_linear_time():
@@ -690,3 +800,11 @@ def test_long_expression_parses_in_linear_time():
     start = time.perf_counter()
     assert len(sc.parse_expression(text, 1, 1)) == 64000
     assert time.perf_counter() - start < 5.0
+    # A malformed last label is reported at that label.
+    text = text[:-1] + "*>"
+    start = time.perf_counter()
+    with pytest.raises(ScenarioParseError) as err:
+        sc.parse_expression(text, 1, 1)
+    assert time.perf_counter() - start < 5.0
+    assert err.value.message == "malformed ket label 'l63999*'"
+    assert err.value.column == text.rindex("l63999*") + 1
