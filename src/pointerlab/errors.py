@@ -60,14 +60,16 @@ class ImpossibleOutcomeError(PointerLabError):
 
 
 class ScenarioParseError(PointerLabError):
-    """Scenario-file diagnostic with position and a one-line fix hint."""
+    """Scenario-file diagnostic with position and a one-line fix hint.  The
+    reader that finds the fault gives its column; ``line`` is set by
+    whoever knows which line was read."""
 
-    def __init__(self, message: str, line: int, column: int = 1, hint: str = ""):
+    def __init__(self, message: str, column: int = 1, hint: str = "", *, line: int = 0):
         self.message = message
         self.line = line
         self.column = column
         self.hint = hint
-        super().__init__(str(self))
+        super().__init__(message)
 
     def __str__(self) -> str:
         text = f"line {self.line}, col {self.column}: {self.message}"

@@ -17,7 +17,10 @@ the models a comparison names.  Those fields take no part in equality, so
 
 The format is purpose-built so diagnostics can talk physics: undeclared
 subsystems, bad ket arity, and non-orthonormal bases (with the offending
-Gram entry) are all caught at parse time with line/column positions.
+Gram entry) are all caught at parse time with line/column positions.  A
+diagnostic's column comes from the reader that finds the fault, and its
+line from ``parse_scenario``'s line loop, the one place that knows which
+line is being read.
 
 Grammar sketch::
 
@@ -307,19 +310,19 @@ def _split_commas(text: str, base: int) -> list[tuple[str, int]]:
     return _split(text, base, _COMMA_RE)
 
 
-def _unwrap(text: str, brackets: str, line: int, col: int, what: str) -> tuple[str, int]:
+def _unwrap(text: str, brackets: str, col: int, what: str) -> tuple[str, int]:
     """The inside of ``text`` wrapped in ``brackets`` (such as "()"), with
     its column."""
     open_ch, close_ch = brackets
     if not (text.startswith(open_ch) and text.endswith(close_ch)):
         raise ScenarioParseError(
             f"{what} must be wrapped in {open_ch}...{close_ch}, got {text!r}",
-            line, col, f"write {what} as {open_ch}...{close_ch}",
+            col, f"write {what} as {open_ch}...{close_ch}",
         )
     return text[1:-1], col + 1
 
 
-def _entries(text: str, brackets: str, line: int, col: int, what: str,
+def _entries(text: str, brackets: str, col: int, what: str,
              hint: str = "") -> list[tuple[str, int]]:
     """The entries of the set-like list ``what``, wrapped in ``brackets``:
     the non-empty pieces between its top-level commas, each with its
@@ -327,34 +330,34 @@ def _entries(text: str, brackets: str, line: int, col: int, what: str,
     An entry whose key (its text before any ':', spaces dropped: a name, a
     label, or a map entry's ``(a,b)``) repeats an earlier one's is an error
     at its column; kets, vector literals and sublists have no key."""
-    inner, base = _unwrap(text, brackets, line, col, what)
+    inner, base = _unwrap(text, brackets, col, what)
     out = [(entry, off) for entry, off in _split_commas(inner, base) if entry]
     if hint and not out:
-        raise ScenarioParseError(f"empty {what}", line, col, hint)
+        raise ScenarioParseError(f"empty {what}", col, hint)
     seen: set[str] = set()
     for entry, off in out:
         key, colon, _ = entry.partition(":")
         if "|" not in entry and (colon or not key.startswith("(")):
             key = "".join(key.split())
             if key in seen:
-                raise ScenarioParseError(f"{what} entry {key!r} appears twice", line, off,
+                raise ScenarioParseError(f"{what} entry {key!r} appears twice", off,
                                          "give each entry once")
             seen.add(key)
     return out
 
 
-def _name(text: str, line: int, col: int, what: str) -> str:
+def _name(text: str, col: int, what: str) -> str:
     """``text`` as the name a ``what`` declares, or a parse error at ``col``."""
     if not _NAME_RE.match(text):
-        raise ScenarioParseError(f"malformed {what} name {text!r}", line, col,
+        raise ScenarioParseError(f"malformed {what} name {text!r}", col,
                                  "names start with a letter or underscore")
     return text
 
 
-def _label(text: str, line: int, col: int, what: str = "label") -> str:
+def _label(text: str, col: int, what: str = "label") -> str:
     """``text`` as a label, or a parse error at ``col`` calling it ``what``."""
     if not _LABEL_RE.match(text):
-        raise ScenarioParseError(f"malformed {what} {text!r}", line, col,
+        raise ScenarioParseError(f"malformed {what} {text!r}", col,
                                  "labels use letters, digits, + - / . _")
     return text
 
@@ -375,34 +378,44 @@ def parse_coefficient(text: str, line: int, col: int) -> complex:
     """Parse one coefficient literal: an optional sign, then sqrt(p/q), a
     decimal, an imaginary (0.5i or i), a parenthesized complex (a+bi), or
     nothing, which stands for 1.  Spaces may surround the sign and the
-    literal, and ``col`` is where the text starts.  A decimal too large for
+    literal, and ``col`` is where the text starts.  A value too large for
     a double is rejected."""
-    value = _coefficient(text, line, col)
-    if not cmath.isfinite(value):
-        raise ScenarioParseError(f"coefficient {text.strip()!r} is not finite", line, col,
-                                 "use a magnitude below 1e308")
-    return value
+    try:
+        return _coefficient(text, col)
+    except ScenarioParseError as exc:
+        exc.line = line
+        raise
 
 
-def _coefficient(text: str, line: int, col: int) -> complex:
+def _coefficient(text: str, col: int) -> complex:
     m = _COEFFICIENT_RE.match(text)
     if m is None:
-        raise ScenarioParseError(
-            f"malformed coefficient {text.strip()!r}", line, col,
-            "use sqrt(p/q), a decimal, 0.5i, or (a+bi)",
-        )
+        raise ScenarioParseError(f"malformed coefficient {text.strip()!r}", col,
+                                 "use sqrt(p/q), a decimal, 0.5i, or (a+bi)")
     sign_text, p, q, re_text, im_sign, im_text, number, imaginary = m.groups()
     sign = -1.0 if sign_text == "-" else 1.0
     if p is not None:
-        if int(q) == 0:
-            raise ScenarioParseError("sqrt with zero denominator", line, col,
-                                     "use a nonzero denominator")
-        return complex(sign * math.sqrt(int(p) / int(q)))
+        # int() refuses integers past its digit limit, and p/q past a double
+        # overflows.
+        try:
+            if int(q) == 0:
+                raise ScenarioParseError("sqrt with zero denominator", col,
+                                         "use a nonzero denominator")
+            return complex(sign * math.sqrt(int(p) / int(q)))
+        except (OverflowError, ValueError):
+            raise ScenarioParseError(
+                f"coefficient {text.strip()!r} is out of floating-point range", col,
+                "write p and q with fewer digits") from None
     if re_text is not None:
         im_part = float(im_text) * (-1.0 if im_sign == "-" else 1.0)
-        return sign * complex(float(re_text), im_part)
-    magnitude = sign * (float(number) if number else 1.0)
-    return complex(0.0, magnitude) if imaginary else complex(magnitude)
+        value = sign * complex(float(re_text), im_part)
+    else:
+        magnitude = sign * (float(number) if number else 1.0)
+        value = complex(0.0, magnitude) if imaginary else complex(magnitude)
+    if not cmath.isfinite(value):
+        raise ScenarioParseError(f"coefficient {text.strip()!r} is not finite", col,
+                                 "use a magnitude below 1e308")
+    return value
 
 
 def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
@@ -411,77 +424,149 @@ def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
     coefficient (``parse_coefficient``), then ``|labels>``; every term after
     the first opens with ``+`` or ``-``, the sign of its coefficient.  Each
     term keeps the column of each of its labels."""
+    try:
+        return _expression(text, col)
+    except ScenarioParseError as exc:
+        exc.line = line
+        raise
+
+
+def _expression(text: str, col: int) -> tuple[StateTerm, ...]:
     pos = len(text) - len(text.lstrip())
     if pos == len(text):
-        raise ScenarioParseError("empty state expression", line, col,
+        raise ScenarioParseError("empty state expression", col,
                                  "give at least one coefficient|ket> term")
     terms: list[StateTerm] = []
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None:
             raise ScenarioParseError(
-                f"expected coefficient|ket> term, got {text[pos:].rstrip()!r}", line, col + pos,
+                f"expected coefficient|ket> term, got {text[pos:].rstrip()!r}", col + pos,
                 "each term looks like sqrt(1/3)|head,down>")
         if terms and text[pos] not in "+-":
-            raise ScenarioParseError(f"expected + or - before {m.group().rstrip()!r}", line,
+            raise ScenarioParseError(f"expected + or - before {m.group().rstrip()!r}",
                                      col + pos, "join terms with + or -")
-        coeff = parse_coefficient(m.group(1), line, col + pos)
+        coeff = _coefficient(m.group(1), col + pos)
         labels = _split_commas(m.group(2), col + m.start(2))
-        terms.append(StateTerm(coeff, tuple(_label(lab, line, at, "ket label")
-                                            for lab, at in labels), tuple(at for _, at in labels)))
+        terms.append(StateTerm(coeff, tuple(_label(lab, at, "ket label") for lab, at in labels),
+                               tuple(at for _, at in labels)))
         pos = m.end()
     return tuple(terms)
 
 
 # --------------------------------------------------------------------------
-# Schema: layout tracking with numeric validation
+# The parse context: layout tracking with numeric validation
 # --------------------------------------------------------------------------
 
 
-class _Schema:
-    """The layout in force (None before the first subsystem line) and the
-    derived labels, against which labels resolve to vectors.  A derived
+class _Context:
+    """What the parser knows when it reads a line, and the scenario read so
+    far.  Labels resolve to vectors against the layout in force (None
+    before the first subsystem line) and the derived labels.  A derived
     label belongs to the register object it was declared on: ``derived``
     maps (the register's ``id``, label) to the register, which keeps the id
     taken, the label's terms and its vector.  A register that ``group``
     puts in another's place, even under the same name and labels, has none
-    of them.  The basis memo is keyed by register object too."""
+    of them.  The basis memo is keyed by register object too.  ``stages``
+    holds the declared layout, then the layout after each action;
+    ``apparatus`` the premeasure action of each apparatus, and ``models``
+    the declared models."""
 
     def __init__(self):
         self.layout: SubsystemLayout | None = None
         self.derived: dict[tuple[int, str],
                            tuple[Subsystem, tuple[tuple[str, complex], ...], np.ndarray]] = {}
         self._bases: dict[tuple, Basis] = {}
+        self.stages: list[SubsystemLayout] = []
+        self.apparatus: dict[str, PremeasureAction] = {}
+        self.models: dict[str, ModelDecl] = {}
+        self.sections: list[str] = []  # the sections read, the one in force last
+        self.layout_derived: list[DerivedDecl] = []
+        self.state: tuple[tuple[StateTerm, ...], StateVector] | None = None
+        self.steps: list[Step] = []
+        self.queries: list[Query] = []
 
-    def add(self, name: str, labels: tuple[str, ...], line: int, col: int) -> None:
+    def read(self, raw_line: str) -> None:
+        """Read one line of scenario text."""
+        line = raw_line.split("#", 1)[0].rstrip()
+        if not line.strip():
+            return
+        header = re.match(r"\s*(\w+):\s*(.*)", line)
+        if header and header.group(1) in SECTION_ORDER:
+            section = header.group(1)
+            if section in self.sections:
+                raise ScenarioParseError(f"duplicate section {section!r}", 1,
+                                         "each section appears at most once")
+            if self.sections and SECTION_ORDER.index(section) < SECTION_ORDER.index(self.sections[-1]):
+                raise ScenarioParseError(f"section {section!r} out of order", 1,
+                                         f"order sections as {', '.join(SECTION_ORDER)}")
+            self.sections.append(section)
+            if section != "layout" and not self.stages:
+                if self.layout is None:
+                    raise ScenarioParseError(f"{section}: comes before any subsystem", 1,
+                                             "start with layout: and a subsystem")
+                self.stages.append(self.layout)
+            rest = header.group(2)
+            if section == "state":
+                if not rest:
+                    raise ScenarioParseError("state: needs an expression on the same line", 1,
+                                             "write state: coeff|ket> + ...")
+                self.state = _parse_state(rest, header.start(2) + 1, self)
+            elif rest:
+                raise ScenarioParseError(f"unexpected text after {section}:", 1,
+                                         "put directives on their own lines")
+            return
+        if not self.sections:
+            raise ScenarioParseError("directive before any section header", 1, "start with layout:")
+        stripped = line.strip()
+        col0 = raw_line.index(stripped[0]) + 1
+        section = self.sections[-1]
+        if section == "layout":
+            _parse_layout_line(stripped, col0, self)
+        elif section == "state":
+            raise ScenarioParseError("state section holds a single expression line", col0,
+                                     "put the expression after state:")
+        elif section == "actions":
+            step = _parse_action_line(stripped, col0, self)
+            self.steps.append(step)
+            if isinstance(step, PremeasureAction):
+                self.apparatus[step.apparatus] = step
+            if not isinstance(step, DerivedDecl):
+                self.stages.append(self.layout)
+        elif section == "models":
+            model = _parse_model_line(stripped, col0, self)
+            self.models[model.name] = model
+        else:
+            self.queries.append(_parse_query_line(stripped, col0, self))
+
+    def add(self, name: str, labels: tuple[str, ...], col: int) -> None:
         held = self.layout.subsystems if self.layout else ()
         amplitudes = len(labels) * math.prod(sub.dimension for sub in held)
         if amplitudes > MAX_AMPLITUDES:
             raise ScenarioParseError(
                 f"layout would hold {amplitudes:,} amplitudes, over the limit of "
-                f"{MAX_AMPLITUDES:,}", line, col, "use fewer or smaller registers")
+                f"{MAX_AMPLITUDES:,}", col, "use fewer or smaller registers")
         self.layout = SubsystemLayout(held + (Subsystem(name, labels),))
 
-    def _expand(self, sub: Subsystem, label: str, line: int, col: int) -> list[tuple[int, complex]]:
+    def _expand(self, sub: Subsystem, label: str, col: int) -> list[tuple[int, complex]]:
         if label in sub.positions:
             return [(sub.positions[label], 1.0 + 0.0j)]
         entry = self.derived.get((id(sub), label))
         if entry is None:
             raise ScenarioParseError(
                 f"{label!r} is neither a basis label nor a derived label of {sub.name!r}",
-                line, col, f"declare it with: derived {sub.name} {label} = ...",
+                col, f"declare it with: derived {sub.name} {label} = ...",
             )
         return [(sub.positions[lab], c) for lab, c in entry[1]]
 
-    def vector(self, subs: Sequence[Subsystem], terms: Sequence[StateTerm],
-               line: int) -> np.ndarray:
+    def vector(self, subs: Sequence[Subsystem], terms: Sequence[StateTerm]) -> np.ndarray:
         """Raw amplitudes of ``terms`` (one basis or derived label per
         register) over ``subs``, flat index lexicographic in the order given;
         an unknown label is an error at its column."""
         dims = [sub.dimension for sub in subs]
         vec = np.zeros(math.prod(dims), dtype=np.complex128)
         for term in terms:
-            expansions = [self._expand(sub, lab, line, at)
+            expansions = [self._expand(sub, lab, at)
                           for sub, lab, at in zip(subs, term.labels, term.columns, strict=True)]
             for combo in itertools.product(*expansions):
                 flat = 0
@@ -492,22 +577,21 @@ class _Schema:
                 vec[flat] += coeff
         return vec
 
-    def item_vector(self, sub: Subsystem, item: BasisItem, line: int, col: int) -> np.ndarray:
+    def item_vector(self, sub: Subsystem, item: BasisItem, col: int) -> np.ndarray:
         if isinstance(item, str):
             entry = self.derived.get((id(sub), item))
             if entry is not None:
                 return entry[2]
-            return self.vector((sub,), (StateTerm(1.0 + 0.0j, (item,), (col,)),), line)
+            return self.vector((sub,), (StateTerm(1.0 + 0.0j, (item,), (col,)),))
         if len(item) != sub.dimension:
             raise ScenarioParseError(
                 f"vector literal has {len(item)} entries, subsystem {sub.name!r} "
-                f"has dimension {sub.dimension}", line, col,
+                f"has dimension {sub.dimension}", col,
                 "give one amplitude per basis label",
             )
         return np.array(item, dtype=np.complex128)
 
-    def basis(self, sub: Subsystem, items: Sequence[tuple[BasisItem, int]], line: int,
-              col: int) -> Basis:
+    def basis(self, sub: Subsystem, items: Sequence[tuple[BasisItem, int]], col: int) -> Basis:
         """Orthonormal basis over one register from (item, column) pairs; a
         vector literal is labelled b<k> after its position.  An item error,
         or a literal's label that the set also names, points at the item, a
@@ -516,14 +600,14 @@ class _Schema:
         key = (id(sub), tuple(it for it, _ in items))
         if key in self._bases:
             return self._bases[key]
-        raw = np.stack([self.item_vector(sub, it, line, icol) for it, icol in items])
+        raw = np.stack([self.item_vector(sub, it, icol) for it, icol in items])
         labels = tuple(it if isinstance(it, str) else f"b{k}" for k, (it, _) in enumerate(items))
         for k, (it, icol) in enumerate(items):
             if not isinstance(it, str) and labels.count(labels[k]) > 1:
                 raise ScenarioParseError(
                     f"vector literal {k} is labelled {labels[k]!r}, which the set also names",
-                    line, icol, "name the vector with a derived label")
-        basis = self._bases[key] = _checked(labels, SubsystemLayout((sub,)), raw, line, col,
+                    icol, "name the vector with a derived label")
+        basis = self._bases[key] = _checked(labels, SubsystemLayout((sub,)), raw, col,
                                             f"basis over {sub.name!r} is not orthonormal",
                                             "make the vectors orthonormal")
         return basis
@@ -537,32 +621,31 @@ class _Schema:
         return self._bases[key]
 
     def group(self, parts: Sequence[str], new_name: str,
-              label_map: dict[tuple[str, ...], str], line: int, col: int) -> Subsystem:
+              label_map: dict[tuple[str, ...], str], col: int) -> Subsystem:
         try:
             register = merged_register(self.layout, parts, new_name, label_map)
         except (NonInjectiveLabelMapError, UnknownLabelError) as exc:
-            raise ScenarioParseError(str(exc), line, col,
+            raise ScenarioParseError(str(exc), col,
                                      "map distinct label tuples to distinct names") from None
         self.layout = group_layout(self.layout, parts, register)
         return register
 
 
-def _register(layout: SubsystemLayout | None, name: str, line: int, col: int) -> Subsystem:
+def _register(layout: SubsystemLayout | None, name: str, col: int) -> Subsystem:
     """Register ``name`` of ``layout``, or a parse error at ``col``."""
     if layout is None or name not in layout.axes:
-        raise ScenarioParseError(f"subsystem {name!r} was never declared", line, col,
+        raise ScenarioParseError(f"subsystem {name!r} was never declared", col,
                                  "declare it in the layout section")
     return layout.subsystems[layout.axes[name]]
 
 
-def _registers(text: str, line: int, col: int, layout: SubsystemLayout) -> tuple[str, ...]:
+def _registers(text: str, col: int, layout: SubsystemLayout) -> tuple[str, ...]:
     """A name list of registers of ``layout``, each checked at its column."""
-    return tuple(_register(layout, name, line, off).name
-                 for name, off in _parse_name_list(text, line, col))
+    return tuple(_register(layout, name, off).name for name, off in _parse_name_list(text, col))
 
 
 def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
-             line: int, col: int, what: str, hint: str) -> Basis:
+             col: int, what: str, hint: str) -> Basis:
     """The basis along raw ``rows``; rows that are not orthonormal are a
     parse error at ``col`` naming ``what`` and the Gram entry.  The callers
     give one label per row and repeat a label only on a repeated row, so
@@ -572,7 +655,7 @@ def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
     except NonOrthonormalBasisError as exc:
         i, j, g = exc.gram
         raise ScenarioParseError(f"{what}: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
-                                 line, col, hint) from None
+                                 col, hint) from None
 
 
 # --------------------------------------------------------------------------
@@ -580,53 +663,50 @@ def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
 # --------------------------------------------------------------------------
 
 
-def _field_map(tokens: list[tuple[str, int]], line: int,
-               allowed: Iterable[str]) -> dict[str, tuple[str, int]]:
+def _field_map(tokens: list[tuple[str, int]], allowed: Iterable[str]
+               ) -> dict[str, tuple[str, int]]:
     allowed = set(allowed)
     out: dict[str, tuple[str, int]] = {}
     for tok, off in tokens:
         if "=" not in tok:
-            raise ScenarioParseError(f"expected key=value, got {tok!r}", line, off,
+            raise ScenarioParseError(f"expected key=value, got {tok!r}", off,
                                      f"allowed keys: {sorted(allowed)}")
         key, value = tok.split("=", 1)
         if key not in allowed:
-            raise ScenarioParseError(f"unknown field {key!r}", line, off,
+            raise ScenarioParseError(f"unknown field {key!r}", off,
                                      f"allowed keys: {sorted(allowed)}")
         if key in out:
-            raise ScenarioParseError(f"duplicate field {key!r}", line, off,
-                                     "give each field once")
+            raise ScenarioParseError(f"duplicate field {key!r}", off, "give each field once")
         out[key] = (value, off + len(key) + 1)
     return out
 
 
-def _need(fields: dict[str, tuple[str, int]], key: str, line: int, directive: str
-          ) -> tuple[str, int]:
+def _need(fields: dict[str, tuple[str, int]], key: str, directive: str) -> tuple[str, int]:
     if key not in fields:
-        raise ScenarioParseError(f"{directive} is missing {key}=...", line, 1,
-                                 f"add {key}=...")
+        raise ScenarioParseError(f"{directive} is missing {key}=...", 1, f"add {key}=...")
     return fields[key]
 
 
-def _parse_name_list(text: str, line: int, col: int) -> list[tuple[str, int]]:
-    return _entries(text, "()", line, col, "name list", "list at least one name")
+def _parse_name_list(text: str, col: int) -> list[tuple[str, int]]:
+    return _entries(text, "()", col, "name list", "list at least one name")
 
 
-def _vector_literal(text: str, line: int, col: int) -> tuple[complex, ...]:
+def _vector_literal(text: str, col: int) -> tuple[complex, ...]:
     """``(a, b, ...)``: one amplitude per entry, none of them left out."""
-    inner, base = _unwrap(text, "()", line, col, "vector literal")
+    inner, base = _unwrap(text, "()", col, "vector literal")
     comps = []
     for c, off in _split_commas(inner, base):
         if c in ("", "+", "-"):
-            raise ScenarioParseError(f"vector literal entry {c!r} has no amplitude", line,
-                                     off, "write every amplitude out, such as 1 or -1")
-        comps.append(parse_coefficient(c, line, off))
+            raise ScenarioParseError(f"vector literal entry {c!r} has no amplitude", off,
+                                     "write every amplitude out, such as 1 or -1")
+        comps.append(_coefficient(c, off))
     return tuple(comps)
 
 
-def _parse_basis_items(text: str, line: int, col: int) -> tuple[tuple[BasisItem, int], ...]:
+def _parse_basis_items(text: str, col: int) -> tuple[tuple[BasisItem, int], ...]:
     return tuple(
-        (_vector_literal(raw, line, off) if raw.startswith("(") else _label(raw, line, off), off)
-        for raw, off in _entries(text, "{}", line, col, "basis set", "list basis elements"))
+        (_vector_literal(raw, off) if raw.startswith("(") else _label(raw, off), off)
+        for raw, off in _entries(text, "{}", col, "basis set", "list basis elements"))
 
 
 def _fmt_complex_plain(c: complex) -> str:
@@ -645,264 +725,192 @@ def _fmt_complex_plain(c: complex) -> str:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; raises ScenarioParseError with
-    line/column and a fix hint on the first problem found."""
-    schema = _Schema()
-    derived_layout: list[DerivedDecl] = []
-    state_terms: tuple[StateTerm, ...] | None = None
-    initial: StateVector | None = None
-    steps: list[Step] = []
-    queries: list[Query] = []
-    declared_models: dict[str, ModelDecl] = {}
-    apparatus_actions: dict[str, PremeasureAction] = {}
-    # The declared layout, then the layout after each action.
-    stages: list[SubsystemLayout] = []
-
-    section = None
-    seen_sections: list[str] = []
-
-    lines = text.splitlines()
-    for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        header = re.match(r"\s*(\w+):\s*(.*)", line)
-        if header and header.group(1) in SECTION_ORDER:
-            section = header.group(1)
-            if section in seen_sections:
-                raise ScenarioParseError(f"duplicate section {section!r}", line_no, 1,
-                                         "each section appears at most once")
-            if seen_sections and SECTION_ORDER.index(section) < SECTION_ORDER.index(seen_sections[-1]):
-                raise ScenarioParseError(
-                    f"section {section!r} out of order", line_no, 1,
-                    f"order sections as {', '.join(SECTION_ORDER)}",
-                )
-            seen_sections.append(section)
-            if section != "layout" and not stages:
-                if schema.layout is None:
-                    raise ScenarioParseError(f"{section}: comes before any subsystem",
-                                             line_no, 1, "start with layout: and a subsystem")
-                stages.append(schema.layout)
-            rest = header.group(2)
-            if section == "state":
-                if not rest:
-                    raise ScenarioParseError("state: needs an expression on the same line",
-                                             line_no, 1, "write state: coeff|ket> + ...")
-                state_terms, initial = _parse_state(rest, line_no, header.start(2) + 1, schema)
-            elif rest:
-                raise ScenarioParseError(f"unexpected text after {section}:", line_no, 1,
-                                         "put directives on their own lines")
-            continue
-        if section is None:
-            raise ScenarioParseError("directive before any section header", line_no, 1,
-                                     "start with layout:")
-        stripped = line.strip()
-        col0 = raw_line.index(stripped[0]) + 1 if stripped else 1
-
-        if section == "layout":
-            _parse_layout_line(stripped, line_no, col0, schema, derived_layout)
-        elif section == "state":
-            raise ScenarioParseError("state section holds a single expression line",
-                                     line_no, col0, "put the expression after state:")
-        elif section == "actions":
-            step = _parse_action_line(stripped, line_no, col0, schema, apparatus_actions)
-            steps.append(step)
-            if isinstance(step, PremeasureAction):
-                apparatus_actions[step.apparatus] = step
-            if not isinstance(step, DerivedDecl):
-                stages.append(schema.layout)
-        elif section == "models":
-            model = _parse_model_line(stripped, line_no, col0, schema, stages[0],
-                                      declared_models)
-            declared_models[model.name] = model
-        elif section == "queries":
-            queries.append(
-                _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
-                                  declared_models, stages)
-            )
-
-    if state_terms is None:
-        raise ScenarioParseError("no state: section", len(lines) or 1, 1,
-                                 "declare the initial state")
-    if not queries:
-        raise ScenarioParseError("no queries", len(lines) or 1, 1,
-                                 "add a queries: section with at least one query")
-    return Scenario(
-        subsystems=stages[0].subsystems,
-        derived=tuple(derived_layout),
-        state_terms=state_terms,
-        steps=tuple(steps),
-        models=tuple(declared_models.values()),
-        queries=tuple(queries),
-        initial=initial,
-    )
+    line/column and a fix hint on the first problem found.  The reader that
+    finds a problem gives its column, and the line loop puts on it the line
+    it was reading (the last line for a problem found at the end)."""
+    ctx = _Context()
+    line_no = 1
+    try:
+        # A huge coefficient makes a norm or Gram entry inf or nan, which the
+        # checks report; numpy's warnings about it stay unprinted.
+        with np.errstate(all="ignore"):
+            for line_no, raw_line in enumerate(text.splitlines(), start=1):
+                ctx.read(raw_line)
+        if ctx.state is None:
+            raise ScenarioParseError("no state: section", 1, "declare the initial state")
+        if not ctx.queries:
+            raise ScenarioParseError("no queries", 1,
+                                     "add a queries: section with at least one query")
+    except ScenarioParseError as exc:
+        exc.line = line_no
+        raise
+    terms, initial = ctx.state
+    return Scenario(ctx.stages[0].subsystems, tuple(ctx.layout_derived), terms, tuple(ctx.steps),
+                    tuple(ctx.models.values()), tuple(ctx.queries), initial)
 
 
-def _parse_derived(stripped: str, line_no: int, col0: int, schema: _Schema) -> DerivedDecl:
+def _parse_derived(stripped: str, col0: int, ctx: _Context) -> DerivedDecl:
     m = re.match(r"^derived\s+(\S+)\s+(\S+)\s*=\s*(.+)$", stripped)
     if not m:
-        raise ScenarioParseError("malformed derived declaration", line_no, col0,
+        raise ScenarioParseError("malformed derived declaration", col0,
                                  "write: derived SUBSYSTEM LABEL = expression")
     sub_name, label, expr = m.group(1), m.group(2), m.group(3)
-    sub = _register(schema.layout, sub_name, line_no, col0 + m.start(1))
+    sub = _register(ctx.layout, sub_name, col0 + m.start(1))
     lcol = col0 + m.start(2)
-    _label(label, line_no, lcol, "derived label")
-    if label in sub.positions or (id(sub), label) in schema.derived:
-        raise ScenarioParseError(f"label {label!r} already exists on {sub_name!r}",
-                                 line_no, lcol, "pick a fresh label")
+    _label(label, lcol, "derived label")
+    if label in sub.positions or (id(sub), label) in ctx.derived:
+        raise ScenarioParseError(f"label {label!r} already exists on {sub_name!r}", lcol,
+                                 "pick a fresh label")
     expr_col = col0 + m.start(3)
-    terms = parse_expression(expr, line_no, expr_col)
+    terms = _expression(expr, expr_col)
     for term in terms:
         if len(term.labels) != 1:
-            raise ScenarioParseError("derived vectors use single-label kets",
-                                     line_no, term.columns[0], "write |up>, not |up,down>")
+            raise ScenarioParseError("derived vectors use single-label kets", term.columns[0],
+                                     "write |up>, not |up,down>")
         if term.labels[0] not in sub.positions:
             raise ScenarioParseError(
-                f"{term.labels[0]!r} is not a basis label of {sub_name!r}", line_no,
-                term.columns[0], "derived vectors expand over computational labels only")
-    vec = schema.vector((sub,), terms, line_no)
+                f"{term.labels[0]!r} is not a basis label of {sub_name!r}", term.columns[0],
+                "derived vectors expand over computational labels only")
+    vec = ctx.vector((sub,), terms)
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > ATOL:
-        raise ScenarioParseError(
-            f"derived vector {label!r} has norm {nrm:.9g}, expected 1", line_no,
-            expr_col, "normalize the coefficients")
+        raise ScenarioParseError(f"derived vector {label!r} has norm {nrm:.9g}, expected 1",
+                                 expr_col, "normalize the coefficients")
     decl = DerivedDecl(sub_name, label, tuple((t.labels[0], t.coefficient) for t in terms))
-    schema.derived[(id(sub), label)] = (sub, decl.terms, vec)
+    ctx.derived[(id(sub), label)] = (sub, decl.terms, vec)
     return decl
 
 
-def _parse_layout_line(stripped, line_no, col0, schema, derived_layout):
+def _parse_layout_line(stripped: str, col0: int, ctx: _Context) -> None:
     if stripped.startswith("subsystem"):
         m = re.match(r"^subsystem\s+(\S+)\s*(\{.*\})$", stripped)
         if not m:
-            raise ScenarioParseError("malformed subsystem declaration", line_no, col0,
+            raise ScenarioParseError("malformed subsystem declaration", col0,
                                      "write: subsystem NAME {label, label, ...}")
         ncol = col0 + m.start(1)
-        name = _name(m.group(1), line_no, ncol, "subsystem")
-        if schema.layout and name in schema.layout.axes:
-            raise ScenarioParseError(f"subsystem {name!r} already declared", line_no, ncol,
+        name = _name(m.group(1), ncol, "subsystem")
+        if ctx.layout and name in ctx.layout.axes:
+            raise ScenarioParseError(f"subsystem {name!r} already declared", ncol,
                                      "pick a fresh name")
-        labels = tuple(_label(lab, line_no, off) for lab, off in
-                       _entries(m.group(2), "{}", line_no, col0 + m.start(2), "label set",
+        labels = tuple(_label(lab, off) for lab, off in
+                       _entries(m.group(2), "{}", col0 + m.start(2), "label set",
                                 "list at least one label"))
-        schema.add(name, labels, line_no, col0)
+        ctx.add(name, labels, col0)
     elif stripped.startswith("derived"):
-        derived_layout.append(_parse_derived(stripped, line_no, col0, schema))
+        ctx.layout_derived.append(_parse_derived(stripped, col0, ctx))
     else:
-        raise ScenarioParseError(f"unknown layout directive {stripped.split()[0]!r}",
-                                 line_no, col0, "use subsystem or derived")
+        raise ScenarioParseError(f"unknown layout directive {stripped.split()[0]!r}", col0,
+                                 "use subsystem or derived")
 
 
-def _parse_state(expr, line_no, col, schema):
-    terms = parse_expression(expr, line_no, col)
-    subs = schema.layout.subsystems
+def _parse_state(expr: str, col: int, ctx: _Context
+                 ) -> tuple[tuple[StateTerm, ...], StateVector]:
+    terms = _expression(expr, col)
+    subs = ctx.layout.subsystems
     for term in terms:
         if len(term.labels) != len(subs):
             raise ScenarioParseError(
                 f"ket has {len(term.labels)} labels, layout has {len(subs)} subsystems",
-                line_no, term.columns[0], "give one label per declared subsystem, in order")
-    amps = schema.vector(subs, terms, line_no)
+                term.columns[0], "give one label per declared subsystem, in order")
+    amps = ctx.vector(subs, terms)
     if not amps.any():
-        raise ScenarioParseError("state terms sum to the zero vector", line_no, col,
+        raise ScenarioParseError("state terms sum to the zero vector", col,
                                  "give the state a nonzero amplitude")
-    with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(amps))
+    nrm = float(np.linalg.norm(amps))
     if not 0.0 < nrm < math.inf:
-        raise ScenarioParseError(f"state norm {nrm} is out of floating-point range",
-                                 line_no, col, "scale the coefficients toward 1")
-    return terms, normalized(schema.layout, amps)
+        raise ScenarioParseError(f"state norm {nrm} is out of floating-point range", col,
+                                 "scale the coefficients toward 1")
+    return terms, normalized(ctx.layout, amps)
 
 
-def _parse_action_line(stripped, line_no, col0, schema, apparatus_actions) -> Step:
+def _parse_action_line(stripped: str, col0: int, ctx: _Context) -> Step:
     # A directive word needs no lexing (it holds no bracket, ket or quote),
     # and derived lines are matched whole: premeasure, group and couple
     # lines, and the head of an unknown action, are tokenized.
     head = stripped.split(None, 1)[0]
     if head == "derived":
-        return _parse_derived(stripped, line_no, col0, schema)
+        return _parse_derived(stripped, col0, ctx)
     if head == "premeasure":
-        fields = _field_map(_tokens(stripped, col0)[1:], line_no,
+        fields = _field_map(_tokens(stripped, col0)[1:],
                             ("target", "apparatus", "basis", "outcomes", "ready"))
-        tval, tcol = _need(fields, "target", line_no, "premeasure")
-        target = _register(schema.layout, tval, line_no, tcol)
-        aval, acol = _need(fields, "apparatus", line_no, "premeasure")
-        app = _register(schema.layout, aval, line_no, acol)
-        if aval in apparatus_actions:
+        tval, tcol = _need(fields, "target", "premeasure")
+        target = _register(ctx.layout, tval, tcol)
+        aval, acol = _need(fields, "apparatus", "premeasure")
+        app = _register(ctx.layout, aval, acol)
+        if aval in ctx.apparatus:
             raise ScenarioParseError(f"apparatus {aval!r} used by two premeasure actions",
-                                     line_no, acol, "use one apparatus per measurement")
+                                     acol, "use one apparatus per measurement")
         if aval == tval:
-            raise ScenarioParseError("apparatus cannot equal target", line_no, acol,
+            raise ScenarioParseError("apparatus cannot equal target", acol,
                                      "measure one register with another")
-        bval, bcol = _need(fields, "basis", line_no, "premeasure")
-        items = _parse_basis_items(bval, line_no, bcol)
+        bval, bcol = _need(fields, "basis", "premeasure")
+        items = _parse_basis_items(bval, bcol)
         basis = tuple(it for it, _ in items)
-        resolved = schema.basis(target, items, line_no, bcol)
-        oval, ocol = _need(fields, "outcomes", line_no, "premeasure")
+        resolved = ctx.basis(target, items, bcol)
+        oval, ocol = _need(fields, "outcomes", "premeasure")
         outcomes = []
-        for it, off in _entries(oval, "{}", line_no, ocol, "outcome set", "list outcomes"):
+        for it, off in _entries(oval, "{}", ocol, "outcome set", "list outcomes"):
             if it not in app.positions:
-                raise ScenarioParseError(
-                    f"outcome {it!r} is not a label of apparatus {aval!r}",
-                    line_no, off, "outcomes name apparatus levels")
+                raise ScenarioParseError(f"outcome {it!r} is not a label of apparatus {aval!r}",
+                                         off, "outcomes name apparatus levels")
             outcomes.append(it)
         if len(outcomes) != len(basis):
-            raise ScenarioParseError(
-                f"{len(basis)} basis vectors but {len(outcomes)} outcomes",
-                line_no, ocol, "give one outcome per basis vector")
-        rval, rcol = _need(fields, "ready", line_no, "premeasure")
+            raise ScenarioParseError(f"{len(basis)} basis vectors but {len(outcomes)} outcomes",
+                                     ocol, "give one outcome per basis vector")
+        rval, rcol = _need(fields, "ready", "premeasure")
         if rval not in app.positions:
             raise ScenarioParseError(f"ready label {rval!r} not on apparatus {aval!r}",
-                                     line_no, rcol, "ready names an apparatus level")
+                                     rcol, "ready names an apparatus level")
         step = MeasurementSpec(tval, resolved, aval, rval, tuple(outcomes))
-        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, step, schema.layout)
+        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, step, ctx.layout)
     if head == "group":
         toks = _tokens(stripped, col0)
         if not (len(toks) == 5 and toks[1][0].startswith("parts=") and toks[2][0] == "as"
                 and toks[4][0].startswith("map=")):
-            raise ScenarioParseError("malformed group action", line_no, col0,
+            raise ScenarioParseError("malformed group action", col0,
                                      "write: group parts=(A,B) as NAME map={(a,b):x, ...}")
-        fields = _field_map([toks[1], toks[4]], line_no, ("parts", "map"))
+        fields = _field_map([toks[1], toks[4]], ("parts", "map"))
         pval, pcol = fields["parts"]
-        parts = _registers(pval, line_no, pcol, schema.layout)
+        parts = _registers(pval, pcol, ctx.layout)
         if len(parts) < 2:
-            raise ScenarioParseError("group needs two or more distinct parts",
-                                     line_no, pcol, "list distinct subsystem names")
+            raise ScenarioParseError("group needs two or more distinct parts", pcol,
+                                     "list distinct subsystem names")
         new_name, ncol = toks[3]
-        _name(new_name, line_no, ncol, "group")
-        if new_name in schema.layout.axes and new_name not in parts:
-            raise ScenarioParseError(f"group name {new_name!r} already taken", line_no, ncol,
+        _name(new_name, ncol, "group")
+        if new_name in ctx.layout.axes and new_name not in parts:
+            raise ScenarioParseError(f"group name {new_name!r} already taken", ncol,
                                      "pick a fresh name")
         mval, mcol = fields["map"]
         pairs = []
-        for raw, off in _entries(mval, "{}", line_no, mcol, "label map"):
+        for raw, off in _entries(mval, "{}", mcol, "label map"):
             pm = re.match(r"^\((.*)\)\s*:\s*(\S+)$", raw)
             if not pm:
-                raise ScenarioParseError(f"malformed map entry {raw!r}", line_no, off,
+                raise ScenarioParseError(f"malformed map entry {raw!r}", off,
                                          "entries look like (a,b):name")
             key = tuple(k for k, _ in _split_commas(pm.group(1), off))
-            pairs.append((key, _label(pm.group(2), line_no, off + pm.start(2))))
-        register = schema.group(parts, new_name, dict(pairs), line_no, mcol)
+            pairs.append((key, _label(pm.group(2), off + pm.start(2))))
+        register = ctx.group(parts, new_name, dict(pairs), mcol)
         return GroupAction(parts, new_name, tuple(pairs), GroupStep(parts, register))
     if head == "couple":
-        fields = _field_map(_tokens(stripped, col0)[1:], line_no,
-                            ("env", "targets", "branches"))
-        eval_, ecol = _need(fields, "env", line_no, "couple")
-        _name(eval_, line_no, ecol, "environment")
-        if eval_ in schema.layout.axes:
-            raise ScenarioParseError(f"environment name {eval_!r} already taken",
-                                     line_no, ecol, "pick a fresh name")
-        tval, tcol = _need(fields, "targets", line_no, "couple")
-        targets = _registers(tval, line_no, tcol, schema.layout)
-        bval, bcol = _need(fields, "branches", line_no, "couple")
-        ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema,
-                                                     schema.layout, targets)
-        schema.add(eval_, environment_labels(len(branches)), line_no, ecol)
+        fields = _field_map(_tokens(stripped, col0)[1:], ("env", "targets", "branches"))
+        eval_, ecol = _need(fields, "env", "couple")
+        _name(eval_, ecol, "environment")
+        if eval_ in ctx.layout.axes:
+            raise ScenarioParseError(f"environment name {eval_!r} already taken", ecol,
+                                     "pick a fresh name")
+        tval, tcol = _need(fields, "targets", "couple")
+        targets = _registers(tval, tcol, ctx.layout)
+        bval, bcol = _need(fields, "branches", "couple")
+        ordered, branches, basis = _parse_branch_set(bval, bcol, ctx, ctx.layout, targets)
+        ctx.add(eval_, environment_labels(len(branches)), ecol)
         return CoupleAction(eval_, ordered, branches, CoupleStep(eval_, basis))
     head = _tokens(stripped, col0)[0][0]
-    raise ScenarioParseError(f"unknown action {head!r}", line_no, col0,
+    raise ScenarioParseError(f"unknown action {head!r}", col0,
                              "actions are premeasure, group, couple (or derived)")
 
 
-def _parse_branch_set(bval, line_no, col, schema, layout, targets):
+def _parse_branch_set(bval: str, col: int, ctx: _Context, layout: SubsystemLayout,
+                      targets: tuple[str, ...]):
     """Branches written over ``targets``, put in the order of ``layout`` (so
     their kets line up with the registers the coupling acts on), resolved
     and checked orthonormal: (ordered targets, branch terms, branch basis)."""
@@ -911,49 +919,49 @@ def _parse_branch_set(bval, line_no, col, schema, layout, targets):
     perm = [targets.index(t) for t in ordered]
     branches = []
     vecs = []
-    for raw, off in _entries(bval, "{}", line_no, col, "branch set", "list branch vectors"):
-        terms = parse_expression(raw, line_no, off)
+    for raw, off in _entries(bval, "{}", col, "branch set", "list branch vectors"):
+        terms = _expression(raw, off)
         for term in terms:
             if len(term.labels) != len(targets):
                 raise ScenarioParseError(
                     f"branch ket has {len(term.labels)} labels, targets are {targets}",
-                    line_no, term.columns[0], "one label per target subsystem")
+                    term.columns[0], "one label per target subsystem")
         terms = tuple(StateTerm(t.coefficient, tuple(t.labels[p] for p in perm),
                                 tuple(t.columns[p] for p in perm)) for t in terms)
-        vec = schema.vector(on.subsystems, terms, line_no)
+        vec = ctx.vector(on.subsystems, terms)
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > ATOL:
-            raise ScenarioParseError(f"branch vector has norm {nrm:.9g}, expected 1",
-                                     line_no, off, "normalize the branch")
+            raise ScenarioParseError(f"branch vector has norm {nrm:.9g}, expected 1", off,
+                                     "normalize the branch")
         vecs.append(vec)
         branches.append(terms)
-    basis = _checked(branch_labels(len(vecs)), on, np.stack(vecs), line_no, col,
+    basis = _checked(branch_labels(len(vecs)), on, np.stack(vecs), col,
                      "branches not orthonormal", "make the branch vectors orthonormal")
     return ordered, tuple(branches), basis
 
 
-def _parse_model_line(stripped, line_no, col0, schema, declared, declared_models):
+def _parse_model_line(stripped: str, col0: int, ctx: _Context) -> ModelDecl:
     m = re.match(r"^model\s+(\S+)\s+(.*)$", stripped)
     if not m:
-        raise ScenarioParseError("malformed model declaration", line_no, col0,
+        raise ScenarioParseError("malformed model declaration", col0,
                                  "write: model NAME targets=(...) branches={...}")
     ncol = col0 + m.start(1)
-    name = _name(m.group(1), line_no, ncol, "model")
-    if name in declared_models:
-        raise ScenarioParseError(f"model {name!r} declared twice", line_no, ncol,
+    name = _name(m.group(1), ncol, "model")
+    if name in ctx.models:
+        raise ScenarioParseError(f"model {name!r} declared twice", ncol,
                                  "model names must be unique")
-    toks = _tokens(m.group(2), col0 + m.start(2))
-    fields = _field_map(toks, line_no, ("targets", "branches"))
-    tval, tcol = _need(fields, "targets", line_no, "model")
+    fields = _field_map(_tokens(m.group(2), col0 + m.start(2)), ("targets", "branches"))
+    tval, tcol = _need(fields, "targets", "model")
     # Models describe couplings at measurement time; validate against the
     # declared (pre-group) layout.
-    targets = _registers(tval, line_no, tcol, declared)
-    bval, bcol = _need(fields, "branches", line_no, "model")
-    ordered, branches, basis = _parse_branch_set(bval, line_no, bcol, schema, declared, targets)
+    declared = ctx.stages[0]
+    targets = _registers(tval, tcol, declared)
+    bval, bcol = _need(fields, "branches", "model")
+    ordered, branches, basis = _parse_branch_set(bval, bcol, ctx, declared, targets)
     return ModelDecl(name, ordered, branches, CoupleStep(name, basis))
 
 
-def _prop_basis(prop, observer, line_no, schema, apparatus_actions, stages) -> Basis:
+def _prop_basis(prop, observer: PremeasureAction, ctx: _Context) -> Basis:
     """The basis the words ``prop`` (SUBJECT QUANTIFIER PREDICATE, each with
     its column) of a claim by ``observer`` are read in.  An apparatus
     subject stands for its measured basis (on the target register); a
@@ -963,16 +971,17 @@ def _prop_basis(prop, observer, line_no, schema, apparatus_actions, stages) -> B
     stage, from the observer's on, that holds it; will_obtain at the final
     stage."""
     (subject, scol), (quant, _), (predicate, pcol) = prop
-    if subject in apparatus_actions:
-        basis = apparatus_actions[subject].resolved.basis
+    if subject in ctx.apparatus:
+        basis = ctx.apparatus[subject].resolved.basis
         if predicate not in basis.labels:
             raise ScenarioParseError(
                 f"predicate {predicate!r} is not among the measured basis labels "
-                f"{basis.labels}", line_no, pcol, f"use one of {list(basis.labels)}")
+                f"{basis.labels}", pcol, f"use one of {list(basis.labels)}")
         return basis
+    stages = ctx.stages
     if not any(subject in st.axes for st in stages):
-        raise ScenarioParseError(f"prop subject {subject!r} is unknown", line_no,
-                                 scol, "name a subsystem or an apparatus")
+        raise ScenarioParseError(f"prop subject {subject!r} is unknown", scol,
+                                 "name a subsystem or an apparatus")
     if quant == "is_in_state":
         start = next(i for i, st in enumerate(stages) if st is observer.stage)
         reads, where = stages[start:], f"where {observer.apparatus!r} measures"
@@ -980,80 +989,79 @@ def _prop_basis(prop, observer, line_no, schema, apparatus_actions, stages) -> B
         reads, where = stages[-1:], "at the final stage, where will_obtain reads it"
     sub = next((st.subsystem(subject) for st in reads if subject in st.axes), None)
     if sub is None:
-        raise ScenarioParseError(f"prop subject {subject!r} no longer exists {where}",
-                                 line_no, scol, "name a register that exists there")
+        raise ScenarioParseError(f"prop subject {subject!r} no longer exists {where}", scol,
+                                 "name a register that exists there")
     if predicate in sub.positions:
-        return schema.computational(sub)
-    derived = [lab for on, lab in schema.derived if on == id(sub)]
+        return ctx.computational(sub)
+    derived = [lab for on, lab in ctx.derived if on == id(sub)]
     if predicate not in derived:
         raise ScenarioParseError(
             f"predicate {predicate!r} is neither a basis nor a derived label of "
-            f"{subject!r}", line_no, pcol, f"declare it with: derived {subject} ...")
-    return schema.basis(sub, [(lab, pcol) for lab in derived], line_no, pcol)
+            f"{subject!r}", pcol, f"declare it with: derived {subject} ...")
+    return ctx.basis(sub, [(lab, pcol) for lab in derived], pcol)
 
 
-def _labelled_basis(query, raw, line_no, col, schema
+def _labelled_basis(query: str, raw: str, col: int, ctx: _Context
                     ) -> tuple[str, tuple[str, ...], Basis]:
     """A born or rewrite entry NAME:{label, ...} at column ``col``:
     (name, labels, basis)."""
     name, brace = (part.strip() for part in raw.split(":", 1))
-    sub = _register(schema.layout, name, line_no, col)
+    sub = _register(ctx.layout, name, col)
     brace_col = col + len(raw) - len(brace)
-    items = _parse_basis_items(brace, line_no, brace_col)
+    items = _parse_basis_items(brace, brace_col)
     for it, ioff in items:
         if not isinstance(it, str):
-            raise ScenarioParseError(f"{query} bases use labels, not vector literals",
-                                     line_no, ioff, "declare a derived label instead")
+            raise ScenarioParseError(f"{query} bases use labels, not vector literals", ioff,
+                                     "declare a derived label instead")
     labels = tuple(it for it, _ in items)
-    return name, labels, schema.basis(sub, items, line_no, brace_col)
+    return name, labels, ctx.basis(sub, items, brace_col)
 
 
-def _quoted_words(text, line_no, col, what, shape) -> list[tuple[str, int]]:
+def _quoted_words(text: str, col: int, what: str, shape: str) -> list[tuple[str, int]]:
     """The words of a quoted ``what`` at column ``col`` that must read
     ``shape``, each with its column."""
     words = _tokens(text[1:-1], col + 1) if len(text) >= 2 and text[0] == text[-1] == '"' else None
     if words is None or len(words) != len(shape.split()):
-        raise ScenarioParseError(f"{what} must be the quoted words {shape}, got {text}",
-                                 line_no, col, f'write "{shape}"')
+        raise ScenarioParseError(f"{what} must be the quoted words {shape}, got {text}", col,
+                                 f'write "{shape}"')
     return words
 
 
-def _claim(observer, outcome, prop, line_no, schema, apparatus_actions, stages,
-           semantics="premeasurement", models=()) -> CertaintyQuery:
+def _claim(observer, outcome, prop, ctx: _Context, semantics="premeasurement",
+           models=()) -> CertaintyQuery:
     """Check one inference (certainty queries and audit statements alike):
     ``observer`` is an apparatus, ``outcome`` one of its records or measured
     labels, and ``prop`` the words SUBJECT QUANTIFIER PREDICATE, each word
     with its column."""
     (observer, ocol), (outcome, outcol) = observer, outcome
-    action = _apparatus(observer, line_no, ocol, apparatus_actions)
+    action = _apparatus(observer, ocol, ctx)
     valid = set(action.outcomes) | {b for b in action.basis if isinstance(b, str)}
     if outcome not in valid:
         raise ScenarioParseError(
-            f"outcome {outcome!r} is not a record or basis label of {observer!r}",
-            line_no, outcol, f"use one of {sorted(valid)}")
+            f"outcome {outcome!r} is not a record or basis label of {observer!r}", outcol,
+            f"use one of {sorted(valid)}")
     (subject, _), (quant, qcol), (predicate, _) = prop
     if quant not in ("will_obtain", "is_in_state"):
-        raise ScenarioParseError(f"unknown quantifier {quant!r}", line_no,
-                                 qcol, "use will_obtain or is_in_state")
-    basis = _prop_basis(prop, action, line_no, schema, apparatus_actions, stages)
+        raise ScenarioParseError(f"unknown quantifier {quant!r}", qcol,
+                                 "use will_obtain or is_in_state")
+    basis = _prop_basis(prop, action, ctx)
     claim = Claim(observer, outcome, Proposition(basis.layout.names[0], basis, predicate, quant),
                   semantics, models)
     return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics,
                           tuple(m.environment for m in models), claim)
 
 
-def _model_list(field_value, line_no, declared_models) -> tuple[CoupleStep, ...]:
+def _model_list(field_value: tuple[str, int], ctx: _Context) -> tuple[CoupleStep, ...]:
     """The declared models a models=(...) list names, each checked at its column."""
-    mval, mcol = field_value
-    names = _parse_name_list(mval, line_no, mcol)
+    names = _parse_name_list(*field_value)
     for mn, off in names:
-        if mn not in declared_models:
-            raise ScenarioParseError(f"model {mn!r} was never declared", line_no, off,
+        if mn not in ctx.models:
+            raise ScenarioParseError(f"model {mn!r} was never declared", off,
                                      "declare it in the models: section")
-    return tuple(declared_models[mn].resolved for mn, _ in names)
+    return tuple(ctx.models[mn].resolved for mn, _ in names)
 
 
-def _model_targets_in(models, layout, where, line_no, col, hint) -> None:
+def _model_targets_in(models, layout, where, col, hint) -> None:
     """Each of ``models`` couples registers of ``layout`` as they were
     declared, or a parse error at ``col``."""
     for model in models:
@@ -1061,167 +1069,152 @@ def _model_targets_in(models, layout, where, line_no, col, hint) -> None:
             if sub.name not in layout.axes or layout.subsystem(sub.name) != sub:
                 raise ScenarioParseError(
                     f"model {model.environment!r} couples {sub.name!r}, which is not in {where} "
-                    "as declared", line_no, col, hint)
+                    "as declared", col, hint)
 
 
-def _models_at_stage(models, observer: PremeasureAction, line_no, col) -> None:
+def _models_at_stage(models, observer: PremeasureAction, col: int) -> None:
     """The models a decoherent claim by ``observer`` consults couple
     registers of the observer's stage."""
     _model_targets_in(models, observer.stage,
-                      f"the layout where {observer.apparatus!r} measures", line_no, col,
+                      f"the layout where {observer.apparatus!r} measures", col,
                       "decoherent semantics couples the observer's stage; model its registers")
 
 
-def _apparatus(name, line_no, col, apparatus_actions, final=None) -> PremeasureAction:
-    """The premeasure action of apparatus ``name``; given the ``final``
-    schema, the apparatus must also be a register of the final layout."""
-    if name not in apparatus_actions:
-        raise ScenarioParseError(
-            f"{name!r} is not the apparatus of any premeasure action", line_no, col,
-            "name an apparatus used in the actions section")
-    if final is not None and name not in final.layout.axes:
-        raise ScenarioParseError(f"apparatus {name!r} is grouped away before the end",
-                                 line_no, col, "name an apparatus of the final layout")
-    return apparatus_actions[name]
+def _apparatus(name: str, col: int, ctx: _Context, final: bool = False) -> PremeasureAction:
+    """The premeasure action of apparatus ``name``; if ``final``, the
+    apparatus must also be a register of the layout in force."""
+    if name not in ctx.apparatus:
+        raise ScenarioParseError(f"{name!r} is not the apparatus of any premeasure action", col,
+                                 "name an apparatus used in the actions section")
+    if final and name not in ctx.layout.axes:
+        raise ScenarioParseError(f"apparatus {name!r} is grouped away before the end", col,
+                                 "name an apparatus of the final layout")
+    return ctx.apparatus[name]
 
 
-def _parse_query_line(stripped, line_no, col0, schema, apparatus_actions,
-                      declared_models, stages) -> Query:
-    """``stages`` holds the register labels of the declared layout and after
-    each action, in order."""
+def _parse_query_line(stripped: str, col0: int, ctx: _Context) -> Query:
     toks = _tokens(stripped, col0)
     head = toks[0][0]
     if head == "born":
-        fields = _field_map(toks[1:], line_no, ("targets",))
-        tval, tcol = _need(fields, "targets", line_no, "born")
+        fields = _field_map(toks[1:], ("targets",))
+        tval, tcol = _need(fields, "targets", "born")
         targets = []
         bases: list[Basis | None] = []
-        for raw, off in _entries(tval, "()", line_no, tcol, "target list"):
+        for raw, off in _entries(tval, "()", tcol, "target list"):
             if ":" in raw:
-                name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
+                name, labels, basis = _labelled_basis(head, raw, off, ctx)
             else:
                 name, labels = raw, None
-                basis = schema.computational(_register(schema.layout, raw, line_no, off))
+                basis = ctx.computational(_register(ctx.layout, raw, off))
             bases.append(basis)
             targets.append((name, labels))
         if not targets:
-            raise ScenarioParseError("born needs at least one target", line_no, col0,
+            raise ScenarioParseError("born needs at least one target", col0,
                                      "write targets=(NAME) or targets=(NAME:{a,b})")
         return BornQuery(tuple(targets), tuple(bases))
     if head == "certainty":
-        fields = _field_map(toks[1:], line_no,
-                            ("observer", "outcome", "prop", "semantics", "models"))
-        observer = _need(fields, "observer", line_no, "certainty")
-        outcome = _need(fields, "outcome", line_no, "certainty")
-        pval, pcol = _need(fields, "prop", line_no, "certainty")
-        words = _quoted_words(pval, line_no, pcol, "prop",
-                              "SUBJECT will_obtain|is_in_state LABEL")
-        sval, scol = _need(fields, "semantics", line_no, "certainty")
+        fields = _field_map(toks[1:], ("observer", "outcome", "prop", "semantics", "models"))
+        observer = _need(fields, "observer", "certainty")
+        outcome = _need(fields, "outcome", "certainty")
+        pval, pcol = _need(fields, "prop", "certainty")
+        words = _quoted_words(pval, pcol, "prop", "SUBJECT will_obtain|is_in_state LABEL")
+        sval, scol = _need(fields, "semantics", "certainty")
         if sval not in ("premeasurement", "decoherent"):
-            raise ScenarioParseError(f"unknown semantics {sval!r}", line_no,
-                                     scol, "use premeasurement or decoherent")
+            raise ScenarioParseError(f"unknown semantics {sval!r}", scol,
+                                     "use premeasurement or decoherent")
         models: tuple[CoupleStep, ...] = ()
         if sval == "decoherent":
             if "models" not in fields:
-                raise ScenarioParseError(
-                    "decoherent semantics needs models=(...)", line_no, scol,
-                    "reference models declared in the models: section")
-            models = _model_list(fields["models"], line_no, declared_models)
+                raise ScenarioParseError("decoherent semantics needs models=(...)", scol,
+                                         "reference models declared in the models: section")
+            models = _model_list(fields["models"], ctx)
         elif "models" in fields:
-            raise ScenarioParseError("models= only applies to decoherent semantics",
-                                     line_no, col0, "drop models= or switch semantics")
-        query = _claim(observer, outcome, words, line_no, schema, apparatus_actions, stages,
-                       sval, models)
+            raise ScenarioParseError("models= only applies to decoherent semantics", col0,
+                                     "drop models= or switch semantics")
+        query = _claim(observer, outcome, words, ctx, sval, models)
         if models:
-            _models_at_stage(models, apparatus_actions[observer[0]], line_no,
-                             fields["models"][1])
+            _models_at_stage(models, ctx.apparatus[observer[0]], fields["models"][1])
         return query
     if head == "rewrite":
-        fields = _field_map(toks[1:], line_no, ("bases",))
-        bval, bcol = _need(fields, "bases", line_no, "rewrite")
+        fields = _field_map(toks[1:], ("bases",))
+        bval, bcol = _need(fields, "bases", "rewrite")
         out: dict[str, tuple[str, ...]] = {}
         bases = []
-        for raw, off in _entries(bval, "()", line_no, bcol, "bases list"):
+        for raw, off in _entries(bval, "()", bcol, "bases list"):
             if ":" not in raw:
-                raise ScenarioParseError(f"malformed bases entry {raw!r}", line_no,
-                                         off, "entries look like NAME:{a,b}")
-            name, labels, basis = _labelled_basis(head, raw, line_no, off, schema)
+                raise ScenarioParseError(f"malformed bases entry {raw!r}", off,
+                                         "entries look like NAME:{a,b}")
+            name, labels, basis = _labelled_basis(head, raw, off, ctx)
             if basis.size != basis.layout.dimension:
                 raise ScenarioParseError(
                     f"rewrite basis for {name!r} has {basis.size} vectors, "
-                    f"needs {basis.layout.dimension}", line_no, off,
-                    "rewrite bases must be complete")
+                    f"needs {basis.layout.dimension}", off, "rewrite bases must be complete")
             bases.append(basis)
             out[name] = labels
-        bases += [schema.computational(sub) for sub in schema.layout.subsystems
+        bases += [ctx.computational(sub) for sub in ctx.layout.subsystems
                   if sub.name not in out]
         return RewriteQuery(tuple(out.items()), tuple(bases))
     if head == "triortho":
-        fields = _field_map(toks[1:], line_no, ("parts",))
-        pval, pcol = _need(fields, "parts", line_no, "triortho")
-        groups = []
-        for raw, off in _entries(pval, "()", line_no, pcol, "parts list"):
-            groups.append(_registers(raw, line_no, off, schema.layout))
+        fields = _field_map(toks[1:], ("parts",))
+        pval, pcol = _need(fields, "parts", "triortho")
+        groups = [_registers(raw, off, ctx.layout)
+                  for raw, off in _entries(pval, "()", pcol, "parts list")]
         if len(groups) != 3:
-            raise ScenarioParseError(f"triortho needs three parts, got {len(groups)}",
-                                     line_no, pcol, "write parts=((A),(B),(C))")
+            raise ScenarioParseError(f"triortho needs three parts, got {len(groups)}", pcol,
+                                     "write parts=((A),(B),(C))")
         covered = [n for g in groups for n in g]
-        if sorted(covered) != sorted(schema.layout.names):
-            raise ScenarioParseError("triortho parts must cover the layout exactly",
-                                     line_no, pcol,
-                                     f"cover {schema.layout.names} once each")
+        if sorted(covered) != sorted(ctx.layout.names):
+            raise ScenarioParseError("triortho parts must cover the layout exactly", pcol,
+                                     f"cover {ctx.layout.names} once each")
         return TriorthoQuery((groups[0], groups[1], groups[2]))
     if head == "consistency_audit":
-        fields = _field_map(toks[1:], line_no, ("chain", "joint", "decoherent", "models"))
-        cval, ccol = _need(fields, "chain", line_no, "consistency_audit")
+        fields = _field_map(toks[1:], ("chain", "joint", "decoherent", "models"))
+        cval, ccol = _need(fields, "chain", "consistency_audit")
         chain: dict[str, CertaintyQuery] = {}
-        for raw, off in _parse_name_list(cval, line_no, ccol):
+        for raw, off in _parse_name_list(cval, ccol):
             name, _, quoted = (part.strip() for part in raw.partition(":"))
-            _name(name, line_no, off, "statement")
-            words = _quoted_words(quoted, line_no, off + len(raw) - len(quoted), "statement",
+            _name(name, off, "statement")
+            words = _quoted_words(quoted, off + len(raw) - len(quoted), "statement",
                                   "OBSERVER OUTCOME SUBJECT QUANTIFIER LABEL")
-            chain[name] = _claim(words[0], words[1], words[2:], line_no, schema,
-                                 apparatus_actions, stages)
-        jval, jcol = _need(fields, "joint", line_no, "consistency_audit")
+            chain[name] = _claim(words[0], words[1], words[2:], ctx)
+        jval, jcol = _need(fields, "joint", "consistency_audit")
         joint = []
-        for raw, off in _parse_name_list(jval, line_no, jcol):
+        for raw, off in _parse_name_list(jval, jcol):
             apparatus, _, label = (part.strip() for part in raw.partition(":"))
-            action = _apparatus(apparatus, line_no, off, apparatus_actions, schema)
-            labels = action.resolved.basis.labels
+            labels = _apparatus(apparatus, off, ctx, final=True).resolved.basis.labels
             if label not in labels:
                 raise ScenarioParseError(
                     f"joint entry {raw!r} needs a measured basis label of {apparatus!r}",
-                    line_no, off, f"write {apparatus}:LABEL with LABEL in {list(labels)}")
+                    off, f"write {apparatus}:LABEL with LABEL in {list(labels)}")
             joint.append((apparatus, label))
-        dval, dcol = _need(fields, "decoherent", line_no, "consistency_audit")
+        dval, dcol = _need(fields, "decoherent", "consistency_audit")
         if dval not in chain:
-            raise ScenarioParseError(f"decoherent names no chain statement: {dval!r}",
-                                     line_no, dcol, f"use one of {list(chain)}")
-        mval, mcol = _need(fields, "models", line_no, "consistency_audit")
-        models = _model_list((mval, mcol), line_no, declared_models)
-        _models_at_stage(models, apparatus_actions[chain[dval].observer], line_no, mcol)
+            raise ScenarioParseError(f"decoherent names no chain statement: {dval!r}", dcol,
+                                     f"use one of {list(chain)}")
+        mval, mcol = _need(fields, "models", "consistency_audit")
+        models = _model_list((mval, mcol), ctx)
+        _models_at_stage(models, ctx.apparatus[chain[dval].observer], mcol)
         return AuditQuery(tuple(chain.items()), tuple(joint), dval,
                           tuple(m.environment for m in models),
                           replace(chain[dval].resolved, semantics="decoherent", models=models))
     if head == "decoherence_compare":
-        fields = _field_map(toks[1:], line_no, ("models", "hidden", "apparatus"))
-        mval, mcol = _need(fields, "models", line_no, "decoherence_compare")
-        models = _model_list((mval, mcol), line_no, declared_models)
+        fields = _field_map(toks[1:], ("models", "hidden", "apparatus"))
+        mval, mcol = _need(fields, "models", "decoherence_compare")
+        models = _model_list((mval, mcol), ctx)
         if len(models) != 2:
-            raise ScenarioParseError("decoherence_compare compares two distinct models",
-                                     line_no, mcol, "write models=(COARSE, FINE)")
-        _model_targets_in(models, schema.layout, "the final layout",
-                          line_no, mcol,
+            raise ScenarioParseError("decoherence_compare compares two distinct models", mcol,
+                                     "write models=(COARSE, FINE)")
+        _model_targets_in(models, ctx.layout, "the final layout", mcol,
                           "decoherence_compare couples the final state; model its registers")
-        hval, hcol = _need(fields, "hidden", line_no, "decoherence_compare")
-        hidden = _registers(hval, line_no, hcol, schema.layout)
-        aval, acol = _need(fields, "apparatus", line_no, "decoherence_compare")
-        _apparatus(aval, line_no, acol, apparatus_actions, schema)
+        hval, hcol = _need(fields, "hidden", "decoherence_compare")
+        hidden = _registers(hval, hcol, ctx.layout)
+        aval, acol = _need(fields, "apparatus", "decoherence_compare")
+        _apparatus(aval, acol, ctx, final=True)
         if aval in hidden:
-            raise ScenarioParseError(f"apparatus {aval!r} is hidden", line_no, acol,
+            raise ScenarioParseError(f"apparatus {aval!r} is hidden", acol,
                                      "the apparatus record must stay visible")
         return CompareQuery(tuple(m.environment for m in models), hidden, aval, models)
-    raise ScenarioParseError(f"unknown query {head!r}", line_no, col0,
+    raise ScenarioParseError(f"unknown query {head!r}", col0,
                              "queries: born, certainty, rewrite, triortho, "
                              "consistency_audit, decoherence_compare")
 

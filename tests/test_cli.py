@@ -229,6 +229,61 @@ def test_a_claim_reads_its_subject_where_the_run_reads_it(tmp_path, capsys, demo
         assert err.startswith(f"{path}: parse error: line {line}, col {col}: {message} (fix: ")
 
 
+NINES = "9" * 400
+# Coefficients past a double: the sqrt quotient overflowed (exit 3), the
+# 5,000-digit numerator passed int's digit limit (exit 3), and each norm or
+# Gram check of a 1e200 amplitude printed numpy's warnings beside its
+# diagnostic.  Each is one diagnostic at the coefficient or expression.
+BIG = [
+    ("sqrt-400", f"state: sqrt({NINES}/1)|head> + |tail>", 3, 8,
+     f"coefficient 'sqrt({NINES}/1)' is out of floating-point range"),
+    ("sqrt-5000", f"state: sqrt({'9' * 5000}/1)|head> + |tail>", 3, 8,
+     f"coefficient 'sqrt({'9' * 5000}/1)' is out of floating-point range"),
+    ("derived", "  derived R plus = 1e200|head> + 1e200|tail>\nstate: |head>", 3, 20,
+     "derived vector 'plus' has norm inf, expected 1"),
+    ("couple", "state: |head>\nactions:\n  couple env=E targets=(R) branches={1e200|head>, |tail>}",
+     5, 38, "branch vector has norm inf, expected 1"),
+    ("model", "state: |head>\nmodels:\n  model m targets=(R) branches={1e200|head>, |tail>}",
+     5, 33, "branch vector has norm inf, expected 1"),
+    ("basis", "  subsystem A {a0, a1, a2}\nstate: |head,a0>\nactions:\n  premeasure target=R "
+     "apparatus=A basis={(1e200,0),(0,1)} outcomes={a1,a2} ready=a0", 6, 41,
+     "basis over 'R' is not orthonormal: Gram[0,0] = (inf-nani)"),
+]
+
+
+@pytest.mark.parametrize("body, line, col, message", [case[1:] for case in BIG],
+                         ids=[case[0] for case in BIG])
+def test_a_coefficient_past_a_double_is_one_diagnostic(tmp_path, capsys, body, line, col,
+                                                        message):
+    path = write(tmp_path, "big.scn", "layout:\n  subsystem R {head, tail}\n"
+                                      f"{body}\nqueries:\n  born targets=(R)\n")
+    assert main(["check", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{path}: parse error: line {line}, col {col}: {message} (fix: ")
+
+
+@pytest.mark.parametrize("demo", ["fr", "ambiguity", "decoherence", "triortho"])
+def test_a_token_no_directive_takes_is_reported_on_its_line(tmp_path, capsys, demo):
+    # Every line that holds more than a comment, section headers and the
+    # state line included, gets " zz=1" before its comment.
+    lines = bundled_scenario_text(demo).splitlines(keepends=True)
+    path = tmp_path / "token.scn"
+    tried = 0
+    for n, raw in enumerate(lines, start=1):
+        code, hash_, comment = raw.rstrip("\n").partition("#")
+        if not code.strip():
+            continue
+        mutated = code.rstrip() + " zz=1" + (" " + hash_ + comment if hash_ else "") + "\n"
+        path.write_text("".join(lines[:n - 1] + [mutated] + lines[n:]), encoding="utf-8")
+        assert main(["check", str(path)]) == EXIT_PARSE, mutated
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"{path}: parse error: line {n}, col "), (n, err)
+        tried += 1
+    assert tried
+
+
 SCENARIOS = Path(__file__).resolve().parent / "scenarios"
 
 
