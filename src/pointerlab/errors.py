@@ -60,13 +60,12 @@ class ImpossibleOutcomeError(PointerLabError):
 
 
 class ScenarioParseError(PointerLabError):
-    """Scenario-file diagnostic with position and a one-line fix hint.  The
-    reader that finds the fault gives its column; ``line`` is set by
-    whoever knows which line was read."""
+    """Scenario-file diagnostic with position and a one-line fix hint; its
+    ``line`` is set by whoever knows which line was read."""
 
-    def __init__(self, message: str, column: int = 1, hint: str = "", *, line: int = 0):
+    def __init__(self, message: str, column: int = 1, hint: str = ""):
         self.message = message
-        self.line = line
+        self.line = 0
         self.column = column
         self.hint = hint
         super().__init__(message)

@@ -396,17 +396,15 @@ def _coefficient(text: str, col: int) -> complex:
     sign = -1.0 if sign_text == "-" else 1.0
     if p is not None:
         # int() refuses integers past its digit limit, and p/q past a double
-        # overflows.
+        # overflows: either reads as not finite.
         try:
-            if int(q) == 0:
-                raise ScenarioParseError("sqrt with zero denominator", col,
-                                         "use a nonzero denominator")
-            return complex(sign * math.sqrt(int(p) / int(q)))
+            value = complex(sign * math.sqrt(int(p) / int(q)))
+        except ZeroDivisionError:
+            raise ScenarioParseError("sqrt with zero denominator", col,
+                                     "use a nonzero denominator") from None
         except (OverflowError, ValueError):
-            raise ScenarioParseError(
-                f"coefficient {text.strip()!r} is out of floating-point range", col,
-                "write p and q with fewer digits") from None
-    if re_text is not None:
+            value = complex(math.inf)
+    elif re_text is not None:
         im_part = float(im_text) * (-1.0 if im_sign == "-" else 1.0)
         value = sign * complex(float(re_text), im_part)
     else:
@@ -460,9 +458,9 @@ def _expression(text: str, col: int) -> tuple[StateTerm, ...]:
 
 
 class _Context:
-    """What the parser knows when it reads a line, and the scenario read so
-    far.  Labels resolve to vectors against the layout in force (None
-    before the first subsystem line) and the derived labels.  A derived
+    """What the parser knows when it reads a line.  Labels resolve to
+    vectors against the layout in force (None before the first subsystem
+    line) and the derived labels.  A derived
     label belongs to the register object it was declared on: ``derived``
     maps (the register's ``id``, label) to the register, which keeps the id
     taken, the label's terms and its vector.  A register that ``group``
@@ -480,64 +478,6 @@ class _Context:
         self.stages: list[SubsystemLayout] = []
         self.apparatus: dict[str, PremeasureAction] = {}
         self.models: dict[str, ModelDecl] = {}
-        self.sections: list[str] = []  # the sections read, the one in force last
-        self.layout_derived: list[DerivedDecl] = []
-        self.state: tuple[tuple[StateTerm, ...], StateVector] | None = None
-        self.steps: list[Step] = []
-        self.queries: list[Query] = []
-
-    def read(self, raw_line: str) -> None:
-        """Read one line of scenario text."""
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
-            return
-        header = re.match(r"\s*(\w+):\s*(.*)", line)
-        if header and header.group(1) in SECTION_ORDER:
-            section = header.group(1)
-            if section in self.sections:
-                raise ScenarioParseError(f"duplicate section {section!r}", 1,
-                                         "each section appears at most once")
-            if self.sections and SECTION_ORDER.index(section) < SECTION_ORDER.index(self.sections[-1]):
-                raise ScenarioParseError(f"section {section!r} out of order", 1,
-                                         f"order sections as {', '.join(SECTION_ORDER)}")
-            self.sections.append(section)
-            if section != "layout" and not self.stages:
-                if self.layout is None:
-                    raise ScenarioParseError(f"{section}: comes before any subsystem", 1,
-                                             "start with layout: and a subsystem")
-                self.stages.append(self.layout)
-            rest = header.group(2)
-            if section == "state":
-                if not rest:
-                    raise ScenarioParseError("state: needs an expression on the same line", 1,
-                                             "write state: coeff|ket> + ...")
-                self.state = _parse_state(rest, header.start(2) + 1, self)
-            elif rest:
-                raise ScenarioParseError(f"unexpected text after {section}:", 1,
-                                         "put directives on their own lines")
-            return
-        if not self.sections:
-            raise ScenarioParseError("directive before any section header", 1, "start with layout:")
-        stripped = line.strip()
-        col0 = raw_line.index(stripped[0]) + 1
-        section = self.sections[-1]
-        if section == "layout":
-            _parse_layout_line(stripped, col0, self)
-        elif section == "state":
-            raise ScenarioParseError("state section holds a single expression line", col0,
-                                     "put the expression after state:")
-        elif section == "actions":
-            step = _parse_action_line(stripped, col0, self)
-            self.steps.append(step)
-            if isinstance(step, PremeasureAction):
-                self.apparatus[step.apparatus] = step
-            if not isinstance(step, DerivedDecl):
-                self.stages.append(self.layout)
-        elif section == "models":
-            model = _parse_model_line(stripped, col0, self)
-            self.models[model.name] = model
-        else:
-            self.queries.append(_parse_query_line(stripped, col0, self))
 
     def add(self, name: str, labels: tuple[str, ...], col: int) -> None:
         held = self.layout.subsystems if self.layout else ()
@@ -729,24 +669,89 @@ def parse_scenario(text: str) -> Scenario:
     finds a problem gives its column, and the line loop puts on it the line
     it was reading (the last line for a problem found at the end)."""
     ctx = _Context()
+    derived_layout: list[DerivedDecl] = []
+    state_terms: tuple[StateTerm, ...] | None = None
+    initial: StateVector | None = None
+    steps: list[Step] = []
+    queries: list[Query] = []
+    section = None
+    seen_sections: list[str] = []
     line_no = 1
     try:
         # A huge coefficient makes a norm or Gram entry inf or nan, which the
         # checks report; numpy's warnings about it stay unprinted.
         with np.errstate(all="ignore"):
             for line_no, raw_line in enumerate(text.splitlines(), start=1):
-                ctx.read(raw_line)
-        if ctx.state is None:
+                line = raw_line.split("#", 1)[0].rstrip()
+                if not line.strip():
+                    continue
+                header = re.match(r"\s*(\w+):\s*(.*)", line)
+                if header and header.group(1) in SECTION_ORDER:
+                    section = header.group(1)
+                    if section in seen_sections:
+                        raise ScenarioParseError(f"duplicate section {section!r}", 1,
+                                                 "each section appears at most once")
+                    if seen_sections and (SECTION_ORDER.index(section)
+                                          < SECTION_ORDER.index(seen_sections[-1])):
+                        raise ScenarioParseError(f"section {section!r} out of order", 1,
+                                                 f"order sections as {', '.join(SECTION_ORDER)}")
+                    seen_sections.append(section)
+                    if section != "layout" and not ctx.stages:
+                        if ctx.layout is None:
+                            raise ScenarioParseError(f"{section}: comes before any subsystem",
+                                                     1, "start with layout: and a subsystem")
+                        ctx.stages.append(ctx.layout)
+                    rest = header.group(2)
+                    if section == "state":
+                        if not rest:
+                            raise ScenarioParseError("state: needs an expression on the same line",
+                                                     1, "write state: coeff|ket> + ...")
+                        state_terms, initial = _parse_state(rest, header.start(2) + 1, ctx)
+                    elif rest:
+                        raise ScenarioParseError(f"unexpected text after {section}:", 1,
+                                                 "put directives on their own lines")
+                    continue
+                if section is None:
+                    raise ScenarioParseError("directive before any section header", 1,
+                                             "start with layout:")
+                stripped = line.strip()
+                col0 = raw_line.index(stripped[0]) + 1
+                if section == "layout" and stripped.startswith("derived"):
+                    derived_layout.append(_parse_derived(stripped, col0, ctx))
+                elif section == "layout":
+                    _parse_layout_line(stripped, col0, ctx)
+                elif section == "state":
+                    raise ScenarioParseError("state section holds a single expression line",
+                                             col0, "put the expression after state:")
+                elif section == "actions":
+                    step = _parse_action_line(stripped, col0, ctx)
+                    steps.append(step)
+                    if isinstance(step, PremeasureAction):
+                        ctx.apparatus[step.apparatus] = step
+                    if not isinstance(step, DerivedDecl):
+                        ctx.stages.append(ctx.layout)
+                elif section == "models":
+                    model = _parse_model_line(stripped, col0, ctx)
+                    ctx.models[model.name] = model
+                elif section == "queries":
+                    queries.append(_parse_query_line(stripped, col0, ctx))
+        if state_terms is None:
             raise ScenarioParseError("no state: section", 1, "declare the initial state")
-        if not ctx.queries:
+        if not queries:
             raise ScenarioParseError("no queries", 1,
                                      "add a queries: section with at least one query")
     except ScenarioParseError as exc:
         exc.line = line_no
         raise
-    terms, initial = ctx.state
-    return Scenario(ctx.stages[0].subsystems, tuple(ctx.layout_derived), terms, tuple(ctx.steps),
-                    tuple(ctx.models.values()), tuple(ctx.queries), initial)
+    return Scenario(
+        subsystems=ctx.stages[0].subsystems,
+        derived=tuple(derived_layout),
+        state_terms=state_terms,
+        steps=tuple(steps),
+        models=tuple(ctx.models.values()),
+        queries=tuple(queries),
+        initial=initial,
+    )
 
 
 def _parse_derived(stripped: str, col0: int, ctx: _Context) -> DerivedDecl:
@@ -782,25 +787,22 @@ def _parse_derived(stripped: str, col0: int, ctx: _Context) -> DerivedDecl:
 
 
 def _parse_layout_line(stripped: str, col0: int, ctx: _Context) -> None:
-    if stripped.startswith("subsystem"):
-        m = re.match(r"^subsystem\s+(\S+)\s*(\{.*\})$", stripped)
-        if not m:
-            raise ScenarioParseError("malformed subsystem declaration", col0,
-                                     "write: subsystem NAME {label, label, ...}")
-        ncol = col0 + m.start(1)
-        name = _name(m.group(1), ncol, "subsystem")
-        if ctx.layout and name in ctx.layout.axes:
-            raise ScenarioParseError(f"subsystem {name!r} already declared", ncol,
-                                     "pick a fresh name")
-        labels = tuple(_label(lab, off) for lab, off in
-                       _entries(m.group(2), "{}", col0 + m.start(2), "label set",
-                                "list at least one label"))
-        ctx.add(name, labels, col0)
-    elif stripped.startswith("derived"):
-        ctx.layout_derived.append(_parse_derived(stripped, col0, ctx))
-    else:
+    if not stripped.startswith("subsystem"):
         raise ScenarioParseError(f"unknown layout directive {stripped.split()[0]!r}", col0,
                                  "use subsystem or derived")
+    m = re.match(r"^subsystem\s+(\S+)\s*(\{.*\})$", stripped)
+    if not m:
+        raise ScenarioParseError("malformed subsystem declaration", col0,
+                                 "write: subsystem NAME {label, label, ...}")
+    ncol = col0 + m.start(1)
+    name = _name(m.group(1), ncol, "subsystem")
+    if ctx.layout and name in ctx.layout.axes:
+        raise ScenarioParseError(f"subsystem {name!r} already declared", ncol,
+                                 "pick a fresh name")
+    labels = tuple(_label(lab, off) for lab, off in
+                   _entries(m.group(2), "{}", col0 + m.start(2), "label set",
+                            "list at least one label"))
+    ctx.add(name, labels, col0)
 
 
 def _parse_state(expr: str, col: int, ctx: _Context
