@@ -521,30 +521,32 @@ def decoherence_compare(state: StateVector, models: Sequence[CoupleStep],
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyAudit:
-    """Chained certainty claims versus the directly computed joint outcome,
-    under both semantics.  ``statement_1_decoherent`` is the verdict on the
-    statement checked again under decoherent semantics (in the FR chain,
-    statement 1)."""
+    """Chained certainty claims versus the computed probability of the
+    declared ``joint`` outcome, which a derivable chain claims is 0
+    (``claimed_probability``; None if underivable).  ``recheck`` pairs the
+    statement checked under decoherent semantics with its verdict."""
 
     statements_premeasurement: tuple[tuple[str, CertaintyVerdict], ...]
     chain_derivable: bool
+    joint: tuple[tuple[str, str], ...]
+    claimed_probability: float | None
     computed_probability: float
     contradiction_premeasurement: bool
-    statement_1_decoherent: CertaintyVerdict
+    recheck: tuple[str, CertaintyVerdict]
     contradiction_decoherent: bool
     decoherent_models: tuple[str, ...]
 
 
 def consistency_audit(transcript: ProtocolTranscript,
                       statements: Sequence[tuple[str, CertaintyVerdict | PointerLabError]],
-                      recheck: CertaintyVerdict | PointerLabError,
+                      recheck: tuple[str, CertaintyVerdict | PointerLabError],
                       joint: Sequence[tuple[str, str]]) -> ConsistencyAudit:
     """Judge the answers to a chain of named premeasurement-semantics claims
     against one joint outcome, under both semantics.
 
     ``statements`` pairs each statement's name with its answer from
-    ``certainties`` (a verdict, or the error of its claim); ``recheck`` is
-    the answer to one statement's claim under decoherent semantics.
+    ``certainties`` (a verdict, or the error of its claim), and ``recheck``
+    one statement's name with its answer under decoherent semantics.
     ``joint`` pairs each outer apparatus with a measured-basis label; the
     chain, when every statement is certain, composes into the claim that
     this joint outcome is impossible.  The final state assigning it
@@ -562,17 +564,20 @@ def consistency_audit(transcript: ProtocolTranscript,
     registers, labels = zip(*joint)
     computed = joint_outcome(transcript, registers).probability(labels)
     contradiction = chain_derivable and computed > PRUNE_PROB
-    if isinstance(recheck, PointerLabError):
-        raise recheck
-    if not recheck.evidence:
+    verdict = recheck[1]
+    if isinstance(verdict, PointerLabError):
+        raise verdict
+    if not verdict.evidence:
         raise PointerLabError("the recheck needs decoherent semantics, not premeasurement")
 
     return ConsistencyAudit(
         statements_premeasurement=tuple(statements),
         chain_derivable=chain_derivable,
+        joint=tuple(joint),
+        claimed_probability=0.0 if chain_derivable else None,
         computed_probability=computed,
         contradiction_premeasurement=contradiction,
-        statement_1_decoherent=recheck,
-        contradiction_decoherent=contradiction and recheck.kind == "certain",
-        decoherent_models=tuple(name for name, _ in recheck.evidence),
+        recheck=(recheck[0], verdict),
+        contradiction_decoherent=contradiction and verdict.kind == "certain",
+        decoherent_models=tuple(name for name, _ in verdict.evidence),
     )

@@ -286,33 +286,32 @@ def _table_lines(res: dict[str, Any]) -> list[str]:
         lines = [
             f"  pointer mixtures differ on the full registers: "
             f"max |difference| = {_fmt(res['full_max_difference'])}",
-            f"  restrictions (spin traced out) equal: {res['restriction_equal']} "
+            f"  restrictions ({', '.join(res['hidden'])} traced out) equal: "
+            f"{res['restriction_equal']} "
             f"(max |difference| = {_fmt(res['restriction_max_difference'])})",
             f"  branch weights: coarse ({', '.join(_fmt(w) for w in res['branch_weights']['coarse'])}), "
             f"fine ({', '.join(_fmt(w) for w in res['branch_weights']['fine'])})",
-            "  apparatus marginal (coarse):",
         ]
-        lines.extend(_dist_lines(res["apparatus_marginal"]["coarse"], "    "))
-        lines.append("  apparatus marginal (fine):")
-        lines.extend(_dist_lines(res["apparatus_marginal"]["fine"], "    "))
+        for model in ("coarse", "fine"):
+            lines.append(f"  apparatus marginal ({model}):")
+            lines.extend(_dist_lines(res["apparatus_marginal"][model], "    "))
         return lines
     if kind == "consistency_audit":
-        pre = res["premeasurement"]
-        dec = res["decoherent"]
-        lines = ["  premeasurement semantics:"]
-        for st in pre["statements"]:
-            lines.append(f"    {st['name']}: {st['verdict']} "
-                         f"(p = {_fmt(st['probability'])})")
+        pre, dec = res["premeasurement"], res["decoherent"]
         claimed = pre["claimed_probability"]
-        lines.append(f"    chain derivable: {pre['chain_derivable']}; "
-                     f"claimed p(okbar,ok) = "
-                     f"{_fmt(claimed) if claimed is not None else 'underivable'}")
-        lines.append(f"    computed p(okbar,ok) = {_fmt(pre['computed_probability'])}")
-        lines.append(f"    contradiction: {pre['contradiction']}")
-        lines.append(f"  decoherent semantics (models: {', '.join(dec['models'])}):")
-        lines.append(f"    statement-1 verdict: {dec['statement_1_verdict']}")
-        lines.append(f"    contradiction: {dec['contradiction']}")
-        return lines
+        joint = f"p({','.join(pre['joint'].values())})"
+        return [
+            "  premeasurement semantics:",
+            *(f"    {st['name']}: {st['verdict']} (p = {_fmt(st['probability'])})"
+              for st in pre["statements"]),
+            f"    chain derivable: {pre['chain_derivable']}; claimed {joint} = "
+            f"{_fmt(claimed) if claimed is not None else 'underivable'}",
+            f"    computed {joint} = {_fmt(pre['computed_probability'])}",
+            f"    contradiction: {pre['contradiction']}",
+            f"  decoherent semantics (models: {', '.join(dec['models'])}):",
+            f"    {dec['statement']} verdict: {dec['verdict']}",
+            f"    contradiction: {dec['contradiction']}",
+        ]
     return [f"  {res}"]
 
 
@@ -372,7 +371,7 @@ def _claims(query: sc.Query) -> list[ex.Claim]:
 def _audit(query: sc.AuditQuery, transcript: ProtocolTranscript,
            answers: Sequence[CertaintyVerdict | PointerLabError]) -> ConsistencyAudit:
     return ex.consistency_audit(transcript, list(zip(dict(query.chain), answers)),
-                                answers[-1], query.joint)
+                                (query.decoherent, answers[-1]), query.joint)
 
 
 def _compare(query: sc.CompareQuery, transcript: ProtocolTranscript) -> DecoherenceComparison:
@@ -384,18 +383,9 @@ def _dist_payload(dist: OutcomeDistribution) -> list[dict[str, Any]]:
     return [{"outcome": list(labels), "probability": _q(p)} for labels, p in dist.entries]
 
 
-def _verdict_payload(v: CertaintyVerdict) -> dict[str, Any]:
-    return {
-        "verdict": v.kind,
-        "conditional": _dist_payload(v.conditional),
-        "evidence": [
-            {"model": name, "distribution": _dist_payload(d)}
-            for name, d in v.evidence
-        ],
-    }
-
-
-def _decomposition_payload(dec: Decomposition) -> dict[str, Any]:
+def _decomposition_payload(dec: Decomposition | None) -> dict[str, Any] | None:
+    if dec is None:
+        return None
     return {
         "parts": [list(p) for p in dec.parts],
         "terms": [
@@ -426,15 +416,17 @@ def _run_query(query, transcript: ProtocolTranscript,
         (verdict,) = answers
         if isinstance(verdict, PointerLabError):
             raise verdict
-        payload = {
+        return {
             "kind": "certainty",
             "observer": query.observer,
             "outcome": query.outcome,
             "prop": f"{query.prop_subject} {query.prop_quantifier} {query.prop_predicate}",
             "semantics": query.semantics,
+            "verdict": verdict.kind,
+            "conditional": _dist_payload(verdict.conditional),
+            "evidence": [{"model": name, "distribution": _dist_payload(d)}
+                         for name, d in verdict.evidence],
         }
-        payload.update(_verdict_payload(verdict))
-        return payload
     if isinstance(query, sc.RewriteQuery):
         bases, t = rewrite_coefficients(final, {b.layout.names[0]: b for b in query.resolved})
         kept = compress(zip(product(*(b.labels for b in bases)), t.reshape(-1).tolist()),
@@ -446,14 +438,9 @@ def _run_query(query, transcript: ProtocolTranscript,
         }
     if isinstance(query, sc.TriorthoQuery):
         verdict = triortho_verdict(final, query.parts)
-        payload: dict[str, Any] = {"kind": "triortho", "verdict": verdict.kind}
-        payload["canonical"] = (
-            _decomposition_payload(verdict.canonical) if verdict.canonical else None
-        )
-        payload["witness"] = (
-            _decomposition_payload(verdict.witness) if verdict.witness else None
-        )
-        return payload
+        return {"kind": "triortho", "verdict": verdict.kind,
+                "canonical": _decomposition_payload(verdict.canonical),
+                "witness": _decomposition_payload(verdict.witness)}
     if isinstance(query, sc.AuditQuery):
         audit = _audit(query, transcript, answers)
         return {
@@ -469,13 +456,15 @@ def _run_query(query, transcript: ProtocolTranscript,
                                                          query.chain, strict=True)
                 ],
                 "chain_derivable": audit.chain_derivable,
-                "claimed_probability": 0.0 if audit.chain_derivable else None,
+                "joint": dict(audit.joint),
+                "claimed_probability": audit.claimed_probability,
                 "computed_probability": _q(audit.computed_probability),
                 "contradiction": audit.contradiction_premeasurement,
             },
             "decoherent": {
                 "models": list(audit.decoherent_models),
-                "statement_1_verdict": audit.statement_1_decoherent.kind,
+                "statement": audit.recheck[0],
+                "verdict": audit.recheck[1].kind,
                 "contradiction": audit.contradiction_decoherent,
             },
         }
@@ -484,6 +473,7 @@ def _run_query(query, transcript: ProtocolTranscript,
         return {
             "kind": "decoherence_compare",
             "full_max_difference": _q(cmp.full_max_difference),
+            "hidden": list(query.hidden),
             "restriction_equal": cmp.reduced_equal,
             "restriction_max_difference": _q(cmp.reduced_max_difference),
             "branch_weights": {

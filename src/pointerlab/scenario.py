@@ -529,7 +529,12 @@ class _Context:
                 f"has dimension {sub.dimension}", col,
                 "give one amplitude per basis label",
             )
-        return np.array(item, dtype=np.complex128)
+        vec = np.array(item, dtype=np.complex128)
+        nrm = float(np.linalg.norm(vec))
+        if not math.isfinite(nrm * nrm):  # the Gram check would read inf
+            raise ScenarioParseError(f"basis vector has norm {nrm:.9g}, expected 1", col,
+                                     "normalize the vector")
+        return vec
 
     def basis(self, sub: Subsystem, items: Sequence[tuple[BasisItem, int]], col: int) -> Basis:
         """Orthonormal basis over one register from (item, column) pairs; a

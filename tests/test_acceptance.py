@@ -88,7 +88,7 @@ def test_criterion_4_contradiction_audit():
     ok = ok and audit.chain_derivable
     ok = ok and abs(audit.computed_probability - 1 / 12) < TOL
     ok = ok and not audit.contradiction_decoherent
-    ok = ok and audit.statement_1_decoherent.kind == "undetermined"
+    ok = ok and audit.recheck[1].kind == "undetermined"
     report("criterion 4: audit flags the premeasurement chain (claims 0, "
            "measures 1/12) and clears under decoherent semantics", ok)
 

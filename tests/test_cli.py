@@ -246,8 +246,8 @@ BIG = [
     ("model", "state: |head>\nmodels:\n  model m targets=(R) branches={1e200|head>, |tail>}",
      5, 33, "branch vector has norm inf, expected 1"),
     ("basis", "  subsystem A {a0, a1, a2}\nstate: |head,a0>\nactions:\n  premeasure target=R "
-     "apparatus=A basis={(1e200,0),(0,1)} outcomes={a1,a2} ready=a0", 6, 41,
-     "basis over 'R' is not orthonormal: Gram[0,0] = (inf-nani)"),
+     "apparatus=A basis={(1e200,0),(0,1)} outcomes={a1,a2} ready=a0", 6, 42,
+     "basis vector has norm inf, expected 1"),
 ]
 
 
@@ -852,7 +852,8 @@ def test_each_malformed_directive_is_one_positioned_diagnostic(request, tmp_path
 @pytest.mark.parametrize("old, new, line, col, message", [
     ("couple env=E", "couple env=E:x,y", 10, 14, "malformed environment name 'E:x,y'"),
     ("{head,tail}", "{(1,0), (0,-)}", 9, 52, "vector literal entry '-' has no amplitude"),
-], ids=["environment-name", "literal-sign-only-entry"])
+    ("{head,tail}", "{(1e200,0),(0,1)}", 9, 42, "basis vector has norm inf, expected 1"),
+], ids=["environment-name", "literal-sign-only-entry", "literal-norm-overflow"])
 def test_names_and_literal_entries_are_read_one_way(tmp_path, capsys, old, new, line, col,
                                                     message):
     # An environment name passes the check every declared name passes.  A
@@ -862,6 +863,15 @@ def test_names_and_literal_entries_are_read_one_way(tmp_path, capsys, old, new, 
     assert main(["check", path]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith(
         f"{path}: parse error: line {line}, col {col}: {message} (fix: ")
+
+
+def test_report_labels_name_the_declared_joint_statement_and_hidden_registers():
+    # The audit declares joint=(B:t) decoherent=s1 and the comparison
+    # hidden=(S); the table names those, not the bundled scenarios' names.
+    table = run(parse_scenario(EVERY_DIRECTIVE), source_text=EVERY_DIRECTIVE).to_table()
+    for label in ("claimed p(t) = ", "computed p(t) = ", "    s1 verdict: ",
+                  "  restrictions (S traced out) equal: "):
+        assert label in table, label
 
 
 def test_group_parts_may_have_spaces_like_every_other_list(tmp_path, capsys):

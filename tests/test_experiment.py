@@ -289,7 +289,7 @@ def test_consistency_audit_flags():
     assert all(v.kind == "certain" for _, v in audit.statements_premeasurement)
     assert abs(audit.computed_probability - 1 / 12) < 1e-9
     assert audit.contradiction_premeasurement
-    assert audit.statement_1_decoherent.kind == "undetermined"
+    assert audit.recheck[1].kind == "undetermined"
     assert not audit.contradiction_decoherent
     assert audit.decoherent_models == ("two-branch", "three-branch")
 
@@ -394,6 +394,23 @@ def test_audit_reads_the_chain_its_query_declares():
         assert not pre["contradiction"] and not audit["decoherent"]["contradiction"]
 
 
+def test_audit_labels_its_probabilities_with_the_declared_joint():
+    # The printed probabilities are those of the outcome joint= names.  Only
+    # labels and numbers are pinned: whether the chain rules that outcome
+    # out is not judged here.
+    from pointerlab.runner import run
+
+    text = bundled_scenario_text("fr").replace("joint=(Wbar:okbar, W:ok)",
+                                               "joint=(Wbar:failbar, W:fail)")
+    assert text.count("joint=(Wbar:failbar, W:fail)") == 1
+    report = run(parse_scenario(text), source_text=text)
+    assert report.results[2]["premeasurement"]["joint"] == {"Wbar": "failbar", "W": "fail"}
+    table = report.to_table()
+    assert "claimed p(failbar,fail) = 0.0\n" in table
+    assert "computed p(failbar,fail) = 0.75\n" in table
+    assert "okbar" not in table.split("-- query 3")[1]
+
+
 def test_compare_reads_the_models_its_query_declares():
     from pointerlab.runner import run
 
@@ -413,22 +430,22 @@ def test_reports_take_the_transcript_and_declared_inputs(monkeypatch):
     joint = [("Wbar", "okbar"), ("W", "ok")]
     # The audit judges the answers it is given and replays nothing.
     monkeypatch.setattr(ex, "apply_step", None)
-    audit = ex.consistency_audit(tr, [("s1", answer)], recheck, joint)
+    audit = ex.consistency_audit(tr, [("s1", answer)], ("s1", recheck), joint)
     assert audit.chain_derivable and audit.contradiction_premeasurement
-    assert audit.statement_1_decoherent.kind == "undetermined"
+    assert audit.recheck[1].kind == "undetermined"
     assert audit.decoherent_models == tuple(m.environment for m in MODELS)
     # A statement's error comes first, then the recheck's.
     failed, refused = PointerLabError("statement failed"), PointerLabError("recheck failed")
     with pytest.raises(PointerLabError, match="statement failed"):
-        ex.consistency_audit(tr, [("s1", answer), ("s2", failed)], refused, joint)
+        ex.consistency_audit(tr, [("s1", answer), ("s2", failed)], ("s1", refused), joint)
     with pytest.raises(PointerLabError, match="recheck failed"):
-        ex.consistency_audit(tr, [("s1", answer)], refused, joint)
+        ex.consistency_audit(tr, [("s1", answer)], ("s1", refused), joint)
     # A chain is derived under premeasurement semantics only, and the
     # recheck is made under decoherent semantics.
     with pytest.raises(PointerLabError, match="a chain is derived under premeasurement"):
-        ex.consistency_audit(tr, [("s1", recheck)], recheck, joint)
+        ex.consistency_audit(tr, [("s1", recheck)], ("s1", recheck), joint)
     with pytest.raises(PointerLabError, match="recheck needs decoherent semantics"):
-        ex.consistency_audit(tr, [("s1", answer)], answer, joint)
+        ex.consistency_audit(tr, [("s1", answer)], ("s1", answer), joint)
     with pytest.raises(PointerLabError):
         ex.decoherence_compare(tr.final_state, MODELS[:1], ("S",), "W")
 
