@@ -34,8 +34,8 @@ class InvalidPartitionError(PointerLabError):
 
 
 class NonOrthonormalBasisError(PointerLabError):
-    """``gram`` is the Gram entry (i, j, value) furthest from the identity
-    when that is what failed, else None."""
+    """``gram`` is the failing Gram entry (i, j, value) that
+    ``hilbert.gram_defect`` found when orthonormality failed, else None."""
 
     def __init__(self, message: str, gram: tuple[int, int, complex] | None = None):
         super().__init__(message)
@@ -60,10 +60,12 @@ class ImpossibleOutcomeError(PointerLabError):
 
 
 class ScenarioParseError(PointerLabError):
-    """Scenario-file diagnostic with position and a one-line fix hint; its
-    ``line`` is set by whoever knows which line was read."""
+    """Scenario-file diagnostic with position and a one-line fix hint (a
+    str); its ``line`` is set by whoever knows which line was read."""
 
     def __init__(self, message: str, column: int = 1, hint: str = ""):
+        if not isinstance(hint, str):
+            raise TypeError(f"ScenarioParseError hint must be a str, not {type(hint).__name__}")
         self.message = message
         self.line = 0
         self.column = column

@@ -534,7 +534,6 @@ class ConsistencyAudit:
     contradiction_premeasurement: bool
     recheck: tuple[str, CertaintyVerdict]
     contradiction_decoherent: bool
-    decoherent_models: tuple[str, ...]
 
 
 def consistency_audit(transcript: ProtocolTranscript,
@@ -579,5 +578,4 @@ def consistency_audit(transcript: ProtocolTranscript,
         contradiction_premeasurement=contradiction,
         recheck=(recheck[0], verdict),
         contradiction_decoherent=contradiction and verdict.kind == "certain",
-        decoherent_models=tuple(name for name, _ in verdict.evidence),
     )

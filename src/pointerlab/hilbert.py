@@ -140,16 +140,15 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.layout.dimension,):
             raise LayoutMismatchError(
                 f"amplitude vector of length {amps.shape} does not match layout "
                 f"dimension {self.layout.dimension}"
             )
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > ATOL:
-            raise DegenerateStateError(f"state norm {nrm} not 1 within {ATOL}")
-        amps = amps.copy()
+        defect = _norm_defect(amps.reshape(1, -1))
+        if defect is not None:
+            raise DegenerateStateError(f"state norm {defect[1]} not 1 within {ATOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -194,12 +193,10 @@ class StateBatch:
                 f"batch of shape {amps.shape} does not hold states of layout "
                 f"dimension {self.layout.dimension}"
             )
-        parts = amps.view(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-        j = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[j] - 1.0) > ATOL:
-            raise DegenerateStateError(f"state {j} of the batch has norm {norms[j]}, not 1 "
-                                       f"within {ATOL}")
+        defect = _norm_defect(amps)
+        if defect is not None:
+            raise DegenerateStateError(f"state {defect[0]} of the batch has norm {defect[1]}, "
+                                       f"not 1 within {ATOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -256,12 +253,12 @@ class DensityOperator:
         d = self.layout.dimension
         if mat.shape != (d, d):
             raise LayoutMismatchError(f"density shape {mat.shape}, expected {(d, d)}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise LayoutConflictError("density operator not Hermitian within 1e-9")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise LayoutConflictError(f"density trace {tr} not 1 within 1e-9")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -ATOL:
+        if not float(np.min(np.linalg.eigvalsh(mat))) >= -ATOL:
             raise LayoutConflictError("density operator has eigenvalue below -1e-9")
         mat = mat.copy()
         mat.flags.writeable = False
@@ -290,16 +287,31 @@ def normalized(layout: SubsystemLayout, amps: np.ndarray) -> StateVector:
     return StateVector(layout, amps / nrm)
 
 
+def _norm_defect(rows: np.ndarray) -> tuple[int, float] | None:
+    """The first of the C-contiguous complex ``rows`` whose norm is not 1
+    within ATOL (NaN and inf never are), as (index, norm), else None."""
+    parts = rows.view(np.float64)
+    for i, square in enumerate(np.einsum("ij,ij->i", parts, parts).tolist()):
+        if not abs(math.sqrt(square) - 1.0) <= ATOL:
+            return i, math.sqrt(square)
+    return None
+
+
 def gram_defect(rows: np.ndarray) -> tuple[int, int, complex] | None:
-    """Where the vectors in ``rows`` (one per row) fail to be orthonormal:
-    the Gram entry (i, j, value) furthest from the identity when it is off by
-    more than ATOL, else None."""
+    """The one orthonormality check of ``rows`` (one vector per row): the
+    Gram entry (i, j, value) more than ATOL from the identity's (NaN and inf
+    always are), else None.  The first failing norm comes first, as G_ii
+    summed from squares, so an overflow reads inf; then the entry furthest off."""
     gram = rows.conj() @ rows.T
     dev = np.abs(gram - np.eye(len(rows)))
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    if dev[i, j] > ATOL:
-        return int(i), int(j), complex(gram[i, j])
-    return None
+    if dev.max(initial=0.0) <= ATOL:
+        return None
+    off = np.flatnonzero(~(dev.diagonal() <= ATOL))
+    if off.size:
+        i = int(off[0])
+        return i, i, complex((np.abs(rows[i]) ** 2).sum())
+    i, j = divmod(int(np.argmax(dev)), len(rows))
+    return i, j, complex(gram[i, j])
 
 
 def apply_to_axis(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:

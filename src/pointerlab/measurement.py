@@ -8,9 +8,9 @@ goes to the record |a_i> on the branch where the target holds basis vector
 multi-register target, implements the one-shot environment couplings used
 for decoherence arguments.  States only ever pass through the ready sector,
 where the map is applied straight from the k x d_t matrix of branch rows;
-their orthonormality is checked once, where the rows are made (`Basis`).
-``correlating_unitary`` builds the same map densely from a checked `Basis`
-and completes it to a full unitary for inspection.  Conditioning on an
+their orthonormality is checked once, where the rows are made
+(`Basis.from_rows`).  ``correlating_unitary`` builds the same map densely
+from a checked `Basis` and completes it to a full unitary for inspection.  Conditioning on an
 outcome has one path, ``conditioned_branches``, whose one-branch case is
 premeasurement semantics (``condition``).  It and the pointer mixture of
 ``experiment.decoherence_compare`` start from ``branch_components``, the
@@ -59,23 +59,14 @@ from .hilbert import (
 from .hilbert import DensityOperator
 
 
-def _check_orthonormal(rows: np.ndarray) -> None:
-    """Raise NonOrthonormalBasisError, carrying the Gram entry, unless the
-    rows of ``rows`` are orthonormal."""
-    defect = gram_defect(rows)
-    if defect is not None:
-        i, j, g = defect
-        raise NonOrthonormalBasisError(f"basis not orthonormal: Gram[{i},{j}] = {g:.6g}", defect)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class Basis:
     """Ordered, labeled, pairwise-orthonormal vectors over one (sub)layout,
     held as the rows of ``matrix``, shape (k, d), which is read-only.
 
-    ``Basis(labels, vectors)`` stacks unit StateVectors; ``from_rows``
-    takes raw rows and normalises them.  Either way the rows are checked
-    orthonormal once, when the basis is made.  ``vectors`` are the rows as
+    ``from_rows`` is the one constructor that checks raw rows (with
+    ``hilbert.gram_defect``) and normalises them; ``Basis(labels, vectors)``
+    stacks StateVectors and goes through it.  ``vectors`` are the rows as
     StateVectors, made when first read."""
 
     labels: tuple[str, ...]
@@ -87,13 +78,10 @@ class Basis:
         if not vectors:
             raise NonOrthonormalBasisError("basis needs one label per vector")
         layout = vectors[0].layout
-        for v in vectors:
-            if v.layout != layout:
-                raise LayoutMismatchError("basis vectors live over different layouts")
-        rows = np.stack([v.amplitudes for v in vectors])
-        _check_orthonormal(rows)
-        self._hold(labels, layout, rows)
-        object.__setattr__(self, "vectors", vectors)
+        if any(v.layout != layout for v in vectors):
+            raise LayoutMismatchError("basis vectors live over different layouts")
+        basis = Basis.from_rows(labels, layout, np.stack([v.amplitudes for v in vectors]))
+        self._hold(basis.labels, layout, basis.matrix)
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], layout: SubsystemLayout,
@@ -103,7 +91,11 @@ class Basis:
         diagonal; then each is divided by its own norm, as
         ``hilbert.normalized`` does."""
         rows = np.asarray(rows, dtype=np.complex128)
-        _check_orthonormal(rows)
+        defect = gram_defect(rows)
+        if defect is not None:
+            i, j, g = defect
+            raise NonOrthonormalBasisError(f"basis not orthonormal: Gram[{i},{j}] = {g:.6g}",
+                                           defect)
         norms = np.array([np.linalg.norm(row) for row in rows])
         basis = cls.__new__(cls)
         basis._hold(labels, layout, rows / norms[:, None])
@@ -199,7 +191,7 @@ class OutcomeDistribution:
             p = max(p, 0.0)
             total += p
             cleaned.append((tuple(labels), float(p)))
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:  # a NaN weight fails here
             raise BasisCoverageError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "entries", tuple(cleaned))
 
@@ -369,10 +361,7 @@ def branch_basis(branches: Sequence[StateVector]) -> Basis:
     its branch sets from rows (``Basis.from_rows``) instead."""
     if not branches:
         raise IncompleteBranchingError("at least one branch is required")
-    try:
-        return Basis(branch_labels(len(branches)), tuple(branches))
-    except NonOrthonormalBasisError:
-        raise NonOrthonormalBasisError("branch vectors are not orthonormal") from None
+    return Basis(branch_labels(len(branches)), tuple(branches))
 
 
 def _along_branches(state: StateVector | StateBatch, branches: Basis

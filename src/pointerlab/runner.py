@@ -462,7 +462,7 @@ def _run_query(query, transcript: ProtocolTranscript,
                 "contradiction": audit.contradiction_premeasurement,
             },
             "decoherent": {
-                "models": list(audit.decoherent_models),
+                "models": [name for name, _ in audit.recheck[1].evidence],
                 "statement": audit.recheck[0],
                 "verdict": audit.recheck[1].kind,
                 "contradiction": audit.contradiction_decoherent,

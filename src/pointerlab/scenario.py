@@ -16,8 +16,10 @@ the models a comparison names.  Those fields take no part in equality, so
 ``parse_scenario(serialize_scenario(s)) == s`` compares scenario text.
 
 The format is purpose-built so diagnostics can talk physics: undeclared
-subsystems, bad ket arity, and non-orthonormal bases (with the offending
-Gram entry) are all caught at parse time with line/column positions.  A
+subsystems, bad ket arity, and vectors that are not orthonormal are all
+caught at parse time with line/column positions.  Every declared vector
+goes through ``hilbert.gram_defect``: a norm is reported at its vector,
+then an overlap at its set, with the Gram entry; NaN and inf fail.  A
 diagnostic's column comes from the reader that finds the fault, and its
 line from ``parse_scenario``'s line loop, the one place that knows which
 line is being read.
@@ -79,11 +81,11 @@ from .errors import (
     UnknownLabelError,
 )
 from .hilbert import (
-    ATOL,
     MAX_AMPLITUDES,
     StateVector,
     Subsystem,
     SubsystemLayout,
+    gram_defect,
     group_layout,
     merged_register,
     normalized,
@@ -529,19 +531,14 @@ class _Context:
                 f"has dimension {sub.dimension}", col,
                 "give one amplitude per basis label",
             )
-        vec = np.array(item, dtype=np.complex128)
-        nrm = float(np.linalg.norm(vec))
-        if not math.isfinite(nrm * nrm):  # the Gram check would read inf
-            raise ScenarioParseError(f"basis vector has norm {nrm:.9g}, expected 1", col,
-                                     "normalize the vector")
-        return vec
+        return np.array(item, dtype=np.complex128)
 
     def basis(self, sub: Subsystem, items: Sequence[tuple[BasisItem, int]], col: int) -> Basis:
         """Orthonormal basis over one register from (item, column) pairs; a
         vector literal is labelled b<k> after its position.  An item error,
-        or a literal's label that the set also names, points at the item, a
-        Gram defect at the set's column ``col``.  Each distinct set over the
-        same register resolves once."""
+        a literal's label that the set also names, or a vector that is not
+        unit points at the item, an overlap at the set's column ``col``.
+        Each distinct set over the same register resolves once."""
         key = (id(sub), tuple(it for it, _ in items))
         if key in self._bases:
             return self._bases[key]
@@ -552,10 +549,9 @@ class _Context:
                 raise ScenarioParseError(
                     f"vector literal {k} is labelled {labels[k]!r}, which the set also names",
                     icol, "name the vector with a derived label")
-        basis = self._bases[key] = _checked(labels, SubsystemLayout((sub,)), raw, col,
-                                            f"basis over {sub.name!r} is not orthonormal",
-                                            "make the vectors orthonormal")
-        return basis
+        self._bases[key] = _checked(labels, SubsystemLayout((sub,)), raw, [c for _, c in items],
+                                    col, "basis", f"basis over {sub.name!r} is not orthonormal")
+        return self._bases[key]
 
     def computational(self, sub: Subsystem) -> Basis:
         """The computational basis of one register, through the same memo as
@@ -589,18 +585,25 @@ def _registers(text: str, col: int, layout: SubsystemLayout) -> tuple[str, ...]:
     return tuple(_register(layout, name, off).name for name, off in _parse_name_list(text, col))
 
 
+def _not_unit(what: str, g: complex, col: int) -> ScenarioParseError:
+    """The one report of a vector whose Gram diagonal entry ``g`` fails."""
+    return ScenarioParseError(f"{what} has norm {math.sqrt(abs(g)):.12g}, expected 1", col,
+                              "normalize the vector")
+
+
 def _checked(labels: tuple[str, ...], layout: SubsystemLayout, rows: np.ndarray,
-             col: int, what: str, hint: str) -> Basis:
-    """The basis along raw ``rows``; rows that are not orthonormal are a
-    parse error at ``col`` naming ``what`` and the Gram entry.  The callers
-    give one label per row and repeat a label only on a repeated row, so
-    every failure is a Gram defect."""
+             cols: Sequence[int], col: int, kind: str, what: str) -> Basis:
+    """The basis along raw ``rows``: a row that is not unit is a parse error
+    at ``cols[i]``, overlapping rows one at ``col`` naming ``what``.  Callers
+    repeat a label only on a repeated row, which fails the Gram check first."""
     try:
         return Basis.from_rows(labels, layout, rows)
     except NonOrthonormalBasisError as exc:
         i, j, g = exc.gram
+        if i == j:
+            raise _not_unit(f"{kind} vector", g, cols[i]) from None
         raise ScenarioParseError(f"{what}: Gram[{i},{j}] = {_fmt_complex_plain(g)}",
-                                 col, hint) from None
+                                 col, "make the vectors orthonormal") from None
 
 
 # --------------------------------------------------------------------------
@@ -782,10 +785,9 @@ def _parse_derived(stripped: str, col0: int, ctx: _Context) -> DerivedDecl:
                 f"{term.labels[0]!r} is not a basis label of {sub_name!r}", term.columns[0],
                 "derived vectors expand over computational labels only")
     vec = ctx.vector((sub,), terms)
-    nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > ATOL:
-        raise ScenarioParseError(f"derived vector {label!r} has norm {nrm:.9g}, expected 1",
-                                 expr_col, "normalize the coefficients")
+    defect = gram_defect(vec[None])
+    if defect is not None:
+        raise _not_unit(f"derived vector {label!r}", defect[2], expr_col)
     decl = DerivedDecl(sub_name, label, tuple((t.labels[0], t.coefficient) for t in terms))
     ctx.derived[(id(sub), label)] = (sub, decl.terms, vec)
     return decl
@@ -926,7 +928,8 @@ def _parse_branch_set(bval: str, col: int, ctx: _Context, layout: SubsystemLayou
     perm = [targets.index(t) for t in ordered]
     branches = []
     vecs = []
-    for raw, off in _entries(bval, "{}", col, "branch set", "list branch vectors"):
+    entries = _entries(bval, "{}", col, "branch set", "list branch vectors")
+    for raw, off in entries:
         terms = _expression(raw, off)
         for term in terms:
             if len(term.labels) != len(targets):
@@ -935,15 +938,10 @@ def _parse_branch_set(bval: str, col: int, ctx: _Context, layout: SubsystemLayou
                     term.columns[0], "one label per target subsystem")
         terms = tuple(StateTerm(t.coefficient, tuple(t.labels[p] for p in perm),
                                 tuple(t.columns[p] for p in perm)) for t in terms)
-        vec = ctx.vector(on.subsystems, terms)
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > ATOL:
-            raise ScenarioParseError(f"branch vector has norm {nrm:.9g}, expected 1", off,
-                                     "normalize the branch")
-        vecs.append(vec)
+        vecs.append(ctx.vector(on.subsystems, terms))
         branches.append(terms)
-    basis = _checked(branch_labels(len(vecs)), on, np.stack(vecs), col,
-                     "branches not orthonormal", "make the branch vectors orthonormal")
+    basis = _checked(branch_labels(len(vecs)), on, np.stack(vecs), [off for _, off in entries],
+                     col, "branch", "branches not orthonormal")
     return ordered, tuple(branches), basis
 
 

@@ -291,7 +291,7 @@ def test_consistency_audit_flags():
     assert audit.contradiction_premeasurement
     assert audit.recheck[1].kind == "undetermined"
     assert not audit.contradiction_decoherent
-    assert audit.decoherent_models == ("two-branch", "three-branch")
+    assert tuple(name for name, _ in audit.recheck[1].evidence) == ("two-branch", "three-branch")
 
 
 def test_audit_value_matches_exhaustive_enumeration():
@@ -433,7 +433,8 @@ def test_reports_take_the_transcript_and_declared_inputs(monkeypatch):
     audit = ex.consistency_audit(tr, [("s1", answer)], ("s1", recheck), joint)
     assert audit.chain_derivable and audit.contradiction_premeasurement
     assert audit.recheck[1].kind == "undetermined"
-    assert audit.decoherent_models == tuple(m.environment for m in MODELS)
+    assert (tuple(name for name, _ in audit.recheck[1].evidence)
+            == tuple(m.environment for m in MODELS))
     # A statement's error comes first, then the recheck's.
     failed, refused = PointerLabError("statement failed"), PointerLabError("recheck failed")
     with pytest.raises(PointerLabError, match="statement failed"):

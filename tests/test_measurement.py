@@ -226,9 +226,9 @@ queries:
                          ids=[*(n for n in sorted(DEMOS) if n != "triortho"), "near-unit"])
 def test_row_built_bases_equal_the_vector_built_ones(monkeypatch, text):
     # Every basis and branch set a scenario resolves is made from its raw
-    # rows; normalised row by row it must be the basis that the rows made
-    # into unit StateVectors give, bit for bit.  (The bundled triortho
-    # scenario resolves only a computational basis.)
+    # rows; normalised row by row it must hold the rows made into unit
+    # StateVectors, bit for bit.  (The bundled triortho scenario resolves
+    # only a computational basis.)
     made = []
     from_rows = Basis.from_rows.__func__
 
@@ -241,11 +241,11 @@ def test_row_built_bases_equal_the_vector_built_ones(monkeypatch, text):
     parse_scenario(text)
     assert made
     for labels, layout, rows, basis in made:
-        old = Basis(labels, tuple(pl.hilbert.normalized(layout, row) for row in rows))
-        assert basis.labels == old.labels and basis.layout == old.layout
-        assert np.array_equal(basis.matrix, old.matrix)
-        for new_vec, old_vec in zip(basis.vectors, old.vectors, strict=True):
-            assert np.array_equal(new_vec.amplitudes, old_vec.amplitudes)
+        unit = [pl.hilbert.normalized(layout, row).amplitudes for row in rows]
+        assert basis.labels == tuple(labels) and basis.layout == layout
+        assert np.array_equal(basis.matrix, np.stack(unit))
+        for vec, amps in zip(basis.vectors, unit, strict=True):
+            assert np.array_equal(vec.amplitudes, amps)
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 0.5
 

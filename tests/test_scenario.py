@@ -119,39 +119,54 @@ def test_every_basis_failure_the_parser_can_meet_carries_a_gram_entry(d, data):
     """``_checked`` reads ``.gram`` of every ``Basis.from_rows`` failure.
     Its callers give one label per row of the register's dimension, and a
     repeated label names one vector, so only a repeated row repeats a label.
-    Rows drawn that way (picks of unitary rows, scaled, tilted and
-    repeated, up to one more row than the dimension) fail, if at all, with
-    the Gram entry, which ``_checked`` turns into a positioned parse error."""
+    Rows drawn that way (picks of unitary rows, scaled, overflowed, NaN,
+    tilted and repeated, up to one more row than the dimension) fail, if at
+    all, with the Gram entry.  ``_checked`` turns a diagonal one into a norm
+    diagnostic at the first row that is not unit, and an off-diagonal one
+    into a Gram diagnostic at the set's column."""
     sub = sc.Subsystem("a", tuple(f"x{i}" for i in range(d)))
     layout = sc.SubsystemLayout((sub,))
     parts = data.draw(st.lists(st.floats(-1, 1), min_size=2 * d * d, max_size=2 * d * d))
     raw = np.array(parts[:d * d]).reshape(d, d) + 1j * np.array(parts[d * d:]).reshape(d, d)
     unitary = np.linalg.qr(raw + 3 * np.eye(d))[0]
-    scale = data.draw(st.lists(st.sampled_from([1.0, 1.0, 1.0 + 1e-6, 0.5, 0.0]),
-                               min_size=d, max_size=d))
+    scale = data.draw(st.lists(st.sampled_from([1.0, 1.0, 1.0, 1.0 + 1e-6, 0.5, 0.0, 1e200,
+                                                math.nan]), min_size=d, max_size=d))
     tilt = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-12, 1e-6]), min_size=d,
                               max_size=d))
     picks = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d + 1))
-    rows = np.array([unitary[p] * scale[p] + tilt[p] for p in picks])
-    try:
-        sc.Basis.from_rows([f"v{p}" for p in picks], layout, rows)
-    except NonOrthonormalBasisError as exc:
-        assert exc.gram is not None
-        with pytest.raises(ScenarioParseError) as err:
-            sc._checked(tuple(f"v{p}" for p in picks), layout, rows, 5, "w", "h")
-        assert err.value.message.startswith("w: Gram[")
-        assert err.value.column == 5
+    with np.errstate(all="ignore"):
+        rows = np.array([unitary[p] * scale[p] + tilt[p] for p in picks])
+        try:
+            sc.Basis.from_rows([f"v{p}" for p in picks], layout, rows)
+        except NonOrthonormalBasisError as exc:
+            assert exc.gram is not None
+            i, j, g = exc.gram
+            cols = [10 + k for k in range(len(rows))]
+            with pytest.raises(ScenarioParseError) as err:
+                sc._checked(tuple(f"v{p}" for p in picks), layout, rows, cols, 5, "v", "w")
+            norms = [np.vdot(row, row).real for row in rows]
+            unit = [abs(n - 1.0) <= 1e-9 for n in norms]
+            if i == j:
+                assert not unit[i] and all(unit[:i])
+                assert err.value.message == (f"v vector has norm {math.sqrt(abs(g)):.12g}, "
+                                             "expected 1")
+                assert err.value.column == cols[i]
+            else:
+                assert all(unit)
+                assert err.value.message.startswith(f"w: Gram[{i},{j}] = ")
+                assert err.value.column == 5
 
 
 def test_nonorthonormal_vector_basis_reports_gram_entry():
-    # Pinned messages and columns: the Gram entry furthest from the
-    # identity, at the set's column; a vector literal, labelled b<k> after
-    # its position, whose label the set also names, at the literal.
+    # Pinned messages and columns: an overlap, the Gram entry furthest from
+    # the identity, at the set's column; a literal that is not unit, and a
+    # vector literal, labelled b<k> after its position, whose label the set
+    # also names, at the literal.
     for (x, y), basis, message, column in [
         ("xy", "{(1,0),(1,0)}", "basis over 'a' is not orthonormal: Gram[0,1] = 1.0", 41),
         ("xy", "{(0.6,0.8),(0.8i,0.6)}",
          "basis over 'a' is not orthonormal: Gram[0,1] = (0.48+0.48i)", 41),
-        ("xy", "{(2,0),(0,1)}", "basis over 'a' is not orthonormal: Gram[0,0] = 4.0", 41),
+        ("xy", "{(2,0),(0,1)}", "basis vector has norm 2, expected 1", 42),
         (("b0", "b1"), "{b1,(1,0)}",
          "vector literal 1 is labelled 'b1', which the set also names", 45),
     ]:
@@ -216,12 +231,67 @@ MODEL = "model m targets=(R) branches={|head>, |tail>}"
     ("couple env=E targets=(R) branches={|head>, 0.5|tail>}", MODEL,
      "branch vector has norm 0.5, expected 1", 9, 46),
     (PREMEASURE, "model m targets=(R,S) branches={|head,up>, 1|tail,up> + 1|tail,down>}",
-     "branch vector has norm 1.41421356, expected 1", 11, 46),
+     "branch vector has norm 1.41421356237, expected 1", 11, 46),
 ])
 def test_branch_set_diagnostics_are_pinned(action, model, message, line, col):
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(BRANCHES.replace("ACTION", action).replace("MODEL", model))
     assert (err.value.message, err.value.line, err.value.column) == (message, line, col)
+
+
+VECTORS = """\
+layout:
+  subsystem R {head, tail}
+  subsystem A {a0, a1, a2}
+  DERIVED
+state: |head,a0>
+actions:
+  premeasure target=R apparatus=A basis=BASIS outcomes={a1,a2} ready=a0
+  couple env=E targets=(R) branches=COUPLE
+models:
+  model m targets=(R) branches=MODEL
+queries:
+  born targets=(R)
+"""
+VECTOR_SLOTS = {"DERIVED": "", "BASIS": "{head,tail}", "COUPLE": "{|head>, |tail>}",
+                "MODEL": "{|head>, |tail>}"}
+# A norm 0.7e-9 past 1: within 1e-9 of 1, but its square is not.
+NEAR = "1.0000000007"
+
+
+# One rule for every vector a scenario declares: norms first, each at its
+# vector, as "<kind> vector has norm X, expected 1"; then overlaps, at the
+# set.  (slot, its text, the message, the text the column points at.)
+@pytest.mark.parametrize("slot, text, message, at", [
+    ("BASIS", "{(2,0),(0,1)}", "basis vector has norm 2, expected 1", "(2,0)"),
+    ("BASIS", f"{{({NEAR},0),(0,1)}}", f"basis vector has norm {NEAR}, expected 1", f"({NEAR}"),
+    ("DERIVED", f"derived R h = {NEAR}|head>", f"derived vector 'h' has norm {NEAR}, expected 1",
+     f"{NEAR}|"),
+    ("COUPLE", f"{{{NEAR}|head>, |tail>}}", f"branch vector has norm {NEAR}, expected 1",
+     f"{NEAR}|"),
+    ("MODEL", f"{{|head>, {NEAR}|tail>}}", f"branch vector has norm {NEAR}, expected 1",
+     f"{NEAR}|"),
+    # A norm is reported before a larger overlap.
+    ("BASIS", f"{{(1,0),({NEAR},0)}}", f"basis vector has norm {NEAR}, expected 1", f"({NEAR}"),
+    ("COUPLE", f"{{|head>, {NEAR}|head>}}", f"branch vector has norm {NEAR}, expected 1",
+     f"{NEAR}|"),
+    ("BASIS", "{(1,0),(0.6,0.8)}", "basis over 'R' is not orthonormal: Gram[0,1] = 0.6", "{"),
+    ("MODEL", "{|head>, 0.6|head> + 0.8|tail>}", "branches not orthonormal: Gram[0,1] = 0.6",
+     "{"),
+], ids=["literal", "literal-near", "derived-near", "couple-near", "model-near",
+        "literal-norm-before-overlap", "couple-norm-before-overlap", "literal-overlap",
+        "model-overlap"])
+def test_each_vector_fault_reads_one_way(slot, text, message, at):
+    scenario = VECTORS
+    for name, default in VECTOR_SLOTS.items():
+        scenario = scenario.replace(name, text if name == slot else default)
+    line = next(n for n, raw in enumerate(scenario.splitlines(), 1) if text and text in raw)
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(scenario)
+    raw = scenario.splitlines()[line - 1]
+    assert (err.value.message, err.value.line) == (message, line)
+    assert raw[err.value.column - 1:].startswith(at)
+    assert raw.index(text) < err.value.column <= raw.index(text) + len(text)
 
 
 def test_ket_arity_checked_against_layout():
