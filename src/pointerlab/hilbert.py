@@ -253,7 +253,9 @@ class DensityOperator:
         d = self.layout.dimension
         if mat.shape != (d, d):
             raise LayoutMismatchError(f"density shape {mat.shape}, expected {(d, d)}")
-        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
+        with np.errstate(invalid="ignore"):  # an inf entry gives inf - inf
+            skew = np.max(np.abs(mat - mat.conj().T))
+        if not skew <= ATOL:
             raise LayoutConflictError("density operator not Hermitian within 1e-9")
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= ATOL:
@@ -280,10 +282,14 @@ def make_state(
 
 
 def normalized(layout: SubsystemLayout, amps: np.ndarray) -> StateVector:
-    """The state along raw amplitudes ``amps``."""
-    nrm = float(np.linalg.norm(amps))
+    """The state along raw amplitudes ``amps``; a zero norm, or one that is
+    inf or NaN, raises DegenerateStateError."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(amps))
     if nrm <= 0.0:
         raise DegenerateStateError("terms sum to the zero vector")
+    if not nrm < math.inf:
+        raise DegenerateStateError(f"state norm {nrm} is out of floating-point range")
     return StateVector(layout, amps / nrm)
 
 
@@ -301,17 +307,19 @@ def gram_defect(rows: np.ndarray) -> tuple[int, int, complex] | None:
     """The one orthonormality check of ``rows`` (one vector per row): the
     Gram entry (i, j, value) more than ATOL from the identity's (NaN and inf
     always are), else None.  The first failing norm comes first, as G_ii
-    summed from squares, so an overflow reads inf; then the entry furthest off."""
-    gram = rows.conj() @ rows.T
-    dev = np.abs(gram - np.eye(len(rows)))
-    if dev.max(initial=0.0) <= ATOL:
-        return None
-    off = np.flatnonzero(~(dev.diagonal() <= ATOL))
-    if off.size:
-        i = int(off[0])
-        return i, i, complex((np.abs(rows[i]) ** 2).sum())
-    i, j = divmod(int(np.argmax(dev)), len(rows))
-    return i, j, complex(gram[i, j])
+    summed from squares, so an overflow reads inf; then the entry furthest off.
+    Overflow and NaN in the arithmetic print no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows.conj() @ rows.T
+        dev = np.abs(gram - np.eye(len(rows)))
+        if dev.max(initial=0.0) <= ATOL:
+            return None
+        off = np.flatnonzero(~(dev.diagonal() <= ATOL))
+        if off.size:
+            i = int(off[0])
+            return i, i, complex((np.abs(rows[i]) ** 2).sum())
+        i, j = divmod(int(np.argmax(dev)), len(rows))
+        return i, j, complex(gram[i, j])
 
 
 def apply_to_axis(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:

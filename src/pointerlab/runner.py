@@ -84,10 +84,13 @@ class Report:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_structured(), indent=2)``, byte for byte."""
+        """``json.dumps(self.to_structured(), indent=2)``, byte for byte: one
+        walk writes the layout as one ``%``-template, one C encoder call
+        encodes every scalar, and a list of records is laid out in one
+        piece (``_render``)."""
         if _c_make_encoder is None:
             return json.dumps(self.to_structured(), indent=2)
-        return _render(self.to_structured(), 0)
+        return _render(self.to_structured())
 
     def to_table(self) -> str:
         lines: list[str] = []
@@ -101,49 +104,72 @@ class Report:
 
 
 # The structured document renders like ``json.dumps(doc, indent=2)``, whose
-# ``indent`` sends every value through the pure-Python encoder.  Here a
-# container of scalars goes through one C encoder instead: at nesting depth d
-# its items sit on lines indented d + 1 levels, which is the C encoder's
-# output with the item separator ",\n" plus that indent.  One encoder per
-# depth up to 15 is built at import.  A container of containers writes its
-# scalar children, its flat-list children, and dicts of those inline through
-# the same encoders; it recurses in Python only into other containers, and
-# into anything deeper.  A list of at least ``_MIN_RECORDS`` records, dicts
-# that share key order and value shape, fills one template from one C encode
-# instead (``_records``).
+# ``indent`` sends every value through the pure-Python encoder.  Here one walk
+# (``_walk``) writes the document's layout as one ``%``-template, brackets,
+# indents and ``%``-escaped keys, with a ``%s`` for each scalar, and collects
+# the scalars in document order.  One C encoder call encodes them all,
+# separated by NUL, which encoded JSON never holds (a NUL inside a string is
+# written as \u0000), and fills the template once.  A list of records, such as
+# a rewrite's terms or a distribution, is laid out in one piece (``_records``).
 _c_make_encoder = json.encoder.c_make_encoder
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _encoder(item_separator: str):
-    return _c_make_encoder(None, json.JSONEncoder().default,
-                           json.encoder.encode_basestring_ascii, None, ": ",
-                           item_separator, False, False, True)
-
-
-_FLAT = tuple(
-    _encoder(",\n" + "  " * (depth + 1)) for depth in range(16)
-) if _c_make_encoder is not None else ()
-# Items split on NUL, which encoded JSON never holds: a NUL inside a string
-# is written as \u0000.
-_NUL = _encoder("\x00") if _c_make_encoder is not None else None
+_NUL = _c_make_encoder(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                       None, ": ", "\x00", False, False, True) if _c_make_encoder else None
 _key = json.encoder.encode_basestring_ascii
-# Below this many records the per-dict path is as fast: ``_records`` builds
-# its template anew for every list.
-_MIN_RECORDS = 8
 
 
-def _records(value: list | tuple, depth: int) -> str | None:
-    """``_render`` of a list of records: non-empty dicts with the first
+def _render(doc: Any) -> str:
+    """``json.dumps(doc, indent=2)``; dictionary keys are strings."""
+    layout: list[str] = []
+    scalars: list[Any] = []
+    _walk(doc, 0, layout, scalars)
+    pieces = "".join(_NUL(scalars, 0))[1:-1].split("\x00") if scalars else ()
+    return "".join(layout) % tuple(pieces)
+
+
+def _walk(value: Any, depth: int, layout: list[str], scalars: list[Any]) -> None:
+    """Append the layout of ``value`` at nesting ``depth`` to ``layout``, and
+    its scalars, in the order their ``%s`` appear, to ``scalars``."""
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        if value and type(value[0]) is dict and _records(value, depth, layout, scalars):
+            return
+        items, brackets = value, "[]"
+    else:
+        layout.append("%s")
+        scalars.append(value)
+        return
+    if not value:
+        layout.append(brackets)
+        return
+    indent = ",\n" + "  " * (depth + 1)
+    if brackets == "{}":
+        heads = [f"{indent}{_key(k).replace('%', '%%')}: " for k in value]
+    else:
+        heads = [indent] * len(value)
+    heads[0] = brackets[0] + heads[0][1:]  # the bracket opens where the others put a comma
+    for head, v in zip(heads, items):
+        if type(v) in _SCALARS:
+            layout.append(head + "%s")
+            scalars.append(v)
+        else:
+            layout.append(head)
+            _walk(v, depth + 1, layout, scalars)
+    layout.append("\n" + "  " * depth + brackets[1])
+
+
+def _records(value: list | tuple, depth: int, layout: list[str], scalars: list[Any]) -> bool:
+    """Lay out a list of records in one piece: non-empty dicts with the first
     one's key order whose values are, key by key alike, scalars or non-empty
-    flat lists of scalars of one length.  None for any other list.
-
-    Every scalar of the list is encoded by one C encoder call, and one
-    ``%``-template holds the layout of the whole list."""
+    flat lists of scalars of one length.  The list's layout goes to
+    ``layout`` and its scalars, record by record and key by key, to
+    ``scalars``.  False, with nothing written, for any other list."""
+    if set(map(type, value)) != {dict}:
+        return False
     keys = list(value[0])
-    if (not keys or set(map(type, value)) != {dict}
-            or list(chain.from_iterable(value)) != keys * len(value)):
-        return None
+    if not keys or list(chain.from_iterable(value)) != keys * len(value):
+        return False
     values = list(chain.from_iterable(map(dict.values, value)))
     columns, shape = [], []
     for i in range(len(keys)):
@@ -154,14 +180,13 @@ def _records(value: list | tuple, depth: int) -> str | None:
             continue
         n = len(column[0])
         if not n or set(map(type, column)) != {list} or set(map(len, column)) != {n}:
-            return None
+            return False
         columns.append(column)
         shape.append(n)
     # Record by record, key by key: the order the template reads them in.
     flat = list(chain.from_iterable(chain.from_iterable(zip(*columns))))
     if not _SCALARS.issuperset(map(type, flat)):
-        return None
-    pieces = "".join(_NUL(flat, 0))[1:-1].split("\x00")
+        return False
     indent = "\n" + "  " * (depth + 1)
     indent2, indent3 = indent + "  ", indent + "    "
     fields = [
@@ -170,72 +195,17 @@ def _records(value: list | tuple, depth: int) -> str | None:
         for k, n in zip(keys, shape)
     ]
     record = "{" + indent2 + ("," + indent2).join(fields) + indent + "}"
-    template = "[" + indent + ("," + indent).join([record] * len(value)) + "\n" + "  " * depth + "]"
-    return template % tuple(pieces)
-
-
-def _render(value: Any, depth: int) -> str:
-    """``json.dumps(value, indent=2)`` for ``value`` at nesting ``depth``;
-    dictionary keys are strings."""
-    if isinstance(value, dict):
-        items, brackets = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = value, "[]"
-    else:
-        return "".join(_FLAT[0](value, 0))
-    if not value:
-        return brackets
-    if brackets == "[]" and len(value) >= _MIN_RECORDS and type(value[0]) is dict:
-        text = _records(value, depth)
-        if text is not None:
-            return text
-    indent = "\n" + "  " * (depth + 1)
-    if depth < len(_FLAT) and _SCALARS.issuperset(map(type, items)):
-        body = "".join(_FLAT[depth](value, 0))[1:-1]
-        return f"{brackets[0]}{indent}{body}\n{'  ' * depth}{brackets[1]}"
-    # Children sit at depth + 1 and a child dict's values at depth + 2; a
-    # flat list there opens on the line after "[" and closes on a line of
-    # its own at its parent's item indent.
-    flat = _FLAT[depth + 1] if depth + 1 < len(_FLAT) else None
-    inner = _FLAT[depth + 2] if depth + 2 < len(_FLAT) else None
-    indent2 = indent + "  "
-    opened, closed = "[" + indent2, indent + "]"
-    opened2, closed2 = opened + "  ", indent2 + "]"
-    children = []
-    for v in items:
-        kind = type(v)
-        if kind in _SCALARS:
-            children.append("".join(_FLAT[0](v, 0)))
-        elif kind is list and v and flat is not None and _SCALARS.issuperset(map(type, v)):
-            children.append(opened + "".join(flat(v, 0))[1:-1] + closed)
-        elif kind is dict and v and inner is not None:
-            entries = []
-            for k, w in v.items():
-                if type(w) in _SCALARS:
-                    text = "".join(_FLAT[0](w, 0))
-                elif type(w) is list and w and _SCALARS.issuperset(map(type, w)):
-                    text = opened2 + "".join(inner(w, 0))[1:-1] + closed2
-                else:
-                    text = _render(w, depth + 2)
-                entries.append(f"{_key(k)}: {text}")
-            children.append("{" + indent2 + ("," + indent2).join(entries) + indent + "}")
-        else:
-            children.append(_render(v, depth + 1))
-    if brackets == "{}":
-        children = [f"{_key(k)}: {c}" for k, c in zip(value, children)]
-    body = ("," + indent).join(children)
-    return f"{brackets[0]}{indent}{body}\n{'  ' * depth}{brackets[1]}"
-
-
-def _fmt(x: float) -> str:
-    return repr(x)
+    layout.append("[" + indent + ("," + indent).join([record] * len(value))
+                  + "\n" + "  " * depth + "]")
+    scalars.extend(flat)
+    return True
 
 
 def _fmt_pair(p: Sequence[float]) -> str:
     if p[1] == 0.0:
-        return _fmt(p[0])
+        return repr(p[0])
     sign = "+" if p[1] >= 0 else "-"
-    return f"{_fmt(p[0])}{sign}{_fmt(abs(p[1]))}i"
+    return f"{p[0]!r}{sign}{abs(p[1])!r}i"
 
 
 def _dist_lines(dist: list[dict[str, Any]], indent: str = "  ") -> list[str]:
@@ -243,7 +213,7 @@ def _dist_lines(dist: list[dict[str, Any]], indent: str = "  ") -> list[str]:
     width = max(width, len("outcome"))
     lines = [f"{indent}{'outcome'.ljust(width)}  probability"]
     for d in dist:
-        lines.append(f"{indent}{', '.join(d['outcome']).ljust(width)}  {_fmt(d['probability'])}")
+        lines.append(f"{indent}{', '.join(d['outcome']).ljust(width)}  {d['probability']!r}")
     return lines
 
 
@@ -285,12 +255,12 @@ def _table_lines(res: dict[str, Any]) -> list[str]:
     if kind == "decoherence_compare":
         lines = [
             f"  pointer mixtures differ on the full registers: "
-            f"max |difference| = {_fmt(res['full_max_difference'])}",
+            f"max |difference| = {res['full_max_difference']!r}",
             f"  restrictions ({', '.join(res['hidden'])} traced out) equal: "
             f"{res['restriction_equal']} "
-            f"(max |difference| = {_fmt(res['restriction_max_difference'])})",
-            f"  branch weights: coarse ({', '.join(_fmt(w) for w in res['branch_weights']['coarse'])}), "
-            f"fine ({', '.join(_fmt(w) for w in res['branch_weights']['fine'])})",
+            f"(max |difference| = {res['restriction_max_difference']!r})",
+            f"  branch weights: coarse ({', '.join(repr(w) for w in res['branch_weights']['coarse'])}), "
+            f"fine ({', '.join(repr(w) for w in res['branch_weights']['fine'])})",
         ]
         for model in ("coarse", "fine"):
             lines.append(f"  apparatus marginal ({model}):")
@@ -302,11 +272,11 @@ def _table_lines(res: dict[str, Any]) -> list[str]:
         joint = f"p({','.join(pre['joint'].values())})"
         return [
             "  premeasurement semantics:",
-            *(f"    {st['name']}: {st['verdict']} (p = {_fmt(st['probability'])})"
+            *(f"    {st['name']}: {st['verdict']} (p = {st['probability']!r})"
               for st in pre["statements"]),
             f"    chain derivable: {pre['chain_derivable']}; claimed {joint} = "
-            f"{_fmt(claimed) if claimed is not None else 'underivable'}",
-            f"    computed {joint} = {_fmt(pre['computed_probability'])}",
+            f"{repr(claimed) if claimed is not None else 'underivable'}",
+            f"    computed {joint} = {pre['computed_probability']!r}",
             f"    contradiction: {pre['contradiction']}",
             f"  decoherent semantics (models: {', '.join(dec['models'])}):",
             f"    {dec['statement']} verdict: {dec['verdict']}",

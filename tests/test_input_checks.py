@@ -51,6 +51,16 @@ CHECKS = [
     # A NaN norm is never 1, nor is a NaN entry Hermitian or a weight.
     pytest.param(lambda: pl.StateVector(R, [NAN, 0]), DegenerateStateError,
                  "state norm nan not 1 within 1e-09", id="state-nan"),
+    # Raw amplitudes whose norm overflows, or is inf or NaN, are named as such.
+    pytest.param(lambda: pl.make_state(R, [(("head",), 1e200), (("tail",), 1e200)]),
+                 DegenerateStateError, "state norm inf is out of floating-point range",
+                 id="make-state-overflow"),
+    pytest.param(lambda: pl.make_state(R, [(("head",), math.inf), (("tail",), 1)]),
+                 DegenerateStateError, "state norm inf is out of floating-point range",
+                 id="make-state-inf"),
+    pytest.param(lambda: pl.make_state(R, [(("head",), NAN), (("tail",), 1)]),
+                 DegenerateStateError, "state norm nan is out of floating-point range",
+                 id="make-state-nan"),
     pytest.param(lambda: pl.StateBatch(R, [[1, 0], [NAN, 0]]), DegenerateStateError,
                  "state 1 of the batch has norm nan, not 1 within 1e-09", id="batch-nan"),
     # A batch names its first state that is not unit, not its worst.
@@ -67,6 +77,9 @@ CHECKS = [
     pytest.param(lambda: pl.LinearOperator(R, R, np.array([[NAN, 0], [0, 1]]), kind="unitary"),
                  LayoutConflictError, "operator flagged unitary is not unitary",
                  id="operator-unitary-nan"),
+    pytest.param(lambda: pl.LinearOperator(R, R, [[1e200, 0], [0, 1]], kind="unitary"),
+                 LayoutConflictError, "operator flagged unitary is not unitary",
+                 id="operator-unitary-overflow"),
     pytest.param(lambda: _density(np.eye(3) / 3), LayoutMismatchError,
                  "density shape (3, 3), expected (2, 2)", id="density-shape"),
     pytest.param(lambda: _density([[0.5, 0.5], [0, 0.5]]), LayoutConflictError,
@@ -77,6 +90,8 @@ CHECKS = [
                  "density operator has eigenvalue below -1e-9", id="density-negative"),
     pytest.param(lambda: _density([[NAN, 0], [0, 1]]), LayoutConflictError,
                  "density operator not Hermitian within 1e-9", id="density-nan"),
+    pytest.param(lambda: _density([[math.inf, 0], [0, 1]]), LayoutConflictError,
+                 "density operator not Hermitian within 1e-9", id="density-inf"),
     pytest.param(lambda: pl.Basis(("head",), (HEAD, TAIL)), NonOrthonormalBasisError,
                  "basis needs one label per vector", id="basis-label-count"),
     pytest.param(lambda: pl.Basis(("head", "up"), (HEAD, pl.StateVector(S, [1, 0]))),
@@ -88,8 +103,7 @@ CHECKS = [
                  id="basis-rows-nan"),
     pytest.param(lambda: pl.Basis.from_rows(("head", "tail"), R, [[1e200 + 1e200j, 0], [0, 1]]),
                  NonOrthonormalBasisError, "basis not orthonormal: Gram[0,0] = inf+0j",
-                 id="basis-rows-overflow",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                 id="basis-rows-overflow"),
     pytest.param(lambda: pl.MeasurementSpec("R", R_BASIS, "A", "a0", ("a1",)),
                  NonOrthonormalBasisError, "need exactly one outcome label per basis vector",
                  id="spec-outcome-count"),

@@ -2,6 +2,7 @@
 exactly what ``json.dumps(doc, indent=2)`` writes."""
 
 import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +50,7 @@ def documents(draw):
 @settings(max_examples=200, deadline=None)
 @given(documents())
 def test_render_matches_json_dumps_indent_2(doc):
-    assert runner._render(doc, 0) == json.dumps(doc, indent=2)
+    assert runner._render(doc) == json.dumps(doc, indent=2)
 
 
 def _nested(depth, inner):
@@ -62,14 +63,12 @@ def _nested(depth, inner):
 def test_render_of_a_flat_document():
     docs = [[1, -0.0, 5e-324, 1e22, 1e-07, 0.1, "a\"[,]:\\\x01é", None, True, 2**100],
             {"k": 0.1, "": None, "→": "\x1f", "b": False}, [], {}, "top", 1e-07]
-    # Containers that mix scalars, empty containers and flat lists, on either
-    # side of the deepest level with its own flat encoder.
-    assert len(runner._FLAT) == 16
+    # Containers that mix scalars, empty containers and flat lists, deep down.
     for depth in range(14, 18):
         docs.append(_nested(depth, [0.5, [], {}, ["a", 1e-07], "s", [None, True]]))
         docs.append(_nested(depth, {"x": [1, 2], "e": [], "y": 0.1, "d": {}, "z": ["q"]}))
     for doc in docs:
-        assert runner._render(doc, 0) == json.dumps(doc, indent=2)
+        assert runner._render(doc) == json.dumps(doc, indent=2)
 
 
 def test_report_to_json_is_json_dumps():
@@ -82,8 +81,18 @@ def test_report_to_json_is_json_dumps():
     assert report.to_json() == json.dumps(report.to_structured(), indent=2)
 
 
+def _laid_out(records, depth=0):
+    """The layout and scalars ``runner._records`` writes for ``records``,
+    or None when it writes nothing."""
+    layout, scalars = [], []
+    if runner._records(records, depth, layout, scalars):
+        return layout, scalars
+    assert layout == scalars == []
+    return None
+
+
 @st.composite
-def record_lists(draw, size=st.integers(1, 2 * runner._MIN_RECORDS)):
+def record_lists(draw, size=st.integers(1, 16)):
     """A list of records, dicts with one key order whose values are, key by
     key alike, scalars or flat lists of scalars of one length."""
     keys = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
@@ -100,9 +109,20 @@ def record_lists(draw, size=st.integers(1, 2 * runner._MIN_RECORDS)):
 @settings(max_examples=200, deadline=None)
 @given(record_lists(), st.integers(0, 20))
 def test_a_list_of_records_renders_as_one_template(records, depth):
-    assert runner._records(records, 0) is not None
+    """Every such list, of any length, takes the record layout in the walk."""
+    assert _laid_out(records) is not None
+    laid, records_of = [], runner._records
+
+    def spy(value, *rest):
+        done = records_of(value, *rest)
+        if value is records:
+            laid.append(done)
+        return done
+
     doc = _nested(depth, records)
-    assert runner._render(doc, 0) == json.dumps(doc, indent=2)
+    with mock.patch.object(runner, "_records", spy):
+        assert runner._render(doc) == json.dumps(doc, indent=2)
+    assert laid == [True]
 
 
 def _reorder(rec, key):
@@ -124,10 +144,10 @@ def _empty(rec, key):
 
 
 @settings(max_examples=200, deadline=None)
-@given(record_lists(size=st.integers(2, 2 * runner._MIN_RECORDS)), st.data())
+@given(record_lists(size=st.integers(2, 16)), st.data())
 def test_a_near_miss_of_a_record_list_falls_back(records, data):
     """One record with another key order, list length or nesting, or an
-    empty list, leaves the rest to the general emitter."""
+    empty list, writes nothing and leaves the list to the walk."""
     miss = data.draw(st.sampled_from([_reorder, _lengthen, _nest, _empty]))
     if miss is _reorder and len(records[0]) < 2:
         miss = _empty
@@ -136,15 +156,29 @@ def test_a_near_miss_of_a_record_list_falls_back(records, data):
     # An empty list misses even when every record from i on holds one.
     for j in range(i, len(records) if miss is _empty else i + 1):
         records[j] = miss(records[j], key)
-    assert runner._records(records, 0) is None
+    assert _laid_out(records) is None
     for doc in (records, {"terms": records}, [records, 0.5]):
-        assert runner._render(doc, 0) == json.dumps(doc, indent=2)
+        assert runner._render(doc) == json.dumps(doc, indent=2)
 
 
 def test_lists_of_empty_records_fall_back():
     for records in ([{}], [{}, {}], [{"a": []}], [{"a": [], "b": 1}, {"a": [], "b": 2}]):
-        assert runner._records(records, 0) is None
-        assert runner._render(records, 0) == json.dumps(records, indent=2)
+        assert _laid_out(records) is None
+        assert runner._render(records) == json.dumps(records, indent=2)
+
+
+def test_one_document_is_one_c_encode(monkeypatch):
+    calls = []
+
+    def counted(scalars, level):
+        calls.append(len(scalars))
+        return nul(scalars, level)
+
+    nul = runner._NUL
+    monkeypatch.setattr(runner, "_NUL", counted)
+    report = runner.run(parse_scenario(runner.bundled_scenario_text("decoherence")), "")
+    assert report.to_json() == json.dumps(report.to_structured(), indent=2)
+    assert len(calls) == 1 and calls[0] > 100
 
 
 def test_report_to_json_is_the_same_without_the_c_encoder(monkeypatch):
@@ -164,8 +198,7 @@ queries:
 """
     report = runner.run(parse_scenario(text), source_text=text)
     for res, records in zip(report.results, ("distribution", "terms")):
-        assert len(res[records]) >= runner._MIN_RECORDS
-        assert runner._records(res[records], 3) is not None
+        assert _laid_out(res[records], 3) is not None
     rendered = report.to_json()
     monkeypatch.setattr(runner, "_c_make_encoder", None)
     assert report.to_json() == rendered
