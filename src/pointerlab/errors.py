@@ -61,7 +61,9 @@ class ImpossibleOutcomeError(PointerLabError):
 
 class ScenarioParseError(PointerLabError):
     """Scenario-file diagnostic with position and a one-line fix hint (a
-    str); its ``line`` is set by whoever knows which line was read."""
+    str).  A reader raises it with a column; its ``line`` is set only by
+    ``scenario.parse_scenario``'s line loop, which knows which line was
+    read."""
 
     def __init__(self, message: str, column: int = 1, hint: str = ""):
         if not isinstance(hint, str):

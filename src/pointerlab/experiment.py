@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     ExecutionError,
-    ImpossibleOutcomeError,
     PointerLabError,
     UnknownLabelError,
     UnknownSubsystemError,
@@ -57,7 +56,6 @@ from .measurement import (
     branch_components,
     conditioned_branches,
     environment_couple,
-    outcome_probability,
     premeasure,
 )
 
@@ -288,11 +286,10 @@ def certainties(
     and observers.  Each entry of the result is the claim's verdict, or the
     error ``certainty`` raises for that claim alone.
     """
-    observers: dict[str, tuple[int, MeasurementSpec, Basis]] = {}
     plans: list[tuple[_Part, ...] | PointerLabError] = []
     for claim in claims:
         try:
-            plans.append(_parts(transcript, observers, claim))
+            plans.append(_parts(transcript, claim))
         except PointerLabError as exc:
             plans.append(exc)
     try:
@@ -316,17 +313,13 @@ def certainties(
     return tuple(results)
 
 
-def _parts(transcript: ProtocolTranscript,
-           observers: dict[str, tuple[int, MeasurementSpec, Basis]], claim: Claim
-           ) -> tuple[_Part, ...]:
+def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[_Part, ...]:
     """What ``claim`` needs from the replay, after the checks that need none
-    of it.  ``observers`` caches each observer's stage index, premeasurement
-    and record basis."""
-    if claim.observer not in observers:
-        idx, step = transcript.agent_premeasure(claim.observer)
-        observers[claim.observer] = (
-            idx, step, Basis.computational(transcript.stages[idx].state.layout, step.apparatus))
-    idx, step, record = observers[claim.observer]
+    of it: read from the transcript's steps and layouts, never its states.
+    A record of zero weight is judged where it is conditioned
+    (``conditioned_branches``)."""
+    idx, step = transcript.agent_premeasure(claim.observer)
+    record = Basis.computational(transcript.stages[idx].state.layout, step.apparatus)
     observed = claim.observed
     if observed in record.labels:
         out_i = record.labels.index(observed)
@@ -335,11 +328,6 @@ def _parts(transcript: ProtocolTranscript,
     else:
         raise UnknownLabelError(
             f"{observed!r} is neither a record nor a basis label of {step.apparatus!r}"
-        )
-    p_obs = outcome_probability(transcript.stages[idx].state, step.apparatus, record, out_i)
-    if p_obs <= PRUNE_PROB:
-        raise ImpossibleOutcomeError(
-            f"record {observed!r} has probability {p_obs:.3g} at {step.apparatus!r}'s stage"
         )
     if claim.semantics == "premeasurement":
         branch_sets: tuple[Basis | None, ...] = (None,)

@@ -213,29 +213,22 @@ class StateBatch:
 
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Dense matrix between two layouts.
-
-    ``kind`` may be ``"general"``, ``"unitary"`` or ``"isometry"``; the
-    latter two are verified entrywise at construction (1e-9).
-    """
+    """Dense unitary matrix between two layouts of one dimension, verified
+    entrywise at construction (1e-9)."""
 
     layout_in: SubsystemLayout
     layout_out: SubsystemLayout
     matrix: np.ndarray
-    kind: str = "general"
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.complex128)
         expected = (self.layout_out.dimension, self.layout_in.dimension)
         if mat.shape != expected:
             raise LayoutMismatchError(f"operator shape {mat.shape}, expected {expected}")
-        if self.kind not in ("general", "unitary", "isometry"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "unitary" and mat.shape[0] != mat.shape[1]:
+        if mat.shape[0] != mat.shape[1]:
             raise LayoutMismatchError("unitary operator must be square")
-        if self.kind != "general" and gram_defect(mat.T) is not None:
-            article = "" if self.kind == "unitary" else "an "
-            raise LayoutConflictError(f"operator flagged {self.kind} is not {article}{self.kind}")
+        if gram_defect(mat.T) is not None:
+            raise LayoutConflictError("operator is not unitary")
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -282,13 +275,14 @@ def make_state(
 
 
 def normalized(layout: SubsystemLayout, amps: np.ndarray) -> StateVector:
-    """The state along raw amplitudes ``amps``; a zero norm, or one that is
-    inf or NaN, raises DegenerateStateError."""
+    """The state along raw amplitudes ``amps``; all-zero amplitudes, or a
+    norm that underflows to 0, overflows, or is inf or NaN, raise
+    DegenerateStateError."""
+    if not amps.any():
+        raise DegenerateStateError("state terms sum to the zero vector")
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(amps))
-    if nrm <= 0.0:
-        raise DegenerateStateError("terms sum to the zero vector")
-    if not nrm < math.inf:
+    if not 0.0 < nrm < math.inf:
         raise DegenerateStateError(f"state norm {nrm} is out of floating-point range")
     return StateVector(layout, amps / nrm)
 

@@ -332,7 +332,7 @@ def correlating_unitary(
     big = np.kron(small, np.eye(layout.dimension // dim, dtype=np.complex128))
     full = np.zeros_like(big)
     full[perm[:, None], perm[None, :]] = big
-    return LinearOperator(layout, layout, full, kind="unitary")
+    return LinearOperator(layout, layout, full)
 
 
 def premeasure(state: StateVector | StateBatch, spec: MeasurementSpec

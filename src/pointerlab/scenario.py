@@ -21,8 +21,7 @@ caught at parse time with line/column positions.  Every declared vector
 goes through ``hilbert.gram_defect``: a norm is reported at its vector,
 then an overlap at its set, with the Gram entry; NaN and inf fail.  A
 diagnostic's column comes from the reader that finds the fault, and its
-line from ``parse_scenario``'s line loop, the one place that knows which
-line is being read.
+line from ``parse_scenario``'s line loop, the only code that stamps a line.
 
 Grammar sketch::
 
@@ -75,6 +74,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (
+    DegenerateStateError,
     NonInjectiveLabelMapError,
     NonOrthonormalBasisError,
     ScenarioParseError,
@@ -376,20 +376,12 @@ _COEFFICIENT_RE = re.compile(
 _TERM_RE = re.compile(r"([^|]*)\|([^>]*)>\s*")
 
 
-def parse_coefficient(text: str, line: int, col: int) -> complex:
+def _coefficient(text: str, col: int) -> complex:
     """Parse one coefficient literal: an optional sign, then sqrt(p/q), a
     decimal, an imaginary (0.5i or i), a parenthesized complex (a+bi), or
     nothing, which stands for 1.  Spaces may surround the sign and the
     literal, and ``col`` is where the text starts.  A value too large for
     a double is rejected."""
-    try:
-        return _coefficient(text, col)
-    except ScenarioParseError as exc:
-        exc.line = line
-        raise
-
-
-def _coefficient(text: str, col: int) -> complex:
     m = _COEFFICIENT_RE.match(text)
     if m is None:
         raise ScenarioParseError(f"malformed coefficient {text.strip()!r}", col,
@@ -418,20 +410,12 @@ def _coefficient(text: str, col: int) -> complex:
     return value
 
 
-def parse_expression(text: str, line: int, col: int) -> tuple[StateTerm, ...]:
+def _expression(text: str, col: int) -> tuple[StateTerm, ...]:
     """Parse ``coeff|ket> + coeff|ket> - ...`` into state terms, ``col``
     being the column of ``text[0]``.  Terms are read one at a time: a
-    coefficient (``parse_coefficient``), then ``|labels>``; every term after
+    coefficient (``_coefficient``), then ``|labels>``; every term after
     the first opens with ``+`` or ``-``, the sign of its coefficient.  Each
     term keeps the column of each of its labels."""
-    try:
-        return _expression(text, col)
-    except ScenarioParseError as exc:
-        exc.line = line
-        raise
-
-
-def _expression(text: str, col: int) -> tuple[StateTerm, ...]:
     pos = len(text) - len(text.lstrip())
     if pos == len(text):
         raise ScenarioParseError("empty state expression", col,
@@ -674,8 +658,9 @@ def _fmt_complex_plain(c: complex) -> str:
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; raises ScenarioParseError with
     line/column and a fix hint on the first problem found.  The reader that
-    finds a problem gives its column, and the line loop puts on it the line
-    it was reading (the last line for a problem found at the end)."""
+    finds a problem gives its column, and the line loop, the only code that
+    stamps a line, puts on it the line it was reading (the last line for a
+    problem found at the end)."""
     ctx = _Context()
     derived_layout: list[DerivedDecl] = []
     state_terms: tuple[StateTerm, ...] | None = None
@@ -822,14 +807,12 @@ def _parse_state(expr: str, col: int, ctx: _Context
                 f"ket has {len(term.labels)} labels, layout has {len(subs)} subsystems",
                 term.columns[0], "give one label per declared subsystem, in order")
     amps = ctx.vector(subs, terms)
-    if not amps.any():
-        raise ScenarioParseError("state terms sum to the zero vector", col,
-                                 "give the state a nonzero amplitude")
-    nrm = float(np.linalg.norm(amps))
-    if not 0.0 < nrm < math.inf:
-        raise ScenarioParseError(f"state norm {nrm} is out of floating-point range", col,
-                                 "scale the coefficients toward 1")
-    return terms, normalized(ctx.layout, amps)
+    try:
+        return terms, normalized(ctx.layout, amps)
+    except DegenerateStateError as exc:
+        hint = ("give the state a nonzero amplitude" if "zero vector" in str(exc)
+                else "scale the coefficients toward 1")
+        raise ScenarioParseError(str(exc), col, hint) from None
 
 
 def _parse_action_line(stripped: str, col0: int, ctx: _Context) -> Step:
@@ -1036,8 +1019,8 @@ def _claim(observer, outcome, prop, ctx: _Context, semantics="premeasurement",
            models=()) -> CertaintyQuery:
     """Check one inference (certainty queries and audit statements alike):
     ``observer`` is an apparatus, ``outcome`` one of its records or measured
-    labels, and ``prop`` the words SUBJECT QUANTIFIER PREDICATE, each word
-    with its column."""
+    labels, naming one outcome, and ``prop`` the words SUBJECT QUANTIFIER
+    PREDICATE, each word with its column."""
     (observer, ocol), (outcome, outcol) = observer, outcome
     action = _apparatus(observer, ocol, ctx)
     valid = set(action.outcomes) | {b for b in action.basis if isinstance(b, str)}
@@ -1045,6 +1028,13 @@ def _claim(observer, outcome, prop, ctx: _Context, semantics="premeasurement",
         raise ScenarioParseError(
             f"outcome {outcome!r} is not a record or basis label of {observer!r}", outcol,
             f"use one of {sorted(valid)}")
+    if outcome in action.outcomes and outcome in action.basis:
+        recorded = action.outcomes[action.basis.index(outcome)]
+        if recorded != outcome:
+            raise ScenarioParseError(
+                f"outcome {outcome!r} is both a record of {observer!r} and the basis label "
+                f"recorded as {recorded!r}", outcol,
+                "give the records and the basis labels distinct names")
     (subject, _), (quant, qcol), (predicate, _) = prop
     if quant not in ("will_obtain", "is_in_state"):
         raise ScenarioParseError(f"unknown quantifier {quant!r}", qcol,

@@ -635,7 +635,7 @@ AUDIT_IMPOSSIBLE = 'consistency_audit chain=(s1:"A a1 R is_in_state head", ' \
                    's2:"A a2 R is_in_state head") joint=(A:head) decoherent=s1 models=(m)'
 AUDIT_UNCOVERED = 'consistency_audit chain=(s1:"A a1 R is_in_state plus") joint=(A:head) ' \
                   'decoherent=s1 models=(m)'
-ZERO_A2 = "record 'a2' has probability 0 at 'A''s stage"
+ZERO_A2 = "outcome 'a2' on 'A' has probability 0"
 HALF = "measured bases cover only probability 0.5 of the state"
 
 
@@ -655,9 +655,10 @@ def test_a_failing_certainty_query_is_named_as_when_answered_alone(
         tmp_path, capsys, queries, message):
     # The queries share an observer and so one replay; the diagnostic still
     # names the first failing query with its own message, as when each
-    # query was answered alone.  One failure comes from the replay (Born
-    # coverage), the other before it (an impossible record).  An audit's
-    # statements join the same replay.
+    # query was answered alone.  One failure comes from the read (Born
+    # coverage, "replay" in the ids), the other from conditioning on an
+    # impossible record ("plan").  An audit's statements join the same
+    # replay.
     text = SHARED_OBSERVER + "".join(f"  {q}\n" for q in queries)
     path = write(tmp_path, "shared.scn", text)
     assert main(["run", path]) == EXIT_EXEC

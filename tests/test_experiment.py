@@ -725,6 +725,54 @@ def test_one_run_answers_every_claim_with_one_replay(monkeypatch):
     assert calls == {"certainties": 1, "apply_step": 6 + 5}
 
 
+# Certainty queries on the chain of _chain_text(rng(5), 3): F1's record a1 is
+# asked three ways (by its record, by its basis label s0, and under two
+# models), F1's a2 and W2's a1 (by its basis label p1) once each.
+CHAIN_CLAIMS = "".join(f"  certainty {q}\n" for q in (
+    'observer=F1 outcome=a1 prop="W3 will_obtain p2" semantics=premeasurement',
+    'observer=F1 outcome=s0 prop="S is_in_state s0" semantics=premeasurement',
+    'observer=F1 outcome=a2 prop="W3 will_obtain p2" semantics=premeasurement',
+    'observer=F1 outcome=a1 prop="W3 will_obtain p2" semantics=decoherent models=(two, rot)',
+    'observer=W2 outcome=p1 prop="W3 will_obtain p2" semantics=premeasurement'))
+
+
+@pytest.mark.parametrize("name", ["fr", "decoherence", "chain"])
+def test_a_record_is_projected_once_where_it_is_conditioned(monkeypatch, name):
+    # Planning the claims reads no state: a run projects each (stage, record,
+    # branch set) its claims condition on once, where the replay conditions
+    # on it, and never asks outcome_probability for a record's weight.
+    from pointerlab import measurement, runner
+
+    text = (_chain_text(np.random.default_rng(5), 3) + CHAIN_CLAIMS if name == "chain"
+            else bundled_scenario_text(name))
+    scenario = parse_scenario(text)
+    transcript = scenario_transcript(scenario)
+    conditioned = set()
+    for claim in (c for q in scenario.queries for c in runner._claims(q)):
+        idx, step = transcript.agent_premeasure(claim.observer)
+        record = (claim.observed if claim.observed in step.outcome_labels
+                  else step.outcome_labels[step.basis.labels.index(claim.observed)])
+        branch_sets = ((None,) if claim.semantics == "premeasurement"
+                       else tuple(m.branches for m in claim.models))
+        conditioned |= {(idx, step.apparatus, record, b) for b in branch_sets}
+    projected = []
+    real = measurement._projected
+
+    def spy(rows, layout, subsystem, basis, outcome_index):
+        projected.append((subsystem, basis.labels[outcome_index]))
+        return real(rows, layout, subsystem, basis, outcome_index)
+
+    def never(*args):
+        raise AssertionError("outcome_probability was called")
+
+    monkeypatch.setattr(measurement, "_projected", spy)
+    for module in (measurement, ex, pl):
+        monkeypatch.setattr(module, "outcome_probability", never, raising=False)
+    runner.run(scenario, source_text=text)
+    assert len(conditioned) == {"fr": 5, "decoherence": 2, "chain": 5}[name]
+    assert sorted(projected) == sorted((a, r) for _, a, r, _ in conditioned)
+
+
 # Distinct bases and branch sets each file declares.  fr: four premeasured
 # bases, S's {right, left} (a proposition's) and two models; decoherence: one
 # premeasured basis, S's {right, left} and two models; the chain: three

@@ -145,7 +145,7 @@ def test_inner_layout_mismatch():
 
 def test_apply_identity_and_mismatch():
     s = init_state()
-    ident = pl.LinearOperator(s.layout, s.layout, np.eye(4), kind="unitary")
+    ident = pl.LinearOperator(s.layout, s.layout, np.eye(4))
     assert np.allclose(pl.apply(ident, s).amplitudes, s.amplitudes)
     other = pl.basis_state(pl.SubsystemLayout.of(("X", ("0",))), ("0",))
     with pytest.raises(LayoutMismatchError):
@@ -155,7 +155,7 @@ def test_apply_identity_and_mismatch():
 def test_unitary_flag_is_checked():
     lay = pl.SubsystemLayout.of(("a", ("0", "1")))
     with pytest.raises(LayoutConflictError):
-        pl.LinearOperator(lay, lay, np.array([[1.0, 1.0], [0.0, 1.0]]), kind="unitary")
+        pl.LinearOperator(lay, lay, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_density_is_pure_projector():
@@ -285,18 +285,6 @@ def test_amplitudes_are_read_only():
     s = init_state()
     with pytest.raises(ValueError):
         s.amplitudes[0] = 1.0
-
-
-def test_isometry_flag_checked():
-    lay2 = pl.SubsystemLayout.of(("a", ("0", "1")))
-    lay3 = pl.SubsystemLayout.of(("b", ("0", "1", "2")))
-    good = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    op = pl.LinearOperator(lay2, lay3, good, kind="isometry")
-    s = pl.basis_state(lay2, ("1",))
-    assert abs(pl.apply(op, s).amplitude(("1",)) - 1.0) < 1e-12
-    bad = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(LayoutConflictError):
-        pl.LinearOperator(lay2, lay3, bad, kind="isometry")
 
 
 def test_apply_to_axis_is_tensordot_then_moveaxis_bit_for_bit():

@@ -61,6 +61,13 @@ CHECKS = [
     pytest.param(lambda: pl.make_state(R, [(("head",), NAN), (("tail",), 1)]),
                  DegenerateStateError, "state norm nan is out of floating-point range",
                  id="make-state-nan"),
+    # Amplitudes whose norm underflows are not the zero vector.
+    pytest.param(lambda: pl.make_state(R, [(("head",), 1e-200), (("tail",), 1e-200)]),
+                 DegenerateStateError, "state norm 0.0 is out of floating-point range",
+                 id="make-state-underflow"),
+    pytest.param(lambda: pl.make_state(R, [(("head",), 1), (("head",), -1)]),
+                 DegenerateStateError, "state terms sum to the zero vector",
+                 id="make-state-zero"),
     pytest.param(lambda: pl.StateBatch(R, [[1, 0], [NAN, 0]]), DegenerateStateError,
                  "state 1 of the batch has norm nan, not 1 within 1e-09", id="batch-nan"),
     # A batch names its first state that is not unit, not its worst.
@@ -69,16 +76,14 @@ CHECKS = [
                  id="batch-first-off-state"),
     pytest.param(lambda: pl.LinearOperator(R, R, np.eye(3)), LayoutMismatchError,
                  "operator shape (3, 3), expected (2, 2)", id="operator-shape"),
-    pytest.param(lambda: pl.LinearOperator(R, R, np.eye(2), kind="orthogonal"), ValueError,
-                 "unknown operator kind 'orthogonal'", id="operator-kind"),
-    pytest.param(lambda: pl.LinearOperator(R, RS, np.eye(4)[:, :2], kind="unitary"),
+    pytest.param(lambda: pl.LinearOperator(R, RS, np.eye(4)[:, :2]),
                  LayoutMismatchError, "unitary operator must be square",
                  id="operator-unitary-not-square"),
-    pytest.param(lambda: pl.LinearOperator(R, R, np.array([[NAN, 0], [0, 1]]), kind="unitary"),
-                 LayoutConflictError, "operator flagged unitary is not unitary",
+    pytest.param(lambda: pl.LinearOperator(R, R, np.array([[NAN, 0], [0, 1]])),
+                 LayoutConflictError, "operator is not unitary",
                  id="operator-unitary-nan"),
-    pytest.param(lambda: pl.LinearOperator(R, R, [[1e200, 0], [0, 1]], kind="unitary"),
-                 LayoutConflictError, "operator flagged unitary is not unitary",
+    pytest.param(lambda: pl.LinearOperator(R, R, [[1e200, 0], [0, 1]]),
+                 LayoutConflictError, "operator is not unitary",
                  id="operator-unitary-overflow"),
     pytest.param(lambda: _density(np.eye(3) / 3), LayoutMismatchError,
                  "density shape (3, 3), expected (2, 2)", id="density-shape"),

@@ -114,7 +114,10 @@ def generated(kind: str, seed: int) -> str:
     M1, M2, M3 = rng.sample(["m", "coarse", "fine-3", "two_branch"], 3)
     s1, s2 = rng.sample(["s1", "stmt-a", "t_2"], 2)
     n, m = rng.randint(2, 3), rng.randint(2, 3)
-    r, s, a, b, ell = (rng.sample(labels, k) for k in (n, m, n + 1, n + 1, n))
+    r, s, ell = (rng.sample(labels, k) for k in (n, m, n))
+    # No apparatus level is a label of the basis it records, so an outcome
+    # word names one outcome.
+    a, b = (rng.sample([x for x in labels if x not in measured], n + 1) for measured in (r, ell))
     order = rng.sample(range(n), n)
     sq = f"sqrt(1/{n})"
     state = " + ".join(f"{sq}|{r[i]},{s[0]},{a[0]},{b[0]}>" for i in range(n))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pointerlab import experiment as ex
 from pointerlab import scenario as sc
 from pointerlab.cli import EXIT_PARSE, bundled_scenario_text, main
 from pointerlab.errors import NonOrthonormalBasisError, ScenarioParseError
@@ -23,7 +24,6 @@ from pointerlab.scenario import (
     GroupAction,
     PremeasureAction,
     RewriteQuery,
-    parse_coefficient,
     parse_scenario,
     serialize_scenario,
 )
@@ -80,16 +80,16 @@ queries:
 
 
 def test_coefficient_literals():
-    assert parse_coefficient("sqrt(1/3)", 1, 1) == complex(SQ(1 / 3))
-    assert parse_coefficient("-sqrt(1/12)", 1, 1) == complex(-SQ(1 / 12))
-    assert parse_coefficient("0.25", 1, 1) == 0.25
-    assert parse_coefficient("2e-3", 1, 1) == 0.002
-    assert parse_coefficient("i", 1, 1) == 1j
-    assert parse_coefficient("-0.5i", 1, 1) == -0.5j
-    assert parse_coefficient("(0.6-0.8i)", 1, 1) == 0.6 - 0.8j
-    assert parse_coefficient("", 1, 1) == 1.0
-    assert parse_coefficient("-", 1, 1) == -1.0
-    assert parse_coefficient("+", 1, 1) == 1.0
+    assert sc._coefficient("sqrt(1/3)", 1) == complex(SQ(1 / 3))
+    assert sc._coefficient("-sqrt(1/12)", 1) == complex(-SQ(1 / 12))
+    assert sc._coefficient("0.25", 1) == 0.25
+    assert sc._coefficient("2e-3", 1) == 0.002
+    assert sc._coefficient("i", 1) == 1j
+    assert sc._coefficient("-0.5i", 1) == -0.5j
+    assert sc._coefficient("(0.6-0.8i)", 1) == 0.6 - 0.8j
+    assert sc._coefficient("", 1) == 1.0
+    assert sc._coefficient("-", 1) == -1.0
+    assert sc._coefficient("+", 1) == 1.0
     # A bare sign before a ket is the coefficient -1 or +1.
     s = parse_scenario(MINIMAL.replace("sqrt(1/2)|head> + sqrt(1/2)|tail>", "|head> - |tail>"))
     assert [t.coefficient for t in s.state_terms] == [1.0, -1.0]
@@ -98,8 +98,8 @@ def test_coefficient_literals():
 
 def test_malformed_coefficient_diagnostic():
     with pytest.raises(ScenarioParseError) as err:
-        parse_coefficient("sqrt(1/0)", 4, 9)
-    assert err.value.line == 4
+        sc._coefficient("sqrt(1/0)", 9)
+    assert (err.value.message, err.value.column) == ("sqrt with zero denominator", 9)
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(MINIMAL.replace("sqrt(1/2)", "sqrn(1/2)", 1))
     assert "coefficient" in str(err.value) or "term" in str(err.value)
@@ -405,6 +405,22 @@ def test_non_finite_state_rejected_at_parse_time(state, message):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("state, message, hint", [
+    ("0.5|head> - 0.5|head>", "state terms sum to the zero vector",
+     "give the state a nonzero amplitude"),
+    ("1e200|head> + 1e200|tail>", "state norm inf is out of floating-point range",
+     "scale the coefficients toward 1"),
+    ("1e-200|head> + 1e-200|tail>", "state norm 0.0 is out of floating-point range",
+     "scale the coefficients toward 1"),
+], ids=["zero", "overflow", "underflow"])
+def test_a_state_that_does_not_normalize_is_reported_at_its_expression(state, message, hint):
+    # hilbert.normalized decides; the parser adds the position and the hint.
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(MINIMAL.replace("sqrt(1/2)|head> + sqrt(1/2)|tail>", state))
+    assert (err.value.line, err.value.column) == (3, 8)
+    assert (err.value.message, err.value.hint) == (message, hint)
+
+
 def test_prop_parsing_round_trip():
     s = parse_scenario(bundled_scenario_text("fr"))
     q = [q for q in s.queries if isinstance(q, CertaintyQuery)][0]
@@ -446,6 +462,46 @@ def test_certainty_proposition_basis_resolved_at_parse_time(prop, message):
         parse_scenario(PROP_BASE.replace("PROP", prop))
     assert message in err.value.message
     assert err.value.line == 10
+
+
+CROSSED = """\
+layout:
+  subsystem R {x, y}
+  subsystem A {r, x, y}
+state: sqrt(1/2)|x,r> + sqrt(1/2)|y,r>
+actions:
+  premeasure target=R apparatus=A basis={x,y} outcomes={y,x} ready=r
+models:
+  model m targets=(R,A) branches={|x,y>, |y,x>}
+queries:
+  QUERY
+"""
+
+
+@pytest.mark.parametrize("query, col", [
+    ('certainty observer=A outcome=x prop="R is_in_state x" semantics=premeasurement', 32),
+    ('consistency_audit chain=(s1:"A x R is_in_state x") joint=(A:x) decoherent=s1 '
+     'models=(m)', 34),
+], ids=["certainty", "audit-statement"])
+def test_an_outcome_naming_two_outcomes_is_rejected_at_its_word(query, col):
+    # 'x' is the record of basis label y and also the basis label recorded
+    # as y, so it names two outcomes.
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(CROSSED.replace("QUERY", query))
+    assert (err.value.line, err.value.column) == (10, col)
+    assert err.value.message == ("outcome 'x' is both a record of 'A' and the basis label "
+                                 "recorded as 'y'")
+    assert err.value.hint == "give the records and the basis labels distinct names"
+
+
+def test_an_outcome_that_is_the_record_and_label_of_one_outcome_is_valid():
+    text = CROSSED.replace("outcomes={y,x}", "outcomes={x,y}").replace(
+        "branches={|x,y>, |y,x>}", "branches={|x,x>, |y,y>}").replace(
+        "QUERY", 'certainty observer=A outcome=x prop="R is_in_state x" '
+                 "semantics=premeasurement")
+    scenario = parse_scenario(text)
+    verdict = ex.certainties(scenario_transcript(scenario), [scenario.queries[0].resolved])[0]
+    assert verdict.kind == "certain"
 
 
 def test_zero_initial_state_rejected_at_parse_time():
@@ -729,7 +785,7 @@ def _old_split(text, base, sep, keep=False):
     return [(raw.strip(), base + off + len(raw) - len(raw.lstrip())) for raw, off in pieces]
 
 
-def _old_expression(text, line, col):
+def _old_expression(text, col):
     """The expression reader before terms were read one at a time: cut the
     text at each top-level sign that follows a term, then read each piece
     as coefficient|labels>."""
@@ -740,7 +796,7 @@ def _old_expression(text, line, col):
         bar = chunk.find("|")
         if bar < 0 or not chunk.endswith(">"):
             raise ScenarioParseError(f"expected coefficient|ket> term, got {chunk!r}", at)
-        coeff = sc.parse_coefficient(chunk[:bar], line, at)
+        coeff = sc._coefficient(chunk[:bar], at)
         terms.append(sc.StateTerm(coeff, tuple(sc._label(lab.strip(), at + bar)
                                                for lab in chunk[bar + 1:-1].split(","))))
     if not terms:
@@ -750,7 +806,7 @@ def _old_expression(text, line, col):
 
 def _read_expression(reader, text):
     try:
-        return reader(text, 3, 5)
+        return reader(text, 5)
     except ScenarioParseError as exc:
         return exc
 
@@ -806,11 +862,11 @@ def test_lexer_matches_the_per_character_scan(text):
     # Reading an expression one term at a time accepts what cutting it at
     # signs accepted, with the same terms; a rejection is one positioned
     # diagnostic inside the text, and each label keeps its own column.
-    new = _read_expression(sc.parse_expression, text)
+    new = _read_expression(sc._expression, text)
     old = _read_expression(_old_expression, text)
     if isinstance(old, ScenarioParseError):
         assert isinstance(new, ScenarioParseError), new
-        assert new.line == 3 and 5 <= new.column < 5 + max(len(text), 1)
+        assert 5 <= new.column < 5 + max(len(text), 1)
     else:
         assert new == old
         for term in new:
@@ -852,7 +908,7 @@ def coefficient_texts(draw):
 def test_every_coefficient_form_reads_its_value(case):
     # Bit for bit, signed zeros included.
     text, value = case
-    got = parse_coefficient(text, 1, 1)
+    got = sc._coefficient(text, 1)
     assert (repr(got.real), repr(got.imag)) == (repr(value.real), repr(value.imag)), text
 
 
@@ -862,18 +918,18 @@ def test_a_sqrt_past_a_double_is_a_positioned_diagnostic(digits):
     # digits passed int's conversion limit: both escaped as exit 3.
     text = f" sqrt({'9' * digits}/1)"
     with pytest.raises(ScenarioParseError) as err:
-        parse_coefficient(text, 2, 7)
-    assert (err.value.line, err.value.column) == (2, 7)
+        sc._coefficient(text, 7)
+    assert err.value.column == 7
     assert err.value.message == f"coefficient {text.strip()!r} is not finite"
     # A quotient that fits is read as before, however long p and q are.
-    assert parse_coefficient(f"sqrt({'9' * 400}/{'9' * 399})", 1, 1) == complex(math.sqrt(10.0))
+    assert sc._coefficient(f"sqrt({'9' * 400}/{'9' * 399})", 1) == complex(math.sqrt(10.0))
 
 
 def test_a_coefficient_ends_at_the_end_of_its_text():
     # A newline before a final "i" once read "1\ni" as 1j.
     with pytest.raises(ScenarioParseError) as err:
-        parse_coefficient("1\ni", 2, 7)
-    assert (err.value.line, err.value.column) == (2, 7)
+        sc._coefficient("1\ni", 7)
+    assert err.value.column == 7
     assert err.value.message == "malformed coefficient '1\\ni'"
 
 
@@ -881,13 +937,13 @@ def test_long_expression_parses_in_linear_time():
     # Each sign once copied the text before it: 64,000 terms took 27 s.
     text = " + ".join(f"0.001|l{i}>" for i in range(64000))
     start = time.perf_counter()
-    assert len(sc.parse_expression(text, 1, 1)) == 64000
+    assert len(sc._expression(text, 1)) == 64000
     assert time.perf_counter() - start < 5.0
     # A malformed last label is reported at that label.
     text = text[:-1] + "*>"
     start = time.perf_counter()
     with pytest.raises(ScenarioParseError) as err:
-        sc.parse_expression(text, 1, 1)
+        sc._expression(text, 1)
     assert time.perf_counter() - start < 5.0
     assert err.value.message == "malformed ket label 'l63999*'"
     assert err.value.column == text.rindex("l63999*") + 1
