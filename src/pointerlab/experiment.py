@@ -287,26 +287,35 @@ def certainties(
     error ``certainty`` raises for that claim alone.
     """
     plans: list[tuple[_Part, ...] | PointerLabError] = []
+    made: dict[tuple[int, int, Basis | None], tuple[StateBatch, tuple[float, ...]]] = {}
     for claim in claims:
         try:
-            plans.append(_parts(transcript, claim))
+            plan = _parts(transcript, claim)
+            # Condition before the replay, so that a record of zero weight
+            # fails its claim alone and leaves the others one replay.
+            for p in plan:
+                if (p.start, p.outcome, p.branches) not in made:
+                    made[p.start, p.outcome, p.branches] = conditioned_branches(
+                        transcript.stages[p.start].state, p.branches, p.apparatus, p.record,
+                        p.outcome)
+            plans.append(plan)
         except PointerLabError as exc:
             plans.append(exc)
     try:
         dists = iter(_evidence(transcript, [p for plan in plans if isinstance(plan, tuple)
-                                            for p in plan]))
+                                            for p in plan], made))
         return tuple(plan if isinstance(plan, PointerLabError)
                      else _verdict(claim, [next(dists) for _ in plan])
                      for claim, plan in zip(claims, plans))
     except PointerLabError:
         pass
-    # Some state failed a check: ask each part on its own, in order, so that
-    # each claim reports the error it raises alone.
+    # Some state failed a check in the replay: ask each part on its own, in
+    # order, so that each claim reports the error it raises alone.
     results: list[CertaintyVerdict | PointerLabError] = []
     for claim, plan in zip(claims, plans):
         if isinstance(plan, tuple):
             try:
-                plan = _verdict(claim, [_evidence(transcript, [part])[0] for part in plan])
+                plan = _verdict(claim, [_evidence(transcript, [part], made)[0] for part in plan])
             except PointerLabError as exc:
                 plan = exc
         results.append(plan)
@@ -360,32 +369,31 @@ def _verdict(claim: Claim, dists: Sequence[OutcomeDistribution]) -> CertaintyVer
                             tuple((m.environment, d) for m, d in zip(claim.models, dists)))
 
 
-def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part]
+def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part],
+              made: Mapping[tuple[int, int, Basis | None], tuple[StateBatch, tuple[float, ...]]]
               ) -> list[OutcomeDistribution]:
     """One distribution per part, from one replay of the states the parts
-    condition on; raises the first error any state meets."""
+    condition on (``made``); raises the first error any state meets."""
     rows: list[np.ndarray] = []
     starts: list[int] = []
-    made: dict[tuple[int, int, Basis | None], list[tuple[int, float]]] = {}
+    at: dict[tuple[int, int, Basis | None], list[tuple[int, float]]] = {}
     reads: dict[tuple[int, str, Basis], list[int]] = {}
     for part in parts:
         key = (part.start, part.outcome, part.branches)
-        if key not in made:
-            batch, weights = conditioned_branches(transcript.stages[part.start].state,
-                                                  part.branches, part.apparatus, part.record,
-                                                  part.outcome)
-            made[key] = [(len(rows) + i, w) for i, w in enumerate(weights)]
+        if key not in at:
+            batch, weights = made[key]
+            at[key] = [(len(rows) + i, w) for i, w in enumerate(weights)]
             rows.extend(batch.amplitudes)
             starts.extend(part.start for _ in weights)
         read = reads.setdefault(part.read, [])
-        read.extend(r for r, _ in made[key] if r not in read)
+        read.extend(r for r, _ in at[key] if r not in read)
     tables = _replay(transcript, rows, starts, reads)
     # A model's environment would stay a spectator of every later step, so
     # summing over it, as the Born rule does, mixes its branches' tables
     # with the branch weights; premeasurement semantics is the one branch.
     out = []
     for part in parts:
-        mixed = made[part.start, part.outcome, part.branches]
+        mixed = at[part.start, part.outcome, part.branches]
         dists = [tables[r, part.read] for r, _ in mixed]
         out.append(OutcomeDistribution(tuple(
             (labels, sum(w * d.entries[i][1] for (_, w), d in zip(mixed, dists)))

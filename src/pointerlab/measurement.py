@@ -454,7 +454,8 @@ def conditioned_branches(
     that sum over the environment are this mixture of the branches'
     statistics.  Branches whose weight is at most PRUNE_PROB are left out.
     Raises IncompleteBranchingError if the branches miss the state's
-    support, ImpossibleOutcomeError if the outcome has no weight.
+    support, ImpossibleOutcomeError if the outcome has no weight in the
+    branches or in the state itself (‖Q·state‖²).
     """
     comps = state.rows() if branches is None else branch_components(state, branches)
     rows, weights = _conditioned(comps, state.layout, subsystem, basis, outcome_index)
@@ -479,11 +480,16 @@ def _conditioned(rows: np.ndarray, layout: SubsystemLayout, subsystem: str, basi
     parts = q.view(np.float64)
     weights = np.einsum("ij,ij->i", parts, parts)
     total = float(weights.sum())
-    if total <= PRUNE_PROB:
-        raise ImpossibleOutcomeError(
-            f"outcome {basis.labels[outcome_index]!r} on {subsystem!r} has "
-            f"probability {total:.3g}"
-        )
+    # Complete branches sum to the state, so the rows sum to Q·state: the
+    # observed record's own weight, which cross terms between branches can
+    # cancel while each branch keeps some.
+    whole = q.sum(0)
+    for weight in (total, float(np.vdot(whole, whole).real)):
+        if weight <= PRUNE_PROB:
+            raise ImpossibleOutcomeError(
+                f"outcome {basis.labels[outcome_index]!r} on {subsystem!r} has "
+                f"probability {weight:.3g}"
+            )
     keep = weights > PRUNE_PROB * total
     weights = weights[keep]
     return q[keep] / np.sqrt(weights)[:, None], weights / total

@@ -810,7 +810,7 @@ def _parse_state(expr: str, col: int, ctx: _Context
     try:
         return terms, normalized(ctx.layout, amps)
     except DegenerateStateError as exc:
-        hint = ("give the state a nonzero amplitude" if "zero vector" in str(exc)
+        hint = ("give the state a nonzero amplitude" if not amps.any()
                 else "scale the coefficients toward 1")
         raise ScenarioParseError(str(exc), col, hint) from None
 

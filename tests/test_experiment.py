@@ -725,6 +725,45 @@ def test_one_run_answers_every_claim_with_one_replay(monkeypatch):
     assert calls == {"certainties": 1, "apply_step": 6 + 5}
 
 
+def test_an_impossible_claim_leaves_the_others_one_replay(monkeypatch):
+    # A claim on Fbar's ready level, a record of weight 0, fails where its
+    # record is conditioned, before the replay: the bundled FR claims around
+    # it still share one replay of the five steps after Fbar's stage, and
+    # answer as they do without it.
+    from pointerlab import runner
+
+    scenario = parse_scenario(bundled_scenario_text("fr"))
+    transcript = scenario_transcript(scenario)
+    claims = [c for q in scenario.queries for c in runner._claims(q)]
+    alone = ex.certainties(transcript, claims)
+    calls = []
+    real = ex.apply_step
+    monkeypatch.setattr(ex, "apply_step", lambda *args: calls.append(1) or real(*args))
+    answers = ex.certainties(transcript, claims[:1] + [ex.Claim("Fbar", "F0", claims[0].prop)]
+                             + claims[1:])
+    assert len(calls) == 5
+    assert isinstance(answers[1], ImpossibleOutcomeError)
+    assert str(answers[1]) == "outcome 'F0' on 'Fbar' has probability 0"
+    assert [repr(a) for a in answers[:1] + answers[2:]] == [repr(a) for a in alone]
+
+
+@pytest.mark.parametrize("model", ["two", "rot"])
+def test_a_decoherent_claim_on_a_record_of_weight_0_is_impossible(model):
+    # At F1's stage the state is |s0,a1,a0,a0>, so F1's record a2 has
+    # probability 0.  two's branches give it no weight either; rot's,
+    # c|s0,a1> + s|s1,a2> and -s|s0,a1> + c|s1,a2>, give it weight c²s²
+    # each, but their sum, the record's own weight, cancels.
+    text = _chain_text(np.random.default_rng(5), 3)
+    start = text.index("state: ")
+    text = (text[:start] + "state: |s0,a0,a0,a0>" + text[text.index("\n", start):]
+            + f'  certainty observer=F1 outcome=a2 prop="W3 will_obtain p2" '
+              f"semantics=decoherent models=({model})\n")
+    scenario = parse_scenario(text)
+    (answer,) = ex.certainties(scenario_transcript(scenario), [scenario.queries[-1].resolved])
+    assert isinstance(answer, ImpossibleOutcomeError)
+    assert str(answer).startswith("outcome 'a2' on 'F1' has probability ")
+
+
 # Certainty queries on the chain of _chain_text(rng(5), 3): F1's record a1 is
 # asked three ways (by its record, by its basis label s0, and under two
 # models), F1's a2 and W2's a1 (by its basis label p1) once each.
