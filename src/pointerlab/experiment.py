@@ -124,10 +124,14 @@ class ProtocolTranscript:
         raise UnknownLabelError(f"no stage named {name!r}")
 
     def agent_premeasure(self, agent: str) -> tuple[int, MeasurementSpec]:
-        for i, step in enumerate(self.steps):
-            if isinstance(step, MeasurementSpec) and step.apparatus == agent:
-                return i, step
-        raise UnknownSubsystemError(f"no premeasurement with apparatus {agent!r}")
+        return _premeasurement(self.steps, agent)
+
+
+def _premeasurement(steps: Sequence[Step | None], agent: str) -> tuple[int, MeasurementSpec]:
+    for i, step in enumerate(steps):
+        if isinstance(step, MeasurementSpec) and step.apparatus == agent:
+            return i, step
+    raise UnknownSubsystemError(f"no premeasurement with apparatus {agent!r}")
 
 
 def run_transcript(initial: StateVector, named_steps: Sequence[tuple[str, Step]]
@@ -233,20 +237,19 @@ def certainty(
     """Decide whether ``observer``, having seen ``observed`` on their own
     apparatus, may assert ``prop``: the one-claim case of ``certainties``.
 
-    Premeasurement semantics conditions the observer's stage state on the
-    record and propagates.  Decoherent semantics instead couples each
-    environment model at the observer's stage, conditions on the record,
-    and requires the proposition to hold with probability one under every
-    model; the Born rule then sums over the environment, which weighs the
-    pointer mixture's branches.  Since no later step touches that
-    environment, each model's evidence is the mixture of its branches'
-    statistics, each branch conditioned and propagated on its own (see
-    ``measurement.conditioned_branches``), so no environment register is
-    attached.  The engine never tries to discriminate between the consulted
-    models: doing so would take a further measurement on the measured
-    system itself, which is incompatible with the rest of the protocol, so
-    the model family stays whole and caps what the observer may call
-    certain.
+    Premeasurement semantics conditions the observer's stage state ψ on the
+    record and propagates.  Decoherent semantics requires the proposition
+    to hold with probability one under every environment model, whose
+    evidence is what an environment coupled at the observer's stage would
+    give once summed over, no later step touching it: the mixture of the
+    statistics of its branches Q·P_k·ψ (Q projects onto the record, P_k
+    onto branch k), each conditioned and propagated on its own
+    (``measurement.conditioned_branches``).  Under both semantics (P = 1 is
+    premeasurement's one branch) the record's weight in the branches,
+    sum_k ‖Q·P_k·ψ‖², and in ψ itself, ‖Q·ψ‖², must each exceed 1e-12, else
+    ImpossibleOutcomeError.  The engine never discriminates between the
+    consulted models, which would take a further measurement on the
+    measured system itself, so the model family caps what may be certain.
     """
     (result,) = certainties(transcript,
                             [Claim(observer, observed, prop, semantics, tuple(models or ()))])
@@ -257,14 +260,13 @@ def certainty(
 
 @dataclass(frozen=True)
 class _Part:
-    """One distribution a claim needs: the states at stage ``start`` (where
-    ``apparatus`` records in ``record``) conditioned on record ``outcome``
-    along a model's ``branches`` (None: premeasurement's single branch),
-    read through ``read`` = (stage index, subject, basis)."""
+    """One distribution a claim needs: the states at stage ``start``
+    conditioned on level ``outcome`` of ``apparatus`` along a model's
+    ``branches`` (None: premeasurement's single branch), read through
+    ``read`` = (stage index, subject, basis)."""
 
     start: int
     apparatus: str
-    record: Basis
     outcome: int
     branches: Basis | None
     read: tuple[int, str, Basis]
@@ -295,9 +297,10 @@ def certainties(
             # fails its claim alone and leaves the others one replay.
             for p in plan:
                 if (p.start, p.outcome, p.branches) not in made:
+                    state = transcript.stages[p.start].state
                     made[p.start, p.outcome, p.branches] = conditioned_branches(
-                        transcript.stages[p.start].state, p.branches, p.apparatus, p.record,
-                        p.outcome)
+                        state, p.branches, p.apparatus,
+                        Basis.computational(state.layout, p.apparatus), p.outcome)
             plans.append(plan)
         except PointerLabError as exc:
             plans.append(exc)
@@ -322,43 +325,49 @@ def certainties(
     return tuple(results)
 
 
-def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[_Part, ...]:
-    """What ``claim`` needs from the replay, after the checks that need none
-    of it: read from the transcript's steps and layouts, never its states.
-    A record of zero weight is judged where it is conditioned
-    (``conditioned_branches``)."""
-    idx, step = transcript.agent_premeasure(claim.observer)
-    record = Basis.computational(transcript.stages[idx].state.layout, step.apparatus)
-    observed = claim.observed
-    if observed in record.labels:
-        out_i = record.labels.index(observed)
-    elif observed in step.basis.labels:
-        out_i = record.labels.index(step.outcome_labels[step.basis.labels.index(observed)])
-    else:
+def claim_plan(layouts: Sequence[SubsystemLayout], steps: Sequence[Step | None], observer: str,
+               observed: str, subject: str, quantifier: str) -> tuple[int, int, int]:
+    """The plan of a claim the parser and ``certainties`` share, from stage
+    layouts and steps alone: (the observer's stage, the observed record's
+    level, the read stage).  ``observed`` must be an ``outcomes=`` record or
+    a measured-basis label naming one outcome (UnknownLabelError).
+    is_in_state reads the first stage, from the observer's on, holding
+    ``subject`` (a register: an apparatus subject's target); will_obtain
+    reads the final stage, which must hold it (UnknownSubsystemError)."""
+    start, step = _premeasurement(steps, observer)
+    record = dict(zip(step.basis.labels, step.outcome_labels)).get(observed, observed)
+    if record != observed and observed in step.outcome_labels:
+        raise UnknownLabelError(f"outcome {observed!r} is both a record of {observer!r} and the "
+                                f"basis label recorded as {record!r}")
+    if record not in step.outcome_labels:
         raise UnknownLabelError(
-            f"{observed!r} is neither a record nor a basis label of {step.apparatus!r}"
-        )
-    if claim.semantics == "premeasurement":
-        branch_sets: tuple[Basis | None, ...] = (None,)
-    elif claim.semantics != "decoherent":
-        raise PointerLabError(f"unknown semantics {claim.semantics!r}")
-    elif not claim.models:
-        raise PointerLabError("decoherent semantics needs a non-empty model list")
+            f"outcome {observed!r} is not a record or basis label of {observer!r}")
+    if quantifier == "is_in_state":
+        reads, where = range(start, len(layouts)), f"where {observer!r} measures"
     else:
-        branch_sets = tuple(m.branches for m in claim.models)
+        reads, where = [len(layouts) - 1], "at the final stage, where will_obtain reads it"
+    read = next((j for j in reads if subject in layouts[j].axes), None)
+    if read is None:
+        raise UnknownSubsystemError(f"prop subject {subject!r} no longer exists {where}")
+    return start, layouts[start].subsystem(observer).positions[record], read
+
+
+def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[_Part, ...]:
+    """What ``claim`` needs from the replay: its plan and branch sets, from
+    the transcript's steps and layouts, never its states.  A record of zero
+    weight is judged where it is conditioned (``conditioned_branches``)."""
     prop = claim.prop
-    # will_obtain reads the final stage; is_in_state reads the first stage
-    # that holds the subject (later steps may consume it by grouping).
-    read_at = len(transcript.stages) - 1
-    if prop.quantifier == "is_in_state":
-        read_at = next((j for j in range(idx, len(transcript.stages))
-                        if prop.subject in transcript.stages[j].state.layout.axes), None)
-        if read_at is None:
-            raise UnknownSubsystemError(
-                f"proposition subject {prop.subject!r} never exists after stage {idx}"
-            )
-    return tuple(_Part(idx, step.apparatus, record, out_i, b,
-                       (read_at, prop.subject, prop.basis)) for b in branch_sets)
+    start, record, read = claim_plan([st.state.layout for st in transcript.stages],
+                                     transcript.steps, claim.observer, claim.observed,
+                                     prop.subject, prop.quantifier)
+    if claim.semantics not in ("premeasurement", "decoherent"):
+        raise PointerLabError(f"unknown semantics {claim.semantics!r}")
+    branch_sets = ((None,) if claim.semantics == "premeasurement"
+                   else tuple(m.branches for m in claim.models))
+    if not branch_sets:
+        raise PointerLabError("decoherent semantics needs a non-empty model list")
+    return tuple(_Part(start, claim.observer, record, b, (read, prop.subject, prop.basis))
+                 for b in branch_sets)
 
 
 def _verdict(claim: Claim, dists: Sequence[OutcomeDistribution]) -> CertaintyVerdict:

@@ -79,6 +79,7 @@ from .errors import (
     NonOrthonormalBasisError,
     ScenarioParseError,
     UnknownLabelError,
+    UnknownSubsystemError,
 )
 from .hilbert import (
     MAX_AMPLITUDES,
@@ -90,7 +91,7 @@ from .hilbert import (
     merged_register,
     normalized,
 )
-from .experiment import Claim, CoupleStep, GroupStep, Proposition
+from .experiment import Claim, CoupleStep, GroupStep, Proposition, claim_plan
 from .measurement import Basis, MeasurementSpec, branch_labels, environment_labels
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
@@ -134,8 +135,7 @@ BasisItem = Union[str, tuple[complex, ...]]
 
 @dataclass(frozen=True)
 class PremeasureAction:
-    """``resolved`` is the premeasurement step; ``stage`` is the layout in
-    force when the apparatus measures."""
+    """``resolved`` is the premeasurement step."""
 
     target: str
     apparatus: str
@@ -143,7 +143,6 @@ class PremeasureAction:
     outcomes: tuple[str, ...]
     ready: str
     resolved: MeasurementSpec = _resolved()
-    stage: SubsystemLayout = _resolved()
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,9 @@ class BornQuery:
 
 @dataclass(frozen=True)
 class CertaintyQuery:
-    """``resolved`` is the claim.  Its proposition's subject is the register
-    the proposition's basis lives on (an apparatus subject names its
-    target), and its models are the declared models' own objects."""
+    """``resolved`` is the claim, planned as ``experiment.certainties`` plans
+    it: its subject is the register its basis lives on (an apparatus subject
+    names its target), and its models are the declared models' own objects."""
 
     observer: str
     outcome: str
@@ -452,9 +451,9 @@ class _Context:
     taken, the label's terms and its vector.  A register that ``group``
     puts in another's place, even under the same name and labels, has none
     of them.  The basis memo is keyed by register object too.  ``stages``
-    holds the declared layout, then the layout after each action;
-    ``apparatus`` the premeasure action of each apparatus, and ``models``
-    the declared models."""
+    and ``steps`` hold the layouts and resolved steps as a transcript keeps
+    them; ``apparatus`` the premeasure action of each apparatus, and
+    ``models`` the declared models."""
 
     def __init__(self):
         self.layout: SubsystemLayout | None = None
@@ -462,6 +461,7 @@ class _Context:
                            tuple[Subsystem, tuple[tuple[str, complex], ...], np.ndarray]] = {}
         self._bases: dict[tuple, Basis] = {}
         self.stages: list[SubsystemLayout] = []
+        self.steps: list[MeasurementSpec | GroupStep | CoupleStep | None] = [None]
         self.apparatus: dict[str, PremeasureAction] = {}
         self.models: dict[str, ModelDecl] = {}
 
@@ -723,6 +723,7 @@ def parse_scenario(text: str) -> Scenario:
                         ctx.apparatus[step.apparatus] = step
                     if not isinstance(step, DerivedDecl):
                         ctx.stages.append(ctx.layout)
+                        ctx.steps.append(step.resolved)
                 elif section == "models":
                     model = _parse_model_line(stripped, col0, ctx)
                     ctx.models[model.name] = model
@@ -854,7 +855,7 @@ def _parse_action_line(stripped: str, col0: int, ctx: _Context) -> Step:
             raise ScenarioParseError(f"ready label {rval!r} not on apparatus {aval!r}",
                                      rcol, "ready names an apparatus level")
         step = MeasurementSpec(tval, resolved, aval, rval, tuple(outcomes))
-        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, step, ctx.layout)
+        return PremeasureAction(tval, aval, basis, tuple(outcomes), rval, step)
     if head == "group":
         toks = _tokens(stripped, col0)
         if not (len(toks) == 5 and toks[1][0].startswith("parts=") and toks[2][0] == "as"
@@ -949,43 +950,18 @@ def _parse_model_line(stripped: str, col0: int, ctx: _Context) -> ModelDecl:
     return ModelDecl(name, ordered, branches, CoupleStep(name, basis))
 
 
-def _prop_basis(prop, observer: PremeasureAction, ctx: _Context) -> Basis:
-    """The basis the words ``prop`` (SUBJECT QUANTIFIER PREDICATE, each with
-    its column) of a claim by ``observer`` are read in.  An apparatus
-    subject stands for its measured basis (on the target register); a
-    register subject is read in its computational basis, or in all its
-    derived labels when the predicate is one of them, with the labels it has
-    where ``experiment.certainties`` reads it: is_in_state at the first
-    stage, from the observer's on, that holds it; will_obtain at the final
-    stage."""
-    (subject, scol), (quant, _), (predicate, pcol) = prop
-    if subject in ctx.apparatus:
-        basis = ctx.apparatus[subject].resolved.basis
-        if predicate not in basis.labels:
-            raise ScenarioParseError(
-                f"predicate {predicate!r} is not among the measured basis labels "
-                f"{basis.labels}", pcol, f"use one of {list(basis.labels)}")
-        return basis
-    stages = ctx.stages
-    if not any(subject in st.axes for st in stages):
-        raise ScenarioParseError(f"prop subject {subject!r} is unknown", scol,
-                                 "name a subsystem or an apparatus")
-    if quant == "is_in_state":
-        start = next(i for i, st in enumerate(stages) if st is observer.stage)
-        reads, where = stages[start:], f"where {observer.apparatus!r} measures"
-    else:
-        reads, where = stages[-1:], "at the final stage, where will_obtain reads it"
-    sub = next((st.subsystem(subject) for st in reads if subject in st.axes), None)
-    if sub is None:
-        raise ScenarioParseError(f"prop subject {subject!r} no longer exists {where}", scol,
-                                 "name a register that exists there")
+def _prop_basis(sub: Subsystem, predicate: str, pcol: int, ctx: _Context) -> Basis:
+    """The basis a claim reads register ``sub`` in, as ``sub`` is at the
+    read stage of the plan the claim shares with ``experiment.certainties``:
+    its computational basis, or all its derived labels when the
+    ``predicate`` at column ``pcol`` is one of them."""
     if predicate in sub.positions:
         return ctx.computational(sub)
     derived = [lab for on, lab in ctx.derived if on == id(sub)]
     if predicate not in derived:
         raise ScenarioParseError(
             f"predicate {predicate!r} is neither a basis nor a derived label of "
-            f"{subject!r}", pcol, f"declare it with: derived {subject} ...")
+            f"{sub.name!r}", pcol, f"declare it with: derived {sub.name} ...")
     return ctx.basis(sub, [(lab, pcol) for lab in derived], pcol)
 
 
@@ -1018,28 +994,40 @@ def _quoted_words(text: str, col: int, what: str, shape: str) -> list[tuple[str,
 def _claim(observer, outcome, prop, ctx: _Context, semantics="premeasurement",
            models=()) -> CertaintyQuery:
     """Check one inference (certainty queries and audit statements alike):
-    ``observer`` is an apparatus, ``outcome`` one of its records or measured
-    labels, naming one outcome, and ``prop`` the words SUBJECT QUANTIFIER
-    PREDICATE, each word with its column."""
+    ``observer`` is an apparatus, and ``outcome`` and the words ``prop``
+    (SUBJECT QUANTIFIER PREDICATE), each with its column, pass the plan
+    ``experiment.certainties`` makes (``experiment.claim_plan``), each fault
+    reported at its word.  An apparatus subject stands for its measured
+    basis, on the target register the plan reads; a register subject is
+    read as it is at the plan's read stage (``_prop_basis``)."""
     (observer, ocol), (outcome, outcol) = observer, outcome
-    action = _apparatus(observer, ocol, ctx)
-    valid = set(action.outcomes) | {b for b in action.basis if isinstance(b, str)}
-    if outcome not in valid:
-        raise ScenarioParseError(
-            f"outcome {outcome!r} is not a record or basis label of {observer!r}", outcol,
-            f"use one of {sorted(valid)}")
-    if outcome in action.outcomes and outcome in action.basis:
-        recorded = action.outcomes[action.basis.index(outcome)]
-        if recorded != outcome:
-            raise ScenarioParseError(
-                f"outcome {outcome!r} is both a record of {observer!r} and the basis label "
-                f"recorded as {recorded!r}", outcol,
-                "give the records and the basis labels distinct names")
-    (subject, _), (quant, qcol), (predicate, _) = prop
+    (subject, scol), (quant, qcol), (predicate, pcol) = prop
+    spec = _apparatus(observer, ocol, ctx).resolved
+    measured = ctx.apparatus[subject].resolved.basis if subject in ctx.apparatus else None
+    try:
+        read = claim_plan(ctx.stages, ctx.steps, observer, outcome,
+                          subject if measured is None else measured.layout.names[0], quant)[2]
+    except UnknownLabelError as exc:
+        hint = ("give the records and the basis labels distinct names"
+                if outcome in spec.outcome_labels
+                else f"use one of {sorted({*spec.outcome_labels, *spec.basis.labels})}")
+        raise ScenarioParseError(str(exc), outcol, hint) from None
+    except UnknownSubsystemError as exc:
+        read = exc  # reported after the quantifier and subject checks below
     if quant not in ("will_obtain", "is_in_state"):
         raise ScenarioParseError(f"unknown quantifier {quant!r}", qcol,
                                  "use will_obtain or is_in_state")
-    basis = _prop_basis(prop, action, ctx)
+    if not any(subject in st.axes for st in ctx.stages):
+        raise ScenarioParseError(f"prop subject {subject!r} is unknown", scol,
+                                 "name a subsystem or an apparatus")
+    if measured is not None and predicate not in measured.labels:
+        raise ScenarioParseError(
+            f"predicate {predicate!r} is not among the measured basis labels "
+            f"{measured.labels}", pcol, f"use one of {list(measured.labels)}")
+    if isinstance(read, UnknownSubsystemError):
+        raise ScenarioParseError(str(read), scol, "name a register that exists there")
+    basis = (measured if measured is not None
+             else _prop_basis(ctx.stages[read].subsystem(subject), predicate, pcol, ctx))
     claim = Claim(observer, outcome, Proposition(basis.layout.names[0], basis, predicate, quant),
                   semantics, models)
     return CertaintyQuery(observer, outcome, subject, quant, predicate, semantics,
@@ -1067,11 +1055,12 @@ def _model_targets_in(models, layout, where, col, hint) -> None:
                     "as declared", col, hint)
 
 
-def _models_at_stage(models, observer: PremeasureAction, col: int) -> None:
-    """The models a decoherent claim by ``observer`` consults couple
-    registers of the observer's stage."""
-    _model_targets_in(models, observer.stage,
-                      f"the layout where {observer.apparatus!r} measures", col,
+def _models_at_stage(models, claim: Claim, col: int, ctx: _Context) -> None:
+    """The models a decoherent ``claim`` consults couple registers of its observer's stage."""
+    start = claim_plan(ctx.stages, ctx.steps, claim.observer, claim.observed,
+                       claim.prop.subject, claim.prop.quantifier)[0]
+    _model_targets_in(models, ctx.stages[start],
+                      f"the layout where {claim.observer!r} measures", col,
                       "decoherent semantics couples the observer's stage; model its registers")
 
 
@@ -1128,7 +1117,7 @@ def _parse_query_line(stripped: str, col0: int, ctx: _Context) -> Query:
                                      "drop models= or switch semantics")
         query = _claim(observer, outcome, words, ctx, sval, models)
         if models:
-            _models_at_stage(models, ctx.apparatus[observer[0]], fields["models"][1])
+            _models_at_stage(models, query.resolved, fields["models"][1], ctx)
         return query
     if head == "rewrite":
         fields = _field_map(toks[1:], ("bases",))
@@ -1188,7 +1177,7 @@ def _parse_query_line(stripped: str, col0: int, ctx: _Context) -> Query:
                                      f"use one of {list(chain)}")
         mval, mcol = _need(fields, "models", "consistency_audit")
         models = _model_list((mval, mcol), ctx)
-        _models_at_stage(models, ctx.apparatus[chain[dval].observer], mcol)
+        _models_at_stage(models, chain[dval].resolved, mcol, ctx)
         return AuditQuery(tuple(chain.items()), tuple(joint), dval,
                           tuple(m.environment for m in models),
                           replace(chain[dval].resolved, semantics="decoherent", models=models))

@@ -199,28 +199,36 @@ queries:
 """
 
 
-@pytest.mark.parametrize("demo, line, old, new, col, message", [
+@pytest.mark.parametrize("demo, line, old, new, col, word, message", [
     # F measures after R is grouped into Lbar.
     ("fr", 34, 'observer=Fbar outcome=F2 prop="L will_obtain fail"',
-     'observer=F outcome=F2 prop="R is_in_state head"', 41,
+     'observer=F outcome=F2 prop="R is_in_state head"', 41, "R",
      "prop subject 'R' no longer exists where 'F' measures"),
     # will_obtain reads the final stage, where Lbar holds R.
-    ("fr", 34, 'prop="L will_obtain fail"', 'prop="R will_obtain head"', 44,
+    ("fr", 34, 'prop="L will_obtain fail"', 'prop="R will_obtain head"', 44, "R",
      "prop subject 'R' no longer exists at the final stage, where will_obtain reads it"),
-    (None, 14, '"R is_in_state x"', '"R is_in_state h"', 55,
+    # An apparatus subject is read on its target, R, by the same rule.
+    ("fr", 34, 'observer=Fbar outcome=F2 prop="L will_obtain fail"',
+     'observer=F outcome=F2 prop="Fbar is_in_state head"', 41, "Fbar",
+     "prop subject 'R' no longer exists where 'F' measures"),
+    ("fr", 34, 'observer=Fbar outcome=F2 prop="L will_obtain fail"',
+     'observer=F outcome=F2 prop="Fbar will_obtain head"', 41, "Fbar",
+     "prop subject 'R' no longer exists at the final stage, where will_obtain reads it"),
+    (None, 14, '"R is_in_state x"', '"R is_in_state h"', 55, "h",
      "predicate 'h' is neither a basis nor a derived label of 'R'"),
-    (None, 14, '"R is_in_state x"', '"R is_in_state plus"', 55,
+    (None, 14, '"R is_in_state x"', '"R is_in_state plus"', 55, "plus",
      "predicate 'plus' is neither a basis nor a derived label of 'R'"),
-], ids=["is_in_state-gone", "will_obtain-gone", "regrouped-old-label", "regrouped-old-derived"])
+], ids=["is_in_state-gone", "will_obtain-gone", "apparatus-is_in_state-gone",
+        "apparatus-will_obtain-gone", "regrouped-old-label", "regrouped-old-derived"])
 def test_a_claim_reads_its_subject_where_the_run_reads_it(tmp_path, capsys, demo, line, old,
-                                                          new, col, message):
-    # A claim's register subject resolves at the stage the run reads it,
-    # not where the name first appears, so check and run reject it alike,
-    # at the subject or predicate word the message quotes.
+                                                          new, col, word, message):
+    # A claim's register subject, or an apparatus subject's target, resolves
+    # at the stage the run reads it, not where the name first appears, so
+    # check and run reject it alike, at the subject or predicate word.
     lines = (bundled_scenario_text(demo) if demo else STAGE_READ).splitlines(keepends=True)
     assert old in lines[line - 1]
     lines[line - 1] = lines[line - 1].replace(old, new)
-    assert lines[line - 1][col - 1:].startswith(re.search("'([^']*)'", message).group(1))
+    assert lines[line - 1][col - 1:].startswith(word)
     path = write(tmp_path, "stage.scn", "".join(lines))
     for command in ("check", "run"):
         assert main([command, path]) == EXIT_PARSE

@@ -12,7 +12,7 @@ import pointerlab as pl
 from pointerlab import experiment as ex
 from pointerlab.cli import bundled_scenario_text
 from pointerlab.errors import (ImpossibleOutcomeError, NonOrthonormalBasisError, PointerLabError,
-                               UnknownLabelError)
+                               UnknownLabelError, UnknownSubsystemError)
 from pointerlab.experiment import Proposition, run_transcript
 from pointerlab.measurement import Basis
 from pointerlab.runner import scenario_transcript
@@ -202,11 +202,14 @@ def test_certainty_refuted_kind():
     assert vd.kind == "refuted"
 
 
-def test_certainty_error_paths():
+def test_certainty_error_paths(monkeypatch):
     tr = pl.run_protocol()
     lay = tr.stage("after-Fbar").state.layout
     prop = Proposition("S", Basis.computational(lay, "S"), "down", "is_in_state")
-    with pytest.raises(ImpossibleOutcomeError):
+    # The ready level is neither an outcomes= record nor a measured-basis
+    # label, so the claim fails where it is planned.
+    with pytest.raises(UnknownLabelError,
+                       match="outcome 'F0' is not a record or basis label of 'Fbar'"):
         pl.certainty(tr, "Fbar", "F0", prop)
     with pytest.raises(PointerLabError):
         pl.certainty(tr, "Fbar", "F2", prop, semantics="decoherent", models=[])
@@ -216,10 +219,25 @@ def test_certainty_error_paths():
         pl.certainty(tr, "Fbar", "F2", prop, semantics="bogus")
     # F measures at stage 3, after R is grouped into Lbar.
     coin = Proposition("R", Basis.computational(lay, "R"), "head", "is_in_state")
-    with pytest.raises(PointerLabError, match="never exists after stage 3"):
+    with pytest.raises(UnknownSubsystemError, match="prop subject 'R' no longer exists where 'F' "
+                                                     "measures"):
         pl.certainty(tr, "F", "F2", coin)
     with pytest.raises(PointerLabError, match="no premeasurement with apparatus"):
         pl.certainty(tr, "Q", "F2", prop)
+    # will_obtain reads the final stage, where Lbar holds R: the claim fails
+    # where it is planned, and the claim beside it keeps one replay of the
+    # five steps after Fbar's stage.
+    gone = ex.Claim("Fbar", "F2", replace(coin, quantifier="will_obtain"))
+    calls = []
+    real = ex.apply_step
+    monkeypatch.setattr(ex, "apply_step", lambda *args: calls.append(1) or real(*args))
+    statement_1 = Proposition("L", FAIL_OK, "fail", "will_obtain")
+    kept, failed = ex.certainties(tr, [ex.Claim("Fbar", "F2", statement_1), gone])
+    assert len(calls) == 5
+    assert kept.kind == "certain"
+    assert isinstance(failed, UnknownSubsystemError)
+    assert str(failed) == ("prop subject 'R' no longer exists at the final stage, where "
+                           "will_obtain reads it")
 
 
 def test_decoherence_compare_report():
@@ -726,24 +744,31 @@ def test_one_run_answers_every_claim_with_one_replay(monkeypatch):
 
 
 def test_an_impossible_claim_leaves_the_others_one_replay(monkeypatch):
-    # A claim on Fbar's ready level, a record of weight 0, fails where its
-    # record is conditioned, before the replay: the bundled FR claims around
-    # it still share one replay of the five steps after Fbar's stage, and
-    # answer as they do without it.
-    from pointerlab import runner
-
-    scenario = parse_scenario(bundled_scenario_text("fr"))
+    # The chain of _chain_text(rng(5), 3) started in |s0,a0,a0,a0>: at F1's
+    # stage the state is |s0,a1,a0,a0>, so F1's record a2 has weight 0.  A
+    # claim on it fails where its record is conditioned, before the replay:
+    # the claims around it still share one replay, of as many steps as
+    # without it, and answer as they do without it.
+    text = _chain_text(np.random.default_rng(5), 3)
+    start = text.index("state: ")
+    text = text[:start] + "state: |s0,a0,a0,a0>" + text[text.index("\n", start):] + "".join(
+        f"  certainty {q}\n" for q in (
+            'observer=F1 outcome=a1 prop="W3 will_obtain p2" semantics=premeasurement',
+            'observer=F1 outcome=s0 prop="S is_in_state s0" semantics=premeasurement',
+            'observer=W2 outcome=p1 prop="W3 will_obtain p2" semantics=premeasurement'))
+    scenario = parse_scenario(text)
     transcript = scenario_transcript(scenario)
-    claims = [c for q in scenario.queries for c in runner._claims(q)]
-    alone = ex.certainties(transcript, claims)
+    claims = [q.resolved for q in scenario.queries if isinstance(q, CertaintyQuery)]
     calls = []
     real = ex.apply_step
     monkeypatch.setattr(ex, "apply_step", lambda *args: calls.append(1) or real(*args))
-    answers = ex.certainties(transcript, claims[:1] + [ex.Claim("Fbar", "F0", claims[0].prop)]
+    alone = ex.certainties(transcript, claims)
+    replayed = len(calls)
+    answers = ex.certainties(transcript, claims[:1] + [ex.Claim("F1", "a2", claims[0].prop)]
                              + claims[1:])
-    assert len(calls) == 5
+    assert len(calls) - replayed == replayed
     assert isinstance(answers[1], ImpossibleOutcomeError)
-    assert str(answers[1]) == "outcome 'F0' on 'Fbar' has probability 0"
+    assert str(answers[1]) == "outcome 'a2' on 'F1' has probability 0"
     assert [repr(a) for a in answers[:1] + answers[2:]] == [repr(a) for a in alone]
 
 

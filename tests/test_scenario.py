@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from pointerlab import experiment as ex
 from pointerlab import scenario as sc
 from pointerlab.cli import EXIT_PARSE, bundled_scenario_text, main
-from pointerlab.errors import NonOrthonormalBasisError, ScenarioParseError
+from pointerlab.errors import NonOrthonormalBasisError, ScenarioParseError, UnknownLabelError
+from pointerlab.measurement import Basis
 from pointerlab.runner import DEMOS, scenario_transcript
 from pointerlab.scenario import (
     MAX_AMPLITUDES,
@@ -492,6 +493,36 @@ def test_an_outcome_naming_two_outcomes_is_rejected_at_its_word(query, col):
     assert err.value.message == ("outcome 'x' is both a record of 'A' and the basis label "
                                  "recorded as 'y'")
     assert err.value.hint == "give the records and the basis labels distinct names"
+
+
+@pytest.mark.parametrize("outcomes, answer", [
+    ("{y,x}", "outcome 'x' is both a record of 'A' and the basis label recorded as 'y'"),
+    ("{x,y}", "refuted"),
+], ids=["two-outcomes", "one-outcome"])
+def test_a_library_claim_follows_the_parsers_word_rule(outcomes, answer):
+    # certainties plans a library claim by the rule the parser applies: 'x'
+    # names two outcomes when the records are crossed, and one when the
+    # record x is also the label recorded as x.
+    scenario = parse_scenario(CROSSED.replace("outcomes={y,x}", f"outcomes={outcomes}")
+                              .replace("QUERY", "born targets=(R)"))
+    prop = ex.Proposition("R", Basis.computational(scenario.initial.layout, "R"), "y",
+                          "is_in_state")
+    (result,) = ex.certainties(scenario_transcript(scenario), [ex.Claim("A", "x", prop)])
+    if isinstance(result, ex.CertaintyVerdict):
+        result = result.kind
+    else:
+        assert isinstance(result, UnknownLabelError)
+    assert str(result) == answer
+
+
+def test_a_vector_literals_label_is_an_observed_word():
+    # A literal's label b<k> is a measured-basis label, as it is in an
+    # apparatus predicate or a joint entry, so it names the literal's record.
+    text = CROSSED.replace("basis={x,y}", "basis={(1,0),(0,1)}").replace(
+        "QUERY", 'certainty observer=A outcome=b1 prop="R is_in_state y" semantics=premeasurement')
+    scenario = parse_scenario(text)
+    verdict = ex.certainties(scenario_transcript(scenario), [scenario.queries[0].resolved])[0]
+    assert verdict.kind == "certain"
 
 
 def test_an_outcome_that_is_the_record_and_label_of_one_outcome_is_valid():
