@@ -4,7 +4,7 @@ A protocol (in the bundled scenario, a quantum coin entangled with a spin,
 measured by two inside agents whose registers merge with the measured
 systems into laboratory registers, then by two outside agents who measure
 whole laboratories in superposition bases) runs as a sequence of steps,
-each kept as a stage.  The module answers joint-outcome queries and
+each ending a stage.  The module answers joint-outcome queries and
 implements two rules for when an agent may call a proposition certain:
 
 * premeasurement semantics: condition on the agent's record and propagate;
@@ -15,9 +15,11 @@ implements two rules for when an agent may call a proposition certain:
 The second rule blocks the inference chain that otherwise produces a joint
 prediction contradicting the final-stage statistics.
 
-Certainty claims are answered from one replay of the later steps: the
-states they condition on go through each step together, as one StateBatch
-(see ``certainties``), and the consistency audit judges those answers.
+Certainty claims are answered in one forward walk of the stages: each
+step is applied once to the state, and the states the claims condition on
+go through each later step together, as one StateBatch (see
+``certainties``).  A transcript keeps only the stage states it is asked to
+keep; the consistency audit judges the claims' answers.
 A model is a ``CoupleStep`` the run does not apply: neither certainty nor
 ``decoherence_compare`` attaches its environment.
 """
@@ -25,7 +27,7 @@ A model is a ``CoupleStep`` the run does not apply: neither certainty nor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -99,16 +101,28 @@ def apply_step(state: StateVector | StateBatch, step: Step) -> StateVector | Sta
     raise TypeError(f"unknown step {step!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Stage:
+    """A stage's name and layout, and its state while the transcript keeps
+    it; reading a state it does not keep raises PointerLabError."""
+
     name: str
-    state: StateVector
+    layout: SubsystemLayout
+    kept: StateVector | None = None
+
+    @property
+    def state(self) -> StateVector:
+        if self.kept is None:
+            raise PointerLabError(f"stage {self.name!r} keeps no state")
+        return self.kept
 
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
-    """Stage-by-stage record: stages[i] is the state after steps[i]
-    (steps[0] is None, the declared initial state)."""
+    """Stage-by-stage record: stages[i] is the stage after steps[i]
+    (steps[0] is None, the declared initial state).  ``run_transcript``
+    keeps every stage's state; a transcript that keeps fewer makes the
+    others as a walk passes them (``_states``)."""
 
     stages: tuple[Stage, ...]
     steps: tuple[Step | None, ...]
@@ -126,6 +140,22 @@ class ProtocolTranscript:
     def agent_premeasure(self, agent: str) -> tuple[int, MeasurementSpec]:
         return _premeasurement(self.steps, agent)
 
+    def _states(self) -> Iterator[StateVector]:
+        """Each stage's state, in order: kept, or made from the one before
+        (ExecutionError names a failing action); the final state is kept
+        once made."""
+        for i, (st, step) in enumerate(zip(self.stages, self.steps)):
+            if st.kept is not None:
+                state = st.kept
+            else:
+                try:
+                    state = apply_step(state, step)  # type: ignore[arg-type]
+                except PointerLabError as exc:
+                    raise ExecutionError(f"action {i} ({st.name}): {exc}") from exc
+                if st is self.stages[-1]:
+                    st.kept = state
+            yield state
+
 
 def _premeasurement(steps: Sequence[Step | None], agent: str) -> tuple[int, MeasurementSpec]:
     for i, step in enumerate(steps):
@@ -138,17 +168,12 @@ def run_transcript(initial: StateVector, named_steps: Sequence[tuple[str, Step]]
                    ) -> ProtocolTranscript:
     """Apply the named steps in order, keeping every stage.  A failing step
     raises ExecutionError naming its 1-based action index and stage name."""
-    stages = [Stage("initial", initial)]
-    steps: list[Step | None] = [None]
-    state = initial
-    for i, (name, step) in enumerate(named_steps, start=1):
-        try:
-            state = apply_step(state, step)
-        except PointerLabError as exc:
-            raise ExecutionError(f"action {i} ({name}): {exc}") from exc
-        stages.append(Stage(name, state))
-        steps.append(step)
-    return ProtocolTranscript(tuple(stages), tuple(steps))
+    stages = (Stage("initial", initial.layout, initial),
+              *(Stage(name, initial.layout) for name, _ in named_steps))
+    transcript = ProtocolTranscript(stages, (None, *(step for _, step in named_steps)))
+    for st, state in zip(stages, transcript._states()):  # each takes its state's layout
+        st.kept, st.layout = state, state.layout
+    return transcript
 
 
 # --------------------------------------------------------------------------
@@ -260,15 +285,13 @@ def certainty(
 
 @dataclass(frozen=True)
 class _Part:
-    """One distribution a claim needs: the states at stage ``start``
-    conditioned on level ``outcome`` of ``apparatus`` along a model's
-    ``branches`` (None: premeasurement's single branch), read through
-    ``read`` = (stage index, subject, basis)."""
+    """One distribution a claim needs: the state at stage key[0] conditioned
+    on level key[1] of ``apparatus`` along a model's branches key[2] (None:
+    premeasurement's single branch), read through ``read`` = (stage index,
+    subject, basis).  Parts with one key share their states."""
 
-    start: int
+    key: tuple[int, int, Basis | None]
     apparatus: str
-    outcome: int
-    branches: Basis | None
     read: tuple[int, str, Basis]
 
 
@@ -276,64 +299,61 @@ def certainties(
     transcript: ProtocolTranscript,
     claims: Sequence[Claim],
 ) -> tuple[CertaintyVerdict | PointerLabError, ...]:
-    """Answer ``claims``, in order, with one replay of the transcript's
-    later steps.
+    """Answer ``claims``, in order, in one forward walk of the transcript.
 
-    Each premeasurement claim adds its record-conditioned stage state to the
-    replay, and each decoherent claim adds, per model, the model's
-    record-conditioned branches.  The states join the replay at their
-    observer's stage and go through each later step together, as one
-    StateBatch of at most MAX_AMPLITUDES amplitudes (more go in consecutive
-    chunks), so each stage is replayed once, whatever the number of claims
-    and observers.  Each entry of the result is the claim's verdict, or the
-    error ``certainty`` raises for that claim alone.
+    A premeasurement claim conditions its observer's stage state on the
+    record; a decoherent claim conditions, per model, the model's branches
+    of it.  The walk does so at that stage and carries the states through
+    each later step together, as one StateBatch of at most MAX_AMPLITUDES
+    amplitudes (more go in later walks, in consecutive chunks), reading
+    each claim at its read stage.  It makes each stage state the
+    transcript does not keep as it passes, the final one included, so a
+    failing action raises its ExecutionError here.  Each entry of the
+    result is the claim's verdict, or the error ``certainty`` raises for
+    that claim alone.
     """
     plans: list[tuple[_Part, ...] | PointerLabError] = []
-    made: dict[tuple[int, int, Basis | None], tuple[StateBatch, tuple[float, ...]]] = {}
     for claim in claims:
         try:
-            plan = _parts(transcript, claim)
-            # Condition before the replay, so that a record of zero weight
-            # fails its claim alone and leaves the others one replay.
-            for p in plan:
-                if (p.start, p.outcome, p.branches) not in made:
-                    state = transcript.stages[p.start].state
-                    made[p.start, p.outcome, p.branches] = conditioned_branches(
-                        state, p.branches, p.apparatus,
-                        Basis.computational(state.layout, p.apparatus), p.outcome)
-            plans.append(plan)
+            plans.append(_parts(transcript, claim))
         except PointerLabError as exc:
             plans.append(exc)
+    made: dict[tuple[int, int, Basis | None], tuple[float, ...] | PointerLabError] = {}
     try:
-        dists = iter(_evidence(transcript, [p for plan in plans if isinstance(plan, tuple)
-                                            for p in plan], made))
-        return tuple(plan if isinstance(plan, PointerLabError)
-                     else _verdict(claim, [next(dists) for _ in plan])
-                     for claim, plan in zip(claims, plans))
+        tables = _evidence(transcript, [p for plan in plans if isinstance(plan, tuple)
+                                        for p in plan], made)
+    except ExecutionError:
+        raise
     except PointerLabError:
-        pass
-    # Some state failed a check in the replay: ask each part on its own, in
-    # order, so that each claim reports the error it raises alone.
-    results: list[CertaintyVerdict | PointerLabError] = []
+        tables = None
+    answers = []
     for claim, plan in zip(claims, plans):
         if isinstance(plan, tuple):
+            plan = next((made[p.key] for p in plan if isinstance(made[p.key], PointerLabError)),
+                        plan)
+        if isinstance(plan, tuple):
             try:
-                plan = _verdict(claim, [_evidence(transcript, [part], made)[0] for part in plan])
+                # After a failure in the walk, each part is read on its own,
+                # in order, so that the claim reports the error it raises alone.
+                plan = _verdict(claim, plan, made, tables if tables is not None else {
+                    k: d for part in plan for k, d in _evidence(transcript, [part], made).items()})
             except PointerLabError as exc:
                 plan = exc
-        results.append(plan)
-    return tuple(results)
+        answers.append(plan)
+    return tuple(answers)
 
 
 def claim_plan(layouts: Sequence[SubsystemLayout], steps: Sequence[Step | None], observer: str,
-               observed: str, subject: str, quantifier: str) -> tuple[int, int, int]:
+               observed: str, subject: str | Subsystem, quantifier: str) -> tuple[int, int, int]:
     """The plan of a claim the parser and ``certainties`` share, from stage
     layouts and steps alone: (the observer's stage, the observed record's
     level, the read stage).  ``observed`` must be an ``outcomes=`` record or
     a measured-basis label naming one outcome (UnknownLabelError).
+    ``subject`` is a register's name, or the register itself (its name and
+    labels), which a register regrouped under its name does not match.
     is_in_state reads the first stage, from the observer's on, holding
-    ``subject`` (a register: an apparatus subject's target); will_obtain
-    reads the final stage, which must hold it (UnknownSubsystemError)."""
+    it; will_obtain reads the final stage, which must hold it
+    (UnknownSubsystemError)."""
     start, step = _premeasurement(steps, observer)
     record = dict(zip(step.basis.labels, step.outcome_labels)).get(observed, observed)
     if record != observed and observed in step.outcome_labels:
@@ -346,31 +366,45 @@ def claim_plan(layouts: Sequence[SubsystemLayout], steps: Sequence[Step | None],
         reads, where = range(start, len(layouts)), f"where {observer!r} measures"
     else:
         reads, where = [len(layouts) - 1], "at the final stage, where will_obtain reads it"
-    read = next((j for j in reads if subject in layouts[j].axes), None)
+    name = subject if isinstance(subject, str) else subject.name
+    read = next((j for j in reads if name in layouts[j].axes and (
+        isinstance(subject, str) or layouts[j].subsystem(name) == subject)), None)
     if read is None:
-        raise UnknownSubsystemError(f"prop subject {subject!r} no longer exists {where}")
+        raise UnknownSubsystemError(f"prop subject {name!r} no longer exists {where}")
     return start, layouts[start].subsystem(observer).positions[record], read
 
 
 def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[_Part, ...]:
-    """What ``claim`` needs from the replay: its plan and branch sets, from
+    """What ``claim`` needs from the walk: its plan and branch sets, from
     the transcript's steps and layouts, never its states.  A record of zero
     weight is judged where it is conditioned (``conditioned_branches``)."""
     prop = claim.prop
-    start, record, read = claim_plan([st.state.layout for st in transcript.stages],
-                                     transcript.steps, claim.observer, claim.observed,
-                                     prop.subject, prop.quantifier)
+    start, record, read = claim_plan([st.layout for st in transcript.stages], transcript.steps,
+                                     claim.observer, claim.observed,
+                                     prop.basis.layout.subsystems[0], prop.quantifier)
     if claim.semantics not in ("premeasurement", "decoherent"):
         raise PointerLabError(f"unknown semantics {claim.semantics!r}")
     branch_sets = ((None,) if claim.semantics == "premeasurement"
                    else tuple(m.branches for m in claim.models))
     if not branch_sets:
         raise PointerLabError("decoherent semantics needs a non-empty model list")
-    return tuple(_Part(start, claim.observer, record, b, (read, prop.subject, prop.basis))
+    return tuple(_Part((start, record, b), claim.observer, (read, prop.subject, prop.basis))
                  for b in branch_sets)
 
 
-def _verdict(claim: Claim, dists: Sequence[OutcomeDistribution]) -> CertaintyVerdict:
+def _verdict(claim: Claim, plan: tuple[_Part, ...], made: Mapping, tables: Mapping
+             ) -> CertaintyVerdict:
+    """The verdict on ``claim`` from the tables its parts' states were read
+    into.  A model's environment would stay a spectator of every later step,
+    so summing over it, as the Born rule does, mixes its branches' tables
+    with the branch weights; premeasurement semantics is the one branch."""
+    dists = []
+    for part in plan:
+        weights = made[part.key]
+        read = [tables[part.key, k, part.read] for k in range(len(weights))]
+        dists.append(OutcomeDistribution(tuple(
+            (labels, sum(w * d.entries[i][1] for w, d in zip(weights, read)))
+            for i, (labels, _) in enumerate(read[0].entries))))
     kind = _kind_from_probs([d.probability((claim.prop.predicate,)) for d in dists])
     if claim.semantics == "premeasurement":
         return CertaintyVerdict(kind, dists[0])
@@ -378,79 +412,87 @@ def _verdict(claim: Claim, dists: Sequence[OutcomeDistribution]) -> CertaintyVer
                             tuple((m.environment, d) for m, d in zip(claim.models, dists)))
 
 
-def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part],
-              made: Mapping[tuple[int, int, Basis | None], tuple[StateBatch, tuple[float, ...]]]
-              ) -> list[OutcomeDistribution]:
-    """One distribution per part, from one replay of the states the parts
-    condition on (``made``); raises the first error any state meets."""
-    rows: list[np.ndarray] = []
-    starts: list[int] = []
-    at: dict[tuple[int, int, Basis | None], list[tuple[int, float]]] = {}
-    reads: dict[tuple[int, str, Basis], list[int]] = {}
-    for part in parts:
-        key = (part.start, part.outcome, part.branches)
-        if key not in at:
-            batch, weights = made[key]
-            at[key] = [(len(rows) + i, w) for i, w in enumerate(weights)]
-            rows.extend(batch.amplitudes)
-            starts.extend(part.start for _ in weights)
-        read = reads.setdefault(part.read, [])
-        read.extend(r for r, _ in at[key] if r not in read)
-    tables = _replay(transcript, rows, starts, reads)
-    # A model's environment would stay a spectator of every later step, so
-    # summing over it, as the Born rule does, mixes its branches' tables
-    # with the branch weights; premeasurement semantics is the one branch.
-    out = []
-    for part in parts:
-        mixed = at[part.start, part.outcome, part.branches]
-        dists = [tables[r, part.read] for r, _ in mixed]
-        out.append(OutcomeDistribution(tuple(
-            (labels, sum(w * d.entries[i][1] for (_, w), d in zip(mixed, dists)))
-            for i, (labels, _) in enumerate(dists[0].entries))))
-    return out
-
-
-def _replay(transcript: ProtocolTranscript, rows: Sequence[np.ndarray], starts: Sequence[int],
-            reads: Mapping[tuple[int, str, Basis], Sequence[int]]
-            ) -> dict[tuple[int, tuple[int, str, Basis]], OutcomeDistribution]:
-    """Replay each of ``rows`` from its stage ``starts[r]`` through the later
-    steps and read each of ``reads`` (stage index, subject, basis) from the
-    rows it names: {(row, read): distribution}.  A batch holds at most
-    max(1, MAX_AMPLITUDES // D_final) states, and more go in consecutive
-    chunks; a state joins its chunk's batch at its own stage."""
-    size = max(1, MAX_AMPLITUDES // transcript.final_state.layout.dimension)
-    tables = {}
-    for lo in range(0, len(rows), size):
-        chunk = range(lo, min(lo + size, len(rows)))
-        due: dict[int, list[tuple[tuple[int, str, Basis], set[int]]]] = {}
-        for read, wanted in reads.items():
-            here = {r for r in wanted if r in chunk}
-            if here:
-                due.setdefault(read[0], []).append((read, here))
-        held: list[int] = []
-        batch = None
-        for j in range(min(starts[r] for r in chunk), max(due) + 1):
-            if batch is not None:
-                batch = apply_step(batch, transcript.steps[j])  # type: ignore[arg-type]
-            joining = [r for r in chunk if starts[r] == j]
-            if joining:
-                batch = _joined(batch, transcript.stages[j].state.layout,
-                                [rows[r] for r in joining])
-                held += joining
-            for read, here in due.get(j, ()):
-                at = [i for i, r in enumerate(held) if r in here]
-                chosen = batch if len(at) == len(held) else batch.take(at)
-                for i, dist in zip(at, born(chosen, [read[1:]])):
-                    tables[held[i], read] = dist
+def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part], made: dict) -> dict:
+    """{(key, branch, read): distribution} for ``parts``, from one walk
+    (``_walk``) per chunk of max(1, MAX_AMPLITUDES // D_final) of the states
+    they condition on, numbered in the order the walk conditions them."""
+    size = max(1, MAX_AMPLITUDES // transcript.stages[-1].layout.dimension)
+    tables: dict = {}
+    lo = 0
+    while _walk(transcript, parts, made, tables, range(lo, lo + size)) > lo + size:
+        lo += size
     return tables
 
 
-def _joined(batch: StateBatch | None, layout: SubsystemLayout, rows: Sequence[np.ndarray]
-            ) -> StateBatch:
-    """``batch`` (if any) with ``rows`` appended.  A function of its own, so
-    that no name in the replay loop keeps the old batch's memory alive."""
-    new = np.stack(rows)
-    return StateBatch(layout, new if batch is None else np.concatenate([batch.amplitudes, new]))
+def _walk(transcript: ProtocolTranscript, parts: Sequence[_Part], made: dict, tables: dict,
+          chunk: range) -> int:
+    """One forward walk of the stages for the states numbered in ``chunk``;
+    returns how many states ``parts`` condition on.  At each stage the walk
+    conditions the keys there that have states in the chunk, or whose
+    states it has not yet counted (``_conditioned``), and joins those in the
+    chunk to the batch, which goes through each later step up to the last
+    read.  It makes the stage states those keys need, from the last one the
+    transcript keeps, and the final one if the transcript lacks it; then it
+    raises the first error the batch met."""
+    reads: dict[tuple[int, str, Basis], set] = {}
+    for p in parts:
+        reads.setdefault(p.read, set()).add(p.key)
+    last = max((read[0] for read in reads), default=-1)
+    states = enumerate(transcript._states())
+    at, state = -1, None  # the latest stage state made, and its stage
+    batch, held, failed, n = None, [], None, 0  # held: each batch state's (key, branch)
+    for j, step in enumerate(transcript.steps[:last + 1]):
+        joining: list = []
+        for p in {p.key: p for p in parts if p.key[0] == j}.values():
+            if isinstance(made.get(p.key), PointerLabError):
+                continue
+            if p.key in made and not (chunk.start < n + len(made[p.key]) and n < chunk.stop):
+                n += len(made[p.key])  # none of the key's states is in the chunk
+                continue
+            while at < j:
+                at, state = next(states)
+            n = _conditioned(state, p, made, chunk, n, joining)
+        if failed is None and (batch is not None or joining):
+            try:
+                if batch is not None:
+                    batch = apply_step(batch, step)  # type: ignore[arg-type]
+                if joining:
+                    held += [kb for kb, _ in joining]
+                    batch = StateBatch(state.layout, np.vstack(
+                        [*([] if batch is None else [batch.amplitudes]), *(r for _, r in joining)]))
+                for read, wanted in reads.items():
+                    chosen = [i for i, (key, _) in enumerate(held) if read[0] == j and key in wanted]
+                    if chosen:
+                        for i, dist in zip(chosen, born(batch if len(chosen) == len(held)
+                                                        else batch.take(chosen), [read[1:]])):
+                            tables[(*held[i], read)] = dist
+            except PointerLabError as exc:
+                failed, batch = exc, None
+    del batch, state  # before the final state is made
+    if transcript.stages[-1].kept is None:
+        for _ in states:
+            pass
+    if failed is not None:
+        raise failed
+    return n
+
+
+def _conditioned(state: StateVector, part: _Part, made: dict, chunk: range, n: int,
+                 joining: list) -> int:
+    """Condition ``state`` on level key[1] of the part's apparatus along the
+    branches key[2], recording the weights, or the error, in ``made``; add
+    the states numbered from ``n`` that are in ``chunk`` to ``joining`` with
+    their (key, branch), and return the next number."""
+    key = part.key
+    try:
+        rows, made[key] = conditioned_branches(
+            state, key[2], part.apparatus, Basis.computational(state.layout, part.apparatus),
+            key[1])
+    except PointerLabError as exc:
+        made[key] = exc
+        return n
+    joining += [((key, k), row) for k, row in enumerate(rows.amplitudes) if n + k in chunk]
+    return n + len(rows.amplitudes)
 
 
 # --------------------------------------------------------------------------

@@ -36,13 +36,13 @@ ATOL = 1e-9
 NORM_DRIFT = 1e-12
 # Probabilities below this are treated as exactly zero.
 PRUNE_PROB = 1e-12
-# Most amplitudes a layout may hold at any stage, and a replay batch in all:
+# Most amplitudes a layout may hold at any stage, and a claim batch in all:
 # the smallest power of two above the 11-agent, three-level chain of
 # bench/scaling.py (1,062,882 amplitudes), the largest generated chain that
 # finished within that script's one-minute limit when the limit was set.  A
-# run keeps every stage, so that chain's CLI run peaks near 870 MiB (6 s on
-# one core of a 2-CPU machine); the next size up would need about three
-# times as much.
+# run keeps only its final state, and that chain's claims go one state per
+# walk, so its CLI run peaks near 190 MiB (about 3 s on one core of a 2-CPU
+# machine); the next size up would need about three times as much.
 MAX_AMPLITUDES = 2**21
 
 

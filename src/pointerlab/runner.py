@@ -2,9 +2,9 @@
 
 ``run`` turns a parsed Scenario into a Report.  The parser has already
 resolved every directive to the object the engine runs (steps, models,
-claims), so ``run`` only names the steps' stages, executes them through
-``experiment.run_transcript`` (the one transcript loop), answers every
-claim its queries ask with one ``experiment.certainties`` call, answers the
+claims), so ``run`` only names the steps' stages, executes them and answers
+every claim its queries ask with one ``experiment.certainties`` call (the
+one transcript walk, which keeps only the final state), answers the
 queries, and keeps plain data: query results with probabilities quantized
 to 12 significant digits.  Both
 the human-readable table and the structured JSON document render from the
@@ -308,16 +308,15 @@ def run(scenario: sc.Scenario, source_text: str) -> Report:
     action or query index.
     """
     digest = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
-    transcript = scenario_transcript(scenario)
-    # Every claim is answered at the first query that asks one, from one
-    # replay of the later steps; each query takes its own answers in turn.
+    transcript = _pending(scenario)
+    # One walk of the stages makes the final state and answers every claim,
+    # so a failing action raises before any query; each query then takes
+    # its own answers in turn.
     asked = [_claims(q) for q in scenario.queries]
-    answers = None
+    answers = iter(ex.certainties(transcript, [c for cs in asked for c in cs]))
     results = []
     for qi, (query, claims) in enumerate(zip(scenario.queries, asked), start=1):
         try:
-            if claims and answers is None:
-                answers = iter(ex.certainties(transcript, [c for cs in asked for c in cs]))
             results.append(_run_query(query, transcript, [next(answers) for _ in claims]))
         except PointerLabError as exc:
             raise ExecutionError(f"query {qi} ({type(query).__name__}): {exc}") from exc
@@ -329,6 +328,15 @@ def scenario_transcript(scenario: sc.Scenario) -> ProtocolTranscript:
     """Apply a scenario's actions to its initial state, keeping every stage."""
     return run_transcript(scenario.initial,
                           [(_stage_name(a), a.resolved) for a in scenario.actions])
+
+
+def _pending(scenario: sc.Scenario) -> ProtocolTranscript:
+    """A scenario's transcript before any action is applied: it keeps the
+    initial state, and the final state once a walk makes it."""
+    stages = [ex.Stage(_stage_name(a), layout)
+              for a, layout in zip(scenario.actions, scenario.layouts[1:])]
+    return ProtocolTranscript((ex.Stage("initial", scenario.layouts[0], scenario.initial),
+                               *stages), (None, *(a.resolved for a in scenario.actions)))
 
 
 def _claims(query: sc.Query) -> list[ex.Claim]:

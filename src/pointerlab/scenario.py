@@ -255,6 +255,7 @@ class Scenario:
     models: tuple[ModelDecl, ...]
     queries: tuple[Query, ...]
     initial: StateVector = _resolved()
+    layouts: tuple[SubsystemLayout, ...] = _resolved()  # each stage's, the declared one first
 
     @property
     def actions(self) -> tuple[Action, ...]:
@@ -745,6 +746,7 @@ def parse_scenario(text: str) -> Scenario:
         models=tuple(ctx.models.values()),
         queries=tuple(queries),
         initial=initial,
+        layouts=tuple(ctx.stages),
     )
 
 
@@ -998,15 +1000,16 @@ def _claim(observer, outcome, prop, ctx: _Context, semantics="premeasurement",
     (SUBJECT QUANTIFIER PREDICATE), each with its column, pass the plan
     ``experiment.certainties`` makes (``experiment.claim_plan``), each fault
     reported at its word.  An apparatus subject stands for its measured
-    basis, on the target register the plan reads; a register subject is
-    read as it is at the plan's read stage (``_prop_basis``)."""
+    basis, on its target register as measured, which the plan must find at
+    the read stage; a register subject is read as it is at the plan's read
+    stage (``_prop_basis``)."""
     (observer, ocol), (outcome, outcol) = observer, outcome
     (subject, scol), (quant, qcol), (predicate, pcol) = prop
     spec = _apparatus(observer, ocol, ctx).resolved
     measured = ctx.apparatus[subject].resolved.basis if subject in ctx.apparatus else None
     try:
         read = claim_plan(ctx.stages, ctx.steps, observer, outcome,
-                          subject if measured is None else measured.layout.names[0], quant)[2]
+                          subject if measured is None else measured.layout.subsystems[0], quant)[2]
     except UnknownLabelError as exc:
         hint = ("give the records and the basis labels distinct names"
                 if outcome in spec.outcome_labels

@@ -218,8 +218,14 @@ queries:
      "predicate 'h' is neither a basis nor a derived label of 'R'"),
     (None, 14, '"R is_in_state x"', '"R is_in_state plus"', 55, "plus",
      "predicate 'plus' is neither a basis nor a derived label of 'R'"),
+    # A measured the R that was regrouped away; the new R is another register.
+    (None, 14, '"R is_in_state x"', '"A is_in_state h"', 41, "A",
+     "prop subject 'R' no longer exists where 'B' measures"),
+    (None, 14, '"R is_in_state x"', '"A will_obtain h"', 41, "A",
+     "prop subject 'R' no longer exists at the final stage, where will_obtain reads it"),
 ], ids=["is_in_state-gone", "will_obtain-gone", "apparatus-is_in_state-gone",
-        "apparatus-will_obtain-gone", "regrouped-old-label", "regrouped-old-derived"])
+        "apparatus-will_obtain-gone", "regrouped-old-label", "regrouped-old-derived",
+        "regrouped-apparatus-is_in_state", "regrouped-apparatus-will_obtain"])
 def test_a_claim_reads_its_subject_where_the_run_reads_it(tmp_path, capsys, demo, line, old,
                                                           new, col, word, message):
     # A claim's register subject, or an apparatus subject's target, resolves
@@ -671,6 +677,36 @@ def test_a_failing_certainty_query_is_named_as_when_answered_alone(
     path = write(tmp_path, "shared.scn", text)
     assert main(["run", path]) == EXIT_EXEC
     assert capsys.readouterr().err == f"{path}: execution error: {message}\n"
+
+
+OFF_READY = """\
+layout:
+  subsystem R {h, t}
+  subsystem A {a0, a1, a2}
+  subsystem B {b0, b1, b2}
+state: |h,a0,b1>
+actions:
+  premeasure target=R apparatus=A basis={h,t} outcomes={a1,a2} ready=a0
+  premeasure target=R apparatus=B basis={h,t} outcomes={b1,b2} ready=b0
+queries:
+"""
+
+
+@pytest.mark.parametrize("queries", [
+    ['certainty observer=A outcome=a2 prop="R is_in_state h" semantics=premeasurement'],
+    ['certainty observer=A outcome=a2 prop="R is_in_state h" semantics=premeasurement',
+     'certainty observer=A outcome=a1 prop="R will_obtain h" semantics=premeasurement'],
+], ids=["impossible", "impossible-and-replayed"])
+def test_a_failing_action_is_reported_before_a_failing_claim(tmp_path, capsys, queries):
+    # A's record a2 has weight 0 where A measures, so its claim fails at
+    # stage 1; B is off its ready level, so action 2 fails after it.  The
+    # one walk that answers the claims also applies the actions, and the
+    # action's error is the one reported, as a run reports it alone.
+    text = OFF_READY + "".join(f"  {q}\n" for q in queries)
+    path = write(tmp_path, "order.scn", text)
+    assert main(["run", path]) == EXIT_EXEC
+    assert capsys.readouterr().err == (f"{path}: execution error: action 2 (after-B): "
+                                       "apparatus 'B' is not in its ready state 'b0'\n")
 
 
 GROUPED_AWAY = """\

@@ -1,6 +1,9 @@
 """Protocol transcript, joint outcomes, certainty semantics, audits."""
 
+import gc
+import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -677,11 +680,14 @@ def test_a_run_replays_each_stage_once(monkeypatch):
     scenario = parse_scenario(text)
     calls = _count_kernels(monkeypatch)
     report = run(scenario, source_text=text)
-    # The transcript's six steps, then one replay of the five after F1's
-    # premeasurement: F1's five states (two records, and two's one branch
-    # and rot's two on a1) until W2 measures, and W2's two records with them
-    # after that.
-    assert calls == [1] * 6 + [5] * 3 + [7] * 2
+    # One walk: the six steps once, and the five after F1's premeasurement
+    # once for the claims' states.  F1's five states (two records, and two's
+    # one branch and rot's two on a1) go with the walk until W2 measures, and
+    # W2's two records join them there.  A stage state is made when a stage
+    # needs it: F1's, then W2's (before the batch takes W2's step); the batch
+    # then goes to the final stage, where the claims read it, and the run's
+    # final state is made last.
+    assert calls == [1] + [5] * 2 + [1] * 3 + [5] + [7] * 2 + [1] * 2
     assert [r["kind"] for r in report.results] == ["born"] + ["certainty"] * 5
 
 
@@ -770,6 +776,58 @@ def test_an_impossible_claim_leaves_the_others_one_replay(monkeypatch):
     assert isinstance(answers[1], ImpossibleOutcomeError)
     assert str(answers[1]) == "outcome 'a2' on 'F1' has probability 0"
     assert [repr(a) for a in answers[:1] + answers[2:]] == [repr(a) for a in alone]
+
+
+def test_a_run_keeps_no_stage_it_does_not_read(monkeypatch):
+    # The queries read the final state alone, so by the time the first one
+    # is answered every other state the walk made is gone; the transcript
+    # names a stage whose state it dropped.
+    from pointerlab import runner
+
+    made = []
+    real_step, real_query = ex.apply_step, runner._run_query
+
+    def step(state, *args):
+        out = real_step(state, *args)
+        if isinstance(out, pl.StateVector):
+            made.append(weakref.ref(out))
+        return out
+
+    def query(query, transcript, answers):
+        gc.collect()
+        assert [r() is None for r in made] == [True] * 5 + [False]
+        assert made[-1]() is transcript.final_state
+        with pytest.raises(PointerLabError, match="stage 'group-Lbar' keeps no state"):
+            transcript.stage("group-Lbar").state
+        return real_query(query, transcript, answers)
+
+    monkeypatch.setattr(ex, "apply_step", step)
+    monkeypatch.setattr(runner, "_run_query", query)
+    text = bundled_scenario_text("fr")
+    runner.run(parse_scenario(text), source_text=text)
+    gc.collect()
+    assert len(made) == 6 and all(r() is None for r in made)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_the_walk_answers_what_the_library_answers(monkeypatch, per_chunk):
+    # A run makes its stage states on the way; the library form reads them
+    # from a transcript that keeps every stage.  With the claims' states in
+    # chunks of 1, 2 or 3 (6 states: 6, 3 or 2 walks), each certainty
+    # payload is the same, byte for byte.
+    from pointerlab import runner
+
+    text = _chain_text(np.random.default_rng(5), 3) + CHAIN_CLAIMS
+    scenario = parse_scenario(text)
+    transcript = scenario_transcript(scenario)
+    final = transcript.final_state.layout.dimension
+    monkeypatch.setattr(ex, "MAX_AMPLITUDES", per_chunk * final)
+    queries = [q for q in scenario.queries if isinstance(q, CertaintyQuery)]
+    answers = ex.certainties(transcript, [q.resolved for q in queries])
+    library = [json.dumps(runner._run_query(q, transcript, [a])) for q, a in zip(queries, answers)]
+    walked = [json.dumps(r) for r in runner.run(scenario, source_text=text).results
+              if r["kind"] == "certainty"]
+    assert len(walked) == 5 and walked == library
 
 
 @pytest.mark.parametrize("model", ["two", "rot"])

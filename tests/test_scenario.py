@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from pointerlab import experiment as ex
 from pointerlab import scenario as sc
 from pointerlab.cli import EXIT_PARSE, bundled_scenario_text, main
-from pointerlab.errors import NonOrthonormalBasisError, ScenarioParseError, UnknownLabelError
+from pointerlab.errors import (NonOrthonormalBasisError, ScenarioParseError, UnknownLabelError,
+                              UnknownSubsystemError)
 from pointerlab.measurement import Basis
 from pointerlab.runner import DEMOS, scenario_transcript
 from pointerlab.scenario import (
@@ -513,6 +514,38 @@ def test_a_library_claim_follows_the_parsers_word_rule(outcomes, answer):
     else:
         assert isinstance(result, UnknownLabelError)
     assert str(result) == answer
+
+
+REGROUPED = """\
+layout:
+  subsystem R {h, t}
+  subsystem A {a0, a1, a2}
+  subsystem B {b0, b1, b2}
+state: sqrt(1/2)|h,a0,b0> + sqrt(1/2)|t,a0,b0>
+actions:
+  premeasure target=R apparatus=A basis={h,t} outcomes={a1,a2} ready=a0
+  group parts=(R,A) as R map={(h,a1):x, (t,a2):y}
+  premeasure target=R apparatus=B basis={x,y} outcomes={b1,b2} ready=b0
+queries:
+  born targets=(R)
+"""
+
+
+@pytest.mark.parametrize("quantifier, where", [
+    ("is_in_state", "where 'B' measures"),
+    ("will_obtain", "at the final stage, where will_obtain reads it"),
+])
+def test_a_library_claim_on_a_register_regrouped_under_its_name_fails_at_plan(quantifier,
+                                                                              where):
+    # A's measured basis lives on the R that the group replaced: the R that
+    # B measures has the same name but is another register, so the plan
+    # finds no stage to read, as the parser's does, before any replay.
+    scenario = parse_scenario(REGROUPED)
+    measured = scenario.actions[0].resolved.basis
+    claim = ex.Claim("B", "b1", ex.Proposition("R", measured, "h", quantifier))
+    (result,) = ex.certainties(scenario_transcript(scenario), [claim])
+    assert isinstance(result, UnknownSubsystemError)
+    assert str(result) == f"prop subject 'R' no longer exists {where}"
 
 
 def test_a_vector_literals_label_is_an_observed_word():
