@@ -283,18 +283,6 @@ def certainty(
     return result
 
 
-@dataclass(frozen=True)
-class _Part:
-    """One distribution a claim needs: the state at stage key[0] conditioned
-    on level key[1] of ``apparatus`` along a model's branches key[2] (None:
-    premeasurement's single branch), read through ``read`` = (stage index,
-    subject, basis).  Parts with one key share their states."""
-
-    key: tuple[int, int, Basis | None]
-    apparatus: str
-    read: tuple[int, str, Basis]
-
-
 def certainties(
     transcript: ProtocolTranscript,
     claims: Sequence[Claim],
@@ -303,16 +291,16 @@ def certainties(
 
     A premeasurement claim conditions its observer's stage state on the
     record; a decoherent claim conditions, per model, the model's branches
-    of it.  The walk does so at that stage and carries the states through
-    each later step together, as one StateBatch of at most MAX_AMPLITUDES
-    amplitudes (more go in later walks, in consecutive chunks), reading
-    each claim at its read stage.  It makes each stage state the
-    transcript does not keep as it passes, the final one included, so a
-    failing action raises its ExecutionError here.  Each entry of the
-    result is the claim's verdict, or the error ``certainty`` raises for
-    that claim alone.
+    of it.  The walk (``_evidence``) does so at that stage and carries the
+    states through each later step together, as one StateBatch of at most
+    MAX_AMPLITUDES amplitudes (more go in later walks, in consecutive
+    chunks), reading each claim at its read stage.  It makes each stage
+    state the transcript does not keep as it passes, the final one
+    included, so a failing action raises its ExecutionError here.  Each
+    entry of the result is the claim's verdict, or the error ``certainty``
+    raises for that claim alone (``_verdict``).
     """
-    plans: list[tuple[_Part, ...] | PointerLabError] = []
+    plans: list[tuple[tuple, ...] | PointerLabError] = []
     for claim in claims:
         try:
             plans.append(_parts(transcript, claim))
@@ -328,18 +316,11 @@ def certainties(
         tables = None
     answers = []
     for claim, plan in zip(claims, plans):
-        if isinstance(plan, tuple):
-            plan = next((made[p.key] for p in plan if isinstance(made[p.key], PointerLabError)),
-                        plan)
-        if isinstance(plan, tuple):
-            try:
-                # After a failure in the walk, each part is read on its own,
-                # in order, so that the claim reports the error it raises alone.
-                plan = _verdict(claim, plan, made, tables if tables is not None else {
-                    k: d for part in plan for k, d in _evidence(transcript, [part], made).items()})
-            except PointerLabError as exc:
-                plan = exc
-        answers.append(plan)
+        try:
+            answers.append(plan if isinstance(plan, PointerLabError)
+                           else _verdict(transcript, claim, plan, made, tables))
+        except PointerLabError as exc:
+            answers.append(exc)
     return tuple(answers)
 
 
@@ -374,10 +355,14 @@ def claim_plan(layouts: Sequence[SubsystemLayout], steps: Sequence[Step | None],
     return start, layouts[start].subsystem(observer).positions[record], read
 
 
-def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[_Part, ...]:
-    """What ``claim`` needs from the walk: its plan and branch sets, from
-    the transcript's steps and layouts, never its states.  A record of zero
-    weight is judged where it is conditioned (``conditioned_branches``)."""
+def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[tuple, ...]:
+    """What ``claim`` needs from the walk, one (key, read) part per branch
+    set, from the transcript's steps and layouts, never its states: the
+    state at stage key[0] conditioned on level key[1] of that stage's
+    apparatus along a model's branches key[2] (None: premeasurement's
+    single branch), read through ``read`` = (stage index, subject, basis).
+    Parts with one key share their states.  A record of zero weight is
+    judged where it is conditioned (``conditioned_branches``)."""
     prop = claim.prop
     start, record, read = claim_plan([st.layout for st in transcript.stages], transcript.steps,
                                      claim.observer, claim.observed,
@@ -388,22 +373,28 @@ def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[_Part, ...]:
                    else tuple(m.branches for m in claim.models))
     if not branch_sets:
         raise PointerLabError("decoherent semantics needs a non-empty model list")
-    return tuple(_Part((start, record, b), claim.observer, (read, prop.subject, prop.basis))
-                 for b in branch_sets)
+    return tuple(((start, record, b), (read, prop.subject, prop.basis)) for b in branch_sets)
 
 
-def _verdict(claim: Claim, plan: tuple[_Part, ...], made: Mapping, tables: Mapping
-             ) -> CertaintyVerdict:
+def _verdict(transcript: ProtocolTranscript, claim: Claim, plan: tuple[tuple, ...], made: dict,
+             tables: dict | None) -> CertaintyVerdict:
     """The verdict on ``claim`` from the tables its parts' states were read
-    into.  A model's environment would stay a spectator of every later step,
-    so summing over it, as the Born rule does, mixes its branches' tables
-    with the branch weights; premeasurement semantics is the one branch."""
+    into; it raises the first of its parts' conditioning errors in ``made``,
+    and without ``tables`` (the shared walk failed) it walks each part
+    alone, in order, so that the claim raises what it raises alone.  A
+    model's environment would stay a spectator of every later step, so
+    summing over it, as the Born rule does, mixes its branches' tables with
+    the branch weights; premeasurement semantics is the one branch."""
+    for key, _ in plan:
+        if isinstance(made[key], PointerLabError):
+            raise made[key]
+    if tables is None:
+        tables = {k: d for part in plan for k, d in _evidence(transcript, [part], made).items()}
     dists = []
-    for part in plan:
-        weights = made[part.key]
-        read = [tables[part.key, k, part.read] for k in range(len(weights))]
+    for key, at in plan:
+        read = [tables[key, k, at] for k in range(len(made[key]))]
         dists.append(OutcomeDistribution(tuple(
-            (labels, sum(w * d.entries[i][1] for w, d in zip(weights, read)))
+            (labels, sum(w * d.entries[i][1] for w, d in zip(made[key], read)))
             for i, (labels, _) in enumerate(read[0].entries))))
     kind = _kind_from_probs([d.probability((claim.prop.predicate,)) for d in dists])
     if claim.semantics == "premeasurement":
@@ -412,87 +403,76 @@ def _verdict(claim: Claim, plan: tuple[_Part, ...], made: Mapping, tables: Mappi
                             tuple((m.environment, d) for m, d in zip(claim.models, dists)))
 
 
-def _evidence(transcript: ProtocolTranscript, parts: Sequence[_Part], made: dict) -> dict:
-    """{(key, branch, read): distribution} for ``parts``, from one walk
-    (``_walk``) per chunk of max(1, MAX_AMPLITUDES // D_final) of the states
-    they condition on, numbered in the order the walk conditions them."""
+def _evidence(transcript: ProtocolTranscript, parts: Sequence[tuple], made: dict) -> dict:
+    """{(key, branch, read): distribution} for ``parts``, from one forward
+    walk of the stages per chunk of max(1, MAX_AMPLITUDES // D_final) of the
+    states they condition on, numbered in the order the walk conditions
+    them.  At each stage a walk conditions each key there (level key[1] of
+    the stage's apparatus along the branches key[2]) that has states in the
+    chunk or none counted yet, recording the weights, or the error, in
+    ``made``, and joins the chunk's states to the batch, which goes through
+    each later step up to the last read.  It makes the stage states those
+    keys need, from the last one the transcript keeps, and the final one if
+    the transcript lacks it; then it raises the first error the batch met."""
     size = max(1, MAX_AMPLITUDES // transcript.stages[-1].layout.dimension)
-    tables: dict = {}
-    lo = 0
-    while _walk(transcript, parts, made, tables, range(lo, lo + size)) > lo + size:
-        lo += size
-    return tables
-
-
-def _walk(transcript: ProtocolTranscript, parts: Sequence[_Part], made: dict, tables: dict,
-          chunk: range) -> int:
-    """One forward walk of the stages for the states numbered in ``chunk``;
-    returns how many states ``parts`` condition on.  At each stage the walk
-    conditions the keys there that have states in the chunk, or whose
-    states it has not yet counted (``_conditioned``), and joins those in the
-    chunk to the batch, which goes through each later step up to the last
-    read.  It makes the stage states those keys need, from the last one the
-    transcript keeps, and the final one if the transcript lacks it; then it
-    raises the first error the batch met."""
     reads: dict[tuple[int, str, Basis], set] = {}
-    for p in parts:
-        reads.setdefault(p.read, set()).add(p.key)
+    for key, read in parts:
+        reads.setdefault(read, set()).add(key)
     last = max((read[0] for read in reads), default=-1)
-    states = enumerate(transcript._states())
-    at, state = -1, None  # the latest stage state made, and its stage
-    batch, held, failed, n = None, [], None, 0  # held: each batch state's (key, branch)
-    for j, step in enumerate(transcript.steps[:last + 1]):
-        joining: list = []
-        for p in {p.key: p for p in parts if p.key[0] == j}.values():
-            if isinstance(made.get(p.key), PointerLabError):
-                continue
-            if p.key in made and not (chunk.start < n + len(made[p.key]) and n < chunk.stop):
-                n += len(made[p.key])  # none of the key's states is in the chunk
-                continue
-            while at < j:
-                at, state = next(states)
-            n = _conditioned(state, p, made, chunk, n, joining)
-        if failed is None and (batch is not None or joining):
-            try:
-                if batch is not None:
-                    batch = apply_step(batch, step)  # type: ignore[arg-type]
-                if joining:
-                    held += [kb for kb, _ in joining]
-                    batch = StateBatch(state.layout, np.vstack(
-                        [*([] if batch is None else [batch.amplitudes]), *(r for _, r in joining)]))
-                for read, wanted in reads.items():
-                    chosen = [i for i, (key, _) in enumerate(held) if read[0] == j and key in wanted]
-                    if chosen:
-                        for i, dist in zip(chosen, born(batch if len(chosen) == len(held)
-                                                        else batch.take(chosen), [read[1:]])):
-                            tables[(*held[i], read)] = dist
-            except PointerLabError as exc:
-                failed, batch = exc, None
-    del batch, state  # before the final state is made
-    if transcript.stages[-1].kept is None:
-        for _ in states:
-            pass
-    if failed is not None:
-        raise failed
-    return n
-
-
-def _conditioned(state: StateVector, part: _Part, made: dict, chunk: range, n: int,
-                 joining: list) -> int:
-    """Condition ``state`` on level key[1] of the part's apparatus along the
-    branches key[2], recording the weights, or the error, in ``made``; add
-    the states numbered from ``n`` that are in ``chunk`` to ``joining`` with
-    their (key, branch), and return the next number."""
-    key = part.key
-    try:
-        rows, made[key] = conditioned_branches(
-            state, key[2], part.apparatus, Basis.computational(state.layout, part.apparatus),
-            key[1])
-    except PointerLabError as exc:
-        made[key] = exc
-        return n
-    joining += [((key, k), row) for k, row in enumerate(rows.amplitudes) if n + k in chunk]
-    return n + len(rows.amplitudes)
+    tables: dict = {}
+    chunk = range(0, size)
+    while True:
+        states = enumerate(transcript._states())
+        at, state = -1, None  # the latest stage state made, and its stage
+        batch, held, failed, n = None, [], None, 0  # held: each batch state's (key, branch)
+        for j, step in enumerate(transcript.steps[:last + 1]):
+            joining: list = []
+            for key in dict.fromkeys(key for key, _ in parts if key[0] == j):
+                if isinstance(made.get(key), PointerLabError):
+                    continue
+                if key in made and not (chunk.start < n + len(made[key]) and n < chunk.stop):
+                    n += len(made[key])  # none of the key's states is in the chunk
+                    continue
+                while at < j:
+                    at, state = next(states)
+                try:
+                    rows, made[key] = conditioned_branches(
+                        state, key[2], step.apparatus,
+                        Basis.computational(state.layout, step.apparatus), key[1])
+                except PointerLabError as exc:
+                    made[key] = exc
+                    continue
+                joining += [((key, k), row) for k, row in enumerate(rows.amplitudes)
+                            if n + k in chunk]
+                n += len(made[key])
+                del rows  # its rows join the batch; it must not outlive later steps
+            if failed is None and (batch is not None or joining):
+                try:
+                    if batch is not None:
+                        batch = apply_step(batch, step)  # type: ignore[arg-type]
+                    if joining:
+                        held += [kb for kb, _ in joining]
+                        batch = StateBatch(state.layout, np.vstack(
+                            [*([] if batch is None else [batch.amplitudes]),
+                             *(r for _, r in joining)]))
+                    for read, wanted in reads.items():
+                        chosen = [i for i, (key, _) in enumerate(held)
+                                  if read[0] == j and key in wanted]
+                        if chosen:
+                            for i, dist in zip(chosen, born(batch if len(chosen) == len(held)
+                                                            else batch.take(chosen), [read[1:]])):
+                                tables[(*held[i], read)] = dist
+                except PointerLabError as exc:
+                    failed, batch = exc, None
+        del batch, state  # before the final state is made
+        if transcript.stages[-1].kept is None:
+            for _ in states:
+                pass
+        if failed is not None:
+            raise failed
+        if n <= chunk.stop:
+            return tables
+        chunk = range(chunk.stop, chunk.stop + size)
 
 
 # --------------------------------------------------------------------------

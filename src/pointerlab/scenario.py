@@ -1060,8 +1060,7 @@ def _model_targets_in(models, layout, where, col, hint) -> None:
 
 def _models_at_stage(models, claim: Claim, col: int, ctx: _Context) -> None:
     """The models a decoherent ``claim`` consults couple registers of its observer's stage."""
-    start = claim_plan(ctx.stages, ctx.steps, claim.observer, claim.observed,
-                       claim.prop.subject, claim.prop.quantifier)[0]
+    start = ctx.steps.index(ctx.apparatus[claim.observer].resolved)
     _model_targets_in(models, ctx.stages[start],
                       f"the layout where {claim.observer!r} measures", col,
                       "decoherent semantics couples the observer's stage; model its registers")

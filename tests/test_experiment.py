@@ -5,6 +5,7 @@ import json
 import math
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 import pointerlab as pl
 from pointerlab import experiment as ex
 from pointerlab.cli import bundled_scenario_text
-from pointerlab.errors import (ImpossibleOutcomeError, NonOrthonormalBasisError, PointerLabError,
-                               UnknownLabelError, UnknownSubsystemError)
+from pointerlab.errors import (ApparatusNotReadyError, ImpossibleOutcomeError,
+                               NonOrthonormalBasisError, PointerLabError, UnknownLabelError,
+                               UnknownSubsystemError)
 from pointerlab.experiment import Proposition, run_transcript
 from pointerlab.measurement import Basis
 from pointerlab.runner import scenario_transcript
@@ -828,6 +830,123 @@ def test_the_walk_answers_what_the_library_answers(monkeypatch, per_chunk):
     walked = [json.dumps(r) for r in runner.run(scenario, source_text=text).results
               if r["kind"] == "certainty"]
     assert len(walked) == 5 and walked == library
+
+
+# A's record a1 leaves B on its ready level b0, but the model mix couples R
+# with B's p and q, each half b0 and half b1: the claim that consults it
+# conditions states off B's ready level, so B's premeasurement fails on them
+# while the run's state and the premeasurement claims pass it.
+OFF_READY_BRANCHES = """\
+layout:
+  subsystem R {h, t}
+  subsystem A {a0, a1, a2}
+  subsystem B {b0, b1, b2}
+  derived B p = sqrt(1/2)|b0> + sqrt(1/2)|b1>
+  derived B q = sqrt(1/2)|b0> - sqrt(1/2)|b1>
+state: sqrt(1/2)|h,a0,b0> + sqrt(1/2)|t,a0,b0>
+actions:
+  premeasure target=R apparatus=A basis={h,t} outcomes={a1,a2} ready=a0
+  premeasure target=R apparatus=B basis={h,t} outcomes={b1,b2} ready=b0
+models:
+  model mix targets=(R,B) branches={|h,p>, |h,q>, |h,b2>, |t,b0>, |t,b1>, |t,b2>}
+queries:
+  certainty observer=A outcome=a1 prop="R will_obtain h" semantics=premeasurement
+  certainty observer=A outcome=a1 prop="R will_obtain h" semantics=decoherent models=(mix)
+  certainty observer=A outcome=a2 prop="R will_obtain t" semantics=premeasurement
+"""
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["library", "run"])
+@pytest.mark.parametrize("per_chunk", [None, 1], ids=["whole", "one-per-chunk"])
+def test_a_step_failing_on_a_conditioned_state_fails_that_claim_alone(
+        monkeypatch, pending, per_chunk):
+    # The shared walk meets B's error; each claim then walks alone, so the
+    # two premeasurement claims answer as they do alone and the decoherent
+    # one raises what it raises alone.
+    from pointerlab import runner
+
+    scenario = parse_scenario(OFF_READY_BRANCHES)
+    claims = [q.resolved for q in scenario.queries]
+    if per_chunk:
+        monkeypatch.setattr(ex, "MAX_AMPLITUDES", per_chunk * scenario.layouts[-1].dimension)
+    make = runner._pending if pending else scenario_transcript
+    answers = ex.certainties(make(scenario), claims)
+    assert [type(a) for a in answers] == [ex.CertaintyVerdict, ApparatusNotReadyError,
+                                          ex.CertaintyVerdict]
+    assert [answers[0].kind, answers[2].kind] == ["certain", "certain"]
+    assert str(answers[1]) == "apparatus 'B' is not in its ready state 'b0'"
+    alone = [ex.certainties(make(scenario), [claim])[0] for claim in claims]
+    assert [repr(a) for a in answers] == [repr(a) for a in alone]
+
+
+def test_a_run_names_the_claim_whose_conditioned_state_fails_a_step(tmp_path, capsys):
+    from pointerlab.cli import EXIT_EXEC, main
+
+    path = tmp_path / "branches.scn"
+    path.write_text(OFF_READY_BRANCHES, encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_EXEC
+    assert capsys.readouterr().err == (f"{path}: execution error: query 2 (CertaintyQuery): "
+                                       "apparatus 'B' is not in its ready state 'b0'\n")
+
+
+def test_conditioned_states_are_freed_once_they_join_the_batch(monkeypatch):
+    # A conditioned StateBatch is copied into the walk's batch; kept any
+    # longer, it would add its size to every later step's peak.
+    from pointerlab import runner
+
+    conditioned, checked = [], []
+    real_conditioned, real_step = ex.conditioned_branches, ex.apply_step
+
+    def condition(*args):
+        rows, weights = real_conditioned(*args)
+        conditioned.append(weakref.ref(rows))
+        return rows, weights
+
+    def step(state, *args):
+        if isinstance(state, pl.StateBatch):
+            gc.collect()
+            checked.append([r() is None for r in conditioned])
+        return real_step(state, *args)
+
+    monkeypatch.setattr(ex, "conditioned_branches", condition)
+    monkeypatch.setattr(ex, "apply_step", step)
+    text = _chain_text(np.random.default_rng(5), 3) + CHAIN_CLAIMS
+    runner.run(parse_scenario(text), source_text=text)
+    assert conditioned and checked
+    assert all(all(freed) for freed in checked)
+
+
+def _assert_same_answers(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, PointerLabError):
+            assert str(a) == str(b)
+            continue
+        assert a.kind == b.kind
+        pairs = [(a.conditional, b.conditional)] + [
+            (x, y) for (_, x), (_, y) in zip(a.evidence, b.evidence, strict=True)]
+        for x, y in pairs:
+            assert [k for k, _ in x.entries] == [k for k, _ in y.entries]
+            assert all(abs(p - q) <= 1e-12 for (_, p), (_, q) in zip(x.entries, y.entries))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4))
+def test_a_chunked_walk_over_a_runs_transcript_answers_as_the_library(seed, n, per_chunk):
+    # The run's transcript makes its stage states on the way, and with
+    # per_chunk states per chunk later chunks walk again from the initial
+    # state; every claim of a generated chain still answers as it does over
+    # a transcript that keeps every stage, in one chunk.
+    from pointerlab import runner
+
+    scenario = parse_scenario(_chain_text(np.random.default_rng(seed), n))
+    library = scenario_transcript(scenario)
+    claims = _chain_claims(scenario, library, n)
+    want = ex.certainties(library, claims)
+    with mock.patch.object(ex, "MAX_AMPLITUDES", per_chunk * scenario.layouts[-1].dimension):
+        got = ex.certainties(runner._pending(scenario), claims)
+    _assert_same_answers(got, want)
 
 
 @pytest.mark.parametrize("model", ["two", "rot"])
