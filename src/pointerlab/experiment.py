@@ -293,12 +293,12 @@ def certainties(
     record; a decoherent claim conditions, per model, the model's branches
     of it.  The walk (``_evidence``) does so at that stage and carries the
     states through each later step together, as one StateBatch of at most
-    MAX_AMPLITUDES amplitudes (more go in later walks, in consecutive
-    chunks), reading each claim at its read stage.  It makes each stage
-    state the transcript does not keep as it passes, the final one
-    included, so a failing action raises its ExecutionError here.  Each
-    entry of the result is the claim's verdict, or the error ``certainty``
-    raises for that claim alone (``_verdict``).
+    MAX_AMPLITUDES amplitudes, reading each claim at its read stage.  More
+    states, and the parts a failed walk left unanswered, go in later walks
+    of one work list.  A walk makes each stage state the transcript does not
+    keep as it passes, the final one included, so a failing action raises
+    its ExecutionError here.  Each entry of the result is the claim's
+    verdict, or the error ``certainty`` raises for that claim alone.
     """
     plans: list[tuple[tuple, ...] | PointerLabError] = []
     for claim in claims:
@@ -307,18 +307,13 @@ def certainties(
         except PointerLabError as exc:
             plans.append(exc)
     made: dict[tuple[int, int, Basis | None], tuple[float, ...] | PointerLabError] = {}
-    try:
-        tables = _evidence(transcript, [p for plan in plans if isinstance(plan, tuple)
-                                        for p in plan], made)
-    except ExecutionError:
-        raise
-    except PointerLabError:
-        tables = None
+    tables = _evidence(transcript, [p for plan in plans if isinstance(plan, tuple)
+                                    for p in plan], made)
     answers = []
     for claim, plan in zip(claims, plans):
         try:
             answers.append(plan if isinstance(plan, PointerLabError)
-                           else _verdict(transcript, claim, plan, made, tables))
+                           else _verdict(claim, plan, made, tables))
         except PointerLabError as exc:
             answers.append(exc)
     return tuple(answers)
@@ -376,20 +371,17 @@ def _parts(transcript: ProtocolTranscript, claim: Claim) -> tuple[tuple, ...]:
     return tuple(((start, record, b), (read, prop.subject, prop.basis)) for b in branch_sets)
 
 
-def _verdict(transcript: ProtocolTranscript, claim: Claim, plan: tuple[tuple, ...], made: dict,
-             tables: dict | None) -> CertaintyVerdict:
-    """The verdict on ``claim`` from the tables its parts' states were read
-    into; it raises the first of its parts' conditioning errors in ``made``,
-    and without ``tables`` (the shared walk failed) it walks each part
-    alone, in order, so that the claim raises what it raises alone.  A
-    model's environment would stay a spectator of every later step, so
-    summing over it, as the Born rule does, mixes its branches' tables with
-    the branch weights; premeasurement semantics is the one branch."""
-    for key, _ in plan:
-        if isinstance(made[key], PointerLabError):
-            raise made[key]
-    if tables is None:
-        tables = {k: d for part in plan for k, d in _evidence(transcript, [part], made).items()}
+def _verdict(claim: Claim, plan: tuple[tuple, ...], made: dict, tables: dict) -> CertaintyVerdict:
+    """The verdict on ``claim`` from the tables the work list of ``_evidence``
+    read its parts' states into.  It raises its parts' first conditioning
+    error in ``made``, then the first error of a part's lone walk, as the
+    claim does alone.  A model's environment would stay a spectator of every
+    later step, so summing over it, as the Born rule does, mixes its
+    branches' tables with the branch weights; premeasurement semantics is
+    the one branch."""
+    for error in [made[key] for key, _ in plan] + [tables.get(part) for part in plan]:
+        if isinstance(error, PointerLabError):
+            raise error
     dists = []
     for key, at in plan:
         read = [tables[key, k, at] for k in range(len(made[key]))]
@@ -404,30 +396,33 @@ def _verdict(transcript: ProtocolTranscript, claim: Claim, plan: tuple[tuple, ..
 
 
 def _evidence(transcript: ProtocolTranscript, parts: Sequence[tuple], made: dict) -> dict:
-    """{(key, branch, read): distribution} for ``parts``, from one forward
-    walk of the stages per chunk of max(1, MAX_AMPLITUDES // D_final) of the
-    states they condition on, numbered in the order the walk conditions
-    them.  At each stage a walk conditions each key there (level key[1] of
-    the stage's apparatus along the branches key[2]) that has states in the
-    chunk or none counted yet, recording the weights, or the error, in
-    ``made``, and joins the chunk's states to the batch, which goes through
-    each later step up to the last read.  It makes the stage states those
-    keys need, from the last one the transcript keeps, and the final one if
-    the transcript lacks it; then it raises the first error the batch met."""
+    """{(key, branch, read): distribution} for ``parts``, and {part: error}
+    for a part whose lone walk failed, from one work list of (parts, chunk)
+    jobs, all parts in chunk 0 first.  A chunk is max(1, MAX_AMPLITUDES //
+    D_final) of the states a job's parts condition on, in the order its walk
+    conditions them.  At each stage the walk conditions each key there
+    (level key[1] of the stage's apparatus along the branches key[2]) with
+    states in the chunk or none counted yet, recording the weights, or the
+    error, in ``made``, and joins the chunk's states to the batch, which
+    goes through each later step up to the last read; it makes the stage
+    states the keys need, and the final one.  A passed walk goes on to its
+    next chunk while states remain; a failed walk of several parts sends
+    each part it left unanswered (no conditioning error, no table of its
+    key's last state) to walk alone; a lone part's failure is its error."""
     size = max(1, MAX_AMPLITUDES // transcript.stages[-1].layout.dimension)
-    reads: dict[tuple[int, str, Basis], set] = {}
-    for key, read in parts:
-        reads.setdefault(read, set()).add(key)
-    last = max((read[0] for read in reads), default=-1)
     tables: dict = {}
-    chunk = range(0, size)
-    while True:
+    jobs = [(list(dict.fromkeys(parts)), range(0, size))]
+    for job, chunk in jobs:  # a walk appends the jobs it leaves
+        reads: dict[tuple[int, str, Basis], set] = {}
+        for key, read in job:
+            reads.setdefault(read, set()).add(key)
+        last = max((read[0] for read in reads), default=-1)
         states = enumerate(transcript._states())
         at, state = -1, None  # the latest stage state made, and its stage
         batch, held, failed, n = None, [], None, 0  # held: each batch state's (key, branch)
         for j, step in enumerate(transcript.steps[:last + 1]):
             joining: list = []
-            for key in dict.fromkeys(key for key, _ in parts if key[0] == j):
+            for key in dict.fromkeys(key for key, _ in job if key[0] == j):
                 if isinstance(made.get(key), PointerLabError):
                     continue
                 if key in made and not (chunk.start < n + len(made[key]) and n < chunk.stop):
@@ -468,11 +463,16 @@ def _evidence(transcript: ProtocolTranscript, parts: Sequence[tuple], made: dict
         if transcript.stages[-1].kept is None:
             for _ in states:
                 pass
-        if failed is not None:
-            raise failed
-        if n <= chunk.stop:
-            return tables
-        chunk = range(chunk.stop, chunk.stop + size)
+        if failed is None:
+            if n > chunk.stop:
+                jobs.append((job, range(chunk.stop, chunk.stop + size)))
+        elif len(job) > 1:
+            jobs += [([(key, read)], range(0, size)) for key, read in job
+                     if not isinstance(made[key], PointerLabError)
+                     and (key, len(made[key]) - 1, read) not in tables]
+        else:
+            tables[job[0]] = failed
+    return tables
 
 
 # --------------------------------------------------------------------------
@@ -580,6 +580,10 @@ def consistency_audit(transcript: ProtocolTranscript,
     certain, no chained claim exists and the flag clears.  Nothing is
     replayed here.
     """
+    if not statements:
+        raise PointerLabError("the audit's chain names no statement")
+    if not joint:
+        raise PointerLabError("the audit's joint names no apparatus")
     for name, answer in statements:
         if isinstance(answer, PointerLabError):
             raise answer

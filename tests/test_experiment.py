@@ -1,6 +1,7 @@
 """Protocol transcript, joint outcomes, certainty semantics, audits."""
 
 import gc
+import itertools
 import json
 import math
 import weakref
@@ -315,6 +316,20 @@ def test_consistency_audit_flags():
     assert audit.recheck[1].kind == "undetermined"
     assert not audit.contradiction_decoherent
     assert tuple(name for name, _ in audit.recheck[1].evidence) == ("two-branch", "three-branch")
+
+
+def test_an_audit_without_a_chain_or_a_joint_names_what_it_lacks():
+    # The parser rejects chain=() and joint=(); called directly, the audit
+    # rejects them too, rather than derive a contradiction from no statement
+    # or fail to unpack an empty joint.
+    audit = pl.consistency_audit()
+    transcript = pl.run_protocol()
+    with pytest.raises(PointerLabError) as empty_chain:
+        ex.consistency_audit(transcript, [], audit.recheck, audit.joint)
+    with pytest.raises(PointerLabError) as empty_joint:
+        ex.consistency_audit(transcript, audit.statements_premeasurement, audit.recheck, [])
+    assert str(empty_chain.value) == "the audit's chain names no statement"
+    assert str(empty_joint.value) == "the audit's joint names no apparatus"
 
 
 def test_audit_value_matches_exhaustive_enumeration():
@@ -856,27 +871,60 @@ queries:
 """
 
 
-@pytest.mark.parametrize("pending", [False, True], ids=["library", "run"])
-@pytest.mark.parametrize("per_chunk", [None, 1], ids=["whole", "one-per-chunk"])
+@pytest.mark.parametrize("pending, order", [
+    pytest.param(pending, order, id=("run" if pending else "library")
+                 + ("" if order == (0, 1, 2) else "-order-%d%d%d" % order))
+    for pending in (False, True) for order in itertools.permutations(range(3))])
+@pytest.mark.parametrize("per_chunk", [None, 1, 2, 3, 4], ids=[
+    "whole", "one-per-chunk", "two-per-chunk", "three-per-chunk", "four-per-chunk"])
 def test_a_step_failing_on_a_conditioned_state_fails_that_claim_alone(
-        monkeypatch, pending, per_chunk):
-    # The shared walk meets B's error; each claim then walks alone, so the
-    # two premeasurement claims answer as they do alone and the decoherent
-    # one raises what it raises alone.
+        monkeypatch, pending, order, per_chunk):
+    # The walk meets B's error; each part it left unanswered then walks
+    # alone, and a part answered in an earlier chunk, or read before the
+    # failing step, keeps its tables.  So, whatever the claims' order and
+    # the chunk size, the two premeasurement claims answer as they do alone
+    # and the decoherent one raises what it raises alone.
+    from pointerlab import runner
+
+    scenario = parse_scenario(OFF_READY_BRANCHES)
+    claims = [scenario.queries[i].resolved for i in order]
+    if per_chunk:
+        monkeypatch.setattr(ex, "MAX_AMPLITUDES", per_chunk * scenario.layouts[-1].dimension)
+    make = runner._pending if pending else scenario_transcript
+    answers = ex.certainties(make(scenario), claims)
+    assert [type(a) for a in answers] == [ApparatusNotReadyError if i == 1
+                                          else ex.CertaintyVerdict for i in order]
+    assert [a.kind for i, a in zip(order, answers) if i != 1] == ["certain", "certain"]
+    assert str(answers[order.index(1)]) == "apparatus 'B' is not in its ready state 'b0'"
+    alone = [ex.certainties(make(scenario), [claim])[0] for claim in claims]
+    assert [repr(a) for a in answers] == [repr(a) for a in alone]
+
+
+@pytest.mark.parametrize("pending, steps", [(False, 4), (True, 9)], ids=["library", "run"])
+@pytest.mark.parametrize("per_chunk", [None, 1], ids=["whole", "one-per-chunk"])
+def test_a_failed_walk_walks_again_only_the_parts_it_left_unanswered(
+        monkeypatch, pending, steps, per_chunk):
+    # B's premeasurement is the step after A's stage, and every claim reads
+    # the final stage.  Whole, one walk holds all four states and fails
+    # there, before any read, so each of the three parts walks alone: 1 + 3
+    # batch steps, and a run also makes A's stage state in each of the four
+    # walks and the final state in the first.  One state per chunk, the
+    # first chunk (the first claim's state) passes and keeps its table, and
+    # the second (the decoherent claim's first state) fails, so only the
+    # other two parts walk alone: 2 + 2 batch steps, with the same stage
+    # states made.
     from pointerlab import runner
 
     scenario = parse_scenario(OFF_READY_BRANCHES)
     claims = [q.resolved for q in scenario.queries]
     if per_chunk:
         monkeypatch.setattr(ex, "MAX_AMPLITUDES", per_chunk * scenario.layouts[-1].dimension)
-    make = runner._pending if pending else scenario_transcript
-    answers = ex.certainties(make(scenario), claims)
-    assert [type(a) for a in answers] == [ex.CertaintyVerdict, ApparatusNotReadyError,
-                                          ex.CertaintyVerdict]
-    assert [answers[0].kind, answers[2].kind] == ["certain", "certain"]
-    assert str(answers[1]) == "apparatus 'B' is not in its ready state 'b0'"
-    alone = [ex.certainties(make(scenario), [claim])[0] for claim in claims]
-    assert [repr(a) for a in answers] == [repr(a) for a in alone]
+    transcript = (runner._pending if pending else scenario_transcript)(scenario)
+    calls = []
+    real = ex.apply_step
+    monkeypatch.setattr(ex, "apply_step", lambda *args: calls.append(1) or real(*args))
+    ex.certainties(transcript, claims)
+    assert len(calls) == steps
 
 
 def test_a_run_names_the_claim_whose_conditioned_state_fails_a_step(tmp_path, capsys):
